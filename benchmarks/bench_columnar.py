@@ -20,6 +20,14 @@ the JSON and on stderr instead of a silently misleading number. The
 hosts with < 4 CPUs the workers time-share cores and wall-clock
 measures the scheduler, so the number is recorded but not asserted.
 
+The headline cells are unoptimized programs at ~80 flows. The *matrix*
+section covers what the system itself produces: every example app x
+{base, ``Pipeleon.optimize``} x {64, 20 000 flows, zipf 1.2}, replayed
+through ``engine="auto"`` and ``engine="fastpath"`` on twin deployments,
+each cell with its demotion histogram. Its gate is ROADMAP item 3's:
+``auto`` >= ``fastpath`` on every cell, so the default engine is never
+the slower choice on a program Pipeleon emits.
+
 The differential tests (``tests/test_columnar.py``) prove the speedup
 changes nothing observable.
 """
@@ -40,7 +48,7 @@ from repro.apps import (
     load_balancer,
     nf_composition,
 )
-from repro.core import Deployment, ShardedDeployment
+from repro.core import Deployment, Pipeleon, ShardedDeployment
 from repro.nic.targets import BLUEFIELD2
 from repro.traffic.flows import synth_flows
 from repro.traffic.generator import TrafficGenerator
@@ -75,6 +83,9 @@ REPEATS = 3
 BATCH = 4096
 #: Headline bar: columnar over the *closure* tier on l2l3_acl.
 COLUMNAR_FLOOR = 3.0
+#: Matrix gate: the default engine must not lose to the closure tier.
+AUTO_FLOOR = 1.0
+MATRIX_FLOWS = (64, 20000)
 N_WORKERS = 4
 #: CPUs the process must be allowed on before the shm wall bar applies.
 WALL_GATE_MIN_CPUS = 4
@@ -132,6 +143,53 @@ def _measure(app: str) -> dict:
     }
 
 
+def _matrix_cell(app: str, optimized: bool, n_flows: int) -> dict:
+    """``auto`` vs ``fastpath`` on twin deployments of one plan."""
+    build, install = APPS[app]
+    plan = Pipeleon(BLUEFIELD2).optimize(build()) if optimized else None
+    flows = synth_flows(n_flows)
+
+    def stream(seed: int):
+        return list(
+            TrafficGenerator(seed).stream(
+                flows, N_PACKETS, locality="zipf", zipf_skew=1.2
+            )
+        )
+
+    pps = {}
+    for engine in ("auto", "fastpath"):
+        deployment = Deployment(build(), BLUEFIELD2, plan=plan, engine=engine)
+        install(deployment.control_plane)
+        deployment.replay(stream(0), batch=BATCH)  # compile + warm
+        times = []
+        for repeat in range(REPEATS):
+            packets = stream(1 + repeat)
+            start = time.perf_counter()
+            deployment.replay(packets, batch=BATCH)
+            times.append(time.perf_counter() - start)
+        pps[engine] = N_PACKETS / median(times)
+        if engine == "auto":
+            demotions = dict(deployment.emulator.columnar_demotions)
+    return {
+        "auto_pps": round(pps["auto"]),
+        "fastpath_pps": round(pps["fastpath"]),
+        "auto_vs_fastpath": round(pps["auto"] / pps["fastpath"], 2),
+        "flow_caches": len(deployment.emulator.flow_caches),
+        "demotions": demotions,
+    }
+
+
+def _measure_matrix() -> dict:
+    return {
+        f"{app}/{'optimized' if optimized else 'base'}/{n_flows}": (
+            _matrix_cell(app, optimized, n_flows)
+        )
+        for app in APPS
+        for optimized in (False, True)
+        for n_flows in MATRIX_FLOWS
+    }
+
+
 def _measure_shm() -> dict:
     """Columnar over the shm rings at 4 workers: wall-clock pps."""
     fleet = ShardedDeployment(
@@ -164,6 +222,7 @@ def _measure_shm() -> dict:
 def test_bench_columnar():
     host = host_metadata()
     results = {app: _measure(app) for app in APPS}
+    matrix = _measure_matrix()
     shm = _measure_shm()
 
     headline = results["l2l3_acl"]
@@ -182,6 +241,13 @@ def test_bench_columnar():
             )
         ),
         label="BENCH_columnar speedup gate",
+    )
+    worst_cell = min(matrix, key=lambda c: matrix[c]["auto_vs_fastpath"])
+    matrix_gate = make_gate(
+        True,
+        threshold=AUTO_FLOOR,
+        measured=matrix[worst_cell]["auto_vs_fastpath"],
+        label="BENCH_columnar auto-vs-fastpath matrix gate",
     )
     shm_gated = host["affinity"] >= WALL_GATE_MIN_CPUS
     # This gate asserts nothing numeric yet (the shm wall number is
@@ -211,6 +277,14 @@ def test_bench_columnar():
         "batch": BATCH,
         "gate": gate,
         "apps": results,
+        "matrix": {
+            "engines": ["auto", "fastpath"],
+            "flows": list(MATRIX_FLOWS),
+            "zipf_skew": 1.2,
+            "worst_cell": worst_cell,
+            "gate": matrix_gate,
+            "cells": matrix,
+        },
         "shm_4_workers": {**shm, "wall_gate": shm_gate},
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
@@ -251,11 +325,40 @@ def test_bench_columnar():
         ),
     )
 
+    emit(
+        "BENCH_columnar_matrix",
+        fmt_table(
+            ["cell", "auto_pps", "fastpath_pps", "auto/fast", "demotions"],
+            [
+                (
+                    cell,
+                    data["auto_pps"],
+                    data["fastpath_pps"],
+                    data["auto_vs_fastpath"],
+                    json.dumps(data["demotions"]),
+                )
+                for cell, data in matrix.items()
+            ],
+        ),
+    )
+
     # Every batch the shm fleet replayed must have gone through the SoA
     # rings and retired columnar — otherwise the wall number above is
     # measuring the pickle fallback or the closure tier.
     assert shm["fallback_encoding"] == 0
     assert shm["demotions"] == {}
+
+    # ROADMAP item 3's gate: the default engine never loses to the
+    # closure tier on any app x plan x cardinality cell, and a plan
+    # with flow caches no longer demotes (dash_routing is the cell the
+    # end-to-end benchmark's opt_highcard replays).
+    assert matrix_gate["measured"] >= matrix_gate["threshold"], (
+        f"auto slower than fastpath on {worst_cell}: "
+        f"{matrix[worst_cell]}"
+    )
+    for n_flows in MATRIX_FLOWS:
+        cell = matrix[f"dash_routing/optimized/{n_flows}"]
+        assert cell["flow_caches"] and cell["demotions"] == {}, cell
 
     # Headline acceptance bar, loud-skipped when the run demoted
     # (make_gate already announced the skip).

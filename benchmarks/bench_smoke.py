@@ -15,6 +15,8 @@ import time
 from pathlib import Path
 
 import pytest
+from figutil import make_gate
+from hostinfo import host_metadata
 
 from repro.apps import l2l3_acl
 from repro.core import Deployment
@@ -26,12 +28,23 @@ from repro.traffic.generator import TrafficGenerator
 pytestmark = pytest.mark.tier1
 
 N_PACKETS = 4000
+#: A 3% bound needs more than the 8 ms the 4000-packet stream takes
+#: through the batch kernels: ~85 ms of replay per timed sample.
+N_TELEMETRY_PACKETS = 40_000
+#: The live-telemetry gate holds a 5% bound, which means nothing on a
+#: 30 ms replay: its timed stream is sized so the plain two-worker
+#: fleet takes about 0.6 s on the 2-CPU reference host.
+N_LIVE_PACKETS = 200_000
+#: Two workers and the dispatching parent each need a CPU of their own
+#: for that gate: on the 2-CPU host two *identical* plain fleets differ
+#: by 7-9% after five rounds, more than the bound.
+LIVE_GATE_MIN_CPUS = 3
 
 
-def _packets():
+def _packets(n: int = N_PACKETS):
     generator = TrafficGenerator(1)
     flows = synth_flows(64) + synth_flows(16, dport=6666)
-    return list(generator.stream(flows, N_PACKETS, locality="zipf"))
+    return list(generator.stream(flows, n, locality="zipf"))
 
 
 def test_fastpath_throughput_smoke():
@@ -97,7 +110,7 @@ def test_disabled_telemetry_overhead_smoke():
             ("telemetered", telemetered),
         ):
             # Fresh same-seed stream each round: replay mutates packets.
-            packets = _packets()
+            packets = _packets(N_TELEMETRY_PACKETS)
             start = time.perf_counter()
             deployment.emulator.replay(iter(packets))
             best[name] = min(
@@ -116,11 +129,12 @@ def test_live_telemetry_overhead_smoke():
 
     The live plane's steady-state cost is one wall-clock check per
     replay batch in each worker plus an aggregator thread that mostly
-    sleeps: at a 1s snapshot interval a ~1s replay sends roughly one
+    sleeps: at a 1s snapshot interval a ~0.6s replay sends roughly one
     snapshot per shard. Same min-of-5 interleaved discipline as the
     disabled-telemetry gate above; the bound is looser (5%) because the
     sharded path adds process scheduling noise the single-core gate
-    doesn't see.
+    doesn't see. Below ``LIVE_GATE_MIN_CPUS`` the ratio is measured and
+    reported but not asserted (loud skip, as BENCH_sharded's wall gate).
     """
     from repro.core.sharded import ShardedDeployment
     from repro.telemetry.live import LiveOptions
@@ -145,7 +159,7 @@ def test_live_telemetry_overhead_smoke():
         best = {"plain": float("inf"), "live": float("inf")}
         for _ in range(5):
             for name, deployment in (("plain", plain), ("live", live)):
-                packets = _packets()
+                packets = _packets(N_LIVE_PACKETS)
                 start = time.perf_counter()
                 deployment.replay(iter(packets))
                 best[name] = min(
@@ -156,10 +170,29 @@ def test_live_telemetry_overhead_smoke():
         live.close()
 
     ratio = best["live"] / best["plain"]
-    assert ratio <= 1.05, (
-        f"live telemetry costs {100 * (ratio - 1):.1f}% "
-        f"({best['live']:.4f}s vs {best['plain']:.4f}s)"
+    affinity = host_metadata()["affinity"]
+    gated = affinity >= LIVE_GATE_MIN_CPUS
+    gate = make_gate(
+        gated,
+        threshold=1.05,
+        measured=round(ratio, 4),
+        reason=(
+            None
+            if gated
+            else (
+                f"host affinity {affinity} < {LIVE_GATE_MIN_CPUS} CPUs: "
+                "workers and parent time-share cores, two identical "
+                "fleets differ by more than the bound"
+            )
+        ),
+        label="live telemetry overhead gate",
     )
+    # A skipped gate already announced itself via make_gate.
+    if gate["gated"]:
+        assert ratio <= 1.05, (
+            f"live telemetry costs {100 * (ratio - 1):.1f}% "
+            f"({best['live']:.4f}s vs {best['plain']:.4f}s)"
+        )
 
 
 GATE_KEYS = {"gated", "reason", "threshold", "measured"}

@@ -17,13 +17,27 @@ executes nodes in topological order too — so each packet's float64
 column element receives the identical IEEE-754 add sequence the
 sequential engines perform.
 
+Table-like kernels (plain, merged, flow cache, native cache) share one
+shape: sort the batch's keys once, resolve each *unique* key to a plan
+id in a loop that does nothing but the lookup, then charge, count,
+apply and route once per distinct plan — a table has thousands of keys
+but a handful of behaviours.
+
+Flow caches run inside the walk (DESIGN.md §14 has the protocol). The
+cache step simulates the cache's key set on a copy, over the arriving
+packets in packet order: LRU promotion, token-bucket inserts at each
+packet's own ``now_s``, eviction. A miss makes its packet the *leader*
+of an open recording and sends it down ``miss_next``; every covered
+kernel appends its bound effect to the recording; the insert is billed
+when the leader reaches ``hit_next`` (or terminates). Later packets of
+the batch that hit the freshly inserted key are *followers*: they wait
+at the cache and replay the leader's finished effect. Nothing shared is
+mutated; commit replays the retired prefix's op log on the real cache
+and raises if the cache disagrees with the simulation.
+
 Packets the kernels cannot express are *demoted* to the closure fast
 path one at a time, preserving global packet order:
 
-* ``cache-record`` — a flow-cache (or native-cache) miss: the miss path
-  records covered effects and inserts into the cache, which is
-  inherently sequential (the insert can change the very next packet's
-  lookup).
 * ``migrated`` — a navigation jump backwards in topological order
   (cyclic component execution).
 * ``unsupported`` — values outside int64, unknown navigation ids,
@@ -33,18 +47,17 @@ path one at a time, preserving global packet order:
   path, which owns trace sampling.
 * ``input`` — a ``Packet``-list batch that is not SoA-uniform (mixed
   header sets, preset metadata/drop/egress, non-int64 values).
-* ``cascade`` — after :data:`MAX_WALKS_PER_BATCH` demotions in one
-  batch the remaining tail is replayed sequentially (bounds worst-case
-  re-walk cost on cold caches).
+* ``cascade`` — after :data:`MAX_WALKS_PER_BATCH` ``migrated`` /
+  ``unsupported`` demotions in one batch the remaining tail is replayed
+  sequentially (bounds worst-case re-walk cost).
 
 The *pure walk / commit prefix / demote one* loop: a walk touches no
-shared state (cache probes use :meth:`FlowCache.peek`, counters and
-stats become pending events); the miss-free prefix up to the first
-flagged packet is then committed in bulk, the flagged packet is demoted
-through ``FastPathEngine.replay_one`` (with the sim clock set to the
-exact value the sequential engine would see), and the remainder is
-re-walked — the demoted packet's cache insert may legitimately change
-later packets' hits.
+shared state (cache steps simulate on copies, counters and stats become
+pending events); the clean prefix up to the first flagged packet is
+then committed in bulk, the flagged packet is demoted through
+``FastPathEngine.replay_one`` (with the sim clock set to the exact
+value the sequential engine would see), and the remainder is re-walked
+against the caches as the demoted packet left them.
 
 Compiled state reuses the fast path's staleness fingerprint (table
 versions + cache/counter/tracer identities), so any control-plane
@@ -56,9 +69,11 @@ so they survive recompiles and can be merged across shard workers into
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from copy import copy
 from itertools import accumulate, repeat
 from time import perf_counter
-from typing import Iterable, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -84,18 +99,39 @@ _I64_MAX = 2**63 - 1
 MAX_WALKS_PER_BATCH = 8
 
 # Flag codes (first flag wins; 0 = clean).
-_F_CACHE = 1
-_F_UNSUPPORTED = 2
-_F_MIGRATED = 3
+_F_UNSUPPORTED = 1
+_F_MIGRATED = 2
 _FLAG_REASONS = {
-    _F_CACHE: "cache-record",
     _F_UNSUPPORTED: "unsupported",
     _F_MIGRATED: "migrated",
 }
 
+# Simulated outcome of one cache lookup. A code >= 0 is a *follower*:
+# a hit on a key inserted earlier in the same walk, the code being the
+# leader's position among the packets that arrived at the cache.
+_HIT = -1
+_MISS_INSERTED = -2
+_MISS_REJECTED = -3
+
+#: Recording name of the Agilio whole-program cache (covers ``*``).
+_NATIVE = "__native__"
+
 
 class _Unsupported(Exception):
     """Compile-time marker: this effect can't run as a column kernel."""
+
+
+class _Effect(NamedTuple):
+    """Bound primitives compiled to column appliers."""
+
+    appliers: tuple  # one per primitive; None = charge only (no_op)
+    unsupported: bool  # no column form: the packets demote
+    drops: bool  # contains a ``drop``: every packet it runs on ends
+    bound: tuple  # the primitives themselves, for open recordings
+
+
+#: An entry whose action is unknown or does not bind: always demotes.
+_UNBINDABLE = _Effect((), True, False, ())
 
 
 class BatchOutcome:
@@ -190,6 +226,61 @@ class ColumnBatch:
         )
 
 
+class _Recording:
+    """The open miss recordings of one cache in one walk.
+
+    One object covers every leader of the cache: ``open`` marks packets
+    whose recording has not been committed yet, ``insert`` those whose
+    insert the simulation let through (and so gets billed), ``chain``
+    each leader's recorded effect so far as an id into the walk's
+    interned effect chains. ``followers`` are the packets parked at the
+    cache, as ``(packets, their leaders)``, until the leaders finish;
+    ``resolve(walk, recording)`` is the owning cache kernel's replay of
+    the finished effects on them.
+    """
+
+    __slots__ = (
+        "name",
+        "hit_next",
+        "pool",
+        "insert_ns",
+        "open",
+        "insert",
+        "chain",
+        "followers",
+        "resolve",
+    )
+
+    def __init__(self, name, hit_next, pool, insert_ns, n, resolve):
+        self.name = name
+        self.hit_next = hit_next
+        self.pool = pool
+        self.insert_ns = insert_ns
+        self.open = np.zeros(n, dtype=bool)
+        self.insert = np.zeros(n, dtype=bool)
+        self.chain = np.zeros(n, dtype=np.int64)
+        self.followers = None
+        self.resolve = resolve
+
+
+class _CacheStep:
+    """Op log of one cache step: who looked up what, in packet order.
+
+    ``codes`` is None when every key was present (all hits, nothing to
+    simulate); otherwise one simulated outcome per arriving packet.
+    """
+
+    __slots__ = ("cache", "idx", "keys", "kid", "codes", "recording")
+
+    def __init__(self, cache, idx, keys, kid):
+        self.cache = cache
+        self.idx = idx
+        self.keys = keys
+        self.kid = kid
+        self.codes = None
+        self.recording = None
+
+
 class _Walk:
     """Pure per-walk state: column CoW overlays plus charge arrays.
 
@@ -197,17 +288,15 @@ class _Walk:
     ``present`` is ``None`` for all-present base columns or a bool array;
     ``owned`` is False while ``values`` still aliases the batch's
     read-only base data. Nothing in a walk touches shared engine state —
-    counters, cache hits and explicit counts accumulate as event lists
-    that the commit phase filters to the retired prefix.
+    counters, cache lookups and explicit counts accumulate as event
+    lists that the commit phase filters to the retired prefix.
     """
 
     __slots__ = (
         "n",
         "cols",
-        "busy0",
-        "busy1",
-        "used0",
-        "used1",
+        "busy",
+        "used",
         "prev",
         "migr",
         "dropped",
@@ -215,13 +304,18 @@ class _Walk:
         "has_eg",
         "sampled",
         "flags",
+        "flagged",
         "pending",
+        "now",
         "counter_events",
-        "cache_events",
         "explicit_events",
+        "cache_steps",
+        "recordings",
+        "chains",
+        "chain_effects",
     )
 
-    def __init__(self, batch: ColumnBatch, sampled: np.ndarray):
+    def __init__(self, batch: ColumnBatch, sampled, now):
         n = batch.n
         self.n = n
         values = batch.values
@@ -229,24 +323,34 @@ class _Walk:
             name: [values[j], None, False]
             for j, name in enumerate(batch.names)
         }
-        self.busy0 = np.zeros(n, dtype=np.float64)
-        self.busy1 = np.zeros(n, dtype=np.float64)
-        self.used0 = np.zeros(n, dtype=bool)
-        self.used1 = np.zeros(n, dtype=bool)
+        #: Per-pool busy time and "this pool was charged" (ASIC, CPU).
+        self.busy = (
+            np.zeros(n, dtype=np.float64),
+            np.zeros(n, dtype=np.float64),
+        )
+        self.used = (np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
         self.prev = np.full(n, -1, dtype=np.int8)
         self.migr = np.zeros(n, dtype=np.int64)
         self.dropped = np.zeros(n, dtype=bool)
         self.egress = np.zeros(n, dtype=np.int64)
         self.has_eg = np.zeros(n, dtype=bool)
+        #: True (every packet), None (no packet) or a bool mask.
         self.sampled = sampled
         self.flags = np.zeros(n, dtype=np.int8)
+        self.flagged = False
         self.pending: dict[str, list] = {}
+        #: Per-packet sim-clock values, or None for a static clock.
+        self.now = now
         #: (counter_key, sampled idx array) in visit order.
         self.counter_events: list = []
-        #: (cache_obj, key, idx array) in visit order.
-        self.cache_events: list = []
         #: (explicit counter name, idx array) in visit order.
         self.explicit_events: list = []
+        self.cache_steps: list[_CacheStep] = []
+        #: Opening order == the order a packet visits its caches.
+        self.recordings: list[_Recording] = []
+        #: Interned effect chains: (parent id, bound) -> id; id 0 = ().
+        self.chains: dict = {}
+        self.chain_effects: list = [()]
 
     def writable(self, name: str):
         """The column triple for ``name``, made safe to mutate."""
@@ -277,14 +381,69 @@ class _Walk:
         if idx.size:
             fresh = idx[self.flags[idx] == 0]
             self.flags[fresh] = code
+            self.flagged = True
+
+    def count(self, busy, idx, key, counter_ns) -> None:
+        """Sampled counter bump + its charge, as a pending event."""
+        sampled = self.sampled
+        if sampled is None:
+            return
+        if sampled is not True:
+            idx = idx[sampled[idx]]
+            if idx.size == 0:
+                return
+        self.counter_events.append((key, idx))
+        busy[idx] += counter_ns
 
     def route(self, name: Optional[str], idx: np.ndarray) -> None:
-        """Queue surviving (unflagged) packets for a successor node."""
-        if name is None or idx.size == 0:
+        """Queue surviving (unflagged) packets for a successor node.
+
+        Arriving at a recording's ``hit_next`` commits it, and so does
+        terminating (``name`` None) — the interpreter's loop-top check
+        and ``_finalize_recordings``, in opening order either way.
+        """
+        if self.flagged:
+            idx = idx[self.flags[idx] == 0]
+        if idx.size == 0:
             return
-        idx = idx[self.flags[idx] == 0]
-        if idx.size:
+        for recording in self.recordings:
+            if name is None or recording.hit_next == name:
+                self.close(recording, idx)
+        if name is not None:
             self.pending.setdefault(name, []).append(idx)
+
+    def close(self, recording: _Recording, idx: np.ndarray) -> None:
+        """Commit the recordings of ``idx``'s leaders: bill the insert
+        to the cache's pool where the simulation admitted it."""
+        members = idx[recording.open[idx]]
+        if members.size:
+            recording.open[members] = False
+            billed = members[recording.insert[members]]
+            if billed.size:
+                self.busy[recording.pool][billed] += recording.insert_ns
+                self.used[recording.pool][billed] = True
+
+    def record(self, feeds, idx: np.ndarray, bound: tuple) -> None:
+        """``NicEmulator._record``: append ``bound`` to the open
+        recordings ``feeds`` names, once per distinct chain so far."""
+        for recording in self.recordings:
+            if recording.name not in feeds:
+                continue
+            members = idx[recording.open[idx]]
+            if members.size == 0:
+                continue
+            chain = recording.chain
+            ids, inverse = np.unique(chain[members], return_inverse=True)
+            extended = [self._extend(c, bound) for c in ids.tolist()]
+            chain[members] = np.array(extended, dtype=np.int64)[inverse]
+
+    def _extend(self, chain_id: int, bound: tuple) -> int:
+        key = (chain_id, bound)
+        extended = self.chains.get(key)
+        if extended is None:
+            extended = self.chains[key] = len(self.chain_effects)
+            self.chain_effects.append(self.chain_effects[chain_id] + bound)
+        return extended
 
     def key_matrix(self, idx: np.ndarray, names) -> np.ndarray:
         """Key columns for ``idx``: absent fields read as 0 (Packet.key)."""
@@ -301,32 +460,70 @@ class _Walk:
         return out
 
 
-def _group_rows(keymat: np.ndarray):
-    """Partition row indices of ``keymat`` by unique key row.
-
-    Yields ``(key_tuple, positions)`` where ``positions`` indexes rows
-    of ``keymat`` (argsort/searchsorted-style boundaries rather than one
-    ``np.unique`` scan per group).
-    """
+def _unique_rows(keymat: np.ndarray):
+    """One sort: ``(unique key tuples, key id of every row)``."""
     n, width = keymat.shape
-    if n == 0:
-        return
-    if n == 1:
-        yield tuple(int(v) for v in keymat[0]), np.zeros(1, dtype=np.int64)
-        return
     if width == 1:
-        order = np.argsort(keymat[:, 0], kind="stable")
-        ordered = keymat[order]
-        change = ordered[1:, 0] != ordered[:-1, 0]
-    else:
-        order = np.lexsort(keymat.T[::-1])
-        ordered = keymat[order]
-        change = np.any(ordered[1:] != ordered[:-1], axis=1)
-    bounds = np.flatnonzero(change) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [n]))
-    for s, e in zip(starts, ends):
-        yield tuple(int(v) for v in ordered[s]), order[s:e]
+        keys, kid = np.unique(keymat[:, 0], return_inverse=True)
+        return [(key,) for key in keys.tolist()], kid
+    if width == 0 or n == 1:
+        return [tuple(keymat[0].tolist())], np.zeros(n, dtype=np.int64)
+    order = np.lexsort(keymat.T[::-1])
+    ordered = keymat[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    kid = np.empty(n, dtype=np.int64)
+    kid[order] = np.cumsum(first) - 1
+    return list(map(tuple, ordered[first].tolist())), kid
+
+
+def _split(ids: np.ndarray, idx: np.ndarray):
+    """Yield ``(id, idx[ids == id])`` per distinct id, in id order.
+
+    One stable sort, so each group keeps ``idx``'s order.
+    """
+    if idx.size == 0:
+        return
+    if (ids == ids[0]).all():
+        yield int(ids[0]), idx
+        return
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    members = idx[order]
+    bounds = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    for start, end in zip([0, *bounds], [*bounds, idx.size]):
+        yield int(ordered[start]), members[start:end]
+
+
+def _simulate(cache, keys, kid, times) -> list:
+    """Run ``cache`` over one batch's lookups on a copy.
+
+    ``kid``/``times`` give, in packet order, each arriving packet's key
+    id and sim-clock value. Returns one outcome code per packet. Exactly
+    the sequential engines' per-packet ``lookup`` then (on a miss)
+    ``insert``: the insert happens later in the packet's life, but no
+    other packet touches the cache in between.
+    """
+    store = OrderedDict(cache._store)
+    limiter = copy(cache._limiter)
+    capacity = cache.capacity
+    codes = []
+    for position, (k, now_s) in enumerate(zip(kid, times)):
+        key = keys[k]
+        held = store.get(key)
+        if held is None:
+            if limiter is None or limiter.allow(now_s):
+                if len(store) >= capacity:
+                    store.popitem(last=False)
+                store[key] = position
+                codes.append(_MISS_INSERTED)
+            else:
+                codes.append(_MISS_REJECTED)
+        else:
+            store.move_to_end(key)
+            codes.append(held if type(held) is int else _HIT)
+    return codes
 
 
 class ColumnarEngine:
@@ -510,22 +707,22 @@ class ColumnarEngine:
             return apply_count
         raise _Unsupported(op)
 
-    def _compile_effect(self, bound):
-        """Bound primitives -> (appliers tuple, unsupported?)."""
-        key = tuple(bound)
-        cached = self._effect_memo.get(key)
+    def _compile_effect(self, bound: tuple) -> _Effect:
+        cached = self._effect_memo.get(bound)
         if cached is None:
             try:
-                cached = (
+                cached = _Effect(
                     tuple(
                         self._compile_primitive(op, args)
                         for op, args in bound
                     ),
                     False,
+                    any(op == "drop" for op, _ in bound),
+                    bound,
                 )
             except _Unsupported:
-                cached = ((), True)
-            self._effect_memo[key] = cached
+                cached = _Effect((), True, False, bound)
+            self._effect_memo[bound] = cached
         return cached
 
     # -- shared kernel pieces ----------------------------------------------
@@ -539,27 +736,43 @@ class ColumnarEngine:
     @staticmethod
     def _prologue(walk, idx, pool, migration_ns, cost_ns):
         """Migration check + node cost, in the interpreter's order."""
-        busy = walk.busy0 if pool == 0 else walk.busy1
+        busy = walk.busy[pool]
         prev = walk.prev
-        moved = idx[(prev[idx] != -1) & (prev[idx] != pool)]
+        came_from = prev[idx]
+        moved = idx[(came_from != -1) & (came_from != pool)]
         if moved.size:
             busy[moved] += migration_ns
             walk.migr[moved] += 1
         prev[idx] = pool
         busy[idx] += cost_ns
-        (walk.used0 if pool == 0 else walk.used1)[idx] = True
+        walk.used[pool][idx] = True
         return busy
 
     @staticmethod
-    def _apply_effect(walk, busy, idx, appliers, action_ns):
-        """Charge + apply one compiled effect; all primitives run (the
-        sequential engines apply every primitive even after a drop)."""
-        for applier in appliers:
+    def _run_effect(walk, busy, idx, effect, action_ns, feeds, next_name):
+        """Charge + apply one compiled effect, feed it to the open
+        recordings, and send the packets on (a drop is unconditional, so
+        an effect either terminates all of ``idx`` or none of it; the
+        sequential engines too apply every primitive after a drop)."""
+        for applier in effect.appliers:
             busy[idx] += action_ns
             if applier is not None:
                 applier(walk, idx)
-        live = idx[~walk.dropped[idx]]
-        return live
+        if effect.bound and walk.recordings:
+            walk.record(feeds, idx, effect.bound)
+        walk.route(None if effect.drops else next_name, idx)
+
+    def _feeds(self, names) -> frozenset:
+        """Recordings that ``_record(covered_names=names)`` appends to:
+        flow caches covering any of ``names``, and the native cache."""
+        program = self._em.program
+        feeds = {
+            cache
+            for cache in self._em.flow_caches
+            if set(program.table(cache).cache_info.covers) & set(names)
+        }
+        feeds.add(_NATIVE)
+        return frozenset(feeds)
 
     # -- node kernels ------------------------------------------------------
 
@@ -623,19 +836,12 @@ class ColumnarEngine:
                     taken = op_fn(column, value)
                     if present is not None:
                         taken &= present[idx]
-            sampled_mask = walk.sampled[idx]
-            sampled_idx = idx[sampled_mask]
-            if sampled_idx.size:
-                taken_s = taken[sampled_mask]
-                true_idx = sampled_idx[taken_s]
-                false_idx = sampled_idx[~taken_s]
-                if true_idx.size:
-                    walk.counter_events.append((true_key, true_idx))
-                if false_idx.size:
-                    walk.counter_events.append((false_key, false_idx))
-                busy[sampled_idx] += counter_ns
-            walk.route(true_next, idx[taken])
-            walk.route(false_next, idx[~taken])
+            true_idx = idx[taken]
+            false_idx = idx[~taken]
+            walk.count(busy, true_idx, true_key, counter_ns)
+            walk.count(busy, false_idx, false_key, counter_ns)
+            walk.route(true_next, true_idx)
+            walk.route(false_next, false_idx)
 
         return kernel
 
@@ -668,10 +874,7 @@ class ColumnarEngine:
             if col[1] is None:
                 col[1] = np.ones(walk.n, dtype=bool)
             col[1][jump_idx] = False  # metadata.pop(NEXT_TAB_ID)
-            for (node_id,), positions in _group_rows(
-                ids.reshape(-1, 1)
-            ):
-                group = jump_idx[positions]
+            for node_id, group in _split(ids, jump_idx):
                 target = id_nodes.get(node_id)
                 if target is None:
                     walk.flag(group, _F_UNSUPPORTED)
@@ -704,48 +907,186 @@ class ColumnarEngine:
         return kernel
 
     def _compile_flow_cache(self, node):
-        name = node.name
         info = node.cache_info
         pool, core, migration_ns = self._node_consts(node)
         lookup_ns = core.lookup_ns
+        self.node_model_ns[node.name] = lookup_ns
+        prologue = self._prologue
+
+        def charge(walk: _Walk, idx: np.ndarray):
+            return prologue(walk, idx, pool, migration_ns, lookup_ns)
+
+        return self._compile_cache_step(
+            node.name,
+            self._em.flow_caches[node.name],
+            node.match_fields,
+            charge,
+            pool,
+            core,
+            (cache_counter(node.name, True), cache_counter(node.name, False)),
+            info.hit_next,
+            info.miss_next,
+            self._feeds(info.covers or (node.name,)),
+        )
+
+    def _compile_native(self):
+        """Whole-program native-cache pre-step (Agilio CX model): a hit
+        terminates, a miss records everything the program then does."""
+        em = self._em
+        if em.native_cache is None or em.program.root is None:
+            return None
+        entry_pipeline = em._pipeline_map[em.program.root]
+        pool = 0 if entry_pipeline is _ASIC else 1
+        core = em.target.core(entry_pipeline)
+        lookup_ns = core.lookup_ns
+
+        def charge(walk: _Walk, idx: np.ndarray):
+            busy = walk.busy[pool]
+            busy[idx] += lookup_ns
+            walk.used[pool][idx] = True
+            return busy
+
+        return self._compile_cache_step(
+            _NATIVE,
+            em.native_cache,
+            FIVE_TUPLE,
+            charge,
+            pool,
+            core,
+            None,
+            None,
+            em.program.root,
+            frozenset(),
+        )
+
+    def _compile_cache_step(
+        self,
+        name,
+        cache,
+        match_fields,
+        charge,
+        pool,
+        core,
+        counter_keys,
+        hit_next,
+        miss_next,
+        feeds,
+    ):
+        """The one cache kernel, for flow caches and the native cache.
+
+        Resolves the batch's unique keys against the real store
+        (read-only), simulates what the packets do to the cache when
+        any key is absent, runs the hits once per distinct effect, sends
+        the misses down ``miss_next`` as leaders of an open recording
+        and parks the followers until :func:`resolve` is called at
+        ``hit_next`` (or at the end of the walk).
+        """
         action_ns = core.action_ns
         counter_ns = core.counter_update_ns
-        match_fields = node.match_fields
-        cache = self._em.flow_caches[name]
-        hit_key = cache_counter(name, True)
-        hit_next = info.hit_next
+        insert_ns = core.table_insert_ns
+        hit_key, miss_key = counter_keys or (None, None)
+        store = cache._store
         compile_effect = self._compile_effect
-        apply_effect = self._apply_effect
-        self.node_model_ns[name] = lookup_ns
+        run_effect = self._run_effect
+        clock = self._em.clock
+
+        def run_hits(walk, busy, effect, group):
+            if effect.unsupported:
+                walk.flag(group, _F_UNSUPPORTED)
+                return
+            if hit_key is not None:
+                walk.count(busy, group, hit_key, counter_ns)
+            run_effect(
+                walk, busy, group, effect, action_ns, feeds, hit_next
+            )
+
+        def resolve(walk: _Walk, recording: _Recording) -> None:
+            """Replay each finished leader's effect on its followers."""
+            followers, leaders = recording.followers
+            recording.followers = None
+            unfinished = recording.open[leaders]
+            if unfinished.any():
+                # The leader was flagged, or bypassed ``hit_next``.
+                walk.flag(followers[unfinished], _F_UNSUPPORTED)
+                followers = followers[~unfinished]
+                leaders = leaders[~unfinished]
+            busy = walk.busy[pool]
+            effects = walk.chain_effects
+            for chain_id, group in _split(
+                recording.chain[leaders], followers
+            ):
+                run_hits(
+                    walk, busy, compile_effect(effects[chain_id]), group
+                )
 
         def kernel(walk: _Walk, idx: np.ndarray) -> None:
-            busy = self._prologue(walk, idx, pool, migration_ns, lookup_ns)
-            keymat = walk.key_matrix(idx, match_fields)
-            groups = 0
-            for key, positions in _group_rows(keymat):
-                groups += 1
-                group = idx[positions]
-                effect = cache.peek(key)
-                if effect is None:
-                    walk.flag(group, _F_CACHE)
+            idx = np.sort(idx)  # cache semantics are packet-ordered
+            busy = charge(walk, idx)
+            keys, kid = _unique_rows(walk.key_matrix(idx, match_fields))
+            self._bump_partitions(name, len(keys))
+            plan_of: dict = {}
+            plans = []
+            key_plans = []
+            for key in keys:
+                bound = store.get(key)
+                if bound is None:
+                    key_plans.append(-1)
                     continue
-                appliers, bad = compile_effect(effect)
-                if bad:
-                    walk.flag(group, _F_UNSUPPORTED)
-                    continue
-                sampled_idx = group[walk.sampled[group]]
-                if sampled_idx.size:
-                    walk.counter_events.append((hit_key, sampled_idx))
-                    busy[sampled_idx] += counter_ns
-                walk.cache_events.append((cache, key, group))
-                live = apply_effect(walk, busy, group, appliers, action_ns)
-                walk.route(hit_next, live)
-            self._bump_partitions(name, groups)
+                plan = plan_of.get(bound)
+                if plan is None:
+                    plan = plan_of[bound] = len(plans)
+                    plans.append(bound)
+                key_plans.append(plan)
+            step = _CacheStep(cache, idx, keys, kid)
+            walk.cache_steps.append(step)
+            packet_plans = np.array(key_plans, dtype=np.int64)[kid]
+            if -1 not in key_plans:
+                hits = idx
+            else:
+                now = walk.now
+                step.codes = _simulate(
+                    cache,
+                    keys,
+                    kid.tolist(),
+                    repeat(clock.now_s)
+                    if now is None
+                    else map(now.__getitem__, idx.tolist()),
+                )
+                codes = np.array(step.codes, dtype=np.int64)
+                hit_mask = codes == _HIT
+                hits = idx[hit_mask]
+                packet_plans = packet_plans[hit_mask]
+            for plan, group in _split(packet_plans, hits):
+                run_hits(walk, busy, compile_effect(plans[plan]), group)
+            if step.codes is None:
+                return
+            leaders = idx[codes <= _MISS_INSERTED]
+            recording = step.recording = _Recording(
+                name, hit_next, pool, insert_ns, walk.n, resolve
+            )
+            recording.open[leaders] = True
+            recording.insert[idx[codes == _MISS_INSERTED]] = True
+            follower_mask = codes >= 0
+            recording.followers = (
+                idx[follower_mask],
+                idx[codes[follower_mask]],
+            )
+            walk.recordings.append(recording)
+            if miss_key is not None:
+                walk.count(busy, leaders, miss_key, counter_ns)
+            walk.route(miss_next, leaders)
 
         return kernel
 
     def _compile_match(self, node, merged: bool):
-        """Plain and merged tables share the partition-lookup shape."""
+        """Plain and merged tables: unique keys -> plan ids -> one
+        charge/count/apply/route per distinct plan.
+
+        A plan is ``(effect, counter key, next node)``; entries binding
+        the same action to the same data share one. A merged-table miss
+        (merge-as-cache, §3.2.3) and a plain table's default action are
+        plans like any other.
+        """
         name = node.name
         pool, core, migration_ns = self._node_consts(node)
         runtime = self._em.runtime_tables[name]
@@ -760,126 +1101,82 @@ class ColumnarEngine:
         lookup = runtime.engine.lookup
         actions = node.actions
         compile_effect = self._compile_effect
-        apply_effect = self._apply_effect
+        run_effect = self._run_effect
         self.node_model_ns[name] = match_ns
         info = node.cache_info if merged else None
-        if merged:
-            hit_key = cache_counter(name, True)
-            miss_key = cache_counter(name, False)
-            hit_next = info.hit_next if info else None
-            miss_next = info.miss_next if info else None
-            default_plan = None
-        else:
-            default_action = actions[node.default_action]
-            try:
-                bound = bind_action(default_action, ())
-                appliers, bad = compile_effect(bound)
-            except EmulationError:
-                appliers, bad = (), True
-            default_plan = (
-                appliers,
-                bad,
-                action_counter(name, default_action.name),
-                node.next_map[default_action.name],
-            )
-        plans: dict[int, tuple] = {}
+        feeds = self._feeds((info.covers if info else ()) or (name,))
+        plan_ids: dict = {}
+        plans: list = []
+        entry_plans: dict[int, int] = {}
 
-        def entry_plan(entry):
-            plan = plans.get(entry.entry_id)
-            if plan is None:
+        def intern(action, action_data) -> int:
+            effect = _UNBINDABLE
+            if action is not None:
                 try:
-                    action = actions[entry.action_name]
-                    bound = bind_action(action, entry.action_data)
-                    appliers, bad = compile_effect(bound)
-                except (EmulationError, KeyError):
-                    action = None
-                    appliers, bad = (), True
-                if merged:
-                    plan = (appliers, bad, hit_key, hit_next)
-                else:
-                    plan = (
-                        appliers,
-                        bad,
-                        action_counter(
-                            name, action.name if action else "?"
-                        ),
-                        node.next_map.get(action.name)
-                        if action
-                        else None,
+                    effect = compile_effect(
+                        tuple(bind_action(action, action_data))
                     )
-                plans[entry.entry_id] = plan
-            return plan
+                except EmulationError:
+                    action = None
+            if merged:
+                plan = (
+                    effect,
+                    cache_counter(name, True),
+                    info.hit_next if info else None,
+                )
+            elif action is None:
+                plan = (effect, None, None)
+            else:
+                plan = (
+                    effect,
+                    action_counter(name, action.name),
+                    node.next_map.get(action.name),
+                )
+            plan_id = plan_ids.get(plan)
+            if plan_id is None:
+                plan_id = plan_ids[plan] = len(plans)
+                plans.append(plan)
+            return plan_id
+
+        if merged:
+            plans.append(
+                (
+                    compile_effect(()),
+                    cache_counter(name, False),
+                    info.miss_next if info else None,
+                )
+            )
+            no_entry = 0
+        else:
+            no_entry = intern(actions[node.default_action], ())
 
         def kernel(walk: _Walk, idx: np.ndarray) -> None:
             busy = self._prologue(walk, idx, pool, migration_ns, match_ns)
-            keymat = walk.key_matrix(idx, match_fields)
-            groups = 0
-            for key, positions in _group_rows(keymat):
-                groups += 1
-                group = idx[positions]
+            keys, kid = _unique_rows(walk.key_matrix(idx, match_fields))
+            self._bump_partitions(name, len(keys))
+            key_plans = []
+            for key in keys:
                 entry = lookup(key)
                 if entry is None:
-                    if merged:
-                        sampled_idx = group[walk.sampled[group]]
-                        if sampled_idx.size:
-                            walk.counter_events.append(
-                                (miss_key, sampled_idx)
-                            )
-                            busy[sampled_idx] += counter_ns
-                        walk.route(miss_next, group)
-                        continue
-                    plan = default_plan
-                else:
-                    plan = entry_plan(entry)
-                appliers, bad, counter_key, next_name = plan
-                if bad:
+                    key_plans.append(no_entry)
+                    continue
+                plan_id = entry_plans.get(entry.entry_id)
+                if plan_id is None:
+                    plan_id = entry_plans[entry.entry_id] = intern(
+                        actions.get(entry.action_name), entry.action_data
+                    )
+                key_plans.append(plan_id)
+            for plan_id, group in _split(
+                np.array(key_plans, dtype=np.int64)[kid], idx
+            ):
+                effect, counter_key, next_name = plans[plan_id]
+                if effect.unsupported:
                     walk.flag(group, _F_UNSUPPORTED)
                     continue
-                sampled_idx = group[walk.sampled[group]]
-                if sampled_idx.size:
-                    walk.counter_events.append((counter_key, sampled_idx))
-                    busy[sampled_idx] += counter_ns
-                live = apply_effect(walk, busy, group, appliers, action_ns)
-                walk.route(next_name, live)
-            self._bump_partitions(name, groups)
-
-        return kernel
-
-    def _compile_native(self):
-        """Whole-program native-cache pre-step (Agilio CX model)."""
-        em = self._em
-        if em.native_cache is None or em.program.root is None:
-            return None
-        entry_pipeline = em._pipeline_map[em.program.root]
-        pool = 0 if entry_pipeline is _ASIC else 1
-        core = em.target.core(entry_pipeline)
-        lookup_ns = core.lookup_ns
-        action_ns = core.action_ns
-        native = em.native_cache
-        compile_effect = self._compile_effect
-        apply_effect = self._apply_effect
-
-        def kernel(walk: _Walk, idx: np.ndarray) -> None:
-            busy = walk.busy0 if pool == 0 else walk.busy1
-            busy[idx] += lookup_ns
-            (walk.used0 if pool == 0 else walk.used1)[idx] = True
-            keymat = walk.key_matrix(idx, FIVE_TUPLE)
-            groups = 0
-            for key, positions in _group_rows(keymat):
-                groups += 1
-                group = idx[positions]
-                effect = native.peek(key)
-                if effect is None:
-                    walk.flag(group, _F_CACHE)
-                    continue
-                appliers, bad = compile_effect(effect)
-                if bad:
-                    walk.flag(group, _F_UNSUPPORTED)
-                    continue
-                walk.cache_events.append((native, key, group))
-                apply_effect(walk, busy, group, appliers, action_ns)
-                # Hits terminate; misses were flagged for demotion.
-            self._bump_partitions("__native__", groups)
+                walk.count(busy, group, counter_key, counter_ns)
+                run_effect(
+                    walk, busy, group, effect, action_ns, feeds, next_name
+                )
 
         return kernel
 
@@ -897,20 +1194,20 @@ class ColumnarEngine:
 
     # -- walk / commit / demote --------------------------------------------
 
-    def _walk(self, batch: ColumnBatch, seg: int) -> _Walk:
+    def _walk(self, batch: ColumnBatch, seg: int, now) -> _Walk:
         """One pure pass over ``batch[seg:]``; mutates no shared state."""
         n = batch.n
         bank = self._counter_bank
-        sampled = np.zeros(n, dtype=bool)
+        sampled = None
         if self._instrument:
             stride = bank.sample_stride
-            if stride == 1:
-                sampled[seg:] = True
-            else:
+            sampled = True
+            if stride != 1:
+                sampled = np.zeros(n, dtype=bool)
                 sampled[seg:] = (
                     (bank._packet_index + np.arange(n - seg)) % stride
                 ) == 0
-        walk = _Walk(batch, sampled)
+        walk = _Walk(batch, sampled, now)
         idx0 = np.arange(seg, n, dtype=np.int64)
         node_time = self.node_time_s
         node_packets = self.node_packets
@@ -918,17 +1215,24 @@ class ColumnarEngine:
         if native is not None:
             started = perf_counter()
             native(walk, idx0)
-            node_time["__native__"] = node_time.get(
-                "__native__", 0.0
-            ) + (perf_counter() - started)
-            node_packets["__native__"] = (
-                node_packets.get("__native__", 0) + int(idx0.size)
+            node_time[_NATIVE] = node_time.get(_NATIVE, 0.0) + (
+                perf_counter() - started
+            )
+            node_packets[_NATIVE] = node_packets.get(_NATIVE, 0) + int(
+                idx0.size
             )
         else:
             walk.pending[self._root] = [idx0]
         kernels = self._kernels
         pending = walk.pending
+        recordings = walk.recordings
         for name in self._topo:
+            # Followers re-join at ``hit_next``. Latest-opened first: a
+            # follower resolved here may be the leader an earlier
+            # recording's followers are still waiting for.
+            for recording in reversed(recordings):
+                if recording.hit_next == name and recording.followers:
+                    recording.resolve(walk, recording)
             parts = pending.pop(name, None)
             if not parts:
                 continue
@@ -939,22 +1243,26 @@ class ColumnarEngine:
                 perf_counter() - started
             )
             node_packets[name] = node_packets.get(name, 0) + int(idx.size)
+        for recording in reversed(recordings):
+            if recording.followers:
+                recording.resolve(walk, recording)
         return walk
 
     def _commit(self, walk, batch, seg, cut, stats, outcome) -> None:
-        """Retire the miss-free prefix ``[seg, cut)`` into shared state.
+        """Retire the clean prefix ``[seg, cut)`` into shared state.
 
         Every pending event is filtered to indices below ``cut``;
-        integer counter sums, list-extend stats appends and
-        last-occurrence-ordered LRU touches reproduce exactly what
-        sequential per-packet processing of the prefix would have done.
+        integer counter sums, list-extend stats appends and the cache
+        op logs reproduce exactly what sequential per-packet processing
+        of the prefix would have done.
         """
         em = self._em
         sizes = batch.sizes
+        whole = cut == batch.n
         if self._instrument:
             bank = self._counter_bank
             for key, idx in walk.counter_events:
-                sub = idx[idx < cut]
+                sub = idx if whole else idx[idx < cut]
                 if sub.size:
                     bank.bump_block(
                         key, int(sub.size), int(sizes[sub].sum())
@@ -965,26 +1273,19 @@ class ColumnarEngine:
             count = int((idx < cut).sum())
             if count:
                 explicit[name] = explicit.get(name, 0) + count
-        per_cache: dict[int, tuple] = {}
-        for cache, key, idx in walk.cache_events:
-            sub = idx[idx < cut]
-            if sub.size:
-                _, keys = per_cache.setdefault(id(cache), (cache, {}))
-                last, count = keys.get(key, (-1, 0))
-                keys[key] = (
-                    max(last, int(sub.max())),
-                    count + int(sub.size),
-                )
-        for cache, keys in per_cache.values():
-            for key, (_, count) in sorted(
-                keys.items(), key=lambda item: item[1][0]
-            ):
-                cache.touch(key, count)
+        for step in walk.cache_steps:
+            ops = (
+                step.idx.size
+                if whole
+                else int(np.searchsorted(step.idx, cut))
+            )
+            if ops:
+                self._commit_cache(walk, step, ops)
         span = slice(seg, cut)
-        used0 = walk.used0[span]
-        used1 = walk.used1[span]
-        busy0 = walk.busy0[span]
-        busy1 = walk.busy1[span]
+        used0 = walk.used[0][span]
+        used1 = walk.used[1][span]
+        busy0 = walk.busy[0][span]
+        busy1 = walk.busy[1][span]
         latencies = np.where(used0, busy0, 0.0) + np.where(
             used1, busy1, 0.0
         )
@@ -1003,13 +1304,62 @@ class ColumnarEngine:
             walk.has_eg[span], walk.egress[span], -1
         )
 
+    def _commit_cache(self, walk, step: _CacheStep, ops: int) -> None:
+        """Replay the first ``ops`` lookups of ``step`` on the real cache.
+
+        The real ``lookup``/``insert`` run in packet order and must
+        agree with the simulation; a step that was all hits commits as
+        one ``touch`` per key in last-occurrence order, which leaves the
+        same LRU order and stats as the individual lookups.
+        """
+        cache = step.cache
+        keys = step.keys
+        if step.codes is None:
+            kid = step.kid[:ops]
+            last = np.full(len(keys), -1, dtype=np.int64)
+            last[kid] = np.arange(ops)  # repeated index: last one wins
+            counts = np.bincount(kid, minlength=len(keys)).tolist()
+            order = np.argsort(last, kind="stable")
+            try:
+                for k in order[np.searchsorted(last[order], 0):].tolist():
+                    cache.touch(keys[k], counts[k])
+            except KeyError as error:
+                raise EmulationError(
+                    f"flow cache lost key {error} between walk and commit"
+                ) from None
+            return
+        now = walk.now
+        static_now = self._em.clock.now_s
+        recording = step.recording
+        effects = walk.chain_effects
+        chain = recording.chain
+        lookup = cache.lookup
+        for i, k, code in zip(
+            step.idx[:ops].tolist(), step.kid[:ops].tolist(), step.codes
+        ):
+            key = keys[k]
+            missed = lookup(key) is None
+            if missed != (code <= _MISS_INSERTED) or (
+                missed
+                and cache.insert(
+                    key,
+                    effects[chain[i]],
+                    static_now if now is None else now[i],
+                )
+                != (code == _MISS_INSERTED)
+            ):
+                raise EmulationError(
+                    f"cache step diverged from its simulation at packet "
+                    f"{i} (key {key}, predicted code {code})"
+                )
+
     def _demote_one(
-        self, fastpath, batch, i, stats, outcome, clock_value, reason
+        self, fastpath, batch, i, stats, outcome, now, reason
     ) -> None:
         """Replay packet ``i`` through the closure tier, in order."""
         em = self._em
-        if clock_value is not None:
-            em.clock.now_s = clock_value
+        if now is not None:
+            em.clock.now_s = now[i]
         packet = batch.make_packet(i)
         result = fastpath.replay_one(packet, into=self._result)
         stats.record_fast(
@@ -1132,14 +1482,15 @@ class ColumnarEngine:
                 for _ in range(n):
                     clock.advance(dt_s)
             return outcome
-        clock_values = None
-        if ts is None and dt_s:
+        # Every packet's sim-clock value (None = the clock stands still).
+        now = None
+        if ts is not None:
+            now = ts.tolist()
+        elif dt_s:
             # Exact per-packet clock values under repeated advance()
             # (itertools.accumulate is bit-identical to the sequential
             # adds; np.cumsum is not guaranteed to be).
-            clock_values = list(
-                accumulate(repeat(dt_s, n), initial=clock.now_s)
-            )
+            now = list(accumulate(repeat(dt_s, n), initial=clock.now_s))[1:]
         fastpath = em.fastpath
         seg = 0
         demotions = 0
@@ -1147,21 +1498,10 @@ class ColumnarEngine:
             if demotions >= MAX_WALKS_PER_BATCH:
                 for i in range(seg, n):
                     self._demote_one(
-                        fastpath,
-                        batch,
-                        i,
-                        stats,
-                        outcome,
-                        float(ts[i])
-                        if ts is not None
-                        else (
-                            clock_values[i + 1] if clock_values else None
-                        ),
-                        "cascade",
+                        fastpath, batch, i, stats, outcome, now, "cascade"
                     )
-                seg = n
                 break
-            walk = self._walk(batch, seg)
+            walk = self._walk(batch, seg, now)
             flagged = np.flatnonzero(walk.flags[seg:])
             cut = seg + int(flagged[0]) if flagged.size else n
             if cut > seg:
@@ -1175,15 +1515,11 @@ class ColumnarEngine:
                 cut,
                 stats,
                 outcome,
-                float(ts[cut])
-                if ts is not None
-                else (clock_values[cut + 1] if clock_values else None),
+                now,
                 _FLAG_REASONS[int(walk.flags[cut])],
             )
             demotions += 1
             seg = cut + 1
-        if ts is not None and n:
-            clock.now_s = float(ts[-1])
-        elif clock_values is not None:
-            clock.now_s = clock_values[-1]
+        if now:
+            clock.now_s = now[-1]
         return outcome

@@ -108,17 +108,12 @@ class FlowCache:
         self.stats.hits += 1
         return effect
 
-    def peek(self, key: Hashable) -> Optional[Effect]:
-        """Read-only probe: no stats update, no LRU promotion.
-
-        The columnar tier resolves a whole batch segment speculatively
-        and only commits hit accounting (via :meth:`touch`) for the
-        prefix it actually retires, so its probes must not mutate.
-        """
-        return self._store.get(key)
-
     def touch(self, key: Hashable, hits: int = 1) -> None:
-        """Commit ``hits`` lookups that hit ``key`` (LRU + stats)."""
+        """Commit ``hits`` lookups that hit ``key`` (LRU + stats).
+
+        The columnar tier resolves a batch against a copy of the store
+        and commits a run of hits on one key as a single promotion.
+        """
         self._store.move_to_end(key)
         self.stats.hits += hits
 

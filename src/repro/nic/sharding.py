@@ -957,6 +957,9 @@ class ShardedEmulator:
         #: shard is degraded. Drained by the LiveAggregator thread.
         self.live_conns: list = []
         self.transport = transport
+        #: ``replay(batch=N)`` calls dispatched at the construction
+        #: batch instead, because ``N`` exceeded the ring geometry.
+        self.clamped_replays = 0
         self._ring_slots = (
             ring_slots if ring_slots is not None else DEFAULT_RING_SLOTS
         )
@@ -1282,6 +1285,8 @@ class ShardedEmulator:
         return {
             "transport": self.transport,
             "ring_slots": self._ring_slots,
+            "batch": self.batch,
+            "clamped_replays": self.clamped_replays,
             "totals": totals,
             "per_shard": per_shard,
         }
@@ -1908,6 +1913,13 @@ class ShardedEmulator:
             batch = self.batch
         if batch < 1:
             raise ValueError("batch must be >= 1")
+        if self.transport == "shm" and batch > self.batch:
+            # The rings were sized for the construction batch: a longer
+            # batch would go over the pipe, and its outcome record would
+            # not fit a result-ring slot. Stats do not depend on the
+            # dispatch batch; ``transport_stats`` reports the clamp.
+            batch = self.batch
+            self.clamped_replays += 1
         n = self.n_workers
         dt = 1.0 / offered_pps if offered_pps else 0.0
         t0 = self.clock.now_s if (dt and self.clock is not None) else 0.0

@@ -278,6 +278,9 @@ class ServeSession:
                 }
             )
         self.replays += 1
+        # A replay can be shorter than the aggregator's interval: sample
+        # once here so the SLO block below has seen the whole replay.
+        self.live_plane.aggregator.flush()
         watchdog = self.live_plane.watchdog
         return {
             "scenario": scenario.name,

@@ -535,13 +535,28 @@ class LiveAggregator:
         }
 
     def _tick(self, final: bool = False) -> None:
-        sample = self.sample()
-        self.watchdog.evaluate(sample)
-        row = self._interval_row(sample, final)
-        self.recorder.append(row)
-        registry = self._build_registry(sample)
-        with self._lock:
-            self._registry = registry
+        # One tick at a time: the watchdog's flip is a read-modify-write
+        # and :meth:`flush` ticks from the caller's thread.
+        with self._target_lock:
+            sample = self._sample_locked()
+            self.watchdog.evaluate(sample)
+            row = self._interval_row(sample, final)
+            self.recorder.append(row)
+            registry = self._build_registry(sample)
+            with self._lock:
+                self._registry = registry
+
+    def flush(self) -> None:
+        """Drain and sample now, on the caller's thread.
+
+        The background thread samples once per interval, so a replay
+        shorter than that can return before the watchdog has seen what
+        happened inside it (a worker kill, say). Callers that report
+        SLO state right after a replay flush first.
+        """
+        with self._target_lock:
+            self._drain_locked()
+            self._tick()
 
     # -- SLO accounting ------------------------------------------------------
 

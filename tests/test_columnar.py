@@ -17,34 +17,51 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.nic.columnar as columnar
 from repro.core import Deployment, Pipeleon
+from repro.core.pipelets import find_groups, partition
 from repro.core.sharded import ShardedDeployment
+from repro.core.transform.cache import apply_cache, apply_group_cache
+from repro.errors import EmulationError, TransformError
 from repro.ir import exact_entry
 from repro.ir.entries import ExactValue, TableEntry
 from repro.nic.columnar import ColumnBatch
-from repro.nic.packet import Packet, PacketPool, make_packet
+from repro.nic.flow_cache import FlowCache
+from repro.nic.packet import Packet, PacketPool, ipv4, make_packet
 from repro.nic.stats import RunStats
 from repro.nic.targets import AGILIO_CX, BLUEFIELD2, EMULATED_NIC
 from repro.synthesis import ProgramSynthesizer, SynthesisConfig
+from repro.traffic.flows import FlowSpec, synth_flows
+from repro.traffic.generator import TrafficGenerator
 
 from .test_nic_fastpath import (
     APPS,
     TARGETS,
     app_packets,
     assert_emulators_identical,
+    cache_state,
     make_twin_deployments,
     stats_fingerprint,
 )
 
 #: Every legal demotion reason (keep in sync with repro.nic.columnar).
 DEMOTION_REASONS = {
-    "cache-record",
     "migrated",
     "unsupported",
     "traced",
     "input",
     "cascade",
 }
+
+
+def overflowing_packets(seed: int, n: int, every: int = 50) -> list:
+    """``app_packets`` with every ``every``-th TTL at int64's minimum,
+    where l2l3_acl's ``add_to_field ipv4.ttl -1`` leaves int64: the one
+    thing in the example apps a column kernel cannot express."""
+    packets = app_packets(seed, n=n)
+    for packet in packets[every - 1 :: every]:
+        packet.set("ipv4.ttl", -(2**63))
+    return packets
 
 
 def assert_demotions_accounted(emulator, total_packets: int) -> None:
@@ -198,8 +215,8 @@ class TestNoPerPacketObjects:
     materialise per-packet objects (the whole point of the tier)."""
 
     @staticmethod
-    def _matrix_batch(n=128):
-        packets = app_packets(9, n=n)
+    def _matrix_batch(n=128, packets=None):
+        packets = packets or app_packets(9, n=n)
         names = tuple(packets[0].fields)
         values = np.array(
             [[p.fields[name] for p in packets] for name in names],
@@ -234,17 +251,21 @@ class TestNoPerPacketObjects:
         assert np.array_equal(values, pristine)
 
     def test_demoted_packets_materialise_from_base_columns(self):
-        """Agilio's native cache demotes recording packets — those (and
-        only those) may build Packets, from the untouched base data."""
+        """A TTL decrement that leaves int64 is ``unsupported``: those
+        packets (and only those) may build Packets, from the untouched
+        base data — here inside Agilio's open native-cache recordings,
+        so the prefix commits replay only the cache ops below each cut."""
         interp, col = make_twin_deployments("l2l3_acl", AGILIO_CX)
-        names, values, sizes = self._matrix_batch()
+        names, values, sizes = self._matrix_batch(
+            packets=overflowing_packets(9, 128)
+        )
         pristine = values.copy()
         stats = RunStats()
         batch = ColumnBatch.from_matrix(names, values, sizes)
         col.emulator.replay_batch(batch, stats, engine="columnar")
-        assert col.emulator.columnar_demotions.get("cache-record", 0) > 0
+        assert col.emulator.columnar_demotions == {"unsupported": 2}
         assert np.array_equal(values, pristine)
-        reference = interp.run(app_packets(9, n=128))
+        reference = interp.run(overflowing_packets(9, 128))
         assert stats_fingerprint(stats) == stats_fingerprint(reference)
         assert_emulators_identical(interp.emulator, col.emulator)
 
@@ -301,20 +322,355 @@ class TestShardedColumnar:
             ShardedDeployment(build(), BLUEFIELD2, engine="warp")
 
     def test_sharded_demotions_merge_back(self):
-        """Worker-side demotions (native cache) surface in the parent."""
+        """Worker-side demotions (int64 overflow) surface in the parent."""
         build, install = APPS["l2l3_acl"]
         sharded = ShardedDeployment(
             build(), AGILIO_CX, n_workers=2, batch=64
         )
         install(sharded.control_plane)
         try:
-            stats = sharded.replay(app_packets(6, n=400))
+            stats = sharded.replay(overflowing_packets(6, 400, every=7))
             demoted = sum(sharded.columnar_demotions.values())
             assert demoted > 0
             assert set(sharded.columnar_demotions) <= DEMOTION_REASONS
             assert sharded.columnar_packets + demoted == stats.packets
         finally:
             sharded.close()
+
+
+def cache_twins(
+    app="dash_routing",
+    target=BLUEFIELD2,
+    capacity=4096,
+    limit=10000.0,
+    native_cache=None,
+):
+    """Interpreter and columnar twins of ``app``'s optimized plan, every
+    flow cache with ``capacity`` slots and a ``limit``/s token bucket
+    (0 = no limiter)."""
+    twins = make_twin_deployments(
+        app,
+        target,
+        optimize=True,
+        cache_capacity=capacity,
+        cache_insertion_limit_pps=limit,
+        native_cache=native_cache,
+    )
+    assert all(twin.emulator.flow_caches for twin in twins)
+    return twins
+
+
+def zipf_packets(seed: int, n: int, flows: int = 300) -> list:
+    return list(
+        TrafficGenerator(seed).stream(
+            synth_flows(flows), n, locality="zipf"
+        )
+    )
+
+
+def flow_packets(flows, pattern) -> list:
+    return [flows[i].packet() for i in pattern]
+
+
+def only_cache(deployment) -> FlowCache:
+    (cache,) = deployment.emulator.flow_caches.values()
+    return cache
+
+
+def assert_no_demotion_twin(interp, col, make_packets, pps=None, batch=256):
+    """Replay through both twins: everything observable identical and
+    every packet retired by the batch kernels."""
+    reference = interp.run(make_packets(), offered_pps=pps)
+    replayed = col.replay(
+        make_packets(), offered_pps=pps, batch=batch, engine="columnar"
+    )
+    assert stats_fingerprint(replayed) == stats_fingerprint(reference)
+    assert_emulators_identical(interp.emulator, col.emulator)
+    assert col.emulator.columnar_demotions == {}
+    assert col.emulator.columnar_packets == reference.packets
+    return reference
+
+
+class TestCacheStep:
+    """The in-walk cache step in its degenerate regimes, each against
+    the interpreter twin with ``columnar_demotions == {}``."""
+
+    @pytest.mark.parametrize("capacity", [1, 2, 7])
+    def test_tiny_capacities(self, capacity):
+        interp, col = cache_twins(capacity=capacity, limit=0)
+        assert_no_demotion_twin(
+            interp, col, lambda: zipf_packets(capacity, 900), pps=1e6
+        )
+        assert only_cache(col).stats.evictions > 100
+
+    def test_key_evicted_and_missed_again_in_one_batch(self):
+        interp, col = cache_twins(capacity=1, limit=0)
+        flows = synth_flows(2)
+        pattern = [0, 1, 0, 1, 0, 0, 1, 1, 0]
+        assert_no_demotion_twin(
+            interp, col, lambda: flow_packets(flows, pattern)
+        )
+        stats = only_cache(col).stats
+        assert (stats.hits, stats.misses, stats.evictions) == (2, 7, 6)
+
+    def test_token_bucket_runs_dry_mid_batch_static_clock(self):
+        """No ``offered_pps``: the clock stands still, so the bucket
+        never refills — its burst is admitted, then nothing is."""
+        interp, col = cache_twins(limit=5.0)
+        assert_no_demotion_twin(
+            interp, col, lambda: zipf_packets(3, 600), batch=200
+        )
+        stats = only_cache(col).stats
+        assert stats.insertions == 5
+        assert stats.rejected_insertions > 100
+
+    def test_token_bucket_refills_between_packet_timestamps(self):
+        """Per-packet timestamps: a tenth of a token per packet, so a
+        miss is admitted or not by the bucket at its own ``now_s``."""
+        interp, col = cache_twins(limit=5.0)
+        timestamps = [0.02 * i for i in range(400)]
+        reference, replayed = RunStats(), RunStats()
+        interp.emulator.replay_batch(
+            zipf_packets(4, 400),
+            reference,
+            timestamps=timestamps,
+            engine="interp",
+        )
+        col.emulator.replay_batch(
+            zipf_packets(4, 400),
+            replayed,
+            timestamps=np.array(timestamps),
+            engine="columnar",
+        )
+        assert stats_fingerprint(replayed) == stats_fingerprint(reference)
+        assert_emulators_identical(interp.emulator, col.emulator)
+        assert col.emulator.columnar_demotions == {}
+        assert col.emulator.clock.now_s == interp.emulator.clock.now_s
+        stats = only_cache(col).stats
+        assert stats.insertions > 20 and stats.rejected_insertions > 20
+
+    def test_leader_dropped_by_covered_acl(self):
+        """The leader never reaches ``hit_next``: its recording commits
+        when it terminates (insert billed last), and its same-batch
+        followers replay the drop."""
+        interp, col = cache_twins()
+        denied = FlowSpec(src=ipv4(10, 66, 0, 1), dst=ipv4(192, 168, 1, 9))
+        flows = [denied, *synth_flows(3)]
+        pattern = [1, 0, 2, 0, 0, 3, 1, 0]
+        reference = assert_no_demotion_twin(
+            interp, col, lambda: flow_packets(flows, pattern)
+        )
+        assert reference.dropped == 4
+        cache = only_cache(col)
+        assert sum(("drop", ()) in e for e in cache._store.values()) == 1
+        assert (cache.stats.hits, cache.stats.misses) == (4, 4)
+
+    def test_several_followers_of_one_leader(self):
+        interp, col = cache_twins()
+        flows = synth_flows(1)
+        assert_no_demotion_twin(
+            interp, col, lambda: flow_packets(flows, [0] * 10)
+        )
+        stats = only_cache(col).stats
+        assert (stats.hits, stats.misses, stats.insertions) == (9, 1, 1)
+
+    def test_unsupported_packet_between_two_misses(self):
+        """The prefix commit must replay only the cache ops below the
+        cut; the demoted packet then does its own, through the closure
+        tier, and the re-walk starts from the cache as it left it."""
+        interp, col = cache_twins(capacity=2, limit=0)
+        flows = synth_flows(4)
+        pattern = [0, 0, 2, 1, 0, 2, 1, 3, 0]
+
+        def packets():
+            built = flow_packets(flows, pattern)
+            built[2].set("ipv4.ttl", -(2**63))  # routing's ttl - 1
+            return built
+
+        reference = interp.run(packets())
+        replayed = col.replay(packets(), batch=16, engine="columnar")
+        assert stats_fingerprint(replayed) == stats_fingerprint(reference)
+        assert_emulators_identical(interp.emulator, col.emulator)
+        assert col.emulator.columnar_demotions == {"unsupported": 1}
+        assert col.emulator.columnar_packets == len(pattern) - 1
+
+    @pytest.mark.parametrize("batch", [37, 4096])
+    def test_batch_size_does_not_matter(self, batch):
+        interp, col = cache_twins(capacity=64, limit=5000.0)
+        assert_no_demotion_twin(
+            interp,
+            col,
+            lambda: zipf_packets(8, 5000, flows=2000),
+            pps=1e6,
+            batch=batch,
+        )
+
+    @pytest.mark.parametrize(
+        "app, target",
+        [
+            ("dash_routing", BLUEFIELD2),
+            ("nf_composition", AGILIO_CX),  # a cache with no hit_next
+            ("migration", BLUEFIELD2),  # cache and hit_next pools differ
+            ("l2l3_acl", EMULATED_NIC),
+        ],
+        ids=lambda value: getattr(value, "name", value),
+    )
+    def test_per_packet_add_order(self, app, target):
+        """Latency is a float sum, so equal per-packet latencies pin the
+        add order: lookup, sampled counter, effect primitives, and the
+        insert billed to the cache's pool before ``hit_next``'s
+        migration and cost — or last, when the leader ends early."""
+        interp, col = cache_twins(app, target, capacity=7, limit=0)
+        outcome = col.emulator.replay_batch(
+            zipf_packets(5, 400), RunStats(), engine="columnar"
+        )
+        assert outcome.demoted == 0
+        for i, packet in enumerate(zipf_packets(5, 400)):
+            result = interp.emulator.process(packet)
+            assert outcome.latencies[i] == result.latency_ns, i
+            assert bool(outcome.dropped[i]) == result.dropped
+        assert_emulators_identical(interp.emulator, col.emulator)
+
+    def test_native_cache_records_everything_and_bills_first(self):
+        """``covers == {"*"}`` over a plan with a flow cache: the flow
+        cache's hit effects feed the native recording, and a packet
+        closing both recordings is billed native first."""
+        interp, col = cache_twins(
+            "l2l3_acl", AGILIO_CX, capacity=64, limit=0, native_cache=True
+        )
+        for deployment in (interp, col):
+            deployment.emulator.native_cache = FlowCache(capacity=5)
+        outcome = col.emulator.replay_batch(
+            zipf_packets(6, 500), RunStats(), engine="columnar"
+        )
+        assert outcome.demoted == 0
+        for i, packet in enumerate(zipf_packets(6, 500)):
+            result = interp.emulator.process(packet)
+            assert outcome.latencies[i] == result.latency_ns, i
+        assert_emulators_identical(interp.emulator, col.emulator)
+        native = col.emulator.native_cache.stats
+        assert native.hits and native.evictions and only_cache(col).stats.hits
+
+    def test_walk_mutates_no_shared_state(self):
+        _, col = cache_twins(capacity=7, limit=50.0)
+        emulator = col.emulator
+        col.replay(zipf_packets(1, 300), batch=100, engine="columnar")
+
+        def shared_state():
+            cache = only_cache(col)
+            return (
+                cache_state(cache),
+                dict(cache.stats.__dict__),
+                emulator.counters.snapshot(),
+                emulator.counters._packet_index,
+                dict(emulator.explicit_counters),
+                emulator.clock.now_s,
+                emulator.columnar_packets,
+            )
+
+        before = shared_state()
+        batch = ColumnBatch.from_packets(zipf_packets(2, 300))
+        walk = emulator.columnar._walk(batch, 0, None)
+        assert walk.cache_steps[0].codes  # misses, inserts, evictions
+        assert shared_state() == before
+
+    def test_warm_cache_takes_no_per_packet_loop(self, monkeypatch):
+        """Every key present: no simulation, and commit is one
+        ``touch`` per key rather than one ``lookup`` per packet."""
+        interp, col = cache_twins()
+        for deployment in (interp, col):
+            deployment.replay(zipf_packets(7, 500), engine="interp")
+
+        def poisoned(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("per-packet cache work on a warm cache")
+
+        reference = interp.run(zipf_packets(7, 500))
+        monkeypatch.setattr(columnar, "_simulate", poisoned)
+        monkeypatch.setattr(FlowCache, "lookup", poisoned)
+        monkeypatch.setattr(FlowCache, "insert", poisoned)
+        replayed = col.replay(
+            zipf_packets(7, 500), batch=500, engine="columnar"
+        )
+        assert stats_fingerprint(replayed) == stats_fingerprint(reference)
+        assert_emulators_identical(interp.emulator, col.emulator)
+
+    @pytest.mark.parametrize(
+        "predicted, doctored",
+        [
+            (columnar._MISS_INSERTED, columnar._MISS_REJECTED),
+            (columnar._HIT, columnar._MISS_REJECTED),
+            (columnar._MISS_INSERTED, columnar._HIT),
+        ],
+    )
+    def test_doctored_simulation_makes_commit_raise(
+        self, monkeypatch, predicted, doctored
+    ):
+        _, col = cache_twins(capacity=7, limit=0)
+        col.replay(zipf_packets(9, 200), engine="columnar")  # warm
+        simulate = columnar._simulate
+
+        def doctor(*args):
+            codes = simulate(*args)
+            codes[codes.index(predicted)] = doctored
+            return codes
+
+        monkeypatch.setattr(columnar, "_simulate", doctor)
+        with pytest.raises(EmulationError, match="diverged"):
+            col.replay(zipf_packets(9, 200), batch=200, engine="columnar")
+
+
+def nested_and_diamond_caches(seed: int, capacity: int, limit: float):
+    """A synthesized program with a cache across its first branch
+    diamond and, inside every run of three tables or more, an outer
+    cache over the run and an inner one over part of it — at the
+    start (outer miss falls straight into the inner lookup), in the
+    middle, or at the end (both recordings close at one ``hit_next``)."""
+    program = ProgramSynthesizer(
+        SynthesisConfig(seed=seed, n_pipelets=4, join_runs=True)
+    ).generate()
+    pipelets = partition(program)
+    knobs = {"capacity": capacity, "insertion_limit_pps": limit}
+    for group in find_groups(program, pipelets)[:1]:
+        program = apply_group_cache(program, group, **knobs).program
+    for i, pipelet in enumerate(pipelets):
+        run = list(pipelet.table_names)
+        if len(run) < 3:
+            continue
+        inner = (run[:2], run[1:-1] or run[1:2], run[-2:])[(seed + i) % 3]
+        try:
+            program = apply_cache(program, run, **knobs).program
+            program = apply_cache(program, inner, **knobs).program
+        except TransformError:
+            continue  # switch-case run: not cacheable
+    return program
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    capacity=st.sampled_from([1, 2, 7, 64]),
+    limit=st.sampled_from([0.0, 50.0, 5000.0]),
+    pps=st.sampled_from([None, 1e4, 1e6]),
+    batch=st.sampled_from([5, 37, 256]),
+)
+def test_property_nested_and_diamond_caches(seed, capacity, limit, pps, batch):
+    def build():
+        deployment = Deployment(
+            nested_and_diamond_caches(seed, capacity, limit),
+            EMULATED_NIC,
+            native_cache=bool(seed % 2),
+        )
+        install_random_entries(deployment, seed)
+        return deployment
+
+    interp, col = build(), build()
+    assert_no_demotion_twin(
+        interp, col, lambda: random_packets(seed, 120), pps=pps, batch=batch
+    )
 
 
 def install_random_entries(deployment: Deployment, seed: int) -> None:
@@ -392,13 +748,5 @@ def test_property_random_programs_bit_identical(seed, optimize, batch):
         engine="columnar",
     )
     assert stats_fingerprint(replayed) == stats_fingerprint(reference)
-    assert (
-        col.emulator.counters.snapshot()
-        == interp.emulator.counters.snapshot()
-    )
-    assert col.emulator.explicit_counters == interp.emulator.explicit_counters
-    for name, cache in interp.emulator.flow_caches.items():
-        assert dict(col.emulator.flow_caches[name]._store) == dict(
-            cache._store
-        )
+    assert_emulators_identical(interp.emulator, col.emulator)
     assert_demotions_accounted(col.emulator, n)

@@ -153,6 +153,40 @@ class TestControllerJobs:
         finally:
             sharded_controller.deployment.close()
 
+    def test_replay_batch_above_ring_geometry(self):
+        """``replay(batch=4096)`` on a fleet whose rings hold 256-packet
+        batches used to kill the worker: the batch went over the pipe
+        and its 4096-row outcome record did not fit a result slot. It
+        is dispatched at the ring's batch now, and says so."""
+        single = Deployment(l2l3_acl.build_program(), EMULATED_NIC)
+        l2l3_acl.install_base_entries(single.control_plane)
+        controller = PipeleonController(
+            l2l3_acl.build_program(),
+            EMULATED_NIC,
+            enabled=False,
+            jobs=2,
+        )
+        try:
+            l2l3_acl.install_base_entries(controller.control_plane)
+            fleet = controller.deployment.emulator
+            assert fleet.batch == 256
+            reference = single.replay(packets(17, n=9000), batch=4096)
+            replayed = controller.deployment.replay(
+                packets(17, n=9000), batch=4096
+            )
+            assert replayed.packets == reference.packets == 9000
+            assert replayed.total_latency_ns == reference.total_latency_ns
+            assert replayed._busy_ns == reference._busy_ns
+            transport = fleet.transport_stats()
+            assert transport["batch"] == 256
+            assert transport["clamped_replays"] == 1
+            assert transport["totals"]["fallback_capacity"] == 0
+            assert transport["totals"]["result_packets"] == 9000
+            controller.deployment.replay(packets(18, n=500), batch=64)
+            assert fleet.transport_stats()["clamped_replays"] == 1
+        finally:
+            controller.deployment.close()
+
     def test_redeploy_is_shard_wide(self):
         controller = PipeleonController(
             l2l3_acl.build_program(),

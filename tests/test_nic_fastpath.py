@@ -72,37 +72,43 @@ def stats_fingerprint(stats: RunStats) -> tuple:
     )
 
 
-def make_twin_deployments(app: str, target, optimize: bool = False):
+def make_twin_deployments(
+    app: str, target, optimize: bool = False, **deployment_knobs
+):
     build, install = APPS[app]
     deployments = []
     for _ in range(2):
         program = build()
         plan = Pipeleon(target).optimize(program) if optimize else None
-        deployment = Deployment(program, target, plan=plan)
+        deployment = Deployment(
+            program, target, plan=plan, **deployment_knobs
+        )
         install(deployment.control_plane)
         deployments.append(deployment)
     return deployments
 
 
+def cache_state(cache) -> tuple:
+    """Everything observable about a cache: LRU order, not just
+    membership; the whole ``CacheStats``; the token bucket's floats."""
+    limiter = cache._limiter
+    return (
+        list(cache._store.items()),
+        cache.stats,
+        None if limiter is None else (limiter._tokens, limiter._last),
+    )
+
+
 def assert_emulators_identical(em_a: NicEmulator, em_b: NicEmulator):
     assert em_a.counters.snapshot() == em_b.counters.snapshot()
     assert em_a.explicit_counters == em_b.explicit_counters
+    assert em_a.flow_caches.keys() == em_b.flow_caches.keys()
     for name, cache in em_a.flow_caches.items():
-        other = em_b.flow_caches[name]
-        assert dict(cache._store) == dict(other._store)
-        assert (cache.stats.hits, cache.stats.misses) == (
-            other.stats.hits,
-            other.stats.misses,
-        )
-        assert cache.stats.insertions == other.stats.insertions
+        assert cache_state(cache) == cache_state(em_b.flow_caches[name])
+    assert (em_a.native_cache is None) == (em_b.native_cache is None)
     if em_a.native_cache is not None:
-        assert dict(em_a.native_cache._store) == dict(
-            em_b.native_cache._store
-        )
-        native_a, native_b = em_a.native_cache, em_b.native_cache
-        assert (native_a.stats.hits, native_a.stats.misses) == (
-            native_b.stats.hits,
-            native_b.stats.misses,
+        assert cache_state(em_a.native_cache) == cache_state(
+            em_b.native_cache
         )
 
 

@@ -9,6 +9,7 @@ bit-identical merged stats) and SIGTERM during a replay.
 """
 
 import asyncio
+import dataclasses
 import json
 import os
 import signal
@@ -119,6 +120,9 @@ class TestJobQueue:
         gate = threading.Event()
         running = queue.submit("slow", {}, lambda job: gate.wait(5.0))
         backlog = queue.submit("later", {}, lambda job: 1)
+        # Drain cancels whatever is still queued: wait until the worker
+        # thread has actually popped the first job.
+        assert wait_until(lambda: queue.running is running)
         drained = []
         t = threading.Thread(
             target=lambda: drained.append(
@@ -307,6 +311,27 @@ class TestServeSessionChaos:
             report = session.run_report({})
             assert report["replays"] == 1
             assert report["slo_breaches_seen"] >= 1
+        finally:
+            session.close()
+
+    def test_replay_shorter_than_live_interval_reports_breach(
+        self, tmp_path
+    ):
+        """``run_replay`` samples the fleet before it reports SLO state.
+
+        With a 5 s aggregator interval the background thread never
+        samples inside this ~50 ms replay, so the kill would go
+        unreported in the result's ``slo`` block.
+        """
+        config = dataclasses.replace(
+            chaos_config(tmp_path), live_interval_s=5.0
+        )
+        session = ServeSession(config)
+        try:
+            result = session.run_replay(dict(REPLAY))
+            assert sum(result["respawns"]) >= 1
+            assert result["slo"]["breaches"] == 1
+            assert session.status()["slo_breaches"] == 1
         finally:
             session.close()
 
