@@ -112,7 +112,7 @@ def _measure(app: str) -> dict:
             iter(packets), batch=BATCH, engine="fastpath"
         ),
         "columnar": lambda packets: emulator.replay(
-            iter(packets), batch=BATCH, engine="columnar"
+            iter(packets), batch=BATCH, engine="auto"
         ),
     }
     samples: dict[str, list[float]] = {tier: [] for tier in tiers}
@@ -197,7 +197,7 @@ def _measure_shm() -> dict:
         BLUEFIELD2,
         n_workers=N_WORKERS,
         transport="shm",
-        engine="columnar",
+        engine="auto",
     )
     l2l3_acl.install_base_entries(fleet.control_plane)
     try:

@@ -137,22 +137,23 @@ def test_live_telemetry_overhead_smoke():
     reported but not asserted (loud skip, as BENCH_sharded's wall gate).
     """
     from repro.core.sharded import ShardedDeployment
-    from repro.telemetry.live import LiveOptions
+    from repro.telemetry.live import LiveOptions, LivePlane
 
-    def build(live):
+    def build(live_plane):
         deployment = ShardedDeployment(
             l2l3_acl.build_program(),
             BLUEFIELD2,
             n_workers=2,
-            live=live,
+            live_plane=live_plane,
         )
         l2l3_acl.install_base_entries(deployment.control_plane)
         return deployment
 
+    plane = LivePlane(LiveOptions(interval_s=1.0)).start()
     plain = build(None)
-    live = build(LiveOptions(interval_s=1.0))
+    live = build(plane)
     try:
-        assert live.live is not None and plain.live is None
+        assert plane.aggregator.emulator is live.emulator
         for deployment in (plain, live):
             deployment.replay(_packets()[:200])  # warm + compile
 
@@ -168,6 +169,7 @@ def test_live_telemetry_overhead_smoke():
     finally:
         plain.close()
         live.close()
+        plane.stop()
 
     ratio = best["live"] / best["plain"]
     affinity = host_metadata()["affinity"]

@@ -43,6 +43,7 @@ from repro.core import (
 from repro.core.calibration import calibrate
 from repro.core.search import SearchOptions
 from repro.ir import dumps_program, loads_program
+from repro.nic.emulator import ENGINES
 from repro.nic.targets import get_target
 
 
@@ -334,29 +335,36 @@ def cmd_replay(args: argparse.Namespace) -> int:
             return 2
 
     telemetry = _build_telemetry(args)
-    if telemetry is None and live_options is not None:
-        # SLO breach/clear events need an event log to land in.
-        from repro.telemetry import Telemetry
+    live_plane = None
+    if live_options is not None:
+        from repro.telemetry import LivePlane, Telemetry
 
-        telemetry = Telemetry()
-    if args.jobs > 1:
-        deployment = ShardedDeployment(
-            program,
-            target,
-            n_workers=args.jobs,
-            batch=args.batch,
-            telemetry=telemetry,
-            supervisor=supervisor,
-            fault_plan=fault_plan,
-            transport=args.transport,
-            engine=args.engine,
-            live=live_options,
-        )
-    else:
-        deployment = Deployment(
-            program, target, telemetry=telemetry, engine=args.engine
-        )
+        if telemetry is None:
+            # SLO breach/clear events need an event log to land in.
+            telemetry = Telemetry()
+        # The aggregator thread starts immediately — workers heartbeat
+        # even between replays — and the scrape endpoint comes up when
+        # ``serve_port`` is set.
+        live_plane = LivePlane(live_options, telemetry=telemetry).start()
+    deployment = None
     try:
+        if args.jobs > 1:
+            deployment = ShardedDeployment(
+                program,
+                target,
+                n_workers=args.jobs,
+                batch=args.batch,
+                telemetry=telemetry,
+                supervisor=supervisor,
+                fault_plan=fault_plan,
+                transport=args.transport,
+                engine=args.engine,
+                live_plane=live_plane,
+            )
+        else:
+            deployment = Deployment(
+                program, target, telemetry=telemetry, engine=args.engine
+            )
         if install is not None:
             install(deployment.control_plane)
         generator = TrafficGenerator(seed=args.seed)
@@ -381,7 +389,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             "wall_pps": stats.packets / wall_s if wall_s > 0 else 0.0,
             "throughput_gbps": stats.throughput_gbps(target),
         }
-        if args.engine in ("auto", "columnar"):
+        if args.engine == "auto":
             demotions = (
                 deployment.columnar_demotions
                 if args.jobs > 1
@@ -422,15 +430,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
             if degraded:
                 summary["degraded_shards"] = degraded
                 summary["lost_packets"] = stats.lost_packets
-        live = getattr(deployment, "live", None)
-        if live is not None:
+        if live_plane is not None:
             # Final flush: the last recorder row and the served
             # /metrics registry now reflect the finished replay (the
-            # scrape endpoint stays up until deployment.close()).
-            live.stop()
-            watchdog = live.watchdog
+            # scrape endpoint stays up until the plane stops below).
+            live_plane.aggregator.stop()
+            watchdog = live_plane.watchdog
             live_summary = {
-                "rows": live.recorder.appended,
+                "rows": live_plane.recorder.appended,
                 "slo_rules": len(watchdog.rules),
                 "slo_breaches": watchdog.breaches,
                 "slo_clears": watchdog.clears,
@@ -438,10 +445,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
             }
             if args.flight_out:
                 live_summary["flight_out"] = args.flight_out
-            if deployment.live_server is not None:
-                live_summary["metrics_port"] = (
-                    deployment.live_server.port
-                )
+            if live_plane.port is not None:
+                live_summary["metrics_port"] = live_plane.port
             summary["live"] = live_summary
         tracer = deployment.tracer
         if tracer is not None:
@@ -466,15 +471,21 @@ def cmd_replay(args: argparse.Namespace) -> int:
             summary["events_emitted"] = telemetry.events.emitted
         print(json.dumps(summary, indent=2))
     finally:
-        # Always close, jobs==1 included: ShardedDeployment tears down
-        # the live plane (server thread, aggregator, ports) and the
-        # worker fleet via try/finally; Deployment.close is a cheap
-        # listener detach. Exceptions mid-replay must not leak either.
+        # Always close, jobs==1 included: ShardedDeployment releases
+        # the live plane and tears down the worker fleet via
+        # try/finally; Deployment.close is a cheap listener detach.
+        # Exceptions mid-replay must not leak threads, ports or
+        # processes either.
         try:
-            deployment.close()
+            if deployment is not None:
+                deployment.close()
         finally:
-            if telemetry is not None:
-                telemetry.close()
+            try:
+                if live_plane is not None:
+                    live_plane.stop()
+            finally:
+                if telemetry is not None:
+                    telemetry.close()
     return 0
 
 
@@ -559,7 +570,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     # up against the cost model's per-node charges.
     resolved = _resolve_program(args, "report")
     program2, install2, _ = resolved
-    twin = Deployment(program2, target, engine="columnar")
+    twin = Deployment(program2, target, engine="auto")
     if install2 is not None:
         install2(twin.control_plane)
     twin.replay(
@@ -868,10 +879,10 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--batch", type=int, default=256)
     replay.add_argument(
         "--engine",
-        choices=("auto", "columnar", "fastpath", "interp"),
+        choices=ENGINES,
         default="auto",
         help="execution tier: auto (columnar batch kernels with "
-        "closure-tier demotion, default), columnar, fastpath "
+        "closure-tier demotion, default), fastpath "
         "(compiled per-packet closures) or interp (reference "
         "interpreter); all tiers are stats-identical",
     )
@@ -1140,7 +1151,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--engine",
-        choices=("auto", "columnar", "fastpath", "interp"),
+        choices=ENGINES,
         default="auto",
     )
     serve.add_argument(

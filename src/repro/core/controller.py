@@ -123,7 +123,7 @@ class PipeleonController:
         #: Data-plane transport for sharded deployments ("shm"|"pipe").
         self.transport = transport
         #: Execution tier every deployment this controller builds
-        #: replays through ("auto"|"columnar"|"fastpath"|"interp").
+        #: replays through ("auto"|"fastpath"|"interp").
         self.engine = engine
         self.original = program
         self.target = target
@@ -423,9 +423,8 @@ class PipeleonController:
     def close(self) -> None:
         """Tear down the current data plane (fleet, live adoption).
 
-        Idempotent. The shared ``live_plane`` (if any) is released by
-        the deployment's own close and survives for the daemon to
-        stop; a per-deployment live plane is stopped outright.
+        Idempotent. The ``live_plane`` (if any) is released by the
+        deployment's own close and survives for its owner to stop.
         """
         if self._closed:
             return

@@ -64,8 +64,8 @@ class Deployment:
         self.target = target
         self.plan = plan
         #: Default execution tier for :meth:`replay` ("auto",
-        #: "columnar", "fastpath" or "interp"); all tiers are
-        #: bit-identical on stats, counters and cache state.
+        #: "fastpath" or "interp"); all tiers are bit-identical on
+        #: stats, counters and cache state.
         self.engine = engine
         self.telemetry = telemetry
         if telemetry is None and previous is not None:
@@ -392,7 +392,6 @@ class Deployment:
         packets: Iterable[Packet],
         offered_pps: Optional[float] = None,
         batch: int = 256,
-        packet_pool=None,
         engine: Optional[str] = None,
     ) -> RunStats:
         """Batch replay through a compiled execution tier.
@@ -404,7 +403,6 @@ class Deployment:
             packets,
             offered_pps=offered_pps,
             batch=batch,
-            packet_pool=packet_pool,
             engine=engine if engine is not None else self.engine,
         )
 

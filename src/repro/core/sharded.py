@@ -49,12 +49,7 @@ from repro.nic.packet import Packet
 from repro.nic.sharding import ShardedEmulator, SupervisorOptions
 from repro.nic.stats import RunStats
 from repro.nic.targets import TargetModel
-from repro.telemetry.live import (
-    LiveAggregator,
-    LiveOptions,
-    LivePlane,
-    MetricsServer,
-)
+from repro.telemetry.live import LivePlane
 
 
 class ShardedDeployment:
@@ -82,7 +77,6 @@ class ShardedDeployment:
         transport: str = "shm",
         ring_slots: Optional[int] = None,
         engine: str = "auto",
-        live: Optional[LiveOptions] = None,
         live_plane: Optional[LivePlane] = None,
     ):
         # ``previous`` is accepted for signature parity with Deployment
@@ -91,17 +85,11 @@ class ShardedDeployment:
         if telemetry is None and previous is not None:
             telemetry = getattr(previous, "telemetry", None)
         self.telemetry = telemetry
-        if live_plane is not None:
-            if live is not None:
-                raise ValueError(
-                    "pass either live= (per-deployment plane) or "
-                    "live_plane= (shared daemon plane), not both"
-                )
-            # The shared plane's cadence drives the workers' sidecar
-            # snapshots; the plane itself owns aggregator and server.
-            live_cadence = live_plane.options
-        else:
-            live_cadence = live
+        # The caller-owned plane's cadence drives the workers' sidecar
+        # snapshots; the plane itself owns aggregator and server.
+        live_cadence = (
+            live_plane.options if live_plane is not None else None
+        )
         self.deployment = Deployment(
             original,
             target,
@@ -124,12 +112,9 @@ class ShardedDeployment:
         self.clock = self.deployment.clock
         self.counter_map = self.deployment.counter_map
         self.program = self.deployment.program
-        # Everything past the inner deployment can fork workers, spawn
-        # threads and bind ports: tear down whatever came up if any
-        # later step raises, so a failed construction never leaks
-        # worker processes, aggregator threads or listening sockets.
-        self.live: Optional[LiveAggregator] = None
-        self.live_server: Optional[MetricsServer] = None
+        # Everything past the inner deployment can fork workers: tear
+        # down whatever came up if any later step raises, so a failed
+        # construction never leaks worker processes.
         self.live_plane = live_plane
         self.emulator = None
         try:
@@ -159,24 +144,10 @@ class ShardedDeployment:
             )
             self.transport = self.emulator.transport
             self.engine = self.emulator.engine
-            #: Live telemetry plane (None unless ``live=`` was given):
-            #: the aggregator thread starts immediately — workers
-            #: heartbeat even between replays — and the scrape endpoint
-            #: comes up when ``live.serve_port`` is set. With a shared
-            #: ``live_plane=`` the deployment instead adopts into the
-            #: daemon-lifetime aggregator.
+            # The fleet adopts into the caller's live plane (a replay's
+            # own, or the daemon-lifetime one of ``repro serve``).
             if live_plane is not None:
                 live_plane.adopt(self.emulator)
-            elif live is not None:
-                self.live = LiveAggregator(
-                    self.emulator, telemetry=telemetry, options=live
-                ).start()
-                if live.serve_port is not None:
-                    self.live_server = MetricsServer(
-                        self.live,
-                        port=live.serve_port,
-                        host=live.serve_host,
-                    ).start()
         except BaseException:
             self._teardown()
             self.deployment.close()
@@ -205,27 +176,19 @@ class ShardedDeployment:
                 self.deployment.close()
 
     def _teardown(self) -> None:
-        """Stop live plane then workers; every step runs even if an
-        earlier one raises (no leaked threads, ports or processes)."""
+        """Release the live plane then stop the workers; the second
+        step runs even if the first raises (no leaked processes)."""
         try:
-            # Live plane first: the aggregator's final flush reads the
-            # workers' last snapshots and the emulator's shard status,
-            # so both must still exist. A shared plane is *released*
-            # (final totals folded into its carry base), never stopped:
-            # it belongs to the daemon, not this deployment.
+            # Live plane first: its final drain reads the workers' last
+            # snapshots and the emulator's shard status, so both must
+            # still exist. The plane is *released* (final totals folded
+            # into its carry base), never stopped: it belongs to the
+            # caller, not this deployment.
             if self.live_plane is not None:
                 self.live_plane.release()
         finally:
-            try:
-                if self.live_server is not None:
-                    self.live_server.stop()
-            finally:
-                try:
-                    if self.live is not None:
-                        self.live.stop()
-                finally:
-                    if self.emulator is not None:
-                        self.emulator.close()
+            if self.emulator is not None:
+                self.emulator.close()
 
     # -- update broadcast --------------------------------------------------
 
@@ -381,13 +344,9 @@ class ShardedDeployment:
         packets: Iterable[Packet],
         offered_pps: Optional[float] = None,
         batch: Optional[int] = None,
-        packet_pool=None,
     ) -> RunStats:
         return self.emulator.replay(
-            packets,
-            offered_pps=offered_pps,
-            batch=batch,
-            packet_pool=packet_pool,
+            packets, offered_pps=offered_pps, batch=batch
         )
 
     def run(

@@ -139,7 +139,7 @@ def run_cell(cell: Cell, sweep_seed: int, spec_name: str) -> dict:
         measured["materialized_updates"] = float(
             sum(controller.deployment.materialized_updates.values())
         )
-        if config["engine"] in ("auto", "columnar"):
+        if config["engine"] == "auto":
             emulator = controller.deployment.emulator
             measured["columnar_packets"] = float(emulator.columnar_packets)
             measured["columnar_partitions"] = float(

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
+from repro.nic.emulator import ENGINES
+
 #: Every knob a cell may set, with its default. ``app`` is an
 #: example-app name or ``"synth"`` (random program of ``synth_pn`` x
 #: ``synth_pl`` shape); ``memory_budget``/``update_budget`` of ``None``
@@ -45,7 +47,6 @@ CELL_DEFAULTS: dict = {
 }
 
 _TARGETS = ("bluefield2", "agilio_cx", "emulated_nic")
-_ENGINES = ("auto", "columnar", "fastpath", "interp")
 _TRANSPORTS = ("shm", "pipe")
 _LOCALITIES = ("uniform", "zipf", "round_robin")
 
@@ -66,7 +67,7 @@ def validate_config(config: Mapping) -> dict:
     checks = (
         ("app", apps),
         ("target", _TARGETS),
-        ("engine", _ENGINES),
+        ("engine", ENGINES),
         ("transport", _TRANSPORTS),
         ("locality", _LOCALITIES),
     )

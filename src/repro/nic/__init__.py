@@ -23,7 +23,6 @@ from repro.nic.packet import (
     FIVE_TUPLE,
     NEXT_TAB_ID,
     Packet,
-    PacketPool,
     ipv4,
     make_packet,
 )
@@ -32,9 +31,8 @@ from repro.nic.sharding import (
     decode_batch,
     encode_batch,
     flow_shard,
-    shard_seed,
 )
-from repro.nic.stats import PacketResult, PacketResultPool, RunStats
+from repro.nic.stats import PacketResult, RunStats
 from repro.nic.table_runtime import LookupResult, RuntimeTable
 from repro.nic.targets import (
     AGILIO_CX,
@@ -65,9 +63,7 @@ __all__ = [
     "NEXT_TAB_ID",
     "NicEmulator",
     "Packet",
-    "PacketPool",
     "PacketResult",
-    "PacketResultPool",
     "RangeEngine",
     "RunStats",
     "RuntimeTable",
@@ -88,5 +84,4 @@ __all__ = [
     "get_target",
     "ipv4",
     "make_packet",
-    "shard_seed",
 ]

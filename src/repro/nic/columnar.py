@@ -137,9 +137,8 @@ _UNBINDABLE = _Effect((), True, False, ())
 class BatchOutcome:
     """Per-packet results of one batch, in original packet order.
 
-    ``egress`` uses the shm result-ring convention: ``-1`` means "no
-    egress port set". Sharded workers push these columns straight into
-    the result ring without materialising per-packet objects.
+    ``egress`` uses ``-1`` for "no egress port set". The tests compare
+    these columns with the interpreter's per-packet results.
     """
 
     __slots__ = ("latencies", "egress", "dropped", "n", "demoted")
@@ -153,11 +152,14 @@ class BatchOutcome:
 
 
 class ColumnBatch:
-    """A struct-of-arrays packet batch.
+    """A struct-of-arrays packet batch: the one batch type of the data
+    path (:meth:`from_packets` is the only Packet -> columns encoder,
+    :meth:`make_packet` the only columns -> Packet decoder).
 
     ``values`` is field-major ``(n_fields, n_packets)`` int64 — exactly
-    the layout :func:`repro.nic.shm_transport.read_batch_record` returns,
-    so shm batches wrap with zero copies. The base columns are never
+    the layout of a shm ring slot, so the dispatcher stores it as is and
+    :func:`repro.nic.shm_transport.read_batch_record`'s views wrap with
+    zero copies. The base columns are never
     mutated (walks copy-on-write), which keeps the shm ring slot pristine
     and lets :meth:`make_packet` materialise a demoted packet from the
     original data at any time.
@@ -175,18 +177,18 @@ class ColumnBatch:
 
     @classmethod
     def from_matrix(cls, names, values, sizes, timestamps=None):
-        """Wrap shm SoA views in place (no copies; views stay read-only)."""
+        """Wrap SoA columns (shm views or a pipe payload) in place."""
         return cls(names, values, sizes, timestamps=timestamps)
 
     @classmethod
     def from_packets(cls, packets: list) -> Optional["ColumnBatch"]:
         """Columnise a packet list; None if it is not SoA-uniform.
 
-        Mirrors :func:`repro.nic.shm_transport.soa_encode`: every packet
-        must carry the same header-field set, no metadata, no preset
-        drop/egress, and int64-representable values. Batches that fail
-        are replayed wholesale through the closure tier (reason
-        ``input``).
+        Every packet must carry the same header-field set, no
+        metadata, no preset drop/egress, and int64-representable
+        values. Batches that fail are replayed wholesale through the
+        closure tier (reason ``input``) and cross a shard boundary in
+        the per-packet ``py`` form.
         """
         if not packets:
             return None
@@ -217,7 +219,8 @@ class ColumnBatch:
         return cls(names, values, sizes, packets=packets)
 
     def make_packet(self, i: int) -> Packet:
-        """The ``i``-th packet as a ``Packet`` (demotion path only)."""
+        """The ``i``-th packet as a ``Packet`` (demotion, or a whole
+        batch for the per-packet engines)."""
         if self.packets is not None:
             return self.packets[i]
         return Packet(
@@ -1354,13 +1357,11 @@ class ColumnarEngine:
                 )
 
     def _demote_one(
-        self, fastpath, batch, i, stats, outcome, now, reason
+        self, fastpath, packet, i, stats, outcome, reason
     ) -> None:
-        """Replay packet ``i`` through the closure tier, in order."""
+        """Replay packet ``i`` through the closure tier, in order (the
+        caller has set the sim clock)."""
         em = self._em
-        if now is not None:
-            em.clock.now_s = now[i]
-        packet = batch.make_packet(i)
         result = fastpath.replay_one(packet, into=self._result)
         stats.record_fast(
             result.latency_ns,
@@ -1383,9 +1384,8 @@ class ColumnarEngine:
         self, batch, packets, n, stats, dt_s, ts, outcome, reason
     ) -> None:
         """Whole-batch demotion (traced / cyclic / non-SoA input)."""
-        em = self._em
-        fastpath = em.fastpath
-        clock = em.clock
+        fastpath = self._em.fastpath
+        clock = self._em.clock
         for i in range(n):
             if ts is not None:
                 clock.now_s = float(ts[i])
@@ -1394,23 +1394,7 @@ class ColumnarEngine:
             packet = (
                 packets[i] if packets is not None else batch.make_packet(i)
             )
-            result = fastpath.replay_one(packet, into=self._result)
-            stats.record_fast(
-                result.latency_ns,
-                packet.size_bytes,
-                result.dropped,
-                result.migrations,
-                result.busy_ns.get(_ASIC),
-                result.busy_ns.get(_CPU),
-            )
-            outcome.latencies[i] = result.latency_ns
-            outcome.egress[i] = (
-                -1 if result.egress_port is None else result.egress_port
-            )
-            outcome.dropped[i] = result.dropped
-        outcome.demoted = n
-        demotions = em.columnar_demotions
-        demotions[reason] = demotions.get(reason, 0) + n
+            self._demote_one(fastpath, packet, i, stats, outcome, reason)
 
     # -- batch replay ------------------------------------------------------
 
@@ -1492,14 +1476,20 @@ class ColumnarEngine:
             # adds; np.cumsum is not guaranteed to be).
             now = list(accumulate(repeat(dt_s, n), initial=clock.now_s))[1:]
         fastpath = em.fastpath
+
+        def demote(i: int, reason: str) -> None:
+            if now is not None:
+                clock.now_s = now[i]
+            self._demote_one(
+                fastpath, batch.make_packet(i), i, stats, outcome, reason
+            )
+
         seg = 0
         demotions = 0
         while seg < n:
             if demotions >= MAX_WALKS_PER_BATCH:
                 for i in range(seg, n):
-                    self._demote_one(
-                        fastpath, batch, i, stats, outcome, now, "cascade"
-                    )
+                    demote(i, "cascade")
                 break
             walk = self._walk(batch, seg, now)
             flagged = np.flatnonzero(walk.flags[seg:])
@@ -1509,15 +1499,7 @@ class ColumnarEngine:
                 em.columnar_packets += cut - seg
             if cut == n:
                 break
-            self._demote_one(
-                fastpath,
-                batch,
-                cut,
-                stats,
-                outcome,
-                now,
-                _FLAG_REASONS[int(walk.flags[cut])],
-            )
+            demote(cut, _FLAG_REASONS[int(walk.flags[cut])])
             demotions += 1
             seg = cut + 1
         if now:

@@ -20,6 +20,7 @@ from repro.ir.conditionals import ConditionalNode
 from repro.ir.entries import TableEntry
 from repro.ir.program import Program
 from repro.ir.tables import Pipeline, TableKind, TableNode
+from repro.nic.columnar import ColumnBatch
 from repro.nic.control_plane import SimClock
 from repro.nic.counters import (
     CounterBank,
@@ -34,6 +35,13 @@ from repro.nic.stats import PacketResult, RunStats
 from repro.nic.table_runtime import RuntimeTable
 from repro.nic.targets import TargetModel
 from repro.telemetry.tracing import NATIVE_CACHE_STEP, PARSER_STEP
+
+#: Execution tiers of :meth:`NicEmulator.replay_batch`, bit-identical
+#: on stats, counters and caches: ``auto`` runs the columnar batch
+#: kernels (demoting what they cannot express to the closure tier),
+#: ``fastpath`` the per-packet closure chains, ``interp`` the reference
+#: interpreter.
+ENGINES = ("auto", "fastpath", "interp")
 
 #: Span-kind names for the tracer, by table kind.
 _TRACE_KINDS = {
@@ -624,17 +632,24 @@ class NicEmulator:
     ):
         """Replay one batch through the selected execution tier.
 
-        ``engine`` picks the tier: ``"columnar"``/``"auto"`` run the
-        batch kernels (returning a ``BatchOutcome`` with per-packet
-        latency/egress/dropped columns), ``"fastpath"`` the closure
-        chains, ``"interp"`` the reference interpreter; the latter two
-        return None. All tiers are bit-identical on stats, counters,
-        caches and per-packet results.
+        ``packets`` is a ``Packet`` list or a :class:`ColumnBatch`.
+        ``engine`` picks the tier (:data:`ENGINES`): ``"auto"`` runs
+        the batch kernels on the columns (returning a ``BatchOutcome``
+        with per-packet latency/egress/dropped columns); the per-packet
+        tiers return None, and a ``ColumnBatch`` handed to them is
+        materialised into ``Packet`` objects here — the one place a
+        batch becomes objects. All tiers are bit-identical on stats,
+        counters, caches and per-packet results.
         """
-        if engine == "auto" or engine == "columnar":
+        if engine == "auto":
             return self.columnar.replay_batch(
                 packets, stats, dt_s, timestamps
             )
+        if isinstance(packets, ColumnBatch):
+            batch = packets
+            if timestamps is None and batch.timestamps is not None:
+                timestamps = batch.timestamps.tolist()
+            packets = [batch.make_packet(i) for i in range(batch.n)]
         if engine == "fastpath":
             self.fastpath.replay_batch(packets, stats, dt_s, timestamps)
             return None
@@ -659,7 +674,6 @@ class NicEmulator:
         packets: Iterable[Packet],
         offered_pps: Optional[float] = None,
         batch: int = 256,
-        packet_pool=None,
         stats: Optional[RunStats] = None,
         engine: str = "auto",
     ) -> RunStats:
@@ -669,9 +683,7 @@ class NicEmulator:
         state), but packets are driven through the selected engine in
         ``batch``-sized chunks with no per-packet result allocation.
         ``engine`` is ``"auto"`` (columnar batch kernels with closure
-        demotion), ``"columnar"``, ``"fastpath"`` or ``"interp"``.
-        Pass a :class:`~repro.nic.packet.PacketPool` as ``packet_pool``
-        to recycle consumed packets back to the generator's free list.
+        demotion), ``"fastpath"`` or ``"interp"``.
         """
         if batch < 1:
             raise ValueError("batch must be >= 1")
@@ -686,6 +698,3 @@ class NicEmulator:
             if not buffer:
                 return stats
             self.replay_batch(buffer, stats, dt, engine=engine)
-            if packet_pool is not None:
-                for packet in buffer:
-                    packet_pool.release(packet)

@@ -746,9 +746,8 @@ class FastPathEngine:
     ) -> PacketResult:
         """Process one packet; bit-identical to ``process()``.
 
-        Pass ``into`` (e.g. from a :class:`~repro.nic.stats.
-        PacketResultPool`) to fill a recycled result instead of
-        allocating one.
+        Pass ``into`` to fill a recycled result instead of allocating
+        one.
         """
         tracer = self._tracer
         if tracer is not None:

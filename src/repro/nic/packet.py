@@ -69,42 +69,6 @@ class Packet:
             egress_port=self.egress_port,
         )
 
-    def reset(self, size_bytes: int = DEFAULT_PACKET_BYTES) -> "Packet":
-        """Return this packet to a blank state (for pooled reuse)."""
-        self.fields.clear()
-        self.metadata.clear()
-        self.size_bytes = size_bytes
-        self.dropped = False
-        self.egress_port = None
-        return self
-
-
-class PacketPool:
-    """Free-list of reusable :class:`Packet` objects.
-
-    High-rate replay allocates one packet (plus two dicts) per stimulus;
-    the pool recycles them so the steady-state loop allocates nothing.
-    ``acquire`` hands out a blank packet, ``release`` takes it back.
-    """
-
-    def __init__(self, prealloc: int = 0):
-        self._free: list[Packet] = [Packet() for _ in range(prealloc)]
-        self.allocated = len(self._free)
-        self.reused = 0
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(self, size_bytes: int = DEFAULT_PACKET_BYTES) -> Packet:
-        if self._free:
-            self.reused += 1
-            return self._free.pop().reset(size_bytes)
-        self.allocated += 1
-        return Packet(size_bytes=size_bytes)
-
-    def release(self, packet: Packet) -> None:
-        self._free.append(packet)
-
 
 def ipv4(a: int, b: int, c: int, d: int) -> int:
     """Build a 32-bit address from dotted-quad octets."""

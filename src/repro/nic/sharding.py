@@ -36,17 +36,27 @@ applied update epoch ``e`` before it replays any batch dispatched after
 applying a broadcast bumps the runtime table's version, and the next
 batch's ``emulator.fastpath`` access recompiles automatically.
 
-Transports (``transport="shm"|"pipe"``): by default packet batches
-cross the process boundary through per-shard shared-memory ring
-buffers (:mod:`repro.nic.shm_transport`) as struct-of-arrays records —
-no per-packet Python objects and no pickling on the hot path — with a
-matching result ring carrying per-packet outcome columns back to the
-parent. The pipe remains the control plane (broadcasts, supervision,
-journal replay) and the fallback data path for batches the SoA codec
-cannot express (metadata, oversized values, heterogeneous header
-sets) or that exceed the ring's slot geometry; fallbacks are counted
-per shard and reason. ``transport="pipe"`` restores the PR 2
-behaviour: numpy record blocks pickled through the command pipe.
+One batch type each way. **Out:** the dispatcher columnises each
+per-shard buffer once (:meth:`ColumnBatch.from_packets`, the only
+Packet -> columns encoder) and a worker ingests every batch as a
+:class:`~repro.nic.columnar.ColumnBatch` whatever carried it;
+:meth:`NicEmulator.replay_batch` materialises ``Packet`` objects from
+it only when the selected engine is ``fastpath``/``interp``. A batch has
+one of two payload forms: the SoA form ``(names, values, sizes)`` plus
+timestamps, or — for batches SoA cannot express (metadata, mixed
+header sets, values outside int64) — the per-packet ``py`` form.
+**Back:** the merged stats and worker state of the ``end`` reply, and
+nothing else.
+
+Transports (``transport="shm"|"pipe"``): by default SoA batches cross
+the process boundary through per-shard shared-memory ring buffers
+(:mod:`repro.nic.shm_transport`), stored as is — no per-packet Python
+objects and no pickling on the hot path. The pipe remains the control
+plane (broadcasts, supervision, journal replay) and the fallback data
+path for ``py`` batches and for SoA batches that exceed the ring's
+slot geometry; fallbacks are counted per shard and reason.
+``transport="pipe"`` pickles the same two payloads through the command
+pipe.
 
 Splitting data from control traffic forfeits the single pipe's FIFO
 total order, so it is re-established with symmetric watermarks: every
@@ -100,7 +110,7 @@ import multiprocessing as mp
 import select
 import time
 import traceback
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -109,17 +119,15 @@ from repro.ir.entries import TableEntry
 from repro.nic.columnar import ColumnBatch
 from repro.nic.control_plane import SimClock, UpdateEvent
 from repro.nic.counters import CounterBank
-from repro.nic.emulator import NicEmulator
+from repro.nic.emulator import ENGINES, NicEmulator
 from repro.nic.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.nic.flow_cache import CacheStats
-from repro.nic.packet import Packet, PacketPool
+from repro.nic.packet import Packet
 from repro.nic.shm_transport import (
     DEFAULT_RING_SLOTS,
     ShardChannel,
     decode_names,
     read_batch_record,
-    soa_encode,
-    write_result_record,
 )
 from repro.nic.stats import RunStats
 from repro.telemetry.metrics import Histogram
@@ -131,7 +139,6 @@ __all__ = [
     "decode_batch",
     "encode_batch",
     "flow_shard",
-    "shard_seed",
 ]
 
 _RECOVERY_MODES = ("fail", "respawn", "degraded")
@@ -162,9 +169,6 @@ _METRIC_HELP = {
 
 _TRANSPORTS = ("pipe", "shm")
 
-#: Worker execution tiers (see :meth:`NicEmulator.replay_batch`).
-_ENGINES = ("auto", "columnar", "fastpath", "interp")
-
 #: Fraction buckets for the ring-occupancy histogram (eighths of the
 #: ring, matching the default slot count so each bucket is one slot).
 _OCCUPANCY_BUCKETS = tuple(i / 8 for i in range(1, 9))
@@ -174,10 +178,10 @@ _OCCUPANCY_BUCKETS = tuple(i / 8 for i in range(1, 9))
 _IDLE_POLL_S = 0.002
 #: Parent-side poll cadence while stalled on a full data ring.
 _STALL_POLL_S = 0.0005
-#: Worker bound on pushing an outcome record into a full result ring;
-#: the parent drains continuously, so expiry means it is gone or
-#: wedged — outcomes are observability, drop rather than deadlock.
-_RESULT_PUSH_TIMEOUT_S = 10.0
+#: Worker bound on a blocking live-telemetry snapshot send; the
+#: aggregator drains continuously, so expiry means it is gone or
+#: wedged — snapshots are observability, drop rather than deadlock.
+_LIVE_SEND_TIMEOUT_S = 10.0
 #: Worker bound on waiting for a ring record the watermark protocol
 #: guarantees was published (expiry indicates transport corruption).
 _RING_SYNC_TIMEOUT_S = 5.0
@@ -191,8 +195,6 @@ def _new_ring_stats() -> dict:
         "stalls": 0,
         "fallback_encoding": 0,
         "fallback_capacity": 0,
-        "result_batches": 0,
-        "result_packets": 0,
         "max_occupancy": 0.0,
     }
 
@@ -207,64 +209,26 @@ def flow_shard(flow_key: tuple[int, ...], n_shards: int) -> int:
 
     Uses the builtin tuple hash, which for integer elements is *not*
     randomized by ``PYTHONHASHSEED`` — the same key maps to the same
-    shard in every process and every run, which both the dispatcher and
-    the shard-aware traffic generator rely on.
+    shard in every process and every run, which the dispatcher relies
+    on.
     """
     if n_shards <= 1:
         return 0
     return hash(flow_key) % n_shards
 
 
-def shard_seed(seed: int, shard: int) -> int:
-    """Derived per-shard RNG seed for independent shard-local streams."""
-    return (seed * 1_000_003 + shard * 7_919 + 1) & 0x7FFFFFFF
-
-
 # ---------------------------------------------------------------------------
-# Compact batch serialization
+# The per-packet payload form
 # ---------------------------------------------------------------------------
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
 
 
 def encode_batch(packets: Sequence[Packet]):
-    """Serialize packets for the worker pipe.
+    """The ``py`` payload: one explicit tuple per packet.
 
-    Fast path: every packet shares one header-name tuple, carries no
-    metadata and is undropped (true for generator streams) — the batch
-    becomes a single ``(names, int64 matrix, sizes)`` block, which
-    pickles as flat buffers instead of per-packet dicts. Anything else
-    falls back to an explicit per-packet encoding.
+    For batches :meth:`ColumnBatch.from_packets` cannot columnise
+    (metadata, preset drop/egress, mixed header sets, values outside
+    int64); everything else travels as the SoA payload.
     """
-    if not packets:
-        return ("py", [])
-    first = packets[0]
-    names = tuple(first.fields)
-    uniform = not (first.metadata or first.dropped)
-    if uniform:
-        for packet in packets:
-            if (
-                packet.metadata
-                or packet.dropped
-                or packet.egress_port is not None
-                or tuple(packet.fields) != names
-            ):
-                uniform = False
-                break
-    if uniform:
-        try:
-            values = np.array(
-                [list(p.fields.values()) for p in packets],
-                dtype=np.int64,
-            )
-        except (OverflowError, ValueError):
-            uniform = False
-        else:
-            sizes = np.array(
-                [p.size_bytes for p in packets], dtype=np.int32
-            )
-            return ("np", names, values, sizes)
     return (
         "py",
         [
@@ -280,29 +244,18 @@ def encode_batch(packets: Sequence[Packet]):
     )
 
 
-def decode_batch(payload, pool: Optional[PacketPool] = None) -> list[Packet]:
-    """Inverse of :func:`encode_batch`; optionally fills pooled packets."""
-    kind = payload[0]
-    packets: list[Packet] = []
-    if kind == "np":
-        _, names, values, sizes = payload
-        for row, size in zip(values.tolist(), sizes.tolist()):
-            packet = (
-                pool.acquire(size) if pool is not None else Packet(size_bytes=size)
-            )
-            packet.fields = dict(zip(names, row))
-            packets.append(packet)
-        return packets
-    for fields, metadata, size, dropped, egress in payload[1]:
-        packet = (
-            pool.acquire(size) if pool is not None else Packet(size_bytes=size)
+def decode_batch(payload) -> list[Packet]:
+    """Inverse of :func:`encode_batch`."""
+    return [
+        Packet(
+            fields=fields,
+            metadata=metadata,
+            size_bytes=size,
+            dropped=dropped,
+            egress_port=egress,
         )
-        packet.fields = fields
-        packet.metadata = metadata
-        packet.dropped = dropped
-        packet.egress_port = egress
-        packets.append(packet)
-    return packets
+        for fields, metadata, size, dropped, egress in payload[1]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +410,7 @@ def _worker_state(emulator: NicEmulator) -> dict:
 def _restore_birth_state(emulator: NicEmulator, birth_tables) -> None:
     """Reset a respawned worker's emulator to its shard's birth state.
 
-    Factory-built emulators are born pristine, but template-flavour
-    workers fork a *live* template whose runtime tables may have been
+    Workers fork a *live* template whose runtime tables may have been
     re-materialised since construction; restore the construction-time
     entry snapshot first. Then zero all telemetry **in place** — the
     fast path's compiled closures and staleness fingerprint bind the
@@ -466,11 +418,10 @@ def _restore_birth_state(emulator: NicEmulator, birth_tables) -> None:
     cleared, never replaced. The parent finishes the rebirth by
     replaying the shard's journal.
     """
-    if birth_tables is not None:
-        for name, entries in birth_tables.items():
-            emulator.set_table_entries(
-                name, [entry.clone() for entry in entries]
-            )
+    for name, entries in birth_tables.items():
+        emulator.set_table_entries(
+            name, [entry.clone() for entry in entries]
+        )
     emulator.counters.reset()
     emulator.explicit_counters.clear()
     caches = list(emulator.flow_caches.values())
@@ -487,7 +438,7 @@ def _restore_birth_state(emulator: NicEmulator, birth_tables) -> None:
 
 def _worker_main(
     conn,
-    factory,
+    emulator: NicEmulator,
     shard_index: int,
     fault_specs: Sequence[FaultSpec] = (),
     rebirth: bool = False,
@@ -499,8 +450,9 @@ def _worker_main(
 ) -> None:
     """Command loop for one shard worker.
 
-    With the pipe transport every message (control and data) arrives
-    on ``conn`` strictly in send order. With the shm transport
+    ``emulator`` is this process's copy-on-write clone of the parent's
+    template. With the pipe transport every message (control and data)
+    arrives on ``conn`` strictly in send order. With the shm transport
     (``channel`` given) data batches arrive on the channel's ring and
     only control traffic uses the pipe, so FIFO order is re-established
     by watermarks: a ring batch replays only once this worker has
@@ -530,16 +482,13 @@ def _worker_main(
     tolerate scheduling-dependent gaps.
     """
     try:
-        emulator: NicEmulator = factory(shard_index)
         if rebirth:
             _restore_birth_state(emulator, birth_tables)
         injector = FaultInjector(fault_specs) if fault_specs else None
-        pool = PacketPool()
         stats: Optional[RunStats] = None
         busy = 0.0
         epoch = 0
         pipe_seen = 0  # pipe messages fully processed
-        batch_ordinal = 0  # batches replayed since begin (both paths)
         names_memo: dict[bytes, tuple[str, ...]] = {}
 
         live_interval, live_every = live_cadence
@@ -599,7 +548,7 @@ def _worker_main(
             # stream depend on parent scheduling.
             block = force or live_every is not None
             deadline = time.monotonic() + (
-                _RESULT_PUSH_TIMEOUT_S if block else 0.0
+                _LIVE_SEND_TIMEOUT_S if block else 0.0
             )
             while True:
                 try:
@@ -638,84 +587,37 @@ def _worker_main(
             # full cadence interval.
             live_snapshot()
 
-        use_columnar = engine in ("auto", "columnar")
-
-        def push_outcomes(latencies, egress, dropped, n: int) -> None:
-            deadline = time.monotonic() + _RESULT_PUSH_TIMEOUT_S
-            while not write_result_record(
-                channel.results, batch_ordinal, latencies, egress, dropped, n
-            ):
-                if time.monotonic() >= deadline:
-                    return
-                time.sleep(0.001)
-
-        def replay_any(batch, n: int, timestamps) -> None:
-            """Replay one batch (Packet list or ColumnBatch) via the tier."""
-            nonlocal stats, batch_ordinal, live_packets_since
+        def replay_any(batch, n: int, timestamps=None) -> None:
+            """Replay one batch — a ColumnBatch, or a Packet list for
+            the ``py`` payload — through the selected tier."""
+            nonlocal stats, live_packets_since
             if injector is not None:
                 injector.before_batch(n)
             if stats is None:
                 stats = RunStats()
-            n_before = len(stats._latencies)
-            outcome = emulator.replay_batch(
+            emulator.replay_batch(
                 batch, stats, timestamps=timestamps, engine=engine
             )
             if channel is not None:
-                if outcome is not None:
-                    push_outcomes(
-                        outcome.latencies,
-                        outcome.egress,
-                        outcome.dropped,
-                        outcome.n,
-                    )
-                else:
-                    push_outcomes(
-                        stats._latencies[n_before:],
-                        (p.egress_port for p in batch),
-                        (p.dropped for p in batch),
-                        n,
-                    )
-            batch_ordinal += 1
+                channel.data.mark_finished()
             if tele_conn is not None:
                 live_packets_since += n
                 maybe_live()
-
-        def replay_packets(packets: list[Packet], timestamps) -> None:
-            replay_any(packets, len(packets), timestamps)
-            for packet in packets:
-                pool.release(packet)
 
         def replay_ring_head(record) -> None:
             _wm, blob, values, sizes, ts = read_batch_record(record)
             names = names_memo.get(blob)
             if names is None:
                 names = names_memo[blob] = decode_names(blob)
-            if use_columnar:
-                # Consume the SoA views in place: no row -> Packet
-                # materialisation and no copy — the batch kernels read
-                # the ring slot directly and copy-on-write any column
-                # they modify, so the slot stays pristine (demoted
-                # packets re-materialise from it). The cursor therefore
-                # advances only *after* replay; it still moves once per
-                # batch, which keeps supervision and the dispatcher's
-                # backpressure live (the parent drains result records
-                # while stalled on a full data ring).
-                batch = ColumnBatch.from_matrix(names, values, sizes, ts)
-                replay_any(batch, batch.n, None)
-                channel.data.advance()
-                return
-            packets: list[Packet] = []
-            for row, size in zip(values.T.tolist(), sizes.tolist()):
-                packet = pool.acquire(size)
-                packet.fields = dict(zip(names, row))
-                packets.append(packet)
-            timestamps = ts.tolist() if ts is not None else None
-            # Advance before replaying: the rows were copied out, the
-            # slot can be refilled while this batch replays, and the
-            # consumer cursor doubles as the supervisor's (and the
-            # dispatcher's backpressure) progress signal.
+            # Consume the SoA views in place: the batch kernels read
+            # the ring slot directly and copy-on-write any column they
+            # modify, so the slot stays pristine (demoted packets
+            # materialise from it). The cursor therefore advances only
+            # *after* replay; it still moves once per batch, which
+            # keeps supervision and the dispatcher's backpressure live.
+            batch = ColumnBatch.from_matrix(names, values, sizes, ts)
+            replay_any(batch, batch.n)
             channel.data.advance()
-            replay_packets(packets, timestamps)
 
         def drain_ready() -> bool:
             """Replay every ring batch whose pipe watermark is met."""
@@ -780,12 +682,16 @@ def _worker_main(
             pipe_seen += 1
             start = time.process_time()
             if op == "batch":
-                packets = decode_batch(message[1], pool)
-                replay_packets(packets, message[2])
+                payload, ts = message[1], message[2]
+                if payload[0] == "soa":
+                    batch = ColumnBatch.from_matrix(*payload[1:], ts)
+                    replay_any(batch, batch.n)
+                else:
+                    packets = decode_batch(payload)
+                    replay_any(packets, len(packets), ts)
             elif op == "begin":
                 stats = RunStats()
                 busy = 0.0
-                batch_ordinal = 0
                 live_offset = 0
             elif op == "end":
                 busy += time.process_time() - start
@@ -893,9 +799,6 @@ class ShardedEmulator:
     :meth:`flush_caches`), which :class:`repro.core.sharded.
     ShardedDeployment` wires to control-plane events.
 
-    Alternatively pass ``factory`` (called as ``factory(shard_index)``
-    inside each worker) to build per-worker emulators from scratch.
-
     ``options`` configures the worker supervisor (timeouts, retry
     budget, recovery policy — see :class:`SupervisorOptions`);
     ``telemetry`` receives supervision events and fault counters;
@@ -905,10 +808,9 @@ class ShardedEmulator:
 
     def __init__(
         self,
-        emulator: Optional[NicEmulator] = None,
+        emulator: NicEmulator,
         n_workers: int = 2,
         *,
-        factory: Optional[Callable[[int], NicEmulator]] = None,
         batch: int = 256,
         clock: Optional[SimClock] = None,
         options: Optional[SupervisorOptions] = None,
@@ -929,14 +831,14 @@ class ShardedEmulator:
                 f"Unknown transport {transport!r}; expected one of "
                 f"{', '.join(_TRANSPORTS)}"
             )
-        if engine not in _ENGINES:
+        if engine not in ENGINES:
             raise ValueError(
                 f"Unknown engine {engine!r}; expected one of "
-                f"{', '.join(_ENGINES)}"
+                f"{', '.join(ENGINES)}"
             )
-        #: Execution tier every worker replays through. ``auto`` and
-        #: ``columnar`` consume shm SoA batches in place (no row ->
-        #: Packet materialisation); the tiers are stats-identical.
+        #: Execution tier every worker replays through. ``auto``
+        #: consumes SoA batches in place (no row -> Packet
+        #: materialisation); the tiers are stats-identical.
         self.engine = engine
         if ring_slots is not None and ring_slots < 1:
             raise ValueError("ring_slots must be >= 1")
@@ -963,10 +865,6 @@ class ShardedEmulator:
         self._ring_slots = (
             ring_slots if ring_slots is not None else DEFAULT_RING_SLOTS
         )
-        if (emulator is None) == (factory is None):
-            raise ValueError(
-                "Pass exactly one of a template emulator or a factory"
-            )
         self.options = (
             options if options is not None else SupervisorOptions()
         )
@@ -978,25 +876,19 @@ class ShardedEmulator:
             )
         self._fault_plan = fault_plan
         self._birth_tables: Optional[dict[str, list[TableEntry]]] = None
-        if factory is None:
-            template = emulator
-            factory = lambda shard: template  # noqa: E731 - fork copy
-            if self.options.recovery == "respawn":
-                # Rebirth snapshot: a respawned worker re-forks the
-                # *live* template, whose tables may have changed since
-                # construction; it restores this construction-time
-                # snapshot before the journal replay (see
-                # _restore_birth_state).
-                self._birth_tables = {
-                    name: [entry.clone() for entry in runtime.entries()]
-                    for name, runtime in emulator.runtime_tables.items()
-                }
-        self._factory = factory
+        if self.options.recovery == "respawn":
+            # Rebirth snapshot: a respawned worker re-forks the *live*
+            # template, whose tables may have changed since
+            # construction; it restores this construction-time snapshot
+            # before the journal replay (see _restore_birth_state).
+            self._birth_tables = {
+                name: [entry.clone() for entry in runtime.entries()]
+                for name, runtime in emulator.runtime_tables.items()
+            }
+        self._template = emulator
         self.n_workers = n_workers
         self.batch = batch
-        self.clock = clock if clock is not None else (
-            emulator.clock if emulator is not None else None
-        )
+        self.clock = clock if clock is not None else emulator.clock
         #: Last broadcast update epoch; workers echo the epoch they have
         #: applied so collection can assert the broadcast drained.
         self.epoch = 0
@@ -1035,10 +927,6 @@ class ShardedEmulator:
         #: Per-shard transport counters (see :func:`_new_ring_stats`);
         #: aggregated by :meth:`transport_stats`.
         self.ring_stats = [_new_ring_stats() for _ in range(n_workers)]
-        #: Optional callable ``(shard, batch_ordinal, latencies,
-        #: egress, dropped)`` receiving per-packet outcome columns as
-        #: the result rings drain (shm transport only).
-        self.outcome_sink = None
         self._lost_this_replay = 0
         self._in_replay = False
         self._closed = False
@@ -1083,7 +971,7 @@ class ShardedEmulator:
             target=_worker_main,
             args=(
                 child_conn,
-                self._factory,
+                self._template,
                 shard,
                 fault_specs,
                 rebirth,
@@ -1133,12 +1021,6 @@ class ShardedEmulator:
         except Exception:  # pragma: no cover - interpreter teardown
             pass
         timeout = self.options.close_timeout_s
-        try:
-            # Free any worker spinning on a full result ring so the
-            # close handshake can reach it.
-            self._drain_all_results()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
         handshook = []
         for shard, conn in enumerate(self._conns):
             if self._dead[shard]:
@@ -1218,43 +1100,21 @@ class ShardedEmulator:
         return channel.data.produced if channel is not None else 0
 
     def _progress_token(self, shard: int):
-        """Worker-side cursors; any advance proves the worker is alive.
+        """Worker-side words; any advance proves the worker is alive.
 
-        A worker draining a full ring (or streaming outcome records)
-        can be pipe-silent for arbitrarily long, so the hung deadline
-        measures silence since the *last observed progress* — consumer
-        cursor or result production advance — not since the request.
-        With the pipe transport there are no rings: the token is
-        constant and the deadline degenerates to the plain reply
-        deadline.
+        A worker draining a full ring, or replaying a long journal
+        over the pipe, can be pipe-silent for arbitrarily long, so the
+        hung deadline measures silence since the *last observed
+        progress* — the data ring's consumer cursor or its
+        batches-finished word (bumped after every batch, however it
+        arrived) — not since the request. With the pipe transport
+        there is no ring: the token is constant and the deadline
+        degenerates to the plain reply deadline.
         """
         channel = self._channels[shard]
         if channel is None:
             return None
-        return (channel.data.consumed, channel.results.produced)
-
-    def _drain_results(self, shard: int) -> bool:
-        """Consume the shard's ready outcome records; True if any."""
-        channel = self._channels[shard]
-        if channel is None:
-            return False
-        sink = None
-        if self.outcome_sink is not None:
-            outcome_sink = self.outcome_sink
-
-            def sink(ordinal, latencies, egress, dropped):
-                outcome_sink(shard, ordinal, latencies, egress, dropped)
-
-        batches, packets = channel.drain_results(sink)
-        if batches:
-            stats = self.ring_stats[shard]
-            stats["result_batches"] += batches
-            stats["result_packets"] += packets
-        return batches > 0
-
-    def _drain_all_results(self) -> None:
-        for shard in range(self.n_workers):
-            self._drain_results(shard)
+        return (channel.data.consumed, channel.data.finished)
 
     def _observe_occupancy(self, shard: int, occupancy: float) -> None:
         if self.telemetry is not None:
@@ -1385,9 +1245,6 @@ class ShardedEmulator:
         progress = self._progress_token(shard)
         slow_reported = False
         while True:
-            # Keep the result ring drained so the worker can never
-            # block on outcomes while we wait for its reply.
-            self._drain_results(shard)
             token = self._progress_token(shard)
             if token != progress:
                 progress = token
@@ -1893,7 +1750,6 @@ class ShardedEmulator:
         packets: Iterable[Packet],
         offered_pps: Optional[float] = None,
         batch: Optional[int] = None,
-        packet_pool: Optional[PacketPool] = None,
         stats: Optional[RunStats] = None,
     ) -> RunStats:
         """Shard, dispatch and replay ``packets``; returns merged stats.
@@ -1915,9 +1771,9 @@ class ShardedEmulator:
             raise ValueError("batch must be >= 1")
         if self.transport == "shm" and batch > self.batch:
             # The rings were sized for the construction batch: a longer
-            # batch would go over the pipe, and its outcome record would
-            # not fit a result-ring slot. Stats do not depend on the
-            # dispatch batch; ``transport_stats`` reports the clamp.
+            # batch would not fit a slot and go over the pipe. Stats do
+            # not depend on the dispatch batch; ``transport_stats``
+            # reports the clamp.
             batch = self.batch
             self.clamped_replays += 1
         n = self.n_workers
@@ -1942,16 +1798,14 @@ class ShardedEmulator:
                 if dt:
                     timestamps[shard].append(t0 + dt * count)
                 if len(buffer) >= batch:
-                    self._flush(shard, buffers, timestamps, packet_pool)
+                    self._flush(shard, buffers, timestamps)
             # Final drain. A degraded-mode flush redistributes its
             # buffer onto survivors — possibly one already drained this
             # sweep — so sweep until every buffer is empty.
             while any(buffers):
                 for shard in range(n):
                     if buffers[shard]:
-                        self._flush(
-                            shard, buffers, timestamps, packet_pool
-                        )
+                        self._flush(shard, buffers, timestamps)
             if dt and self.clock is not None:
                 self.clock.advance(dt * count)
             merged = stats if stats is not None else RunStats()
@@ -1971,9 +1825,6 @@ class ShardedEmulator:
                 merged.merge(worker_stats)
                 states.append(state)
                 self.worker_busy_s[shard] = busy
-            # Workers publish every outcome record before replying to
-            # ``end``; one final drain leaves the result rings empty.
-            self._drain_all_results()
         finally:
             self._in_replay = False
         merged.lost_packets += self._lost_this_replay
@@ -1985,7 +1836,6 @@ class ShardedEmulator:
         shard: int,
         buffers: list[list[Packet]],
         timestamps: Optional[list[list[float]]],
-        packet_pool: Optional[PacketPool],
     ) -> None:
         buffer = buffers[shard]
         buffers[shard] = []
@@ -1997,9 +1847,6 @@ class ShardedEmulator:
             delivered = self._dispatch_batch(shard, buffer, ts)
             if delivered:
                 self._dispatched_since_begin[shard] += len(buffer)
-                if packet_pool is not None:
-                    for packet in buffer:
-                        packet_pool.release(packet)
                 return
             # The shard degraded during this send: the batch was never
             # delivered, so fall through and reroute it.
@@ -2020,41 +1867,38 @@ class ShardedEmulator:
     ) -> bool:
         """Deliver one batch over the shard's transport.
 
-        shm path: SoA-encode and push into the shard's data ring,
-        journaling the equivalent pipe message first so respawn replay
-        works unchanged. Falls back to the pipe — counted, per
-        reason — when the batch is not SoA-encodable (metadata, mixed
-        header sets, out-of-range values; ``reason="encoding"``) or
-        exceeds the slot geometry (``reason="capacity"``). Returns
-        False only when the shard degraded mid-dispatch.
+        The buffer is columnised once. shm path: push the SoA batch
+        into the shard's data ring, journaling the equivalent pipe
+        message first so respawn replay works unchanged. A batch rides
+        the pipe — counted, per reason, on shm — in the ``py`` form
+        when it is not SoA-encodable (metadata, mixed header sets,
+        out-of-range values; ``reason="encoding"``) and in the SoA
+        form when it exceeds the slot geometry
+        (``reason="capacity"``). Returns False only when the shard
+        degraded mid-dispatch.
         """
         channel = self._channels[shard]
-        if channel is not None:
-            encoded = soa_encode(buffer)
-            if encoded is None:
+        batch = ColumnBatch.from_packets(buffer)
+        if batch is None:
+            if channel is not None:
                 self._count_fallback(shard, "encoding")
-            else:
-                names, rows, sizes = encoded
-                blob = channel.names_blob(names)
-                if not channel.batch_fits(
-                    rows.shape[0], rows.shape[1], len(blob)
+            payload = encode_batch(buffer)
+        else:
+            if ts is not None:
+                ts = np.asarray(ts, dtype=np.float64)
+            payload = ("soa", batch.names, batch.values, batch.sizes)
+            if channel is not None:
+                if channel.batch_fits(
+                    batch.n,
+                    len(batch.names),
+                    len(channel.names_blob(batch.names)),
                 ):
-                    self._count_fallback(shard, "capacity")
-                else:
                     if self._journaling:
                         self._journals[shard].append(
-                            ("batch", ("np", names, rows, sizes), ts),
-                            len(buffer),
+                            ("batch", payload, ts), batch.n
                         )
-                    return self._push_batch_supervised(
-                        shard,
-                        names,
-                        rows,
-                        sizes,
-                        ts,
-                        n_packets=len(buffer),
-                    )
-        payload = encode_batch(buffer)
+                    return self._push_batch_supervised(shard, batch, ts)
+                self._count_fallback(shard, "capacity")
         return self._guarded_send(
             shard,
             ("batch", payload, ts),
@@ -2065,12 +1909,8 @@ class ShardedEmulator:
     def _push_batch_supervised(
         self,
         shard: int,
-        names: tuple[str, ...],
-        rows: np.ndarray,
-        sizes: np.ndarray,
-        ts: Optional[list[float]],
-        *,
-        n_packets: int,
+        batch: ColumnBatch,
+        ts: Optional[np.ndarray],
     ) -> bool:
         """Push one SoA batch into the shard's data ring (backpressure).
 
@@ -2095,11 +1935,15 @@ class ShardedEmulator:
             kind = None
             while True:
                 if channel.try_push_batch(
-                    names, rows, sizes, ts, self._pipe_sent[shard]
+                    batch.names,
+                    batch.values,
+                    batch.sizes,
+                    ts,
+                    self._pipe_sent[shard],
                 ):
                     stats = self.ring_stats[shard]
                     stats["pushed_batches"] += 1
-                    stats["pushed_packets"] += n_packets
+                    stats["pushed_packets"] += batch.n
                     occupancy = channel.data.occupancy()
                     if occupancy > stats["max_occupancy"]:
                         stats["max_occupancy"] = occupancy
@@ -2121,7 +1965,6 @@ class ShardedEmulator:
                     self._count(
                         "pipeleon_ring_stalls_total", shard=shard
                     )
-                self._drain_results(shard)
                 now = time.monotonic()
                 cursor = channel.data.consumed
                 if cursor != consumed:

@@ -15,7 +15,8 @@ control plane (broadcasts, supervision, journal replay — see
 
 Ring layout (one shared-memory segment per ring)::
 
-    [ control block: 128 B ]  word 0: produced count, word 8: consumed
+    [ control block: 128 B ]  word 0: produced count, word 8: consumed,
+                              word 9: batches finished (consumer side)
     [ slot 0: slot_bytes    ]  record headers are 64 B (8 int64 words)
     [ slot 1: slot_bytes    ]
     ...
@@ -35,11 +36,13 @@ field a contiguous numpy slice, exactly the substrate the columnar
 execution tier consumes: :class:`repro.nic.columnar.ColumnBatch.
 from_matrix` wraps these views in place, and workers running the
 columnar engine replay them with no row -> ``Packet`` materialisation
-at all), plus ``int32`` sizes and optional ``float64`` timestamps. Field names travel as one small utf-8 blob per batch (not
-per packet) and are memoized by the consumer. Result records flow the
-other way on a second ring: per-packet latency/egress/dropped columns
-so the parent can observe outcomes and progress without a single
-pickled reply.
+at all), plus ``int32`` sizes and optional ``float64`` timestamps.
+Field names travel as one small utf-8 blob per batch (not per packet)
+and are memoized by the consumer. Nothing flows back
+through shared memory except two progress words in the control block
+(the consumer cursor and a *batches finished* count, see
+:attr:`ShmRing.finished`); results come home as merged stats in the
+``end`` reply.
 
 Cleanup: every segment created here is registered in a process-local
 table and unlinked both on :meth:`ShmRing.close` and from an ``atexit``
@@ -54,28 +57,23 @@ from __future__ import annotations
 import atexit
 import os
 from multiprocessing import shared_memory
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import EmulationError
-from repro.nic.packet import Packet
 
 __all__ = [
     "BATCH_RECORD",
-    "RESULT_RECORD",
     "ShardChannel",
     "ShmRing",
     "TornRecordError",
     "batch_record_bytes",
     "data_slot_bytes",
-    "result_slot_bytes",
-    "soa_encode",
 ]
 
-#: Record kinds (header word 1).
+#: Record kind (header word 1).
 BATCH_RECORD = 1
-RESULT_RECORD = 2
 
 #: XOR'd into a record's index to form its commit stamp (header word 7).
 #: Any value with high bits set works; it only needs to make a stale or
@@ -134,12 +132,6 @@ def data_slot_bytes(
 ) -> int:
     """Slot size fitting a ``batch``-packet SoA record with headroom."""
     payload = batch_record_bytes(batch, max_fields, names_budget, True)
-    return RECORD_HEADER_BYTES + _align8(payload)
-
-
-def result_slot_bytes(batch: int) -> int:
-    """Slot size for one batch's per-packet outcome columns."""
-    payload = 8 * batch + _align8(4 * batch) + _align8(batch)
     return RECORD_HEADER_BYTES + _align8(payload)
 
 
@@ -256,6 +248,20 @@ class ShmRing:
     @property
     def consumed(self) -> int:
         return int(self._ctrl[8])
+
+    @property
+    def finished(self) -> int:
+        """Batches the consumer has finished, however they arrived.
+
+        A worker chewing through pipe-borne batches (a journal replay,
+        pipe fallbacks) never moves :attr:`consumed`; this word is its
+        proof of life (the supervisor's progress token reads both).
+        """
+        return int(self._ctrl[9])
+
+    def mark_finished(self) -> None:
+        """Consumer side: one more batch fully replayed."""
+        self._ctrl[9] = self.finished + 1
 
     def __len__(self) -> int:
         return max(0, self.produced - self.consumed)
@@ -385,45 +391,6 @@ class ShmRing:
 # SoA batch codec
 # ---------------------------------------------------------------------------
 
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-
-
-def soa_encode(packets: Sequence[Packet]):
-    """Struct-of-arrays encode: ``(names, rows, sizes)`` or ``None``.
-
-    Encodable batches are uniform (one header set, no metadata, not
-    dropped, no egress) with int64-range values — the same regime as
-    :func:`repro.nic.sharding.encode_batch`'s numpy fast path.
-    ``rows`` is the packet-major ``(n_packets, n_fields)`` matrix; the
-    ring writer transposes it into the field-major slot layout with one
-    C-level copy. Returns ``None`` when the batch needs the pipe
-    fallback.
-    """
-    if not packets:
-        return None
-    first = packets[0]
-    names = tuple(first.fields)
-    if first.metadata or first.dropped:
-        return None
-    for packet in packets:
-        if (
-            packet.metadata
-            or packet.dropped
-            or packet.egress_port is not None
-            or tuple(packet.fields) != names
-        ):
-            return None
-    try:
-        rows = np.array(
-            [list(p.fields.values()) for p in packets], dtype=np.int64
-        )
-    except (OverflowError, ValueError):
-        return None
-    sizes = np.array([p.size_bytes for p in packets], dtype=np.int32)
-    return names, rows, sizes
-
-
 def _names_blob(names: tuple[str, ...]) -> bytes:
     return "\x00".join(names).encode("utf-8")
 
@@ -431,18 +398,22 @@ def _names_blob(names: tuple[str, ...]) -> bytes:
 def write_batch_record(
     ring: ShmRing,
     names_blob: bytes,
-    rows: np.ndarray,
+    values: np.ndarray,
     sizes: np.ndarray,
     timestamps: Optional[Sequence[float]],
     pipe_watermark: int,
 ) -> bool:
     """Push one SoA batch; ``False`` when the ring is full.
 
+    ``values`` is the field-major ``(n_fields, n_packets)`` int64
+    matrix of :class:`repro.nic.columnar.ColumnBatch` — the slot layout
+    itself, stored as is.
+
     Raises ``ValueError`` when the record cannot fit a slot at all —
     callers check :func:`batch_record_bytes` against
     ``ring.payload_capacity`` first and fall back to the pipe.
     """
-    n_packets, n_fields = rows.shape
+    n_fields, n_packets = values.shape
     ts = (
         np.asarray(timestamps, dtype=np.float64)
         if timestamps is not None
@@ -456,14 +427,14 @@ def write_batch_record(
         offset = 0
         payload[: len(names_blob)] = names_blob
         offset += _align8(len(names_blob))
-        values = np.ndarray(
+        value_view = np.ndarray(
             (n_fields, n_packets),
             dtype=np.int64,
             buffer=payload[offset : offset + 8 * n_fields * n_packets],
         )
-        # One C-level transpose copy: each field lands as a contiguous
-        # int64 row the consumer (or a columnar engine) slices in place.
-        values[:] = rows.T
+        # Each field lands as a contiguous int64 row the consumer's
+        # columnar engine slices in place.
+        value_view[:] = values
         offset += 8 * n_fields * n_packets
         size_view = np.ndarray(
             (n_packets,),
@@ -527,95 +498,15 @@ def read_batch_record(record: RecordView):
 
 
 # ---------------------------------------------------------------------------
-# Result records (worker -> parent outcome columns)
-# ---------------------------------------------------------------------------
-
-
-def write_result_record(
-    ring: ShmRing,
-    batch_index: int,
-    latencies_ns: Iterable[float],
-    egress_ports: Iterable[int],
-    dropped: Iterable[bool],
-    n_packets: int,
-) -> bool:
-    """Push one batch's per-packet outcomes; ``False`` when full."""
-    lat = np.fromiter(latencies_ns, dtype=np.float64, count=n_packets)
-    egress = np.fromiter(
-        (-1 if p is None else p for p in egress_ports),
-        dtype=np.int32,
-        count=n_packets,
-    )
-    drop = np.fromiter(dropped, dtype=np.uint8, count=n_packets)
-    payload_bytes = (
-        8 * n_packets + _align8(4 * n_packets) + _align8(n_packets)
-    )
-
-    def writer(payload: memoryview) -> None:
-        offset = 0
-        lat_view = np.ndarray(
-            (n_packets,),
-            dtype=np.float64,
-            buffer=payload[offset : offset + 8 * n_packets],
-        )
-        lat_view[:] = lat
-        offset += 8 * n_packets
-        egress_view = np.ndarray(
-            (n_packets,),
-            dtype=np.int32,
-            buffer=payload[offset : offset + 4 * n_packets],
-        )
-        egress_view[:] = egress
-        offset += _align8(4 * n_packets)
-        drop_view = np.ndarray(
-            (n_packets,),
-            dtype=np.uint8,
-            buffer=payload[offset : offset + n_packets],
-        )
-        drop_view[:] = drop
-
-    meta = (n_packets, batch_index, 0, 0, int(drop.sum()))
-    return ring.try_push(RESULT_RECORD, meta, payload_bytes, writer)
-
-
-def read_result_record(record: RecordView):
-    """``(batch_index, latencies, egress, dropped, n_dropped)`` views."""
-    n_packets, batch_index, _r0, _r1, n_dropped = record.meta
-    payload = record.payload
-    offset = 0
-    lat = np.ndarray(
-        (n_packets,),
-        dtype=np.float64,
-        buffer=payload[offset : offset + 8 * n_packets],
-    )
-    offset += 8 * n_packets
-    egress = np.ndarray(
-        (n_packets,),
-        dtype=np.int32,
-        buffer=payload[offset : offset + 4 * n_packets],
-    )
-    offset += _align8(4 * n_packets)
-    drop = np.ndarray(
-        (n_packets,),
-        dtype=np.uint8,
-        buffer=payload[offset : offset + n_packets],
-    )
-    return batch_index, lat, egress, drop, n_dropped
-
-
-# ---------------------------------------------------------------------------
 # Per-shard channel
 # ---------------------------------------------------------------------------
 
 
 class ShardChannel:
-    """One shard's data ring (parent -> worker) plus result ring back.
+    """One shard's data ring (parent -> worker).
 
     Created by the parent *before* the worker forks, so both processes
-    map the same segments with no attach handshake. The result ring is
-    deeper than the data ring: the worker acknowledges every batch (one
-    result record each, including pipe-fallback batches) and must not
-    stall just because the parent is between drain opportunities.
+    map the same segment with no attach handshake.
     """
 
     def __init__(
@@ -629,7 +520,6 @@ class ShardChannel:
         self.batch = batch
         self.max_fields = max_fields
         self.data = ShmRing(slots, data_slot_bytes(batch, max_fields))
-        self.results = ShmRing(2 * slots, result_slot_bytes(batch))
         self._names_cache: dict[tuple[str, ...], bytes] = {}
 
     # -- parent side -------------------------------------------------------
@@ -651,7 +541,7 @@ class ShardChannel:
     def try_push_batch(
         self,
         names: tuple[str, ...],
-        rows: np.ndarray,
+        values: np.ndarray,
         sizes: np.ndarray,
         timestamps: Optional[Sequence[float]],
         pipe_watermark: int,
@@ -659,35 +549,14 @@ class ShardChannel:
         return write_batch_record(
             self.data,
             self.names_blob(names),
-            rows,
+            values,
             sizes,
             timestamps,
             pipe_watermark,
         )
 
-    def drain_results(self, sink=None) -> tuple[int, int]:
-        """Consume ready result records; ``(batches, packets)`` counts.
-
-        ``sink(batch_index, latencies, egress, dropped)`` — when given —
-        receives *copies* of the outcome columns (the views die with
-        ``advance``).
-        """
-        batches = 0
-        packets = 0
-        while True:
-            record = self.results.peek()
-            if record is None:
-                return batches, packets
-            index, lat, egress, drop, _nd = read_result_record(record)
-            if sink is not None:
-                sink(index, lat.copy(), egress.copy(), drop.copy())
-            batches += 1
-            packets += record.meta[0]
-            self.results.advance()
-
     def close(self, unlink: bool = True) -> None:
         self.data.close(unlink=unlink)
-        self.results.close(unlink=unlink)
 
 
 def decode_names(blob: bytes) -> tuple[str, ...]:

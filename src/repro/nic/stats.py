@@ -30,39 +30,6 @@ class PacketResult:
     path: tuple[str, ...] = ()
 
 
-class PacketResultPool:
-    """Free-list of reusable :class:`PacketResult` objects.
-
-    The fast-path replay engine fills a recycled result in place
-    (including its ``busy_ns`` dict) instead of allocating one per
-    packet. Results handed out by ``acquire`` are blank; callers that
-    keep a result must not ``release`` it.
-    """
-
-    def __init__(self, prealloc: int = 0):
-        self._free: list[PacketResult] = [
-            PacketResult(0.0, False, None) for _ in range(prealloc)
-        ]
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(self) -> PacketResult:
-        if self._free:
-            result = self._free.pop()
-            result.latency_ns = 0.0
-            result.dropped = False
-            result.egress_port = None
-            result.migrations = 0
-            result.busy_ns.clear()
-            result.path = ()
-            return result
-        return PacketResult(0.0, False, None)
-
-    def release(self, result: PacketResult) -> None:
-        self._free.append(result)
-
-
 class RunStats:
     """Aggregates packet results and converts them to Gbps.
 

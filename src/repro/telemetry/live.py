@@ -846,11 +846,11 @@ class MetricsServer:
 class LivePlane:
     """One aggregator + scrape endpoint outliving any single fleet.
 
-    A plain replay owns its :class:`LiveAggregator` and
-    :class:`MetricsServer` per deployment; ``repro serve`` instead
-    creates one :class:`LivePlane` for the daemon's whole lifetime and
-    hands it to every :class:`~repro.core.sharded.ShardedDeployment`
-    (via ``live_plane=``) and to the controller, which re-adopts each
+    The caller owns the plane: ``repro replay`` creates one around its
+    single deployment; ``repro serve`` creates one for the daemon's
+    whole lifetime and hands it to every
+    :class:`~repro.core.sharded.ShardedDeployment` (via
+    ``live_plane=``) and to the controller, which re-adopts each
     redeployed fleet. Counters stay monotone across fleet generations
     (see :meth:`LiveAggregator.retarget`), and the ``/metrics`` port
     stays bound from daemon start to drain.

@@ -167,7 +167,7 @@ def columnar_kernel_report(emulator) -> KernelReport:
     """Join a columnar engine's kernel timings with cost predictions.
 
     ``emulator`` is a :class:`~repro.nic.emulator.NicEmulator` whose
-    columnar tier has replayed traffic (``engine="columnar"``); the
+    columnar tier has replayed traffic (``engine="auto"``); the
     engine accumulates per-node wall time and packet counts as a side
     effect of every walk.
     """

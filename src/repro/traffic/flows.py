@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 from repro.nic.packet import DEFAULT_PACKET_BYTES, Packet, ipv4, make_packet
@@ -31,19 +30,6 @@ class FlowSpec:
             extra=dict(self.extra),
         )
 
-    def fill(
-        self, packet: Packet, size_bytes: int = DEFAULT_PACKET_BYTES
-    ) -> Packet:
-        """Rewrite ``packet`` in place into this flow's packet.
-
-        Equivalent to :meth:`packet` but reuses an existing (e.g.
-        pooled) object; the header template is memoized per flow so
-        repeated fills are one dict update.
-        """
-        packet.reset(size_bytes)
-        packet.fields.update(_field_template(self))
-        return packet
-
     def flow_key(self) -> tuple[int, int, int, int, int]:
         """The five-tuple in canonical (``FIVE_TUPLE``) field order.
 
@@ -64,12 +50,6 @@ class FlowSpec:
             self.dport,
             tuple(sorted(merged.items())),
         )
-
-
-@lru_cache(maxsize=65536)
-def _field_template(flow: FlowSpec) -> dict[str, int]:
-    """The flow's full header map (treat as immutable — it's shared)."""
-    return dict(flow.packet().fields)
 
 
 def synth_flow(index: int, dport: int = 80) -> FlowSpec:

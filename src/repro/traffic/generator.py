@@ -6,9 +6,7 @@ locality controls cache hit rates (Zipf concentrates traffic on few flows,
 uniform spreads it).
 
 Flow-index generation is vectorized: the selection patterns return numpy
-arrays drawn in one shot, and streams optionally recycle packets from a
-:class:`~repro.nic.packet.PacketPool` so high-rate replay allocates
-nothing per packet.
+arrays drawn in one shot.
 """
 
 from __future__ import annotations
@@ -18,8 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.nic.packet import DEFAULT_PACKET_BYTES, Packet, PacketPool
-from repro.nic.sharding import flow_shard, shard_seed
+from repro.nic.packet import DEFAULT_PACKET_BYTES, Packet
 from repro.traffic.flows import FlowSpec, synth_flows
 
 
@@ -63,14 +60,8 @@ class TrafficGenerator:
         locality: str = "uniform",
         zipf_skew: float = 1.2,
         size_bytes: int = DEFAULT_PACKET_BYTES,
-        pool: Optional[PacketPool] = None,
     ) -> Iterator[Packet]:
-        """Yield packets drawn from ``flows`` with the given locality.
-
-        With ``pool``, packets are recycled from its free list instead
-        of freshly allocated (release them back after processing, e.g.
-        via ``NicEmulator.replay(..., packet_pool=pool)``).
-        """
+        """Yield packets drawn from ``flows`` with the given locality."""
         if not flows:
             return
         if locality == "uniform":
@@ -81,76 +72,14 @@ class TrafficGenerator:
             indices = self.round_robin_indices(len(flows), n_packets)
         else:
             raise ValueError(f"Unknown locality {locality!r}")
-        if pool is None:
-            for index in indices.tolist():
-                yield flows[index].packet(size_bytes)
-        else:
-            for index in indices.tolist():
-                yield flows[index].fill(
-                    pool.acquire(size_bytes), size_bytes
-                )
-
-    def flows_for_shard(
-        self,
-        flows: Sequence[FlowSpec],
-        shard: int,
-        n_shards: int,
-    ) -> list[FlowSpec]:
-        """The subset of ``flows`` a sharded data plane routes to ``shard``.
-
-        Uses the same deterministic flow-hash the dispatcher uses
-        (:func:`repro.nic.sharding.flow_shard` over the canonical
-        five-tuple), so a stream built from this subset replays entirely
-        on one worker.
-        """
-        return [
-            flow
-            for flow in flows
-            if flow_shard(flow.flow_key(), n_shards) == shard
-        ]
-
-    def shard_stream(
-        self,
-        flows: Sequence[FlowSpec],
-        n_packets: int,
-        shard: int,
-        n_shards: int,
-        locality: str = "uniform",
-        zipf_skew: float = 1.2,
-        size_bytes: int = DEFAULT_PACKET_BYTES,
-        pool: Optional[PacketPool] = None,
-    ) -> Iterator[Packet]:
-        """An independent per-shard stream of ``n_packets``.
-
-        Draws only from the flows assigned to ``shard`` and uses a
-        seed derived from ``(self.seed, shard)``, so every shard's
-        stream is deterministic and statistically independent of its
-        siblings — workers can generate their own load in-process with
-        no cross-shard coordination beyond the shared base seed.
-        """
-        if not 0 <= shard < n_shards:
-            raise ValueError(
-                f"shard {shard} out of range for {n_shards} shards"
-            )
-        local_flows = self.flows_for_shard(flows, shard, n_shards)
-        sub_generator = TrafficGenerator(
-            seed=shard_seed(self.seed, shard)
-        )
-        return sub_generator.stream(
-            local_flows,
-            n_packets,
-            locality=locality,
-            zipf_skew=zipf_skew,
-            size_bytes=size_bytes,
-            pool=pool,
-        )
+        for index in indices.tolist():
+            yield flows[index].packet(size_bytes)
 
     def mixed_stream(
         self,
         flow_groups: Sequence[tuple[Sequence[FlowSpec], float]],
         n_packets: int,
         size_bytes: int = DEFAULT_PACKET_BYTES,
-        pool: Optional[PacketPool] = None,
     ) -> Iterator[Packet]:
         """Draw from weighted flow groups (e.g. 25% droppable traffic).
 
@@ -178,20 +107,10 @@ class TrafficGenerator:
                 picks[mask] = self._np_rng.integers(
                     0, len(flows), size=count, dtype=np.int64
                 )
-        if pool is None:
-            for group_index, flow_index in zip(
-                chosen.tolist(), picks.tolist()
-            ):
-                yield groups[group_index][0][flow_index].packet(
-                    size_bytes
-                )
-        else:
-            for group_index, flow_index in zip(
-                chosen.tolist(), picks.tolist()
-            ):
-                yield groups[group_index][0][flow_index].fill(
-                    pool.acquire(size_bytes), size_bytes
-                )
+        for group_index, flow_index in zip(
+            chosen.tolist(), picks.tolist()
+        ):
+            yield groups[group_index][0][flow_index].packet(size_bytes)
 
 
 def drop_rate_stream(
@@ -200,7 +119,6 @@ def drop_rate_stream(
     drop_rate: float,
     dropped_flows: Optional[Sequence[FlowSpec]] = None,
     passing_flows: Optional[Sequence[FlowSpec]] = None,
-    pool: Optional[PacketPool] = None,
 ) -> Iterable[Packet]:
     """A stream where ``drop_rate`` of packets come from droppable flows."""
     if not 0.0 <= drop_rate <= 1.0:
@@ -210,5 +128,4 @@ def drop_rate_stream(
     return generator.mixed_stream(
         [(dropped_flows, drop_rate), (passing_flows, 1.0 - drop_rate)],
         n_packets,
-        pool=pool,
     )

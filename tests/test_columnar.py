@@ -27,7 +27,7 @@ from repro.ir import exact_entry
 from repro.ir.entries import ExactValue, TableEntry
 from repro.nic.columnar import ColumnBatch
 from repro.nic.flow_cache import FlowCache
-from repro.nic.packet import Packet, PacketPool, ipv4, make_packet
+from repro.nic.packet import Packet, ipv4, make_packet
 from repro.nic.stats import RunStats
 from repro.nic.targets import AGILIO_CX, BLUEFIELD2, EMULATED_NIC
 from repro.synthesis import ProgramSynthesizer, SynthesisConfig
@@ -78,7 +78,7 @@ class TestColumnarDifferential:
         interp, col = make_twin_deployments(app, target)
         reference = interp.run(app_packets(11), offered_pps=1e6)
         replayed = col.replay(
-            app_packets(11), offered_pps=1e6, batch=37, engine="columnar"
+            app_packets(11), offered_pps=1e6, batch=37, engine="auto"
         )
         assert stats_fingerprint(replayed) == stats_fingerprint(reference)
         assert_emulators_identical(interp.emulator, col.emulator)
@@ -90,7 +90,7 @@ class TestColumnarDifferential:
         interp, col = make_twin_deployments(app, target, optimize=True)
         reference = interp.run(app_packets(12), offered_pps=1e6)
         replayed = col.replay(
-            app_packets(12), offered_pps=1e6, batch=37, engine="columnar"
+            app_packets(12), offered_pps=1e6, batch=37, engine="auto"
         )
         assert stats_fingerprint(replayed) == stats_fingerprint(reference)
         assert_emulators_identical(interp.emulator, col.emulator)
@@ -100,7 +100,7 @@ class TestColumnarDifferential:
         interp, col = make_twin_deployments("l2l3_acl", BLUEFIELD2)
         stats = RunStats()
         outcome = col.emulator.replay_batch(
-            app_packets(3, n=120), stats, engine="columnar"
+            app_packets(3, n=120), stats, engine="auto"
         )
         for i, packet in enumerate(app_packets(3, n=120)):
             result = interp.emulator.process(packet)
@@ -134,7 +134,7 @@ class TestColumnarDifferential:
         reference = interp.run(app_packets(7, n=96), offered_pps=1e6)
         replayed = col.replay(
             app_packets(7, n=96), offered_pps=1e6, batch=32,
-            engine="columnar",
+            engine="auto",
         )
         assert stats_fingerprint(replayed) == stats_fingerprint(reference)
         assert col.emulator.columnar_demotions == {"traced": 96}
@@ -158,7 +158,7 @@ class TestMidstreamUpdates:
                 app_packets(seed, n=150),
                 offered_pps=1e6,
                 batch=32,
-                engine="columnar",
+                engine="auto",
             )
             assert stats_fingerprint(replayed) == stats_fingerprint(
                 reference
@@ -194,7 +194,7 @@ class TestMidstreamUpdates:
                 app_packets(seed, n=150),
                 offered_pps=1e6,
                 batch=32,
-                engine="columnar",
+                engine="auto",
             )
             assert stats_fingerprint(replayed) == stats_fingerprint(
                 reference
@@ -230,7 +230,7 @@ class TestNoPerPacketObjects:
         names, values, sizes = self._matrix_batch()
         pristine = values.copy()
         warm = ColumnBatch.from_matrix(names, values, sizes)
-        col.emulator.replay_batch(warm, RunStats(), engine="columnar")
+        col.emulator.replay_batch(warm, RunStats(), engine="auto")
 
         def poisoned(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError(
@@ -238,11 +238,10 @@ class TestNoPerPacketObjects:
             )
 
         monkeypatch.setattr(Packet, "__init__", poisoned)
-        monkeypatch.setattr(PacketPool, "acquire", poisoned)
         stats = RunStats()
         batch = ColumnBatch.from_matrix(names, values, sizes)
         outcome = col.emulator.replay_batch(
-            batch, stats, engine="columnar"
+            batch, stats, engine="auto"
         )
         assert outcome.demoted == 0
         assert stats.packets == batch.n
@@ -262,7 +261,7 @@ class TestNoPerPacketObjects:
         pristine = values.copy()
         stats = RunStats()
         batch = ColumnBatch.from_matrix(names, values, sizes)
-        col.emulator.replay_batch(batch, stats, engine="columnar")
+        col.emulator.replay_batch(batch, stats, engine="auto")
         assert col.emulator.columnar_demotions == {"unsupported": 2}
         assert np.array_equal(values, pristine)
         reference = interp.run(overflowing_packets(9, 128))
@@ -286,7 +285,7 @@ class TestShardedColumnar:
             n_workers=3,
             batch=64,
             transport="shm",
-            engine="columnar",
+            engine="auto",
         )
         install(sharded.control_plane)
         try:
@@ -382,7 +381,7 @@ def assert_no_demotion_twin(interp, col, make_packets, pps=None, batch=256):
     every packet retired by the batch kernels."""
     reference = interp.run(make_packets(), offered_pps=pps)
     replayed = col.replay(
-        make_packets(), offered_pps=pps, batch=batch, engine="columnar"
+        make_packets(), offered_pps=pps, batch=batch, engine="auto"
     )
     assert stats_fingerprint(replayed) == stats_fingerprint(reference)
     assert_emulators_identical(interp.emulator, col.emulator)
@@ -440,7 +439,7 @@ class TestCacheStep:
             zipf_packets(4, 400),
             replayed,
             timestamps=np.array(timestamps),
-            engine="columnar",
+            engine="auto",
         )
         assert stats_fingerprint(replayed) == stats_fingerprint(reference)
         assert_emulators_identical(interp.emulator, col.emulator)
@@ -488,7 +487,7 @@ class TestCacheStep:
             return built
 
         reference = interp.run(packets())
-        replayed = col.replay(packets(), batch=16, engine="columnar")
+        replayed = col.replay(packets(), batch=16, engine="auto")
         assert stats_fingerprint(replayed) == stats_fingerprint(reference)
         assert_emulators_identical(interp.emulator, col.emulator)
         assert col.emulator.columnar_demotions == {"unsupported": 1}
@@ -522,7 +521,7 @@ class TestCacheStep:
         migration and cost — or last, when the leader ends early."""
         interp, col = cache_twins(app, target, capacity=7, limit=0)
         outcome = col.emulator.replay_batch(
-            zipf_packets(5, 400), RunStats(), engine="columnar"
+            zipf_packets(5, 400), RunStats(), engine="auto"
         )
         assert outcome.demoted == 0
         for i, packet in enumerate(zipf_packets(5, 400)):
@@ -541,7 +540,7 @@ class TestCacheStep:
         for deployment in (interp, col):
             deployment.emulator.native_cache = FlowCache(capacity=5)
         outcome = col.emulator.replay_batch(
-            zipf_packets(6, 500), RunStats(), engine="columnar"
+            zipf_packets(6, 500), RunStats(), engine="auto"
         )
         assert outcome.demoted == 0
         for i, packet in enumerate(zipf_packets(6, 500)):
@@ -554,7 +553,7 @@ class TestCacheStep:
     def test_walk_mutates_no_shared_state(self):
         _, col = cache_twins(capacity=7, limit=50.0)
         emulator = col.emulator
-        col.replay(zipf_packets(1, 300), batch=100, engine="columnar")
+        col.replay(zipf_packets(1, 300), batch=100, engine="auto")
 
         def shared_state():
             cache = only_cache(col)
@@ -589,7 +588,7 @@ class TestCacheStep:
         monkeypatch.setattr(FlowCache, "lookup", poisoned)
         monkeypatch.setattr(FlowCache, "insert", poisoned)
         replayed = col.replay(
-            zipf_packets(7, 500), batch=500, engine="columnar"
+            zipf_packets(7, 500), batch=500, engine="auto"
         )
         assert stats_fingerprint(replayed) == stats_fingerprint(reference)
         assert_emulators_identical(interp.emulator, col.emulator)
@@ -606,7 +605,7 @@ class TestCacheStep:
         self, monkeypatch, predicted, doctored
     ):
         _, col = cache_twins(capacity=7, limit=0)
-        col.replay(zipf_packets(9, 200), engine="columnar")  # warm
+        col.replay(zipf_packets(9, 200), engine="auto")  # warm
         simulate = columnar._simulate
 
         def doctor(*args):
@@ -616,7 +615,7 @@ class TestCacheStep:
 
         monkeypatch.setattr(columnar, "_simulate", doctor)
         with pytest.raises(EmulationError, match="diverged"):
-            col.replay(zipf_packets(9, 200), batch=200, engine="columnar")
+            col.replay(zipf_packets(9, 200), batch=200, engine="auto")
 
 
 def nested_and_diamond_caches(seed: int, capacity: int, limit: float):
@@ -745,7 +744,7 @@ def test_property_random_programs_bit_identical(seed, optimize, batch):
         random_packets(seed, n),
         offered_pps=1e6,
         batch=batch,
-        engine="columnar",
+        engine="auto",
     )
     assert stats_fingerprint(replayed) == stats_fingerprint(reference)
     assert_emulators_identical(interp.emulator, col.emulator)

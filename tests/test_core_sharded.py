@@ -155,9 +155,8 @@ class TestControllerJobs:
 
     def test_replay_batch_above_ring_geometry(self):
         """``replay(batch=4096)`` on a fleet whose rings hold 256-packet
-        batches used to kill the worker: the batch went over the pipe
-        and its 4096-row outcome record did not fit a result slot. It
-        is dispatched at the ring's batch now, and says so."""
+        batches is dispatched at the ring's batch (a longer batch would
+        not fit a slot and go over the pipe), and says so."""
         single = Deployment(l2l3_acl.build_program(), EMULATED_NIC)
         l2l3_acl.install_base_entries(single.control_plane)
         controller = PipeleonController(
@@ -181,7 +180,7 @@ class TestControllerJobs:
             assert transport["batch"] == 256
             assert transport["clamped_replays"] == 1
             assert transport["totals"]["fallback_capacity"] == 0
-            assert transport["totals"]["result_packets"] == 9000
+            assert transport["totals"]["pushed_packets"] == 9000
             controller.deployment.replay(packets(18, n=500), batch=64)
             assert fleet.transport_stats()["clamped_replays"] == 1
         finally:

@@ -140,7 +140,7 @@ class TestSpec:
         spec = SweepSpec(
             "x",
             axes=(
-                Axis("engine", ("interp", "columnar")),
+                Axis("engine", ("interp", "auto")),
                 Axis("jobs", (1, 4)),
             ),
             exclude=({"engine": "interp", "jobs": 4},),
@@ -195,7 +195,7 @@ class TestMatrix:
     def test_seed_shared_across_runtime_knobs(self):
         base = validate_config({})
         for key, value in [
-            ("engine", "columnar"),
+            ("engine", "fastpath"),
             ("cache_capacity", 64),
             ("jobs", 2),
             ("target", "emulated_nic"),

@@ -65,16 +65,20 @@ def make_sharded(
     fault_plan=None,
     telemetry=None,
     transport: str = "shm",
+    engine: str = "auto",
+    batch: int = 256,
 ) -> ShardedDeployment:
     build, install = EXAMPLE_APPS[app]
     sharded = ShardedDeployment(
         build(),
         EMULATED_NIC,
         n_workers=n_workers,
+        batch=batch,
         supervisor=options,
         fault_plan=fault_plan,
         telemetry=telemetry,
         transport=transport,
+        engine=engine,
     )
     install(sharded.control_plane)
     return sharded
@@ -255,6 +259,79 @@ class TestRespawnRecovery:
             ) == 1
         finally:
             sharded.close()
+
+    @pytest.mark.parametrize("batch", [64, 1024])
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_kill_past_ring_depth_respawns_identical(
+        self, transport, batch, monkeypatch
+    ):
+        """Regression: a worker killed at batch 40 — deeper into the
+        replay than any ring — is rebuilt from its journal. (The
+        result ring this fleet used to have filled up during the
+        journal replay, which the parent does not drain while sending,
+        and the respawn died with "journal replay stalled".)
+
+        The same run pins the supervisor's second progress word:
+        while the reborn worker chews through the journal over the
+        pipe, the data ring's consumer cursor stands still and the
+        finished-batches word counts every replayed batch.
+        """
+        tokens: list = []
+        real_replay_journal = ShardedEmulator._replay_journal
+
+        def watching_replay_journal(self, shard):
+            if self._channels[shard] is None:
+                return real_replay_journal(self, shard)
+            tokens.append(self._progress_token(shard))  # fresh ring
+            real_replay_journal(self, shard)
+            batches = self._journals[shard].batches
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                token = self._progress_token(shard)
+                if token != tokens[-1]:
+                    tokens.append(token)
+                if token[1] >= batches:
+                    break
+                time.sleep(0.0005)
+            tokens.append(("journal_batches", batches))
+
+        monkeypatch.setattr(
+            ShardedEmulator, "_replay_journal", watching_replay_journal
+        )
+
+        def packets():
+            # ~2/3 of this traffic hashes to shard 0: >= 50 batches.
+            return app_packets(7, 80 * batch)
+
+        single = make_single("l2l3_acl")
+        sharded = make_sharded(
+            "l2l3_acl",
+            2,
+            options=fast_options(recovery="respawn"),
+            fault_plan=FaultPlan(
+                (FaultSpec("kill", shard=0, at_batch=40),)
+            ),
+            transport=transport,
+            batch=batch,
+        )
+        try:
+            reference = single.replay(packets(), batch=batch)
+            replayed = sharded.replay(packets(), batch=batch)
+            assert stats_fingerprint(replayed) == stats_fingerprint(
+                reference
+            )
+            assert_sharded_identical(single, sharded)
+            assert sharded.worker_respawns == [1, 0]
+        finally:
+            sharded.close()
+        if transport == "shm":
+            *observed, (_, journal_batches) = tokens
+            assert journal_batches >= 40
+            assert {consumed for consumed, _ in observed} == {0}
+            assert observed[0] == (0, 0)
+            assert observed[-1] == (0, journal_batches)
+        else:
+            assert tokens == []  # no ring, no progress words
 
     def test_kill_after_control_updates_converges_epoch(self):
         # The journal retains every control broadcast, so a respawned

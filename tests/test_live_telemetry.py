@@ -40,6 +40,7 @@ from repro.telemetry.export import export_event_log
 from repro.telemetry.live import (
     LiveAggregator,
     LiveOptions,
+    LivePlane,
     MetricsServer,
     render_top,
 )
@@ -62,17 +63,27 @@ def make_live(
     supervisor=None,
     telemetry=None,
 ) -> ShardedDeployment:
+    """A fleet adopted into its own started plane (``.live_plane``);
+    tear both down with :func:`close_live`."""
+    plane = LivePlane(live, telemetry=telemetry).start()
     sharded = ShardedDeployment(
         l2l3_acl.build_program(),
         EMULATED_NIC,
         n_workers=n_workers,
-        live=live,
+        live_plane=plane,
         fault_plan=fault_plan,
         supervisor=supervisor,
         telemetry=telemetry,
     )
     l2l3_acl.install_base_entries(sharded.control_plane)
     return sharded
+
+
+def close_live(sharded: ShardedDeployment) -> None:
+    try:
+        sharded.close()
+    finally:
+        sharded.live_plane.stop()
 
 
 def wait_for(predicate, timeout_s: float = 5.0, tick_s: float = 0.01):
@@ -212,13 +223,13 @@ class TestPrometheusConformance:
         )
         try:
             sharded.replay(app_packets(3, 600))
-            assert wait_for(
-                lambda: "pipeleon_live_latency_ns_bucket"
-                in sharded.live.prometheus()
-            )
-            text = sharded.live.prometheus()
+            # Every worker's forced end-of-replay snapshot is in its
+            # sidecar pipe by now: flush, don't poll for the first one.
+            aggregator = sharded.live_plane.aggregator
+            aggregator.flush()
+            text = aggregator.prometheus()
         finally:
-            sharded.close()
+            close_live(sharded)
         types, samples = parse_exposition(text)
         assert types["pipeleon_live_packets_total"] == "counter"
         assert types["pipeleon_live_worker_alive"] == "gauge"
@@ -536,7 +547,7 @@ class TestLiveReplayEndToEnd:
             ),
         )
         try:
-            port = sharded.live_server.port
+            port = sharded.live_plane.port
             assert port and port > 0  # ephemeral port resolved
             stats = sharded.replay(app_packets(11, 2000))
 
@@ -570,7 +581,7 @@ class TestLiveReplayEndToEnd:
 
             assert scrape(port, "/nope")[0] == 404
         finally:
-            sharded.close()
+            close_live(sharded)
         # The flight sink survives close() and ends on a final row.
         rows = FlightRecorder.parse_jsonl(flight.read_text())
         finals = [r for r in rows if r.get("final")]
@@ -587,15 +598,16 @@ class TestLiveReplayEndToEnd:
             )
             try:
                 sharded.replay(app_packets(5, 800))
+                plane = sharded.live_plane
                 assert wait_for(
-                    lambda: len(sharded.live.recorder.rows("shard")) > 0
+                    lambda: len(plane.recorder.rows("shard")) > 0
                 )
-                sharded.live.stop()
+                plane.aggregator.stop()
                 return FlightRecorder.canonical(
-                    sharded.live.recorder.rows("shard")
+                    plane.recorder.rows("shard")
                 )
             finally:
-                sharded.close()
+                close_live(sharded)
 
         first = run_once()
         second = run_once()
@@ -616,8 +628,8 @@ class TestLiveReplayEndToEnd:
         )
         try:
             sharded.replay(app_packets(7, 600))
-            sharded.live.stop()
-            row = sharded.live.recorder.last("interval")
+            sharded.live_plane.aggregator.stop()
+            row = sharded.live_plane.recorder.last("interval")
             assert row["packets"] == 600
             assert row["dropped"] >= 0
             assert len(row["shards"]) == 2
@@ -628,7 +640,7 @@ class TestLiveReplayEndToEnd:
                 s["ring_occupancy"] is not None for s in row["shards"]
             )
         finally:
-            sharded.close()
+            close_live(sharded)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +672,7 @@ class TestFaultSloInteraction:
             stats = sharded.replay(app_packets(13, 1200))
             assert stats.packets == 1200  # respawn recovered the shard
             assert sharded.worker_respawns == [1, 0]
-            watchdog = sharded.live.watchdog
+            watchdog = sharded.live_plane.watchdog
             assert wait_for(
                 lambda: watchdog.breaches >= 1 and watchdog.clears >= 1
             ), "breach/clear episode never surfaced"
@@ -670,7 +682,7 @@ class TestFaultSloInteraction:
             assert (watchdog.breaches, watchdog.clears) == (1, 1)
             assert watchdog.active_breaches == []
         finally:
-            sharded.close()
+            close_live(sharded)
         breaches = telemetry.events.events("slo_breach")
         clears = telemetry.events.events("slo_clear")
         assert len(breaches) == 1 and len(clears) == 1

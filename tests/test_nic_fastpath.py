@@ -22,8 +22,8 @@ from repro.core import Deployment, Pipeleon
 from repro.errors import EmulationError
 from repro.ir import exact_entry, linear_program
 from repro.nic.emulator import NicEmulator
-from repro.nic.packet import Packet, PacketPool, make_packet
-from repro.nic.stats import PacketResultPool, RunStats
+from repro.nic.packet import Packet, make_packet
+from repro.nic.stats import RunStats
 from repro.nic.targets import AGILIO_CX, BLUEFIELD2, EMULATED_NIC
 from repro.traffic.flows import synth_flows
 from repro.traffic.generator import TrafficGenerator
@@ -247,48 +247,3 @@ class TestCacheInvalidation:
         # ...but a datapath table must.
         emulator.invalidate_caches_covering(program.root)
         assert len(emulator.native_cache) == 0
-
-
-class TestPooling:
-    def test_packet_pool_reuses(self):
-        pool = PacketPool()
-        generator = TrafficGenerator(0)
-        flows = synth_flows(4)
-        emulator = NicEmulator(
-            l2l3_acl.build_program(), BLUEFIELD2, native_cache=False
-        )
-        emulator.replay(
-            generator.stream(flows, 200, pool=pool),
-            batch=16,
-            packet_pool=pool,
-        )
-        assert pool.allocated <= 16
-        assert pool.reused >= 200 - pool.allocated
-
-    def test_pooled_stream_matches_fresh(self):
-        pool = PacketPool()
-        flows = synth_flows(8)
-        fresh = list(TrafficGenerator(9).stream(flows, 60))
-        pooled = []
-        for packet in TrafficGenerator(9).stream(
-            flows, 60, pool=pool
-        ):
-            pooled.append(
-                (dict(packet.fields), packet.size_bytes)
-            )
-            pool.release(packet)
-        assert pooled == [
-            (dict(p.fields), p.size_bytes) for p in fresh
-        ]
-
-    def test_result_pool_round_trip(self):
-        pool = PacketResultPool(prealloc=1)
-        emulator = NicEmulator(
-            l2l3_acl.build_program(), BLUEFIELD2, native_cache=False
-        )
-        recycled = pool.acquire()
-        filled = emulator.replay_one(make_packet(), into=recycled)
-        assert filled is recycled
-        assert filled == emulator.process(make_packet())
-        pool.release(filled)
-        assert pool.acquire() is filled

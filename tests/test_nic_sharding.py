@@ -14,13 +14,13 @@ import pytest
 from repro.apps import EXAMPLE_APPS
 from repro.core import Deployment, Pipeleon, ShardedDeployment
 from repro.errors import EmulationError
+from repro.nic.columnar import ColumnBatch
 from repro.nic.packet import Packet, make_packet
 from repro.nic.sharding import (
     ShardedEmulator,
     decode_batch,
     encode_batch,
     flow_shard,
-    shard_seed,
 )
 from repro.nic.stats import RunStats
 from repro.nic.targets import EMULATED_NIC
@@ -235,7 +235,6 @@ class TestShardedDifferential:
             assert stats["transport"] == "pipe"
             # Pipe mode never touches the rings.
             assert stats["totals"]["pushed_batches"] == 0
-            assert stats["totals"]["result_batches"] == 0
         finally:
             sharded.close()
 
@@ -347,47 +346,20 @@ class TestFlowSharding:
         for flow in synth_flows(10):
             assert flow.flow_key() == flow.packet().flow_key()
 
-    def test_shard_seed_distinct(self):
-        seeds = {shard_seed(3, shard) for shard in range(16)}
-        assert len(seeds) == 16
-
-    def test_flows_for_shard_partitions(self):
-        flows = synth_flows(64)
-        generator = TrafficGenerator(seed=0)
-        seen: list = []
-        for shard in range(4):
-            subset = generator.flows_for_shard(flows, shard, 4)
-            for flow in subset:
-                assert flow_shard(flow.flow_key(), 4) == shard
-            seen.extend(subset)
-        assert sorted(map(repr, seen)) == sorted(map(repr, flows))
-
-    def test_shard_stream_stays_on_shard(self):
-        flows = synth_flows(64)
-        generator = TrafficGenerator(seed=5)
-        packets = list(generator.shard_stream(flows, 100, 1, 4))
-        assert len(packets) == 100
-        assert all(
-            flow_shard(p.flow_key(), 4) == 1 for p in packets
-        )
-        again = list(
-            TrafficGenerator(seed=5).shard_stream(flows, 100, 1, 4)
-        )
-        assert [p.fields for p in again] == [p.fields for p in packets]
-
-    def test_shard_stream_rejects_bad_shard(self):
-        with pytest.raises(ValueError, match="out of range"):
-            list(
-                TrafficGenerator().shard_stream(synth_flows(4), 10, 4, 4)
-            )
-
 
 class TestBatchCodec:
-    def test_uniform_batch_uses_numpy_block(self):
+    """The two payload forms: SoA for uniform batches, ``py`` beside it
+    for what the columns cannot express."""
+
+    def test_uniform_batch_columnises_and_round_trips(self):
         packets = [make_packet(sport=1000 + i) for i in range(8)]
-        payload = encode_batch(packets)
-        assert payload[0] == "np"
-        decoded = decode_batch(payload)
+        batch = ColumnBatch.from_packets(packets)
+        assert batch is not None
+        # What a worker rebuilds from the shipped columns alone.
+        shipped = ColumnBatch.from_matrix(
+            batch.names, batch.values, batch.sizes
+        )
+        decoded = [shipped.make_packet(i) for i in range(shipped.n)]
         assert [p.fields for p in decoded] == [
             p.fields for p in packets
         ]
@@ -402,43 +374,38 @@ class TestBatchCodec:
     def test_metadata_falls_back_to_python(self):
         tagged = make_packet()
         tagged.metadata["meta.next_tab_id"] = 3
-        payload = encode_batch([make_packet(), tagged])
-        assert payload[0] == "py"
-        decoded = decode_batch(payload)
+        assert ColumnBatch.from_packets([make_packet(), tagged]) is None
+        decoded = decode_batch(encode_batch([make_packet(), tagged]))
         assert decoded[1].metadata == {"meta.next_tab_id": 3}
 
     def test_oversized_value_falls_back_to_python(self):
         wide = make_packet()
         wide.fields["ipv6.src"] = 1 << 100
-        payload = encode_batch([wide])
-        assert payload[0] == "py"
-        decoded = decode_batch(payload)
+        assert ColumnBatch.from_packets([wide]) is None
+        decoded = decode_batch(encode_batch([wide]))
         assert decoded[0].fields["ipv6.src"] == 1 << 100
 
     def test_heterogeneous_headers_fall_back(self):
         other = make_packet()
         other.fields["vlan.id"] = 7
-        payload = encode_batch([make_packet(), other])
-        assert payload[0] == "py"
-        decoded = decode_batch(payload)
+        assert ColumnBatch.from_packets([make_packet(), other]) is None
+        decoded = decode_batch(encode_batch([make_packet(), other]))
         assert decoded[1].fields["vlan.id"] == 7
 
     def test_dropped_and_egress_preserved(self):
         packet = make_packet()
         packet.dropped = True
         packet.egress_port = 9
+        assert ColumnBatch.from_packets([packet]) is None
         (decoded,) = decode_batch(encode_batch([packet]))
         assert decoded.dropped and decoded.egress_port == 9
 
     def test_empty_batch(self):
+        assert ColumnBatch.from_packets([]) is None
         assert decode_batch(encode_batch([])) == []
 
 
 class TestShardedEmulatorStandalone:
-    def test_template_constructor_requires_exactly_one_source(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            ShardedEmulator(None, 2)
-
     def test_invalid_worker_and_batch_counts(self):
         single, _sharded = None, None
         build, _install = EXAMPLE_APPS["l2l3_acl"]

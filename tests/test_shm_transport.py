@@ -7,20 +7,21 @@ Three layers of proof:
   boundaries and variable payload sizes all behave identically, and a
   corrupted slot surfaces as :class:`TornRecordError`, never as a
   silently decoded batch.
-* **Codec** — the SoA batch encoding round-trips bit-exactly (values,
-  sizes, timestamps, field names) and refuses exactly the batches the
-  pipe fallback exists for.
+* **Codec** — a ``ColumnBatch``'s columns round-trip through a ring
+  slot bit-exactly (values, sizes, timestamps, field names).
 * **Transport semantics** — a sharded replay over shm is bit-identical
   to single-core, sends **zero** pickled batch messages over the pipe
   (the acceptance criterion: ``pickle.dumps`` is monkeypatched to raise
-  mid-replay), streams per-packet outcome columns to ``outcome_sink``,
-  cleans up every ``/dev/shm`` segment, and — the supervision bugfix —
+  mid-replay), materialises no ``Packet`` in a worker whatever the
+  transport, cleans up every ``/dev/shm`` segment, and — the
+  supervision bugfix —
   a worker slowly draining a full ring resets the hung deadline via its
   consumer cursor while the identical scenario over the pipe transport
   is (correctly) classified hung.
 """
 
 import pickle
+import sys
 from collections import deque
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from repro.apps import EXAMPLE_APPS
 from repro.core import ShardedDeployment
 from repro.errors import EmulationError
 from repro.nic import shm_transport
+from repro.nic.columnar import ColumnBatch
 from repro.nic.faults import FaultPlan, FaultSpec
 from repro.nic.packet import Packet, make_packet
 from repro.nic.sharding import ShardedEmulator, SupervisorOptions
@@ -49,11 +51,6 @@ from repro.nic.shm_transport import (
     data_slot_bytes,
     decode_names,
     read_batch_record,
-    read_result_record,
-    result_slot_bytes,
-    soa_encode,
-    write_batch_record,
-    write_result_record,
 )
 from repro.telemetry import Telemetry
 from tests.test_faults import make_sharded, make_single
@@ -233,14 +230,13 @@ def uniform_packets(n: int = 7) -> list:
 class TestSoaCodec:
     def test_round_trip_through_ring(self):
         packets = uniform_packets()
-        encoded = soa_encode(packets)
-        assert encoded is not None
-        names, rows, sizes = encoded
+        batch = ColumnBatch.from_packets(packets)
+        names, sizes = batch.names, batch.sizes
         channel = ShardChannel(batch=len(packets))
         try:
             timestamps = [0.5 * i for i in range(len(packets))]
             assert channel.try_push_batch(
-                names, rows, sizes, timestamps, pipe_watermark=3
+                names, batch.values, sizes, timestamps, pipe_watermark=3
             )
             record = channel.data.peek()
             watermark, blob, values, out_sizes, ts = read_batch_record(
@@ -251,7 +247,7 @@ class TestSoaCodec:
             # Field-major: every field one contiguous int64 row.
             assert values.shape == (len(names), len(packets))
             assert values.flags["C_CONTIGUOUS"]
-            np.testing.assert_array_equal(values, rows.T)
+            np.testing.assert_array_equal(values, batch.values)
             np.testing.assert_array_equal(out_sizes, sizes)
             np.testing.assert_allclose(ts, timestamps)
             for field, row in zip(names, values):
@@ -264,38 +260,20 @@ class TestSoaCodec:
             channel.close()
 
     def test_round_trip_without_timestamps(self):
-        packets = uniform_packets(3)
-        names, rows, sizes = soa_encode(packets)
+        batch = ColumnBatch.from_packets(uniform_packets(3))
         channel = ShardChannel(batch=4)
         try:
             assert channel.try_push_batch(
-                names, rows, sizes, None, pipe_watermark=0
+                batch.names, batch.values, batch.sizes, None, 0
             )
             record = channel.data.peek()
             _wm, _blob, values, _sizes, ts = read_batch_record(record)
             assert ts is None
-            np.testing.assert_array_equal(values, rows.T)
+            np.testing.assert_array_equal(values, batch.values)
             del record, values, _sizes
             channel.data.advance()
         finally:
             channel.close()
-
-    def test_non_encodable_batches_return_none(self):
-        assert soa_encode([]) is None
-        tagged = make_packet()
-        tagged.metadata["meta.mark"] = 1
-        assert soa_encode([tagged]) is None
-        dropped = make_packet()
-        dropped.dropped = True
-        assert soa_encode([dropped]) is None
-        routed = make_packet()
-        routed.egress_port = 2
-        assert soa_encode([make_packet(), routed]) is None
-        hetero = [make_packet(), Packet(fields={"weird": 1})]
-        assert soa_encode(hetero) is None
-        huge = make_packet()
-        huge.fields["ipv4.dst"] = 2**70
-        assert soa_encode([make_packet(), huge]) is None
 
     def test_names_blob_memoized_and_decoded(self):
         channel = ShardChannel(batch=2)
@@ -317,32 +295,8 @@ class TestSoaCodec:
             assert not channel.batch_fits(32, 2 * channel.max_fields, 64)
             assert batch_record_bytes(1, 1, 0, False) == 16
             assert data_slot_bytes(32) % 8 == 0
-            assert result_slot_bytes(32) % 8 == 0
         finally:
             channel.close()
-
-    def test_result_record_round_trip(self):
-        ring = ShmRing(2, result_slot_bytes(4))
-        try:
-            assert write_result_record(
-                ring,
-                batch_index=9,
-                latencies_ns=[10.0, 20.0, 30.0],
-                egress_ports=[1, None, 3],
-                dropped=[False, True, False],
-                n_packets=3,
-            )
-            index, lat, egress, drop, n_dropped = read_result_record(
-                ring.peek()
-            )
-            assert index == 9 and n_dropped == 1
-            assert lat.tolist() == [10.0, 20.0, 30.0]
-            assert egress.tolist() == [1, -1, 3]  # None encodes as -1
-            assert drop.tolist() == [0, 1, 0]
-            del lat, egress, drop
-            ring.advance()
-        finally:
-            ring.close(unlink=True)
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +307,18 @@ class TestSoaCodec:
 class TestSegmentCleanup:
     def test_channel_close_unlinks_segments(self):
         channel = ShardChannel(batch=8)
-        names = [channel.data.name, channel.results.name]
-        for name in names:
-            assert name in shm_transport._CREATED
+        name = channel.data.name
+        assert name in shm_transport._CREATED
         channel.close()
+        assert name not in shm_transport._CREATED
         shm_dir = Path("/dev/shm")
-        for name in names:
-            assert name not in shm_transport._CREATED
-            if shm_dir.is_dir():
-                assert not (shm_dir / name).exists()
+        if shm_dir.is_dir():
+            assert not (shm_dir / name).exists()
 
     def test_fleet_close_leaves_no_segments(self):
         _single, sharded = make_twins("l2l3_acl", 2)
         engine = sharded.emulator
-        names = [
-            ring.name
-            for channel in engine._channels
-            for ring in (channel.data, channel.results)
-        ]
+        names = [channel.data.name for channel in engine._channels]
         sharded.replay(app_packets(2, 100), offered_pps=1e6)
         sharded.close()
         shm_dir = Path("/dev/shm")
@@ -423,49 +371,6 @@ class TestShmReplaySemantics:
             assert totals["pushed_packets"] == 300
             assert totals["fallback_encoding"] == 0
             assert totals["fallback_capacity"] == 0
-            # Every ring batch was acknowledged with a result record.
-            assert (
-                totals["result_batches"] == totals["pushed_batches"]
-            )
-            assert totals["result_packets"] == 300
-        finally:
-            sharded.close()
-
-    def test_outcome_sink_streams_per_packet_columns(self):
-        single, sharded = make_twins("l2l3_acl", 2)
-        try:
-            outcomes = []
-            sharded.emulator.outcome_sink = (
-                lambda shard, ordinal, lat, egress, drop: outcomes.append(
-                    (shard, ordinal, lat, egress, drop)
-                )
-            )
-            packets = app_packets(13)
-            reference = single.replay(app_packets(13), offered_pps=1e6)
-            replayed = sharded.replay(packets, offered_pps=1e6)
-            assert stats_fingerprint(replayed) == stats_fingerprint(
-                reference
-            )
-            total = sum(len(lat) for _, _, lat, _, _ in outcomes)
-            assert total == 300
-            # The outcome columns are the run's exact latencies and
-            # drop count, streamed out-of-band.
-            all_latencies = sorted(
-                value
-                for _, _, lat, _, _ in outcomes
-                for value in lat.tolist()
-            )
-            assert all_latencies == sorted(replayed._latencies)
-            assert (
-                sum(int(drop.sum()) for _, _, _, _, drop in outcomes)
-                == replayed.dropped
-            )
-            # Per shard, batch ordinals arrive contiguously from 0.
-            for shard in (0, 1):
-                ordinals = [o for s, o, _, _, _ in outcomes if s == shard]
-                assert ordinals == sorted(set(ordinals))
-                if ordinals:
-                    assert ordinals[0] == 0
         finally:
             sharded.close()
 
@@ -481,7 +386,7 @@ class TestShmReplaySemantics:
         try:
             packets = app_packets(4, 120)
             for packet in packets[::3]:
-                packet.metadata["meta.mark"] = 1  # defeats soa_encode
+                packet.metadata["meta.mark"] = 1  # defeats the SoA form
             stats = sharded.replay(packets, offered_pps=1e6, batch=16)
             assert stats.packets == 120
             totals = sharded.emulator.transport_stats()["totals"]
@@ -551,6 +456,94 @@ class TestShmReplaySemantics:
             stats = sharded.emulator.transport_stats()
             assert stats["transport"] == "shm"
             assert stats["ring_slots"] == DEFAULT_RING_SLOTS
+        finally:
+            sharded.close()
+
+
+# ---------------------------------------------------------------------------
+# One batch type: workers ingest columns whatever carried them
+# ---------------------------------------------------------------------------
+
+
+class TestWorkerIngestion:
+    def test_pipe_workers_build_no_packets(self, monkeypatch):
+        """``transport="pipe"`` ships the same columns the ring does:
+        with ``Packet.__init__`` poisoned in the workers (they fork
+        while it is patched; the parent's copy is restored to generate
+        traffic), an ``engine="auto"`` replay is still bit-identical."""
+
+        def poisoned(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a worker materialised a Packet")
+
+        single = make_single("l2l3_acl")
+        with monkeypatch.context() as patch:
+            patch.setattr(Packet, "__init__", poisoned)
+            sharded = make_sharded(
+                "l2l3_acl",
+                2,
+                options=SupervisorOptions(recv_timeout_s=10.0),
+                transport="pipe",
+            )
+        try:
+            reference = single.replay(app_packets(21, 600), batch=64)
+            replayed = sharded.replay(app_packets(21, 600), batch=64)
+            assert stats_fingerprint(replayed) == stats_fingerprint(
+                reference
+            )
+            assert sharded.columnar_demotions == {}
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("engine", ["auto", "fastpath", "interp"])
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_only_make_packet_builds_packets_in_a_worker(
+        self, monkeypatch, transport, engine
+    ):
+        """For uniform traffic the one columns -> Packet decoder is
+        ``ColumnBatch.make_packet``, reached only by the per-packet
+        engines. Each worker records who called ``Packet.__init__``
+        and ships the set home in its worker state."""
+        from repro.nic import sharding
+
+        callers: set = set()
+        real_init = Packet.__init__
+        real_state = sharding._worker_state
+
+        def spying_init(self, *args, **kwargs):
+            callers.add(sys._getframe(1).f_code.co_name)
+            real_init(self, *args, **kwargs)
+
+        def state_with_callers(emulator):
+            state = real_state(emulator)
+            state["packet_callers"] = set(callers)
+            return state
+
+        single = make_single("l2l3_acl")
+        with monkeypatch.context() as patch:
+            patch.setattr(Packet, "__init__", spying_init)
+            patch.setattr(sharding, "_worker_state", state_with_callers)
+            sharded = make_sharded(
+                "l2l3_acl",
+                2,
+                options=SupervisorOptions(recv_timeout_s=10.0),
+                transport=transport,
+                engine=engine,
+            )
+        try:
+            reference = single.replay(
+                app_packets(22, 600), offered_pps=1e6, batch=64
+            )
+            replayed = sharded.replay(
+                app_packets(22, 600), offered_pps=1e6, batch=64
+            )
+            assert stats_fingerprint(replayed) == stats_fingerprint(
+                reference
+            )
+            expected = set() if engine == "auto" else {"make_packet"}
+            states = sharded.emulator.worker_states
+            assert len(states) == 2
+            for state in states:
+                assert state["packet_callers"] == expected
         finally:
             sharded.close()
 
