@@ -211,8 +211,8 @@ def _measure_shm() -> dict:
         totals = fleet.transport_stats()["totals"]
         return {
             "wall_pps": round(N_PACKETS / median(wall)),
-            "columnar_packets": fleet.columnar_packets,
-            "demotions": dict(fleet.columnar_demotions),
+            "columnar_packets": fleet.emulator.columnar_packets,
+            "demotions": dict(fleet.emulator.columnar_demotions),
             "fallback_encoding": totals["fallback_encoding"],
         }
     finally:

@@ -390,22 +390,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
             "throughput_gbps": stats.throughput_gbps(target),
         }
         if args.engine == "auto":
-            demotions = (
-                deployment.columnar_demotions
-                if args.jobs > 1
-                else deployment.emulator.columnar_demotions
+            emulator = deployment.emulator
+            summary["columnar_demotions"] = dict(
+                emulator.columnar_demotions
             )
-            summary["columnar_demotions"] = dict(demotions)
-            summary["columnar_packets"] = (
-                deployment.columnar_packets
-                if args.jobs > 1
-                else deployment.emulator.columnar_packets
-            )
-            summary["columnar_partitions"] = (
-                deployment.columnar_partitions
-                if args.jobs > 1
-                else deployment.emulator.columnar_partitions
-            )
+            summary["columnar_packets"] = emulator.columnar_packets
+            summary["columnar_partitions"] = emulator.columnar_partitions
         if args.jobs > 1:
             summary["transport"] = deployment.transport
             transport_totals = deployment.transport_stats()["totals"]

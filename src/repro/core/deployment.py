@@ -17,7 +17,7 @@ Entry propagation rules:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.core.plan import OptimizationPlan, apply_plan
 from repro.core.profiling import (
@@ -34,10 +34,32 @@ from repro.ir.entries import TableEntry
 from repro.ir.program import Program
 from repro.ir.tables import TableKind, TableNode
 from repro.nic.control_plane import ControlPlane, SimClock, UpdateEvent
+from repro.nic.counters import CounterBank
 from repro.nic.emulator import NicEmulator
+from repro.nic.flow_cache import CacheStats
 from repro.nic.packet import Packet
 from repro.nic.stats import RunStats
 from repro.nic.targets import TargetModel
+
+
+def hit_rates(
+    cache_stats: Mapping[str, CacheStats], counters: CounterBank
+) -> dict[str, float]:
+    """Per-cache hit rates: the caches' own stats where they saw
+    lookups, else the ``("cache", name, "hit"|"miss")`` counters."""
+    rates: dict[str, float] = {}
+    for name, stats in cache_stats.items():
+        if stats.lookups:
+            rates[name] = stats.hit_rate
+    legs_by_cache: dict[str, dict[str, float]] = {}
+    for key, count in counters.snapshot().items():
+        if key[0] == "cache":
+            legs_by_cache.setdefault(key[1], {})[key[2]] = count
+    for name, legs in legs_by_cache.items():
+        total = legs.get("hit", 0.0) + legs.get("miss", 0.0)
+        if total:
+            rates.setdefault(name, legs.get("hit", 0.0) / total)
+    return rates
 
 
 class Deployment:
@@ -338,20 +360,13 @@ class Deployment:
         return self.emulator.tracer
 
     def cache_hit_rates(self) -> dict[str, float]:
-        rates: dict[str, float] = {}
-        for name, cache in self.emulator.flow_caches.items():
-            if cache.stats.lookups:
-                rates[name] = cache.stats.hit_rate
-        snapshot = self.emulator.counters.snapshot()
-        merged_counts: dict[str, dict[str, float]] = {}
-        for key, count in snapshot.items():
-            if key[0] == "cache":
-                merged_counts.setdefault(key[1], {})[key[2]] = count
-        for name, legs in merged_counts.items():
-            total = legs.get("hit", 0.0) + legs.get("miss", 0.0)
-            if total:
-                rates.setdefault(name, legs.get("hit", 0.0) / total)
-        return rates
+        return hit_rates(
+            {
+                name: cache.stats
+                for name, cache in self.emulator.flow_caches.items()
+            },
+            self.emulator.counters,
+        )
 
     def profile(
         self,

@@ -14,8 +14,8 @@ This listener then broadcasts the affected tables' post-materialisation
 entry lists — plus the covering-cache invalidation — to every worker,
 epoch-tagged, through each worker's FIFO command pipe. A worker has
 therefore always applied an update before replaying any batch dispatched
-after it, and its fast path recompiles automatically off the bumped
-runtime-table versions.
+after it, and the bumped runtime-table versions make its execution tier
+rebuild whatever it compiled against the old entries.
 
 Profiling is shard-merged: each worker's counter bank is translated and
 profiled independently, the per-shard :class:`RuntimeProfile`\\ s are
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.core.deployment import Deployment
+from repro.core.deployment import Deployment, hit_rates
 from repro.core.plan import OptimizationPlan
 from repro.core.profiling import (
     RuntimeProfile,
@@ -250,21 +250,6 @@ class ShardedDeployment:
         return self.emulator.transport_stats()
 
     @property
-    def columnar_demotions(self) -> dict[str, int]:
-        """Merged per-reason columnar demotion counts (last collection)."""
-        return self.emulator.columnar_demotions
-
-    @property
-    def columnar_packets(self) -> int:
-        """Packets the workers' columnar kernels fully retired."""
-        return self.emulator.columnar_packets
-
-    @property
-    def columnar_partitions(self) -> int:
-        """Merged flow-key partition count from the batch kernels."""
-        return self.emulator.columnar_partitions
-
-    @property
     def tracer(self):
         """Merged per-worker packet tracer (None until a collection).
 
@@ -275,20 +260,7 @@ class ShardedDeployment:
 
     def cache_hit_rates(self) -> dict[str, float]:
         """Merged hit rates (replay refreshes the merged view)."""
-        rates: dict[str, float] = {}
-        for name, stats in self.emulator.cache_stats.items():
-            if stats.lookups:
-                rates[name] = stats.hit_rate
-        snapshot = self.emulator.counters.snapshot()
-        merged_counts: dict[str, dict[str, float]] = {}
-        for key, count in snapshot.items():
-            if key[0] == "cache":
-                merged_counts.setdefault(key[1], {})[key[2]] = count
-        for name, legs in merged_counts.items():
-            total = legs.get("hit", 0.0) + legs.get("miss", 0.0)
-            if total:
-                rates.setdefault(name, legs.get("hit", 0.0) / total)
-        return rates
+        return hit_rates(self.emulator.cache_stats, self.emulator.counters)
 
     def profile(
         self,
@@ -354,11 +326,10 @@ class ShardedDeployment:
         packets: Iterable[Packet],
         offered_pps: Optional[float] = None,
     ) -> RunStats:
-        """Sharded data planes only run the compiled fast path.
+        """Same as :meth:`replay`: workers have no per-packet ``run``.
 
-        Replay is stats-identical to the interpreter (the fast path's
-        core guarantee), so scenario drivers can call ``run`` on either
-        deployment flavour.
+        Every execution tier is stats-identical to the interpreter, so
+        scenario drivers can call ``run`` on either deployment flavour.
         """
         return self.replay(packets, offered_pps=offered_pps)
 

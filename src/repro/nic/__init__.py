@@ -28,8 +28,6 @@ from repro.nic.packet import (
 )
 from repro.nic.sharding import (
     ShardedEmulator,
-    decode_batch,
-    encode_batch,
     flow_shard,
 )
 from repro.nic.stats import PacketResult, RunStats
@@ -78,8 +76,6 @@ __all__ = [
     "branch_counter",
     "build_engine",
     "cache_counter",
-    "decode_batch",
-    "encode_batch",
     "flow_shard",
     "get_target",
     "ipv4",

@@ -1,10 +1,9 @@
 """Sharded multi-core replay engine: flow-hash partitioning over workers.
 
-PR 1 compiled the replay loop into per-node closures; this module scales
-it across cores. A :class:`ShardedEmulator` owns N worker *processes*,
-each holding its own :class:`~repro.nic.emulator.NicEmulator` (and
-therefore its own compiled fast-path engine, flow caches and counter
-bank). Traffic is partitioned by a deterministic hash of the packet's
+A :class:`ShardedEmulator` owns N worker *processes*, each holding its
+own :class:`~repro.nic.emulator.NicEmulator` (and therefore its own
+execution tiers, flow caches and counter bank). Traffic is partitioned
+by a deterministic hash of the packet's
 five-tuple, so every packet of a flow lands on the same worker — which
 is exactly what NIC RSS does in hardware, and what preserves per-flow
 cache behaviour: a flow's hits, misses and recorded effects are
@@ -32,41 +31,35 @@ broadcast: every mutation the parent applies (entry install/delete,
 cache invalidation, cache flush) is forwarded through each worker's
 command pipe *in order with packet batches*, so a worker has always
 applied update epoch ``e`` before it replays any batch dispatched after
-``e``. Workers re-use the fast path's existing staleness fingerprint:
-applying a broadcast bumps the runtime table's version, and the next
-batch's ``emulator.fastpath`` access recompiles automatically.
+``e``. Applying a broadcast bumps the runtime table's version, which is
+what every execution tier's staleness fingerprint watches: the next
+batch rebuilds whatever the selected tier had compiled against the old
+entries.
 
 One batch type each way. **Out:** the dispatcher columnises each
 per-shard buffer once (:meth:`ColumnBatch.from_packets`, the only
 Packet -> columns encoder) and a worker ingests every batch as a
 :class:`~repro.nic.columnar.ColumnBatch` whatever carried it;
 :meth:`NicEmulator.replay_batch` materialises ``Packet`` objects from
-it only when the selected engine is ``fastpath``/``interp``. A batch has
-one of two payload forms: the SoA form ``(names, values, sizes)`` plus
-timestamps, or — for batches SoA cannot express (metadata, mixed
-header sets, values outside int64) — the per-packet ``py`` form.
-**Back:** the merged stats and worker state of the ``end`` reply, and
-nothing else.
+it only when the selected engine is ``fastpath``/``interp``. A batch's
+payload is the SoA form ``(names, values, sizes)`` plus timestamps,
+or — for batches SoA cannot express (metadata, mixed header sets,
+values outside int64) — the ``Packet`` list itself. **Back:** the
+merged stats and worker state of the ``end`` reply, and nothing else.
 
-Transports (``transport="shm"|"pipe"``): by default SoA batches cross
-the process boundary through per-shard shared-memory ring buffers
-(:mod:`repro.nic.shm_transport`), stored as is — no per-packet Python
-objects and no pickling on the hot path. The pipe remains the control
-plane (broadcasts, supervision, journal replay) and the fallback data
-path for ``py`` batches and for SoA batches that exceed the ring's
-slot geometry; fallbacks are counted per shard and reason.
-``transport="pipe"`` pickles the same two payloads through the command
-pipe.
-
-Splitting data from control traffic forfeits the single pipe's FIFO
-total order, so it is re-established with symmetric watermarks: every
-ring record carries the count of pipe messages sent before it, and
-every pipe message carries the ring's produced count at send time. A
-worker replays a ring batch only after processing that many pipe
-messages, and drains the ring to a pipe message's watermark before
-applying it — so a control update still lands before any batch
-dispatched after it, and ``end`` still follows every batch, exactly
-as on the single pipe.
+One ordered stream per shard: the command pipe. Every message a worker
+acts on — broadcasts, batches, ``begin``/``end`` — arrives on it, and
+its FIFO order is the only order there is. ``transport="shm"|"pipe"``
+only chooses where a SoA batch's payload travels. ``pipe`` inlines it
+in the ``batch`` message (pickled). ``shm`` (the default) parks it, as
+is, in a slot of the shard's shared-memory ring
+(:mod:`repro.nic.shm_transport`) — no per-packet Python objects and no
+pickling on the hot path — and then sends a ``("ring",)`` token; the
+worker, blocked on the pipe, pops the ring head when it reads the
+token. The publish happens-before the token send, so a token without a
+published record is a protocol error, raised at once. ``Packet``-list
+batches and SoA batches that exceed the ring's slot geometry are
+inlined on ``shm`` too, counted per shard and reason.
 
 Fault tolerance (see DESIGN.md §12): every pipe interaction runs under
 a supervisor governed by :class:`SupervisorOptions`. Sends are
@@ -117,7 +110,7 @@ import numpy as np
 from repro.errors import EmulationError
 from repro.ir.entries import TableEntry
 from repro.nic.columnar import ColumnBatch
-from repro.nic.control_plane import SimClock, UpdateEvent
+from repro.nic.control_plane import SimClock
 from repro.nic.counters import CounterBank
 from repro.nic.emulator import ENGINES, NicEmulator
 from repro.nic.faults import FaultInjector, FaultPlan, FaultSpec
@@ -136,8 +129,6 @@ __all__ = [
     "ShardJournal",
     "ShardedEmulator",
     "SupervisorOptions",
-    "decode_batch",
-    "encode_batch",
     "flow_shard",
 ]
 
@@ -173,8 +164,8 @@ _TRANSPORTS = ("pipe", "shm")
 #: ring, matching the default slot count so each bucket is one slot).
 _OCCUPANCY_BUCKETS = tuple(i / 8 for i in range(1, 9))
 
-#: Worker-side poll cadence while idle between pipe messages (shm
-#: transport interleaves ring draining with pipe polling).
+#: Worker-side pipe poll cadence while idle with live telemetry on
+#: (wall-cadence heartbeats fire between polls).
 _IDLE_POLL_S = 0.002
 #: Parent-side poll cadence while stalled on a full data ring.
 _STALL_POLL_S = 0.0005
@@ -182,9 +173,6 @@ _STALL_POLL_S = 0.0005
 #: aggregator drains continuously, so expiry means it is gone or
 #: wedged — snapshots are observability, drop rather than deadlock.
 _LIVE_SEND_TIMEOUT_S = 10.0
-#: Worker bound on waiting for a ring record the watermark protocol
-#: guarantees was published (expiry indicates transport corruption).
-_RING_SYNC_TIMEOUT_S = 5.0
 
 
 def _new_ring_stats() -> dict:
@@ -215,47 +203,6 @@ def flow_shard(flow_key: tuple[int, ...], n_shards: int) -> int:
     if n_shards <= 1:
         return 0
     return hash(flow_key) % n_shards
-
-
-# ---------------------------------------------------------------------------
-# The per-packet payload form
-# ---------------------------------------------------------------------------
-
-
-def encode_batch(packets: Sequence[Packet]):
-    """The ``py`` payload: one explicit tuple per packet.
-
-    For batches :meth:`ColumnBatch.from_packets` cannot columnise
-    (metadata, preset drop/egress, mixed header sets, values outside
-    int64); everything else travels as the SoA payload.
-    """
-    return (
-        "py",
-        [
-            (
-                dict(p.fields),
-                dict(p.metadata),
-                p.size_bytes,
-                p.dropped,
-                p.egress_port,
-            )
-            for p in packets
-        ],
-    )
-
-
-def decode_batch(payload) -> list[Packet]:
-    """Inverse of :func:`encode_batch`."""
-    return [
-        Packet(
-            fields=fields,
-            metadata=metadata,
-            size_bytes=size,
-            dropped=dropped,
-            egress_port=egress,
-        )
-        for fields, metadata, size, dropped, egress in payload[1]
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +398,14 @@ def _worker_main(
     """Command loop for one shard worker.
 
     ``emulator`` is this process's copy-on-write clone of the parent's
-    template. With the pipe transport every message (control and data)
-    arrives on ``conn`` strictly in send order. With the shm transport
-    (``channel`` given) data batches arrive on the channel's ring and
-    only control traffic uses the pipe, so FIFO order is re-established
-    by watermarks: a ring batch replays only once this worker has
-    processed the pipe messages counted in its ``pipe_watermark``, and
-    the ring is drained to a pipe message's ring watermark before that
-    message is applied (see the module docstring).
+    template. Every message arrives on ``conn`` strictly in send order
+    and is acted on in that order; a ``ring`` token stands for the batch
+    at the head of ``channel``'s data ring (shm transport), published
+    before the token was sent.
 
     ``busy`` accounts the worker's own CPU time (``time.process_time``:
-    decode + replay + reply pickling, but not time blocked on the pipe
-    or ring), which the throughput benchmark uses as the critical-path
+    decode + replay + reply pickling, but not time blocked on the
+    pipe), which the throughput benchmark uses as the critical-path
     denominator.
 
     ``fault_specs`` arms a :class:`FaultInjector` for deterministic
@@ -488,7 +431,6 @@ def _worker_main(
         stats: Optional[RunStats] = None
         busy = 0.0
         epoch = 0
-        pipe_seen = 0  # pipe messages fully processed
         names_memo: dict[bytes, tuple[str, ...]] = {}
 
         live_interval, live_every = live_cadence
@@ -588,8 +530,8 @@ def _worker_main(
             live_snapshot()
 
         def replay_any(batch, n: int, timestamps=None) -> None:
-            """Replay one batch — a ColumnBatch, or a Packet list for
-            the ``py`` payload — through the selected tier."""
+            """Replay one batch — a ColumnBatch, or a Packet list SoA
+            could not express — through the selected tier."""
             nonlocal stats, live_packets_since
             if injector is not None:
                 injector.before_batch(n)
@@ -604,8 +546,16 @@ def _worker_main(
                 live_packets_since += n
                 maybe_live()
 
-        def replay_ring_head(record) -> None:
-            _wm, blob, values, sizes, ts = read_batch_record(record)
+        def replay_ring_head() -> None:
+            record = channel.data.peek()
+            if record is None:
+                raise EmulationError(
+                    f"shard {shard_index}: ring token without a "
+                    "published record (consumed "
+                    f"{channel.data.consumed}, produced "
+                    f"{channel.data.produced})"
+                )
+            blob, values, sizes, ts = read_batch_record(record)
             names = names_memo.get(blob)
             if names is None:
                 names = names_memo[blob] = decode_names(blob)
@@ -619,56 +569,10 @@ def _worker_main(
             replay_any(batch, batch.n)
             channel.data.advance()
 
-        def drain_ready() -> bool:
-            """Replay every ring batch whose pipe watermark is met."""
-            nonlocal busy
-            did = False
-            while True:
-                record = channel.data.peek()
-                if record is None or record.meta[2] > pipe_seen:
-                    return did
-                start = time.process_time()
-                replay_ring_head(record)
-                busy += time.process_time() - start
-                did = True
-
-        def drain_to(ring_watermark: int) -> None:
-            """Replay ring batches published before a pipe message."""
-            nonlocal busy
-            deadline = time.monotonic() + _RING_SYNC_TIMEOUT_S
-            while channel.data.consumed < ring_watermark:
-                record = channel.data.peek()
-                if record is None:
-                    # Publish happens-before the pipe send, so the
-                    # record must be visible; a persistent miss is a
-                    # transport protocol violation, not a slow parent.
-                    if time.monotonic() >= deadline:
-                        raise EmulationError(
-                            f"shard {shard_index}: ring consumed "
-                            f"{channel.data.consumed} but the pipe "
-                            f"watermark promises {ring_watermark} "
-                            "published records"
-                        )
-                    time.sleep(0.0002)
-                    continue
-                start = time.process_time()
-                replay_ring_head(record)
-                busy += time.process_time() - start
-
         while True:
-            if channel is not None:
-                drained = drain_ready()
-                if tele_conn is not None:
-                    maybe_live()
-                try:
-                    if not conn.poll(0.0 if drained else _IDLE_POLL_S):
-                        continue
-                except (EOFError, OSError):
-                    break  # parent went away
-            elif tele_conn is not None:
-                # Pipe transport blocks in recv between messages; poll
-                # instead so wall-cadence heartbeats keep flowing while
-                # the worker idles.
+            if tele_conn is not None:
+                # Poll instead of blocking in recv so wall-cadence
+                # heartbeats keep flowing while the worker idles.
                 maybe_live()
                 try:
                     if not conn.poll(_IDLE_POLL_S):
@@ -677,18 +581,16 @@ def _worker_main(
                     break  # parent went away
             message = conn.recv()
             op = message[0]
-            if channel is not None:
-                drain_to(message[-1])
-            pipe_seen += 1
             start = time.process_time()
-            if op == "batch":
+            if op == "ring":
+                replay_ring_head()
+            elif op == "batch":
                 payload, ts = message[1], message[2]
-                if payload[0] == "soa":
-                    batch = ColumnBatch.from_matrix(*payload[1:], ts)
+                if isinstance(payload, tuple):
+                    batch = ColumnBatch.from_matrix(*payload, ts)
                     replay_any(batch, batch.n)
                 else:
-                    packets = decode_batch(payload)
-                    replay_any(packets, len(packets), ts)
+                    replay_any(payload, len(payload), ts)
             elif op == "begin":
                 stats = RunStats()
                 busy = 0.0
@@ -921,9 +823,6 @@ class ShardedEmulator:
         ]
         self._dead = [False] * n_workers
         self._dispatched_since_begin = [0] * n_workers
-        #: Pipe messages successfully sent per shard: the watermark
-        #: stamped into every ring record (see module docstring).
-        self._pipe_sent = [0] * n_workers
         #: Per-shard transport counters (see :func:`_new_ring_stats`);
         #: aggregated by :meth:`transport_stats`.
         self.ring_stats = [_new_ring_stats() for _ in range(n_workers)]
@@ -1027,7 +926,7 @@ class ShardedEmulator:
                 continue
             try:
                 if self._wait_writable(conn, timeout):
-                    conn.send(("close", self._ring_watermark(shard)))
+                    conn.send(("close",))
                     handshook.append(shard)
             except (BrokenPipeError, OSError):
                 pass
@@ -1094,11 +993,6 @@ class ShardedEmulator:
 
     # -- transport primitives ----------------------------------------------
 
-    def _ring_watermark(self, shard: int) -> int:
-        """Ring records published to this shard (stamped on pipe sends)."""
-        channel = self._channels[shard]
-        return channel.data.produced if channel is not None else 0
-
     def _progress_token(self, shard: int):
         """Worker-side words; any advance proves the worker is alive.
 
@@ -1151,30 +1045,36 @@ class ShardedEmulator:
             "per_shard": per_shard,
         }
 
+    def _journal(
+        self, shard: int, message: tuple, n_packets: int = 0
+    ) -> None:
+        """Record a state-bearing message before it is delivered."""
+        if self._journaling:
+            self._journals[shard].append(message, n_packets)
+
     def _guarded_send(
         self,
         shard: int,
         message: tuple,
         *,
         context: str,
-        n_packets: int = 0,
-        journal: bool = True,
+        journaled: bool = True,
     ) -> bool:
         """Deliver ``message`` to a shard under send supervision.
 
         The send is writability-checked first and retried with
         exponential backoff (a transient stall — the worker busy with
         a long batch while its pipe fills — therefore doesn't abort a
-        broadcast). Returns True once the message has reached the
-        shard's worker: possibly a *fresh* worker, via journal replay
-        for journaled messages or a direct resend for non-journaled
-        ones. Returns False if the shard is (or just became) degraded;
-        raises in ``fail`` mode.
+        broadcast). ``journaled`` says the shard's journal already
+        covers what the message delivers (:meth:`_journal`; a ``ring``
+        token is covered by its batch), so after a respawn the journal
+        replay has delivered it; reply-bearing ops are not and are
+        re-sent to the fresh worker. Returns True once the message has
+        reached the shard's worker, False if the shard is (or just
+        became) degraded; raises in ``fail`` mode.
         """
         if self._dead[shard]:
             return False
-        if journal and self._journaling:
-            self._journals[shard].append(message, n_packets)
         opts = self.options
         while True:
             conn = self._conns[shard]
@@ -1193,14 +1093,7 @@ class ShardedEmulator:
                     kind = "hung"
                     continue
                 try:
-                    # Every pipe message carries the shard's ring
-                    # watermark as its final element; the journal keeps
-                    # the canonical unstamped form (replay re-stamps
-                    # against the fresh ring).
-                    conn.send(
-                        message + (self._ring_watermark(shard),)
-                    )
-                    self._pipe_sent[shard] += 1
+                    conn.send(message)
                     return True
                 except (BrokenPipeError, OSError):
                     kind = "dead"
@@ -1214,79 +1107,59 @@ class ShardedEmulator:
                 elapsed_s=time.monotonic() - start,
             ):
                 return False
-            if journal and self._journaling:
-                # The journal replay already delivered this message to
-                # the respawned worker.
+            if journaled:
                 return True
-            # Non-journaled message: send it to the fresh worker.
 
-    def _recv_supervised(self, shard: int, *, context: str):
-        """One reply under deadline supervision.
+    def _supervised_wait(self, shard: int, poll, *, context: str):
+        """Call ``poll()`` until it yields a value, under supervision.
 
-        Polls on a heartbeat so a dead process is noticed immediately
-        rather than at ``recv_timeout_s``. A reply later than
-        ``slow_after_s`` emits a one-shot ``worker_slow`` event but is
-        still waited for; a worker *silent and progress-free* past
+        ``poll`` blocks for about a heartbeat at most and returns
+        ``None`` while there is nothing yet, so a dead process is
+        noticed immediately rather than at ``recv_timeout_s``. A wait
+        longer than ``slow_after_s`` emits a one-shot ``worker_slow``
+        event but goes on; a worker *silent and progress-free* past
         ``recv_timeout_s`` is classified (hung if alive, dead
         otherwise) and a :class:`_WorkerGone` is raised for the
         caller's recovery policy. Progress is the shm transport's
-        worker-side cursor token (:meth:`_progress_token`): a worker
-        still draining a full ring keeps resetting its deadline
-        instead of being misclassified as hung. A worker ``error``
-        reply is a deterministic program error — respawning would just
-        replay it — so it raises :class:`EmulationError` regardless of
-        recovery mode.
+        worker-side token (:meth:`_progress_token`): a worker still
+        draining a full ring keeps resetting its deadline instead of
+        being misclassified as hung.
         """
         opts = self.options
-        conn = self._conns[shard]
         process = self._procs[shard]
         start = time.monotonic()
         last_progress = start
         progress = self._progress_token(shard)
         slow_reported = False
         while True:
-            token = self._progress_token(shard)
-            if token != progress:
-                progress = token
-                last_progress = time.monotonic()
+            # Sampled before the poll: what a worker sent or consumed
+            # before dying is still seen by the poll that follows.
+            alive = process.is_alive()
             try:
-                ready = conn.poll(opts.heartbeat_interval_s)
+                result = poll()
+            # EOFError on a clean hangup; SIGKILL mid-write surfaces
+            # as ConnectionResetError (an OSError).
             except (EOFError, OSError):
-                ready = False
-                process.join(timeout=1.0)
-                raise _WorkerGone("dead", time.monotonic() - start)
-            if ready:
-                try:
-                    message = conn.recv()
-                # EOFError on a clean hangup; SIGKILL mid-write
-                # surfaces as ConnectionResetError (an OSError).
-                except (EOFError, OSError):
-                    process.join(timeout=1.0)
-                    raise _WorkerGone("dead", time.monotonic() - start)
-                if message[0] == "error":
-                    self._reap(shard)
-                    raise EmulationError(
-                        f"Shard worker failed:\n{message[1]}"
-                    )
+                result, alive = None, False
+            now = time.monotonic()
+            elapsed = now - start
+            if result is not None:
                 if slow_reported:
                     self._emit(
                         "worker_recovered",
                         shard=shard,
                         state="slow",
                         context=context,
-                        elapsed_s=round(time.monotonic() - start, 3),
+                        elapsed_s=round(elapsed, 3),
                     )
-                return message
-            elapsed = time.monotonic() - start
-            if not process.is_alive():
-                # A final reply can race the death; drain it first.
-                try:
-                    if conn.poll(0):
-                        continue
-                except (EOFError, OSError):
-                    pass
+                return result
+            if not alive:
                 process.join(timeout=1.0)
                 raise _WorkerGone("dead", elapsed)
+            token = self._progress_token(shard)
+            if token != progress:
+                progress = token
+                last_progress = now
             if not slow_reported and elapsed >= opts.slow_after_s:
                 slow_reported = True
                 self._emit(
@@ -1300,8 +1173,27 @@ class ShardedEmulator:
                     kind="slow",
                     shard=shard,
                 )
-            if time.monotonic() - last_progress >= opts.recv_timeout_s:
+            if now - last_progress >= opts.recv_timeout_s:
                 raise _WorkerGone("hung", elapsed)
+
+    def _recv_supervised(self, shard: int, *, context: str):
+        """One reply under :meth:`_supervised_wait`.
+
+        A worker ``error`` reply is a deterministic program error —
+        respawning would just replay it — so it raises
+        :class:`EmulationError` regardless of recovery mode.
+        """
+        conn = self._conns[shard]
+        heartbeat = self.options.heartbeat_interval_s
+
+        def poll():
+            return conn.recv() if conn.poll(heartbeat) else None
+
+        message = self._supervised_wait(shard, poll, context=context)
+        if message[0] == "error":
+            self._reap(shard)
+            raise EmulationError(f"Shard worker failed:\n{message[1]}")
+        return message
 
     def _handle_failure(
         self, shard: int, kind: str, *, context: str, elapsed_s: float
@@ -1407,7 +1299,6 @@ class ShardedEmulator:
                 old_tele.close()
             except OSError:  # pragma: no cover - already closed
                 pass
-        self._pipe_sent[shard] = 0
         self._count("pipeleon_worker_respawns_total", shard=shard)
         self._emit(
             "worker_respawned",
@@ -1444,13 +1335,9 @@ class ShardedEmulator:
             delivered = False
             if self._wait_writable(conn, timeout):
                 try:
-                    # Journal replay is the cold path: every message —
-                    # batches included — travels the pipe, stamped
-                    # against the fresh (empty) ring.
-                    conn.send(
-                        message + (self._ring_watermark(shard),)
-                    )
-                    self._pipe_sent[shard] += 1
+                    # Journal replay is the cold path: every batch is
+                    # inlined, the fresh ring stays empty.
+                    conn.send(message)
                     delivered = True
                 except (BrokenPipeError, OSError):
                     pass
@@ -1511,7 +1398,7 @@ class ShardedEmulator:
         """
         while not self._dead[shard]:
             if not self._guarded_send(
-                shard, message, context=context, journal=False
+                shard, message, context=context, journaled=False
             ):
                 return None
             try:
@@ -1538,7 +1425,7 @@ class ShardedEmulator:
         for shard in range(self.n_workers):
             if not self._dead[shard]:
                 sent[shard] = self._guarded_send(
-                    shard, message, context=context, journal=False
+                    shard, message, context=context, journaled=False
                 )
         replies: list = [None] * self.n_workers
         for shard in range(self.n_workers):
@@ -1560,14 +1447,12 @@ class ShardedEmulator:
                     )
         return replies
 
-    def _broadcast(
-        self, message: tuple, *, context: str, journal: bool = True
-    ) -> None:
+    def _broadcast(self, message: tuple, *, context: str) -> None:
+        """Journal and send a state-bearing message to every shard."""
         self._check_open()
-        for shard in range(self.n_workers):
-            self._guarded_send(
-                shard, message, context=context, journal=journal
-            )
+        for shard in self._survivors():
+            self._journal(shard, message)
+            self._guarded_send(shard, message, context=context)
 
     # -- control-plane broadcast (epoch-versioned) -------------------------
 
@@ -1578,8 +1463,8 @@ class ShardedEmulator:
 
         Returns the new broadcast epoch. The pipe is FIFO, so the
         update lands before any batch dispatched after this call; the
-        worker's next ``fastpath`` access sees the bumped runtime-table
-        version and recompiles.
+        bumped runtime-table version makes the worker's execution tier
+        rebuild what it compiled against the old entries.
         """
         self.epoch += 1
         self._broadcast(
@@ -1602,14 +1487,6 @@ class ShardedEmulator:
             ("flush", self.epoch), context="flush broadcast"
         )
         return self.epoch
-
-    def apply_update(self, event: UpdateEvent, entries: list[TableEntry]) -> int:
-        """Apply one control-plane event: entries rebuild + invalidation."""
-        if event.op == "flush":
-            return self.flush_caches()
-        epoch = self.set_table_entries(event.table, entries)
-        self.invalidate_caches_covering(event.table)
-        return epoch
 
     # -- telemetry ---------------------------------------------------------
 
@@ -1675,13 +1552,11 @@ class ShardedEmulator:
         columnar_packets = 0
         columnar_partitions = 0
         for state in states:
-            # .get: states pickled by an older worker may predate the
-            # columnar tier.
-            for reason, count in state.get("demotions", {}).items():
+            for reason, count in state["demotions"].items():
                 demotions[reason] = demotions.get(reason, 0) + count
-            columnar_packets += state.get("columnar_packets", 0)
-            columnar_partitions += state.get("columnar_partitions", 0)
-            worker_tracer = state.get("tracer")
+            columnar_packets += state["columnar_packets"]
+            columnar_partitions += state["columnar_partitions"]
+            worker_tracer = state["tracer"]
             if worker_tracer is not None:
                 if tracer is None:
                     tracer = worker_tracer.spawn_empty()
@@ -1865,45 +1740,49 @@ class ShardedEmulator:
         buffer: list[Packet],
         ts: Optional[list[float]],
     ) -> bool:
-        """Deliver one batch over the shard's transport.
+        """Journal one batch, then deliver it over the shard's pipe.
 
-        The buffer is columnised once. shm path: push the SoA batch
-        into the shard's data ring, journaling the equivalent pipe
-        message first so respawn replay works unchanged. A batch rides
-        the pipe — counted, per reason, on shm — in the ``py`` form
-        when it is not SoA-encodable (metadata, mixed header sets,
-        out-of-range values; ``reason="encoding"``) and in the SoA
-        form when it exceeds the slot geometry
-        (``reason="capacity"``). Returns False only when the shard
-        degraded mid-dispatch.
+        The buffer is columnised once. On shm a SoA batch that fits a
+        slot is parked in the shard's data ring and a ``ring`` token is
+        sent in its place; every other batch is inlined in the message
+        — counted, per reason, on shm: the ``Packet`` list when SoA
+        cannot express it (metadata, mixed header sets, out-of-range
+        values; ``reason="encoding"``), the SoA payload when it exceeds
+        the slot geometry (``reason="capacity"``). Returns False only
+        when the shard degraded mid-dispatch.
         """
         channel = self._channels[shard]
         batch = ColumnBatch.from_packets(buffer)
         if batch is None:
-            if channel is not None:
-                self._count_fallback(shard, "encoding")
-            payload = encode_batch(buffer)
+            # The journal outlives the caller's packets: snapshot them.
+            payload = (
+                [packet.clone() for packet in buffer]
+                if self._journaling
+                else buffer
+            )
         else:
             if ts is not None:
                 ts = np.asarray(ts, dtype=np.float64)
-            payload = ("soa", batch.names, batch.values, batch.sizes)
-            if channel is not None:
-                if channel.batch_fits(
-                    batch.n,
-                    len(batch.names),
-                    len(channel.names_blob(batch.names)),
-                ):
-                    if self._journaling:
-                        self._journals[shard].append(
-                            ("batch", payload, ts), batch.n
-                        )
-                    return self._push_batch_supervised(shard, batch, ts)
-                self._count_fallback(shard, "capacity")
+            payload = (batch.names, batch.values, batch.sizes)
+        message = ("batch", payload, ts)
+        self._journal(shard, message, len(buffer))
+        if channel is not None:
+            if batch is not None and channel.batch_fits(
+                batch.n,
+                len(batch.names),
+                len(channel.names_blob(batch.names)),
+            ):
+                if not self._push_batch_supervised(shard, batch, ts):
+                    # Degraded, or respawned with this batch replayed
+                    # from the journal: either way no token is owed.
+                    return not self._dead[shard]
+                message = ("ring",)
+            else:
+                self._count_fallback(
+                    shard, "encoding" if batch is None else "capacity"
+                )
         return self._guarded_send(
-            shard,
-            ("batch", payload, ts),
-            context="batch dispatch",
-            n_packets=len(buffer),
+            shard, message, context="batch dispatch"
         )
 
     def _push_batch_supervised(
@@ -1912,99 +1791,48 @@ class ShardedEmulator:
         batch: ColumnBatch,
         ts: Optional[np.ndarray],
     ) -> bool:
-        """Push one SoA batch into the shard's data ring (backpressure).
+        """Park one SoA batch in the shard's data ring (backpressure).
 
-        A full ring stalls the dispatcher (counted once per batch) in
-        a poll loop under the same supervision contract as a pipe
-        recv, with the hung deadline measured from the *consumer
-        cursor's* last advance — a worker steadily draining a full
-        ring is healthy however long the stall lasts. Death and
-        deadline escalate through :meth:`_handle_failure`; after a
-        respawn the journal replay has already delivered this batch.
-        Returns False only when the shard degraded.
+        A full ring stalls the dispatcher (counted once per batch)
+        under :meth:`_supervised_wait`, the same contract as a pipe
+        recv — a worker steadily draining a full ring is healthy
+        however long the stall lasts. Death and deadline escalate
+        through :meth:`_handle_failure`. Returns True once the record
+        is published, False when the worker failed first (the shard is
+        then degraded, or respawned on a fresh ring).
         """
-        opts = self.options
-        stalled = False
-        slow_reported = False
-        while True:
-            channel = self._channels[shard]
-            process = self._procs[shard]
-            start = time.monotonic()
-            last_progress = start
-            consumed = channel.data.consumed
-            kind = None
-            while True:
-                if channel.try_push_batch(
-                    batch.names,
-                    batch.values,
-                    batch.sizes,
-                    ts,
-                    self._pipe_sent[shard],
-                ):
-                    stats = self.ring_stats[shard]
-                    stats["pushed_batches"] += 1
-                    stats["pushed_packets"] += batch.n
-                    occupancy = channel.data.occupancy()
-                    if occupancy > stats["max_occupancy"]:
-                        stats["max_occupancy"] = occupancy
-                    self._observe_occupancy(shard, occupancy)
-                    if slow_reported:
-                        self._emit(
-                            "worker_recovered",
-                            shard=shard,
-                            state="slow",
-                            context="batch dispatch",
-                            elapsed_s=round(
-                                time.monotonic() - start, 3
-                            ),
-                        )
-                    return True
-                if not stalled:
-                    stalled = True
-                    self.ring_stats[shard]["stalls"] += 1
-                    self._count(
-                        "pipeleon_ring_stalls_total", shard=shard
-                    )
-                now = time.monotonic()
-                cursor = channel.data.consumed
-                if cursor != consumed:
-                    consumed = cursor
-                    last_progress = now
-                if not process.is_alive():
-                    kind = "dead"
-                    break
-                if not slow_reported and (
-                    now - start >= opts.slow_after_s
-                ):
-                    # The same contract as a slow reply: report a
-                    # stall past slow_after_s, keep waiting.
-                    slow_reported = True
-                    self._emit(
-                        "worker_slow",
-                        shard=shard,
-                        context="batch dispatch",
-                        elapsed_s=round(now - start, 3),
-                    )
-                    self._count(
-                        "pipeleon_worker_faults_total",
-                        kind="slow",
-                        shard=shard,
-                    )
-                if now - last_progress >= opts.recv_timeout_s:
-                    kind = "hung"
-                    break
+        channel = self._channels[shard]
+        stats = self.ring_stats[shard]
+
+        def try_push() -> bool:
+            return channel.try_push_batch(
+                batch.names, batch.values, batch.sizes, ts
+            )
+
+        if not try_push():
+            stats["stalls"] += 1
+            self._count("pipeleon_ring_stalls_total", shard=shard)
+
+            def retry():
                 time.sleep(_STALL_POLL_S)
-            if not self._handle_failure(
-                shard,
-                kind,
-                context="batch dispatch",
-                elapsed_s=time.monotonic() - start,
-            ):
-                return False  # degraded: the caller reroutes the batch
-            if self._journaling:
-                # The journal replay already delivered this batch to
-                # the respawned worker.
-                return True
-            # Defensive: a respawn without journaling (not a
-            # configuration that exists today) re-pushes on the fresh
-            # ring.
+                return try_push() or None
+
+            try:
+                self._supervised_wait(
+                    shard, retry, context="batch dispatch"
+                )
+            except _WorkerGone as gone:
+                self._handle_failure(
+                    shard,
+                    gone.kind,
+                    context="batch dispatch",
+                    elapsed_s=gone.elapsed_s,
+                )
+                return False
+        stats["pushed_batches"] += 1
+        stats["pushed_packets"] += batch.n
+        occupancy = channel.data.occupancy()
+        if occupancy > stats["max_occupancy"]:
+            stats["max_occupancy"] = occupancy
+        self._observe_occupancy(shard, occupancy)
+        return True

@@ -9,8 +9,10 @@ serialization tax: per-shard **single-producer/single-consumer ring
 buffers** in ``multiprocessing.shared_memory``, carrying
 struct-of-arrays packet batches that the parent writes in place and the
 worker reads in place. No per-packet Python objects and no pickle bytes
-cross the process boundary on the hot path; pipes remain for the
-control plane (broadcasts, supervision, journal replay — see
+cross the process boundary on the hot path. The ring carries payload
+only: a shard's command pipe is its one ordered message stream, and
+the dispatcher follows every published record with a ``("ring",)``
+token on that pipe, on which the worker pops the ring head (see
 :mod:`repro.nic.sharding`).
 
 Ring layout (one shared-memory segment per ring)::
@@ -401,7 +403,6 @@ def write_batch_record(
     values: np.ndarray,
     sizes: np.ndarray,
     timestamps: Optional[Sequence[float]],
-    pipe_watermark: int,
 ) -> bool:
     """Push one SoA batch; ``False`` when the ring is full.
 
@@ -454,9 +455,9 @@ def write_batch_record(
     meta = (
         n_packets,
         n_fields,
-        pipe_watermark,
         1 if ts is not None else 0,
         len(names_blob),
+        0,  # unused
     )
     return ring.try_push(BATCH_RECORD, meta, payload_bytes, writer)
 
@@ -464,13 +465,13 @@ def write_batch_record(
 def read_batch_record(record: RecordView):
     """In-place views of a batch record's columns.
 
-    Returns ``(pipe_watermark, names_blob, values, sizes, timestamps)``
-    where ``values`` is the field-major ``(n_fields, n_packets)`` int64
+    Returns ``(names_blob, values, sizes, timestamps)`` where
+    ``values`` is the field-major ``(n_fields, n_packets)`` int64
     matrix — every row a contiguous slice of the ring — and
     ``timestamps`` is ``None`` when the batch was unpaced. Views stay
     valid until ``ring.advance()``.
     """
-    n_packets, n_fields, pipe_watermark, has_ts, names_len = record.meta
+    n_packets, n_fields, has_ts, names_len, _unused = record.meta
     payload = record.payload
     offset = 0
     names_blob = bytes(payload[:names_len])
@@ -494,7 +495,7 @@ def read_batch_record(record: RecordView):
             dtype=np.float64,
             buffer=payload[offset : offset + 8 * n_packets],
         )
-    return pipe_watermark, names_blob, values, sizes, timestamps
+    return names_blob, values, sizes, timestamps
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +545,9 @@ class ShardChannel:
         values: np.ndarray,
         sizes: np.ndarray,
         timestamps: Optional[Sequence[float]],
-        pipe_watermark: int,
     ) -> bool:
         return write_batch_record(
-            self.data,
-            self.names_blob(names),
-            values,
-            sizes,
-            timestamps,
-            pipe_watermark,
+            self.data, self.names_blob(names), values, sizes, timestamps
         )
 
     def close(self, unlink: bool = True) -> None:

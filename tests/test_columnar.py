@@ -307,8 +307,8 @@ class TestShardedColumnar:
                 reference.total_bytes,
             )
             assert replayed._busy_ns == reference._busy_ns
-            assert sharded.columnar_packets == 600
-            assert sharded.columnar_demotions == {}
+            assert sharded.emulator.columnar_packets == 600
+            assert sharded.emulator.columnar_demotions == {}
             totals = sharded.transport_stats()["totals"]
             assert totals["pushed_batches"] > 0
             assert totals["fallback_encoding"] == 0
@@ -329,10 +329,10 @@ class TestShardedColumnar:
         install(sharded.control_plane)
         try:
             stats = sharded.replay(overflowing_packets(6, 400, every=7))
-            demoted = sum(sharded.columnar_demotions.values())
+            demoted = sum(sharded.emulator.columnar_demotions.values())
             assert demoted > 0
-            assert set(sharded.columnar_demotions) <= DEMOTION_REASONS
-            assert sharded.columnar_packets + demoted == stats.packets
+            assert set(sharded.emulator.columnar_demotions) <= DEMOTION_REASONS
+            assert sharded.emulator.columnar_packets + demoted == stats.packets
         finally:
             sharded.close()
 

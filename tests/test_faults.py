@@ -13,6 +13,8 @@ timeouts, classified correctly, and recovered per policy:
   (no indefinite hangs, including during ``close()``).
 """
 
+import os
+import signal
 import time
 
 import pytest
@@ -32,6 +34,7 @@ from repro.nic.sharding import (
     ShardJournal,
     SupervisorOptions,
 )
+from repro.nic.shm_transport import ShardChannel
 from repro.nic.targets import EMULATED_NIC
 from repro.telemetry import Telemetry
 from tests.test_nic_sharding import (
@@ -620,6 +623,111 @@ class TestDegradedRecovery:
                 sharded.replay(
                     app_packets(7, 600), offered_pps=1e6, batch=32
                 )
+        finally:
+            sharded.close()
+
+
+class TestDeathBetweenPublishAndToken:
+    """The window the token protocol opens: the record is in the ring,
+    the worker dies, the ``ring`` token has not been sent yet."""
+
+    KILL_AT_PUSH = 3
+    BATCH = 32
+    TOTAL = 600
+
+    def arm(self, monkeypatch, sharded, shard=0):
+        """SIGKILL ``shard``'s worker right after its
+        ``KILL_AT_PUSH``-th successful ring publish. Returns the ops of
+        every message handed to that shard, each beside the ring it
+        was addressed to."""
+        engine = sharded.emulator
+        doomed_ring = engine._channels[shard]
+        doomed = engine._procs[shard]
+        real_push = ShardChannel.try_push_batch
+        real_send = ShardedEmulator._guarded_send
+        pushes = 0
+        sent: list = []
+
+        def killing_push(channel, *args):
+            nonlocal pushes
+            published = real_push(channel, *args)
+            if published and channel is doomed_ring:
+                pushes += 1
+                if pushes == self.KILL_AT_PUSH:
+                    os.kill(doomed.pid, signal.SIGKILL)
+                    doomed.join(timeout=10.0)
+            return published
+
+        def spying_send(self, target, message, **kwargs):
+            if target == shard:
+                sent.append((message[0], self._channels[shard]))
+            return real_send(self, target, message, **kwargs)
+
+        monkeypatch.setattr(
+            ShardChannel, "try_push_batch", killing_push
+        )
+        monkeypatch.setattr(
+            ShardedEmulator, "_guarded_send", spying_send
+        )
+        return doomed_ring, sent
+
+    def test_respawn_merges_identical_and_owes_no_token(
+        self, monkeypatch
+    ):
+        single = make_single("l2l3_acl")
+        sharded = make_sharded(
+            "l2l3_acl", 2, options=fast_options(recovery="respawn")
+        )
+        try:
+            doomed_ring, sent = self.arm(monkeypatch, sharded)
+            reference = single.replay(
+                app_packets(7, self.TOTAL),
+                offered_pps=1e6,
+                batch=self.BATCH,
+            )
+            replayed = sharded.replay(
+                app_packets(7, self.TOTAL),
+                offered_pps=1e6,
+                batch=self.BATCH,
+            )
+            assert stats_fingerprint(replayed) == stats_fingerprint(
+                reference
+            )
+            assert_sharded_identical(single, sharded)
+            assert sharded.worker_respawns == [1, 0]
+            # The orphaned record's token was the old ring's last; the
+            # journal replay delivered that batch inline, and the fresh
+            # ring saw exactly one token per record published to it.
+            fresh_ring = sharded.emulator._channels[0]
+            assert fresh_ring is not doomed_ring
+            tokens = [ring for op, ring in sent if op == "ring"]
+            assert tokens.count(doomed_ring) == self.KILL_AT_PUSH
+            assert fresh_ring.data.produced > 0
+            assert tokens.count(fresh_ring) == fresh_ring.data.produced
+            assert fresh_ring.data.consumed == fresh_ring.data.produced
+        finally:
+            sharded.close()
+
+    def test_degraded_reroutes_the_orphaned_batch(self, monkeypatch):
+        sharded = make_sharded(
+            "l2l3_acl", 2, options=fast_options(recovery="degraded")
+        )
+        try:
+            self.arm(monkeypatch, sharded)
+            stats = sharded.replay(
+                app_packets(7, self.TOTAL),
+                offered_pps=1e6,
+                batch=self.BATCH,
+            )
+            assert sharded.degraded_shards == [0]
+            # Lost: the batches delivered before the orphaned one. The
+            # orphan itself was never delivered (no token), so it was
+            # rerouted to the survivor with everything after it.
+            assert stats.lost_packets == (
+                (self.KILL_AT_PUSH - 1) * self.BATCH
+            )
+            assert stats.packets == self.TOTAL - stats.lost_packets
+            assert sharded.lost_packets == stats.lost_packets
         finally:
             sharded.close()
 

@@ -16,12 +16,7 @@ from repro.core import Deployment, Pipeleon, ShardedDeployment
 from repro.errors import EmulationError
 from repro.nic.columnar import ColumnBatch
 from repro.nic.packet import Packet, make_packet
-from repro.nic.sharding import (
-    ShardedEmulator,
-    decode_batch,
-    encode_batch,
-    flow_shard,
-)
+from repro.nic.sharding import ShardedEmulator, flow_shard
 from repro.nic.stats import RunStats
 from repro.nic.targets import EMULATED_NIC
 from repro.traffic.flows import synth_flows
@@ -239,6 +234,124 @@ class TestShardedDifferential:
             sharded.close()
 
 
+class TestOrderedStream:
+    """The command pipe is a shard's one ordered stream: ring batches
+    (a token on the pipe), inlined batches and broadcasts are acted on
+    in exactly the order the dispatcher sent them."""
+
+    BATCH = 8
+    N_BATCHES = 14
+
+    @staticmethod
+    def deployments(transport, ring_slots):
+        """Single-core and two-worker twins on the optimized l2l3_acl
+        plan, whose flow cache holds one entry and inserts on every
+        miss — any reordering changes hits, evictions and contents."""
+        build, install = EXAMPLE_APPS["l2l3_acl"]
+        options = dict(
+            cache_capacity=1, cache_insertion_limit_pps=1e12
+        )
+        twins = []
+        for sharded in (False, True):
+            program = build()
+            plan = Pipeleon(EMULATED_NIC).optimize(program)
+            if sharded:
+                deployment = ShardedDeployment(
+                    program,
+                    EMULATED_NIC,
+                    n_workers=2,
+                    plan=plan,
+                    batch=TestOrderedStream.BATCH,
+                    transport=transport,
+                    ring_slots=ring_slots,
+                    **options,
+                )
+            else:
+                deployment = Deployment(
+                    program, EMULATED_NIC, plan=plan, **options
+                )
+            install(deployment.control_plane)
+            twins.append(deployment)
+        return twins
+
+    def stream(self, deployment):
+        """Five shard-0 flows (so the fleet's dispatch batches are the
+        single core's batches), chained: batch ``j`` is half flow ``j``
+        and half flow ``j + 1``, so in order — and only in order —
+        every batch boundary is a cache hit. Odd batches carry
+        metadata (inlined on either transport), even ones are uniform
+        (the ring on shm); halfway, between two batches, the cached
+        table loses its entries."""
+        flows = [
+            flow
+            for flow in synth_flows(64)
+            if flow_shard(flow.flow_key(), 2) == 0
+        ][:5]
+        half = self.BATCH // 2
+        for index in range(self.N_BATCHES):
+            if index == self.N_BATCHES // 2:
+                control_plane = deployment.control_plane
+                for entry in control_plane.entries("l2l3_route"):
+                    control_plane.delete_entry(
+                        "l2l3_route", entry.entry_id
+                    )
+            for position in range(self.BATCH):
+                flow = flows[(index + position // half) % len(flows)]
+                packet = flow.packet()
+                if index % 2:
+                    packet.metadata["meta.mark"] = 1
+                yield packet
+
+    @pytest.mark.parametrize("ring_slots", [1, 16])
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_alternating_payloads_and_broadcast_keep_order(
+        self, transport, ring_slots
+    ):
+        single, sharded = self.deployments(transport, ring_slots)
+        try:
+            reference = single.replay(
+                self.stream(single), offered_pps=1e6, batch=self.BATCH
+            )
+            replayed = sharded.replay(
+                self.stream(sharded), offered_pps=1e6, batch=self.BATCH
+            )
+            assert stats_fingerprint(replayed) == stats_fingerprint(
+                reference
+            )
+            assert_sharded_identical(single, sharded)
+            assert single.emulator.flow_caches  # the plan has a cache
+            stores, _native, _tables = sharded.emulator.dump_caches()[0]
+            for name, cache in single.emulator.flow_caches.items():
+                # Same entries in the same LRU order.
+                assert list(stores[name].items()) == list(
+                    cache._store.items()
+                )
+                assert cache.stats.evictions > 0
+                assert cache.stats.invalidations > 0
+            totals = sharded.transport_stats()["totals"]
+            if transport == "shm":
+                half = self.N_BATCHES // 2
+                assert totals["pushed_batches"] == half
+                assert totals["fallback_encoding"] == half
+        finally:
+            sharded.close()
+
+    def test_ring_token_without_a_record_is_a_protocol_error(self):
+        _, sharded = make_twins("l2l3_acl", 2)
+        try:
+            engine = sharded.emulator
+            assert engine._guarded_send(
+                0, ("ring",), context="forged token"
+            )
+            with pytest.raises(
+                EmulationError,
+                match="ring token without a published record",
+            ):
+                engine.collect()
+        finally:
+            sharded.close()
+
+
 class TestBroadcastEpochs:
     def test_epoch_advances_and_workers_stay_synced(self):
         _, sharded = make_twins("l2l3_acl", 2)
@@ -347,9 +460,29 @@ class TestFlowSharding:
             assert flow.flow_key() == flow.packet().flow_key()
 
 
+def non_soa_batches(metadata_key: str = "meta.next_tab_id") -> dict:
+    """One batch per reason the columns cannot express a batch."""
+    tagged = make_packet()
+    tagged.metadata[metadata_key] = 3
+    wide = make_packet()
+    wide.fields["ipv6.src"] = 1 << 100
+    other = make_packet()
+    other.fields["vlan.id"] = 7
+    preset = make_packet()
+    preset.dropped = True
+    preset.egress_port = 9
+    return {
+        "metadata": [make_packet(), tagged],
+        "oversized": [wide],
+        "heterogeneous": [make_packet(), other],
+        "preset": [preset],
+        "empty": [],
+    }
+
+
 class TestBatchCodec:
-    """The two payload forms: SoA for uniform batches, ``py`` beside it
-    for what the columns cannot express."""
+    """The two payload forms: SoA for uniform batches, the ``Packet``
+    list itself for what the columns cannot express."""
 
     def test_uniform_batch_columnises_and_round_trips(self):
         packets = [make_packet(sport=1000 + i) for i in range(8)]
@@ -371,38 +504,38 @@ class TestBatchCodec:
             for p in decoded
         )
 
-    def test_metadata_falls_back_to_python(self):
-        tagged = make_packet()
-        tagged.metadata["meta.next_tab_id"] = 3
-        assert ColumnBatch.from_packets([make_packet(), tagged]) is None
-        decoded = decode_batch(encode_batch([make_packet(), tagged]))
-        assert decoded[1].metadata == {"meta.next_tab_id": 3}
+    @pytest.mark.parametrize("reason", sorted(non_soa_batches()))
+    def test_not_expressible_as_columns(self, reason):
+        assert ColumnBatch.from_packets(non_soa_batches()[reason]) is None
 
-    def test_oversized_value_falls_back_to_python(self):
-        wide = make_packet()
-        wide.fields["ipv6.src"] = 1 << 100
-        assert ColumnBatch.from_packets([wide]) is None
-        decoded = decode_batch(encode_batch([wide]))
-        assert decoded[0].fields["ipv6.src"] == 1 << 100
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_packet_list_batches_replay_like_single_core(
+        self, transport
+    ):
+        """Every non-SoA reason, interleaved with uniform traffic."""
 
-    def test_heterogeneous_headers_fall_back(self):
-        other = make_packet()
-        other.fields["vlan.id"] = 7
-        assert ColumnBatch.from_packets([make_packet(), other]) is None
-        decoded = decode_batch(encode_batch([make_packet(), other]))
-        assert decoded[1].fields["vlan.id"] == 7
+        def packets():
+            stream = app_packets(5, 200)
+            # A metadata key no table reads: only the encoding differs.
+            odd = non_soa_batches("meta.mark")
+            for index, reason in enumerate(sorted(odd)):
+                stream[40 * index + 7 : 40 * index + 7] = odd[reason]
+            return stream
 
-    def test_dropped_and_egress_preserved(self):
-        packet = make_packet()
-        packet.dropped = True
-        packet.egress_port = 9
-        assert ColumnBatch.from_packets([packet]) is None
-        (decoded,) = decode_batch(encode_batch([packet]))
-        assert decoded.dropped and decoded.egress_port == 9
-
-    def test_empty_batch(self):
-        assert ColumnBatch.from_packets([]) is None
-        assert decode_batch(encode_batch([])) == []
+        single, sharded = make_twins("l2l3_acl", 2, transport=transport)
+        try:
+            reference = single.replay(packets(), batch=16)
+            replayed = sharded.replay(packets(), batch=16)
+            assert stats_fingerprint(replayed) == stats_fingerprint(
+                reference
+            )
+            assert_sharded_identical(single, sharded)
+            totals = sharded.transport_stats()["totals"]
+            if transport == "shm":
+                assert totals["fallback_encoding"] >= 1
+                assert totals["pushed_batches"] >= 1
+        finally:
+            sharded.close()
 
 
 class TestShardedEmulatorStandalone:

@@ -236,13 +236,18 @@ class TestSoaCodec:
         try:
             timestamps = [0.5 * i for i in range(len(packets))]
             assert channel.try_push_batch(
-                names, batch.values, sizes, timestamps, pipe_watermark=3
+                names, batch.values, sizes, timestamps
             )
             record = channel.data.peek()
-            watermark, blob, values, out_sizes, ts = read_batch_record(
-                record
+            # The header describes the payload and nothing else.
+            assert record.meta == (
+                len(packets),
+                len(names),
+                1,
+                len(channel.names_blob(names)),
+                0,
             )
-            assert watermark == 3
+            blob, values, out_sizes, ts = read_batch_record(record)
             assert decode_names(blob) == names
             # Field-major: every field one contiguous int64 row.
             assert values.shape == (len(names), len(packets))
@@ -264,10 +269,10 @@ class TestSoaCodec:
         channel = ShardChannel(batch=4)
         try:
             assert channel.try_push_batch(
-                batch.names, batch.values, batch.sizes, None, 0
+                batch.names, batch.values, batch.sizes, None
             )
             record = channel.data.peek()
-            _wm, _blob, values, _sizes, ts = read_batch_record(record)
+            _blob, values, _sizes, ts = read_batch_record(record)
             assert ts is None
             np.testing.assert_array_equal(values, batch.values)
             del record, values, _sizes
@@ -490,7 +495,7 @@ class TestWorkerIngestion:
             assert stats_fingerprint(replayed) == stats_fingerprint(
                 reference
             )
-            assert sharded.columnar_demotions == {}
+            assert sharded.emulator.columnar_demotions == {}
         finally:
             sharded.close()
 
