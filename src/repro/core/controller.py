@@ -470,8 +470,9 @@ class PipeleonController:
         """
         if phase.control_action is not None:
             phase.control_action(self.deployment, time_s)
-        packets = list(phase.stream_factory(packets_per_tick))
-        stats = self.deployment.run(packets)
+        stats = self.deployment.run(
+            phase.stream_factory(packets_per_tick)
+        )
         reoptimized = False
         self.clock.advance(1.0)
         slo_triggered = self.consume_slo_trigger()

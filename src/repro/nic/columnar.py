@@ -71,9 +71,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from copy import copy
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from time import perf_counter
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -227,6 +227,73 @@ class ColumnBatch:
             fields=dict(zip(self.names, self.values[:, i].tolist())),
             size_bytes=int(self.sizes[i]),
         )
+
+    def take(self, rows) -> "ColumnBatch":
+        """The given rows (a slice or an index array), in that order.
+
+        The columns fully describe a SoA packet, so the result carries
+        no ``packets``; timestamps travel with their rows.
+        """
+        ts = self.timestamps
+        return ColumnBatch(
+            self.names,
+            # ``values[:, index_array]`` would come back packet-major.
+            self.values[:, rows]
+            if isinstance(rows, slice)
+            else self.values.take(rows, axis=1),
+            self.sizes[rows],
+            None if ts is None else ts[rows],
+        )
+
+    def flow_keys(self):
+        """``(unique five-tuple keys, key id of every row)``.
+
+        A key is what :meth:`Packet.flow_key` returns for the row: the
+        ``FIVE_TUPLE`` fields in order, an absent field reading 0.
+        """
+        keymat = np.zeros((self.n, len(FIVE_TUPLE)), dtype=np.int64)
+        for j, name in enumerate(FIVE_TUPLE):
+            if name in self.names:
+                keymat[:, j] = self.values[self.names.index(name)]
+        return _unique_rows(keymat)
+
+
+class ColumnSource:
+    """A one-shot ``Packet`` iterable that can also hand out what it
+    has left as column batches (:class:`repro.traffic.generator.
+    PacketStream` is the implementation).
+
+    Both views advance one cursor. ``batches(size)`` yields, ``size``
+    packets at a time, a :class:`ColumnBatch` — or the ``Packet`` list
+    when those packets are not SoA-uniform, decided per batch exactly
+    as :meth:`ColumnBatch.from_packets` decides.
+    """
+
+    def batches(
+        self, size: int
+    ) -> Iterator[Union[ColumnBatch, list[Packet]]]:
+        raise NotImplementedError
+
+
+def batched(
+    packets, size: int, columns: bool
+) -> Iterator[Union[ColumnBatch, list[Packet]]]:
+    """Cut a packet source into ``size``-packet batches.
+
+    The one batching loop of :meth:`NicEmulator.replay` and
+    :meth:`ShardedEmulator.replay`. With ``columns`` a
+    :class:`ColumnSource` hands out its own batches and no ``Packet``
+    is made; everything else is read through the ``Packet`` view.
+    """
+    if columns and isinstance(packets, ColumnSource):
+        yield from packets.batches(size)
+        return
+    iterator = iter(packets)
+    while True:
+        chunk = list(islice(iterator, size))
+        if not chunk:
+            return
+        yield chunk
 
 
 class _Recording:

@@ -12,7 +12,6 @@ busy time that the throughput model converts to Gbps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterable, Optional
 
 from repro.errors import EmulationError
@@ -20,7 +19,7 @@ from repro.ir.conditionals import ConditionalNode
 from repro.ir.entries import TableEntry
 from repro.ir.program import Program
 from repro.ir.tables import Pipeline, TableKind, TableNode
-from repro.nic.columnar import ColumnBatch
+from repro.nic.columnar import ColumnBatch, batched
 from repro.nic.control_plane import SimClock
 from repro.nic.counters import (
     CounterBank,
@@ -690,11 +689,9 @@ class NicEmulator:
         if stats is None:
             stats = RunStats()
         dt = 1.0 / offered_pps if offered_pps else 0.0
-        iterator = iter(packets)
-        buffer: list[Packet] = []
-        while True:
-            buffer.clear()
-            buffer.extend(islice(iterator, batch))
-            if not buffer:
-                return stats
-            self.replay_batch(buffer, stats, dt, engine=engine)
+        # Only ``auto`` takes a column source's own batches: the
+        # per-packet tiers read its ``Packet`` view, which is how an
+        # interpreter twin checks the columns against FlowSpec.packet.
+        for chunk in batched(packets, batch, columns=engine == "auto"):
+            self.replay_batch(chunk, stats, dt, engine=engine)
+        return stats

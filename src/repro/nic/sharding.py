@@ -36,16 +36,24 @@ what every execution tier's staleness fingerprint watches: the next
 batch rebuilds whatever the selected tier had compiled against the old
 entries.
 
-One batch type each way. **Out:** the dispatcher columnises each
-per-shard buffer once (:meth:`ColumnBatch.from_packets`, the only
-Packet -> columns encoder) and a worker ingests every batch as a
-:class:`~repro.nic.columnar.ColumnBatch` whatever carried it;
-:meth:`NicEmulator.replay_batch` materialises ``Packet`` objects from
-it only when the selected engine is ``fastpath``/``interp``. A batch's
-payload is the SoA form ``(names, values, sizes)`` plus timestamps,
-or — for batches SoA cannot express (metadata, mixed header sets,
-values outside int64) — the ``Packet`` list itself. **Back:** the
-merged stats and worker state of the ``end`` reply, and nothing else.
+One batch type each way. **Out:** the dispatcher works on columns. A
+column source (:class:`~repro.nic.columnar.ColumnSource`, what the
+traffic generator returns) hands it :class:`~repro.nic.columnar.
+ColumnBatch` es directly; any other ``Packet`` iterable is columnised
+chunk-wise up front (:meth:`ColumnBatch.from_packets`, the only
+Packet -> columns encoder). Each chunk's rows are sharded by resolving
+every *unique* five-tuple once with :func:`flow_shard`, appended as
+column slices to per-shard buffers, and cut off those at exactly
+``batch`` rows — so a shard's dispatch batches do not depend on how the
+stream was chunked. A worker ingests every batch as a ``ColumnBatch``
+whatever carried it; :meth:`NicEmulator.replay_batch` materialises
+``Packet`` objects from it only when the selected engine is
+``fastpath``/``interp``. A batch's payload is the SoA form ``(names,
+values, sizes)`` plus timestamps, or — for rows SoA cannot express
+(metadata, mixed header sets, values outside int64), which stay
+``Packet`` objects from the chunk to the worker — the ``Packet`` list
+itself. **Back:** the merged stats and worker state of the ``end``
+reply, and nothing else.
 
 One ordered stream per shard: the command pipe. Every message a worker
 acts on — broadcasts, batches, ``begin``/``end`` — arrives on it, and
@@ -103,13 +111,14 @@ import multiprocessing as mp
 import select
 import time
 import traceback
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import EmulationError
 from repro.ir.entries import TableEntry
-from repro.nic.columnar import ColumnBatch
+from repro.nic.columnar import ColumnBatch, _split, batched
 from repro.nic.control_plane import SimClock
 from repro.nic.counters import CounterBank
 from repro.nic.emulator import ENGINES, NicEmulator
@@ -203,6 +212,123 @@ def flow_shard(flow_key: tuple[int, ...], n_shards: int) -> int:
     if n_shards <= 1:
         return 0
     return hash(flow_key) % n_shards
+
+
+def _rows(part) -> int:
+    """Packets in a :class:`ColumnBatch` or a ``Packet`` list."""
+    return part.n if isinstance(part, ColumnBatch) else len(part)
+
+
+def _take(part, rows: slice):
+    return part.take(rows) if isinstance(part, ColumnBatch) else part[rows]
+
+
+def _at(ts, rows):
+    """Timestamps of ``rows``; None when the replay is unpaced."""
+    return None if ts is None else ts[rows]
+
+
+class _ShardBuffer:
+    """Rows bound for one shard, in stream order.
+
+    Parts are ``(ColumnBatch | Packet list, timestamps | None)`` as
+    :func:`_route` appended them; :meth:`cut` takes exactly the first
+    ``rows`` rows off the front, so the dispatch batches of a shard are
+    the same whatever chunks the rows came in.
+    """
+
+    __slots__ = ("parts", "rows")
+
+    def __init__(self):
+        self.parts: list = []
+        self.rows = 0
+
+    def append(self, part, ts) -> None:
+        self.parts.append((part, ts))
+        self.rows += _rows(part)
+
+    def cut(self, rows: int):
+        """Pop the first ``rows`` rows as one ``(batch, timestamps)``.
+
+        A :class:`ColumnBatch` when they are all columns over one
+        field tuple; otherwise the ``Packet`` list, column rows
+        materialised. An ``auto`` worker puts a list through
+        :meth:`ColumnBatch.from_packets` itself, so which packets the
+        kernels retire does not depend on the form chosen here.
+        """
+        taken = []
+        need = rows
+        while need:
+            part, ts = self.parts[0]
+            n = _rows(part)
+            if n <= need:
+                del self.parts[0]
+            else:
+                head, rest = slice(0, need), slice(need, None)
+                self.parts[0] = (_take(part, rest), _at(ts, rest))
+                part, ts, n = _take(part, head), _at(ts, head), need
+            taken.append((part, ts))
+            need -= n
+        self.rows -= rows
+        parts = [part for part, _ in taken]
+        ts = None
+        if taken[0][1] is not None:
+            ts = np.concatenate([part_ts for _, part_ts in taken])
+        first = parts[0]
+        if len(parts) == 1:
+            return first, ts
+        if isinstance(first, ColumnBatch) and all(
+            isinstance(part, ColumnBatch) and part.names == first.names
+            for part in parts[1:]
+        ):
+            return (
+                ColumnBatch(
+                    first.names,
+                    np.concatenate([part.values for part in parts], axis=1),
+                    np.concatenate([part.sizes for part in parts]),
+                ),
+                ts,
+            )
+        return (
+            [
+                packet
+                for part in parts
+                for packet in (
+                    map(part.make_packet, range(part.n))
+                    if isinstance(part, ColumnBatch)
+                    else part
+                )
+            ],
+            ts,
+        )
+
+
+def _route(part, ts, buffers, pick) -> None:
+    """Append every row of ``part`` to the buffer ``pick(flow key)``
+    names, keeping stream order within each buffer.
+
+    Columns resolve each *unique* five-tuple once; a ``Packet`` list
+    (a chunk SoA cannot express) is keyed packet by packet, and what
+    of it goes to one shard is given a second chance as columns — the
+    packet SoA cannot express may be another shard's.
+    """
+    if isinstance(part, ColumnBatch):
+        keys, key_of_row = part.flow_keys()
+        targets = np.fromiter(
+            map(pick, keys), dtype=np.int64, count=len(keys)
+        )[key_of_row]
+        for target, rows in _split(
+            targets, np.arange(part.n, dtype=np.int64)
+        ):
+            buffers[target].append(part.take(rows), _at(ts, rows))
+        return
+    targets = [pick(packet.flow_key()) for packet in part]
+    for target in sorted(set(targets)):
+        rows = [i for i, t in enumerate(targets) if t == target]
+        packets = [part[i] for i in rows]
+        buffers[target].append(
+            ColumnBatch.from_packets(packets) or packets, _at(ts, rows)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +581,7 @@ def _worker_main(
             nonlocal live_seq, live_offset, live_dropped_snapshots
             if stats is not None:
                 latencies = stats._latencies
-                for value in latencies[live_offset:]:
-                    live_hist.observe(value)
+                live_hist.observe_many(latencies[live_offset:])
                 live_offset = len(latencies)
             snapshot = {
                 "shard": shard_index,
@@ -1660,27 +1785,32 @@ class ShardedEmulator:
         self._broadcast(("begin",), context="replay begin")
         self._in_replay = True
         try:
-            buffers: list[list[Packet]] = [[] for _ in range(n)]
-            timestamps: Optional[list[list[float]]] = (
-                [[] for _ in range(n)] if dt else None
-            )
+            buffers = [_ShardBuffer() for _ in range(n)]
+            to_shard = partial(flow_shard, n_shards=n)
             count = 0
-            for packet in packets:
-                shard = flow_shard(packet.flow_key(), n)
-                buffer = buffers[shard]
-                buffer.append(packet)
-                count += 1
+            for chunk in batched(packets, batch, columns=True):
+                if isinstance(chunk, list):
+                    # A plain Packet iterable takes the column route
+                    # too; only a chunk SoA cannot express stays a list.
+                    chunk = ColumnBatch.from_packets(chunk) or chunk
+                rows = _rows(chunk)
+                ts = None
                 if dt:
-                    timestamps[shard].append(t0 + dt * count)
-                if len(buffer) >= batch:
-                    self._flush(shard, buffers, timestamps)
-            # Final drain. A degraded-mode flush redistributes its
-            # buffer onto survivors — possibly one already drained this
-            # sweep — so sweep until every buffer is empty.
-            while any(buffers):
+                    ts = t0 + dt * np.arange(count + 1, count + rows + 1)
+                count += rows
+                _route(chunk, ts, buffers, to_shard)
                 for shard in range(n):
-                    if buffers[shard]:
-                        self._flush(shard, buffers, timestamps)
+                    while buffers[shard].rows >= batch:
+                        self._flush(shard, buffers, batch)
+            # Final drain. A degraded-mode flush redistributes its
+            # rows onto survivors — possibly one already drained this
+            # sweep — so sweep until every buffer is empty.
+            while any(buffer.rows for buffer in buffers):
+                for shard in range(n):
+                    if buffers[shard].rows:
+                        self._flush(
+                            shard, buffers, min(batch, buffers[shard].rows)
+                        )
             if dt and self.clock is not None:
                 self.clock.advance(dt * count)
             merged = stats if stats is not None else RunStats()
@@ -1706,66 +1836,56 @@ class ShardedEmulator:
         self._merge_states(states)
         return merged
 
-    def _flush(
-        self,
-        shard: int,
-        buffers: list[list[Packet]],
-        timestamps: Optional[list[list[float]]],
-    ) -> None:
-        buffer = buffers[shard]
-        buffers[shard] = []
-        ts = None
-        if timestamps is not None:
-            ts = timestamps[shard]
-            timestamps[shard] = []
+    def _flush(self, shard: int, buffers, rows: int) -> None:
+        """Dispatch the first ``rows`` rows buffered for ``shard``."""
+        part, ts = buffers[shard].cut(rows)
         if not self._dead[shard]:
-            delivered = self._dispatch_batch(shard, buffer, ts)
+            delivered = self._dispatch_batch(shard, part, ts)
             if delivered:
-                self._dispatched_since_begin[shard] += len(buffer)
+                self._dispatched_since_begin[shard] += rows
                 return
             # The shard degraded during this send: the batch was never
             # delivered, so fall through and reroute it.
         survivors = self._survivors()
-        for index, packet in enumerate(buffer):
-            target = survivors[
-                hash(packet.flow_key()) % len(survivors)
-            ]
-            buffers[target].append(packet)
-            if ts is not None:
-                timestamps[target].append(ts[index])
+        _route(
+            part,
+            ts,
+            buffers,
+            lambda key: survivors[hash(key) % len(survivors)],
+        )
 
     def _dispatch_batch(
         self,
         shard: int,
-        buffer: list[Packet],
-        ts: Optional[list[float]],
+        part: Union[ColumnBatch, list[Packet]],
+        ts: Optional[np.ndarray],
     ) -> bool:
         """Journal one batch, then deliver it over the shard's pipe.
 
-        The buffer is columnised once. On shm a SoA batch that fits a
-        slot is parked in the shard's data ring and a ``ring`` token is
-        sent in its place; every other batch is inlined in the message
-        — counted, per reason, on shm: the ``Packet`` list when SoA
-        cannot express it (metadata, mixed header sets, out-of-range
-        values; ``reason="encoding"``), the SoA payload when it exceeds
-        the slot geometry (``reason="capacity"``). Returns False only
+        On shm a SoA batch that fits a slot is parked in the shard's
+        data ring and a ``ring`` token is sent in its place; every
+        other batch is inlined in the message — counted, per reason,
+        on shm: the ``Packet`` list when SoA cannot express it
+        (metadata, mixed header sets, out-of-range values;
+        ``reason="encoding"``), the SoA payload when it exceeds the
+        slot geometry (``reason="capacity"``). Returns False only
         when the shard degraded mid-dispatch.
         """
         channel = self._channels[shard]
-        batch = ColumnBatch.from_packets(buffer)
+        batch = part if isinstance(part, ColumnBatch) else None
         if batch is None:
             # The journal outlives the caller's packets: snapshot them.
             payload = (
-                [packet.clone() for packet in buffer]
+                [packet.clone() for packet in part]
                 if self._journaling
-                else buffer
+                else part
             )
-        else:
             if ts is not None:
-                ts = np.asarray(ts, dtype=np.float64)
+                ts = ts.tolist()
+        else:
             payload = (batch.names, batch.values, batch.sizes)
         message = ("batch", payload, ts)
-        self._journal(shard, message, len(buffer))
+        self._journal(shard, message, _rows(part))
         if channel is not None:
             if batch is not None and channel.batch_fits(
                 batch.n,

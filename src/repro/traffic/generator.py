@@ -6,18 +6,92 @@ locality controls cache hit rates (Zipf concentrates traffic on few flows,
 uniform spreads it).
 
 Flow-index generation is vectorized: the selection patterns return numpy
-arrays drawn in one shot.
+arrays drawn in one shot. A stream is a :class:`PacketStream` over those
+indices: an iterator of ``Packet`` for the per-packet engines and the
+tests, and a source of :class:`~repro.nic.columnar.ColumnBatch` for the
+columnar tier and the shard dispatcher, which never see a ``Packet``.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.nic.columnar import ColumnBatch, ColumnSource
 from repro.nic.packet import DEFAULT_PACKET_BYTES, Packet
-from repro.traffic.flows import FlowSpec, synth_flows
+from repro.traffic.flows import FlowColumns, FlowSpec, synth_flows
+
+#: Flow sets a generator keeps the field matrices of (most recent
+#: first): a stream draws from one set, a mixed stream from one
+#: concatenation, and scenario phases alternate between a few.
+_FLOW_SETS_KEPT = 4
+
+_NO_INDICES = np.zeros(0, dtype=np.int64)
+
+
+class PacketStream(ColumnSource):
+    """One lazy, one-shot draw of packets, readable two ways.
+
+    Iterating yields ``Packet`` objects; :meth:`batches` hands out
+    :class:`ColumnBatch` es. Both advance the same cursor, so a consumer
+    may switch views mid-stream. Nothing is drawn — no RNG call, no
+    argument check — until the first packet or batch is asked for.
+    """
+
+    def __init__(
+        self,
+        generator: "TrafficGenerator",
+        draw: Callable[[], tuple[Sequence[FlowSpec], np.ndarray]],
+        size_bytes: int,
+    ):
+        self._generator = generator
+        self._draw = draw
+        self._size_bytes = size_bytes
+        self._flows: Sequence[FlowSpec] = ()
+        self._indices: Optional[np.ndarray] = None
+        self._cursor = 0
+        # Made on first use: a generator over ``self`` is a reference
+        # cycle, and a stream read as columns should free its index
+        # array when dropped, not at the next cyclic collection.
+        self._packets: Optional[Iterator[Packet]] = None
+
+    def _drawn(self) -> np.ndarray:
+        if self._indices is None:
+            self._flows, self._indices = self._draw()
+        return self._indices
+
+    def __iter__(self) -> Iterator[Packet]:
+        if self._packets is None:
+            self._packets = self._packet_view()
+        return self._packets
+
+    def __next__(self) -> Packet:
+        return next(iter(self))
+
+    def _packet_view(self) -> Iterator[Packet]:
+        order = self._drawn().tolist()
+        flows = self._flows
+        size_bytes = self._size_bytes
+        # The cursor is published before every yield and re-read
+        # after it: a batch taken between two packets moves it.
+        cursor = self._cursor
+        while cursor < len(order):
+            self._cursor = cursor + 1
+            yield flows[order[cursor]].packet(size_bytes)
+            cursor = self._cursor
+
+    def batches(
+        self, size: int
+    ) -> Iterator[Union[ColumnBatch, list[Packet]]]:
+        indices = self._drawn()
+        if self._cursor >= len(indices):
+            return  # nothing left: no reason to build a flow matrix
+        columns = self._generator.flow_columns(self._flows)
+        while self._cursor < len(indices):
+            chosen = indices[self._cursor : self._cursor + size]
+            self._cursor += len(chosen)
+            yield columns.batch(chosen, self._size_bytes)
 
 
 class TrafficGenerator:
@@ -25,8 +99,11 @@ class TrafficGenerator:
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._rng = random.Random(seed)
         self._np_rng = np.random.default_rng(seed)
+        #: ``((n_flows, skew), weights)`` of the last Zipf draw: a
+        #: stream per cycle over one flow set recomputes nothing.
+        self._zipf_weights: tuple = (None, None)
+        self._flow_sets: list[FlowColumns] = []
 
     # -- flow selection patterns -------------------------------------------------
 
@@ -41,15 +118,39 @@ class TrafficGenerator:
         self, n_flows: int, n_packets: int, skew: float = 1.2
     ) -> np.ndarray:
         """Zipf-distributed flow choices (high traffic locality)."""
-        ranks = np.arange(1, n_flows + 1, dtype=float)
-        weights = ranks ** (-skew)
-        weights /= weights.sum()
+        shape, weights = self._zipf_weights
+        if shape != (n_flows, skew):
+            ranks = np.arange(1, n_flows + 1, dtype=float)
+            weights = ranks ** (-skew)
+            weights /= weights.sum()
+            self._zipf_weights = ((n_flows, skew), weights)
         return self._np_rng.choice(n_flows, size=n_packets, p=weights)
 
     def round_robin_indices(
         self, n_flows: int, n_packets: int
     ) -> np.ndarray:
         return np.arange(n_packets, dtype=np.int64) % n_flows
+
+    # -- flow columns ------------------------------------------------------------
+
+    def flow_columns(self, flows: Sequence[FlowSpec]) -> FlowColumns:
+        """The field matrices of ``flows``, built once per flow set.
+
+        A kept set is reused only while it still equals ``flows``
+        element for element (an identity check per flow when the
+        caller passes the same objects again), so a list mutated or
+        replaced between two streams never serves stale columns.
+        """
+        current = flows if isinstance(flows, list) else list(flows)
+        kept = self._flow_sets
+        for position, columns in enumerate(kept):
+            if columns.flows == current:
+                kept.insert(0, kept.pop(position))
+                return columns
+        columns = FlowColumns(current)
+        kept.insert(0, columns)
+        del kept[_FLOW_SETS_KEPT:]
+        return columns
 
     # -- streams -------------------------------------------------------------------
 
@@ -60,27 +161,32 @@ class TrafficGenerator:
         locality: str = "uniform",
         zipf_skew: float = 1.2,
         size_bytes: int = DEFAULT_PACKET_BYTES,
-    ) -> Iterator[Packet]:
-        """Yield packets drawn from ``flows`` with the given locality."""
-        if not flows:
-            return
-        if locality == "uniform":
-            indices = self.uniform_indices(len(flows), n_packets)
-        elif locality == "zipf":
-            indices = self.zipf_indices(len(flows), n_packets, zipf_skew)
-        elif locality == "round_robin":
-            indices = self.round_robin_indices(len(flows), n_packets)
-        else:
-            raise ValueError(f"Unknown locality {locality!r}")
-        for index in indices.tolist():
-            yield flows[index].packet(size_bytes)
+    ) -> PacketStream:
+        """Packets drawn from ``flows`` with the given locality."""
+
+        def draw():
+            if not flows:
+                return flows, _NO_INDICES
+            if locality == "uniform":
+                indices = self.uniform_indices(len(flows), n_packets)
+            elif locality == "zipf":
+                indices = self.zipf_indices(
+                    len(flows), n_packets, zipf_skew
+                )
+            elif locality == "round_robin":
+                indices = self.round_robin_indices(len(flows), n_packets)
+            else:
+                raise ValueError(f"Unknown locality {locality!r}")
+            return flows, indices
+
+        return PacketStream(self, draw, size_bytes)
 
     def mixed_stream(
         self,
         flow_groups: Sequence[tuple[Sequence[FlowSpec], float]],
         n_packets: int,
         size_bytes: int = DEFAULT_PACKET_BYTES,
-    ) -> Iterator[Packet]:
+    ) -> PacketStream:
         """Draw from weighted flow groups (e.g. 25% droppable traffic).
 
         ``flow_groups`` is a list of ``(flows, weight)``; weights are
@@ -88,29 +194,33 @@ class TrafficGenerator:
         is a single ``searchsorted`` over the precomputed CDF instead of
         a per-packet linear scan.
         """
-        groups = [g for g in flow_groups if g[0]]
-        if not groups:
-            return
-        weights = np.array([w for _, w in groups], dtype=float)
-        cdf = np.cumsum(weights / weights.sum())
-        rolls = self._np_rng.random(n_packets)
-        chosen = np.minimum(
-            np.searchsorted(cdf, rolls, side="left"), len(groups) - 1
-        )
-        # Per-group flow picks drawn in bulk (order within a group is
-        # irrelevant to the distribution).
-        picks = np.zeros(n_packets, dtype=np.int64)
-        for group_index, (flows, _) in enumerate(groups):
-            mask = chosen == group_index
-            count = int(mask.sum())
-            if count:
-                picks[mask] = self._np_rng.integers(
-                    0, len(flows), size=count, dtype=np.int64
-                )
-        for group_index, flow_index in zip(
-            chosen.tolist(), picks.tolist()
-        ):
-            yield groups[group_index][0][flow_index].packet(size_bytes)
+
+        def draw():
+            groups = [g for g in flow_groups if g[0]]
+            if not groups:
+                return (), _NO_INDICES
+            weights = np.array([w for _, w in groups], dtype=float)
+            cdf = np.cumsum(weights / weights.sum())
+            rolls = self._np_rng.random(n_packets)
+            chosen = np.minimum(
+                np.searchsorted(cdf, rolls, side="left"), len(groups) - 1
+            )
+            # Per-group flow picks drawn in bulk (order within a group
+            # is irrelevant to the distribution), as indices into the
+            # groups laid end to end.
+            picks = np.zeros(n_packets, dtype=np.int64)
+            everyone: list[FlowSpec] = []
+            for group_index, (flows, _) in enumerate(groups):
+                mask = chosen == group_index
+                count = int(mask.sum())
+                if count:
+                    picks[mask] = len(everyone) + self._np_rng.integers(
+                        0, len(flows), size=count, dtype=np.int64
+                    )
+                everyone.extend(flows)
+            return everyone, picks
+
+        return PacketStream(self, draw, size_bytes)
 
 
 def drop_rate_stream(
@@ -119,7 +229,7 @@ def drop_rate_stream(
     drop_rate: float,
     dropped_flows: Optional[Sequence[FlowSpec]] = None,
     passing_flows: Optional[Sequence[FlowSpec]] = None,
-) -> Iterable[Packet]:
+) -> PacketStream:
     """A stream where ``drop_rate`` of packets come from droppable flows."""
     if not 0.0 <= drop_rate <= 1.0:
         raise ValueError("drop_rate must be in [0, 1]")

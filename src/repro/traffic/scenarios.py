@@ -37,7 +37,10 @@ from repro.nic.packet import Packet
 
 #: Called once per emulated second with (control_plane_like, time_s).
 ControlAction = Callable[[object, float], None]
-#: Yields the packets offered during one emulated second.
+#: The packets offered during one emulated second. The library's
+#: builders return the generator's :class:`~repro.traffic.generator.
+#: PacketStream` as is — never listed — so a fleet replays a tick from
+#: columns; any ``Packet`` iterable is accepted.
 StreamFactory = Callable[[int], Iterable[Packet]]
 
 #: Epsilon guard for tick-vs-boundary comparisons in :meth:`Scenario.

@@ -1,0 +1,916 @@
+"""The column source seam: a traffic stream is columns from the seed
+to the summary.
+
+``TrafficGenerator.stream`` / ``mixed_stream`` / ``drop_rate_stream``
+return one lazy stream with two views off one cursor — ``Packet``
+objects for the per-packet engines and the tests, ``ColumnBatch`` es
+for the columnar tier and the shard dispatcher. These tests pin that
+the two views are the same packets, that the flow matrix is never
+stale, that non-SoA traffic is decided exactly as before (golden values
+from the commit before the seam), that the column dispatcher shards,
+paces, reroutes and respawns exactly as the per-packet one did, and
+that a replay from a stream builds no ``Packet`` at all.
+"""
+
+import hashlib
+from itertools import islice
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps import EXAMPLE_APPS
+from repro.core import Deployment, Pipeleon, ShardedDeployment
+from repro.nic.columnar import ColumnBatch, ColumnSource, batched
+from repro.nic.packet import FIVE_TUPLE, Packet
+from repro.nic.sharding import (
+    ShardedEmulator,
+    SupervisorOptions,
+    _route,
+    _ShardBuffer,
+    flow_shard,
+)
+from repro.nic.stats import RunStats
+from repro.nic.targets import EMULATED_NIC
+from repro.service.session import stats_payload
+from repro.traffic import (
+    SCENARIO_BUILDERS,
+    TrafficGenerator,
+    build_scenario,
+    drop_rate_stream,
+    synth_flows,
+)
+from repro.traffic.flows import FlowColumns
+from tests.test_faults import fast_options, make_sharded, make_single
+from tests.test_nic_sharding import (
+    assert_sharded_identical,
+    stats_fingerprint,
+)
+
+
+def shape(packet: Packet) -> tuple:
+    """Everything a source decides about a packet, field order included."""
+    return (
+        list(packet.fields.items()),
+        packet.metadata,
+        packet.size_bytes,
+        packet.dropped,
+        packet.egress_port,
+    )
+
+
+def from_batches_once(batch) -> list[Packet]:
+    """One batch of either form as ``Packet`` objects."""
+    if isinstance(batch, ColumnBatch):
+        return [batch.make_packet(i) for i in range(batch.n)]
+    return batch
+
+
+def from_batches(stream, size: int) -> list[Packet]:
+    """The rest of ``stream`` read through its column view."""
+    packets = []
+    for batch in stream.batches(size):
+        if isinstance(batch, ColumnBatch):
+            assert batch.packets is None
+            assert batch.values.flags["C_CONTIGUOUS"]
+        packets.extend(from_batches_once(batch))
+    return packets
+
+
+# ---------------------------------------------------------------------------
+# (1) Two views, one stream
+# ---------------------------------------------------------------------------
+
+MIXED_FLOWS = synth_flows(12) + [
+    flow.with_fields(**{"vlan.id": 7}) for flow in synth_flows(6, dport=443)
+]
+
+
+def _locality(locality):
+    return lambda g: g.stream(
+        synth_flows(40), 333, locality=locality, size_bytes=256
+    )
+
+
+SOURCES = {
+    "uniform": _locality("uniform"),
+    "zipf": _locality("zipf"),
+    "round_robin": _locality("round_robin"),
+    "mixed_stream": lambda g: g.mixed_stream(
+        [(synth_flows(5, dport=1111), 0.7), (synth_flows(9), 0.3), ([], 1)],
+        333,
+        size_bytes=128,
+    ),
+    "drop_rate_stream": lambda g: drop_rate_stream(g, 333, 0.25),
+    "two_field_sets": lambda g: g.stream(MIXED_FLOWS, 333),
+}
+
+
+class TestTwoViews:
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("size", [1, 64, 1000])
+    def test_views_agree(self, source, size):
+        make = SOURCES[source]
+        listed = list(make(TrafficGenerator(11)))
+        stream = make(TrafficGenerator(11))
+        assert isinstance(stream, ColumnSource)
+        assert len(listed) == 333
+        assert [shape(p) for p in from_batches(stream, size)] == [
+            shape(p) for p in listed
+        ]
+        # One-shot on both views.
+        assert list(stream) == [] and list(stream.batches(size)) == []
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+    def test_scenario_phases_agree(self, name):
+        listed = build_scenario(name, seed="5")
+        columns = build_scenario(name, seed="5")
+        assert listed.phases
+        for as_packets, as_columns in zip(listed.phases, columns.phases):
+            expected = list(as_packets.stream_factory(150))
+            assert len(expected) == 150
+            assert [
+                shape(p)
+                for p in from_batches(as_columns.stream_factory(150), 64)
+            ] == [shape(p) for p in expected]
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_views_share_one_cursor(self, source):
+        make = SOURCES[source]
+        listed = [shape(p) for p in make(TrafficGenerator(4))]
+        stream = make(TrafficGenerator(4))
+        seen = [shape(next(stream))]
+        seen += [shape(p) for p in islice(stream, 9)]
+        batches = stream.batches(50)
+        seen += [shape(p) for p in from_batches_once(next(batches))]
+        # Back to packets while the batch iterator is still open...
+        seen += [shape(p) for p in islice(stream, 7)]
+        # ...and the batch iterator picks up where the packets stopped.
+        for batch in batches:
+            seen += [shape(p) for p in from_batches_once(batch)]
+        assert seen == listed
+        assert list(stream) == []
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_next_stream_draws_alike_whichever_view_ran(self, source):
+        make = SOURCES[source]
+        by_packets, by_columns = TrafficGenerator(8), TrafficGenerator(8)
+        list(make(by_packets))
+        from_batches(make(by_columns), 100)
+        assert [shape(p) for p in make(by_columns)] == [
+            shape(p) for p in make(by_packets)
+        ]
+
+    def test_nothing_is_drawn_before_first_use(self):
+        touched, untouched = TrafficGenerator(2), TrafficGenerator(2)
+        flows = synth_flows(10)
+        touched.stream(flows, 50)  # never consumed: no RNG call
+        touched.mixed_stream([(flows, 1.0)], 50)
+        assert [shape(p) for p in touched.stream(flows, 20)] == [
+            shape(p) for p in untouched.stream(flows, 20)
+        ]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda g: g.stream([], 10),
+            lambda g: g.stream([], 10, locality="fractal"),
+            lambda g: g.stream(synth_flows(3), 0),
+            lambda g: g.mixed_stream([([], 0.5), ([], 0.5)], 10),
+            lambda g: g.mixed_stream([], 10),
+            lambda g: g.mixed_stream([(synth_flows(3), 1.0)], 0),
+        ],
+    )
+    def test_empty_streams_on_both_views(self, make):
+        generator = TrafficGenerator(0)
+        assert list(make(generator)) == []
+        assert list(make(generator).batches(8)) == []
+        with pytest.raises(StopIteration):
+            next(make(generator))
+
+    def test_unknown_locality_raises_on_first_use_of_either_view(self):
+        generator = TrafficGenerator(0)
+        stream = generator.stream(synth_flows(2), 5, locality="fractal")
+        with pytest.raises(ValueError, match="fractal"):
+            next(stream)
+        stream = generator.stream(synth_flows(2), 5, locality="fractal")
+        with pytest.raises(ValueError, match="fractal"):
+            next(stream.batches(4))
+
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    @pytest.mark.parametrize("skew", [0.0, 1.2])
+    def test_memoized_zipf_weights_draw_what_the_formula_draws(
+        self, seed, skew
+    ):
+        """The weight memo moves no index: a twin RNG handed weights
+        recomputed from the formula on every call draws the same, also
+        when another shape is drawn in between."""
+
+        def formula(n_flows):
+            weights = np.arange(1, n_flows + 1, dtype=float) ** (-skew)
+            return weights / weights.sum()
+
+        generator = TrafficGenerator(seed)
+        twin = np.random.default_rng(seed)
+        for n_flows, n_packets in (
+            (2000, 64), (2000, 0), (2000, 500), (1, 9), (50, 40), (2000, 70),
+        ):  # fmt: skip
+            expected = twin.choice(n_flows, size=n_packets, p=formula(n_flows))
+            drawn = generator.zipf_indices(n_flows, n_packets, skew)
+            assert drawn.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("locality", ["uniform", "zipf", "round_robin"])
+    def test_index_stream_is_the_one_before_the_seam(self, seed, locality):
+        """The RNG call sequence of a stream, restated: one draw of
+        ``n_packets`` indices per stream, on first use."""
+        flows = synth_flows(64)
+        twin = np.random.default_rng(seed)
+        weights = np.arange(1, 65, dtype=float) ** (-1.2)
+        weights /= weights.sum()
+        generator = TrafficGenerator(seed)
+        for n_packets in (100, 1, 300):
+            expected = {
+                "uniform": lambda: twin.integers(
+                    0, 64, size=n_packets, dtype=np.int64
+                ),
+                "zipf": lambda: twin.choice(64, size=n_packets, p=weights),
+                "round_robin": lambda: np.arange(n_packets) % 64,
+            }[locality]()
+            got = generator.stream(flows, n_packets, locality=locality)
+            assert [p.flow_key() for p in got] == [
+                flows[i].flow_key() for i in expected.tolist()
+            ]
+
+
+# ---------------------------------------------------------------------------
+# (2) The flow matrix is never stale
+# ---------------------------------------------------------------------------
+
+
+class TestFlowMatrixReuse:
+    @staticmethod
+    def columns_equal_packets(generator, flows, seed_twin):
+        """The next stream over ``flows``: columns vs. a fresh twin's
+        packets."""
+        got = from_batches(generator.stream(flows, 200), 64)
+        want = list(seed_twin.stream(list(flows), 200))
+        assert [shape(p) for p in got] == [shape(p) for p in want]
+
+    def test_same_flow_set_reuses_one_matrix(self):
+        generator = TrafficGenerator(1)
+        flows = synth_flows(30)
+        first = generator.flow_columns(flows)
+        assert generator.flow_columns(flows) is first
+        # Equal content in another container is the same flow set.
+        assert generator.flow_columns(tuple(flows)) is first
+        assert generator.flow_columns(synth_flows(30)) is first
+
+    def test_mutated_list_is_rebuilt(self):
+        generator, twin = TrafficGenerator(6), TrafficGenerator(6)
+        flows = synth_flows(20)
+        self.columns_equal_packets(generator, flows, twin)
+        flows[3] = flows[3].with_fields(**{"ipv4.tos": 9})
+        self.columns_equal_packets(generator, flows, twin)
+        flows.append(synth_flows(21)[-1])
+        self.columns_equal_packets(generator, flows, twin)
+        del flows[:5]
+        self.columns_equal_packets(generator, flows, twin)
+        flows.reverse()
+        self.columns_equal_packets(generator, flows, twin)
+
+    def test_replaced_list_is_rebuilt_and_old_one_still_served(self):
+        generator, twin = TrafficGenerator(7), TrafficGenerator(7)
+        web, dns = synth_flows(16), synth_flows(16, dport=53)
+        for flows in (web, dns, web, dns + web, web):
+            self.columns_equal_packets(generator, flows, twin)
+
+    def test_more_flow_sets_than_are_kept(self):
+        generator, twin = TrafficGenerator(9), TrafficGenerator(9)
+        sets = [synth_flows(8, dport=1000 + i) for i in range(7)]
+        for flows in sets + sets[::-1]:
+            self.columns_equal_packets(generator, flows, twin)
+
+    def test_build_spans_chunks_and_field_sets(self, monkeypatch):
+        """Chunked build, several field sets, one field order per set,
+        and a flow with no SoA form: every flow's column is its own
+        packet's fields."""
+        from repro.traffic import flows as flows_module
+
+        monkeypatch.setattr(flows_module, "_BUILD_CHUNK", 7)
+        plain = synth_flows(10)
+        tagged = [f.with_fields(**{"vlan.id": 5, "vlan.pcp": 1}) for f in plain]
+        # Same field set as ``tagged``, listed in the other order.
+        swapped = [
+            type(f)(f.src, f.dst, f.proto, f.sport, f.dport, f.extra[::-1])
+            for f in tagged
+        ]
+        huge = plain[0].with_fields(**{"ipv4.ttl": 2**63})
+        flows = plain[:9] + tagged + swapped + [huge] + plain[9:]
+        columns = FlowColumns(flows)
+        assert not columns.uniform
+        assert len(columns.names) == 2
+        assert columns.group[flows.index(huge)] == -1
+        for index, flow in enumerate(flows):
+            batch = columns.batch(np.array([index]), 99)
+            if flow is huge:
+                assert [shape(p) for p in batch] == [shape(flow.packet(99))]
+                continue
+            assert dict(zip(batch.names, batch.values[:, 0].tolist())) == (
+                flow.packet().fields
+            )
+            assert batch.sizes.tolist() == [99]
+        # A batch is columns exactly when from_packets would make one.
+        for picks in ([0, 1, 2], [0, 9], [9, 19], [19, 20], [0, 29], [29]):
+            batch = columns.batch(np.array(picks), 64)
+            packets = [flows[i].packet(64) for i in picks]
+            encoded = ColumnBatch.from_packets(packets)
+            assert isinstance(batch, ColumnBatch) == (encoded is not None)
+            # (Field *order* within a set is the set's, as in
+            # from_packets, where it is the first packet's.)
+            assert [
+                (p.fields, p.size_bytes) for p in from_batches_once(batch)
+            ] == [(p.fields, p.size_bytes) for p in packets]
+
+    def test_uniform_set_is_one_matrix(self):
+        columns = FlowColumns(synth_flows(2500))
+        assert columns.uniform
+        assert columns.values[0].shape == (10, 2500)
+
+
+# ---------------------------------------------------------------------------
+# (3) Non-SoA traffic: decided as before the seam (golden values)
+# ---------------------------------------------------------------------------
+
+#: Recorded at 05c1031 (the commit before the column source) with
+#: ``python tests/test_column_source.py``: this very scenario through
+#: ``Deployment.replay`` / ``ShardedDeployment.replay`` fed by
+#: ``TrafficGenerator.stream``'s per-packet generator.
+def _golden_counters(misses: int) -> list:
+    return [
+        (("action", "l2l3_acl", "acl_permit"), 1660),
+        (("action", "l2l3_route", "set_nhop"), misses),
+        (("action", "l2l3_smac", "smac_known"), 1660),
+        (("branch", "l2l3_is_ipv4", "true"), 1660),
+        (("cache", "cache__l2l3_route", "hit"), 1660 - misses),
+        (("cache", "cache__l2l3_route", "miss"), misses),
+    ]
+
+
+_GOLDEN_FLEET = {
+    "demotions": {"input": 498},
+    "columnar_packets": 1162,
+    "columnar_partitions": 286,
+    "fingerprint": (
+        "1d89ba3c093cc3606fb514abe9dcbae83fa48a85381495460df74e556309df45"
+    ),
+    "packets": 1660,
+    "dropped": 0,
+    "counters": _golden_counters(28),
+    "caches": "600ac27911db7316",
+}
+GOLDEN = {
+    "jobs1": {
+        "demotions": {"input": 656},
+        "columnar_packets": 1004,
+        "columnar_partitions": 330,
+        "fingerprint": (
+            "db0b69fc2bb8b97b7dd27225cdf110bce5dbd747b51665aa66de9ffd993e6d8d"
+        ),
+        "packets": 1660,
+        "dropped": 0,
+        "counters": _golden_counters(25),
+        "caches": "d5f71624fa01e85b",
+    },
+    "pipe": _GOLDEN_FLEET,
+    "shm": _GOLDEN_FLEET,
+}
+#: The shm fleet's transport totals at that commit, same scenario.
+GOLDEN_SHM_TOTALS = {
+    "pushed_batches": 22,
+    "pushed_packets": 1162,
+    "fallback_encoding": 9,
+    "fallback_capacity": 0,
+}
+
+
+def non_soa_scenario(deployment) -> dict:
+    """Four replays over flow sets SoA can and cannot express.
+
+    Uniform plain flows; uniform flows of another field set; plain
+    flows round-robin with one carrying a value outside int64 (every
+    batch of 16+ holds it); the two field sets mixed at random.
+    """
+    plain = synth_flows(24)
+    tagged = [f.with_fields(**{"vlan.id": 7}) for f in synth_flows(12, 443)]
+    huge = synth_flows(25)[-1].with_fields(**{"ipv4.tos": 2**63})
+    generator = TrafficGenerator(31)
+    merged = RunStats()
+    for stream in (
+        generator.stream(plain, 500, locality="zipf"),
+        generator.stream(tagged, 300),
+        generator.stream(plain[:15] + [huge], 260, locality="round_robin"),
+        generator.mixed_stream([(plain, 0.5), (tagged, 0.5)], 400),
+        generator.stream(plain, 200),
+    ):
+        merged.merge(deployment.replay(stream, batch=64))
+    emulator = deployment.emulator
+    if isinstance(emulator, ShardedEmulator):
+        caches = [
+            {name: list(store) for name, store in stores.items()}
+            for stores, _native, _tables in emulator.dump_caches()
+        ]
+    else:
+        caches = [
+            {
+                name: list(cache._store)
+                for name, cache in emulator.flow_caches.items()
+            }
+        ]
+    return {
+        "demotions": dict(emulator.columnar_demotions),
+        "columnar_packets": emulator.columnar_packets,
+        "columnar_partitions": emulator.columnar_partitions,
+        "fingerprint": stats_payload(merged, EMULATED_NIC)["fingerprint"],
+        "packets": merged.packets,
+        "dropped": merged.dropped,
+        "counters": sorted(emulator.counters.snapshot().items()),
+        # Per worker, every cache's keys in LRU order.
+        "caches": hashlib.sha256(repr(caches).encode()).hexdigest()[:16],
+    }
+
+
+def non_soa_deployment(jobs: int, transport: str = "shm"):
+    build, install = EXAMPLE_APPS["l2l3_acl"]
+    program = build()
+    plan = Pipeleon(EMULATED_NIC).optimize(program)
+    if jobs == 1:
+        deployment = Deployment(program, EMULATED_NIC, plan=plan)
+    else:
+        deployment = ShardedDeployment(
+            program,
+            EMULATED_NIC,
+            n_workers=jobs,
+            plan=plan,
+            batch=64,
+            transport=transport,
+        )
+    install(deployment.control_plane)
+    return deployment
+
+
+class TestNonSoaTrafficAsBefore:
+    def test_one_core(self):
+        deployment = non_soa_deployment(1)
+        try:
+            got = non_soa_scenario(deployment)
+        finally:
+            deployment.close()
+        assert got["demotions"].get("input", 0) > 0
+        assert got["columnar_packets"] > 0
+        assert got == GOLDEN["jobs1"]
+
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    def test_two_worker_fleet(self, transport):
+        deployment = non_soa_deployment(2, transport)
+        try:
+            got = non_soa_scenario(deployment)
+            totals = deployment.emulator.transport_stats()["totals"]
+        finally:
+            deployment.close()
+        assert got["demotions"].get("input", 0) > 0
+        assert got == GOLDEN[transport]
+        if transport == "shm":
+            assert {
+                key: totals[key] for key in GOLDEN_SHM_TOTALS
+            } == GOLDEN_SHM_TOTALS
+
+
+# ---------------------------------------------------------------------------
+# (4) Row -> shard on columns is flow_shard on packets
+# ---------------------------------------------------------------------------
+
+_VALUES = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(2**31, 2**40),
+    st.integers(-5, 5),
+)
+
+
+@st.composite
+def uniform_packets(draw):
+    """Packets of one field set holding any subset of the five-tuple."""
+    names = draw(
+        st.lists(
+            st.sampled_from(FIVE_TUPLE + ("eth.type", "ipv4.ttl")),
+            unique=True,
+        )
+    )
+    n = draw(st.integers(1, 40))
+    # Few distinct keys, so unique-key resolution has repeats to fold.
+    pool = draw(
+        st.lists(
+            st.lists(_VALUES, min_size=len(names), max_size=len(names)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return [Packet(fields=dict(zip(names, row))) for row in rows]
+
+
+class TestColumnDispatchShards:
+    @settings(max_examples=120, deadline=None)
+    @given(packets=uniform_packets(), n=st.sampled_from([1, 2, 3, 4, 7]))
+    def test_row_shard_equals_flow_shard(self, packets, n):
+        batch = ColumnBatch.from_packets(packets)
+        assert batch is not None
+        keys, key_of_row = batch.flow_keys()
+        assert [keys[k] for k in key_of_row.tolist()] == [
+            p.flow_key() for p in packets
+        ]
+        ts = np.arange(len(packets), dtype=np.float64)
+        buffers = [_ShardBuffer() for _ in range(n)]
+        _route(batch, ts, buffers, lambda key: flow_shard(key, n))
+        listed = [_ShardBuffer() for _ in range(n)]
+        _route(list(packets), ts, listed, lambda key: flow_shard(key, n))
+        for shard in range(n):
+            expected = [
+                (shape(p), float(i))
+                for i, p in enumerate(packets)
+                if flow_shard(p.flow_key(), n) == shard
+            ]
+            for buffer in (buffers[shard], listed[shard]):
+                assert buffer.rows == len(expected)
+                if not expected:
+                    continue
+                part, part_ts = buffer.cut(buffer.rows)
+                assert [
+                    (shape(p), t)
+                    for p, t in zip(
+                        from_batches_once(part), part_ts.tolist()
+                    )
+                ] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chunks=st.lists(uniform_packets(), min_size=1, max_size=5),
+        size=st.integers(1, 25),
+    )
+    def test_buffer_cuts_exact_batches_in_stream_order(self, chunks, size):
+        """Whatever mix of column and packet parts went in, ``cut``
+        hands back exactly the next ``size`` rows, as columns when they
+        are columns of one field tuple."""
+        buffer = _ShardBuffer()
+        expected = []
+        stamp = 0
+        for index, packets in enumerate(chunks):
+            ts = np.arange(stamp, stamp + len(packets), dtype=np.float64)
+            stamp += len(packets)
+            expected += [(shape(p), float(t)) for p, t in zip(packets, ts)]
+            part = packets
+            if index % 2 == 0:
+                part = ColumnBatch.from_packets(packets)
+            buffer.append(part, ts)
+        seen = []
+        while buffer.rows:
+            rows = min(size, buffer.rows)
+            part, ts = buffer.cut(rows)
+            assert len(ts) == rows
+            got = from_batches_once(part)
+            assert len(got) == rows
+            if isinstance(part, ColumnBatch):
+                assert part.values.shape == (len(part.names), rows)
+            seen += [(shape(p), t) for p, t in zip(got, ts.tolist())]
+        assert seen == expected
+
+
+# ---------------------------------------------------------------------------
+# (5) Paced replay: per-packet clock values from columns
+# ---------------------------------------------------------------------------
+
+
+def record_dispatches(monkeypatch, sharded, kill_before=None) -> list:
+    """Every ``(shard, as columns, flow keys, timestamps)`` the fleet
+    dispatches. ``kill_before=(shard, k)`` SIGKILLs that shard's worker
+    (and waits for it to be gone) just before its ``k``-th batch is
+    dispatched, so which batches died with it does not depend on how
+    fast the parent notices."""
+    real = ShardedEmulator._dispatch_batch
+    seen = []
+
+    def spying(self, shard, part, ts):
+        rows = part.n if isinstance(part, ColumnBatch) else len(part)
+        assert ts is None or len(ts) == rows
+        if kill_before == (shard, sum(1 for s, *_ in seen if s == shard)):
+            victim = self._procs[shard]
+            victim.kill()
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+        seen.append(
+            (
+                shard,
+                isinstance(part, ColumnBatch),
+                [p.flow_key() for p in from_batches_once(part)],
+                None if ts is None else [float(t) for t in ts],
+            )
+        )
+        return real(self, shard, part, ts)
+
+    monkeypatch.setattr(ShardedEmulator, "_dispatch_batch", spying)
+    return seen
+
+
+class TestPacedFleetReplay:
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_column_stream_and_list_replay_alike(
+        self, monkeypatch, transport
+    ):
+        flows = synth_flows(48) + synth_flows(16, dport=6666)
+        make = lambda: TrafficGenerator(13).stream(  # noqa: E731
+            flows, 700, locality="zipf"
+        )
+        single = make_single("l2l3_acl")
+        reference = single.replay(make(), offered_pps=2.5e5, batch=32)
+        runs = []
+        for feed in (make, lambda: list(make()), lambda: iter(list(make()))):
+            sharded = make_sharded(
+                "l2l3_acl",
+                2,
+                options=SupervisorOptions(recv_timeout_s=10.0),
+                transport=transport,
+                batch=32,
+            )
+            try:
+                with monkeypatch.context() as patch:
+                    seen = record_dispatches(patch, sharded)
+                    t0 = sharded.emulator.clock.now_s
+                    stats = sharded.replay(
+                        feed(), offered_pps=2.5e5, batch=32
+                    )
+                assert stats_fingerprint(stats) == stats_fingerprint(
+                    reference
+                )
+                assert_sharded_identical(single, sharded)
+                totals = sharded.emulator.transport_stats()["totals"]
+                runs.append(
+                    (
+                        seen,
+                        # (Stalls and occupancy follow the wall clock.)
+                        {key: totals[key] for key in GOLDEN_SHM_TOTALS},
+                        sorted(sharded.emulator.counters.snapshot().items()),
+                    )
+                )
+            finally:
+                sharded.close()
+        assert runs[0] == runs[1] == runs[2]
+        # Against the scalar definition: packet ``count`` (1-based, in
+        # stream order) is stamped ``t0 + dt * count``, and a shard's
+        # batches are its packets in order, 32 at a time.
+        dt = 1.0 / 2.5e5
+        expected: dict[int, list] = {0: [], 1: []}
+        for count, packet in enumerate(make(), start=1):
+            key = packet.flow_key()
+            expected[flow_shard(key, 2)].append((key, t0 + dt * count))
+        for shard in (0, 1):
+            dispatched = [
+                (key, t)
+                for s, is_columns, keys, ts in runs[0][0]
+                if s == shard
+                for key, t in zip(keys, ts)
+            ]
+            assert dispatched == expected[shard]
+            sizes = [
+                len(keys) for s, _c, keys, _ts in runs[0][0] if s == shard
+            ]
+            assert all(size == 32 for size in sizes[:-1])
+        assert all(is_columns for _s, is_columns, _k, _t in runs[0][0])
+
+
+# ---------------------------------------------------------------------------
+# (6) Kills mid-replay, fed from a column stream
+# ---------------------------------------------------------------------------
+
+
+class TestFaultsFromAColumnStream:
+    TOTAL = 900
+    BATCH = 32
+
+    def stream(self):
+        flows = synth_flows(48) + synth_flows(16, dport=6666)
+        return TrafficGenerator(23).stream(flows, self.TOTAL, locality="zipf")
+
+    def run(self, monkeypatch, feed, recovery, transport):
+        sharded = make_sharded(
+            "l2l3_acl",
+            3,
+            options=fast_options(recovery=recovery),
+            transport=transport,
+            batch=self.BATCH,
+        )
+        try:
+            with monkeypatch.context() as patch:
+                seen = record_dispatches(patch, sharded, kill_before=(1, 4))
+                stats = sharded.replay(
+                    feed(), offered_pps=1e6, batch=self.BATCH
+                )
+            emulator = sharded.emulator
+            return {
+                "stats": stats_fingerprint(stats),
+                "lost": stats.lost_packets,
+                "dispatches": seen,
+                "pushed": emulator.transport_stats()["totals"][
+                    "pushed_batches"
+                ],
+                "respawns": list(emulator.respawns),
+                "degraded": sharded.degraded_shards,
+                "counters": sorted(emulator.counters.snapshot().items()),
+                "states": [
+                    sorted(state["counters"].snapshot().items())
+                    for state in emulator.worker_states
+                ],
+            }
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_degraded_reroutes_alike(self, monkeypatch, transport):
+        from_columns = self.run(
+            monkeypatch, self.stream, "degraded", transport
+        )
+        from_list = self.run(
+            monkeypatch, lambda: list(self.stream()), "degraded", transport
+        )
+        assert from_columns == from_list
+        assert from_columns["degraded"] == [1]
+        assert from_columns["lost"] == 4 * self.BATCH
+        assert (
+            from_columns["stats"][0] == self.TOTAL - from_columns["lost"]
+        )
+        # Reroute targets: after the kill, shard 1's flows go where
+        # ``hash(key) % len(survivors)`` sends them, and nowhere else.
+        survivors = [0, 2]
+        for shard, _columns, keys, _ts in from_columns["dispatches"]:
+            for key in keys:
+                home = flow_shard(key, 3)
+                assert shard == home or (
+                    home == 1
+                    and shard == survivors[hash(key) % len(survivors)]
+                )
+        delivered = sum(
+            len(keys) for _s, _c, keys, _t in from_columns["dispatches"]
+        )
+        # The batch whose send found the worker dead is dispatched
+        # twice: once to shard 1, once rerouted.
+        assert delivered == self.TOTAL + self.BATCH
+
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_respawn_rebuilds_alike(self, monkeypatch, transport):
+        from_columns = self.run(
+            monkeypatch, self.stream, "respawn", transport
+        )
+        from_list = self.run(
+            monkeypatch, lambda: list(self.stream()), "respawn", transport
+        )
+        assert from_columns == from_list
+        assert from_columns["respawns"] == [0, 1, 0]
+        assert from_columns["lost"] == 0
+        # Bit-identical to a fleet nobody killed, shard 1 included.
+        clean = make_sharded(
+            "l2l3_acl",
+            3,
+            options=fast_options(recovery="respawn"),
+            transport=transport,
+            batch=self.BATCH,
+        )
+        try:
+            stats = clean.replay(
+                self.stream(), offered_pps=1e6, batch=self.BATCH
+            )
+            assert stats_fingerprint(stats) == from_columns["stats"]
+            assert [
+                sorted(state["counters"].snapshot().items())
+                for state in clean.emulator.worker_states
+            ] == from_columns["states"]
+        finally:
+            clean.close()
+
+
+# ---------------------------------------------------------------------------
+# (7) No Packet between the seed and the summary
+# ---------------------------------------------------------------------------
+
+
+class TestNoMaterialisation:
+    PACKETS = 3000
+    BATCH = 256
+
+    @staticmethod
+    def poisoned(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("replay from a stream materialised a Packet")
+
+    def stream(self, generator, flows):
+        return generator.stream(
+            flows, self.PACKETS, locality="zipf", zipf_skew=1.2
+        )
+
+    def test_one_core_replay_builds_no_packet(self, monkeypatch):
+        flows = synth_flows(128)
+        reference = make_single("l2l3_acl").replay(
+            self.stream(TrafficGenerator(3), flows),
+            batch=self.BATCH,
+            engine="interp",
+        )
+        deployment = make_single("l2l3_acl")
+        warm, generator = TrafficGenerator(4), TrafficGenerator(3)
+        # Warm both what replay compiles lazily and the flow matrix,
+        # the one place a flow set's packets are made (once per flow).
+        deployment.replay(self.stream(warm, flows), batch=self.BATCH)
+        generator.flow_columns(flows)
+        monkeypatch.setattr(Packet, "__init__", self.poisoned)
+        before = deployment.emulator.columnar_packets
+        stats = deployment.replay(
+            self.stream(generator, flows), batch=self.BATCH, engine="auto"
+        )
+        monkeypatch.undo()
+        assert deployment.emulator.columnar_packets - before == self.PACKETS
+        assert deployment.emulator.columnar_demotions == {}
+        assert stats_fingerprint(stats) == stats_fingerprint(reference)
+
+    def test_shm_fleet_replay_builds_no_packet(self, monkeypatch):
+        flows = synth_flows(128)
+        reference = make_single("l2l3_acl").replay(
+            self.stream(TrafficGenerator(3), flows),
+            batch=self.BATCH,
+            engine="interp",
+        )
+        generator = TrafficGenerator(3)
+        generator.flow_columns(flows)
+        # Workers fork with the poison in place; the parent keeps it
+        # for the whole replay.
+        monkeypatch.setattr(Packet, "__init__", self.poisoned)
+        sharded = make_sharded(
+            "l2l3_acl",
+            2,
+            options=SupervisorOptions(recv_timeout_s=10.0),
+            transport="shm",
+            batch=self.BATCH,
+        )
+        try:
+            stats = sharded.replay(
+                self.stream(generator, flows), batch=self.BATCH
+            )
+            monkeypatch.undo()
+            emulator = sharded.emulator
+            totals = emulator.transport_stats()["totals"]
+            assert emulator.columnar_packets == self.PACKETS
+            assert emulator.columnar_demotions == {}
+            assert totals["pushed_packets"] == self.PACKETS
+            assert (
+                totals["fallback_encoding"] + totals["fallback_capacity"]
+                == 0
+            )
+            assert stats_fingerprint(stats) == stats_fingerprint(reference)
+        finally:
+            monkeypatch.undo()
+            sharded.close()
+
+    def test_per_packet_engines_read_the_packet_view(self, monkeypatch):
+        """``fastpath``/``interp`` never ask a stream for columns, so an
+        interpreter twin checks the column source against
+        ``FlowSpec.packet`` and not against itself."""
+        flows = synth_flows(32)
+
+        def refuse(self, size):  # pragma: no cover - must not run
+            raise AssertionError("a per-packet engine asked for columns")
+
+        stream = TrafficGenerator(5).stream(flows, 300)
+        assert [type(c) for c in batched(stream, 128, columns=True)] == [
+            ColumnBatch
+        ] * 3
+        monkeypatch.setattr(type(stream), "batches", refuse)
+        for engine in ("fastpath", "interp"):
+            deployment = make_single("l2l3_acl")
+            stats = deployment.replay(
+                TrafficGenerator(5).stream(flows, 300),
+                batch=128,
+                engine=engine,
+            )
+            assert stats.packets == 300
+
+
+if __name__ == "__main__":  # pragma: no cover - golden recording
+    import pprint
+
+    for label, jobs, transport in (
+        ("jobs1", 1, "shm"),
+        ("pipe", 2, "pipe"),
+        ("shm", 2, "shm"),
+    ):
+        deployment = non_soa_deployment(jobs, transport)
+        try:
+            print(f'"{label}":')
+            pprint.pprint(non_soa_scenario(deployment), width=78)
+        finally:
+            deployment.close()

@@ -11,6 +11,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import EXAMPLE_APPS
 from repro.core import Deployment, ShardedDeployment
@@ -50,6 +52,15 @@ def make_deployment(app: str = "l2l3_acl", telemetry=None) -> Deployment:
     )
     install(deployment.control_plane)
     return deployment
+
+
+#: Latencies as the emulator produces them (sums of scalar charges,
+#: so any float), plus exact bucket edges and out-of-range values.
+_OBSERVATIONS = st.one_of(
+    st.floats(min_value=0.0, max_value=2e6, allow_nan=False),
+    st.sampled_from(LATENCY_BUCKETS_NS),
+    st.sampled_from([0.0, 1e-9, 0.1 + 0.2, 1e12]),
+)
 
 
 class TestHistogram:
@@ -113,6 +124,27 @@ class TestHistogram:
             for a, b in zip(LATENCY_BUCKETS_NS, LATENCY_BUCKETS_NS[1:])
         }
         assert ratios == {2.0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        first=st.lists(_OBSERVATIONS, max_size=60),
+        second=st.lists(_OBSERVATIONS, max_size=60),
+    )
+    def test_observe_many_is_the_observe_loop(self, first, second):
+        """Counts, sum (the same sequential float adds) and count are
+        bit-equal to repeated ``observe``, also on a histogram that
+        already holds observations, for values on bucket edges, below
+        the first bucket and in the overflow slot."""
+        looped, bulk = Histogram(), Histogram()
+        for values in (first, second, []):
+            for value in values:
+                looped.observe(value)
+            bulk.observe_many(values)
+            assert bulk.counts == looped.counts
+            assert bulk.sum == looped.sum
+            assert bulk.count == looped.count
+        assert all(type(hits) is int for hits in bulk.counts)
+        assert type(bulk.sum) is float and type(bulk.count) is int
 
 
 class TestMetricsRegistry:
