@@ -1,32 +1,32 @@
-"""Tier comparison: interpreter vs closure fast path vs columnar.
+"""Tier comparison: the interpreter vs the columnar batch kernels.
 
-Replays the same pre-generated stream through all three execution
-tiers for each of the five example applications on a single core, then
-measures the columnar tier over the sharded shm transport at 4
-workers, and writes the packets-per-second comparison — medians over
-``REPEATS`` runs, plus host metadata — to ``BENCH_columnar.json`` at
-the repo root (plus the usual text block under ``benchmarks/results``).
+Replays the same pre-generated stream through both execution tiers for
+each of the five example applications on a single core, then measures
+the columnar tier over the sharded shm transport at 4 workers, and
+writes the packets-per-second comparison — medians over ``REPEATS``
+runs, plus host metadata — to ``BENCH_columnar.json`` at the repo root
+(plus the usual text block under ``benchmarks/results``).
 
 The columnar tier amortises per-packet Python dispatch over whole
-batches, so unlike the closure tier its advantage grows with batch
-size; the single-core comparison runs at ``BATCH`` = 4096 where the
-numpy kernels dominate. The headline bar is >=``COLUMNAR_FLOOR``x over
-the *closure fast path* (not the interpreter) on ``l2l3_acl``. The bar
-only applies when the measured run retired every packet columnar —
-demotions mean the run timed the closure tier, not the kernels — and
-the skip is loud: a ``"gated": false`` marker with the reason lands in
-the JSON and on stderr instead of a silently misleading number. The
-4-worker shm section is gated the same way as ``BENCH_sharded``: on
-hosts with < 4 CPUs the workers time-share cores and wall-clock
-measures the scheduler, so the number is recorded but not asserted.
+batches, so its advantage grows with batch size; the single-core
+comparison runs at ``BATCH`` = 4096 where the numpy kernels dominate.
+The headline bar is >=``COLUMNAR_FLOOR``x over the interpreter on
+``l2l3_acl``. The bar only applies when the measured run retired every
+packet columnar — demotions mean the run timed the interpreter, not
+the kernels — and the skip is loud: a ``"gated": false`` marker with
+the reason lands in the JSON and on stderr instead of a silently
+misleading number. The 4-worker shm section is gated the same way as
+``BENCH_sharded``: on hosts with < 4 CPUs the workers time-share cores
+and wall-clock measures the scheduler, so the number is recorded but
+not asserted.
 
 The headline cells are unoptimized programs at ~80 flows. The *matrix*
 section covers what the system itself produces: every example app x
 {base, ``Pipeleon.optimize``} x {64, 20 000 flows, zipf 1.2}, replayed
-through ``engine="auto"`` and ``engine="fastpath"`` on twin deployments,
-each cell with its demotion histogram. Its gate is ROADMAP item 3's:
-``auto`` >= ``fastpath`` on every cell, so the default engine is never
-the slower choice on a program Pipeleon emits.
+through ``engine="auto"`` and ``engine="interp"`` on twin deployments,
+each cell with its demotion histogram. Its gate: ``auto`` stays
+>=``AUTO_FLOOR``x the interpreter on every cell, so the batch tier
+earns its keep on every program Pipeleon emits.
 
 The differential tests (``tests/test_columnar.py``) prove the speedup
 changes nothing observable.
@@ -81,10 +81,13 @@ REPEATS = 3
 #: kernel overhead is paid once per (batch, partition), so the numpy
 #: work has to be wide enough to bury it.
 BATCH = 4096
-#: Headline bar: columnar over the *closure* tier on l2l3_acl.
-COLUMNAR_FLOOR = 3.0
-#: Matrix gate: the default engine must not lose to the closure tier.
-AUTO_FLOOR = 1.0
+#: Headline bar: columnar over the interpreter on l2l3_acl.
+COLUMNAR_FLOOR = 10.0
+#: Matrix gate: ``auto`` over the interpreter on the worst cell. Set
+#: below half of the worst cell (dash_routing/optimized/20000, 12.9x) of
+#: the run that regenerated BENCH_columnar.json, whose value sits
+#: beside the floor as the gate's ``measured``.
+AUTO_FLOOR = 5.0
 MATRIX_FLOWS = (64, 20000)
 N_WORKERS = 4
 #: CPUs the process must be allowed on before the shm wall bar applies.
@@ -103,14 +106,10 @@ def _measure(app: str) -> dict:
     install(deployment.control_plane)
     emulator = deployment.emulator
     emulator.run(_packets(500))  # warm caches + counters
-    emulator.fastpath  # compile both tiers outside the timed region
-    emulator.columnar
+    emulator.columnar  # compile outside the timed region
 
     tiers = {
         "interp": lambda packets: emulator.run(iter(packets)),
-        "fastpath": lambda packets: emulator.replay(
-            iter(packets), batch=BATCH, engine="fastpath"
-        ),
         "columnar": lambda packets: emulator.replay(
             iter(packets), batch=BATCH, engine="auto"
         ),
@@ -133,18 +132,14 @@ def _measure(app: str) -> dict:
     demoted = sum(emulator.columnar_demotions.values()) - demoted_before
     return {
         "interp_pps": round(pps["interp"]),
-        "fastpath_pps": round(pps["fastpath"]),
         "columnar_pps": round(pps["columnar"]),
         "columnar_vs_interp": round(pps["columnar"] / pps["interp"], 2),
-        "columnar_vs_fastpath": round(
-            pps["columnar"] / pps["fastpath"], 2
-        ),
         "demoted": demoted,
     }
 
 
 def _matrix_cell(app: str, optimized: bool, n_flows: int) -> dict:
-    """``auto`` vs ``fastpath`` on twin deployments of one plan."""
+    """``auto`` vs ``interp`` on twin deployments of one plan."""
     build, install = APPS[app]
     plan = Pipeleon(BLUEFIELD2).optimize(build()) if optimized else None
     flows = synth_flows(n_flows)
@@ -157,7 +152,7 @@ def _matrix_cell(app: str, optimized: bool, n_flows: int) -> dict:
         )
 
     pps = {}
-    for engine in ("auto", "fastpath"):
+    for engine in ("auto", "interp"):
         deployment = Deployment(build(), BLUEFIELD2, plan=plan, engine=engine)
         install(deployment.control_plane)
         deployment.replay(stream(0), batch=BATCH)  # compile + warm
@@ -172,8 +167,8 @@ def _matrix_cell(app: str, optimized: bool, n_flows: int) -> dict:
             demotions = dict(deployment.emulator.columnar_demotions)
     return {
         "auto_pps": round(pps["auto"]),
-        "fastpath_pps": round(pps["fastpath"]),
-        "auto_vs_fastpath": round(pps["auto"] / pps["fastpath"], 2),
+        "interp_pps": round(pps["interp"]),
+        "auto_vs_interp": round(pps["auto"] / pps["interp"], 2),
         "flow_caches": len(deployment.emulator.flow_caches),
         "demotions": demotions,
     }
@@ -230,24 +225,24 @@ def test_bench_columnar():
     gate = make_gate(
         gated,
         threshold=COLUMNAR_FLOOR,
-        measured=headline["columnar_vs_fastpath"],
+        measured=headline["columnar_vs_interp"],
         reason=(
             None
             if gated
             else (
                 f"{headline['demoted']} of the timed packets demoted "
-                "to the closure tier: the run measured demotion, not "
+                "to the interpreter: the run measured demotion, not "
                 "the kernels"
             )
         ),
         label="BENCH_columnar speedup gate",
     )
-    worst_cell = min(matrix, key=lambda c: matrix[c]["auto_vs_fastpath"])
+    worst_cell = min(matrix, key=lambda c: matrix[c]["auto_vs_interp"])
     matrix_gate = make_gate(
         True,
         threshold=AUTO_FLOOR,
-        measured=matrix[worst_cell]["auto_vs_fastpath"],
-        label="BENCH_columnar auto-vs-fastpath matrix gate",
+        measured=matrix[worst_cell]["auto_vs_interp"],
+        label="BENCH_columnar auto-vs-interp matrix gate",
     )
     shm_gated = host["affinity"] >= WALL_GATE_MIN_CPUS
     # This gate asserts nothing numeric yet (the shm wall number is
@@ -278,7 +273,7 @@ def test_bench_columnar():
         "gate": gate,
         "apps": results,
         "matrix": {
-            "engines": ["auto", "fastpath"],
+            "engines": ["auto", "interp"],
             "flows": list(MATRIX_FLOWS),
             "zipf_skew": 1.2,
             "worst_cell": worst_cell,
@@ -293,9 +288,8 @@ def test_bench_columnar():
         (
             app,
             data["interp_pps"],
-            data["fastpath_pps"],
             data["columnar_pps"],
-            data["columnar_vs_fastpath"],
+            data["columnar_vs_interp"],
             data["demoted"],
         )
         for app, data in results.items()
@@ -303,7 +297,6 @@ def test_bench_columnar():
     rows.append(
         (
             f"l2l3_acl shm x{N_WORKERS}",
-            "-",
             "-",
             shm["wall_pps"],
             "-",
@@ -316,9 +309,8 @@ def test_bench_columnar():
             [
                 "app",
                 "interp_pps",
-                "fastpath_pps",
                 "columnar_pps",
-                "vs_fastpath",
+                "vs_interp",
                 "demoted",
             ],
             rows,
@@ -328,13 +320,13 @@ def test_bench_columnar():
     emit(
         "BENCH_columnar_matrix",
         fmt_table(
-            ["cell", "auto_pps", "fastpath_pps", "auto/fast", "demotions"],
+            ["cell", "auto_pps", "interp_pps", "auto/interp", "demotions"],
             [
                 (
                     cell,
                     data["auto_pps"],
-                    data["fastpath_pps"],
-                    data["auto_vs_fastpath"],
+                    data["interp_pps"],
+                    data["auto_vs_interp"],
                     json.dumps(data["demotions"]),
                 )
                 for cell, data in matrix.items()
@@ -344,16 +336,16 @@ def test_bench_columnar():
 
     # Every batch the shm fleet replayed must have gone through the SoA
     # rings and retired columnar — otherwise the wall number above is
-    # measuring the pickle fallback or the closure tier.
+    # measuring the pickle fallback or the interpreter.
     assert shm["fallback_encoding"] == 0
     assert shm["demotions"] == {}
 
-    # ROADMAP item 3's gate: the default engine never loses to the
-    # closure tier on any app x plan x cardinality cell, and a plan
-    # with flow caches no longer demotes (dash_routing is the cell the
-    # end-to-end benchmark's opt_highcard replays).
+    # The batch tier stays well ahead of the interpreter on every app
+    # x plan x cardinality cell, and a plan with flow caches does not
+    # demote (dash_routing is the cell the end-to-end benchmark's
+    # opt_highcard replays).
     assert matrix_gate["measured"] >= matrix_gate["threshold"], (
-        f"auto slower than fastpath on {worst_cell}: "
+        f"auto under {AUTO_FLOOR}x the interpreter on {worst_cell}: "
         f"{matrix[worst_cell]}"
     )
     for n_flows in MATRIX_FLOWS:
@@ -364,12 +356,9 @@ def test_bench_columnar():
     # (make_gate already announced the skip).
     if gate["gated"]:
         assert gate["measured"] >= gate["threshold"], (
-            "columnar vs closure fast path "
-            f"{gate['measured']} below "
+            f"columnar vs interpreter {gate['measured']} below "
             f"{gate['threshold']}x on l2l3_acl"
         )
-        for app, data in results.items():
-            assert data["columnar_vs_interp"] > 1.0, app
 
 
 if __name__ == "__main__":

@@ -1,16 +1,17 @@
 """Tier-1 throughput smoke check (~2 seconds).
 
-A miniature version of ``bench_emulator_throughput`` that runs with the
-regular test suite: replays one app through both engines and asserts
-the compiled fast path is comfortably faster than the interpreter and
+A miniature version of ``bench_columnar`` that runs with the regular
+test suite: replays one app through both execution tiers and asserts
+the columnar kernels are comfortably faster than the interpreter and
 still bit-identical on aggregate stats. Catches perf regressions (a
-fast path slower than 2x means someone broke the compilation) without
-the full benchmark's runtime.
+batch tier under 5x means someone broke the kernels, or the run
+demoted) without the full benchmark's runtime.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -28,9 +29,14 @@ from repro.traffic.generator import TrafficGenerator
 pytestmark = pytest.mark.tier1
 
 N_PACKETS = 4000
-#: A 3% bound needs more than the 8 ms the 4000-packet stream takes
-#: through the batch kernels: ~85 ms of replay per timed sample.
-N_TELEMETRY_PACKETS = 40_000
+#: Packets per timed sample of the disabled-telemetry gate (~15 ms
+#: through the batch kernels, drawn as columns inside the timed region
+#: as ``repro replay`` does) and how many alternating pairs it takes.
+#: This host's slow episodes last longer than a sample, so many short
+#: pairs beat a few long ones: over 30 trials the median of 41 such
+#: pairs spread 0.987-1.008 where 9 pairs of 200 000 spread 0.96-1.05.
+N_TELEMETRY_PACKETS = 50_000
+N_TELEMETRY_PAIRS = 40
 #: The live-telemetry gate holds a 5% bound, which means nothing on a
 #: 30 ms replay: its timed stream is sized so the plain two-worker
 #: fleet takes about 0.6 s on the 2-CPU reference host.
@@ -47,37 +53,42 @@ def _packets(n: int = N_PACKETS):
     return list(generator.stream(flows, n, locality="zipf"))
 
 
-def test_fastpath_throughput_smoke():
+def test_columnar_throughput_smoke():
     deployment = Deployment(l2l3_acl.build_program(), BLUEFIELD2)
     l2l3_acl.install_base_entries(deployment.control_plane)
     emulator = deployment.emulator
     # Processing mutates packets (route rewrites), so each engine gets
     # its own same-seed stream, pre-built outside the timed region.
     interp_packets = _packets()
-    fast_packets = _packets()
+    columnar_packets = _packets()
     emulator.run(_packets()[:200])  # warm-up
-    emulator.fastpath  # compile outside the timed region
+    emulator.replay(_packets()[:200])  # compile outside the timed region
+    warm = emulator.columnar_packets
 
     start = time.perf_counter()
     interp = emulator.run(iter(interp_packets))
     interp_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    fast = emulator.replay(iter(fast_packets))
-    fast_s = time.perf_counter() - start
+    columnar = emulator.replay(iter(columnar_packets))
+    columnar_s = time.perf_counter() - start
 
     # Same traffic, same state machine: aggregates must agree exactly.
-    assert fast.packets == interp.packets
-    assert fast.dropped == interp.dropped
-    assert fast.total_latency_ns == interp.total_latency_ns
-    assert fast._busy_ns == interp._busy_ns
+    assert columnar.packets == interp.packets
+    assert columnar.dropped == interp.dropped
+    assert columnar.total_latency_ns == interp.total_latency_ns
+    assert columnar._busy_ns == interp._busy_ns
+    # The timed run measured the kernels, not demotion.
+    assert emulator.columnar_demotions == {}
+    assert emulator.columnar_packets - warm == N_PACKETS
 
-    # Loose margin vs the benchmark's 5x headline to avoid flaking on
-    # loaded CI machines.
-    speedup = interp_s / fast_s
-    assert speedup >= 2.0, (
-        f"fast path only {speedup:.2f}x the interpreter "
-        f"({N_PACKETS / fast_s:,.0f} vs {N_PACKETS / interp_s:,.0f} pps)"
+    # Loose margin vs BENCH_columnar.json's ~30x headline to avoid
+    # flaking on loaded CI machines.
+    speedup = interp_s / columnar_s
+    assert speedup >= 5.0, (
+        f"columnar tier only {speedup:.2f}x the interpreter "
+        f"({N_PACKETS / columnar_s:,.0f} vs "
+        f"{N_PACKETS / interp_s:,.0f} pps)"
     )
 
 
@@ -85,9 +96,12 @@ def test_disabled_telemetry_overhead_smoke():
     """Telemetry wired but off must cost within 3% of no telemetry.
 
     A Telemetry hub without tracing leaves ``emulator.tracer`` None, so
-    the fast path's replay loop pays exactly the branch it already paid
-    — this pins the subsystem's headline overhead claim. Timings are
-    min-of-5, interleaved, to shrug off CI scheduler noise.
+    the replay loop pays exactly the branch it already paid — this pins
+    the subsystem's headline overhead claim. The host's clock drifts by
+    more than the bound over a few seconds, so the two are timed as
+    back-to-back pairs, who goes first swapped every round, and the
+    bound is on the median of the per-pair ratios: drift hits both
+    halves of a pair alike, and a slow episode costs one pair.
     """
 
     def build(telemetry):
@@ -97,30 +111,41 @@ def test_disabled_telemetry_overhead_smoke():
         l2l3_acl.install_base_entries(deployment.control_plane)
         return deployment
 
-    plain = build(None)
-    telemetered = build(Telemetry())  # metrics + events, tracing off
-    assert telemetered.tracer is None
-    for deployment in (plain, telemetered):
-        deployment.emulator.replay(_packets()[:200])  # warm + compile
+    deployments = {
+        "plain": build(None),
+        "telemetered": build(Telemetry()),  # metrics + events, no tracing
+    }
+    assert deployments["telemetered"].tracer is None
+    flows = synth_flows(64) + synth_flows(16, dport=6666)
 
-    best = {"plain": float("inf"), "telemetered": float("inf")}
-    for _ in range(5):
-        for name, deployment in (
-            ("plain", plain),
-            ("telemetered", telemetered),
-        ):
-            # Fresh same-seed stream each round: replay mutates packets.
-            packets = _packets(N_TELEMETRY_PACKETS)
-            start = time.perf_counter()
-            deployment.emulator.replay(iter(packets))
-            best[name] = min(
-                best[name], time.perf_counter() - start
-            )
+    def timed(name: str) -> float:
+        # Fresh same-seed column stream each time: nothing is drawn
+        # before the replay starts consuming it.
+        stream = TrafficGenerator(1).stream(
+            flows, N_TELEMETRY_PACKETS, locality="zipf"
+        )
+        start = time.perf_counter()
+        deployments[name].emulator.replay(stream, batch=4096)
+        return time.perf_counter() - start
 
-    ratio = best["telemetered"] / best["plain"]
+    for name in deployments:
+        timed(name)  # warm + compile
+
+    ratios = []
+    for round_index in range(N_TELEMETRY_PAIRS):
+        order = (
+            ("plain", "telemetered")
+            if round_index % 2
+            else ("telemetered", "plain")
+        )
+        seconds = {name: timed(name) for name in order}
+        ratios.append(seconds["telemetered"] / seconds["plain"])
+
+    ratio = statistics.median(ratios)
     assert ratio <= 1.03, (
         f"disabled telemetry costs {100 * (ratio - 1):.1f}% "
-        f"({best['telemetered']:.4f}s vs {best['plain']:.4f}s)"
+        f"(median of {N_TELEMETRY_PAIRS} alternating pairs: "
+        f"{', '.join(f'{r:.3f}' for r in ratios)})"
     )
 
 
@@ -130,8 +155,8 @@ def test_live_telemetry_overhead_smoke():
     The live plane's steady-state cost is one wall-clock check per
     replay batch in each worker plus an aggregator thread that mostly
     sleeps: at a 1s snapshot interval a ~0.6s replay sends roughly one
-    snapshot per shard. Same min-of-5 interleaved discipline as the
-    disabled-telemetry gate above; the bound is looser (5%) because the
+    snapshot per shard. Timings are min-of-5, interleaved; the bound
+    is looser (5%) than the disabled-telemetry gate's because the
     sharded path adds process scheduling noise the single-core gate
     doesn't see. Below ``LIVE_GATE_MIN_CPUS`` the ratio is measured and
     reported but not asserted (loud skip, as BENCH_sharded's wall gate).

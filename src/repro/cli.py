@@ -12,7 +12,7 @@ Subcommands:
   and print the fitted constants.
 * ``placement`` — hierarchical-memory placement (§6 extension).
 * ``replay``    — drive generated traffic through the emulator's
-  compiled fast path (``--jobs N`` shards it across N worker
+  batch replay (``--jobs N`` shards it across N worker
   processes) and print a JSON throughput/latency summary. Telemetry
   surface: ``--trace`` (sampled packet tracing), ``--metrics-out``
   (Prometheus text), ``--events-out`` (JSONL event log),
@@ -826,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = subparsers.add_parser(
         "replay",
-        help="replay generated traffic through the fast path "
+        help="replay generated traffic through the emulator "
         "(--jobs N for the sharded multi-core engine)",
     )
     replay.add_argument(
@@ -844,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes; 1 = in-process fast path",
+        help="worker processes; 1 = in-process replay",
     )
     replay.add_argument(
         "--transport",
@@ -871,10 +871,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default="auto",
-        help="execution tier: auto (columnar batch kernels with "
-        "closure-tier demotion, default), fastpath "
-        "(compiled per-packet closures) or interp (reference "
-        "interpreter); all tiers are stats-identical",
+        help="execution tier: auto (columnar batch kernels, "
+        "demoting to the interpreter; default) or interp (the "
+        "reference interpreter for every packet); both are "
+        "stats-identical",
     )
     replay.add_argument("--seed", type=int, default=0)
     replay.add_argument(
@@ -1091,6 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dse.add_argument(
         "--engine",
+        choices=ENGINES,
         default=None,
         help="base-config engine override (a declared axis still wins)",
     )

@@ -123,7 +123,7 @@ class PipeleonController:
         #: Data-plane transport for sharded deployments ("shm"|"pipe").
         self.transport = transport
         #: Execution tier every deployment this controller builds
-        #: replays through ("auto"|"fastpath"|"interp").
+        #: replays through ("auto"|"interp").
         self.engine = engine
         self.original = program
         self.target = target
@@ -440,7 +440,8 @@ class PipeleonController:
     # -- traffic ------------------------------------------------------------------
 
     def run(self, packets: Iterable[Packet]):
-        return self.deployment.run(packets)
+        """Replay ``packets`` through the controller's ``engine``."""
+        return self.deployment.replay(packets)
 
     def start_scenario(self) -> None:
         """Arm the periodic-profiling schedule for a scenario run.
@@ -470,7 +471,7 @@ class PipeleonController:
         """
         if phase.control_action is not None:
             phase.control_action(self.deployment, time_s)
-        stats = self.deployment.run(
+        stats = self.deployment.replay(
             phase.stream_factory(packets_per_tick)
         )
         reoptimized = False

@@ -85,9 +85,9 @@ class Deployment:
         self.original = original
         self.target = target
         self.plan = plan
-        #: Default execution tier for :meth:`replay` ("auto",
-        #: "fastpath" or "interp"); all tiers are bit-identical on
-        #: stats, counters and cache state.
+        #: Default execution tier for :meth:`replay` ("auto" or
+        #: "interp"); both are bit-identical on stats, counters and
+        #: cache state.
         self.engine = engine
         self.telemetry = telemetry
         if telemetry is None and previous is not None:
@@ -409,10 +409,10 @@ class Deployment:
         batch: int = 256,
         engine: Optional[str] = None,
     ) -> RunStats:
-        """Batch replay through a compiled execution tier.
+        """Batch replay through the selected execution tier.
 
         ``engine`` overrides the deployment default (``"auto"`` runs
-        the columnar batch kernels with closure-tier demotion).
+        the columnar batch kernels, demoting to the interpreter).
         """
         return self.emulator.replay(
             packets,

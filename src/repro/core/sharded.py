@@ -329,7 +329,7 @@ class ShardedDeployment:
         """Same as :meth:`replay`: workers have no per-packet ``run``.
 
         Every execution tier is stats-identical to the interpreter, so
-        scenario drivers can call ``run`` on either deployment flavour.
+        code written against ``Deployment.run`` works on a fleet.
         """
         return self.replay(packets, offered_pps=offered_pps)
 

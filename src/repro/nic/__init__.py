@@ -8,7 +8,6 @@ from repro.nic.counters import (
     cache_counter,
 )
 from repro.nic.emulator import NicEmulator
-from repro.nic.fastpath import FastPathEngine
 from repro.nic.flow_cache import CacheStats, FlowCache, TokenBucket
 from repro.nic.match_engine import (
     ExactEngine,
@@ -53,7 +52,6 @@ __all__ = [
     "EMULATED_NIC",
     "ExactEngine",
     "FIVE_TUPLE",
-    "FastPathEngine",
     "FlowCache",
     "LookupResult",
     "LpmEngine",

@@ -1,21 +1,19 @@
 """Columnar (batch-kernel) execution tier for the NIC emulator.
 
-The compiled fast path (:mod:`repro.nic.fastpath`) removed per-node
-interpretation overhead but still drives **one closure chain per
-packet**. This module adds the next tier: the program DAG is compiled to
-per-node *batch kernels* that process an entire struct-of-arrays batch
-at once with numpy — partition the batch by flow key (``np.unique`` on
-key columns), resolve each partition's table hit once, apply action
-effects and cost charging as vectorized column operations under index
-masks, and route surviving index sets to successor nodes.
+The interpreter (:meth:`NicEmulator.process`) walks one packet at a
+time. This tier compiles the program DAG to per-node *batch kernels*
+that process an entire struct-of-arrays batch at once with numpy —
+partition the batch by flow key (``np.unique`` on key columns), resolve
+each partition's table hit once, apply action effects and cost charging
+as vectorized column operations under index masks, and route surviving
+index sets to successor nodes.
 
-Bit-identity with the interpreter is the contract, exactly as for the
-closure tier. The trick that makes vectorized float accumulation safe is
-that per-packet busy time is a *sum of scalar charges in node-visit
-order*, every DAG path visits nodes in topological order, and the walk
-executes nodes in topological order too — so each packet's float64
-column element receives the identical IEEE-754 add sequence the
-sequential engines perform.
+Bit-identity with the interpreter is the contract. The trick that makes
+vectorized float accumulation safe is that per-packet busy time is a
+*sum of scalar charges in node-visit order*, every DAG path visits
+nodes in topological order, and the walk executes nodes in topological
+order too — so each packet's float64 column element receives the
+identical IEEE-754 add sequence the interpreter performs.
 
 Table-like kernels (plain, merged, flow cache, native cache) share one
 shape: sort the batch's keys once, resolve each *unique* key to a plan
@@ -35,35 +33,35 @@ at the cache and replay the leader's finished effect. Nothing shared is
 mutated; commit replays the retired prefix's op log on the real cache
 and raises if the cache disagrees with the simulation.
 
-Packets the kernels cannot express are *demoted* to the closure fast
-path one at a time, preserving global packet order:
+Packets the kernels cannot express are *demoted*: interpreted one at a
+time, in global packet order, at their own clock value:
 
 * ``migrated`` — a navigation jump backwards in topological order
   (cyclic component execution).
 * ``unsupported`` — values outside int64, unknown navigation ids,
-  unknown/unbindable primitives: the closure replays them (and raises
-  exactly where the interpreter would).
-* ``traced`` — a tracer is attached; the whole batch takes the closure
-  path, which owns trace sampling.
+  unknown/unbindable primitives: the interpreter runs them (and raises
+  where it raises).
+* ``traced`` — a tracer is attached; the whole batch is interpreted,
+  because the interpreter owns trace sampling.
 * ``input`` — a ``Packet``-list batch that is not SoA-uniform (mixed
   header sets, preset metadata/drop/egress, non-int64 values).
 * ``cascade`` — after :data:`MAX_WALKS_PER_BATCH` ``migrated`` /
-  ``unsupported`` demotions in one batch the remaining tail is replayed
-  sequentially (bounds worst-case re-walk cost).
+  ``unsupported`` demotions in one batch the remaining tail is
+  interpreted (bounds worst-case re-walk cost).
 
 The *pure walk / commit prefix / demote one* loop: a walk touches no
 shared state (cache steps simulate on copies, counters and stats become
 pending events); the clean prefix up to the first flagged packet is
-then committed in bulk, the flagged packet is demoted through
-``FastPathEngine.replay_one`` (with the sim clock set to the exact
-value the sequential engine would see), and the remainder is re-walked
-against the caches as the demoted packet left them.
+then committed in bulk, the flagged packet goes through
+``NicEmulator.process`` (with the sim clock set to the exact value a
+pure interpreter run would see), and the remainder is re-walked against
+the caches as the demoted packet left them.
 
-Compiled state reuses the fast path's staleness fingerprint (table
-versions + cache/counter/tracer identities), so any control-plane
-mutation transparently recompiles. Demotion totals accumulate on the
-owning :class:`NicEmulator` (``columnar_demotions``/``columnar_packets``)
-so they survive recompiles and can be merged across shard workers into
+Compiled state carries a staleness fingerprint (table versions +
+cache/counter/tracer identities), so any control-plane mutation
+transparently recompiles. Demotion totals accumulate on the owning
+:class:`NicEmulator` (``columnar_demotions``/``columnar_packets``) so
+they survive recompiles and can be merged across shard workers into
 ``pipeleon_columnar_demotions_total{reason}``.
 """
 
@@ -87,15 +85,14 @@ from repro.nic.counters import (
 )
 from repro.nic.packet import FIVE_TUPLE, NEXT_TAB_ID, Packet
 from repro.nic.pipeline import bind_action
-from repro.nic.stats import PacketResult, RunStats
+from repro.nic.stats import RunStats
 
 _ASIC = Pipeline.ASIC
-_CPU = Pipeline.CPU
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
-#: Demotions per batch before the rest of the batch goes sequential.
+#: Demotions per batch before the rest of the batch is interpreted.
 MAX_WALKS_PER_BATCH = 8
 
 # Flag codes (first flag wins; 0 = clean).
@@ -186,9 +183,9 @@ class ColumnBatch:
 
         Every packet must carry the same header-field set, no
         metadata, no preset drop/egress, and int64-representable
-        values. Batches that fail are replayed wholesale through the
-        closure tier (reason ``input``) and cross a shard boundary in
-        the per-packet ``py`` form.
+        values. Batches that fail are interpreted wholesale (reason
+        ``input``) and cross a shard boundary in the per-packet ``py``
+        form.
         """
         if not packets:
             return None
@@ -571,7 +568,7 @@ def _simulate(cache, keys, kid, times) -> list:
 
     ``kid``/``times`` give, in packet order, each arriving packet's key
     id and sim-clock value. Returns one outcome code per packet. Exactly
-    the sequential engines' per-packet ``lookup`` then (on a miss)
+    the interpreter's per-packet ``lookup`` then (on a miss)
     ``insert``: the insert happens later in the packet's life, but no
     other packet touches the cache in between.
     """
@@ -601,7 +598,7 @@ class ColumnarEngine:
 
     Owned by one :class:`NicEmulator` via the ``columnar`` property,
     which rebuilds it whenever :meth:`stale` reports that the installed
-    state diverged — the same recompile discipline as the closure tier.
+    state diverged.
     """
 
     def __init__(self, emulator):
@@ -616,7 +613,6 @@ class ColumnarEngine:
             for name, runtime in emulator.runtime_tables.items()
         ]
         self._cache_objs = list(emulator.flow_caches.items())
-        self._result = PacketResult(0.0, False, None)
         #: Why the whole program can't run columnar (None = it can).
         self.unsupported: Optional[str] = None
         #: Cumulative per-node kernel wall time / packet counts, for the
@@ -651,7 +647,7 @@ class ColumnarEngine:
                 )
             self._native_kernel = self._compile_native()
 
-    # -- staleness (mirrors FastPathEngine.stale) --------------------------
+    # -- staleness ---------------------------------------------------------
 
     def stale(self) -> bool:
         em = self._em
@@ -678,9 +674,8 @@ class ColumnarEngine:
         """One bound primitive -> vectorized applier(walk, idx) | None.
 
         Raises :class:`_Unsupported` for anything a column kernel can't
-        express; the owning group is then flagged and demoted, and the
-        closure tier reproduces the interpreter's behaviour (including
-        its error, for genuinely invalid primitives).
+        express; the owning group is then flagged and demoted to the
+        interpreter (which raises, for genuinely invalid primitives).
         """
         if op == "set_field" or op == "set_meta":
             try:
@@ -823,7 +818,7 @@ class ColumnarEngine:
         """Charge + apply one compiled effect, feed it to the open
         recordings, and send the packets on (a drop is unconditional, so
         an effect either terminates all of ``idx`` or none of it; the
-        sequential engines too apply every primitive after a drop)."""
+        interpreter too applies every primitive after a drop)."""
         for applier in effect.appliers:
             busy[idx] += action_ns
             if applier is not None:
@@ -1423,21 +1418,12 @@ class ColumnarEngine:
                     f"{i} (key {key}, predicted code {code})"
                 )
 
-    def _demote_one(
-        self, fastpath, packet, i, stats, outcome, reason
-    ) -> None:
-        """Replay packet ``i`` through the closure tier, in order (the
-        caller has set the sim clock)."""
+    def _demote_one(self, packet, i, stats, outcome, reason) -> None:
+        """Interpret packet ``i``, in order (the caller has set the sim
+        clock)."""
         em = self._em
-        result = fastpath.replay_one(packet, into=self._result)
-        stats.record_fast(
-            result.latency_ns,
-            packet.size_bytes,
-            result.dropped,
-            result.migrations,
-            result.busy_ns.get(_ASIC),
-            result.busy_ns.get(_CPU),
-        )
+        result = em.process(packet)
+        stats.record(result, packet.size_bytes)
         outcome.latencies[i] = result.latency_ns
         outcome.egress[i] = (
             -1 if result.egress_port is None else result.egress_port
@@ -1451,7 +1437,6 @@ class ColumnarEngine:
         self, batch, packets, n, stats, dt_s, ts, outcome, reason
     ) -> None:
         """Whole-batch demotion (traced / cyclic / non-SoA input)."""
-        fastpath = self._em.fastpath
         clock = self._em.clock
         for i in range(n):
             if ts is not None:
@@ -1461,7 +1446,7 @@ class ColumnarEngine:
             packet = (
                 packets[i] if packets is not None else batch.make_packet(i)
             )
-            self._demote_one(fastpath, packet, i, stats, outcome, reason)
+            self._demote_one(packet, i, stats, outcome, reason)
 
     # -- batch replay ------------------------------------------------------
 
@@ -1472,7 +1457,7 @@ class ColumnarEngine:
         dt_s: float = 0.0,
         timestamps=None,
     ) -> BatchOutcome:
-        """Replay one batch; bit-identical to the sequential engines.
+        """Replay one batch; bit-identical to the interpreter.
 
         ``packets`` is a :class:`ColumnBatch` (shm SoA path) or an
         iterable of :class:`Packet`. Always returns a
@@ -1521,8 +1506,8 @@ class ColumnarEngine:
             )
             return outcome
         if self._root is None:
-            # No program root: the sequential engines still step the
-            # clock and the counter stride per packet.
+            # No program root: the interpreter still steps the clock
+            # and the counter stride per packet.
             if self._instrument:
                 self._counter_bank.advance(n)
             stats.record_block([0.0] * n, int(batch.sizes.sum()), 0, 0)
@@ -1542,13 +1527,12 @@ class ColumnarEngine:
             # (itertools.accumulate is bit-identical to the sequential
             # adds; np.cumsum is not guaranteed to be).
             now = list(accumulate(repeat(dt_s, n), initial=clock.now_s))[1:]
-        fastpath = em.fastpath
 
         def demote(i: int, reason: str) -> None:
             if now is not None:
                 clock.now_s = now[i]
             self._demote_one(
-                fastpath, batch.make_packet(i), i, stats, outcome, reason
+                batch.make_packet(i), i, stats, outcome, reason
             )
 
         seg = 0

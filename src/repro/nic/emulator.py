@@ -37,10 +37,9 @@ from repro.telemetry.tracing import NATIVE_CACHE_STEP, PARSER_STEP
 
 #: Execution tiers of :meth:`NicEmulator.replay_batch`, bit-identical
 #: on stats, counters and caches: ``auto`` runs the columnar batch
-#: kernels (demoting what they cannot express to the closure tier),
-#: ``fastpath`` the per-packet closure chains, ``interp`` the reference
-#: interpreter.
-ENGINES = ("auto", "fastpath", "interp")
+#: kernels (demoting what they cannot express to the interpreter),
+#: ``interp`` the reference interpreter for every packet.
+ENGINES = ("auto", "interp")
 
 #: Span-kind names for the tracer, by table kind.
 _TRACE_KINDS = {
@@ -170,7 +169,6 @@ class NicEmulator:
             if source:
                 self._native_relevant.add(str(source))
 
-        self._fastpath = None
         self._columnar = None
         #: Cumulative columnar-tier demotion counts by reason, and the
         #: number of packets the batch kernels retired themselves. Owned
@@ -183,7 +181,7 @@ class NicEmulator:
         self.columnar_partitions = 0
         #: Optional sampled-span recorder (attach a PacketTracer to
         #: trace; the disabled path costs one branch per packet here
-        #: and one per batch in the compiled fast path).
+        #: and one per batch in the columnar tier).
         self.tracer = None
 
     # -- state management -------------------------------------------------------
@@ -241,13 +239,11 @@ class NicEmulator:
 
     # -- data path ----------------------------------------------------------------
 
-    def process(self, packet: Packet, trace=None) -> PacketResult:
+    def process(self, packet: Packet) -> PacketResult:
         """Run one packet to completion; returns its cost breakdown.
 
-        ``trace`` is an already-begun :class:`~repro.telemetry.tracing.
-        PacketTrace` (the fast path samples before delegating here);
-        when None and a tracer is attached, the tracer's 1-in-N sampler
-        decides whether this packet gets one.
+        With a tracer attached, its 1-in-N sampler decides whether this
+        packet gets a :class:`~repro.telemetry.tracing.PacketTrace`.
         """
         busy: dict[Pipeline, float] = {}
         path: list[str] = []
@@ -255,8 +251,11 @@ class NicEmulator:
         recordings: list[_CacheRecording] = []
         sampled = self.counters.begin_packet() if self.instrument else False
         tracer = self.tracer
-        if trace is None and tracer is not None:
-            trace = tracer.try_begin(self.clock.now_s)
+        trace = (
+            tracer.try_begin(self.clock.now_s)
+            if tracer is not None
+            else None
+        )
         if trace is not None:
             trace.enter(PARSER_STEP, "parser", 0.0)
 
@@ -582,33 +581,30 @@ class NicEmulator:
             stats.record(result, packet.size_bytes)
         return stats
 
-    # -- compiled fast path ------------------------------------------------------------
+    # -- columnar tier ----------------------------------------------------------------
 
     @property
     def fastpath(self):
-        """The compiled replay engine for the current installed state.
+        """Vestige of the deleted closure tier; always ``None``.
 
-        Compiled lazily and recompiled automatically whenever a runtime
-        table's entries changed or a cache object was swapped (see
-        :meth:`repro.nic.fastpath.FastPathEngine.stale`). Replay through
-        it is bit-identical to :meth:`process`.
+        ``benchmarks/e2e/workloads.py:298`` reads (and ignores) this
+        attribute during set-up, and code PRs may not edit that
+        directory. ROADMAP item 3's ``benchmark`` PR deletes that line
+        and this property together; nothing under ``src/``, ``tests/``
+        or ``benchmarks/`` outside ``benchmarks/e2e/`` may read it.
         """
-        from repro.nic.fastpath import FastPathEngine
-
-        engine = self._fastpath
-        if engine is None or engine.stale():
-            engine = self._fastpath = FastPathEngine(self)
-        return engine
+        return None
 
     @property
     def columnar(self):
         """The columnar batch-kernel engine for the installed state.
 
-        Same lifecycle as :attr:`fastpath`: compiled lazily, recompiled
-        whenever the staleness fingerprint moves. Batches it cannot
-        express demote (per packet, counted in
-        :attr:`columnar_demotions`) to the closure tier, so replay
-        through it is bit-identical to :meth:`process` regardless.
+        Compiled lazily and recompiled whenever a runtime table's
+        entries changed or a cache, counter bank or tracer object was
+        swapped (:meth:`repro.nic.columnar.ColumnarEngine.stale`).
+        Packets it cannot express demote (counted per reason in
+        :attr:`columnar_demotions`) to :meth:`process`, so replay
+        through it is bit-identical to the interpreter regardless.
         """
         from repro.nic.columnar import ColumnarEngine
 
@@ -616,10 +612,6 @@ class NicEmulator:
         if engine is None or engine.stale():
             engine = self._columnar = ColumnarEngine(self)
         return engine
-
-    def replay_one(self, packet: Packet, into=None) -> PacketResult:
-        """Fast-path equivalent of :meth:`process` for one packet."""
-        return self.fastpath.replay_one(packet, into=into)
 
     def replay_batch(
         self,
@@ -634,39 +626,36 @@ class NicEmulator:
         ``packets`` is a ``Packet`` list or a :class:`ColumnBatch`.
         ``engine`` picks the tier (:data:`ENGINES`): ``"auto"`` runs
         the batch kernels on the columns (returning a ``BatchOutcome``
-        with per-packet latency/egress/dropped columns); the per-packet
-        tiers return None, and a ``ColumnBatch`` handed to them is
-        materialised into ``Packet`` objects here — the one place a
-        batch becomes objects. All tiers are bit-identical on stats,
-        counters, caches and per-packet results.
+        with per-packet latency/egress/dropped columns); ``"interp"``
+        returns None, and a ``ColumnBatch`` handed to it is
+        materialised into ``Packet`` objects here. Both tiers are
+        bit-identical on stats, counters, caches and per-packet
+        results.
         """
         if engine == "auto":
             return self.columnar.replay_batch(
                 packets, stats, dt_s, timestamps
             )
+        if engine != "interp":
+            raise ValueError(f"Unknown engine {engine!r}")
         if isinstance(packets, ColumnBatch):
             batch = packets
             if timestamps is None and batch.timestamps is not None:
                 timestamps = batch.timestamps.tolist()
             packets = [batch.make_packet(i) for i in range(batch.n)]
-        if engine == "fastpath":
-            self.fastpath.replay_batch(packets, stats, dt_s, timestamps)
-            return None
-        if engine == "interp":
-            clock = self.clock
-            if timestamps is not None:
-                for packet, now_s in zip(packets, timestamps):
-                    clock.now_s = now_s
-                    result = self.process(packet)
-                    stats.record(result, packet.size_bytes)
-                return None
-            for packet in packets:
-                if dt_s:
-                    clock.advance(dt_s)
+        clock = self.clock
+        if timestamps is not None:
+            for packet, now_s in zip(packets, timestamps):
+                clock.now_s = now_s
                 result = self.process(packet)
                 stats.record(result, packet.size_bytes)
             return None
-        raise ValueError(f"Unknown engine {engine!r}")
+        for packet in packets:
+            if dt_s:
+                clock.advance(dt_s)
+            result = self.process(packet)
+            stats.record(result, packet.size_bytes)
+        return None
 
     def replay(
         self,
@@ -676,22 +665,21 @@ class NicEmulator:
         stats: Optional[RunStats] = None,
         engine: str = "auto",
     ) -> RunStats:
-        """Batch replay through a compiled execution tier.
+        """Batch replay through the selected execution tier.
 
         Equivalent to :meth:`run` (same stats, counters and cache
         state), but packets are driven through the selected engine in
-        ``batch``-sized chunks with no per-packet result allocation.
-        ``engine`` is ``"auto"`` (columnar batch kernels with closure
-        demotion), ``"fastpath"`` or ``"interp"``.
+        ``batch``-sized chunks. ``engine`` is ``"auto"`` (columnar
+        batch kernels, demoting to the interpreter) or ``"interp"``.
         """
         if batch < 1:
             raise ValueError("batch must be >= 1")
         if stats is None:
             stats = RunStats()
         dt = 1.0 / offered_pps if offered_pps else 0.0
-        # Only ``auto`` takes a column source's own batches: the
-        # per-packet tiers read its ``Packet`` view, which is how an
-        # interpreter twin checks the columns against FlowSpec.packet.
+        # Only ``auto`` takes a column source's own batches: ``interp``
+        # reads its ``Packet`` view, which is how an interpreter twin
+        # checks the columns against FlowSpec.packet.
         for chunk in batched(packets, batch, columns=engine == "auto"):
             self.replay_batch(chunk, stats, dt, engine=engine)
         return stats

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.errors import EmulationError
 from repro.ir.actions import Action, ActionPrimitive, Param
@@ -10,10 +10,6 @@ from repro.nic.packet import Packet
 
 #: A bound primitive ready to apply (and to store in a flow cache).
 BoundPrimitive = tuple[str, tuple[Any, ...]]
-
-#: A compiled primitive: mutates the packet directly, or ``None`` for a
-#: no-op (the caller still charges its action cost).
-CompiledPrimitive = Optional[Callable[[Packet], None]]
 
 
 def bind_primitive(
@@ -70,108 +66,3 @@ def apply_primitive(
             explicit_counters[name] = explicit_counters.get(name, 0) + 1
     else:
         raise EmulationError(f"Unknown primitive op {op!r}")
-
-
-def compile_primitive(
-    op: str,
-    args: tuple[Any, ...],
-    explicit_counters: dict[str, int],
-) -> CompiledPrimitive:
-    """Specialize one bound primitive into a direct packet mutator.
-
-    The returned closure has the string dispatch, argument coercion and
-    field-namespace resolution of :func:`apply_primitive` already done,
-    so the per-packet cost is a single dict store. Must stay
-    behaviourally identical to :func:`apply_primitive` — the fast-path
-    differential tests enforce this.
-    """
-    if op == "set_field":
-        name, value = str(args[0]), int(args[1])
-        if name.startswith("meta."):
-            def apply_set_meta_field(packet: Packet) -> None:
-                packet.metadata[name] = value
-
-            return apply_set_meta_field
-
-        def apply_set_field(packet: Packet) -> None:
-            packet.fields[name] = value
-
-        return apply_set_field
-    if op == "add_to_field":
-        name, delta = str(args[0]), int(args[1])
-        if name.startswith("meta."):
-            def apply_add_meta(packet: Packet) -> None:
-                store = packet.metadata
-                store[name] = (store.get(name) or 0) + delta
-
-            return apply_add_meta
-
-        def apply_add(packet: Packet) -> None:
-            store = packet.fields
-            store[name] = (store.get(name) or 0) + delta
-
-        return apply_add
-    if op == "copy_field":
-        dst, src = str(args[0]), str(args[1])
-        dst_meta = dst.startswith("meta.")
-        src_meta = src.startswith("meta.")
-
-        def apply_copy(packet: Packet) -> None:
-            value = (
-                packet.metadata.get(src)
-                if src_meta
-                else packet.fields.get(src)
-            ) or 0
-            if dst_meta:
-                packet.metadata[dst] = value
-            else:
-                packet.fields[dst] = value
-
-        return apply_copy
-    if op == "set_meta":
-        key = str(args[0])
-        if not key.startswith("meta."):
-            key = f"meta.{key}"
-        value = int(args[1])
-
-        def apply_meta(packet: Packet) -> None:
-            packet.metadata[key] = value
-
-        return apply_meta
-    if op == "forward":
-        port = int(args[0])
-
-        def apply_forward(packet: Packet) -> None:
-            packet.egress_port = port
-
-        return apply_forward
-    if op == "drop":
-        def apply_drop(packet: Packet) -> None:
-            packet.dropped = True
-
-        return apply_drop
-    if op == "no_op":
-        return None
-    if op == "count":
-        counter_name = str(args[0])
-
-        def apply_count(packet: Packet) -> None:
-            explicit_counters[counter_name] = (
-                explicit_counters.get(counter_name, 0) + 1
-            )
-
-        return apply_count
-    raise EmulationError(f"Unknown primitive op {op!r}")
-
-
-def compile_effect(
-    bound: list[BoundPrimitive] | tuple[BoundPrimitive, ...],
-    explicit_counters: dict[str, int],
-) -> tuple[CompiledPrimitive, ...]:
-    """Compile a bound-primitive list into direct mutators (Nones kept
-    so the caller charges one action cost per primitive, no-ops
-    included, exactly like the interpreter)."""
-    return tuple(
-        compile_primitive(op, args, explicit_counters)
-        for op, args in bound
-    )

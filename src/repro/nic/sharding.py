@@ -48,7 +48,7 @@ column slices to per-shard buffers, and cut off those at exactly
 stream was chunked. A worker ingests every batch as a ``ColumnBatch``
 whatever carried it; :meth:`NicEmulator.replay_batch` materialises
 ``Packet`` objects from it only when the selected engine is
-``fastpath``/``interp``. A batch's payload is the SoA form ``(names,
+``interp``. A batch's payload is the SoA form ``(names,
 values, sizes)`` plus timestamps, or — for rows SoA cannot express
 (metadata, mixed header sets, values outside int64), which stay
 ``Packet`` objects from the chunk to the worker — the ``Packet`` list
@@ -486,9 +486,9 @@ def _restore_birth_state(emulator: NicEmulator, birth_tables) -> None:
     Workers fork a *live* template whose runtime tables may have been
     re-materialised since construction; restore the construction-time
     entry snapshot first. Then zero all telemetry **in place** — the
-    fast path's compiled closures and staleness fingerprint bind the
-    counter bank and cache objects by identity, so they must be
-    cleared, never replaced. The parent finishes the rebirth by
+    compiled kernels and their staleness fingerprint bind the counter
+    bank and cache objects by identity, so they must be cleared,
+    never replaced. The parent finishes the rebirth by
     replaying the shard's journal.
     """
     for name, entries in birth_tables.items():

@@ -74,40 +74,6 @@ class RunStats:
                 bucket = samples[pipeline] = []
             bucket.append(busy)
 
-    def record_fast(
-        self,
-        latency_ns: float,
-        size_bytes: int,
-        dropped: bool,
-        migrations: int,
-        asic_busy_ns: float | None = None,
-        cpu_busy_ns: float | None = None,
-    ) -> None:
-        """Record one packet without materialising a PacketResult.
-
-        Aggregation must stay arithmetically identical to
-        :meth:`record` — the same per-packet samples land in the same
-        lists, so interpreter and fast-path runs produce the same
-        statistics bit for bit.
-        """
-        self.packets += 1
-        self.total_bytes += size_bytes
-        self.migrations += migrations
-        if dropped:
-            self.dropped += 1
-        self._latencies.append(latency_ns)
-        samples = self._busy_samples
-        if asic_busy_ns is not None:
-            bucket = samples.get(Pipeline.ASIC)
-            if bucket is None:
-                bucket = samples[Pipeline.ASIC] = []
-            bucket.append(asic_busy_ns)
-        if cpu_busy_ns is not None:
-            bucket = samples.get(Pipeline.CPU)
-            if bucket is None:
-                bucket = samples[Pipeline.CPU] = []
-            bucket.append(cpu_busy_ns)
-
     def record_block(
         self,
         latencies,
@@ -121,7 +87,7 @@ class RunStats:
 
         ``latencies`` and the busy sequences must carry the same
         per-packet values, in the same order, that a sequence of
-        :meth:`record_fast` calls would have appended — the lists are
+        :meth:`record` calls would have appended — the lists are
         simply extended, so the resulting stats are bit-identical.
         """
         self.packets += len(latencies)

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.nic.emulator import ENGINES
 from repro.nic.stats import RunStats
 
 __all__ = ["ServeSession", "SessionConfig", "stats_payload"]
@@ -109,6 +110,10 @@ class SessionConfig:
             raise ValueError(
                 "serve mode needs jobs >= 2: the session supervises a "
                 "sharded fleet (snapshots stream from shard workers)"
+            )
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"engine={self.engine!r} not one of {', '.join(ENGINES)}"
             )
         if self.baseline not in ("optimized", "none"):
             raise ValueError(

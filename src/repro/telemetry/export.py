@@ -158,8 +158,8 @@ def export_columnar(
             "pipeleon_columnar_demotions_total",
             count,
             help=(
-                "Packets the columnar tier demoted to the closure "
-                "fast path, by reason"
+                "Packets the columnar tier demoted to the "
+                "interpreter, by reason"
             ),
             reason=reason,
             **labels,

@@ -8,12 +8,12 @@ cost charging. Per-node latencies additionally feed fixed-bucket
 histograms (:data:`~repro.telemetry.metrics.LATENCY_BUCKETS_NS`), which
 the report layer joins against the cost model's per-pipelet predictions.
 
-Overhead discipline: with no tracer attached the compiled fast path's
+Overhead discipline: with no tracer attached the columnar tier's
 replay loop pays **one branch per batch** and the interpreter one branch
-per packet. With a tracer attached, untraced packets pay one counter
-increment; traced packets are driven through the interpreter (which is
-bit-identical to the fast path by PR 1's differential contract), so
-tracing never perturbs statistics, counters or cache state.
+per packet. With a tracer attached every batch is interpreted (demotion
+reason ``traced``): untraced packets pay one counter increment on top,
+and since the interpreter is the specification, tracing never perturbs
+statistics, counters or cache state.
 
 Tracers are shard-mergeable: each sharded worker samples its own stream
 and the parent folds the per-worker tracers with :meth:`PacketTracer.

@@ -877,7 +877,7 @@ class TestNoMaterialisation:
             sharded.close()
 
     def test_per_packet_engines_read_the_packet_view(self, monkeypatch):
-        """``fastpath``/``interp`` never ask a stream for columns, so an
+        """``interp`` never asks a stream for columns, so an
         interpreter twin checks the column source against
         ``FlowSpec.packet`` and not against itself."""
         flows = synth_flows(32)
@@ -890,14 +890,13 @@ class TestNoMaterialisation:
             ColumnBatch
         ] * 3
         monkeypatch.setattr(type(stream), "batches", refuse)
-        for engine in ("fastpath", "interp"):
-            deployment = make_single("l2l3_acl")
-            stats = deployment.replay(
-                TrafficGenerator(5).stream(flows, 300),
-                batch=128,
-                engine=engine,
-            )
-            assert stats.packets == 300
+        deployment = make_single("l2l3_acl")
+        stats = deployment.replay(
+            TrafficGenerator(5).stream(flows, 300),
+            batch=128,
+            engine="interp",
+        )
+        assert stats.packets == 300
 
 
 if __name__ == "__main__":  # pragma: no cover - golden recording

@@ -1,10 +1,10 @@
 """Differential tests: columnar batch kernels vs. the interpreter.
 
-The columnar tier exists under the same license as the closure fast
-path: it must be bit-identical to ``NicEmulator.process`` on RunStats,
-counter banks, flow-cache contents and per-packet results — and on top
-of that it must account for every packet it could *not* express as a
-batch kernel (the per-reason demotion counters). These tests replay
+The columnar tier is only allowed to exist because it is bit-identical
+to ``NicEmulator.process`` on RunStats, counter banks, flow-cache
+contents and per-packet results — and on top of that it must account
+for every packet it could *not* express as a batch kernel (the
+per-reason demotion counters). These tests replay
 identical traffic through twin deployments and compare everything
 observable, including under mid-stream control-plane updates, over
 random synthesized programs, and across the sharded shm transport.
@@ -18,6 +18,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.nic.columnar as columnar
+from repro.apps import (
+    acl_chain,
+    dash_routing,
+    l2l3_acl,
+    load_balancer,
+    migration,
+    nf_composition,
+)
 from repro.core import Deployment, Pipeleon
 from repro.core.pipelets import find_groups, partition
 from repro.core.sharded import ShardedDeployment
@@ -26,6 +34,7 @@ from repro.errors import EmulationError, TransformError
 from repro.ir import exact_entry
 from repro.ir.entries import ExactValue, TableEntry
 from repro.nic.columnar import ColumnBatch
+from repro.nic.emulator import NicEmulator
 from repro.nic.flow_cache import FlowCache
 from repro.nic.packet import Packet, ipv4, make_packet
 from repro.nic.stats import RunStats
@@ -34,15 +43,104 @@ from repro.synthesis import ProgramSynthesizer, SynthesisConfig
 from repro.traffic.flows import FlowSpec, synth_flows
 from repro.traffic.generator import TrafficGenerator
 
-from .test_nic_fastpath import (
-    APPS,
-    TARGETS,
-    app_packets,
-    assert_emulators_identical,
-    cache_state,
-    make_twin_deployments,
-    stats_fingerprint,
-)
+#: The five example applications plus the migration benchmark (which
+#: exercises navigation/migration nodes the others don't).
+APPS = {
+    "l2l3_acl": (l2l3_acl.build_program, l2l3_acl.install_base_entries),
+    "acl_chain": (
+        acl_chain.build_program,
+        acl_chain.install_acl_entries,
+    ),
+    "dash_routing": (
+        dash_routing.build_program,
+        dash_routing.install_base_entries,
+    ),
+    "load_balancer": (
+        load_balancer.build_program,
+        load_balancer.install_base_entries,
+    ),
+    "nf_composition": (
+        nf_composition.build_program,
+        nf_composition.install_base_entries,
+    ),
+    "migration": (migration.build_program, lambda control_plane: None),
+}
+
+TARGETS = [BLUEFIELD2, AGILIO_CX, EMULATED_NIC]
+
+
+def app_packets(seed: int, n: int = 300) -> list[Packet]:
+    generator = TrafficGenerator(seed)
+    flows = synth_flows(48) + synth_flows(16, dport=6666)
+    return list(generator.stream(flows, n, locality="zipf"))
+
+
+def stats_fingerprint(stats: RunStats) -> tuple:
+    return (
+        stats.packets,
+        stats.dropped,
+        stats.migrations,
+        stats.total_latency_ns,
+        stats.total_bytes,
+        stats._latencies,
+        stats._busy_ns,
+    )
+
+
+def make_twin_deployments(
+    app: str, target, optimize: bool = False, **deployment_knobs
+):
+    build, install = APPS[app]
+    # One search for both twins: a plan names tables, not objects.
+    plan = Pipeleon(target).optimize(build()) if optimize else None
+    deployments = []
+    for _ in range(2):
+        deployment = Deployment(
+            build(), target, plan=plan, **deployment_knobs
+        )
+        install(deployment.control_plane)
+        deployments.append(deployment)
+    return deployments
+
+
+def cache_state(cache) -> tuple:
+    """Everything observable about a cache: LRU order, not just
+    membership; the whole ``CacheStats``; the token bucket's floats."""
+    limiter = cache._limiter
+    return (
+        list(cache._store.items()),
+        cache.stats,
+        None if limiter is None else (limiter._tokens, limiter._last),
+    )
+
+
+def assert_emulators_identical(em_a: NicEmulator, em_b: NicEmulator):
+    assert em_a.counters.snapshot() == em_b.counters.snapshot()
+    assert em_a.explicit_counters == em_b.explicit_counters
+    assert em_a.flow_caches.keys() == em_b.flow_caches.keys()
+    for name, cache in em_a.flow_caches.items():
+        assert cache_state(cache) == cache_state(em_b.flow_caches[name])
+    assert (em_a.native_cache is None) == (em_b.native_cache is None)
+    if em_a.native_cache is not None:
+        assert cache_state(em_a.native_cache) == cache_state(
+            em_b.native_cache
+        )
+
+
+def assert_per_packet_identical(interp, col, make_packets) -> None:
+    """One ``auto`` batch on ``col`` vs. ``process`` packet by packet
+    on ``interp``: latency, verdict and egress port."""
+    outcome = col.emulator.replay_batch(
+        make_packets(), RunStats(), engine="auto"
+    )
+    for i, packet in enumerate(make_packets()):
+        result = interp.emulator.process(packet)
+        assert outcome.latencies[i] == result.latency_ns, i
+        assert bool(outcome.dropped[i]) == result.dropped, i
+        assert outcome.egress[i] == (
+            -1 if result.egress_port is None else result.egress_port
+        ), i
+
 
 #: Every legal demotion reason (keep in sync with repro.nic.columnar).
 DEMOTION_REASONS = {
@@ -119,7 +217,7 @@ class TestColumnarDifferential:
         assert col.emulator.columnar_packets == 90
 
     def test_tracer_demotes_whole_batches(self):
-        """A bound tracer forces the closure tier (reason "traced")."""
+        """A bound tracer interprets every batch (reason "traced")."""
         from repro.telemetry import Telemetry
 
         def traced_twin():
@@ -142,7 +240,7 @@ class TestColumnarDifferential:
 
 
 class TestMidstreamUpdates:
-    """Mirror of test_fastpath_midstream for the columnar tier."""
+    """Control-plane updates between batches recompile the kernels."""
 
     @pytest.mark.parametrize(
         "target", [BLUEFIELD2, EMULATED_NIC], ids=lambda t: t.name
@@ -337,6 +435,222 @@ class TestShardedColumnar:
             sharded.close()
 
 
+def marked_packets(seed: int, n: int) -> list:
+    """``app_packets`` with preset metadata on two of them: their
+    batches are not SoA-uniform (reason ``input``), the rest are."""
+    packets = app_packets(seed, n=n)
+    for packet in packets[5::90]:
+        packet.set("meta.mark", 1)
+    return packets
+
+
+#: The apps that decrement the TTL of this traffic (see
+#: ``overflowing_packets``).
+TTL_APPS = ("dash_routing", "l2l3_acl")
+
+#: ``migration`` after the naive ASIC/CPU split: its packets cross the
+#: navigation tables more than once, i.e. jump backwards in topo order.
+DEMOTION_APPS = {
+    **APPS,
+    "migration_partitioned": (
+        migration.partitioned_program,
+        lambda control_plane: None,
+    ),
+}
+
+#: reason -> (apps it can be provoked on, packets(seed, n), a lowered
+#: MAX_WALKS_PER_BATCH or None). ``traced`` also attaches a tracer.
+DEMOTION_CASES = {
+    "traced": (tuple(sorted(APPS)), app_packets, None),
+    "input": (tuple(sorted(APPS)), marked_packets, None),
+    "unsupported": (
+        TTL_APPS,
+        lambda seed, n: overflowing_packets(seed, n, every=25),
+        None,
+    ),
+    "migrated": (("migration_partitioned",), app_packets, None),
+    "cascade": (
+        TTL_APPS + ("migration_partitioned",),
+        lambda seed, n: overflowing_packets(seed, n, every=7),
+        1,
+    ),
+}
+
+DEMOTION_PARAMS = [
+    (reason, app)
+    for reason, (apps, _, _) in DEMOTION_CASES.items()
+    for app in apps
+]
+
+
+class TestDemotionIsInterpretation:
+    """Every demotion reason, under every way the sim clock is driven,
+    against a pure-interpreter twin: a demoted packet runs through
+    ``NicEmulator.process`` in order, at its own clock value."""
+
+    N = 120
+
+    @staticmethod
+    def _knobs(reason: str, target) -> dict:
+        from repro.telemetry import Telemetry
+
+        knobs = {}
+        if reason == "traced":
+            knobs["telemetry"] = Telemetry(trace_interval=8)
+        if target is EMULATED_NIC:
+            knobs["native_cache"] = True  # a cache for every packet
+        return knobs
+
+    @staticmethod
+    def _drive(emulator, packets, clock_mode: str, engine: str) -> RunStats:
+        if clock_mode != "timestamps":
+            pps = 1e6 if clock_mode == "offered_pps" else None
+            return emulator.replay(
+                packets, offered_pps=pps, batch=37, engine=engine
+            )
+        # What a shard worker does: one explicit clock value a packet.
+        stats = RunStats()
+        for start in range(0, len(packets), 37):
+            chunk = packets[start : start + 37]
+            emulator.replay_batch(
+                chunk,
+                stats,
+                timestamps=[
+                    2e-6 * (start + i) for i in range(len(chunk))
+                ],
+                engine=engine,
+            )
+        return stats
+
+    @pytest.mark.parametrize("reason, app", DEMOTION_PARAMS)
+    @pytest.mark.parametrize("target", TARGETS, ids=lambda t: t.name)
+    def test_one_core(self, monkeypatch, reason, app, target):
+        _, make_packets, max_walks = DEMOTION_CASES[reason]
+        if max_walks is not None:
+            monkeypatch.setattr(columnar, "MAX_WALKS_PER_BATCH", max_walks)
+        build, install = DEMOTION_APPS[app]
+        for clock_mode in ("offered_pps", "timestamps", "unpaced"):
+            twins = []
+            for engine in ("interp", "auto"):
+                deployment = Deployment(
+                    build(), target, **self._knobs(reason, target)
+                )
+                install(deployment.control_plane)
+                stats = self._drive(
+                    deployment.emulator,
+                    make_packets(13, self.N),
+                    clock_mode,
+                    engine,
+                )
+                twins.append((deployment.emulator, stats))
+            (interp, reference), (col, replayed) = twins
+            assert stats_fingerprint(replayed) == stats_fingerprint(
+                reference
+            ), clock_mode
+            assert_emulators_identical(interp, col)
+            assert col.clock.now_s == interp.clock.now_s, clock_mode
+            assert col.columnar_demotions.get(reason), clock_mode
+            assert_demotions_accounted(col, self.N)
+            assert interp.columnar_demotions == {}
+
+    @pytest.mark.parametrize(
+        "reason, app, target",
+        # Every reason x app, the targets taking turns.
+        [
+            pytest.param(*case, TARGETS[i % 3], id="-".join(case))
+            for i, case in enumerate(DEMOTION_PARAMS)
+        ],
+    )
+    def test_two_worker_fleet(self, monkeypatch, reason, app, target):
+        """The fleet stamps every packet with an explicit clock value;
+        merged stats, counters, per-worker cache contents and the
+        final clock equal an all-interpreter fleet's."""
+        _, make_packets, max_walks = DEMOTION_CASES[reason]
+        if max_walks is not None:  # before the fork: workers inherit it
+            monkeypatch.setattr(columnar, "MAX_WALKS_PER_BATCH", max_walks)
+        build, install = DEMOTION_APPS[app]
+        observed = []
+        for engine in ("interp", "auto"):
+            fleet = ShardedDeployment(
+                build(),
+                target,
+                n_workers=2,
+                batch=32,
+                engine=engine,
+                **self._knobs(reason, target),
+            )
+            install(fleet.control_plane)
+            try:
+                stats = fleet.replay(
+                    make_packets(13, self.N), offered_pps=1e6
+                )
+                sharded = fleet.emulator
+                observed.append(
+                    (
+                        stats_fingerprint(stats),
+                        sharded.counters.snapshot(),
+                        sharded.explicit_counters,
+                        sharded.cache_stats,
+                        sharded.native_cache_stats,
+                        [
+                            (stores, native)
+                            for stores, native, _ in sharded.dump_caches()
+                        ],
+                        fleet.clock.now_s,
+                    )
+                )
+                if engine == "auto":
+                    assert sharded.columnar_demotions.get(reason)
+                    assert_demotions_accounted(sharded, self.N)
+            finally:
+                fleet.close()
+        assert observed[0] == observed[1]
+
+
+class TestTwoTiers:
+    """The closure tier is gone, not aliased: naming it fails loudly."""
+
+    GONE = "fastpath"
+
+    def test_module_is_gone(self):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.nic.{self.GONE}")
+
+    def test_engines(self):
+        from repro.nic.emulator import ENGINES
+
+        assert ENGINES == ("auto", "interp")
+        _, col = make_twin_deployments("l2l3_acl", BLUEFIELD2)
+        with pytest.raises(ValueError, match="Unknown engine"):
+            col.replay(app_packets(1, n=4), engine=self.GONE)
+        with pytest.raises(ValueError, match="Unknown engine"):
+            ShardedDeployment(
+                APPS["l2l3_acl"][0](), BLUEFIELD2, engine=self.GONE
+            )
+
+    @pytest.mark.parametrize("command", ["replay", "dse", "serve"])
+    def test_cli_rejects_it(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--engine", self.GONE])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'fastpath'" in capsys.readouterr().err
+
+    def test_dse_spec_and_session_config_reject_it(self):
+        from repro.dse import Axis, SweepSpec
+        from repro.service.session import SessionConfig
+
+        with pytest.raises(ValueError, match="engine='fastpath'"):
+            SweepSpec("old", axes=(Axis("engine", ("auto", self.GONE)),))
+        with pytest.raises(ValueError, match="engine='fastpath'"):
+            SweepSpec("old", base={"engine": self.GONE})
+        with pytest.raises(ValueError, match="engine='fastpath'"):
+            SessionConfig(engine=self.GONE)
+
+
 def cache_twins(
     app="dash_routing",
     target=BLUEFIELD2,
@@ -475,8 +789,8 @@ class TestCacheStep:
 
     def test_unsupported_packet_between_two_misses(self):
         """The prefix commit must replay only the cache ops below the
-        cut; the demoted packet then does its own, through the closure
-        tier, and the re-walk starts from the cache as it left it."""
+        cut; the demoted packet then does its own, interpreted, and
+        the re-walk starts from the cache as it left it."""
         interp, col = cache_twins(capacity=2, limit=0)
         flows = synth_flows(4)
         pattern = [0, 0, 2, 1, 0, 2, 1, 3, 0]

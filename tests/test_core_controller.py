@@ -387,3 +387,58 @@ class TestControllerTelemetry:
         controller.run([make_packet() for _ in range(20)])
         assert controller.maybe_reoptimize()
         assert controller.telemetry is None
+
+
+class TestControllerEngine:
+    """``engine=`` selects the tier at ``jobs=1`` as it does on a fleet."""
+
+    TICKS = 6
+    PER_TICK = 60
+
+    def run_scenario(self, engine):
+        from repro.apps import EXAMPLE_APPS
+        from repro.nic.targets import EMULATED_NIC
+        from repro.traffic import build_scenario
+
+        build, install = EXAMPLE_APPS["l2l3_acl"]
+        controller = PipeleonController(
+            build(),
+            EMULATED_NIC,
+            options=ControllerOptions(profile_period_s=2.0),
+            engine=engine,
+        )
+        install(controller.control_plane)
+        scenario = build_scenario(
+            "flash_crowd", seed="7", steady_s=3, spike_s=2, decay_s=1
+        )
+        timeline, emulators = [], []
+        controller.start_scenario()
+        for time_s, phase in scenario.ticks():
+            # A redeploy swaps the emulator; count on each one once.
+            if controller.deployment.emulator not in emulators:
+                emulators.append(controller.deployment.emulator)
+            point, _ = controller.scenario_tick(
+                time_s, phase, self.PER_TICK
+            )
+            timeline.append(point)
+        snapshot = controller.cell_snapshot()
+        assert snapshot.pop("engine") == engine
+        observed = (
+            timeline,
+            snapshot,
+            controller.deployment.emulator.counters.snapshot(),
+        )
+        return observed, emulators
+
+    def test_auto_runs_the_kernels_and_matches_interp(self):
+        auto, auto_emulators = self.run_scenario("auto")
+        interp, interp_emulators = self.run_scenario("interp")
+        assert len(auto[0]) == self.TICKS
+        assert (
+            sum(em.columnar_packets for em in auto_emulators)
+            == self.TICKS * self.PER_TICK
+        )
+        assert not any(em.columnar_demotions for em in auto_emulators)
+        assert not any(em.columnar_packets for em in interp_emulators)
+        assert auto == interp
+        assert auto[1]["reoptimizations"] >= 1

@@ -195,7 +195,7 @@ class TestMatrix:
     def test_seed_shared_across_runtime_knobs(self):
         base = validate_config({})
         for key, value in [
-            ("engine", "fastpath"),
+            ("engine", "interp"),
             ("cache_capacity", 64),
             ("jobs", 2),
             ("target", "emulated_nic"),

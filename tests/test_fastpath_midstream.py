@@ -1,10 +1,12 @@
-"""Regression: fast-path replay under mid-stream control-plane updates.
+"""Regression: batch replay under mid-stream control-plane updates.
 
-The compiled engine caches per-node step closures; control-plane
-activity between batches (entry inserts/deletes, cache flushes) must
-trigger recompilation so replay stays bit-identical to the reference
+The columnar engine caches per-node kernels; control-plane activity
+between batches (entry inserts/deletes, cache flushes) must trigger
+recompilation so replay stays bit-identical to the reference
 interpreter across the update. Each phase below lands an update between
-two replay calls and compares everything observable afterwards.
+two replay calls and compares everything observable afterwards. (First
+written against the closure tier; the file name is kept so the test ids
+stay stable.)
 """
 
 import pytest

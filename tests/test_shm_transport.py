@@ -499,7 +499,7 @@ class TestWorkerIngestion:
         finally:
             sharded.close()
 
-    @pytest.mark.parametrize("engine", ["auto", "fastpath", "interp"])
+    @pytest.mark.parametrize("engine", ["auto", "interp"])
     @pytest.mark.parametrize("transport", ["shm", "pipe"])
     def test_only_make_packet_builds_packets_in_a_worker(
         self, monkeypatch, transport, engine

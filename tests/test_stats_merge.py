@@ -24,7 +24,7 @@ from repro.ir import linear_program
 from repro.ir.tables import Pipeline
 from repro.nic.counters import CounterBank, action_counter
 from repro.nic.flow_cache import CacheStats
-from repro.nic.stats import RunStats
+from repro.nic.stats import PacketResult, RunStats
 
 # One recorded packet: latency, size, dropped, migrations, asic, cpu.
 packet_samples = st.tuples(
@@ -47,7 +47,14 @@ streams = st.lists(packet_samples, max_size=60)
 
 def record_stream(stats: RunStats, stream) -> RunStats:
     for latency, size, dropped, migrations, asic, cpu in stream:
-        stats.record_fast(latency, size, dropped, migrations, asic, cpu)
+        busy = {}
+        if asic is not None:
+            busy[Pipeline.ASIC] = asic
+        if cpu is not None:
+            busy[Pipeline.CPU] = cpu
+        stats.record(
+            PacketResult(latency, dropped, None, migrations, busy), size
+        )
     return stats
 
 

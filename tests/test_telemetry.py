@@ -560,14 +560,17 @@ class TestTracedDeployment(TracedRunMixin):
                 s.latency_ns for s in trace.steps
             ) == pytest.approx(trace.latency_ns)
 
-    def test_interpreter_and_fastpath_trace_identically(self):
+    def test_interpreter_and_auto_trace_identically(self):
+        """With a tracer attached ``auto`` interprets whole batches
+        (demotion reason ``traced``): same samples, same spans."""
         interp = make_deployment(
             telemetry=Telemetry(trace_interval=8)
         )
-        fast = make_deployment(telemetry=Telemetry(trace_interval=8))
-        interp.emulator.run(app_packets(7, 200))
-        fast.replay(app_packets(7, 200))
-        a, b = interp.tracer, fast.tracer
+        auto = make_deployment(telemetry=Telemetry(trace_interval=8))
+        interp.replay(app_packets(7, 200), engine="interp")
+        auto.replay(app_packets(7, 200), engine="auto")
+        assert auto.emulator.columnar_demotions == {"traced": 200}
+        a, b = interp.tracer, auto.tracer
         assert a.sampled == b.sampled
         assert [t.path() for t in a.traces] == [
             t.path() for t in b.traces
@@ -575,14 +578,21 @@ class TestTracedDeployment(TracedRunMixin):
         assert [t.latency_ns for t in a.traces] == [
             t.latency_ns for t in b.traces
         ]
+        assert {
+            node: (hist.counts, hist.sum, hist.count)
+            for node, hist in a.node_ns.items()
+        } == {
+            node: (hist.counts, hist.sum, hist.count)
+            for node, hist in b.node_ns.items()
+        }
 
-    def test_attaching_tracer_recompiles_fastpath(self):
+    def test_attaching_tracer_recompiles_kernels(self):
         deployment = make_deployment()
         emulator = deployment.emulator
-        engine = emulator.fastpath
+        engine = emulator.columnar
         emulator.tracer = PacketTracer(4)
         assert engine.stale()
-        assert emulator.fastpath is not engine
+        assert emulator.columnar is not engine
         emulator.replay(app_packets(2, 40))
         assert emulator.tracer.sampled == 10
 
