@@ -84,10 +84,10 @@ BATCH = 4096
 #: Headline bar: columnar over the interpreter on l2l3_acl.
 COLUMNAR_FLOOR = 10.0
 #: Matrix gate: ``auto`` over the interpreter on the worst cell. Set
-#: below half of the worst cell (dash_routing/optimized/20000, 12.9x) of
+#: below half of the worst cell (dash_routing/optimized/20000, 24.5x) of
 #: the run that regenerated BENCH_columnar.json, whose value sits
 #: beside the floor as the gate's ``measured``.
-AUTO_FLOOR = 5.0
+AUTO_FLOOR = 10.0
 MATRIX_FLOWS = (64, 20000)
 N_WORKERS = 4
 #: CPUs the process must be allowed on before the shm wall bar applies.

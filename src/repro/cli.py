@@ -225,12 +225,7 @@ def _export_metrics(
             export_cache_stats(
                 registry, "__native__", sharded.native_cache_stats
             )
-        export_columnar(
-            registry,
-            sharded.columnar_demotions,
-            sharded.columnar_packets,
-            sharded.columnar_partitions,
-        )
+        export_columnar(registry, sharded)
     else:
         export_emulator(registry, deployment.emulator)
     tracer = deployment.tracer
@@ -396,6 +391,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
             )
             summary["columnar_packets"] = emulator.columnar_packets
             summary["columnar_partitions"] = emulator.columnar_partitions
+            summary["columnar_scalar_lookups"] = dict(
+                emulator.columnar_scalar_lookups
+            )
+            summary["columnar_cache_arrivals"] = dict(
+                emulator.columnar_cache_arrivals
+            )
+            summary["columnar_cache_replayed"] = dict(
+                emulator.columnar_cache_replayed
+            )
         if args.jobs > 1:
             summary["transport"] = deployment.transport
             transport_totals = deployment.transport_stats()["totals"]

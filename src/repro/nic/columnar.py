@@ -16,15 +16,18 @@ order too — so each packet's float64 column element receives the
 identical IEEE-754 add sequence the interpreter performs.
 
 Table-like kernels (plain, merged, flow cache, native cache) share one
-shape: sort the batch's keys once, resolve each *unique* key to a plan
-id in a loop that does nothing but the lookup, then charge, count,
-apply and route once per distinct plan — a table has thousands of keys
-but a handful of behaviours.
+shape: sort the batch's keys once, resolve the *unique* keys to plan
+ids — a table hands the whole key matrix to its match engine
+(:meth:`MatchEngine.lookup_many`) and binds a plan per entry slot once
+— then charge, count, apply and route once per distinct plan: a table
+has thousands of keys but a handful of behaviours.
 
 Flow caches run inside the walk (DESIGN.md §14 has the protocol). The
-cache step simulates the cache's key set on a copy, over the arriving
-packets in packet order: LRU promotion, token-bucket inserts at each
-packet's own ``now_s``, eviction. A miss makes its packet the *leader*
+cache step simulates the cache on a copy, in packet order — LRU
+promotion, token-bucket inserts at each packet's own ``now_s``,
+eviction — but only over the packets whose key an eviction of this step
+can reach (:func:`_reach`); every other packet is a hit whatever the
+rest of the batch does. A miss makes its packet the *leader*
 of an open recording and sends it down ``miss_next``; every covered
 kernel appends its bound effect to the recording; the insert is billed
 when the leader reaches ``hit_next`` (or terminates). Later packets of
@@ -333,18 +336,31 @@ class _Recording:
 class _CacheStep:
     """Op log of one cache step: who looked up what, in packet order.
 
-    ``codes`` is None when every key was present (all hits, nothing to
-    simulate); otherwise one simulated outcome per arriving packet.
+    ``reached`` marks the unique keys an eviction of this step can reach
+    (:func:`_reach`); ``replayed`` are the step positions of their
+    packets and ``codes`` those packets' simulated outcomes. Every other
+    packet is a hit whatever the rest of the step does.
     """
 
-    __slots__ = ("cache", "idx", "keys", "kid", "codes", "recording")
+    __slots__ = (
+        "cache",
+        "idx",
+        "keys",
+        "kid",
+        "reached",
+        "replayed",
+        "codes",
+        "recording",
+    )
 
-    def __init__(self, cache, idx, keys, kid):
+    def __init__(self, cache, idx, keys, kid, reached):
         self.cache = cache
         self.idx = idx
         self.keys = keys
         self.kid = kid
-        self.codes = None
+        self.reached = reached
+        self.replayed = np.flatnonzero(reached[kid])
+        self.codes: list = []
         self.recording = None
 
 
@@ -527,14 +543,14 @@ class _Walk:
         return out
 
 
-def _unique_rows(keymat: np.ndarray):
-    """One sort: ``(unique key tuples, key id of every row)``."""
+def _unique_matrix(keymat: np.ndarray):
+    """One sort: ``(the distinct rows, key id of every row)``."""
     n, width = keymat.shape
     if width == 1:
         keys, kid = np.unique(keymat[:, 0], return_inverse=True)
-        return [(key,) for key in keys.tolist()], kid
+        return keys[:, None], kid
     if width == 0 or n == 1:
-        return [tuple(keymat[0].tolist())], np.zeros(n, dtype=np.int64)
+        return keymat[:1], np.zeros(n, dtype=np.int64)
     order = np.lexsort(keymat.T[::-1])
     ordered = keymat[order]
     first = np.empty(n, dtype=bool)
@@ -542,7 +558,13 @@ def _unique_rows(keymat: np.ndarray):
     np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
     kid = np.empty(n, dtype=np.int64)
     kid[order] = np.cumsum(first) - 1
-    return list(map(tuple, ordered[first].tolist())), kid
+    return ordered[first], kid
+
+
+def _unique_rows(keymat: np.ndarray):
+    """``_unique_matrix`` with the distinct rows as hashable tuples."""
+    rows, kid = _unique_matrix(keymat)
+    return list(map(tuple, rows.tolist())), kid
 
 
 def _split(ids: np.ndarray, idx: np.ndarray):
@@ -563,20 +585,65 @@ def _split(ids: np.ndarray, idx: np.ndarray):
         yield int(ordered[start]), members[start:end]
 
 
-def _simulate(cache, keys, kid, times) -> list:
-    """Run ``cache`` over one batch's lookups on a copy.
+def _bump(totals: dict, name: str, count: int) -> None:
+    if count:
+        totals[name] = totals.get(name, 0) + count
 
-    ``kid``/``times`` give, in packet order, each arriving packet's key
-    id and sim-clock value. Returns one outcome code per packet. Exactly
-    the interpreter's per-packet ``lookup`` then (on a miss)
-    ``insert``: the insert happens later in the packet's life, but no
-    other packet touches the cache in between.
+
+def _reach(cache, keys, absent, counts):
+    """Which unique keys of a cache step an eviction of it can reach.
+
+    ``absent``/``counts`` give, per unique key, whether the store lacks
+    it and how many arriving packets carry it. With ``free`` empty slots
+    a step evicts at most ``misses - free`` times, only a packet of an
+    absent or already evicted key can miss, and an eviction takes the
+    LRU head — which stays inside a prefix of the LRU order for as long
+    as that prefix holds a key no packet touches. So the shortest
+    prefix with ``untouched keys >= absent packets + packets on the
+    prefix's keys - free`` bounds the step: keys past it are never
+    evicted (their packets hit, whatever the others do) and never
+    become the head (so skipping them changes no other outcome).
+    Returns the reached keys as a mask and the prefix length (the whole
+    store when no prefix qualifies).
     """
-    store = OrderedDict(cache._store)
+    store = cache._store
+    need = int(counts[absent].sum()) - (cache.capacity - len(store))
+    reached = absent.copy()
+    reach = 0
+    if need > 0:
+        key_id = dict(zip(keys, range(len(keys))))
+        counts = counts.tolist()
+        on_prefix = []
+        for key in store:
+            reach += 1
+            k = key_id.get(key)
+            if k is None:
+                need -= 1
+            else:
+                need += counts[k]
+                on_prefix.append(k)
+            if need <= 0:
+                break
+        reached[on_prefix] = True
+    return reached, reach
+
+
+def _simulate(cache, keys, positions, kid, times, reach) -> list:
+    """Run ``cache`` over a step's reached lookups on a copy.
+
+    ``positions``/``kid``/``times`` give, in packet order, each replayed
+    packet's position among the step's arrivals, its key id and its
+    sim-clock value; ``reach`` is the LRU prefix they can evict from
+    (:func:`_reach`), the only part of the store copied. Returns one
+    outcome code per packet. Exactly the interpreter's per-packet
+    ``lookup`` then (on a miss) ``insert``: the insert happens later in
+    the packet's life, but no other packet touches the cache in between.
+    """
+    store = OrderedDict(islice(cache._store.items(), reach))
+    capacity = cache.capacity - (len(cache._store) - reach)
     limiter = copy(cache._limiter)
-    capacity = cache.capacity
     codes = []
-    for position, (k, now_s) in enumerate(zip(kid, times)):
+    for position, k, now_s in zip(positions, kid, times):
         key = keys[k]
         held = store.get(key)
         if held is None:
@@ -1040,11 +1107,12 @@ class ColumnarEngine:
         """The one cache kernel, for flow caches and the native cache.
 
         Resolves the batch's unique keys against the real store
-        (read-only), simulates what the packets do to the cache when
-        any key is absent, runs the hits once per distinct effect, sends
-        the misses down ``miss_next`` as leaders of an open recording
-        and parks the followers until :func:`resolve` is called at
-        ``hit_next`` (or at the end of the walk).
+        (read-only), simulates what the packets an eviction can reach
+        (:func:`_reach`) do to the cache, runs the hits once per
+        distinct effect, sends the misses down ``miss_next`` as leaders
+        of an open recording and parks the followers until
+        :func:`resolve` is called at ``hit_next`` (or at the end of the
+        walk).
         """
         action_ns = core.action_ns
         counter_ns = core.counter_update_ns
@@ -1053,7 +1121,8 @@ class ColumnarEngine:
         store = cache._store
         compile_effect = self._compile_effect
         run_effect = self._run_effect
-        clock = self._em.clock
+        em = self._em
+        clock = em.clock
 
         def run_hits(walk, busy, effect, group):
             if effect.unsupported:
@@ -1102,28 +1171,38 @@ class ColumnarEngine:
                     plan = plan_of[bound] = len(plans)
                     plans.append(bound)
                 key_plans.append(plan)
-            step = _CacheStep(cache, idx, keys, kid)
+            key_plans = np.array(key_plans, dtype=np.int64)
+            reached, reach = _reach(
+                cache,
+                keys,
+                key_plans < 0,
+                np.bincount(kid, minlength=len(keys)),
+            )
+            step = _CacheStep(cache, idx, keys, kid, reached)
             walk.cache_steps.append(step)
-            packet_plans = np.array(key_plans, dtype=np.int64)[kid]
-            if -1 not in key_plans:
-                hits = idx
-            else:
+            replayed = step.replayed
+            _bump(em.columnar_cache_arrivals, name, idx.size)
+            _bump(em.columnar_cache_replayed, name, replayed.size)
+            codes = np.full(idx.size, _HIT, dtype=np.int64)
+            if replayed.size:
                 now = walk.now
                 step.codes = _simulate(
                     cache,
                     keys,
-                    kid.tolist(),
+                    replayed.tolist(),
+                    kid[replayed].tolist(),
                     repeat(clock.now_s)
                     if now is None
-                    else map(now.__getitem__, idx.tolist()),
+                    else map(now.__getitem__, idx[replayed].tolist()),
+                    reach,
                 )
-                codes = np.array(step.codes, dtype=np.int64)
-                hit_mask = codes == _HIT
-                hits = idx[hit_mask]
-                packet_plans = packet_plans[hit_mask]
-            for plan, group in _split(packet_plans, hits):
+                codes[replayed] = step.codes
+            hit_mask = codes == _HIT
+            for plan, group in _split(
+                key_plans[kid][hit_mask], idx[hit_mask]
+            ):
                 run_hits(walk, busy, compile_effect(plans[plan]), group)
-            if step.codes is None:
+            if not replayed.size:
                 return
             leaders = idx[codes <= _MISS_INSERTED]
             recording = step.recording = _Recording(
@@ -1163,7 +1242,7 @@ class ColumnarEngine:
         action_ns = core.action_ns
         counter_ns = core.counter_update_ns
         match_fields = node.match_fields
-        lookup = runtime.engine.lookup
+        engine = runtime.engine
         actions = node.actions
         compile_effect = self._compile_effect
         run_effect = self._run_effect
@@ -1172,7 +1251,10 @@ class ColumnarEngine:
         feeds = self._feeds((info.covers if info else ()) or (name,))
         plan_ids: dict = {}
         plans: list = []
-        entry_plans: dict[int, int] = {}
+        #: Plan id per slot of the engine's slot table (-1: not bound
+        #: yet), valid for as long as the engine hands out that table.
+        slot_table = None
+        slot_plans = None
 
         def intern(action, action_data) -> int:
             effect = _UNBINDABLE
@@ -1216,24 +1298,35 @@ class ColumnarEngine:
             no_entry = intern(actions[node.default_action], ())
 
         def kernel(walk: _Walk, idx: np.ndarray) -> None:
+            nonlocal slot_table, slot_plans
             busy = self._prologue(walk, idx, pool, migration_ns, match_ns)
-            keys, kid = _unique_rows(walk.key_matrix(idx, match_fields))
-            self._bump_partitions(name, len(keys))
-            key_plans = []
-            for key in keys:
-                entry = lookup(key)
-                if entry is None:
-                    key_plans.append(no_entry)
-                    continue
-                plan_id = entry_plans.get(entry.entry_id)
-                if plan_id is None:
-                    plan_id = entry_plans[entry.entry_id] = intern(
-                        actions.get(entry.action_name), entry.action_data
+            rows, kid = _unique_matrix(walk.key_matrix(idx, match_fields))
+            self._bump_partitions(name, len(rows))
+            scalar_rows = engine.scalar_rows
+            table, slots = engine.lookup_many(rows)
+            _bump(
+                self._em.columnar_scalar_lookups,
+                name,
+                engine.scalar_rows - scalar_rows,
+            )
+            if table is not slot_table:
+                slot_table = table
+                slot_plans = np.full(len(table), -1, dtype=np.int64)
+            key_plans = slot_plans[slots]
+            unseen = key_plans < 0
+            if unseen.any():
+                for slot in np.unique(slots[unseen]).tolist():
+                    entry = table[slot]
+                    slot_plans[slot] = (
+                        no_entry
+                        if entry is None
+                        else intern(
+                            actions.get(entry.action_name),
+                            entry.action_data,
+                        )
                     )
-                key_plans.append(plan_id)
-            for plan_id, group in _split(
-                np.array(key_plans, dtype=np.int64)[kid], idx
-            ):
+                key_plans = slot_plans[slots]
+            for plan_id, group in _split(key_plans[kid], idx):
                 effect, counter_key, next_name = plans[plan_id]
                 if effect.unsupported:
                     walk.flag(group, _F_UNSUPPORTED)
@@ -1251,11 +1344,8 @@ class ColumnarEngine:
         Totals live on the emulator (like demotions) so recompiles
         don't reset them and shard workers ship them home for merging.
         """
-        if count:
-            self.node_partitions[name] = (
-                self.node_partitions.get(name, 0) + count
-            )
-            self._em.columnar_partitions += count
+        _bump(self.node_partitions, name, count)
+        self._em.columnar_partitions += count
 
     # -- walk / commit / demote --------------------------------------------
 
@@ -1372,51 +1462,59 @@ class ColumnarEngine:
     def _commit_cache(self, walk, step: _CacheStep, ops: int) -> None:
         """Replay the first ``ops`` lookups of ``step`` on the real cache.
 
-        The real ``lookup``/``insert`` run in packet order and must
-        agree with the simulation; a step that was all hits commits as
-        one ``touch`` per key in last-occurrence order, which leaves the
-        same LRU order and stats as the individual lookups.
+        The reached packets among them go through the real ``lookup``/
+        ``insert`` in packet order and must agree with the simulation.
+        One closing pass over the keys in last-occurrence order then
+        books the other keys' hits (one ``touch`` each) and moves every
+        key to where its last packet left it, which is the LRU order
+        and the stats of the individual lookups.
         """
         cache = step.cache
         keys = step.keys
-        if step.codes is None:
-            kid = step.kid[:ops]
-            last = np.full(len(keys), -1, dtype=np.int64)
-            last[kid] = np.arange(ops)  # repeated index: last one wins
-            counts = np.bincount(kid, minlength=len(keys)).tolist()
-            order = np.argsort(last, kind="stable")
-            try:
-                for k in order[np.searchsorted(last[order], 0):].tolist():
-                    cache.touch(keys[k], counts[k])
-            except KeyError as error:
-                raise EmulationError(
-                    f"flow cache lost key {error} between walk and commit"
-                ) from None
-            return
-        now = walk.now
-        static_now = self._em.clock.now_s
-        recording = step.recording
-        effects = walk.chain_effects
-        chain = recording.chain
-        lookup = cache.lookup
-        for i, k, code in zip(
-            step.idx[:ops].tolist(), step.kid[:ops].tolist(), step.codes
-        ):
-            key = keys[k]
-            missed = lookup(key) is None
-            if missed != (code <= _MISS_INSERTED) or (
-                missed
-                and cache.insert(
-                    key,
-                    effects[chain[i]],
-                    static_now if now is None else now[i],
-                )
-                != (code == _MISS_INSERTED)
+        replayed = step.replayed[: np.searchsorted(step.replayed, ops)]
+        if replayed.size:
+            now = walk.now
+            static_now = self._em.clock.now_s
+            effects = walk.chain_effects
+            chain = step.recording.chain
+            lookup = cache.lookup
+            for i, k, code in zip(
+                step.idx[replayed].tolist(),
+                step.kid[replayed].tolist(),
+                step.codes,
             ):
-                raise EmulationError(
-                    f"cache step diverged from its simulation at packet "
-                    f"{i} (key {key}, predicted code {code})"
-                )
+                key = keys[k]
+                missed = lookup(key) is None
+                if missed != (code <= _MISS_INSERTED) or (
+                    missed
+                    and cache.insert(
+                        key,
+                        effects[chain[i]],
+                        static_now if now is None else now[i],
+                    )
+                    != (code == _MISS_INSERTED)
+                ):
+                    raise EmulationError(
+                        f"cache step diverged from its simulation at "
+                        f"packet {i} (key {key}, predicted code {code})"
+                    )
+        kid = step.kid[:ops]
+        last = np.full(len(keys), -1, dtype=np.int64)
+        last[kid] = np.arange(ops)  # repeated index: last one wins
+        counts = np.bincount(kid, minlength=len(keys)).tolist()
+        order = np.argsort(last, kind="stable")
+        reached = step.reached.tolist()
+        store = cache._store
+        try:
+            for k in order[np.searchsorted(last[order], 0):].tolist():
+                if not reached[k]:
+                    cache.touch(keys[k], counts[k])
+                elif keys[k] in store:  # else: rejected, or evicted since
+                    store.move_to_end(keys[k])
+        except KeyError as error:
+            raise EmulationError(
+                f"flow cache lost key {error} between walk and commit"
+            ) from None
 
     def _demote_one(self, packet, i, stats, outcome, reason) -> None:
         """Interpret packet ``i``, in order (the caller has set the sim

@@ -179,6 +179,13 @@ class NicEmulator:
         #: Flow-key partitions the batch kernels resolved (one table
         #: lookup each) — the partition-count bottleneck metric.
         self.columnar_partitions = 0
+        #: Where the kernels' fast paths did not apply: unique key rows
+        #: a table resolved one ``lookup`` at a time, and per cache the
+        #: packets that arrived at its step against those that entered
+        #: the step's ordered (per-packet) replay.
+        self.columnar_scalar_lookups: dict[str, int] = {}
+        self.columnar_cache_arrivals: dict[str, int] = {}
+        self.columnar_cache_replayed: dict[str, int] = {}
         #: Optional sampled-span recorder (attach a PacketTracer to
         #: trace; the disabled path costs one branch per packet here
         #: and one per batch in the columnar tier).

@@ -4,12 +4,21 @@ The engines double as the emulator's performance model input: each engine
 reports ``memory_accesses`` — the paper's ``m`` (Equation 4a) — derived
 from its actual structure (one hash table per distinct ternary mask or LPM
 prefix length, as described in §3.1).
+
+``lookup`` probes that structure for one key and is the specification.
+``lookup_many`` answers a whole key matrix from the same structure laid
+out as sorted int64 arrays (one :class:`_RowIndex` per hash table),
+rebuilt lazily when the engine's mutation counter has moved; whatever
+the arrays cannot express exactly takes the per-row loop over
+``lookup``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from repro.errors import ControlPlaneError, UnknownEntryError
 from repro.ir.entries import (
@@ -22,12 +31,84 @@ from repro.ir.entries import (
 from repro.ir.tables import MatchKey, MatchType
 
 
+#: Multiplier of the wrapping polynomial that packs a multi-column key
+#: row into one sortable ``uint64``. Packing may collide: installed rows
+#: that do make the engine fall back, and a probe only matches after
+#: its full row compares equal.
+_PACK_MULTIPLIER = 0x9E3779B97F4A7C15
+
+
+class _Inexpressible(Exception):
+    """The installed entries have no exact int64 array form."""
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """One sortable word per row of an ``(n, width)`` int64 matrix."""
+    if rows.shape[1] == 1:
+        return rows[:, 0]
+    multiplier = np.uint64(_PACK_MULTIPLIER)
+    packed = np.zeros(len(rows), dtype=np.uint64)
+    for column in rows.T:
+        packed = packed * multiplier + column.astype(np.uint64)
+    return packed
+
+
+def _int64_rows(rows: Iterable[tuple[int, ...]], width: int) -> np.ndarray:
+    rows = list(rows)
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    except OverflowError:
+        raise _Inexpressible from None
+
+
+def _slot_table(entries: Iterable[TableEntry]) -> np.ndarray:
+    """Entries by slot, ``None`` last — so slot ``-1`` reads as a miss."""
+    entries = list(entries)
+    table = np.empty(len(entries) + 1, dtype=object)
+    table[:-1] = entries
+    return table
+
+
+class _RowIndex:
+    """One of §3.1's hash tables as arrays: distinct int64 key rows,
+    found again by ``searchsorted`` over their packed words."""
+
+    __slots__ = ("rows", "order", "packed")
+
+    def __init__(self, rows: np.ndarray):
+        packed = _pack(rows)
+        self.rows = rows
+        self.order = np.argsort(packed, kind="stable")
+        self.packed = packed[self.order]
+        if (self.packed[1:] == self.packed[:-1]).any():
+            raise _Inexpressible  # two installed rows share a word
+
+    def find(self, probes: np.ndarray) -> np.ndarray:
+        """The row number each probe row equals, ``-1`` for none."""
+        if not len(self.rows):
+            return np.full(len(probes), -1, dtype=np.int64)
+        at = np.searchsorted(self.packed, _pack(probes))
+        found = self.order[np.minimum(at, len(self.rows) - 1)]
+        found[(self.rows[found] != probes).any(axis=1)] = -1
+        return found
+
+
 class MatchEngine(ABC):
     """Stores entries and answers lookups for one table."""
 
     def __init__(self, keys: tuple[MatchKey, ...]):
         self.keys = keys
         self._entries: dict[int, TableEntry] = {}
+        #: Bumped by every add/remove/clear; guards ``_arrays``.
+        self._mutations = 0
+        self._arrays_at = -1
+        #: ``_vectorise()`` of the installed entries, or None where
+        #: only ``lookup`` is exact.
+        self._arrays: Optional[
+            tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]
+        ] = None
+        #: Rows ``lookup_many`` resolved one ``lookup`` at a time.
+        self.scalar_rows = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -51,6 +132,7 @@ class MatchEngine(ABC):
                 f"Entry id {entry.entry_id} already installed"
             )
         self._check_types(entry)
+        self._mutations += 1
         self._entries[entry.entry_id] = entry
         self._index_add(entry)
 
@@ -58,16 +140,52 @@ class MatchEngine(ABC):
         entry = self._entries.pop(entry_id, None)
         if entry is None:
             raise UnknownEntryError(f"No entry with id {entry_id}")
+        self._mutations += 1
         self._index_remove(entry)
         return entry
 
     def clear(self) -> None:
+        self._mutations += 1
         self._entries.clear()
         self._index_clear()
 
     @abstractmethod
     def lookup(self, values: tuple[int, ...]) -> Optional[TableEntry]:
         """Best matching entry for the packet's key-field values."""
+
+    def lookup_many(
+        self, key_matrix: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``lookup`` of every row of an ``(n, len(keys))`` int64 matrix.
+
+        Returns ``(table, slots)``: ``table[slots[i]]`` is the very
+        entry ``lookup`` returns for row ``i``. ``table`` ends in
+        ``None``, so slot ``-1`` is a miss, and stays the same object
+        until the engine is next mutated — a caller may memoise per
+        slot for as long as it is handed the same table.
+        """
+        if self._arrays_at != self._mutations:
+            self._arrays_at = self._mutations
+            try:
+                self._arrays = self._vectorise()
+            except _Inexpressible:
+                self._arrays = None
+        if self._arrays is not None:
+            table, slots_of = self._arrays
+            return table, slots_of(key_matrix)
+        self.scalar_rows += len(key_matrix)
+        return (
+            _slot_table(self.lookup(tuple(r)) for r in key_matrix.tolist()),
+            np.arange(len(key_matrix)),
+        )
+
+    def _vectorise(
+        self,
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """The installed entries as ``(slot table, key matrix -> slots)``;
+        :class:`_Inexpressible` keeps the per-row loop (as here: a
+        range table is a linear scan by design)."""
+        raise _Inexpressible
 
     # Index maintenance hooks ------------------------------------------------
 
@@ -136,11 +254,15 @@ class ExactEngine(MatchEngine):
     def lookup(self, values: tuple[int, ...]) -> Optional[TableEntry]:
         return self._map.get(values)
 
+    def _vectorise(self):
+        index = _RowIndex(_int64_rows(self._map, len(self.keys)))
+        return _slot_table(self._map.values()), index.find
+
 
 class LpmEngine(MatchEngine):
     """Exact keys plus at most one LPM key.
 
-    Modelled as one hash table per distinct prefix length, probed from the
+    Modelled as one hash table per distinct prefix mask, probed from the
     longest prefix down — exactly the structure the paper assumes when it
     sets ``m`` to the number of distinct prefixes.
     """
@@ -156,11 +278,15 @@ class LpmEngine(MatchEngine):
                 f"{len(lpm_positions)}"
             )
         self._lpm_index = lpm_positions[0]
-        self._by_prefix: dict[int, dict[tuple[int, ...], TableEntry]] = {}
+        self._by_mask: dict[int, dict[tuple[int, ...], TableEntry]] = {}
+        #: ``_by_mask``'s items, longest prefix first (ties: widest).
+        self._probe_order: list[
+            tuple[int, dict[tuple[int, ...], TableEntry]]
+        ] = []
 
     @property
     def memory_accesses(self) -> int:
-        return max(1, len(self._by_prefix))
+        return max(1, len(self._by_mask))
 
     def _check_types(self, entry: TableEntry) -> None:
         for i, value in enumerate(entry.match_values):
@@ -183,45 +309,79 @@ class LpmEngine(MatchEngine):
                 parts.append(lpm_value.value & lpm_value.mask)
             else:
                 parts.append(value.value)  # type: ignore[union-attr]
-        return lpm_value.prefix_len, tuple(parts)
+        return lpm_value.mask, tuple(parts)
+
+    def _reorder(self) -> None:
+        # A prefix mask is ``prefix_len`` ones ending at bit ``width``.
+        self._probe_order = sorted(
+            self._by_mask.items(),
+            key=lambda item: (item[0].bit_count(), item[0].bit_length()),
+            reverse=True,
+        )
 
     def _index_add(self, entry: TableEntry) -> None:
-        prefix_len, key = self._key_of(entry)
-        bucket = self._by_prefix.setdefault(prefix_len, {})
+        mask, key = self._key_of(entry)
+        bucket = self._by_mask.get(mask)
+        if bucket is None:
+            bucket = self._by_mask[mask] = {}
+            self._reorder()
         if key in bucket:
             del self._entries[entry.entry_id]
+            prefix_len = entry.match_values[self._lpm_index].prefix_len
             raise ControlPlaneError(
                 f"Duplicate LPM key {key} at /{prefix_len}"
             )
         bucket[key] = entry
 
     def _index_remove(self, entry: TableEntry) -> None:
-        prefix_len, key = self._key_of(entry)
-        bucket = self._by_prefix.get(prefix_len)
+        mask, key = self._key_of(entry)
+        bucket = self._by_mask.get(mask)
         if bucket is not None:
             bucket.pop(key, None)
             if not bucket:
-                del self._by_prefix[prefix_len]
+                del self._by_mask[mask]
+                self._reorder()
 
     def _index_clear(self) -> None:
-        self._by_prefix.clear()
+        self._by_mask.clear()
+        self._probe_order = []
 
     def lookup(self, values: tuple[int, ...]) -> Optional[TableEntry]:
-        lpm_key = self.keys[self._lpm_index]
-        width = 32
-        for prefix_len in sorted(self._by_prefix, reverse=True):
-            if prefix_len == 0:
-                mask = 0
-            else:
-                mask = ((1 << prefix_len) - 1) << (width - prefix_len)
-            probe = tuple(
-                (v & mask) if i == self._lpm_index else v
-                for i, v in enumerate(values)
+        lpm = self._lpm_index
+        for mask, bucket in self._probe_order:
+            entry = bucket.get(
+                values[:lpm] + (values[lpm] & mask,) + values[lpm + 1 :]
             )
-            entry = self._by_prefix[prefix_len].get(probe)
             if entry is not None:
                 return entry
         return None
+
+    def _vectorise(self):
+        lpm = self._lpm_index
+        tables = []
+        entries: list[TableEntry] = []
+        for mask, bucket in self._probe_order:
+            if mask.bit_length() > 63:
+                raise _Inexpressible
+            index = _RowIndex(_int64_rows(bucket, len(self.keys)))
+            tables.append((mask, index, len(entries)))
+            entries.extend(bucket.values())
+
+        def slots_of(key_matrix: np.ndarray) -> np.ndarray:
+            slots = np.full(len(key_matrix), -1, dtype=np.int64)
+            unmatched = np.arange(len(key_matrix))
+            for mask, index, first_slot in tables:
+                if not unmatched.size:
+                    break
+                probes = key_matrix[unmatched]
+                probes[:, lpm] &= mask
+                found = index.find(probes)
+                hit = found >= 0
+                slots[unmatched[hit]] = found[hit] + first_slot
+                unmatched = unmatched[~hit]
+            return slots
+
+        return _slot_table(entries), slots_of
 
 
 class TernaryEngine(MatchEngine):
@@ -292,6 +452,38 @@ class TernaryEngine(MatchEngine):
                 ):
                     best = entry
         return best
+
+    def _vectorise(self):
+        # Slots in rank order, so the best of several hits is the
+        # largest slot and a miss (-1) loses to any of them.
+        ranked = sorted(
+            self._entries.values(), key=lambda e: (e.priority, -e.entry_id)
+        )
+        slot_of = {entry.entry_id: slot for slot, entry in enumerate(ranked)}
+        width = len(self.keys)
+        groups = []
+        for masks, group in self._groups.items():
+            winners = [
+                max(slot_of[entry.entry_id] for entry in bucket)
+                for bucket in group.values()
+            ]
+            groups.append(
+                (
+                    _int64_rows([masks], width)[0],
+                    _RowIndex(_int64_rows(group, width)),
+                    np.array(winners + [-1], dtype=np.int64),
+                )
+            )
+
+        def slots_of(key_matrix: np.ndarray) -> np.ndarray:
+            best = np.full(len(key_matrix), -1, dtype=np.int64)
+            for masks, index, winners in groups:
+                np.maximum(
+                    best, winners[index.find(key_matrix & masks)], out=best
+                )
+            return best
+
+        return _slot_table(ranked), slots_of
 
 
 class RangeEngine(MatchEngine):

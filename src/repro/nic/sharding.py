@@ -477,6 +477,9 @@ def _worker_state(emulator: NicEmulator) -> dict:
         "demotions": dict(emulator.columnar_demotions),
         "columnar_packets": emulator.columnar_packets,
         "columnar_partitions": emulator.columnar_partitions,
+        "columnar_scalar_lookups": dict(emulator.columnar_scalar_lookups),
+        "columnar_cache_arrivals": dict(emulator.columnar_cache_arrivals),
+        "columnar_cache_replayed": dict(emulator.columnar_cache_replayed),
     }
 
 
@@ -930,6 +933,12 @@ class ShardedEmulator:
         self.columnar_packets = 0
         #: Flow-key partitions the workers' batch kernels resolved.
         self.columnar_partitions = 0
+        #: Where the workers' fast paths did not apply (see
+        #: :class:`NicEmulator`): per-table scalar lookups, per-cache
+        #: arrivals and ordered replays.
+        self.columnar_scalar_lookups: dict[str, int] = {}
+        self.columnar_cache_arrivals: dict[str, int] = {}
+        self.columnar_cache_replayed: dict[str, int] = {}
         #: Merged per-worker packet tracer from the last collection
         #: (None unless the worker emulators carry tracers).
         self.tracer = None
@@ -1676,11 +1685,19 @@ class ShardedEmulator:
         demotions: dict[str, int] = {}
         columnar_packets = 0
         columnar_partitions = 0
+        by_name = {
+            "columnar_scalar_lookups": {},
+            "columnar_cache_arrivals": {},
+            "columnar_cache_replayed": {},
+        }
         for state in states:
             for reason, count in state["demotions"].items():
                 demotions[reason] = demotions.get(reason, 0) + count
             columnar_packets += state["columnar_packets"]
             columnar_partitions += state["columnar_partitions"]
+            for attribute, merged in by_name.items():
+                for name, count in state[attribute].items():
+                    merged[name] = merged.get(name, 0) + count
             worker_tracer = state["tracer"]
             if worker_tracer is not None:
                 if tracer is None:
@@ -1713,6 +1730,9 @@ class ShardedEmulator:
         self.columnar_demotions = demotions
         self.columnar_packets = columnar_packets
         self.columnar_partitions = columnar_partitions
+        self.columnar_scalar_lookups = by_name["columnar_scalar_lookups"]
+        self.columnar_cache_arrivals = by_name["columnar_cache_arrivals"]
+        self.columnar_cache_replayed = by_name["columnar_cache_replayed"]
 
     def collect(self) -> None:
         """Barrier: refresh merged counters/cache stats from all workers."""

@@ -142,18 +142,15 @@ def export_tracer(registry: MetricsRegistry, tracer: PacketTracer) -> None:
 
 
 def export_columnar(
-    registry: MetricsRegistry,
-    demotions: dict[str, int],
-    columnar_packets: int = 0,
-    columnar_partitions: int = 0,
-    **labels: object,
+    registry: MetricsRegistry, emulator, **labels: object
 ) -> None:
     """Project the columnar tier's demotion/retirement accounting.
 
-    Called at export time with the cumulative counts the emulator (or
-    the sharded merge) owns — the hot path never touches the registry.
+    Called at export time with the emulator (one core, or the sharded
+    merge: same attribute names) that owns the cumulative counts — the
+    hot path never touches the registry.
     """
-    for reason, count in sorted(demotions.items()):
+    for reason, count in sorted(emulator.columnar_demotions.items()):
         registry.inc(
             "pipeleon_columnar_demotions_total",
             count,
@@ -166,13 +163,13 @@ def export_columnar(
         )
     registry.inc(
         "pipeleon_columnar_packets_total",
-        columnar_packets,
+        emulator.columnar_packets,
         help="Packets fully retired by the columnar batch kernels",
         **labels,
     )
     registry.inc(
         "pipeleon_columnar_partitions_total",
-        columnar_partitions,
+        emulator.columnar_partitions,
         help=(
             "Flow-key partitions the batch kernels resolved (one "
             "table lookup each); partitions/packets near 1 means the "
@@ -180,6 +177,32 @@ def export_columnar(
         ),
         **labels,
     )
+    for table, count in sorted(emulator.columnar_scalar_lookups.items()):
+        registry.inc(
+            "pipeleon_columnar_scalar_lookups_total",
+            count,
+            help=(
+                "Unique key rows a table resolved one MatchEngine.lookup "
+                "at a time (its entries have no exact int64 array form)"
+            ),
+            table=table,
+            **labels,
+        )
+    for metric, counts, what in (
+        (
+            "pipeleon_columnar_cache_arrivals_total",
+            emulator.columnar_cache_arrivals,
+            "Packets that arrived at a cache step",
+        ),
+        (
+            "pipeleon_columnar_cache_replayed_total",
+            emulator.columnar_cache_replayed,
+            "Packets a cache step replayed one by one, in order (their "
+            "key was absent or within an eviction's reach)",
+        ),
+    ):
+        for cache, count in sorted(counts.items()):
+            registry.inc(metric, count, help=what, cache=cache, **labels)
 
 
 def export_event_log(registry: MetricsRegistry, events) -> None:
@@ -216,9 +239,4 @@ def export_emulator(registry: MetricsRegistry, emulator) -> None:
         export_cache_stats(
             registry, "__native__", emulator.native_cache.stats
         )
-    export_columnar(
-        registry,
-        emulator.columnar_demotions,
-        emulator.columnar_packets,
-        emulator.columnar_partitions,
-    )
+    export_columnar(registry, emulator)

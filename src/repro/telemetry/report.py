@@ -128,6 +128,8 @@ class KernelRow:
     node: str
     packets: int
     partitions: int  # flow-key partitions resolved (lookups done)
+    scalar_lookups: int  # of those, resolved one MatchEngine.lookup each
+    cache_replayed: int  # packets the node's cache step replayed in order
     wall_us_per_kpkt: float  # measured kernel host-us per 1k packets
     model_ns_per_pkt: float  # cost-model primary charge per packet
     wall_share: float  # fraction of total kernel wall time
@@ -138,6 +140,8 @@ class KernelRow:
             "node": self.node,
             "packets": self.packets,
             "partitions": self.partitions,
+            "scalar_lookups": self.scalar_lookups,
+            "cache_replayed": self.cache_replayed,
             "wall_us_per_kpkt": self.wall_us_per_kpkt,
             "model_ns_per_pkt": self.model_ns_per_pkt,
             "wall_share": self.wall_share,
@@ -189,6 +193,8 @@ def columnar_kernel_report(emulator) -> KernelReport:
                 node=node,
                 packets=packets,
                 partitions=engine.node_partitions.get(node, 0),
+                scalar_lookups=emulator.columnar_scalar_lookups.get(node, 0),
+                cache_replayed=emulator.columnar_cache_replayed.get(node, 0),
                 wall_us_per_kpkt=(
                     wall_s * 1e6 / (packets / 1000.0) if packets else 0.0
                 ),
@@ -210,7 +216,8 @@ def columnar_kernel_report(emulator) -> KernelReport:
 def format_kernel_report(report: KernelReport) -> str:
     """Human-readable columnar kernel-vs-model table."""
     header = (
-        f"{'node':<28} {'packets':>9} {'parts':>7} {'us/kpkt':>9} "
+        f"{'node':<28} {'packets':>9} {'parts':>7} {'scalar':>7} "
+        f"{'replayed':>8} {'us/kpkt':>9} "
         f"{'model_ns':>9} {'wall%':>7} {'model%':>7}"
     )
     lines = [header, "-" * len(header)]
@@ -218,6 +225,7 @@ def format_kernel_report(report: KernelReport) -> str:
         name = row.node if len(row.node) <= 28 else row.node[:25] + "..."
         lines.append(
             f"{name:<28} {row.packets:>9} {row.partitions:>7} "
+            f"{row.scalar_lookups:>7} {row.cache_replayed:>8} "
             f"{row.wall_us_per_kpkt:>9.2f} "
             f"{row.model_ns_per_pkt:>9.1f} {row.wall_share * 100:>6.1f}% "
             f"{row.model_share * 100:>6.1f}%"

@@ -10,6 +10,8 @@ observable, including under mid-stream control-plane updates, over
 random synthesized programs, and across the sharded shm transport.
 """
 
+import copy
+import functools
 import random
 
 import numpy as np
@@ -32,10 +34,15 @@ from repro.core.sharded import ShardedDeployment
 from repro.core.transform.cache import apply_cache, apply_group_cache
 from repro.errors import EmulationError, TransformError
 from repro.ir import exact_entry
-from repro.ir.entries import ExactValue, TableEntry
+from repro.ir.actions import Action, Param, drop_action, prim
+from repro.ir.builder import ProgramBuilder
+from repro.ir.entries import ExactValue, LpmValue, TableEntry
+from repro.ir.tables import MatchType
 from repro.nic.columnar import ColumnBatch
+from repro.nic.control_plane import ControlPlane
 from repro.nic.emulator import NicEmulator
-from repro.nic.flow_cache import FlowCache
+from repro.nic.flow_cache import FlowCache, TokenBucket
+from repro.nic.match_engine import ExactEngine, LpmEngine, TernaryEngine
 from repro.nic.packet import Packet, ipv4, make_packet
 from repro.nic.stats import RunStats
 from repro.nic.targets import AGILIO_CX, BLUEFIELD2, EMULATED_NIC
@@ -930,6 +937,276 @@ class TestCacheStep:
         monkeypatch.setattr(columnar, "_simulate", doctor)
         with pytest.raises(EmulationError, match="diverged"):
             col.replay(zipf_packets(9, 200), batch=200, engine="auto")
+
+
+    # -- the reach bound: which packets the step replays one by one ----
+
+    #: capacity 4, warmed to LRU order [0, 1, 2, 3] (0 is evicted first).
+    REACH_CASES = {
+        # Two absent packets, two untouched keys at the LRU head: the
+        # bound is met exactly, flow 3 is out of every eviction's reach.
+        "evictions == untouched prefix": ([4, 5, 3, 3], None, 2),
+        "one eviction more": ([4, 5, 6, 3, 3], None, 3),
+        # Flow 1 sits in the prefix and is asked for again after 5 has
+        # evicted it: no prefix has enough untouched keys.
+        "evicted prefix key asked for again": ([4, 5, 1, 3, 3], None, 5),
+        # ... and with two tokens its re-insert is rejected, so flow 1
+        # is absent when the closing pass reaches it.
+        "rejected re-insert": ([4, 5, 1, 3, 1], (1e-9, 2.0), 5),
+        "free slots cover the misses": ([3, 2, 3], None, 0),
+    }
+
+    @pytest.mark.parametrize("case", REACH_CASES)
+    def test_reach_bound(self, case):
+        pattern, bucket, replayed = self.REACH_CASES[case]
+        interp, col = plan_twins(capacity=4)
+        flows = synth_flows(7)
+        for deployment in (interp, col):
+            deployment.replay(
+                flow_packets(flows, [0, 1, 2, 3]), engine="interp"
+            )
+            if bucket is not None:
+                only_cache(deployment)._limiter = TokenBucket(*bucket)
+        assert_no_demotion_twin(
+            interp, col, lambda: flow_packets(flows, pattern)
+        )
+        (name,) = col.emulator.flow_caches
+        assert col.emulator.columnar_cache_arrivals == {name: len(pattern)}
+        assert col.emulator.columnar_cache_replayed == (
+            {name: replayed} if replayed else {}
+        )
+
+    @pytest.mark.parametrize("seed", [3, 11, 42])
+    def test_nested_caches_replay_a_part(self, seed):
+        def build():
+            deployment = Deployment(
+                nested_and_diamond_caches(seed, 7, 0.0),
+                EMULATED_NIC,
+                native_cache=False,
+            )
+            install_random_entries(deployment, seed)
+            return deployment
+
+        interp, col = build(), build()
+        assert len(col.emulator.flow_caches) >= 2
+        assert_no_demotion_twin(
+            interp, col, lambda: random_packets(seed, 400), batch=100
+        )
+        arrivals = col.emulator.columnar_cache_arrivals
+        replayed = col.emulator.columnar_cache_replayed
+        assert sum(replayed.values()) < sum(arrivals.values())
+        assert all(replayed.get(name, 0) <= arrivals[name] for name in arrivals)
+
+
+class TestNoScalarEngineLookup:
+    """A columnar replay resolves exact, LPM and ternary tables from
+    the engines' arrays: with the scalar ``lookup`` of all three
+    poisoned (the interpreter twin, its caller, runs first) the replay
+    still completes, bit-identical to that twin."""
+
+    PACKETS = 16_000
+
+    @staticmethod
+    def poisoned(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("columnar replay made a scalar engine lookup")
+
+    def assert_identical_without_scalar_lookups(
+        self, monkeypatch, interp, col, flows, locality
+    ):
+        def stream(deployment, engine):
+            return deployment.replay(
+                TrafficGenerator(5).stream(
+                    flows, self.PACKETS, locality=locality, zipf_skew=1.2
+                ),
+                batch=4096,
+                engine=engine,
+            )
+
+        reference = stream(interp, "interp")
+        for engine in (ExactEngine, LpmEngine, TernaryEngine):
+            monkeypatch.setattr(engine, "lookup", self.poisoned)
+        replayed = stream(col, "auto")
+        monkeypatch.undo()
+        assert stats_fingerprint(replayed) == stats_fingerprint(reference)
+        assert_emulators_identical(interp.emulator, col.emulator)
+        assert col.emulator.columnar_demotions == {}
+        assert col.emulator.columnar_packets == self.PACKETS
+        assert col.emulator.columnar_scalar_lookups == {}
+
+    def test_200k_flows_over_a_50k_entry_lpm_table(self, monkeypatch):
+        flows = synth_flows(200_000)
+        routes = (
+            [(flow.src, 32) for flow in flows[:100_000:2]]
+            + [(ipv4(10, 1, third, 0), 24) for third in range(256)]
+            + [(ipv4(10, 2, 0, 0), 16)]
+        )
+
+        def build():
+            builder = ProgramBuilder("big")
+            builder.table(
+                "route",
+                [("ipv4.src", MatchType.LPM)],
+                [
+                    Action("set_nhop", (prim("forward", Param(0)),)),
+                    drop_action("route_miss"),
+                ],
+                default_action="route_miss",
+                size=65536,
+            )
+            program = builder.build(root="route")
+            # Filled before a deployment listens: an insert into a live
+            # one mirrors the whole table each time.
+            control_plane = ControlPlane(program)
+            for i, (value, prefix_len) in enumerate(routes):
+                control_plane.insert_entry(
+                    "route",
+                    TableEntry(
+                        (LpmValue(value, prefix_len),), "set_nhop", (i % 4,)
+                    ),
+                )
+            return Deployment(program, BLUEFIELD2, control_plane=control_plane)
+
+        interp, col = build(), build()
+        assert len(col.emulator.runtime_tables["route"]) == len(routes) > 50_000
+        self.assert_identical_without_scalar_lookups(
+            monkeypatch, interp, col, flows, "uniform"
+        )
+
+    def test_optimized_dash_routing_at_20k_flows(self, monkeypatch):
+        interp, col = plan_twins(capacity=4096)
+        self.assert_identical_without_scalar_lookups(
+            monkeypatch, interp, col, synth_flows(20_000), "zipf"
+        )
+        (name,) = col.emulator.flow_caches
+        replayed = col.emulator.columnar_cache_replayed[name]
+        assert 0 < replayed < col.emulator.columnar_cache_arrivals[name]
+
+
+@functools.lru_cache(maxsize=None)
+def dash_plan():
+    return Pipeleon(BLUEFIELD2).optimize(dash_routing.build_program())
+
+
+def plan_twins(capacity: int):
+    """``cache_twins("dash_routing")`` without the search per call and
+    with no limiter (a test attaches its own after warming up)."""
+    twins = []
+    for _ in range(2):
+        deployment = Deployment(
+            dash_routing.build_program(),
+            BLUEFIELD2,
+            plan=dash_plan(),
+            cache_capacity=capacity,
+            cache_insertion_limit_pps=0,
+        )
+        dash_routing.install_base_entries(deployment.control_plane)
+        twins.append(deployment)
+    return twins
+
+
+@st.composite
+def cache_step_cases(draw):
+    n_flows = draw(st.integers(min_value=1, max_value=24))
+    flow = st.integers(min_value=0, max_value=n_flows - 1)
+    hot = draw(st.lists(flow, min_size=1, max_size=3))
+    pattern = draw(
+        st.lists(
+            st.one_of(st.sampled_from(hot), flow), min_size=1, max_size=60
+        )
+    )
+    gaps = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.001, 0.02]),
+            min_size=len(pattern),
+            max_size=len(pattern),
+        )
+    )
+    return {
+        "capacity": draw(st.integers(min_value=1, max_value=16)),
+        "n_flows": n_flows,
+        # Interpreted first: leaves the store empty, partly full or
+        # full, in this LRU order.
+        "warm": draw(st.lists(flow, max_size=40)),
+        # Off, generous, starving: (rate per second, burst).
+        "bucket": draw(
+            st.sampled_from([None, (1e6, None), (50.0, 1.0), (50.0, 3.0)])
+        ),
+        "pattern": pattern,
+        "timestamps": list(np.cumsum(gaps)),
+        # Packets the kernels cannot express: each ends a commit early.
+        "cuts": draw(
+            st.lists(
+                st.integers(min_value=0, max_value=len(pattern) - 1),
+                max_size=2,
+                unique=True,
+            )
+        ),
+    }
+
+
+@settings(
+    max_examples=250,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=cache_step_cases())
+def test_property_cache_step_is_a_sequential_flow_cache(case):
+    """The reduced cache step against one ``lookup``/``insert`` per
+    packet: first the walk's outcome codes (against ``_simulate`` over
+    every position and against a sequential twin cache), then whole and
+    partial commits against the interpreter — store order and values,
+    all of ``CacheStats`` and the token bucket's floats."""
+    interp, col = plan_twins(case["capacity"])
+    flows = synth_flows(case["n_flows"])
+    for deployment in (interp, col):
+        deployment.replay(flow_packets(flows, case["warm"]), engine="interp")
+        if case["bucket"] is not None:
+            only_cache(deployment)._limiter = TokenBucket(*case["bucket"])
+
+    def packets():
+        built = flow_packets(flows, case["pattern"])
+        for cut in case["cuts"]:
+            built[cut].set("ipv4.ttl", -(2**63))  # routing's ttl - 1
+        return built
+
+    timestamps = case["timestamps"]
+    walk = col.emulator.columnar._walk(
+        ColumnBatch.from_packets(packets()), 0, timestamps
+    )
+    (step,) = walk.cache_steps
+    n = len(timestamps)
+    assert step.idx.tolist() == list(range(n))
+    codes = [columnar._HIT] * n
+    for position, code in zip(step.replayed.tolist(), step.codes):
+        codes[position] = code
+    cache = only_cache(col)
+    assert codes == columnar._simulate(
+        cache,
+        step.keys,
+        range(n),
+        step.kid.tolist(),
+        timestamps,
+        len(cache),
+    )
+    sequential = copy.deepcopy(cache)
+    for k, now_s, code in zip(step.kid.tolist(), timestamps, codes):
+        if sequential.lookup(step.keys[k]) is not None:
+            assert code == columnar._HIT or code >= 0
+        elif sequential.insert(step.keys[k], (), now_s):
+            assert code == columnar._MISS_INSERTED
+        else:
+            assert code == columnar._MISS_REJECTED
+
+    reference, replayed = RunStats(), RunStats()
+    interp.emulator.replay_batch(
+        packets(), reference, timestamps=timestamps, engine="interp"
+    )
+    col.emulator.replay_batch(
+        packets(), replayed, timestamps=np.array(timestamps), engine="auto"
+    )
+    assert stats_fingerprint(replayed) == stats_fingerprint(reference)
+    assert_emulators_identical(interp.emulator, col.emulator)
+    assert sum(col.emulator.columnar_demotions.values()) == len(case["cuts"])
 
 
 def nested_and_diamond_caches(seed: int, capacity: int, limit: float):

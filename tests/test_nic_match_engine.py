@@ -1,9 +1,12 @@
 """Tests for the match engines, including oracle-equivalence properties."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.nic.match_engine as match_engine
 from repro.errors import ControlPlaneError, UnknownEntryError
+from repro.ir.actions import noop_action
 from repro.ir.entries import (
     ExactValue,
     LpmValue,
@@ -11,7 +14,7 @@ from repro.ir.entries import (
     TableEntry,
     TernaryValue,
 )
-from repro.ir.tables import MatchKey, MatchType
+from repro.ir.tables import MatchKey, MatchType, TableNode
 from repro.nic.match_engine import (
     ExactEngine,
     LpmEngine,
@@ -19,6 +22,7 @@ from repro.nic.match_engine import (
     TernaryEngine,
     build_engine,
 )
+from repro.nic.table_runtime import RuntimeTable
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
@@ -185,6 +189,40 @@ class TestLpmEngine:
             assert got_len == exp_len
 
 
+    @pytest.mark.parametrize("width", [32, 48, 128])
+    def test_prefix_mask_follows_the_value_width(self, width):
+        """``LpmValue.width_bits`` places the prefix: a /24 of a 48-bit
+        field covers its top 24 bits, not bits 31..8."""
+        engine = LpmEngine(keys(("eth.dst", MatchType.LPM)))
+        top = 0xAABBCC << (width - 24)
+        long = TableEntry((LpmValue(top, 24, width),), "long", priority=24)
+        short = TableEntry((LpmValue(top, 8, width),), "short", priority=8)
+        default = TableEntry((LpmValue(0, 0, width),), "any", priority=0)
+        for entry in (short, default, long):
+            engine.add(entry)
+        assert engine.memory_accesses == 3
+        expected = {
+            top | 0x33: long,
+            top ^ (1 << (width - 20)): short,  # leaves the /24 only
+            0x112233: default,
+            -1: default,
+        }
+        for probe, entry in expected.items():
+            assert engine.lookup((probe,)) is entry
+            assert engine.oracle_lookup((probe,)) is entry
+        # The matrix form carries what int64 can: every probe of a
+        # 32/48-bit field, the low ones of a 128-bit field — whose
+        # masks have no int64 form, so its rows take the scalar loop.
+        probes = [p for p in expected if -(2**63) <= p < 2**63]
+        found = found_entries(
+            engine, np.array(probes, dtype=np.int64)[:, None]
+        )
+        assert [found[i] is expected[p] for i, p in enumerate(probes)] == [
+            True
+        ] * len(probes)
+        assert engine.scalar_rows == (len(probes) if width == 128 else 0)
+
+
 class TestTernaryEngine:
     def test_priority_wins(self):
         engine = TernaryEngine(keys(("f", MatchType.TERNARY)))
@@ -275,3 +313,271 @@ class TestRangeEngine:
                 TableEntry((RangeValue(i * 10, i * 10 + 5),), "act")
             )
         assert engine.memory_accesses == 8
+
+
+# ---------------------------------------------------------------------------
+# lookup_many against the scalar lookup, the scalar lookup against the oracle
+# ---------------------------------------------------------------------------
+
+
+def found_entries(engine, matrix) -> np.ndarray:
+    """``lookup_many`` as one entry (or None) per row."""
+    table, slots = engine.lookup_many(matrix)
+    assert table[-1] is None  # slot -1 reads as a miss
+    return table[slots]
+
+
+#: Values and masks that make installed entries, probes and near-misses
+#: meet; ``u32`` beside them keeps the packed words honest.
+POOL = [0, 1, 2, 0x0A000000, 0x0A010000, 0x0A010203, 0xC0A80001, 0xFFFFFFFF]
+MASKS = [0, 0xFF, 0xFF00, 0xFFFF0000, 0xFF000000, 0xFFFFFFFF]
+values = st.one_of(st.sampled_from(POOL), u32)
+
+
+def match_values(match_type: MatchType):
+    if match_type is MatchType.EXACT:
+        return values.map(ExactValue)
+    if match_type is MatchType.LPM:
+        return st.builds(
+            LpmValue, values, st.sampled_from([0, 8, 16, 24, 31, 32])
+        )
+    return st.builds(
+        TernaryValue, values, st.one_of(st.sampled_from(MASKS), u32)
+    )
+
+
+@st.composite
+def engine_scripts(draw):
+    """A key shape, a script of table mutations and some probe rows."""
+    types = draw(
+        st.lists(
+            st.sampled_from(
+                [MatchType.EXACT, MatchType.LPM, MatchType.TERNARY]
+            ),
+            max_size=4,
+        )
+    )
+    entry = st.tuples(
+        st.tuples(*(match_values(t) for t in types)),
+        st.integers(min_value=0, max_value=2),  # few priorities: ties
+    )
+    which = st.integers(min_value=0, max_value=40)
+    add = st.tuples(st.just("add"), entry)
+    ops = draw(
+        st.lists(
+            st.one_of(
+                add,
+                add,
+                add,
+                st.tuples(st.just("remove"), which),
+                st.tuples(st.just("modify"), which, entry),
+                st.just(("clear",)),
+            ),
+            max_size=20,
+        )
+    )
+    probes = draw(
+        st.lists(st.tuples(*(values for _ in types)), min_size=1, max_size=6)
+    )
+    return types, ops, probes
+
+
+def runtime_table(types) -> RuntimeTable:
+    return RuntimeTable(
+        TableNode(
+            name="t",
+            keys=keys(*((f"f{i}", t) for i, t in enumerate(types))),
+            actions={"act": noop_action("act")},
+            default_action="act",
+            next_map={},
+        )
+    )
+
+
+def make_entry(engine, match, priority) -> TableEntry:
+    if isinstance(engine, LpmEngine):
+        # The file's convention: an LPM entry's priority is its length.
+        priority = match[engine._lpm_index].prefix_len
+    return TableEntry(match, "act", priority=priority)
+
+
+def probe_rows(engine, probes) -> list[tuple]:
+    """``probes`` plus, per installed entry, a row it matches and
+    near-misses one bit away in each column (what int64 can carry)."""
+    rows = list(probes)
+    for entry in engine.entries():
+        hit = tuple(
+            mv.value | (0x5A if isinstance(mv, LpmValue) else 0)
+            for mv in entry.match_values
+        )
+        rows.append(hit)
+        for column in range(len(hit)):
+            for bit in (0, 31):
+                near = list(hit)
+                near[column] ^= 1 << bit
+                rows.append(tuple(near))
+    return [r for r in rows if all(-(2**63) <= v < 2**63 for v in r)]
+
+
+def assert_engine_agrees(engine, probes) -> None:
+    rows = probe_rows(engine, probes)
+    matrix = np.array(rows, dtype=np.int64).reshape(
+        len(rows), len(engine.keys)
+    )
+    found = found_entries(engine, matrix)
+    for i, row in enumerate(rows):
+        got = engine.lookup(row)
+        assert found[i] is got, (row, found[i], got)
+        expected = engine.oracle_lookup(row)
+        if isinstance(engine, TernaryEngine):
+            # An exact column of a ternary engine compares 32 bits.
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.priority == expected.priority
+        else:
+            assert got is expected, (row, got, expected)
+
+
+class TestLookupMany:
+    @settings(max_examples=250, deadline=None)
+    @given(engine_scripts())
+    def test_every_row_is_the_scalar_lookup(self, script):
+        """Before and after every mutation (the lazy rebuild), row by
+        row the same entry object: longest-prefix order and the
+        ``(priority, -entry_id)`` tie-break are pinned by identity."""
+        types, ops, probes = script
+        runtime = runtime_table(types)
+        engine = runtime.engine
+        assert_engine_agrees(engine, probes)
+        installed: list[int] = []
+        for op in ops:
+            try:
+                if op[0] == "add":
+                    entry = make_entry(engine, *op[1])
+                    runtime.insert(entry)
+                    installed.append(entry.entry_id)
+                elif op[0] == "clear":
+                    runtime.clear()
+                    installed.clear()
+                elif installed:
+                    victim = installed.pop(op[1] % len(installed))
+                    if op[0] == "remove":
+                        runtime.delete(victim)
+                    else:
+                        entry = make_entry(engine, *op[2])
+                        installed.append(entry.entry_id)
+                        runtime.modify(victim, entry)
+            except ControlPlaneError:
+                # A duplicate key; ``modify`` has removed its victim by
+                # then and the new entry is not in.
+                installed = [e.entry_id for e in engine.entries()]
+            assert_engine_agrees(engine, probes)
+        assert engine.scalar_rows == 0  # u32 values: always the arrays
+
+    @pytest.mark.parametrize(
+        "types",
+        [
+            (),
+            (MatchType.EXACT, MatchType.EXACT),
+            (MatchType.EXACT, MatchType.LPM),
+            (MatchType.TERNARY, MatchType.LPM),
+        ],
+    )
+    def test_empty_engine(self, types):
+        engine = runtime_table(types).engine
+        matrix = np.zeros((3, len(types)), dtype=np.int64)
+        assert list(found_entries(engine, matrix)) == [None] * 3
+        assert engine.scalar_rows == 0
+
+    def test_zero_column_key(self):
+        engine = build_engine(())
+        entry = TableEntry((), "act")
+        engine.add(entry)
+        found = found_entries(engine, np.zeros((4, 0), dtype=np.int64))
+        assert [e is entry for e in found] == [True] * 4
+        assert engine.lookup(()) is entry
+
+    @pytest.mark.parametrize(
+        "types, small, wide",
+        [
+            ((MatchType.EXACT,), (ExactValue(5),), (ExactValue(2**63),)),
+            (
+                (MatchType.EXACT, MatchType.LPM),
+                (ExactValue(5), LpmValue(0, 0)),
+                (ExactValue(5), LpmValue(1 << 63, 1, 64)),
+            ),
+            (
+                (MatchType.TERNARY,),
+                (TernaryValue(5, 0xFF),),
+                (TernaryValue(5, 2**64 - 1),),
+            ),
+        ],
+    )
+    def test_value_outside_int64_takes_the_scalar_loop(
+        self, types, small, wide
+    ):
+        """One entry the arrays cannot hold exactly and the whole
+        engine answers row by row — still exactly, negative probes
+        included — until that entry is gone again."""
+        engine = runtime_table(types).engine
+        probes = [(-1,) * len(types), (5,) * len(types)]
+        engine.add(make_entry(engine, small, 0))
+        assert_engine_agrees(engine, probes)
+        assert engine.scalar_rows == 0
+        unfit = make_entry(engine, wide, 1)
+        engine.add(unfit)
+        assert_engine_agrees(engine, probes)
+        assert engine.scalar_rows > 0
+        engine.remove(unfit.entry_id)
+        rows = engine.scalar_rows
+        assert_engine_agrees(engine, probes)
+        assert engine.scalar_rows == rows
+
+    def test_negative_probes_stay_on_the_arrays(self):
+        engine = runtime_table((MatchType.TERNARY, MatchType.LPM)).engine
+        engine.add(
+            TableEntry(
+                (TernaryValue(0xFF, 0xFF), LpmValue(0xFF000000, 8)), "act"
+            )
+        )
+        matrix = np.array([[-1, -1], [-256, -1], [-1, 0]], dtype=np.int64)
+        found = found_entries(engine, matrix)
+        for row, entry in zip(matrix.tolist(), found):
+            assert entry is engine.lookup(tuple(row))
+        assert found[0] is not None and found[1] is None
+        assert engine.scalar_rows == 0
+
+    def test_packed_key_collisions_never_pick_a_wrong_entry(
+        self, monkeypatch
+    ):
+        """With the packing multiplier at 0 a row packs to its last
+        column alone. Installed rows that then share a word send the
+        engine to the scalar loop; a probe that shares one with an
+        installed row is told apart by the full-row compare."""
+        monkeypatch.setattr(match_engine, "_PACK_MULTIPLIER", 0)
+        engine = runtime_table((MatchType.EXACT, MatchType.EXACT)).engine
+        first = TableEntry((ExactValue(1), ExactValue(5)), "act")
+        engine.add(first)
+        assert_engine_agrees(engine, [(2, 5), (1, 6)])
+        assert found_entries(engine, np.array([[2, 5]]))[0] is None
+        assert engine.scalar_rows == 0
+        engine.add(TableEntry((ExactValue(2), ExactValue(5)), "act"))
+        assert_engine_agrees(engine, [(3, 5)])
+        assert engine.scalar_rows > 0
+        for types in (
+            (MatchType.EXACT, MatchType.LPM),
+            (MatchType.TERNARY, MatchType.EXACT),
+        ):
+            engine = runtime_table(types).engine
+            for head in (1, 2, 3):
+                match = (
+                    TernaryValue(head, 0xFF)
+                    if types[0] is MatchType.TERNARY
+                    else ExactValue(head),
+                    LpmValue(0x0A000000, 8)
+                    if types[1] is MatchType.LPM
+                    else ExactValue(9),
+                )
+                engine.add(make_entry(engine, match, head))
+            assert_engine_agrees(engine, [(4, 0x0A000001), (4, 9)])
+            assert engine.scalar_rows > 0
