@@ -191,7 +191,6 @@ def _measure_shm() -> dict:
         l2l3_acl.build_program(),
         BLUEFIELD2,
         n_workers=N_WORKERS,
-        transport="shm",
         engine="auto",
     )
     l2l3_acl.install_base_entries(fleet.control_plane)

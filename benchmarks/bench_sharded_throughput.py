@@ -1,52 +1,46 @@
-"""Sharded replay throughput: single-core fast path vs N workers.
+"""Sharded replay throughput: one core vs N shard workers.
 
-Replays the same stream through a single-core ``Deployment`` and a
-``ShardedDeployment`` at 2 and 4 workers on ``l2l3_acl``, over **both
-transports** (``shm`` zero-copy rings and the legacy ``pipe``), and
-writes the comparison to ``BENCH_sharded.json`` at the repo root
-(medians over ``REPEATS`` runs, plus host metadata including the CPU
-affinity mask size).
+Replays the traffic generator's column source — what ``repro replay``
+feeds a deployment — through a single-core ``Deployment`` and a
+``ShardedDeployment`` at 2 and 4 workers on ``l2l3_acl``, and writes
+the comparison to ``BENCH_sharded.json`` at the repo root (medians over
+``REPEATS`` samples, plus host metadata including the CPU affinity mask
+size and the git sha).
 
-Two throughput figures are reported per (transport, worker count):
+Per worker count the headline is **wall clock**: ``wall_pps`` and
+``speedup_wall``, the fleet's packets/s from traffic source to merged
+stats against one core's, in this container. One sample is ``ROUNDS``
+back-to-back ``replay()`` calls of ``N_PACKETS`` each — long enough
+(>= 2 s on one core at ~3 M packets/s) that it measures replay rather
+than start-up, in calls small enough that the per-packet latency list
+``RunStats`` keeps stays under ~50 MB.
 
-- ``wall_pps`` — honest wall-clock packets/s in this container. This is
-  where the transport shows up: the pipe pickles every batch through a
-  syscall, the shm rings hand the worker in-place numpy columns.
-- ``modeled_pps`` — critical-path throughput ``n_packets /
-  max(worker_busy_s)`` where ``worker_busy_s`` is each worker's own
-  ``time.process_time()`` over its shard. This is the throughput of the
-  same fleet on a host with one core per worker (RSS-style dispatch is
-  free on a real NIC), and is what the >=2.5x acceptance bar measures
-  against the single-core fast path's CPU time.
+The ``modeled`` block is a *model*, never a throughput: ``pps`` is
+``N_PACKETS / max(worker_busy_s)`` with each worker's own
+``time.process_time()`` taken from a replay of only its shard's flows
+(flow->shard is deterministic and per-flow state is shard-local, so
+the worker does the work of the mixed run without the other workers
+time-sharing its core). It is what the same fleet would retire on a
+host with one core per worker and a free RSS dispatcher, and
+``vs_wall_gap`` (modeled / wall) is the share of it the parent's
+draw-route-push and the scheduler take back.
 
-``modeled_vs_wall_gap`` (modeled / wall) is reported for every
-configuration: it is the fraction of the modeled speedup the host
-actually delivers, i.e. the serialization + scheduling tax this PR
-exists to shrink.
+Gating: the **wall-clock** bar (>= ``WALL_SPEEDUP_FLOOR``x over one
+core at 4 workers) only applies when the process may run on >= 4 CPUs
+— on smaller hosts the workers time-share cores and wall clock
+measures the scheduler — and the skip is loud: a ``"gated": false``
+marker (with the reason) lands in ``BENCH_sharded.json`` and on stderr
+instead of a silently misleading number. The modeled bars (>= 2.5x
+at 4 workers, > 1x at 2) always apply: they check that a worker's own
+work shrinks with its shard, and say nothing about wall clock.
 
-Gating: the modeled bars always apply. The **wall-clock** bar
-(>= ``WALL_SPEEDUP_FLOOR``x over single-core at 4 workers, shm) only
-applies when the process may run on >= 4 CPUs — on smaller hosts the
-workers time-share cores and wall-clock measures the scheduler, not
-the transport — and the skip is loud: a ``"gated": false`` marker (with
-the reason) lands in ``BENCH_sharded.json`` and on stderr instead of a
-silently misleading number.
+Each repeat measures the single-core engine and the fleet back to back
+and a speedup is the median of per-repeat ratios, which cancels
+background load drift between measurement windows.
 
-Two measurement details keep the numbers stable on a noisy shared
-host. First, each worker's CPU time is taken from a run where only
-that worker's shard is in the stream: flow->shard assignment is
-deterministic and all per-flow state is shard-local, so the worker
-does exactly the work it does in the mixed run, but without the other
-workers time-sharing the same physical core and evicting its caches —
-cross-worker preemption is an artifact this model explicitly excludes
-(a one-core-per-worker host never pays it). Second, each repeat
-measures the single-core engine and every fleet back to back and the
-speedup is the median of per-repeat ratios, which cancels background
-load drift between measurement windows.
-
-Differential tests (``tests/test_nic_sharding.py``) prove the sharded
-engine changes nothing observable; ``tests/test_shm_transport.py``
-proves the same over the shm rings specifically.
+Differential tests (``tests/test_nic_sharding.py``,
+``tests/test_shm_transport.py``) prove the sharded engine changes
+nothing observable.
 """
 
 from __future__ import annotations
@@ -67,162 +61,123 @@ from repro.traffic.generator import TrafficGenerator
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_sharded.json"
 
-N_PACKETS = 20000
+N_PACKETS = 1_000_000
+ROUNDS = 8
+BATCH = 4096
 REPEATS = 5
 WORKER_COUNTS = (2, 4)
-N_FLOWS = 1024
-TRANSPORTS = ("pipe", "shm")
-#: Wall-clock acceptance bar at 4 workers with shm, on capable hosts.
+# Uniform locality over 1024 flows: flow-hash sharding balances at
+# flow granularity, so the flow count sets the imbalance floor (the
+# biggest of 4 shards stays near 26% of the traffic).
+FLOWS = synth_flows(1024)
+#: Wall-clock acceptance bar at 4 workers, on capable hosts.
 WALL_SPEEDUP_FLOOR = 1.5
 #: CPUs the process must be allowed to run on before wall gating.
 WALL_GATE_MIN_CPUS = 4
 
 
-def _packets(n: int = N_PACKETS):
-    generator = TrafficGenerator(1)
-    # Uniform locality: the acceptance bar measures scaling, not the
-    # load-imbalance tail a zipf mix would add on top. Flow-hash
-    # sharding balances at flow granularity, so the flow count sets the
-    # imbalance floor: 1024 flows keep the biggest shard near 26% of
-    # the traffic (64 flows would pin it around 30%).
-    return list(
-        generator.stream(synth_flows(N_FLOWS), n, locality="uniform")
+def _replay(deployment, generator, n=N_PACKETS, flows=FLOWS) -> None:
+    deployment.replay(
+        generator.stream(flows, n, locality="uniform"), batch=BATCH
     )
 
 
-def _make_single() -> Deployment:
-    deployment = Deployment(l2l3_acl.build_program(), BLUEFIELD2)
-    l2l3_acl.install_base_entries(deployment.control_plane)
-    deployment.replay(_packets(500))  # warm caches, compile fast path
-    return deployment
+def _timed(deployment, generator) -> tuple[float, float]:
+    """Wall and CPU seconds of one sample (``ROUNDS`` replays)."""
+    wall0 = time.perf_counter()
+    cpu0 = time.process_time()
+    for _ in range(ROUNDS):
+        _replay(deployment, generator)
+    return time.perf_counter() - wall0, time.process_time() - cpu0
 
 
-def _make_sharded(n_workers: int, transport: str) -> ShardedDeployment:
-    deployment = ShardedDeployment(
-        l2l3_acl.build_program(),
-        BLUEFIELD2,
-        n_workers=n_workers,
-        transport=transport,
-    )
-    l2l3_acl.install_base_entries(deployment.control_plane)
-    deployment.replay(_packets(500))  # warm every worker's fast path
-    return deployment
-
-
-def _isolated_max_busy(fleet: ShardedDeployment, n_workers: int) -> float:
-    """Critical-path worker CPU time without cross-worker time-sharing.
-
-    Replays each shard's packets on their own: the worker does the
-    exact work of the mixed run (flow->shard is deterministic and all
-    per-flow state is shard-local) but is alone on the CPU while it
-    does it, as it would be on a one-core-per-worker host.
-    """
+def _isolated_max_busy(fleet, n_workers: int, generator) -> float:
+    """Critical-path worker CPU seconds for ``N_PACKETS``, each shard's
+    flows replayed on their own (see the module docstring)."""
     busiest = 0.0
     for shard in range(n_workers):
         own = [
-            packet
-            for packet in _packets()
-            if flow_shard(packet.flow_key(), n_workers) == shard
+            flow
+            for flow in FLOWS
+            if flow_shard(flow.flow_key(), n_workers) == shard
         ]
-        fleet.replay(own)
+        share = round(N_PACKETS * len(own) / len(FLOWS))
+        _replay(fleet, generator, share, own)
         busiest = max(busiest, fleet.emulator.worker_busy_s[shard])
     return busiest
 
 
 def test_bench_sharded_throughput():
     host = host_metadata()
-    single = _make_single()
-    configs = [
-        (transport, n)
-        for transport in TRANSPORTS
-        for n in WORKER_COUNTS
-    ]
-    samples = {
-        "single_cpu_s": [],
-        "single_wall_s": [],
-        **{
-            key: {
-                "busy_s": [],
-                "wall_s": [],
-                "ratio": [],
-                "wall_ratio": [],
-            }
-            for key in configs
-        },
-    }
-    transport_stats = {}
+    generator = TrafficGenerator(1)
+    single = Deployment(l2l3_acl.build_program(), BLUEFIELD2)
+    l2l3_acl.install_base_entries(single.control_plane)
+    _replay(single, generator, 2 * BATCH)  # compile the kernels
+    single_wall, single_cpu = [], []
+    sharded_results: dict[str, dict] = {}
     # One fleet alive at a time: a fleet's idle workers still wake to
-    # poll, and on a time-shared host a dozen idle pollers perturb the
-    # very worker being measured. Each repeat still measures the
-    # single-core engine back to back with the fleet, so the per-repeat
-    # ratio cancels background drift.
-    for key in configs:
-        transport, n = key
-        fleet = _make_sharded(n, transport)
+    # poll, and on a time-shared host idle pollers perturb the very
+    # worker being measured.
+    for n in WORKER_COUNTS:
+        fleet = ShardedDeployment(
+            l2l3_acl.build_program(),
+            BLUEFIELD2,
+            n_workers=n,
+            batch=BATCH,
+        )
+        l2l3_acl.install_base_entries(fleet.control_plane)
+        wall, busy, wall_ratio, modeled_ratio = [], [], [], []
         try:
+            _replay(fleet, generator, 2 * n * BATCH)  # compile, per worker
             for _ in range(REPEATS):
-                packets = _packets()
-                wall0 = time.perf_counter()
-                cpu0 = time.process_time()
-                single.replay(packets)
-                single_cpu_s = time.process_time() - cpu0
-                single_wall_s = time.perf_counter() - wall0
-                samples["single_cpu_s"].append(single_cpu_s)
-                samples["single_wall_s"].append(single_wall_s)
-                packets = _packets()
-                wall0 = time.perf_counter()
-                fleet.replay(packets)
-                wall_s = time.perf_counter() - wall0
-                busy_s = _isolated_max_busy(fleet, n)
-                sample = samples[key]
-                sample["busy_s"].append(busy_s)
-                sample["wall_s"].append(wall_s)
-                sample["ratio"].append(single_cpu_s / busy_s)
-                sample["wall_ratio"].append(single_wall_s / wall_s)
-            transport_stats[key] = fleet.transport_stats()["totals"]
+                one_wall_s, one_cpu_s = _timed(single, generator)
+                single_wall.append(one_wall_s)
+                single_cpu.append(one_cpu_s)
+                wall_s, _ = _timed(fleet, generator)
+                busy_s = _isolated_max_busy(fleet, n, generator)
+                wall.append(wall_s)
+                busy.append(busy_s)
+                wall_ratio.append(one_wall_s / wall_s)
+                modeled_ratio.append(one_cpu_s / ROUNDS / busy_s)
+            totals = fleet.transport_stats()["totals"]
         finally:
             fleet.close()
-
-    single_result = {
-        "cpu_pps": round(N_PACKETS / median(samples["single_cpu_s"])),
-        "wall_pps": round(N_PACKETS / median(samples["single_wall_s"])),
-    }
-    sharded_results: dict[str, dict] = {t: {} for t in TRANSPORTS}
-    for (transport, n), sample in (
-        (key, samples[key]) for key in configs
-    ):
-        modeled_pps = N_PACKETS / median(sample["busy_s"])
-        wall_pps = N_PACKETS / median(sample["wall_s"])
-        totals = transport_stats[(transport, n)]
-        sharded_results[transport][str(n)] = {
-            "modeled_pps": round(modeled_pps),
+        wall_pps = ROUNDS * N_PACKETS / median(wall)
+        modeled_pps = N_PACKETS / median(busy)
+        sharded_results[str(n)] = {
             "wall_pps": round(wall_pps),
-            "max_worker_busy_s": round(median(sample["busy_s"]), 4),
-            "speedup_modeled": round(median(sample["ratio"]), 2),
-            "speedup_wall": round(median(sample["wall_ratio"]), 2),
-            # Fraction of the modeled speedup the host delivers in
-            # wall-clock terms: the serialization + scheduling tax.
-            "modeled_vs_wall_gap": round(modeled_pps / wall_pps, 2),
+            "speedup_wall": round(median(wall_ratio), 2),
             "ring_stalls": totals["stalls"],
             "pipe_fallbacks": (
-                totals["fallback_encoding"]
-                + totals["fallback_capacity"]
+                totals["fallback_encoding"] + totals["fallback_capacity"]
             ),
+            "modeled": {
+                "pps": round(modeled_pps),
+                "max_worker_busy_s": round(median(busy), 4),
+                "speedup": round(median(modeled_ratio), 2),
+                "vs_wall_gap": round(modeled_pps / wall_pps, 2),
+            },
         }
+    single.close()
 
+    sample_packets = ROUNDS * N_PACKETS
+    single_result = {
+        "wall_pps": round(sample_packets / median(single_wall)),
+        "cpu_pps": round(sample_packets / median(single_cpu)),
+        "sample_wall_s": round(median(single_wall), 2),
+    }
     wall_gated = host["affinity"] >= WALL_GATE_MIN_CPUS
     wall_gate = make_gate(
         wall_gated,
         threshold=WALL_SPEEDUP_FLOOR,
-        measured=sharded_results["shm"]["4"]["speedup_wall"],
+        measured=sharded_results["4"]["speedup_wall"],
         reason=(
             None
             if wall_gated
             else (
                 f"host affinity {host['affinity']} < "
                 f"{WALL_GATE_MIN_CPUS} CPUs: workers time-share "
-                "cores, wall-clock measures the scheduler, not the "
-                "transport"
+                "cores, wall-clock measures the scheduler"
             )
         ),
         label="BENCH_sharded wall-clock gate",
@@ -230,8 +185,9 @@ def test_bench_sharded_throughput():
     payload = {
         "host": host,
         "app": "l2l3_acl",
-        "n_packets": N_PACKETS,
-        "n_flows": N_FLOWS,
+        "n_flows": len(FLOWS),
+        "batch": BATCH,
+        "packets_per_sample": sample_packets,
         "repeats": REPEATS,
         "wall_gate": wall_gate,
         "single_core": single_result,
@@ -239,66 +195,45 @@ def test_bench_sharded_throughput():
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
-    rows = [
-        (
-            "1 (single)",
-            "-",
-            single_result["cpu_pps"],
-            single_result["wall_pps"],
-            1.0,
-            1.0,
-        )
-    ]
+    rows = [("1 (single)", single_result["wall_pps"], 1.0, "-", "-")]
     rows += [
         (
             f"{n} workers",
-            transport,
-            sharded_results[transport][str(n)]["modeled_pps"],
-            sharded_results[transport][str(n)]["wall_pps"],
-            sharded_results[transport][str(n)]["speedup_modeled"],
-            sharded_results[transport][str(n)]["speedup_wall"],
+            result["wall_pps"],
+            result["speedup_wall"],
+            result["modeled"]["pps"],
+            result["modeled"]["speedup"],
         )
-        for transport in TRANSPORTS
-        for n in WORKER_COUNTS
+        for n, result in sharded_results.items()
     ]
     emit(
         "BENCH_sharded",
         fmt_table(
             [
                 "config",
-                "transport",
-                "modeled_pps",
                 "wall_pps",
-                "speedup",
                 "wall_speedup",
+                "modeled_pps",
+                "modeled_speedup",
             ],
             rows,
         ),
     )
 
-    # Every configuration must report its modeled-vs-wall gap: the gap
-    # is the number this benchmark exists to track, for both transports.
-    for transport in TRANSPORTS:
-        for n in WORKER_COUNTS:
-            assert (
-                sharded_results[transport][str(n)]["modeled_vs_wall_gap"]
-                > 0
-            )
+    # A sample must outlast start-up effects, and every batch of this
+    # uniform traffic must ride the ring.
+    assert single_result["sample_wall_s"] >= 2.0, "raise ROUNDS"
+    for result in sharded_results.values():
+        assert result["pipe_fallbacks"] == 0
+    assert sharded_results["4"]["modeled"]["speedup"] >= 2.5
+    assert sharded_results["2"]["modeled"]["speedup"] > 1.0
 
-    # Acceptance bar: 4 workers beat the single-core fast path >=2.5x
-    # on the modeled critical path (transport-independent — the model
-    # excludes the transport by construction).
-    for transport in TRANSPORTS:
-        assert sharded_results[transport]["4"]["speedup_modeled"] >= 2.5
-        assert sharded_results[transport]["2"]["speedup_modeled"] > 1.0
-
-    # Wall-clock bar: shm at 4 workers must beat single-core wall time
-    # by WALL_SPEEDUP_FLOOR on hosts with enough CPUs. Loud skip
+    # Wall-clock bar: 4 workers must beat single-core wall time by
+    # WALL_SPEEDUP_FLOOR on hosts with enough CPUs. Loud skip
     # otherwise — the JSON carries "gated": false with the reason.
     if wall_gate["gated"]:
         assert wall_gate["measured"] >= wall_gate["threshold"], (
-            "shm transport wall-clock speedup "
-            f"{wall_gate['measured']} below "
+            f"fleet wall-clock speedup {wall_gate['measured']} below "
             f"{wall_gate['threshold']}x at 4 workers"
         )
     # Skipped gates already announced themselves via make_gate.

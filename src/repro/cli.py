@@ -352,7 +352,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 telemetry=telemetry,
                 supervisor=supervisor,
                 fault_plan=fault_plan,
-                transport=args.transport,
                 engine=args.engine,
                 live_plane=live_plane,
             )
@@ -401,12 +400,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 emulator.columnar_cache_replayed
             )
         if args.jobs > 1:
-            summary["transport"] = deployment.transport
-            transport_totals = deployment.transport_stats()["totals"]
-            summary["ring_stalls"] = transport_totals["stalls"]
+            ring_totals = deployment.transport_stats()["totals"]
+            summary["ring_stalls"] = ring_totals["stalls"]
             summary["pipe_fallbacks"] = (
-                transport_totals["fallback_encoding"]
-                + transport_totals["fallback_capacity"]
+                ring_totals["fallback_encoding"]
+                + ring_totals["fallback_capacity"]
             )
             busy = deployment.emulator.worker_busy_s
             summary["worker_busy_s"] = busy
@@ -709,7 +707,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             app=args.app,
             target=args.target,
             jobs=args.jobs,
-            transport=args.transport,
             engine=args.engine,
             recovery=args.recovery,
             recv_timeout_s=args.recv_timeout,
@@ -849,14 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes; 1 = in-process replay",
-    )
-    replay.add_argument(
-        "--transport",
-        choices=("shm", "pipe"),
-        default="shm",
-        help="sharded data-plane transport: shm (zero-copy "
-        "shared-memory rings, default) or pipe (pickled batches "
-        "through the command pipe)",
     )
     replay.add_argument("--flows", type=int, default=256)
     replay.add_argument(
@@ -1140,9 +1129,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="shard worker processes (must be >= 2)",
-    )
-    serve.add_argument(
-        "--transport", choices=("shm", "pipe"), default="shm"
     )
     serve.add_argument(
         "--engine",

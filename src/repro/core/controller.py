@@ -107,7 +107,6 @@ class PipeleonController:
         telemetry=None,
         supervisor=None,
         fault_plan=None,
-        transport: str = "shm",
         engine: str = "auto",
         live_plane=None,
     ):
@@ -120,8 +119,6 @@ class PipeleonController:
         #: workers, and a spec models one failure event.
         self.supervisor = supervisor
         self._fault_plan = fault_plan
-        #: Data-plane transport for sharded deployments ("shm"|"pipe").
-        self.transport = transport
         #: Execution tier every deployment this controller builds
         #: replays through ("auto"|"interp").
         self.engine = engine
@@ -240,7 +237,6 @@ class PipeleonController:
         return {
             "jobs": self.jobs,
             "engine": self.engine,
-            "transport": self.transport if self.jobs > 1 else None,
             "enabled": self.enabled,
             "reoptimizations": self.reoptimizations,
             "plan": plan.describe() if plan is not None else None,
@@ -394,7 +390,6 @@ class PipeleonController:
                 n_workers=self.jobs,
                 supervisor=self.supervisor,
                 fault_plan=fault_plan,
-                transport=self.transport,
                 live_plane=self.live_plane,
                 **kwargs,
             )

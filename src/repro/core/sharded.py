@@ -53,7 +53,16 @@ from repro.telemetry.live import LivePlane
 
 
 class ShardedDeployment:
-    """A deployment whose data plane is N flow-hash shard workers."""
+    """A deployment whose data plane is N flow-hash shard workers.
+
+    ``transport`` is a vestige of the deleted pipe transport: only
+    ``"shm"`` is accepted and it is forwarded nowhere.
+    ``benchmarks/e2e/workloads.py:259`` passes ``transport="shm"`` and
+    code PRs may not edit that directory. ROADMAP item 3's
+    ``benchmark`` PR deletes that line and this parameter together;
+    nothing under ``src/``, ``tests/`` or ``benchmarks/`` outside
+    ``benchmarks/e2e/`` may pass it.
+    """
 
     def __init__(
         self,
@@ -79,6 +88,13 @@ class ShardedDeployment:
         engine: str = "auto",
         live_plane: Optional[LivePlane] = None,
     ):
+        if transport != "shm":
+            raise ValueError(
+                f"transport={transport!r}: the transport choice was "
+                "removed (the shm ring carries SoA batches, the command "
+                "pipe's inline message carries the rest); only the "
+                'vestigial "shm" is accepted'
+            )
         # ``previous`` is accepted for signature parity with Deployment
         # but ignored: sharded redeploys cold-start caches (see module
         # docstring). Telemetry does carry across, like Deployment's.
@@ -128,7 +144,6 @@ class ShardedDeployment:
                 options=supervisor,
                 telemetry=telemetry,
                 fault_plan=fault_plan,
-                transport=transport,
                 ring_slots=ring_slots,
                 engine=engine,
                 live_interval_s=(
@@ -142,7 +157,6 @@ class ShardedDeployment:
                     else None
                 ),
             )
-            self.transport = self.emulator.transport
             self.engine = self.emulator.engine
             # The fleet adopts into the caller's live plane (a replay's
             # own, or the daemon-lifetime one of ``repro serve``).

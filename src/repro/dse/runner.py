@@ -3,7 +3,7 @@
 Each cell is one self-contained experiment: build the program (example
 app or synthesized), optionally optimize it under the cell's budgets,
 deploy through :class:`~repro.core.controller.PipeleonController` (which
-owns the engine-tier / sharded-runtime / transport plumbing), replay the
+owns the engine-tier / sharded-runtime plumbing), replay the
 cell's seeded traffic, then record the cost model's prediction next to
 the measured telemetry. Everything recorded except the ``wall`` block is
 a pure function of (spec, seed), which is what makes resumed sweeps
@@ -112,7 +112,6 @@ def run_cell(cell: Cell, sweep_seed: int, spec_name: str) -> dict:
         baseline_plan=plan,
         enabled=False,  # one static config per cell; no mid-replay replans
         jobs=config["jobs"],
-        transport=config["transport"],
         engine=config["engine"],
     )
     try:

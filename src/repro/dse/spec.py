@@ -3,7 +3,7 @@
 A :class:`SweepSpec` names the parameter space ROADMAP item 4 asks to
 search: target constants, flow-cache capacity, top-k, memory/update-rate
 budgets, traffic mixes and Zipf skews, and the runtime's own knobs
-(engine tier, transport, worker count). The spec is *composable data* —
+(engine tier, worker count). The spec is *composable data* —
 axes times a base config minus exclusion rules — so it round-trips
 through JSON (``repro dse --spec sweep.json``) and two invocations of
 the same spec enumerate byte-identical cell lists.
@@ -30,7 +30,6 @@ CELL_DEFAULTS: dict = {
     "app": "l2l3_acl",
     "target": "bluefield2",
     "engine": "auto",
-    "transport": "shm",
     "jobs": 1,
     "packets": 4000,
     "flows": 128,
@@ -47,7 +46,6 @@ CELL_DEFAULTS: dict = {
 }
 
 _TARGETS = ("bluefield2", "agilio_cx", "emulated_nic")
-_TRANSPORTS = ("shm", "pipe")
 _LOCALITIES = ("uniform", "zipf", "round_robin")
 
 
@@ -68,7 +66,6 @@ def validate_config(config: Mapping) -> dict:
         ("app", apps),
         ("target", _TARGETS),
         ("engine", ENGINES),
-        ("transport", _TRANSPORTS),
         ("locality", _LOCALITIES),
     )
     for key, menu in checks:

@@ -57,17 +57,17 @@ reply, and nothing else.
 
 One ordered stream per shard: the command pipe. Every message a worker
 acts on — broadcasts, batches, ``begin``/``end`` — arrives on it, and
-its FIFO order is the only order there is. ``transport="shm"|"pipe"``
-only chooses where a SoA batch's payload travels. ``pipe`` inlines it
-in the ``batch`` message (pickled). ``shm`` (the default) parks it, as
-is, in a slot of the shard's shared-memory ring
+its FIFO order is the only order there is. A SoA batch's payload that
+fits a slot is parked, as is, in the shard's shared-memory ring
 (:mod:`repro.nic.shm_transport`) — no per-packet Python objects and no
-pickling on the hot path — and then sends a ``("ring",)`` token; the
-worker, blocked on the pipe, pops the ring head when it reads the
-token. The publish happens-before the token send, so a token without a
-published record is a protocol error, raised at once. ``Packet``-list
-batches and SoA batches that exceed the ring's slot geometry are
-inlined on ``shm`` too, counted per shard and reason.
+pickling on the hot path — and a ``("ring",)`` token is sent in its
+place; the worker, blocked on the pipe, pops the ring head when it
+reads the token. The publish happens-before the token send, so a token
+without a published record is a protocol error, raised at once. What
+the ring cannot carry is inlined (pickled) in the ``batch`` message:
+a ``Packet``-list batch and a SoA batch that exceeds the slot geometry
+(both counted per shard and reason), and the journal replay after a
+respawn.
 
 Fault tolerance (see DESIGN.md §12): every pipe interaction runs under
 a supervisor governed by :class:`SupervisorOptions`. Sends are
@@ -167,8 +167,6 @@ _METRIC_HELP = {
     ),
 }
 
-_TRANSPORTS = ("pipe", "shm")
-
 #: Fraction buckets for the ring-occupancy histogram (eighths of the
 #: ring, matching the default slot count so each bucket is one slot).
 _OCCUPANCY_BUCKETS = tuple(i / 8 for i in range(1, 9))
@@ -185,7 +183,7 @@ _LIVE_SEND_TIMEOUT_S = 10.0
 
 
 def _new_ring_stats() -> dict:
-    """Zeroed per-shard transport counters (plain, JSON-friendly)."""
+    """Zeroed per-shard dispatch counters (plain, JSON-friendly)."""
     return {
         "pushed_batches": 0,
         "pushed_packets": 0,
@@ -516,10 +514,10 @@ def _worker_main(
     conn,
     emulator: NicEmulator,
     shard_index: int,
+    channel: ShardChannel,
     fault_specs: Sequence[FaultSpec] = (),
     rebirth: bool = False,
     birth_tables=None,
-    channel: Optional[ShardChannel] = None,
     engine: str = "auto",
     tele_conn=None,
     live_cadence: tuple = (None, None),
@@ -529,8 +527,8 @@ def _worker_main(
     ``emulator`` is this process's copy-on-write clone of the parent's
     template. Every message arrives on ``conn`` strictly in send order
     and is acted on in that order; a ``ring`` token stands for the batch
-    at the head of ``channel``'s data ring (shm transport), published
-    before the token was sent.
+    at the head of ``channel``'s data ring, published before the token
+    was sent.
 
     ``busy`` accounts the worker's own CPU time (``time.process_time``:
     decode + replay + reply pickling, but not time blocked on the
@@ -668,8 +666,7 @@ def _worker_main(
             emulator.replay_batch(
                 batch, stats, timestamps=timestamps, engine=engine
             )
-            if channel is not None:
-                channel.data.mark_finished()
+            channel.data.mark_finished()
             if tele_conn is not None:
                 live_packets_since += n
                 maybe_live()
@@ -799,10 +796,9 @@ def _worker_main(
         except (BrokenPipeError, OSError):  # pragma: no cover
             pass
     finally:
-        if channel is not None:
-            # Forked consumer: drop the mapping only; the parent owns
-            # the segments and unlinks them.
-            channel.close(unlink=False)
+        # Forked consumer: drop the mapping only; the parent owns the
+        # segments and unlinks them.
+        channel.close(unlink=False)
         if tele_conn is not None:
             try:
                 tele_conn.close()
@@ -846,7 +842,6 @@ class ShardedEmulator:
         options: Optional[SupervisorOptions] = None,
         telemetry=None,
         fault_plan: Optional[FaultPlan] = None,
-        transport: str = "shm",
         ring_slots: Optional[int] = None,
         engine: str = "auto",
         live_interval_s: Optional[float] = None,
@@ -856,11 +851,6 @@ class ShardedEmulator:
             raise ValueError("n_workers must be >= 1")
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        if transport not in _TRANSPORTS:
-            raise ValueError(
-                f"Unknown transport {transport!r}; expected one of "
-                f"{', '.join(_TRANSPORTS)}"
-            )
         if engine not in ENGINES:
             raise ValueError(
                 f"Unknown engine {engine!r}; expected one of "
@@ -888,7 +878,6 @@ class ShardedEmulator:
         #: pipes; ``None`` per shard when the live plane is off or the
         #: shard is degraded. Drained by the LiveAggregator thread.
         self.live_conns: list = []
-        self.transport = transport
         #: ``replay(batch=N)`` calls dispatched at the construction
         #: batch instead, because ``N`` exceeded the ring geometry.
         self.clamped_replays = 0
@@ -957,7 +946,7 @@ class ShardedEmulator:
         ]
         self._dead = [False] * n_workers
         self._dispatched_since_begin = [0] * n_workers
-        #: Per-shard transport counters (see :func:`_new_ring_stats`);
+        #: Per-shard dispatch counters (see :func:`_new_ring_stats`);
         #: aggregated by :meth:`transport_stats`.
         self.ring_stats = [_new_ring_stats() for _ in range(n_workers)]
         self._lost_this_replay = 0
@@ -988,11 +977,9 @@ class ShardedEmulator:
         fault_specs: tuple[FaultSpec, ...] = ()
         if not rebirth and self._fault_plan is not None:
             fault_specs = self._fault_plan.for_shard(shard)
-        channel = None
-        if self.transport == "shm":
-            # Created before the fork so the worker inherits the very
-            # same mapping — no attach handshake, no name exchange.
-            channel = ShardChannel(self.batch, slots=self._ring_slots)
+        # Created before the fork so the worker inherits the very
+        # same mapping — no attach handshake, no name exchange.
+        channel = ShardChannel(self.batch, slots=self._ring_slots)
         tele_parent = tele_child = None
         if self._live:
             # Sidecar telemetry pipe: unsolicited worker -> parent
@@ -1006,10 +993,10 @@ class ShardedEmulator:
                 child_conn,
                 self._template,
                 shard,
+                channel,
                 fault_specs,
                 rebirth,
                 self._birth_tables if rebirth else None,
-                channel,
                 self.engine,
                 tele_child,
                 (self.live_interval_s, self.live_every_packets),
@@ -1125,7 +1112,7 @@ class ShardedEmulator:
     def _survivors(self) -> list[int]:
         return [s for s in range(self.n_workers) if not self._dead[s]]
 
-    # -- transport primitives ----------------------------------------------
+    # -- ring primitives ---------------------------------------------------
 
     def _progress_token(self, shard: int):
         """Worker-side words; any advance proves the worker is alive.
@@ -1135,14 +1122,10 @@ class ShardedEmulator:
         hung deadline measures silence since the *last observed
         progress* — the data ring's consumer cursor or its
         batches-finished word (bumped after every batch, however it
-        arrived) — not since the request. With the pipe transport
-        there is no ring: the token is constant and the deadline
-        degenerates to the plain reply deadline.
+        arrived) — not since the request.
         """
-        channel = self._channels[shard]
-        if channel is None:
-            return None
-        return (channel.data.consumed, channel.data.finished)
+        data = self._channels[shard].data
+        return (data.consumed, data.finished)
 
     def _observe_occupancy(self, shard: int, occupancy: float) -> None:
         if self.telemetry is not None:
@@ -1171,7 +1154,6 @@ class ShardedEmulator:
                 else:
                     totals[key] += value
         return {
-            "transport": self.transport,
             "ring_slots": self._ring_slots,
             "batch": self.batch,
             "clamped_replays": self.clamped_replays,
@@ -1254,7 +1236,7 @@ class ShardedEmulator:
         event but goes on; a worker *silent and progress-free* past
         ``recv_timeout_s`` is classified (hung if alive, dead
         otherwise) and a :class:`_WorkerGone` is raised for the
-        caller's recovery policy. Progress is the shm transport's
+        caller's recovery policy. Progress is the data ring's
         worker-side token (:meth:`_progress_token`): a worker still
         draining a full ring keeps resetting its deadline instead of
         being misclassified as hung.
@@ -1414,11 +1396,10 @@ class ShardedEmulator:
         self._reap(shard)
         old_channel = self._channels[shard]
         self._channels[shard] = None
-        if old_channel is not None:
-            # In-flight ring records died with the worker; the journal
-            # holds every batch, so discard the old segments and start
-            # the fresh worker on fresh (zeroed) rings.
-            old_channel.close(unlink=True)
+        # In-flight ring records died with the worker; the journal
+        # holds every batch, so discard the old segments and start the
+        # fresh worker on fresh (zeroed) rings.
+        old_channel.close(unlink=True)
         self.respawns[shard] += 1
         conn, process, channel, tele = self._spawn(shard, rebirth=True)
         self._conns[shard] = conn
@@ -1487,8 +1468,7 @@ class ShardedEmulator:
         self._reap(shard)
         channel = self._channels[shard]
         self._channels[shard] = None
-        if channel is not None:
-            channel.close(unlink=True)
+        channel.close(unlink=True)
         tele = self.live_conns[shard] if self.live_conns else None
         if tele is not None:
             self.live_conns[shard] = None
@@ -1630,7 +1610,7 @@ class ShardedEmulator:
         return [s for s in range(self.n_workers) if self._dead[s]]
 
     def live_shard_status(self) -> list[dict]:
-        """Parent-side per-shard liveness and transport view.
+        """Parent-side per-shard liveness and ring view.
 
         The LiveAggregator thread polls this between snapshot drains:
         every field is a single int/bool attribute read (GIL-atomic
@@ -1639,7 +1619,7 @@ class ShardedEmulator:
         witness — the aggregator diffs it against the shard's last
         heartbeat to flag a kill that a fast respawn hid from pure
         wall-clock staleness. Ring occupancy is sampled live from the
-        data ring's header (None for pipe transport or a torn-down
+        data ring's header (None for a degraded shard or a torn-down
         channel mid-respawn).
         """
         status = []
@@ -1789,9 +1769,9 @@ class ShardedEmulator:
             batch = self.batch
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        if self.transport == "shm" and batch > self.batch:
+        if batch > self.batch:
             # The rings were sized for the construction batch: a longer
-            # batch would not fit a slot and go over the pipe. Stats do
+            # batch would not fit a slot and go inline. Stats do
             # not depend on the dispatch batch; ``transport_stats``
             # reports the clamp.
             batch = self.batch
@@ -1882,14 +1862,14 @@ class ShardedEmulator:
     ) -> bool:
         """Journal one batch, then deliver it over the shard's pipe.
 
-        On shm a SoA batch that fits a slot is parked in the shard's
-        data ring and a ``ring`` token is sent in its place; every
-        other batch is inlined in the message — counted, per reason,
-        on shm: the ``Packet`` list when SoA cannot express it
-        (metadata, mixed header sets, out-of-range values;
-        ``reason="encoding"``), the SoA payload when it exceeds the
-        slot geometry (``reason="capacity"``). Returns False only
-        when the shard degraded mid-dispatch.
+        A SoA batch that fits a slot is parked in the shard's data
+        ring and a ``ring`` token is sent in its place; every other
+        batch is inlined in the message and counted per reason: the
+        ``Packet`` list when SoA cannot express it (metadata, mixed
+        header sets, out-of-range values; ``reason="encoding"``), the
+        SoA payload when it exceeds the slot geometry
+        (``reason="capacity"``). Returns False only when the shard
+        degraded mid-dispatch.
         """
         channel = self._channels[shard]
         batch = part if isinstance(part, ColumnBatch) else None
@@ -1906,21 +1886,20 @@ class ShardedEmulator:
             payload = (batch.names, batch.values, batch.sizes)
         message = ("batch", payload, ts)
         self._journal(shard, message, _rows(part))
-        if channel is not None:
-            if batch is not None and channel.batch_fits(
-                batch.n,
-                len(batch.names),
-                len(channel.names_blob(batch.names)),
-            ):
-                if not self._push_batch_supervised(shard, batch, ts):
-                    # Degraded, or respawned with this batch replayed
-                    # from the journal: either way no token is owed.
-                    return not self._dead[shard]
-                message = ("ring",)
-            else:
-                self._count_fallback(
-                    shard, "encoding" if batch is None else "capacity"
-                )
+        if batch is not None and channel.batch_fits(
+            batch.n,
+            len(batch.names),
+            len(channel.names_blob(batch.names)),
+        ):
+            if not self._push_batch_supervised(shard, batch, ts):
+                # Degraded, or respawned with this batch replayed
+                # from the journal: either way no token is owed.
+                return not self._dead[shard]
+            message = ("ring",)
+        else:
+            self._count_fallback(
+                shard, "encoding" if batch is None else "capacity"
+            )
         return self._guarded_send(
             shard, message, context="batch dispatch"
         )

@@ -1,11 +1,9 @@
 """Zero-copy shared-memory transport for the sharded replay engine.
 
-The pipe transport (PR 2) pickles every packet batch into a worker's
-command pipe and unpickles it on the other side: at the packet rates the
-sharded engine targets, those copies and syscalls *are* the workload —
-``BENCH_sharded.json``'s wall-clock throughput fell below single-core
-while its modeled speedup said 2.79x. This module removes the
-serialization tax: per-shard **single-producer/single-consumer ring
+Pickling every packet batch into a worker's command pipe and
+unpickling it on the other side costs, at the packet rates the sharded
+engine targets, more than replaying the batch. This module removes
+that serialization tax: per-shard **single-producer/single-consumer ring
 buffers** in ``multiprocessing.shared_memory``, carrying
 struct-of-arrays packet batches that the parent writes in place and the
 worker reads in place. No per-packet Python objects and no pickle bytes

@@ -72,7 +72,6 @@ class SessionConfig:
     app: str = "l2l3_acl"
     target: str = "bluefield2"
     jobs: int = 2
-    transport: str = "shm"
     engine: str = "auto"
     #: Worker-failure policy + hang threshold for the supervisor.
     recovery: str = "respawn"
@@ -199,7 +198,6 @@ class ServeSession:
                     heartbeat_interval_s=config.heartbeat_interval_s,
                 ),
                 fault_plan=fault_plan,
-                transport=config.transport,
                 engine=config.engine,
                 live_plane=self.live_plane,
             )
@@ -343,7 +341,6 @@ class ServeSession:
             "target": self.config.target,
             "jobs": self.config.jobs,
             "engine": controller.engine,
-            "transport": controller.transport,
             "plan": plan.describe() if plan is not None else None,
             "reoptimizations": controller.reoptimizations,
             "replays": self.replays,

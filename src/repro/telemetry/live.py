@@ -11,7 +11,7 @@ finishes. This module makes a *running* sharded fleet observable:
   :mod:`repro.nic.sharding`; this module is the parent side.
 * :class:`LiveAggregator` drains those sidecar pipes on a background
   thread, folds the latest per-shard snapshots with the parent-side
-  transport gauges (ring occupancy, stalls — live, per shard) into
+  ring gauges (occupancy, stalls — live, per shard) into
   rolling :class:`~repro.telemetry.timeseries.FlightRecorder` rows,
   evaluates the :class:`~repro.telemetry.slo.SloWatchdog` each
   interval, and republishes everything as a
@@ -615,10 +615,7 @@ class LiveAggregator:
                 registry.set_gauge(
                     "pipeleon_live_ring_occupancy",
                     entry["ring_occupancy"],
-                    help=(
-                        "Current data-ring occupancy fraction "
-                        "(shm transport)"
-                    ),
+                    help="Current data-ring occupancy fraction",
                     shard=shard,
                 )
             registry.inc(

@@ -165,35 +165,10 @@ class TestReplay:
             assert sharded[key] == single[key]
         assert len(sharded["worker_busy_s"]) == 2
         assert sharded["modeled_pps"] > 0
-        # Sharded replays default to the zero-copy shm transport and
-        # report its dispatch counters.
-        assert sharded["transport"] == "shm"
+        # Sharded replays report the ring's dispatch counters.
+        assert "transport" not in sharded
         assert sharded["pipe_fallbacks"] == 0
         assert sharded["ring_stalls"] >= 0
-
-    def test_pipe_transport_selector_matches_shm(self, capsys):
-        _, shm_out = self._replay(
-            capsys,
-            "--app", "l2l3_acl",
-            "--packets", "500",
-            "--jobs", "2",
-            "--target", "emulated_nic",
-        )
-        code, pipe_out = self._replay(
-            capsys,
-            "--app", "l2l3_acl",
-            "--packets", "500",
-            "--jobs", "2",
-            "--transport", "pipe",
-            "--target", "emulated_nic",
-        )
-        assert code == 0
-        shm = json.loads(shm_out.out)
-        pipe = json.loads(pipe_out.out)
-        assert pipe["transport"] == "pipe"
-        for key in ("packets", "dropped", "mean_latency_ns"):
-            assert pipe[key] == shm[key]
-        assert pipe["ring_stalls"] == 0
 
     def test_offered_pps_accepted(self, capsys):
         code, captured = self._replay(
@@ -245,17 +220,13 @@ class TestReplayFaultInjection:
         code = main(["replay", *args])
         return code, capsys.readouterr()
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_kill_with_respawn_recovers_all_packets(
-        self, capsys, transport
-    ):
+    def test_kill_with_respawn_recovers_all_packets(self, capsys):
         code, captured = self._replay(
             capsys,
             "--app", "l2l3_acl",
             "--packets", "600",
             "--jobs", "2",
             "--batch", "32",
-            "--transport", transport,
             "--inject-fault", "kill:shard=0,batch=2",
             "--recovery", "respawn",
             "--recv-timeout", "10",

@@ -383,10 +383,9 @@ GOLDEN = {
         "counters": _golden_counters(25),
         "caches": "d5f71624fa01e85b",
     },
-    "pipe": _GOLDEN_FLEET,
-    "shm": _GOLDEN_FLEET,
+    "fleet": _GOLDEN_FLEET,
 }
-#: The shm fleet's transport totals at that commit, same scenario.
+#: The fleet's ring totals at that commit, same scenario.
 GOLDEN_SHM_TOTALS = {
     "pushed_batches": 22,
     "pushed_packets": 1162,
@@ -441,7 +440,7 @@ def non_soa_scenario(deployment) -> dict:
     }
 
 
-def non_soa_deployment(jobs: int, transport: str = "shm"):
+def non_soa_deployment(jobs: int):
     build, install = EXAMPLE_APPS["l2l3_acl"]
     program = build()
     plan = Pipeleon(EMULATED_NIC).optimize(program)
@@ -454,7 +453,6 @@ def non_soa_deployment(jobs: int, transport: str = "shm"):
             n_workers=jobs,
             plan=plan,
             batch=64,
-            transport=transport,
         )
     install(deployment.control_plane)
     return deployment
@@ -471,20 +469,18 @@ class TestNonSoaTrafficAsBefore:
         assert got["columnar_packets"] > 0
         assert got == GOLDEN["jobs1"]
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_two_worker_fleet(self, transport):
-        deployment = non_soa_deployment(2, transport)
+    def test_two_worker_fleet(self):
+        deployment = non_soa_deployment(2)
         try:
             got = non_soa_scenario(deployment)
             totals = deployment.emulator.transport_stats()["totals"]
         finally:
             deployment.close()
         assert got["demotions"].get("input", 0) > 0
-        assert got == GOLDEN[transport]
-        if transport == "shm":
-            assert {
-                key: totals[key] for key in GOLDEN_SHM_TOTALS
-            } == GOLDEN_SHM_TOTALS
+        assert got == GOLDEN["fleet"]
+        assert {
+            key: totals[key] for key in GOLDEN_SHM_TOTALS
+        } == GOLDEN_SHM_TOTALS
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +619,7 @@ def record_dispatches(monkeypatch, sharded, kill_before=None) -> list:
 
 
 class TestPacedFleetReplay:
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_column_stream_and_list_replay_alike(
-        self, monkeypatch, transport
-    ):
+    def test_column_stream_and_list_replay_alike(self, monkeypatch):
         flows = synth_flows(48) + synth_flows(16, dport=6666)
         make = lambda: TrafficGenerator(13).stream(  # noqa: E731
             flows, 700, locality="zipf"
@@ -639,7 +632,6 @@ class TestPacedFleetReplay:
                 "l2l3_acl",
                 2,
                 options=SupervisorOptions(recv_timeout_s=10.0),
-                transport=transport,
                 batch=32,
             )
             try:
@@ -701,12 +693,11 @@ class TestFaultsFromAColumnStream:
         flows = synth_flows(48) + synth_flows(16, dport=6666)
         return TrafficGenerator(23).stream(flows, self.TOTAL, locality="zipf")
 
-    def run(self, monkeypatch, feed, recovery, transport):
+    def run(self, monkeypatch, feed, recovery):
         sharded = make_sharded(
             "l2l3_acl",
             3,
             options=fast_options(recovery=recovery),
-            transport=transport,
             batch=self.BATCH,
         )
         try:
@@ -734,13 +725,10 @@ class TestFaultsFromAColumnStream:
         finally:
             sharded.close()
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_degraded_reroutes_alike(self, monkeypatch, transport):
-        from_columns = self.run(
-            monkeypatch, self.stream, "degraded", transport
-        )
+    def test_degraded_reroutes_alike(self, monkeypatch):
+        from_columns = self.run(monkeypatch, self.stream, "degraded")
         from_list = self.run(
-            monkeypatch, lambda: list(self.stream()), "degraded", transport
+            monkeypatch, lambda: list(self.stream()), "degraded"
         )
         assert from_columns == from_list
         assert from_columns["degraded"] == [1]
@@ -765,13 +753,10 @@ class TestFaultsFromAColumnStream:
         # twice: once to shard 1, once rerouted.
         assert delivered == self.TOTAL + self.BATCH
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_respawn_rebuilds_alike(self, monkeypatch, transport):
-        from_columns = self.run(
-            monkeypatch, self.stream, "respawn", transport
-        )
+    def test_respawn_rebuilds_alike(self, monkeypatch):
+        from_columns = self.run(monkeypatch, self.stream, "respawn")
         from_list = self.run(
-            monkeypatch, lambda: list(self.stream()), "respawn", transport
+            monkeypatch, lambda: list(self.stream()), "respawn"
         )
         assert from_columns == from_list
         assert from_columns["respawns"] == [0, 1, 0]
@@ -781,7 +766,6 @@ class TestFaultsFromAColumnStream:
             "l2l3_acl",
             3,
             options=fast_options(recovery="respawn"),
-            transport=transport,
             batch=self.BATCH,
         )
         try:
@@ -854,7 +838,6 @@ class TestNoMaterialisation:
             "l2l3_acl",
             2,
             options=SupervisorOptions(recv_timeout_s=10.0),
-            transport="shm",
             batch=self.BATCH,
         )
         try:
@@ -902,12 +885,8 @@ class TestNoMaterialisation:
 if __name__ == "__main__":  # pragma: no cover - golden recording
     import pprint
 
-    for label, jobs, transport in (
-        ("jobs1", 1, "shm"),
-        ("pipe", 2, "pipe"),
-        ("shm", 2, "shm"),
-    ):
-        deployment = non_soa_deployment(jobs, transport)
+    for label, jobs in (("jobs1", 1), ("fleet", 2)):
+        deployment = non_soa_deployment(jobs)
         try:
             print(f'"{label}":')
             pprint.pprint(non_soa_scenario(deployment), width=78)

@@ -389,7 +389,6 @@ class TestShardedColumnar:
             BLUEFIELD2,
             n_workers=3,
             batch=64,
-            transport="shm",
             engine="auto",
         )
         install(sharded.control_plane)

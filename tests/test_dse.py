@@ -552,13 +552,11 @@ class TestPrediction:
         finally:
             controller.deployment.close()
         assert snapshot["jobs"] == 1
-        assert snapshot["transport"] is None  # single-process: no rings
         assert snapshot["enabled"] is False
         assert snapshot["reoptimizations"] == 0
         assert set(snapshot) == {
             "jobs",
             "engine",
-            "transport",
             "enabled",
             "reoptimizations",
             "plan",

@@ -67,7 +67,6 @@ def make_sharded(
     options: SupervisorOptions,
     fault_plan=None,
     telemetry=None,
-    transport: str = "shm",
     engine: str = "auto",
     batch: int = 256,
 ) -> ShardedDeployment:
@@ -80,7 +79,6 @@ def make_sharded(
         supervisor=options,
         fault_plan=fault_plan,
         telemetry=telemetry,
-        transport=transport,
         engine=engine,
     )
     install(sharded.control_plane)
@@ -203,13 +201,7 @@ class TestRespawnRecovery:
     pre-failure state, so merged stats are bit-identical to a
     fault-free run."""
 
-    def run_pair(
-        self,
-        fault_plan,
-        telemetry=None,
-        transport="shm",
-        **option_overrides,
-    ):
+    def run_pair(self, fault_plan, telemetry=None, **option_overrides):
         options = fast_options(
             recovery="respawn", **option_overrides
         )
@@ -220,7 +212,6 @@ class TestRespawnRecovery:
             options=options,
             fault_plan=fault_plan,
             telemetry=telemetry,
-            transport=transport,
         )
         try:
             reference = single.replay(
@@ -234,14 +225,13 @@ class TestRespawnRecovery:
             sharded.close()
             raise
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_kill_respawn_bit_identical(self, transport):
+    def test_kill_respawn_bit_identical(self):
         telemetry = Telemetry()
         plan = FaultPlan(
             (FaultSpec("kill", shard=0, at_batch=3),)
         )
         single, sharded, reference, replayed = self.run_pair(
-            plan, telemetry, transport=transport
+            plan, telemetry
         )
         try:
             assert stats_fingerprint(replayed) == stats_fingerprint(
@@ -264,9 +254,8 @@ class TestRespawnRecovery:
             sharded.close()
 
     @pytest.mark.parametrize("batch", [64, 1024])
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
     def test_kill_past_ring_depth_respawns_identical(
-        self, transport, batch, monkeypatch
+        self, batch, monkeypatch
     ):
         """Regression: a worker killed at batch 40 — deeper into the
         replay than any ring — is rebuilt from its journal. (The
@@ -283,8 +272,6 @@ class TestRespawnRecovery:
         real_replay_journal = ShardedEmulator._replay_journal
 
         def watching_replay_journal(self, shard):
-            if self._channels[shard] is None:
-                return real_replay_journal(self, shard)
             tokens.append(self._progress_token(shard))  # fresh ring
             real_replay_journal(self, shard)
             batches = self._journals[shard].batches
@@ -314,7 +301,6 @@ class TestRespawnRecovery:
             fault_plan=FaultPlan(
                 (FaultSpec("kill", shard=0, at_batch=40),)
             ),
-            transport=transport,
             batch=batch,
         )
         try:
@@ -327,14 +313,11 @@ class TestRespawnRecovery:
             assert sharded.worker_respawns == [1, 0]
         finally:
             sharded.close()
-        if transport == "shm":
-            *observed, (_, journal_batches) = tokens
-            assert journal_batches >= 40
-            assert {consumed for consumed, _ in observed} == {0}
-            assert observed[0] == (0, 0)
-            assert observed[-1] == (0, journal_batches)
-        else:
-            assert tokens == []  # no ring, no progress words
+        *observed, (_, journal_batches) = tokens
+        assert journal_batches >= 40
+        assert {consumed for consumed, _ in observed} == {0}
+        assert observed[0] == (0, 0)
+        assert observed[-1] == (0, journal_batches)
 
     def test_kill_after_control_updates_converges_epoch(self):
         # The journal retains every control broadcast, so a respawned
@@ -562,8 +545,7 @@ class TestFailFast:
 
 
 class TestDegradedRecovery:
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_survivors_absorb_lost_shards_flows(self, transport):
+    def test_survivors_absorb_lost_shards_flows(self):
         telemetry = Telemetry()
         total = 600
         sharded = make_sharded(
@@ -574,7 +556,6 @@ class TestDegradedRecovery:
                 (FaultSpec("kill", shard=1, at_batch=1),)
             ),
             telemetry=telemetry,
-            transport=transport,
         )
         try:
             stats = sharded.replay(

@@ -47,12 +47,7 @@ def stats_fingerprint(stats: RunStats) -> tuple:
     )
 
 
-def make_twins(
-    app: str,
-    n_workers: int,
-    optimize: bool = False,
-    transport: str = "shm",
-):
+def make_twins(app: str, n_workers: int, optimize: bool = False):
     """A single-core deployment and a sharded one, identically set up."""
     build, install = EXAMPLE_APPS[app]
     target = EMULATED_NIC
@@ -71,7 +66,6 @@ def make_twins(
         target,
         n_workers=n_workers,
         plan=plan,
-        transport=transport,
     )
     install(sharded.control_plane)
     return single, sharded
@@ -216,23 +210,6 @@ class TestShardedDifferential:
         finally:
             sharded.close()
 
-    def test_pipe_transport_replay_identical(self):
-        """The legacy pipe transport stays a faithful fallback."""
-        single, sharded = make_twins("l2l3_acl", 2, transport="pipe")
-        try:
-            reference = single.replay(app_packets(5), offered_pps=1e6)
-            replayed = sharded.replay(app_packets(5), offered_pps=1e6)
-            assert stats_fingerprint(replayed) == stats_fingerprint(
-                reference
-            )
-            assert_sharded_identical(single, sharded)
-            stats = sharded.emulator.transport_stats()
-            assert stats["transport"] == "pipe"
-            # Pipe mode never touches the rings.
-            assert stats["totals"]["pushed_batches"] == 0
-        finally:
-            sharded.close()
-
 
 class TestOrderedStream:
     """The command pipe is a shard's one ordered stream: ring batches
@@ -243,7 +220,7 @@ class TestOrderedStream:
     N_BATCHES = 14
 
     @staticmethod
-    def deployments(transport, ring_slots):
+    def deployments(ring_slots):
         """Single-core and two-worker twins on the optimized l2l3_acl
         plan, whose flow cache holds one entry and inserts on every
         miss — any reordering changes hits, evictions and contents."""
@@ -262,7 +239,6 @@ class TestOrderedStream:
                     n_workers=2,
                     plan=plan,
                     batch=TestOrderedStream.BATCH,
-                    transport=transport,
                     ring_slots=ring_slots,
                     **options,
                 )
@@ -279,9 +255,8 @@ class TestOrderedStream:
         single core's batches), chained: batch ``j`` is half flow ``j``
         and half flow ``j + 1``, so in order — and only in order —
         every batch boundary is a cache hit. Odd batches carry
-        metadata (inlined on either transport), even ones are uniform
-        (the ring on shm); halfway, between two batches, the cached
-        table loses its entries."""
+        metadata (inlined), even ones are uniform (the ring); halfway,
+        between two batches, the cached table loses its entries."""
         flows = [
             flow
             for flow in synth_flows(64)
@@ -303,11 +278,10 @@ class TestOrderedStream:
                 yield packet
 
     @pytest.mark.parametrize("ring_slots", [1, 16])
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
     def test_alternating_payloads_and_broadcast_keep_order(
-        self, transport, ring_slots
+        self, ring_slots
     ):
-        single, sharded = self.deployments(transport, ring_slots)
+        single, sharded = self.deployments(ring_slots)
         try:
             reference = single.replay(
                 self.stream(single), offered_pps=1e6, batch=self.BATCH
@@ -329,10 +303,9 @@ class TestOrderedStream:
                 assert cache.stats.evictions > 0
                 assert cache.stats.invalidations > 0
             totals = sharded.transport_stats()["totals"]
-            if transport == "shm":
-                half = self.N_BATCHES // 2
-                assert totals["pushed_batches"] == half
-                assert totals["fallback_encoding"] == half
+            half = self.N_BATCHES // 2
+            assert totals["pushed_batches"] == half
+            assert totals["fallback_encoding"] == half
         finally:
             sharded.close()
 
@@ -508,10 +481,7 @@ class TestBatchCodec:
     def test_not_expressible_as_columns(self, reason):
         assert ColumnBatch.from_packets(non_soa_batches()[reason]) is None
 
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_packet_list_batches_replay_like_single_core(
-        self, transport
-    ):
+    def test_packet_list_batches_replay_like_single_core(self):
         """Every non-SoA reason, interleaved with uniform traffic."""
 
         def packets():
@@ -522,7 +492,7 @@ class TestBatchCodec:
                 stream[40 * index + 7 : 40 * index + 7] = odd[reason]
             return stream
 
-        single, sharded = make_twins("l2l3_acl", 2, transport=transport)
+        single, sharded = make_twins("l2l3_acl", 2)
         try:
             reference = single.replay(packets(), batch=16)
             replayed = sharded.replay(packets(), batch=16)
@@ -531,9 +501,8 @@ class TestBatchCodec:
             )
             assert_sharded_identical(single, sharded)
             totals = sharded.transport_stats()["totals"]
-            if transport == "shm":
-                assert totals["fallback_encoding"] >= 1
-                assert totals["pushed_batches"] >= 1
+            assert totals["fallback_encoding"] >= 1
+            assert totals["pushed_batches"] >= 1
         finally:
             sharded.close()
 
@@ -555,7 +524,8 @@ class TestShardedEmulatorStandalone:
         from repro.nic.emulator import NicEmulator
 
         emulator = NicEmulator(build(), EMULATED_NIC)
-        with pytest.raises(ValueError, match="transport"):
-            ShardedEmulator(emulator, 1, transport="carrier-pigeon")
+        # The transport choice is gone, not defaulted.
+        with pytest.raises(TypeError, match="transport"):
+            ShardedEmulator(emulator, 1, transport="shm")
         with pytest.raises(ValueError, match="ring_slots"):
             ShardedEmulator(emulator, 1, ring_slots=0)

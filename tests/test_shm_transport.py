@@ -9,18 +9,18 @@ Three layers of proof:
   silently decoded batch.
 * **Codec** — a ``ColumnBatch``'s columns round-trip through a ring
   slot bit-exactly (values, sizes, timestamps, field names).
-* **Transport semantics** — a sharded replay over shm is bit-identical
-  to single-core, sends **zero** pickled batch messages over the pipe
-  (the acceptance criterion: ``pickle.dumps`` is monkeypatched to raise
-  mid-replay), materialises no ``Packet`` in a worker whatever the
-  transport, cleans up every ``/dev/shm`` segment, and — the
-  supervision bugfix —
-  a worker slowly draining a full ring resets the hung deadline via its
-  consumer cursor while the identical scenario over the pipe transport
-  is (correctly) classified hung.
+* **Transport semantics** — a sharded replay is bit-identical to
+  single-core, sends **zero** pickled batch messages over the pipe for
+  batches that fit a slot (the acceptance criterion: ``pickle.dumps``
+  is monkeypatched to raise mid-replay), inlines — counted — the SoA
+  batches a slot cannot hold, materialises no ``Packet`` in a worker
+  whichever carried the batch, cleans up every ``/dev/shm`` segment,
+  and — the supervision bugfix — a worker slowly draining a full ring
+  resets the hung deadline via its consumer cursor.
 """
 
 import pickle
+import re
 import sys
 from collections import deque
 from pathlib import Path
@@ -54,8 +54,10 @@ from repro.nic.shm_transport import (
 )
 from repro.telemetry import Telemetry
 from tests.test_faults import make_sharded, make_single
+from repro.traffic import TrafficGenerator, synth_flows
 from tests.test_nic_sharding import (
     app_packets,
+    assert_sharded_identical,
     make_twins,
     stats_fingerprint,
 )
@@ -338,6 +340,18 @@ class TestSegmentCleanup:
 # ---------------------------------------------------------------------------
 
 
+def wide_stream(seed: int, n: int):
+    """``app_packets`` traffic carrying 35 header fields no table
+    reads: 45 columns, so a full batch exceeds a slot sized for
+    ``DEFAULT_MAX_FIELDS`` and only a short one fits."""
+    extra = {f"opt.w{i:02d}": i for i in range(35)}
+    flows = [
+        flow.with_fields(**extra)
+        for flow in synth_flows(48) + synth_flows(16, dport=6666)
+    ]
+    return TrafficGenerator(seed).stream(flows, n, locality="zipf")
+
+
 class TestShmReplaySemantics:
     def test_no_pickled_batches_on_shm_path(self, monkeypatch):
         """Acceptance: a shm replay pickles no packet data, ever.
@@ -410,6 +424,46 @@ class TestShmReplaySemantics:
         finally:
             sharded.close()
 
+    @pytest.mark.parametrize(
+        "kill", [False, True], ids=["healthy", "kill-respawn"]
+    )
+    def test_wide_batches_go_inline_bit_identical(self, kill):
+        """A SoA batch a slot cannot hold is inlined as SoA — counted,
+        journaled and replayed like any other — while each shard's
+        short last batch, which does fit, still rides the ring."""
+        batch, n = 64, 1000
+        kill_plan = FaultPlan((FaultSpec("kill", shard=0, at_batch=5),))
+        single = make_single("l2l3_acl")
+        sharded = make_sharded(
+            "l2l3_acl",
+            2,
+            options=SupervisorOptions(
+                recv_timeout_s=10.0, recovery="respawn"
+            ),
+            fault_plan=kill_plan if kill else None,
+            batch=batch,
+        )
+        try:
+            reference = single.replay(
+                wide_stream(21, n), offered_pps=1e6, batch=batch
+            )
+            replayed = sharded.replay(
+                wide_stream(21, n), offered_pps=1e6, batch=batch
+            )
+            assert stats_fingerprint(replayed) == stats_fingerprint(
+                reference
+            )
+            assert_sharded_identical(single, sharded)
+            totals = sharded.transport_stats()["totals"]
+            # 15 full batches inlined, one short ring batch per shard.
+            assert totals["fallback_capacity"] == 15
+            assert totals["fallback_encoding"] == 0
+            assert totals["pushed_batches"] == 2
+            assert totals["pushed_packets"] == n - 15 * batch
+            assert sharded.worker_respawns == [int(kill), 0]
+        finally:
+            sharded.close()
+
     def test_tiny_ring_backpressure_counts_stalls_and_occupancy(self):
         telemetry = Telemetry()
         single = make_single("l2l3_acl")
@@ -459,7 +513,7 @@ class TestShmReplaySemantics:
         _single, sharded = make_twins("l2l3_acl", 2)
         try:
             stats = sharded.emulator.transport_stats()
-            assert stats["transport"] == "shm"
+            assert "transport" not in stats  # nothing to choose
             assert stats["ring_slots"] == DEFAULT_RING_SLOTS
         finally:
             sharded.close()
@@ -472,10 +526,11 @@ class TestShmReplaySemantics:
 
 class TestWorkerIngestion:
     def test_pipe_workers_build_no_packets(self, monkeypatch):
-        """``transport="pipe"`` ships the same columns the ring does:
-        with ``Packet.__init__`` poisoned in the workers (they fork
-        while it is patched; the parent's copy is restored to generate
-        traffic), an ``engine="auto"`` replay is still bit-identical."""
+        """A batch too wide for a slot is inlined as the same columns
+        the ring carries: with ``Packet.__init__`` poisoned in the
+        workers (they fork while it is patched; the parent's copy is
+        restored to generate traffic), an ``engine="auto"`` replay of
+        inlined batches is still bit-identical."""
 
         def poisoned(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("a worker materialised a Packet")
@@ -487,22 +542,23 @@ class TestWorkerIngestion:
                 "l2l3_acl",
                 2,
                 options=SupervisorOptions(recv_timeout_s=10.0),
-                transport="pipe",
+                batch=64,
             )
         try:
-            reference = single.replay(app_packets(21, 600), batch=64)
-            replayed = sharded.replay(app_packets(21, 600), batch=64)
+            reference = single.replay(wide_stream(21, 600), batch=64)
+            replayed = sharded.replay(wide_stream(21, 600), batch=64)
             assert stats_fingerprint(replayed) == stats_fingerprint(
                 reference
             )
             assert sharded.emulator.columnar_demotions == {}
+            totals = sharded.transport_stats()["totals"]
+            assert totals["fallback_capacity"] >= 8
         finally:
             sharded.close()
 
     @pytest.mark.parametrize("engine", ["auto", "interp"])
-    @pytest.mark.parametrize("transport", ["shm", "pipe"])
     def test_only_make_packet_builds_packets_in_a_worker(
-        self, monkeypatch, transport, engine
+        self, monkeypatch, engine
     ):
         """For uniform traffic the one columns -> Packet decoder is
         ``ColumnBatch.make_packet``, reached only by the per-packet
@@ -531,7 +587,6 @@ class TestWorkerIngestion:
                 "l2l3_acl",
                 2,
                 options=SupervisorOptions(recv_timeout_s=10.0),
-                transport=transport,
                 engine=engine,
             )
         try:
@@ -558,14 +613,13 @@ class TestWorkerIngestion:
 # ---------------------------------------------------------------------------
 
 
-def slow_drain_fleet(transport: str):
+def slow_drain_fleet():
     """A fleet whose shard 0 sleeps 0.4s on two consecutive batches.
 
     With ``recv_timeout_s=0.6`` the worker is pipe-silent for ~0.8s
-    around the end-of-replay gather. Over shm its consumer cursor still
+    around the end-of-replay gather. Its consumer cursor still
     advances between the two delays, so progress-aware supervision
-    keeps waiting; over the pipe there is no progress signal and the
-    supervisor (correctly) classifies it hung.
+    keeps waiting.
     """
     plan = FaultPlan(
         (
@@ -588,14 +642,13 @@ def slow_drain_fleet(transport: str):
         2,
         options=options,
         fault_plan=plan,
-        transport=transport,
     )
 
 
 class TestRingProgressSupervision:
     def test_shm_worker_draining_ring_is_not_hung(self):
         single = make_single("l2l3_acl")
-        sharded = slow_drain_fleet("shm")
+        sharded = slow_drain_fleet()
         try:
             packets = app_packets(7, 600)
             reference = single.replay(
@@ -610,15 +663,63 @@ class TestRingProgressSupervision:
         finally:
             sharded.close()
 
-    def test_pipe_transport_still_classifies_silence_as_hung(self):
-        """Differential pin: without ring cursors the same scenario
-        exceeds the reply deadline — proving the shm success above is
-        the progress signal, not a loosened timeout."""
-        sharded = slow_drain_fleet("pipe")
-        try:
-            with pytest.raises(EmulationError, match="unresponsive"):
-                sharded.replay(
-                    app_packets(7, 600), offered_pps=1e6, batch=32
+
+# ---------------------------------------------------------------------------
+# One transport: the choice is gone, not defaulted
+# ---------------------------------------------------------------------------
+
+
+class TestOneTransport:
+    def test_constructors_and_dse_take_no_transport(self):
+        from repro.core import PipeleonController
+        from repro.dse.spec import validate_config
+        from repro.service.session import SessionConfig
+
+        build, _install = EXAMPLE_APPS["l2l3_acl"]
+        with pytest.raises(TypeError, match="transport"):
+            PipeleonController(build(), EMULATED_NIC, transport="shm")
+        with pytest.raises(TypeError, match="transport"):
+            SessionConfig(transport="shm")
+        with pytest.raises(ValueError, match="Unknown cell keys: transport"):
+            validate_config({"transport": "shm"})
+
+    def test_deployment_keeps_one_vestigial_value(self):
+        """``benchmarks/e2e`` still passes ``transport="shm"``."""
+        build, _install = EXAMPLE_APPS["l2l3_acl"]
+        for rejected in ("pipe", "carrier-pigeon"):
+            with pytest.raises(ValueError, match="choice was removed"):
+                ShardedDeployment(
+                    build(), EMULATED_NIC, transport=rejected
                 )
-        finally:
-            sharded.close()
+        with ShardedDeployment(
+            build(), EMULATED_NIC, transport="shm"
+        ) as sharded:
+            assert not hasattr(sharded, "transport")
+
+    @pytest.mark.parametrize("command", ["replay", "serve --socket s"])
+    def test_cli_flag_is_gone(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command.split(), "--transport", "shm"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_no_pipe_value_left_to_select(self):
+        """Outside ``benchmarks/e2e`` (not editable by a code PR; it
+        only ever said ``shm``) nothing names ``pipe`` as a transport
+        value, and only tests pass the flag — to see it rejected."""
+        root = Path(__file__).resolve().parent.parent
+        value = re.compile(r"transport\W{1,4}pipe\b")
+        offenders = [
+            str(path.relative_to(root))
+            for top in ("src", "tests", "benchmarks", ".github")
+            for path in sorted((root / top).rglob("*"))
+            if path.suffix in (".py", ".yml")
+            and "e2e" not in path.parts
+            and (
+                value.search(text := path.read_text())
+                or (top != "tests" and "--transport" in text)
+            )
+        ]
+        assert offenders == []
