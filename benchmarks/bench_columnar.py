@@ -48,7 +48,7 @@ from repro.apps import (
     load_balancer,
     nf_composition,
 )
-from repro.core import Deployment, Pipeleon, ShardedDeployment
+from repro.core import Deployment, Pipeleon
 from repro.nic.targets import BLUEFIELD2
 from repro.traffic.flows import synth_flows
 from repro.traffic.generator import TrafficGenerator
@@ -187,10 +187,10 @@ def _measure_matrix() -> dict:
 
 def _measure_shm() -> dict:
     """Columnar over the shm rings at 4 workers: wall-clock pps."""
-    fleet = ShardedDeployment(
+    fleet = Deployment(
         l2l3_acl.build_program(),
         BLUEFIELD2,
-        n_workers=N_WORKERS,
+        jobs=N_WORKERS,
         engine="auto",
     )
     l2l3_acl.install_base_entries(fleet.control_plane)
@@ -202,7 +202,7 @@ def _measure_shm() -> dict:
             start = time.perf_counter()
             fleet.replay(packets)
             wall.append(time.perf_counter() - start)
-        totals = fleet.transport_stats()["totals"]
+        totals = fleet.emulator.transport_stats()["totals"]
         return {
             "wall_pps": round(N_PACKETS / median(wall)),
             "columnar_packets": fleet.emulator.columnar_packets,

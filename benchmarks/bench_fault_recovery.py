@@ -11,9 +11,10 @@ Reported per run:
 - ``wall_s`` for both fleets and the absolute/relative recovery
   overhead — the cost of detecting the death, forking a replacement and
   replaying the shard journal, amortised over the stream;
-- a correctness gate: the faulted fleet's merged stats must stay
-  bit-identical to the fault-free fleet's (the respawn contract that
-  ``tests/test_faults.py`` pins at unit granularity).
+- a gate, armed on any host: the faulted fleet's merged stats must
+  stay bit-identical to the fault-free fleet's (the respawn contract
+  that ``tests/test_faults.py`` pins at unit granularity) and the
+  median recovery overhead must stay under ``OVERHEAD_BOUND_S``.
 
 The kill lands at batch ``KILL_AT_BATCH`` of shard 0, far enough into
 the stream that the journal replay is non-trivial but with plenty of
@@ -26,11 +27,11 @@ import json
 import time
 from pathlib import Path
 
-from figutil import emit, fmt_table, median
+from figutil import emit, fmt_table, make_gate, median
 from hostinfo import host_metadata
 
 from repro.apps import l2l3_acl
-from repro.core import ShardedDeployment
+from repro.core import Deployment
 from repro.nic.faults import FaultPlan, FaultSpec
 from repro.nic.sharding import SupervisorOptions
 from repro.nic.targets import BLUEFIELD2
@@ -44,6 +45,11 @@ N_FLOWS = 512
 REPEATS = 5
 BATCH = 64
 KILL_AT_BATCH = 20
+#: Detect the death, fork a replacement, replay ~20 journaled batches:
+#: 0.03-0.05 s on the 2-CPU host. The bound is an absolute ceiling a
+#: stalled detection (one ``recv_timeout_s``) or a journal replayed
+#: packet by packet would break, not a tight budget.
+OVERHEAD_BOUND_S = 0.25
 
 SUPERVISOR = SupervisorOptions(
     recovery="respawn",
@@ -60,11 +66,11 @@ def _packets(n: int = N_PACKETS):
     )
 
 
-def _make_fleet(fault_plan=None) -> ShardedDeployment:
-    deployment = ShardedDeployment(
+def _make_fleet(fault_plan=None) -> Deployment:
+    deployment = Deployment(
         l2l3_acl.build_program(),
         BLUEFIELD2,
-        n_workers=2,
+        jobs=2,
         supervisor=SUPERVISOR,
         fault_plan=fault_plan,
     )
@@ -104,7 +110,7 @@ def test_bench_fault_recovery():
             recovered = faulted.replay(packets, batch=BATCH)
             faulted_wall.append(time.perf_counter() - wall0)
             # Correctness gate: recovery is exact, not approximate.
-            assert faulted.worker_respawns == [1, 0]
+            assert faulted.emulator.respawns == [1, 0]
             assert _fingerprint(recovered) == _fingerprint(reference)
         finally:
             clean.close()
@@ -113,6 +119,12 @@ def test_bench_fault_recovery():
     clean_s = median(clean_wall)
     faulted_s = median(faulted_wall)
     overhead_s = faulted_s - clean_s
+    gate = make_gate(
+        True,
+        threshold=OVERHEAD_BOUND_S,
+        measured=round(overhead_s, 4),
+        label="BENCH_faults recovery-overhead gate",
+    )
     payload = {
         "host": host_metadata(),
         "app": "l2l3_acl",
@@ -126,6 +138,7 @@ def test_bench_fault_recovery():
         "recovery_overhead_s": round(overhead_s, 4),
         "recovery_overhead_pct": round(100.0 * overhead_s / clean_s, 1),
         "stats_identical": True,
+        "gate": gate,
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     emit(
@@ -143,6 +156,7 @@ def test_bench_fault_recovery():
             ],
         ),
     )
+    assert gate["measured"] < gate["threshold"], payload
 
 
 if __name__ == "__main__":

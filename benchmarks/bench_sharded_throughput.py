@@ -2,7 +2,7 @@
 
 Replays the traffic generator's column source — what ``repro replay``
 feeds a deployment — through a single-core ``Deployment`` and a
-``ShardedDeployment`` at 2 and 4 workers on ``l2l3_acl``, and writes
+``Deployment(jobs=N)`` at 2 and 4 workers on ``l2l3_acl``, and writes
 the comparison to ``BENCH_sharded.json`` at the repo root (medians over
 ``REPEATS`` samples, plus host metadata including the CPU affinity mask
 size and the git sha).
@@ -53,7 +53,7 @@ from figutil import emit, fmt_table, make_gate, median
 from hostinfo import host_metadata
 
 from repro.apps import l2l3_acl
-from repro.core import Deployment, ShardedDeployment
+from repro.core import Deployment
 from repro.nic.sharding import flow_shard
 from repro.nic.targets import BLUEFIELD2
 from repro.traffic.flows import synth_flows
@@ -119,10 +119,10 @@ def test_bench_sharded_throughput():
     # poll, and on a time-shared host idle pollers perturb the very
     # worker being measured.
     for n in WORKER_COUNTS:
-        fleet = ShardedDeployment(
+        fleet = Deployment(
             l2l3_acl.build_program(),
             BLUEFIELD2,
-            n_workers=n,
+            jobs=n,
             batch=BATCH,
         )
         l2l3_acl.install_base_entries(fleet.control_plane)
@@ -139,7 +139,7 @@ def test_bench_sharded_throughput():
                 busy.append(busy_s)
                 wall_ratio.append(one_wall_s / wall_s)
                 modeled_ratio.append(one_cpu_s / ROUNDS / busy_s)
-            totals = fleet.transport_stats()["totals"]
+            totals = fleet.emulator.transport_stats()["totals"]
         finally:
             fleet.close()
         wall_pps = ROUNDS * N_PACKETS / median(wall)

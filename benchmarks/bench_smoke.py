@@ -161,14 +161,13 @@ def test_live_telemetry_overhead_smoke():
     doesn't see. Below ``LIVE_GATE_MIN_CPUS`` the ratio is measured and
     reported but not asserted (loud skip, as BENCH_sharded's wall gate).
     """
-    from repro.core.sharded import ShardedDeployment
     from repro.telemetry.live import LiveOptions, LivePlane
 
     def build(live_plane):
-        deployment = ShardedDeployment(
+        deployment = Deployment(
             l2l3_acl.build_program(),
             BLUEFIELD2,
-            n_workers=2,
+            jobs=2,
             live_plane=live_plane,
         )
         l2l3_acl.install_base_entries(deployment.control_plane)

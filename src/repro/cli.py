@@ -198,13 +198,10 @@ def _build_telemetry(args: argparse.Namespace):
 
 
 def _export_metrics(
-    registry, deployment, stats, target, jobs: int, label: str
+    registry, deployment, stats, target, label: str
 ) -> None:
     """Fill the registry from a finished replay's merged state."""
     from repro.telemetry import (
-        export_cache_stats,
-        export_columnar,
-        export_counter_bank,
         export_emulator,
         export_run_stats,
         export_tracer,
@@ -216,18 +213,7 @@ def _export_metrics(
         from repro.telemetry import export_event_log
 
         export_event_log(registry, telemetry.events)
-    if jobs > 1:
-        sharded = deployment.emulator
-        export_counter_bank(registry, sharded.counters)
-        for name, cache_stats in sharded.cache_stats.items():
-            export_cache_stats(registry, name, cache_stats)
-        if sharded.native_cache_stats is not None:
-            export_cache_stats(
-                registry, "__native__", sharded.native_cache_stats
-            )
-        export_columnar(registry, sharded)
-    else:
-        export_emulator(registry, deployment.emulator)
+    export_emulator(registry, deployment.emulator)
     tracer = deployment.tracer
     if tracer is not None:
         export_tracer(registry, tracer)
@@ -237,7 +223,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     import time
 
     from repro.core import Deployment, profile_to_json
-    from repro.core.sharded import ShardedDeployment
     from repro.traffic.flows import synth_flows
     from repro.traffic.generator import TrafficGenerator
 
@@ -248,7 +233,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     target = get_target(args.target)
 
     fault_plan = None
-    supervisor = None
     inject = getattr(args, "inject_fault", None)
     if inject:
         from repro.nic.faults import FaultPlan
@@ -278,13 +262,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.jobs > 1:
-        from repro.nic.sharding import SupervisorOptions
+    from repro.nic.sharding import SupervisorOptions
 
-        supervisor = SupervisorOptions(
-            recovery=args.recovery,
-            recv_timeout_s=args.recv_timeout,
-        )
+    supervisor = SupervisorOptions(
+        recovery=args.recovery, recv_timeout_s=args.recv_timeout
+    )
 
     live_options = None
     live_requested = (
@@ -343,22 +325,17 @@ def cmd_replay(args: argparse.Namespace) -> int:
         live_plane = LivePlane(live_options, telemetry=telemetry).start()
     deployment = None
     try:
-        if args.jobs > 1:
-            deployment = ShardedDeployment(
-                program,
-                target,
-                n_workers=args.jobs,
-                batch=args.batch,
-                telemetry=telemetry,
-                supervisor=supervisor,
-                fault_plan=fault_plan,
-                engine=args.engine,
-                live_plane=live_plane,
-            )
-        else:
-            deployment = Deployment(
-                program, target, telemetry=telemetry, engine=args.engine
-            )
+        deployment = Deployment(
+            program,
+            target,
+            telemetry=telemetry,
+            engine=args.engine,
+            jobs=args.jobs,
+            batch=args.batch,
+            supervisor=supervisor,
+            fault_plan=fault_plan,
+            live_plane=live_plane,
+        )
         if install is not None:
             install(deployment.control_plane)
         generator = TrafficGenerator(seed=args.seed)
@@ -400,7 +377,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 emulator.columnar_cache_replayed
             )
         if args.jobs > 1:
-            ring_totals = deployment.transport_stats()["totals"]
+            ring_totals = deployment.emulator.transport_stats()["totals"]
             summary["ring_stalls"] = ring_totals["stalls"]
             summary["pipe_fallbacks"] = (
                 ring_totals["fallback_encoding"]
@@ -452,8 +429,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             summary["profile_out"] = args.profile_out
         if telemetry is not None and args.metrics_out:
             _export_metrics(
-                telemetry.registry, deployment, stats, target,
-                args.jobs, label,
+                telemetry.registry, deployment, stats, target, label
             )
             with open(args.metrics_out, "w") as handle:
                 handle.write(telemetry.registry.to_prometheus())
@@ -463,9 +439,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
             summary["events_emitted"] = telemetry.events.emitted
         print(json.dumps(summary, indent=2))
     finally:
-        # Always close, jobs==1 included: ShardedDeployment releases
-        # the live plane and tears down the worker fleet via
-        # try/finally; Deployment.close is a cheap listener detach.
+        # Always close: a fleet releases the live plane and tears its
+        # workers down via try/finally; on one core it is a cheap
+        # listener detach.
         # Exceptions mid-replay must not leak threads, ports or
         # processes either.
         try:

@@ -55,7 +55,6 @@ from repro.core.profiling import (
     profile_to_json,
     uniform_profile,
 )
-from repro.core.sharded import ShardedDeployment
 from repro.core.search import (
     SearchOptions,
     enumerate_segmentations,
@@ -85,7 +84,6 @@ __all__ = [
     "RuntimeProfile",
     "SearchOptions",
     "Segment",
-    "ShardedDeployment",
     "TimePoint",
     "TierBudget",
     "apply_placement",

@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Optional
 from repro.core.costmodel import CostModel
 from repro.core.deployment import Deployment
 from repro.core.plan import OptimizationPlan, ResourceBudget
-from repro.core.sharded import ShardedDeployment
 from repro.core.profiling import RuntimeProfile
 from repro.core.search import (
     SearchOptions,
@@ -114,7 +113,7 @@ class PipeleonController:
             raise ValueError("jobs must be >= 1")
         self.telemetry = telemetry
         #: Worker supervision policy + scripted faults, forwarded to
-        #: every ShardedDeployment this controller builds (jobs > 1).
+        #: every deployment this controller builds (a fleet's concern).
         #: Faults arm only the first fleet: a redeploy forks fresh
         #: workers, and a spec models one failure event.
         self.supervisor = supervisor
@@ -360,15 +359,19 @@ class PipeleonController:
         self,
         plan: Optional[OptimizationPlan],
         previous: Optional[Deployment] = None,
-    ):
-        """Build the data plane: in-process, or sharded when jobs > 1.
+    ) -> Deployment:
+        """Build the data plane (``jobs`` workers, or in-process at 1).
 
-        A sharded redeploy tears down every worker and forks a fresh
+        A fleet redeploy tears down every worker and forks a fresh
         fleet from the newly materialised template, so a plan change
-        reaches all shards atomically (shard-wide redeploy); warm-cache
-        carry only applies to the in-process flavour.
+        reaches all shards atomically (shard-wide redeploy); only one
+        core has warm caches for ``previous`` to hand over.
         """
-        kwargs = dict(
+        fault_plan = self._fault_plan
+        self._fault_plan = None  # one-shot: see __init__
+        return Deployment(
+            self.original,
+            self.target,
             plan=plan,
             control_plane=self.control_plane,
             sample_stride=self._sample_stride,
@@ -378,32 +381,19 @@ class PipeleonController:
             ),
             default_hit_rate=self.search.default_hit_rate,
             native_cache=self._native_cache,
+            previous=previous,
             telemetry=self.telemetry,
             engine=self.engine,
-        )
-        if self.jobs > 1:
-            fault_plan = self._fault_plan
-            self._fault_plan = None  # one-shot: see __init__
-            return ShardedDeployment(
-                self.original,
-                self.target,
-                n_workers=self.jobs,
-                supervisor=self.supervisor,
-                fault_plan=fault_plan,
-                live_plane=self.live_plane,
-                **kwargs,
-            )
-        return Deployment(
-            self.original, self.target, previous=previous, **kwargs
+            jobs=self.jobs,
+            supervisor=self.supervisor,
+            fault_plan=fault_plan,
+            live_plane=self.live_plane,
         )
 
     def _redeploy(self, plan: OptimizationPlan) -> None:
         previous = self.deployment
         previous.close()
-        self.deployment = self._make_deployment(
-            plan,
-            previous=previous if self.jobs == 1 else None,
-        )
+        self.deployment = self._make_deployment(plan, previous=previous)
         self.current_plan = plan
         self.reoptimizations += 1
         self._emit(

@@ -13,11 +13,21 @@ Entry propagation rules:
   on every covered update (the update amplification the paper's
   ``I(T_AB)`` formula estimates is tracked in ``materialized_updates``);
 * flow caches — fully invalidated whenever a covered table changes.
+
+One deployment, one data-plane surface: ``jobs=N`` forks a
+:class:`~repro.nic.sharding.ShardedEmulator` over the materialised
+emulator, and the fleet is a drop-in for it (same ``runtime_tables``,
+state mutators, merged telemetry and ``replay``). A fleet differs in
+three places only: the fork (plus live-plane adoption) that ends
+``__init__``, a ``collect()`` barrier before :meth:`profile` reads the
+pooled counters, and :meth:`close`, which stops the workers. Worker
+cache state lives in the worker processes and dies with them, so a
+fleet redeploy cold-starts flow caches where one core carries them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from repro.core.plan import OptimizationPlan, apply_plan
 from repro.core.profiling import (
@@ -34,36 +44,25 @@ from repro.ir.entries import TableEntry
 from repro.ir.program import Program
 from repro.ir.tables import TableKind, TableNode
 from repro.nic.control_plane import ControlPlane, SimClock, UpdateEvent
-from repro.nic.counters import CounterBank
 from repro.nic.emulator import NicEmulator
-from repro.nic.flow_cache import CacheStats
+from repro.nic.faults import FaultPlan
 from repro.nic.packet import Packet
+from repro.nic.sharding import ShardedEmulator, SupervisorOptions
 from repro.nic.stats import RunStats
 from repro.nic.targets import TargetModel
-
-
-def hit_rates(
-    cache_stats: Mapping[str, CacheStats], counters: CounterBank
-) -> dict[str, float]:
-    """Per-cache hit rates: the caches' own stats where they saw
-    lookups, else the ``("cache", name, "hit"|"miss")`` counters."""
-    rates: dict[str, float] = {}
-    for name, stats in cache_stats.items():
-        if stats.lookups:
-            rates[name] = stats.hit_rate
-    legs_by_cache: dict[str, dict[str, float]] = {}
-    for key, count in counters.snapshot().items():
-        if key[0] == "cache":
-            legs_by_cache.setdefault(key[1], {})[key[2]] = count
-    for name, legs in legs_by_cache.items():
-        total = legs.get("hit", 0.0) + legs.get("miss", 0.0)
-        if total:
-            rates.setdefault(name, legs.get("hit", 0.0) / total)
-    return rates
+from repro.telemetry.live import LivePlane
 
 
 class Deployment:
-    """A running (possibly optimized) program on an emulated SmartNIC."""
+    """A running (possibly optimized) program on an emulated SmartNIC.
+
+    ``jobs > 1`` shards the data plane over that many flow-hash worker
+    processes; ``batch`` (their dispatch batch, which sizes the rings),
+    ``supervisor``, ``fault_plan``, ``ring_slots`` and ``live_plane``
+    (caller-owned: adopted here, released by :meth:`close`, never
+    stopped) configure the fleet and are ignored on one core, except
+    that ``batch`` is also :meth:`replay`'s default chunk.
+    """
 
     def __init__(
         self,
@@ -81,13 +80,23 @@ class Deployment:
         previous: Optional["Deployment"] = None,
         telemetry=None,
         engine: str = "auto",
+        jobs: int = 1,
+        batch: int = 256,
+        supervisor: Optional[SupervisorOptions] = None,
+        fault_plan: Optional[FaultPlan] = None,
+        ring_slots: Optional[int] = None,
+        live_plane: Optional[LivePlane] = None,
     ):
+        if jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        self.jobs = jobs
+        self.batch = batch
         self.original = original
         self.target = target
         self.plan = plan
-        #: Default execution tier for :meth:`replay` ("auto" or
-        #: "interp"); both are bit-identical on stats, counters and
-        #: cache state.
+        #: Execution tier :meth:`replay` defaults to — and, on a
+        #: fleet, the only one its workers run ("auto" or "interp");
+        #: both are bit-identical on stats, counters and cache state.
         self.engine = engine
         self.telemetry = telemetry
         if telemetry is None and previous is not None:
@@ -131,6 +140,31 @@ class Deployment:
         self._merged_nodes = self._find_merged_nodes()
         self._copies = self._find_copies()
         self.materialize_all()
+        self.live_plane = live_plane if jobs > 1 else None
+        if jobs > 1:
+            # Fork AFTER materialize_all: workers inherit installed
+            # entries. The plane's cadence drives their sidecar
+            # snapshots; the plane itself owns aggregator and server.
+            cadence = getattr(live_plane, "options", None)
+            self.emulator = ShardedEmulator(
+                self.emulator,
+                jobs,
+                batch=batch,
+                options=supervisor,
+                telemetry=telemetry,
+                fault_plan=fault_plan,
+                ring_slots=ring_slots,
+                engine=engine,
+                live_interval_s=getattr(cadence, "interval_s", None),
+                live_every_packets=getattr(cadence, "every_packets", None),
+            )
+            try:
+                if live_plane is not None:
+                    live_plane.adopt(self.emulator)
+            except BaseException:
+                # A failed construction never leaks worker processes.
+                self._teardown()
+                raise
         self.carried_caches: list[str] = []
         if previous is not None:
             self._carry_cache_state(previous)
@@ -139,11 +173,38 @@ class Deployment:
 
     # -- lifecycle ------------------------------------------------------------
 
+    def __enter__(self) -> "Deployment":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def close(self) -> None:
-        """Detach from the control plane (before re-deploying)."""
-        if not self._closed:
+        """Detach from the control plane (before re-deploying) and, on
+        a fleet, stop the workers. Idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        try:
             self.control_plane.remove_listener(self._on_update)
-            self._closed = True
+        finally:
+            self._teardown()
+
+    def _teardown(self) -> None:
+        """Release the live plane, then stop the workers; the second
+        step runs even if the first raises (no leaked processes)."""
+        if self.jobs == 1:
+            return
+        try:
+            # Live plane first: its final drain reads the workers' last
+            # snapshots and the emulator's shard status, so both must
+            # still exist. The plane is *released* (final totals folded
+            # into its carry base), never stopped: it belongs to the
+            # caller, not this deployment.
+            if self.live_plane is not None:
+                self.live_plane.release()
+        finally:
+            self.emulator.close()
 
     def _carry_cache_state(self, previous: "Deployment") -> None:
         """Incremental redeployment (§6): keep warm cache state.
@@ -211,23 +272,6 @@ class Deployment:
         return tuple(
             str(c) for c in node.annotations.get("naive_merge_of", ())
         )
-
-    def affected_runtime_tables(self, table: str) -> list[str]:
-        """Runtime tables whose entries derive from original ``table``:
-        the direct mirror (when the optimized program kept the table),
-        its copies, and every merged node covering it — exactly the
-        set an update to ``table`` re-materialises. Replicated data
-        planes (the sharded engine) broadcast these tables'
-        post-materialisation entry lists after each update.
-        """
-        names = []
-        if table in self.emulator.runtime_tables:
-            names.append(table)
-        names.extend(self._copies.get(table, []))
-        for node in self._merged_nodes:
-            if table in self._merge_covers(node):
-                names.append(node.name)
-        return names
 
     # -- entry materialisation ------------------------------------------------------
 
@@ -356,24 +400,41 @@ class Deployment:
 
     @property
     def tracer(self):
-        """The packet tracer watching this deployment (None if off)."""
+        """The packet tracer watching this deployment (None if off; on
+        a fleet, the workers' tracers merged at the last collection)."""
         return self.emulator.tracer
 
     def cache_hit_rates(self) -> dict[str, float]:
-        return hit_rates(
-            {
-                name: cache.stats
-                for name, cache in self.emulator.flow_caches.items()
-            },
-            self.emulator.counters,
-        )
+        """Per-cache hit rates: the caches' own stats where they saw
+        lookups, else the ``("cache", name, "hit"|"miss")`` counters —
+        on a fleet, both as of the last replay or :meth:`profile`
+        (which refresh the merged view)."""
+        rates: dict[str, float] = {}
+        for name, stats in self.emulator.cache_stats.items():
+            if stats.lookups:
+                rates[name] = stats.hit_rate
+        legs_by_cache: dict[str, dict[str, float]] = {}
+        for key, count in self.emulator.counters.snapshot().items():
+            if key[0] == "cache":
+                legs_by_cache.setdefault(key[1], {})[key[2]] = count
+        for name, legs in legs_by_cache.items():
+            total = legs.get("hit", 0.0) + legs.get("miss", 0.0)
+            if total:
+                rates.setdefault(name, legs.get("hit", 0.0) / total)
+        return rates
 
     def profile(
         self,
         update_window_s: float = 10.0,
         offered_pps: float = 1e6,
     ) -> RuntimeProfile:
-        """Collect a runtime profile in original-program coordinates."""
+        """Collect a runtime profile in original-program coordinates.
+
+        A fleet's profile is computed from its workers' *pooled*
+        counters, so it equals one core's field for field.
+        """
+        if self.jobs > 1:
+            self.emulator.collect()
         return collect_profile(
             self.original,
             self.emulator.counters.snapshot(),
@@ -385,13 +446,7 @@ class Deployment:
         )
 
     def reset_telemetry(self) -> None:
-        self.emulator.counters.reset()
-        for cache in self.emulator.flow_caches.values():
-            cache.stats.reset_rates()
-        if self.emulator.native_cache is not None:
-            self.emulator.native_cache.stats.reset_rates()
-        if self.emulator.tracer is not None:
-            self.emulator.tracer.reset()
+        self.emulator.reset_telemetry()
 
     # -- traffic ----------------------------------------------------------------------------
 
@@ -406,18 +461,20 @@ class Deployment:
         self,
         packets: Iterable[Packet],
         offered_pps: Optional[float] = None,
-        batch: int = 256,
+        batch: Optional[int] = None,
         engine: Optional[str] = None,
     ) -> RunStats:
         """Batch replay through the selected execution tier.
 
         ``engine`` overrides the deployment default (``"auto"`` runs
-        the columnar batch kernels, demoting to the interpreter).
+        the columnar batch kernels, demoting to the interpreter); a
+        fleet's workers run the tier they were forked with and reject
+        any other. ``batch`` defaults to the constructor's.
         """
         return self.emulator.replay(
             packets,
             offered_pps=offered_pps,
-            batch=batch,
+            batch=batch if batch is not None else self.batch,
             engine=engine if engine is not None else self.engine,
         )
 

@@ -44,14 +44,6 @@ class RuntimeProfile:
     cache_hit_rates: dict[str, float] = field(default_factory=dict)
     #: Offered load estimate, used to bound cache-insertion overheads.
     offered_pps: float = 1e6
-    #: Observation counts backing each probability map (sufficient
-    #: statistics). They make profiles *mergeable*: a support-weighted
-    #: average of per-shard probabilities equals the probabilities the
-    #: pooled counters would have produced, so the controller can
-    #: profile each shard independently and combine.
-    action_support: dict[str, float] = field(default_factory=dict)
-    branch_support: dict[str, float] = field(default_factory=dict)
-    cache_support: dict[str, float] = field(default_factory=dict)
 
     # -- reads with sensible defaults ---------------------------------------
 
@@ -110,85 +102,7 @@ class RuntimeProfile:
             table_m=dict(self.table_m),
             cache_hit_rates=dict(self.cache_hit_rates),
             offered_pps=self.offered_pps,
-            action_support=dict(self.action_support),
-            branch_support=dict(self.branch_support),
-            cache_support=dict(self.cache_support),
         )
-
-    def merge(self, other: "RuntimeProfile") -> "RuntimeProfile":
-        """Fold another shard's profile into this one (associative).
-
-        Probabilities combine as support-weighted averages — exactly the
-        probabilities that pooling the underlying counters would yield
-        (a profile with no recorded support counts as one observation).
-        Control-plane-authoritative facts (entry counts, measured ``m``,
-        update rates) are global, not per-shard, so they combine by max;
-        per-shard offered loads sum.
-        """
-        for table, theirs in other.action_probs.items():
-            weight_other = other.action_support.get(table, 1.0)
-            mine = self.action_probs.get(table)
-            if mine is None:
-                self.action_probs[table] = dict(theirs)
-                self.action_support[table] = weight_other
-                continue
-            weight_self = self.action_support.get(table, 1.0)
-            total = weight_self + weight_other
-            if total > 0:
-                self.action_probs[table] = {
-                    action: (
-                        mine.get(action, 0.0) * weight_self
-                        + theirs.get(action, 0.0) * weight_other
-                    )
-                    / total
-                    for action in set(mine) | set(theirs)
-                }
-            else:
-                # Both sides zero-support: keep the key union at 0.0.
-                self.action_probs[table] = {
-                    action: 0.0 for action in set(mine) | set(theirs)
-                }
-            self.action_support[table] = total
-        for branch, prob_other in other.branch_probs.items():
-            weight_other = other.branch_support.get(branch, 1.0)
-            if branch not in self.branch_probs:
-                self.branch_probs[branch] = prob_other
-                self.branch_support[branch] = weight_other
-                continue
-            weight_self = self.branch_support.get(branch, 1.0)
-            total = weight_self + weight_other
-            if total > 0:
-                self.branch_probs[branch] = (
-                    self.branch_probs[branch] * weight_self
-                    + prob_other * weight_other
-                ) / total
-            self.branch_support[branch] = total
-        for cache, rate_other in other.cache_hit_rates.items():
-            weight_other = other.cache_support.get(cache, 1.0)
-            if cache not in self.cache_hit_rates:
-                self.cache_hit_rates[cache] = rate_other
-                self.cache_support[cache] = weight_other
-                continue
-            weight_self = self.cache_support.get(cache, 1.0)
-            total = weight_self + weight_other
-            if total > 0:
-                self.cache_hit_rates[cache] = (
-                    self.cache_hit_rates[cache] * weight_self
-                    + rate_other * weight_other
-                ) / total
-            self.cache_support[cache] = total
-        for table, count in other.entry_counts.items():
-            self.entry_counts[table] = max(
-                self.entry_counts.get(table, 0), count
-            )
-        for table, m in other.table_m.items():
-            self.table_m[table] = max(self.table_m.get(table, 0), m)
-        for table, rate in other.update_rates.items():
-            self.update_rates[table] = max(
-                self.update_rates.get(table, 0.0), rate
-            )
-        self.offered_pps += other.offered_pps
-        return self
 
     def set_action_probs(
         self, table_name: str, probs: Mapping[str, float]
@@ -319,9 +233,7 @@ def profile_from_counts(
             bucket[leg] = bucket.get(leg, 0.0) + count
 
     # Zero-total records (keys present, all counts 0 — e.g. a snapshot
-    # taken before traffic) are kept with support 0.0 rather than
-    # skipped: merge() then weights them out while still retaining
-    # their keys, so merging profiles equals profiling pooled counts.
+    # taken before traffic) keep their keys at probability 0.0.
     for table_name, action_counts in per_table.items():
         if table_name not in program.nodes:
             continue
@@ -334,7 +246,6 @@ def profile_from_counts(
             profile.action_probs[table_name] = {
                 a: 0.0 for a in action_counts
             }
-        profile.action_support[table_name] = total
     for cond_name, legs in per_branch.items():
         if cond_name.startswith("__cache__"):
             cache = cond_name[len("__cache__"):]
@@ -342,13 +253,11 @@ def profile_from_counts(
             profile.cache_hit_rates[cache] = (
                 legs.get("hit", 0.0) / total if total > 0 else 0.0
             )
-            profile.cache_support[cache] = total
             continue
         total = legs.get("true", 0.0) + legs.get("false", 0.0)
         profile.branch_probs[cond_name] = (
             legs.get("true", 0.0) / total if total > 0 else 0.0
         )
-        profile.branch_support[cond_name] = total
     return profile
 
 
@@ -419,14 +328,12 @@ def profile_to_json(profile: RuntimeProfile) -> dict:
         "table_m": dict(profile.table_m),
         "cache_hit_rates": dict(profile.cache_hit_rates),
         "offered_pps": profile.offered_pps,
-        "action_support": dict(profile.action_support),
-        "branch_support": dict(profile.branch_support),
-        "cache_support": dict(profile.cache_support),
     }
 
 
 def profile_from_json(data: Mapping) -> RuntimeProfile:
-    """Inverse of :func:`profile_to_json`."""
+    """Inverse of :func:`profile_to_json` (unknown keys — the
+    ``*_support`` maps older files carry — are ignored)."""
     return RuntimeProfile(
         action_probs={
             str(t): {str(a): float(v) for a, v in probs.items()}
@@ -452,18 +359,6 @@ def profile_from_json(data: Mapping) -> RuntimeProfile:
             for c, v in data.get("cache_hit_rates", {}).items()
         },
         offered_pps=float(data.get("offered_pps", 1e6)),
-        action_support={
-            str(t): float(v)
-            for t, v in data.get("action_support", {}).items()
-        },
-        branch_support={
-            str(c): float(v)
-            for c, v in data.get("branch_support", {}).items()
-        },
-        cache_support={
-            str(c): float(v)
-            for c, v in data.get("cache_support", {}).items()
-        },
     )
 
 

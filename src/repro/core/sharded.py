@@ -1,351 +1,14 @@
-"""Sharded deployment: one optimized program replicated across cores.
+"""Vestige: ``ShardedDeployment(n_workers=N)`` is ``Deployment(jobs=N)``.
 
-:class:`ShardedDeployment` composes the single-core :class:`Deployment`
-(which owns plan application, entry materialisation and the counter map)
-with a :class:`~repro.nic.sharding.ShardedEmulator` forked from the
-deployment's fully-configured emulator. The inner deployment's emulator
-becomes the *template*: workers inherit its entire state copy-on-write,
-then the template stops seeing traffic.
-
-Update flow: the control plane notifies the inner deployment first
-(listeners run in registration order), which re-materialises the
-template's runtime tables exactly as a single-core deployment would.
-This listener then broadcasts the affected tables' post-materialisation
-entry lists — plus the covering-cache invalidation — to every worker,
-epoch-tagged, through each worker's FIFO command pipe. A worker has
-therefore always applied an update before replaying any batch dispatched
-after it, and the bumped runtime-table versions make its execution tier
-rebuild whatever it compiled against the old entries.
-
-Profiling is shard-merged: each worker's counter bank is translated and
-profiled independently, the per-shard :class:`RuntimeProfile`\\ s are
-folded with :meth:`RuntimeProfile.merge` (support-weighted, so pooled
-probabilities are recovered), and control-plane-authoritative facts
-(entry counts, measured ``m``, update rates) are filled in once from the
-parent's shadow store.
-
-Unlike single-core redeployment, a sharded redeploy always cold-starts
-flow caches: worker cache state lives in the worker processes and dies
-with them (carrying it across a fork boundary would cost more than the
-warm-up it saves at these cache sizes).
+Kept because ``benchmarks/e2e/workloads.py:35,253-261`` imports and calls
+it (passing ``transport="shm"``) and code PRs may not edit that directory;
+ROADMAP item 3's ``benchmark`` PR deletes those lines and this file.
 """
 
-from __future__ import annotations
-
-from typing import Iterable, Optional
-
-from repro.core.deployment import Deployment, hit_rates
-from repro.core.plan import OptimizationPlan
-from repro.core.profiling import (
-    RuntimeProfile,
-    collect_profile,
-    measure_table_m,
-)
-from repro.ir.entries import TableEntry
-from repro.ir.program import Program
-from repro.nic.control_plane import ControlPlane, SimClock, UpdateEvent
-from repro.nic.faults import FaultPlan
-from repro.nic.packet import Packet
-from repro.nic.sharding import ShardedEmulator, SupervisorOptions
-from repro.nic.stats import RunStats
-from repro.nic.targets import TargetModel
-from repro.telemetry.live import LivePlane
+from repro.core.deployment import Deployment
 
 
-class ShardedDeployment:
-    """A deployment whose data plane is N flow-hash shard workers.
-
-    ``transport`` is a vestige of the deleted pipe transport: only
-    ``"shm"`` is accepted and it is forwarded nowhere.
-    ``benchmarks/e2e/workloads.py:259`` passes ``transport="shm"`` and
-    code PRs may not edit that directory. ROADMAP item 3's
-    ``benchmark`` PR deletes that line and this parameter together;
-    nothing under ``src/``, ``tests/`` or ``benchmarks/`` outside
-    ``benchmarks/e2e/`` may pass it.
-    """
-
-    def __init__(
-        self,
-        original: Program,
-        target: TargetModel,
-        n_workers: int = 2,
-        plan: Optional[OptimizationPlan] = None,
-        control_plane: Optional[ControlPlane] = None,
-        clock: Optional[SimClock] = None,
-        batch: int = 256,
-        sample_stride: int = 1,
-        instrument: bool = True,
-        cache_capacity: int = 4096,
-        cache_insertion_limit_pps: float = 10000.0,
-        default_hit_rate: float = 0.9,
-        native_cache: Optional[bool] = None,
-        previous: Optional[object] = None,
-        telemetry=None,
-        supervisor: Optional[SupervisorOptions] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        transport: str = "shm",
-        ring_slots: Optional[int] = None,
-        engine: str = "auto",
-        live_plane: Optional[LivePlane] = None,
-    ):
-        if transport != "shm":
-            raise ValueError(
-                f"transport={transport!r}: the transport choice was "
-                "removed (the shm ring carries SoA batches, the command "
-                "pipe's inline message carries the rest); only the "
-                'vestigial "shm" is accepted'
-            )
-        # ``previous`` is accepted for signature parity with Deployment
-        # but ignored: sharded redeploys cold-start caches (see module
-        # docstring). Telemetry does carry across, like Deployment's.
-        if telemetry is None and previous is not None:
-            telemetry = getattr(previous, "telemetry", None)
-        self.telemetry = telemetry
-        # The caller-owned plane's cadence drives the workers' sidecar
-        # snapshots; the plane itself owns aggregator and server.
-        live_cadence = (
-            live_plane.options if live_plane is not None else None
-        )
-        self.deployment = Deployment(
-            original,
-            target,
-            plan=plan,
-            control_plane=control_plane,
-            clock=clock,
-            sample_stride=sample_stride,
-            instrument=instrument,
-            cache_capacity=cache_capacity,
-            cache_insertion_limit_pps=cache_insertion_limit_pps,
-            default_hit_rate=default_hit_rate,
-            native_cache=native_cache,
-            telemetry=telemetry,
-        )
-        self.original = original
-        self.target = target
-        self.plan = plan
-        self.n_workers = n_workers
-        self.control_plane = self.deployment.control_plane
-        self.clock = self.deployment.clock
-        self.counter_map = self.deployment.counter_map
-        self.program = self.deployment.program
-        # Everything past the inner deployment can fork workers: tear
-        # down whatever came up if any later step raises, so a failed
-        # construction never leaks worker processes.
-        self.live_plane = live_plane
-        self.emulator = None
-        try:
-            # Fork AFTER materialize_all: workers inherit installed
-            # entries.
-            self.emulator = ShardedEmulator(
-                self.deployment.emulator,
-                n_workers,
-                batch=batch,
-                clock=self.clock,
-                options=supervisor,
-                telemetry=telemetry,
-                fault_plan=fault_plan,
-                ring_slots=ring_slots,
-                engine=engine,
-                live_interval_s=(
-                    live_cadence.interval_s
-                    if live_cadence is not None
-                    else None
-                ),
-                live_every_packets=(
-                    live_cadence.every_packets
-                    if live_cadence is not None
-                    else None
-                ),
-            )
-            self.engine = self.emulator.engine
-            # The fleet adopts into the caller's live plane (a replay's
-            # own, or the daemon-lifetime one of ``repro serve``).
-            if live_plane is not None:
-                live_plane.adopt(self.emulator)
-        except BaseException:
-            self._teardown()
-            self.deployment.close()
-            raise
-        self.control_plane.add_listener(self._on_update)
-        self._closed = False
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def __enter__(self) -> "ShardedDeployment":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self.control_plane.remove_listener(self._on_update)
-        finally:
-            try:
-                self._teardown()
-            finally:
-                self.deployment.close()
-
-    def _teardown(self) -> None:
-        """Release the live plane then stop the workers; the second
-        step runs even if the first raises (no leaked processes)."""
-        try:
-            # Live plane first: its final drain reads the workers' last
-            # snapshots and the emulator's shard status, so both must
-            # still exist. The plane is *released* (final totals folded
-            # into its carry base), never stopped: it belongs to the
-            # caller, not this deployment.
-            if self.live_plane is not None:
-                self.live_plane.release()
-        finally:
-            if self.emulator is not None:
-                self.emulator.close()
-
-    # -- update broadcast --------------------------------------------------
-
-    def _on_update(self, event: UpdateEvent) -> None:
-        # Runs after Deployment._on_update: the template's runtime
-        # tables already reflect the event, so broadcast their state.
-        if event.op == "flush":
-            self.emulator.flush_caches()
-            return
-        runtime_tables = self.deployment.emulator.runtime_tables
-        for name in self.deployment.affected_runtime_tables(event.table):
-            runtime = runtime_tables[name]
-            self.emulator.set_table_entries(
-                name, [entry.clone() for entry in runtime.entries()]
-            )
-        self.emulator.invalidate_caches_covering(event.table)
-
-    # -- control-plane passthrough API -------------------------------------
-
-    def insert_entry(self, table: str, entry: TableEntry) -> int:
-        return self.control_plane.insert_entry(table, entry)
-
-    def insert_entries(
-        self, table: str, entries: Iterable[TableEntry]
-    ) -> list[int]:
-        return self.control_plane.insert_entries(table, entries)
-
-    def delete_entry(self, table: str, entry_id: int) -> TableEntry:
-        return self.control_plane.delete_entry(table, entry_id)
-
-    def modify_entry(
-        self, table: str, entry_id: int, new_entry: TableEntry
-    ) -> None:
-        self.control_plane.modify_entry(table, entry_id, new_entry)
-
-    # -- telemetry ---------------------------------------------------------
-
-    @property
-    def materialized_updates(self) -> dict[str, int]:
-        return self.deployment.materialized_updates
-
-    @property
-    def worker_respawns(self) -> list[int]:
-        """Per-shard respawn counts (recovery="respawn")."""
-        return list(self.emulator.respawns)
-
-    @property
-    def degraded_shards(self) -> list[int]:
-        """Shards lost to degraded-mode recovery (empty when healthy)."""
-        return self.emulator.degraded_shards
-
-    @property
-    def lost_packets(self) -> int:
-        """Cumulative packets lost with degraded shards."""
-        return self.emulator.lost_packets
-
-    def transport_stats(self) -> dict:
-        """Ring/pipe dispatch counters (see ShardedEmulator)."""
-        return self.emulator.transport_stats()
-
-    @property
-    def tracer(self):
-        """Merged per-worker packet tracer (None until a collection).
-
-        Workers fork with an independent copy of the template's tracer;
-        replay/collect ships the per-shard tracers back and folds them.
-        """
-        return self.emulator.tracer
-
-    def cache_hit_rates(self) -> dict[str, float]:
-        """Merged hit rates (replay refreshes the merged view)."""
-        return hit_rates(self.emulator.cache_stats, self.emulator.counters)
-
-    def profile(
-        self,
-        update_window_s: float = 10.0,
-        offered_pps: float = 1e6,
-    ) -> RuntimeProfile:
-        """Per-shard profiles, support-merged, in original coordinates."""
-        sharded = self.emulator
-        sharded.collect()
-        merged: Optional[RuntimeProfile] = None
-        share = offered_pps / max(1, sharded.n_workers)
-        for state in sharded.worker_states:
-            shard_profile = collect_profile(
-                self.original,
-                state["counters"].snapshot(),
-                counter_map=self.counter_map,
-                offered_pps=share,
-            )
-            for name, stats in state["cache_stats"].items():
-                if stats.lookups:
-                    shard_profile.cache_hit_rates[name] = stats.hit_rate
-                    shard_profile.cache_support[name] = float(
-                        stats.lookups
-                    )
-            merged = (
-                shard_profile
-                if merged is None
-                else merged.merge(shard_profile)
-            )
-        if merged is None:  # pragma: no cover - n_workers >= 1 always
-            merged = RuntimeProfile(offered_pps=offered_pps)
-        # Control-plane facts are global, not per-shard: fill them once
-        # from the authoritative shadow store.
-        for table_name, entries in self.control_plane.snapshot().items():
-            if table_name not in self.original.nodes:
-                continue
-            node = self.original.table(table_name)
-            merged.entry_counts[table_name] = len(entries)
-            merged.table_m[table_name] = measure_table_m(node, entries)
-        merged.update_rates = self.control_plane.update_rates(
-            window_s=update_window_s
-        )
-        return merged
-
-    def reset_telemetry(self) -> None:
-        self.emulator.reset_telemetry()
-        self.deployment.reset_telemetry()
-
-    # -- traffic -----------------------------------------------------------
-
-    def replay(
-        self,
-        packets: Iterable[Packet],
-        offered_pps: Optional[float] = None,
-        batch: Optional[int] = None,
-    ) -> RunStats:
-        return self.emulator.replay(
-            packets, offered_pps=offered_pps, batch=batch
-        )
-
-    def run(
-        self,
-        packets: Iterable[Packet],
-        offered_pps: Optional[float] = None,
-    ) -> RunStats:
-        """Same as :meth:`replay`: workers have no per-packet ``run``.
-
-        Every execution tier is stats-identical to the interpreter, so
-        code written against ``Deployment.run`` works on a fleet.
-        """
-        return self.replay(packets, offered_pps=offered_pps)
-
-    def throughput_gbps(self, stats: RunStats) -> float:
-        return stats.throughput_gbps(self.target)
+def ShardedDeployment(original, target, n_workers=2, transport="shm", **kw):
+    if transport != "shm":
+        raise ValueError(f"transport={transport!r}: the choice was removed")
+    return Deployment(original, target, jobs=n_workers, **kw)

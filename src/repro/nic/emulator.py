@@ -27,7 +27,7 @@ from repro.nic.counters import (
     branch_counter,
     cache_counter,
 )
-from repro.nic.flow_cache import Effect, FlowCache
+from repro.nic.flow_cache import CacheStats, Effect, FlowCache
 from repro.nic.packet import NEXT_TAB_ID, Packet
 from repro.nic.pipeline import BoundPrimitive, apply_primitive, bind_action
 from repro.nic.stats import PacketResult, RunStats
@@ -237,6 +237,28 @@ class NicEmulator:
             cache.invalidate_all()
         if self.native_cache is not None:
             self.native_cache.invalidate_all()
+
+    @property
+    def cache_stats(self) -> dict[str, CacheStats]:
+        """Per-flow-cache stats by cache-node name."""
+        return {
+            name: cache.stats for name, cache in self.flow_caches.items()
+        }
+
+    @property
+    def native_cache_stats(self) -> Optional[CacheStats]:
+        cache = self.native_cache
+        return cache.stats if cache is not None else None
+
+    def reset_telemetry(self) -> None:
+        """Zero what a profile reads (counters, cache hit/miss rates,
+        tracer); cache contents and explicit counters stay."""
+        self.counters.reset()
+        for cache in (*self.flow_caches.values(), self.native_cache):
+            if cache is not None:
+                cache.stats.reset_rates()
+        if self.tracer is not None:
+            self.tracer.reset()
 
     def table_memory_bytes(self) -> dict[str, int]:
         return {

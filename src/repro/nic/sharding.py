@@ -119,7 +119,6 @@ import numpy as np
 from repro.errors import EmulationError
 from repro.ir.entries import TableEntry
 from repro.nic.columnar import ColumnBatch, _split, batched
-from repro.nic.control_plane import SimClock
 from repro.nic.counters import CounterBank
 from repro.nic.emulator import ENGINES, NicEmulator
 from repro.nic.faults import FaultInjector, FaultPlan, FaultSpec
@@ -462,15 +461,8 @@ def _worker_state(emulator: NicEmulator) -> dict:
     return {
         "counters": emulator.counters,
         "explicit": dict(emulator.explicit_counters),
-        "cache_stats": {
-            name: cache.stats
-            for name, cache in emulator.flow_caches.items()
-        },
-        "native_stats": (
-            emulator.native_cache.stats
-            if emulator.native_cache is not None
-            else None
-        ),
+        "cache_stats": emulator.cache_stats,
+        "native_stats": emulator.native_cache_stats,
         "tracer": emulator.tracer,
         "demotions": dict(emulator.columnar_demotions),
         "columnar_packets": emulator.columnar_packets,
@@ -752,13 +744,7 @@ def _worker_main(
                 emulator.flush_caches()
                 epoch = message[1]
             elif op == "reset":
-                emulator.counters.reset()
-                for cache in emulator.flow_caches.values():
-                    cache.stats.reset_rates()
-                if emulator.native_cache is not None:
-                    emulator.native_cache.stats.reset_rates()
-                if emulator.tracer is not None:
-                    emulator.tracer.reset()
+                emulator.reset_telemetry()
             elif op == "collect":
                 reply(("state", _worker_state(emulator), epoch))
                 continue
@@ -819,11 +805,18 @@ class ShardedEmulator:
     installed, options set): workers are forked immediately and inherit
     an independent copy-on-write clone of its entire state, so every
     shard starts from exactly the state a single-core run would. The
-    template must not process traffic afterwards; parent-side state
-    changes only reach workers through the broadcast methods
-    (:meth:`set_table_entries`, :meth:`invalidate_caches_covering`,
-    :meth:`flush_caches`), which :class:`repro.core.sharded.
-    ShardedDeployment` wires to control-plane events.
+    template must not process traffic afterwards.
+
+    A fleet is a drop-in for the emulator it was forked from: it
+    presents the data-plane surface :class:`repro.core.deployment.
+    Deployment` drives on a :class:`NicEmulator` — ``runtime_tables``
+    (the template's), the three state mutators (:meth:`set_table_entries`,
+    :meth:`invalidate_caches_covering`, :meth:`flush_caches`: applied
+    to the template, then broadcast to every worker), the merged
+    ``counters`` / ``cache_stats`` / ``native_cache_stats`` / ``tracer``
+    / ``columnar_*`` telemetry as of the last :meth:`collect` or
+    :meth:`replay`, :meth:`reset_telemetry` and :meth:`replay` /
+    :meth:`run`.
 
     ``options`` configures the worker supervisor (timeouts, retry
     budget, recovery policy — see :class:`SupervisorOptions`);
@@ -838,7 +831,6 @@ class ShardedEmulator:
         n_workers: int = 2,
         *,
         batch: int = 256,
-        clock: Optional[SimClock] = None,
         options: Optional[SupervisorOptions] = None,
         telemetry=None,
         fault_plan: Optional[FaultPlan] = None,
@@ -904,10 +896,12 @@ class ShardedEmulator:
                 name: [entry.clone() for entry in runtime.entries()]
                 for name, runtime in emulator.runtime_tables.items()
             }
-        self._template = emulator
+        #: The parent's copy of the data plane: the source every worker
+        #: (re)forks from, kept current by the three state mutators.
+        self.template = emulator
         self.n_workers = n_workers
         self.batch = batch
-        self.clock = clock if clock is not None else emulator.clock
+        self.clock = emulator.clock
         #: Last broadcast update epoch; workers echo the epoch they have
         #: applied so collection can assert the broadcast drained.
         self.epoch = 0
@@ -933,7 +927,7 @@ class ShardedEmulator:
         self.tracer = None
         self.worker_busy_s: list[float] = [0.0] * n_workers
         #: Raw per-worker telemetry from the last collection (shard
-        #: index order) — per-shard profiling reads these.
+        #: index order), before :meth:`_merge_states` pooled it.
         self.worker_states: list[dict] = []
         #: Per-shard respawn counts (recovery="respawn").
         self.respawns: list[int] = [0] * n_workers
@@ -991,7 +985,7 @@ class ShardedEmulator:
             target=_worker_main,
             args=(
                 child_conn,
-                self._template,
+                self.template,
                 shard,
                 channel,
                 fault_specs,
@@ -1568,26 +1562,49 @@ class ShardedEmulator:
             self._journal(shard, message)
             self._guarded_send(shard, message, context=context)
 
-    # -- control-plane broadcast (epoch-versioned) -------------------------
+    # -- state mutators: template, then epoch-versioned broadcast ----------
+
+    @property
+    def runtime_tables(self):
+        """The template's runtime tables (what workers mirror)."""
+        return self.template.runtime_tables
+
+    @property
+    def flow_caches(self) -> dict:
+        """Always empty: cache *contents* live in the worker processes
+        and die with them, so a fleet has none to hand a redeploy and
+        adopts none (it cold-starts)."""
+        return {}
 
     def set_table_entries(
         self, table: str, entries: Iterable[TableEntry]
     ) -> int:
-        """Install a table's full entry list on every worker.
+        """Install a table's full entry list on the template and on
+        every worker.
 
         Returns the new broadcast epoch. The pipe is FIFO, so the
         update lands before any batch dispatched after this call; the
         bumped runtime-table version makes the worker's execution tier
         rebuild what it compiled against the old entries.
         """
+        self.template.set_table_entries(table, entries)
         self.epoch += 1
         self._broadcast(
-            ("entries", table, list(entries), self.epoch),
+            (
+                "entries",
+                table,
+                [
+                    entry.clone()
+                    for entry in self.runtime_tables[table].entries()
+                ],
+                self.epoch,
+            ),
             context=f"entries broadcast ({table})",
         )
         return self.epoch
 
     def invalidate_caches_covering(self, table: str) -> int:
+        self.template.invalidate_caches_covering(table)
         self.epoch += 1
         self._broadcast(
             ("invalidate", table, self.epoch),
@@ -1596,6 +1613,7 @@ class ShardedEmulator:
         return self.epoch
 
     def flush_caches(self) -> int:
+        self.template.flush_caches()
         self.epoch += 1
         self._broadcast(
             ("flush", self.epoch), context="flush broadcast"
@@ -1751,10 +1769,13 @@ class ShardedEmulator:
         offered_pps: Optional[float] = None,
         batch: Optional[int] = None,
         stats: Optional[RunStats] = None,
+        engine: Optional[str] = None,
     ) -> RunStats:
         """Shard, dispatch and replay ``packets``; returns merged stats.
 
-        Same contract as :meth:`NicEmulator.replay`. With
+        Same contract as :meth:`NicEmulator.replay`, except that the
+        workers' tier was fixed at the fork: an ``engine`` other than
+        the fleet's is a ``ValueError``. With
         ``offered_pps`` the parent precomputes each packet's absolute
         clock time and ships it with the batch, so worker-local clocks
         observe exactly the per-packet times a single-core run would;
@@ -1765,6 +1786,11 @@ class ShardedEmulator:
         in ``RunStats.lost_packets``.
         """
         self._check_open()
+        if engine not in (None, self.engine):
+            raise ValueError(
+                f"engine={engine!r}: this fleet's workers replay "
+                f"through {self.engine!r}, fixed when they were forked"
+            )
         if batch is None:
             batch = self.batch
         if batch < 1:
@@ -1778,7 +1804,7 @@ class ShardedEmulator:
             self.clamped_replays += 1
         n = self.n_workers
         dt = 1.0 / offered_pps if offered_pps else 0.0
-        t0 = self.clock.now_s if (dt and self.clock is not None) else 0.0
+        t0 = self.clock.now_s if dt else 0.0
         self._lost_this_replay = 0
         for shard in range(n):
             self._dispatched_since_begin[shard] = 0
@@ -1811,7 +1837,7 @@ class ShardedEmulator:
                         self._flush(
                             shard, buffers, min(batch, buffers[shard].rows)
                         )
-            if dt and self.clock is not None:
+            if dt:
                 self.clock.advance(dt * count)
             merged = stats if stats is not None else RunStats()
             states = []
@@ -1835,6 +1861,15 @@ class ShardedEmulator:
         merged.lost_packets += self._lost_this_replay
         self._merge_states(states)
         return merged
+
+    def run(
+        self,
+        packets: Iterable[Packet],
+        offered_pps: Optional[float] = None,
+    ) -> RunStats:
+        """Same as :meth:`replay`: workers have no per-packet ``run``,
+        and every tier is stats-identical to the interpreter."""
+        return self.replay(packets, offered_pps=offered_pps)
 
     def _flush(self, shard: int, buffers, rows: int) -> None:
         """Dispatch the first ``rows`` rows buffered for ``shard``."""

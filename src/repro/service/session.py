@@ -299,7 +299,9 @@ class ServeSession:
                 "clears": watchdog.clears,
                 "active": watchdog.active_breaches,
             },
-            "respawns": self.controller.deployment.worker_respawns,
+            "respawns": list(
+                self.controller.deployment.emulator.respawns
+            ),
             "timeline": timeline[-200:],
         }
 
@@ -349,7 +351,7 @@ class ServeSession:
             "slo_active": watchdog.active_breaches,
             "fleets": self.live_plane.aggregator.fleets,
             "metrics_port": self.metrics_port,
-            "worker_respawns": (
-                controller.deployment.worker_respawns
+            "worker_respawns": list(
+                controller.deployment.emulator.respawns
             ),
         }

@@ -231,12 +231,13 @@ def export_event_log(registry: MetricsRegistry, events) -> None:
 
 
 def export_emulator(registry: MetricsRegistry, emulator) -> None:
-    """Project an emulator's counters and cache stats."""
+    """Project an emulator's counters and cache stats (one core's
+    own, or a shard fleet's merged view as of its last collection)."""
     export_counter_bank(registry, emulator.counters)
-    for name, cache in emulator.flow_caches.items():
-        export_cache_stats(registry, name, cache.stats)
-    if emulator.native_cache is not None:
+    for name, stats in emulator.cache_stats.items():
+        export_cache_stats(registry, name, stats)
+    if emulator.native_cache_stats is not None:
         export_cache_stats(
-            registry, "__native__", emulator.native_cache.stats
+            registry, "__native__", emulator.native_cache_stats
         )
     export_columnar(registry, emulator)

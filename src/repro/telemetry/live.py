@@ -845,12 +845,12 @@ class LivePlane:
 
     The caller owns the plane: ``repro replay`` creates one around its
     single deployment; ``repro serve`` creates one for the daemon's
-    whole lifetime and hands it to every
-    :class:`~repro.core.sharded.ShardedDeployment` (via
-    ``live_plane=``) and to the controller, which re-adopts each
-    redeployed fleet. Counters stay monotone across fleet generations
-    (see :meth:`LiveAggregator.retarget`), and the ``/metrics`` port
-    stays bound from daemon start to drain.
+    whole lifetime and hands it to every fleet
+    :class:`~repro.core.deployment.Deployment` (via ``live_plane=``)
+    and to the controller, which re-adopts each redeployed fleet.
+    Counters stay monotone across fleet generations (see
+    :meth:`LiveAggregator.retarget`), and the ``/metrics`` port stays
+    bound from daemon start to drain.
 
     Lifecycle: :meth:`start` once, then :meth:`adopt` / :meth:`release`
     around each deployment, then :meth:`stop` (idempotent, try/finally

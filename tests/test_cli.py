@@ -470,3 +470,15 @@ class TestProfileJson:
         assert restored.table_m == profile.table_m
         assert restored.cache_hit_rates == profile.cache_hit_rates
         assert restored.offered_pps == profile.offered_pps
+
+    def test_old_file_with_support_maps_still_loads(self):
+        """``--profile-out`` files written before the ``*_support``
+        maps were dropped carry them; they are ignored, not an error."""
+        from repro.core import profile_from_json
+
+        profile = uniform_profile(linear_program("p", 2))
+        data = profile_to_json(profile)
+        assert not any(key.endswith("_support") for key in data)
+        data["action_support"] = {"p_t0": 7.0}
+        data["cache_support"] = {"cacheX": 3.0}
+        assert profile_from_json(data) == profile

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import EXAMPLE_APPS
-from repro.core import Deployment, Pipeleon, ShardedDeployment
+from repro.core import Deployment, Pipeleon
 from repro.nic.columnar import ColumnBatch, ColumnSource, batched
 from repro.nic.packet import FIVE_TUPLE, Packet
 from repro.nic.sharding import (
@@ -345,7 +345,7 @@ class TestFlowMatrixReuse:
 
 #: Recorded at 05c1031 (the commit before the column source) with
 #: ``python tests/test_column_source.py``: this very scenario through
-#: ``Deployment.replay`` / ``ShardedDeployment.replay`` fed by
+#: ``Deployment.replay`` (one core and ``jobs=2``) fed by
 #: ``TrafficGenerator.stream``'s per-packet generator.
 def _golden_counters(misses: int) -> list:
     return [
@@ -447,10 +447,10 @@ def non_soa_deployment(jobs: int):
     if jobs == 1:
         deployment = Deployment(program, EMULATED_NIC, plan=plan)
     else:
-        deployment = ShardedDeployment(
+        deployment = Deployment(
             program,
             EMULATED_NIC,
-            n_workers=jobs,
+            jobs=jobs,
             plan=plan,
             batch=64,
         )
@@ -715,7 +715,7 @@ class TestFaultsFromAColumnStream:
                     "pushed_batches"
                 ],
                 "respawns": list(emulator.respawns),
-                "degraded": sharded.degraded_shards,
+                "degraded": sharded.emulator.degraded_shards,
                 "counters": sorted(emulator.counters.snapshot().items()),
                 "states": [
                     sorted(state["counters"].snapshot().items())

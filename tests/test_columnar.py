@@ -30,7 +30,6 @@ from repro.apps import (
 )
 from repro.core import Deployment, Pipeleon
 from repro.core.pipelets import find_groups, partition
-from repro.core.sharded import ShardedDeployment
 from repro.core.transform.cache import apply_cache, apply_group_cache
 from repro.errors import EmulationError, TransformError
 from repro.ir import exact_entry
@@ -384,10 +383,10 @@ class TestShardedColumnar:
         reference = single.emulator.run(
             app_packets(5, n=600), offered_pps=1e6
         )
-        sharded = ShardedDeployment(
+        sharded = Deployment(
             build(),
             BLUEFIELD2,
-            n_workers=3,
+            jobs=3,
             batch=64,
             engine="auto",
         )
@@ -413,7 +412,7 @@ class TestShardedColumnar:
             assert replayed._busy_ns == reference._busy_ns
             assert sharded.emulator.columnar_packets == 600
             assert sharded.emulator.columnar_demotions == {}
-            totals = sharded.transport_stats()["totals"]
+            totals = sharded.emulator.transport_stats()["totals"]
             assert totals["pushed_batches"] > 0
             assert totals["fallback_encoding"] == 0
         finally:
@@ -422,13 +421,13 @@ class TestShardedColumnar:
     def test_sharded_engine_validation(self):
         with pytest.raises(ValueError, match="Unknown engine"):
             build, _ = APPS["l2l3_acl"]
-            ShardedDeployment(build(), BLUEFIELD2, engine="warp")
+            Deployment(build(), BLUEFIELD2, jobs=2, engine="warp")
 
     def test_sharded_demotions_merge_back(self):
         """Worker-side demotions (int64 overflow) surface in the parent."""
         build, install = APPS["l2l3_acl"]
-        sharded = ShardedDeployment(
-            build(), AGILIO_CX, n_workers=2, batch=64
+        sharded = Deployment(
+            build(), AGILIO_CX, jobs=2, batch=64
         )
         install(sharded.control_plane)
         try:
@@ -577,10 +576,10 @@ class TestDemotionIsInterpretation:
         build, install = DEMOTION_APPS[app]
         observed = []
         for engine in ("interp", "auto"):
-            fleet = ShardedDeployment(
+            fleet = Deployment(
                 build(),
                 target,
-                n_workers=2,
+                jobs=2,
                 batch=32,
                 engine=engine,
                 **self._knobs(reason, target),
@@ -632,8 +631,11 @@ class TestTwoTiers:
         with pytest.raises(ValueError, match="Unknown engine"):
             col.replay(app_packets(1, n=4), engine=self.GONE)
         with pytest.raises(ValueError, match="Unknown engine"):
-            ShardedDeployment(
-                APPS["l2l3_acl"][0](), BLUEFIELD2, engine=self.GONE
+            Deployment(
+                APPS["l2l3_acl"][0](),
+                BLUEFIELD2,
+                jobs=2,
+                engine=self.GONE,
             )
 
     @pytest.mark.parametrize("command", ["replay", "dse", "serve"])

@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.apps import EXAMPLE_APPS
-from repro.core import Deployment, ShardedDeployment
+from repro.core import Deployment
 from repro.errors import EmulationError
 from repro.nic.faults import (
     AUTO_BATCH_SPAN,
@@ -69,12 +69,12 @@ def make_sharded(
     telemetry=None,
     engine: str = "auto",
     batch: int = 256,
-) -> ShardedDeployment:
+) -> Deployment:
     build, install = EXAMPLE_APPS[app]
-    sharded = ShardedDeployment(
+    sharded = Deployment(
         build(),
         EMULATED_NIC,
-        n_workers=n_workers,
+        jobs=n_workers,
         batch=batch,
         supervisor=options,
         fault_plan=fault_plan,
@@ -167,8 +167,8 @@ class TestFaultPlan:
         build, install = EXAMPLE_APPS["l2l3_acl"]
         plan = FaultPlan((FaultSpec("kill", shard=5, at_batch=0),))
         with pytest.raises(ValueError, match="shard 5"):
-            ShardedDeployment(
-                build(), EMULATED_NIC, n_workers=2, fault_plan=plan
+            Deployment(
+                build(), EMULATED_NIC, jobs=2, fault_plan=plan
             )
 
 
@@ -238,7 +238,7 @@ class TestRespawnRecovery:
                 reference
             )
             assert_sharded_identical(single, sharded)
-            assert sharded.worker_respawns == [1, 0]
+            assert sharded.emulator.respawns == [1, 0]
             assert sharded.emulator.total_respawns == 1
             kinds = event_kinds(telemetry)
             assert "worker_dead" in kinds
@@ -310,7 +310,7 @@ class TestRespawnRecovery:
                 reference
             )
             assert_sharded_identical(single, sharded)
-            assert sharded.worker_respawns == [1, 0]
+            assert sharded.emulator.respawns == [1, 0]
         finally:
             sharded.close()
         *observed, (_, journal_batches) = tokens
@@ -361,7 +361,7 @@ class TestRespawnRecovery:
             assert stats_fingerprint(replayed) == stats_fingerprint(
                 reference
             )
-            assert sharded.worker_respawns == [1, 0]
+            assert sharded.emulator.respawns == [1, 0]
             assert "worker_hung" in event_kinds(telemetry)
             # Detection is deadline-bounded, not indefinite.
             assert time.monotonic() - start < 30.0
@@ -380,7 +380,7 @@ class TestRespawnRecovery:
             assert stats_fingerprint(replayed) == stats_fingerprint(
                 reference
             )
-            assert sharded.worker_respawns == [0, 1]
+            assert sharded.emulator.respawns == [0, 1]
             assert "worker_hung" in event_kinds(telemetry)
         finally:
             sharded.close()
@@ -401,7 +401,7 @@ class TestRespawnRecovery:
             assert stats_fingerprint(replayed) == stats_fingerprint(
                 reference
             )
-            assert sharded.worker_respawns == [0, 0]
+            assert sharded.emulator.respawns == [0, 0]
             kinds = event_kinds(telemetry)
             assert "worker_slow" in kinds
             assert "worker_respawned" not in kinds
@@ -452,7 +452,7 @@ class TestRespawnRecovery:
             # Recovery completed, but past the journal horizon it is
             # best-effort: the evicted batches' stats died with the
             # worker.
-            assert sharded.worker_respawns == [1, 0]
+            assert sharded.emulator.respawns == [1, 0]
             truncated = telemetry.events.last("journal_truncated")
             assert truncated is not None
             assert truncated["dropped_packets"] > 0
@@ -565,8 +565,8 @@ class TestDegradedRecovery:
             # accounted as lost with the dead shard — none vanish.
             assert stats.lost_packets > 0
             assert stats.packets == total - stats.lost_packets
-            assert sharded.degraded_shards == [1]
-            assert sharded.lost_packets == stats.lost_packets
+            assert sharded.emulator.degraded_shards == [1]
+            assert sharded.emulator.lost_packets == stats.lost_packets
             degraded = telemetry.events.last("shard_degraded")
             assert degraded is not None
             assert degraded["shard"] == 1
@@ -583,7 +583,7 @@ class TestDegradedRecovery:
             )
             assert second.packets == 400
             assert second.lost_packets == 0
-            assert sharded.lost_packets == stats.lost_packets
+            assert sharded.emulator.lost_packets == stats.lost_packets
         finally:
             sharded.close()
 
@@ -675,7 +675,7 @@ class TestDeathBetweenPublishAndToken:
                 reference
             )
             assert_sharded_identical(single, sharded)
-            assert sharded.worker_respawns == [1, 0]
+            assert sharded.emulator.respawns == [1, 0]
             # The orphaned record's token was the old ring's last; the
             # journal replay delivered that batch inline, and the fresh
             # ring saw exactly one token per record published to it.
@@ -700,7 +700,7 @@ class TestDeathBetweenPublishAndToken:
                 offered_pps=1e6,
                 batch=self.BATCH,
             )
-            assert sharded.degraded_shards == [0]
+            assert sharded.emulator.degraded_shards == [0]
             # Lost: the batches delivered before the orphaned one. The
             # orphan itself was never delivered (no token), so it was
             # rerouted to the survivor with everything after it.
@@ -708,7 +708,7 @@ class TestDeathBetweenPublishAndToken:
                 (self.KILL_AT_PUSH - 1) * self.BATCH
             )
             assert stats.packets == self.TOTAL - stats.lost_packets
-            assert sharded.lost_packets == stats.lost_packets
+            assert sharded.emulator.lost_packets == stats.lost_packets
         finally:
             sharded.close()
 

@@ -29,8 +29,7 @@ import pytest
 
 from repro.apps import l2l3_acl
 from repro.cli import main
-from repro.core import ShardedDeployment
-from repro.core.sharded import Deployment
+from repro.core import Deployment
 from repro.nic.faults import FaultPlan, FaultSpec
 from repro.nic.sharding import SupervisorOptions
 from repro.nic.targets import EMULATED_NIC
@@ -62,14 +61,14 @@ def make_live(
     fault_plan=None,
     supervisor=None,
     telemetry=None,
-) -> ShardedDeployment:
+) -> Deployment:
     """A fleet adopted into its own started plane (``.live_plane``);
     tear both down with :func:`close_live`."""
     plane = LivePlane(live, telemetry=telemetry).start()
-    sharded = ShardedDeployment(
+    sharded = Deployment(
         l2l3_acl.build_program(),
         EMULATED_NIC,
-        n_workers=n_workers,
+        jobs=n_workers,
         live_plane=plane,
         fault_plan=fault_plan,
         supervisor=supervisor,
@@ -79,7 +78,7 @@ def make_live(
     return sharded
 
 
-def close_live(sharded: ShardedDeployment) -> None:
+def close_live(sharded: Deployment) -> None:
     try:
         sharded.close()
     finally:
@@ -671,7 +670,7 @@ class TestFaultSloInteraction:
         try:
             stats = sharded.replay(app_packets(13, 1200))
             assert stats.packets == 1200  # respawn recovered the shard
-            assert sharded.worker_respawns == [1, 0]
+            assert sharded.emulator.respawns == [1, 0]
             watchdog = sharded.live_plane.watchdog
             assert wait_for(
                 lambda: watchdog.breaches >= 1 and watchdog.clears >= 1

@@ -12,7 +12,7 @@ control-plane updates.
 import pytest
 
 from repro.apps import EXAMPLE_APPS
-from repro.core import Deployment, Pipeleon, ShardedDeployment
+from repro.core import Deployment, Pipeleon
 from repro.errors import EmulationError
 from repro.nic.columnar import ColumnBatch
 from repro.nic.packet import Packet, make_packet
@@ -61,18 +61,35 @@ def make_twins(app: str, n_workers: int, optimize: bool = False):
     plan = (
         Pipeleon(target).optimize(sharded_program) if optimize else None
     )
-    sharded = ShardedDeployment(
+    sharded = Deployment(
         sharded_program,
         target,
-        n_workers=n_workers,
+        jobs=n_workers,
         plan=plan,
     )
     install(sharded.control_plane)
     return single, sharded
 
 
+def table_shapes(tables) -> dict:
+    """Structural view of ``{name: entries}`` (entry ids are freshly
+    assigned per replica)."""
+    return {
+        name: sorted(
+            (
+                entry.action_name,
+                repr(entry.match_values),
+                repr(entry.action_data),
+                entry.priority,
+            )
+            for entry in entries
+        )
+        for name, entries in tables.items()
+    }
+
+
 def assert_sharded_identical(
-    single: Deployment, sharded: ShardedDeployment
+    single: Deployment, sharded: Deployment
 ):
     emulator = single.emulator
     merged = sharded.emulator
@@ -103,30 +120,16 @@ def assert_sharded_identical(
             assert not (set(union) & set(store))
             union.update(store)
         assert union == dict(cache._store)
-    # And every worker's runtime tables mirror the template's
-    # (structurally — entry ids are freshly assigned per replica).
-    def table_shape(entries):
-        return sorted(
-            (
-                entry.action_name,
-                repr(entry.match_values),
-                repr(entry.action_data),
-                entry.priority,
-            )
-            for entry in entries
-        )
-
-    template_tables = {
-        name: table_shape(runtime.entries())
-        for name, runtime in (
-            sharded.deployment.emulator.runtime_tables.items()
-        )
-    }
+    # And every worker's runtime tables mirror the template's.
+    template = sharded.emulator.template
+    template_tables = table_shapes(
+        {
+            name: runtime.entries()
+            for name, runtime in template.runtime_tables.items()
+        }
+    )
     for _stores, _native, tables in dumps:
-        assert {
-            name: table_shape(entries)
-            for name, entries in tables.items()
-        } == template_tables
+        assert table_shapes(tables) == template_tables
 
 
 def perturb_control_plane(deployment) -> None:
@@ -233,10 +236,10 @@ class TestOrderedStream:
             program = build()
             plan = Pipeleon(EMULATED_NIC).optimize(program)
             if sharded:
-                deployment = ShardedDeployment(
+                deployment = Deployment(
                     program,
                     EMULATED_NIC,
-                    n_workers=2,
+                    jobs=2,
                     plan=plan,
                     batch=TestOrderedStream.BATCH,
                     ring_slots=ring_slots,
@@ -302,7 +305,7 @@ class TestOrderedStream:
                 )
                 assert cache.stats.evictions > 0
                 assert cache.stats.invalidations > 0
-            totals = sharded.transport_stats()["totals"]
+            totals = sharded.emulator.transport_stats()["totals"]
             half = self.N_BATCHES // 2
             assert totals["pushed_batches"] == half
             assert totals["fallback_encoding"] == half
@@ -344,7 +347,12 @@ class TestBroadcastEpochs:
         _, sharded = make_twins("l2l3_acl", 2)
         try:
             engine = sharded.emulator
-            engine.set_table_entries("no_such_table", [])
+            # Forged: the fleet's own mutator applies to the template
+            # first, which rejects the unknown table in the parent.
+            engine._broadcast(
+                ("entries", "no_such_table", [], engine.epoch),
+                context="forged entries",
+            )
             with pytest.raises(EmulationError, match="worker failed"):
                 engine.collect()
         finally:
@@ -384,8 +392,8 @@ class TestBroadcastEpochs:
 
     def test_context_manager_tears_down_workers(self):
         build, install = EXAMPLE_APPS["l2l3_acl"]
-        with ShardedDeployment(
-            build(), EMULATED_NIC, n_workers=2
+        with Deployment(
+            build(), EMULATED_NIC, jobs=2
         ) as sharded:
             install(sharded.control_plane)
             sharded.replay(app_packets(21, 50))
@@ -500,7 +508,7 @@ class TestBatchCodec:
                 reference
             )
             assert_sharded_identical(single, sharded)
-            totals = sharded.transport_stats()["totals"]
+            totals = sharded.emulator.transport_stats()["totals"]
             assert totals["fallback_encoding"] >= 1
             assert totals["pushed_batches"] >= 1
         finally:

@@ -4,8 +4,9 @@ The sharded engine's correctness rests on one algebraic fact: for
 RunStats, CounterBank and CacheStats, recording a packet stream in one
 place and recording an arbitrary partition of it in k places then
 merging produce identical aggregates. Hypothesis drives random streams
-and random partitions at both; RuntimeProfile's support-weighted merge
-is checked against the pooled-counts profile it must reproduce.
+and random partitions at both. A fleet's profile is computed from the
+pooled CounterBank (``tests/test_core_sharded.py`` pins it ``==`` one
+core's), so there is no per-shard profile merge to check.
 """
 
 import math
@@ -14,13 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.profiling import (
-    RuntimeProfile,
-    profile_from_counts,
-    profile_from_json,
-    profile_to_json,
-)
-from repro.ir import linear_program
 from repro.ir.tables import Pipeline
 from repro.nic.counters import CounterBank, action_counter
 from repro.nic.flow_cache import CacheStats
@@ -203,124 +197,3 @@ class TestCacheStatsMerge:
         assert merged.evictions == sum(p[4] for p in parts)
         assert merged.invalidations == sum(p[5] for p in parts)
         assert merged.lookups == merged.hits + merged.misses
-
-
-PROGRAM = linear_program("mp", 3)
-
-count_maps = st.dictionaries(
-    st.sampled_from(
-        [
-            action_counter(f"mp_t{i}", f"mp_t{i}_a0")
-            for i in range(3)
-        ]
-        + [
-            action_counter(f"mp_t{i}", f"mp_t{i}_miss")
-            for i in range(3)
-        ]
-        + [("branch", "mp_c0", "true"), ("branch", "mp_c0", "false")]
-        + [("cache", "mp_cache", "hit"), ("cache", "mp_cache", "miss")]
-    ),
-    st.integers(0, 1000),
-    max_size=12,
-)
-
-
-class TestRuntimeProfileMerge:
-    @settings(max_examples=60)
-    @given(left=count_maps, right=count_maps)
-    def test_merge_equals_pooled_counts(self, left, right):
-        pooled = dict(left)
-        for key, value in right.items():
-            pooled[key] = pooled.get(key, 0) + value
-        merged = profile_from_counts(PROGRAM, left).merge(
-            profile_from_counts(PROGRAM, right)
-        )
-        expected = profile_from_counts(PROGRAM, pooled)
-        assert set(merged.action_probs) == set(expected.action_probs)
-        for table, probs in expected.action_probs.items():
-            for action, prob in probs.items():
-                assert merged.action_probs[table][
-                    action
-                ] == pytest.approx(prob, abs=1e-9)
-        for branch, prob in expected.branch_probs.items():
-            assert merged.branch_probs[branch] == pytest.approx(
-                prob, abs=1e-9
-            )
-        for cache, rate in expected.cache_hit_rates.items():
-            assert merged.cache_hit_rates[cache] == pytest.approx(
-                rate, abs=1e-9
-            )
-
-    def test_zero_count_side_keeps_key_union(self):
-        # Regression (hypothesis-found): a shard that saw zero packets
-        # for a table used to vanish from the merged action_probs key
-        # set — merging profiles then disagreed with profiling pooled
-        # counts. Zero-support sides must keep their keys at weight 0.
-        key = action_counter("mp_t0", "mp_t0_miss")
-        empty = profile_from_counts(PROGRAM, {key: 0})
-        busy = profile_from_counts(
-            PROGRAM, {action_counter("mp_t0", "mp_t0_a0"): 10}
-        )
-        for merged in (empty.merge(busy), busy.merge(empty)):
-            probs = merged.action_probs["mp_t0"]
-            assert probs["mp_t0_miss"] == 0.0
-            assert probs["mp_t0_a0"] == pytest.approx(1.0)
-
-    def test_merge_is_associative(self):
-        counts = [
-            {action_counter("mp_t0", "mp_t0_a0"): 10},
-            {
-                action_counter("mp_t0", "mp_t0_a0"): 5,
-                action_counter("mp_t0", "mp_t0_miss"): 5,
-            },
-            {action_counter("mp_t0", "mp_t0_miss"): 20},
-        ]
-        profiles = lambda: [  # noqa: E731
-            profile_from_counts(PROGRAM, c) for c in counts
-        ]
-        a, b, c = profiles()
-        left_assoc = a.merge(b).merge(c)
-        a2, b2, c2 = profiles()
-        right_assoc = a2.merge(b2.merge(c2))
-        for table in left_assoc.action_probs:
-            for action, prob in left_assoc.action_probs[table].items():
-                assert right_assoc.action_probs[table][
-                    action
-                ] == pytest.approx(prob, abs=1e-12)
-
-    def test_global_facts_merge_by_max_and_loads_sum(self):
-        left = RuntimeProfile(
-            entry_counts={"t": 10},
-            update_rates={"t": 2.0},
-            table_m={"t": 3},
-            offered_pps=4e5,
-        )
-        right = RuntimeProfile(
-            entry_counts={"t": 12, "u": 1},
-            update_rates={"t": 1.0},
-            table_m={"t": 5},
-            offered_pps=6e5,
-        )
-        left.merge(right)
-        assert left.entry_counts == {"t": 12, "u": 1}
-        assert left.update_rates == {"t": 2.0}
-        assert left.table_m == {"t": 5}
-        assert left.offered_pps == pytest.approx(1e6)
-
-    def test_support_round_trips_through_json(self):
-        profile = profile_from_counts(
-            PROGRAM, {action_counter("mp_t0", "mp_t0_a0"): 7}
-        )
-        restored = profile_from_json(profile_to_json(profile))
-        assert restored.action_support == profile.action_support
-        assert restored.branch_support == profile.branch_support
-        assert restored.cache_support == profile.cache_support
-
-    def test_copy_preserves_support(self):
-        profile = profile_from_counts(
-            PROGRAM, {action_counter("mp_t0", "mp_t0_a0"): 7}
-        )
-        clone = profile.copy()
-        assert clone.action_support == profile.action_support
-        clone.action_support["mp_t0"] = 99.0
-        assert profile.action_support["mp_t0"] == 7.0

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import EXAMPLE_APPS
-from repro.core import Deployment, ShardedDeployment
+from repro.core import Deployment
 from repro.core.costmodel import CostModel
 from repro.ir import exact_entry, linear_program
 from repro.nic.control_plane import ControlPlane, SimClock
@@ -637,10 +637,10 @@ class TestTracedDeployment(TracedRunMixin):
 class TestShardedTracing(TracedRunMixin):
     def test_sharded_merge_matches_single_core_aggregates(self):
         build, install = EXAMPLE_APPS["l2l3_acl"]
-        sharded = ShardedDeployment(
+        sharded = Deployment(
             build(),
             EMULATED_NIC,
-            n_workers=2,
+            jobs=2,
             telemetry=Telemetry(trace_interval=16),
         )
         try:
@@ -666,10 +666,10 @@ class TestShardedTracing(TracedRunMixin):
 
     def test_telemetry_survives_worker_collect_cycles(self):
         build, install = EXAMPLE_APPS["l2l3_acl"]
-        sharded = ShardedDeployment(
+        sharded = Deployment(
             build(),
             EMULATED_NIC,
-            n_workers=2,
+            jobs=2,
             telemetry=Telemetry(trace_interval=8),
         )
         try:
