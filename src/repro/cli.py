@@ -254,14 +254,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        max_shard = fault_plan.max_shard()
-        if max_shard is not None and max_shard >= args.jobs:
-            print(
-                f"error: fault targets shard {max_shard} but only "
-                f"{args.jobs} workers exist (--jobs)",
-                file=sys.stderr,
-            )
-            return 2
     from repro.nic.sharding import SupervisorOptions
 
     supervisor = SupervisorOptions(
@@ -325,17 +317,21 @@ def cmd_replay(args: argparse.Namespace) -> int:
         live_plane = LivePlane(live_options, telemetry=telemetry).start()
     deployment = None
     try:
-        deployment = Deployment(
-            program,
-            target,
-            telemetry=telemetry,
-            engine=args.engine,
-            jobs=args.jobs,
-            batch=args.batch,
-            supervisor=supervisor,
-            fault_plan=fault_plan,
-            live_plane=live_plane,
-        )
+        try:
+            deployment = Deployment(
+                program,
+                target,
+                telemetry=telemetry,
+                engine=args.engine,
+                jobs=args.jobs,
+                batch=args.batch,
+                supervisor=supervisor,
+                fault_plan=fault_plan,
+                live_plane=live_plane,
+            )
+        except ValueError as exc:  # e.g. a fault aimed past --jobs
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if install is not None:
             install(deployment.control_plane)
         generator = TrafficGenerator(seed=args.seed)
@@ -1124,7 +1120,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="SPEC",
-        help="scripted worker fault armed on the first fleet, e.g. "
+        help="scripted worker fault armed on the session's fleet, e.g. "
         "kill:shard=0,batch=3 (repeatable)",
     )
     serve.add_argument("--fault-seed", type=int, default=None)

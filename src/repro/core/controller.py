@@ -5,12 +5,16 @@ The controller owns a :class:`Deployment`, collects a profile every
 from the *original* program, and redeploys when the plan structurally
 changes — reordering on drop-rate shifts, dropping caches when insertion
 bursts wreck their hit rates, reversing merges whose source tables grew
-or churn too much, exactly the adaptation loop of Figure 11.
+or churn too much, exactly the adaptation loop of Figure 11. A redeploy
+is ``Deployment(previous=...)`` at every ``jobs``: the data plane —
+one emulator, or one fleet for the controller's lifetime — takes the
+new plan in place and keeps every cache whose shape it leaves alone.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -70,7 +74,7 @@ class ControllerOptions:
     adapt_hit_rates: bool = True
     #: Redeploy only when the new plan beats the deployed one by this
     #: relative margin (hysteresis against profile noise; redeploying
-    #: cold-starts every cache).
+    #: cold-starts every cache whose shape the new plan changes).
     replan_margin: float = 0.1
 
 
@@ -112,12 +116,11 @@ class PipeleonController:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.telemetry = telemetry
-        #: Worker supervision policy + scripted faults, forwarded to
-        #: every deployment this controller builds (a fleet's concern).
-        #: Faults arm only the first fleet: a redeploy forks fresh
-        #: workers, and a spec models one failure event.
+        #: Worker supervision policy + scripted faults of the fleet the
+        #: first deployment forks; every redeploy swaps its plan into
+        #: that same fleet, so faults count batches across redeploys.
         self.supervisor = supervisor
-        self._fault_plan = fault_plan
+        self.fault_plan = fault_plan
         #: Execution tier every deployment this controller builds
         #: replays through ("auto"|"interp").
         self.engine = engine
@@ -134,9 +137,9 @@ class PipeleonController:
         self._native_cache = native_cache
         #: Number of shard workers; 1 keeps the in-process data plane.
         self.jobs = jobs
-        #: Shared daemon-lifetime telemetry plane (``repro serve``):
-        #: every fleet this controller builds adopts into it, and the
-        #: outgoing fleet is released before teardown on redeploy.
+        #: Shared daemon-lifetime telemetry plane (``repro serve``): the
+        #: controller's one fleet adopts into it and releases it at
+        #: :meth:`close`.
         self.live_plane = live_plane
         self.deployment = self._make_deployment(baseline_plan)
         self.current_plan: Optional[OptimizationPlan] = baseline_plan
@@ -362,13 +365,11 @@ class PipeleonController:
     ) -> Deployment:
         """Build the data plane (``jobs`` workers, or in-process at 1).
 
-        A fleet redeploy tears down every worker and forks a fresh
-        fleet from the newly materialised template, so a plan change
-        reaches all shards atomically (shard-wide redeploy); only one
-        core has warm caches for ``previous`` to hand over.
+        With ``previous`` the new deployment takes over its data plane:
+        on a fleet, the plan reaches every running worker as one swap
+        message, in order with its batches (shard-wide, nothing forked),
+        and each keeps its same-shape caches warm as one core does.
         """
-        fault_plan = self._fault_plan
-        self._fault_plan = None  # one-shot: see __init__
         return Deployment(
             self.original,
             self.target,
@@ -386,14 +387,16 @@ class PipeleonController:
             engine=self.engine,
             jobs=self.jobs,
             supervisor=self.supervisor,
-            fault_plan=fault_plan,
+            fault_plan=self.fault_plan,
             live_plane=self.live_plane,
         )
 
     def _redeploy(self, plan: OptimizationPlan) -> None:
-        previous = self.deployment
-        previous.close()
-        self.deployment = self._make_deployment(plan, previous=previous)
+        start = time.perf_counter()
+        self.deployment = self._make_deployment(
+            plan, previous=self.deployment
+        )
+        swap_wall_s = time.perf_counter() - start
         self.current_plan = plan
         self.reoptimizations += 1
         self._emit(
@@ -401,6 +404,8 @@ class PipeleonController:
             reoptimizations=self.reoptimizations,
             jobs=self.jobs,
             plan=plan.describe(),
+            carried_caches=list(self.deployment.carried_caches),
+            swap_wall_s=swap_wall_s,
         )
 
     # -- lifecycle ----------------------------------------------------------------

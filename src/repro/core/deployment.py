@@ -20,9 +20,9 @@ emulator, and the fleet is a drop-in for it (same ``runtime_tables``,
 state mutators, merged telemetry and ``replay``). A fleet differs in
 three places only: the fork (plus live-plane adoption) that ends
 ``__init__``, a ``collect()`` barrier before :meth:`profile` reads the
-pooled counters, and :meth:`close`, which stops the workers. Worker
-cache state lives in the worker processes and dies with them, so a
-fleet redeploy cold-starts flow caches where one core carries them.
+pooled counters, and :meth:`close`, which stops the workers. A
+redeploy (``previous=``) is one path for every ``jobs``: it takes over
+the previous data plane and keeps the same warm caches either way.
 """
 
 from __future__ import annotations
@@ -60,8 +60,14 @@ class Deployment:
     processes; ``batch`` (their dispatch batch, which sizes the rings),
     ``supervisor``, ``fault_plan``, ``ring_slots`` and ``live_plane``
     (caller-owned: adopted here, released by :meth:`close`, never
-    stopped) configure the fleet and are ignored on one core, except
+    stopped) configure the fork and are ignored on one core, except
     that ``batch`` is also :meth:`replay`'s default chunk.
+
+    ``previous`` (same ``jobs``) redeploys: this deployment takes over
+    its data plane — on a fleet, the workers with their fork-time
+    settings and live-plane adoption — and ``previous`` is closed
+    without stopping anything. ``carried_caches`` names the flow caches
+    that kept their warm state.
     """
 
     def __init__(
@@ -89,6 +95,11 @@ class Deployment:
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if previous is not None and previous.jobs != jobs:
+            raise ValueError(
+                f"previous= hands over its data plane: jobs={jobs} "
+                f"cannot take over jobs={previous.jobs}"
+            )
         self.jobs = jobs
         self.batch = batch
         self.original = original
@@ -141,7 +152,10 @@ class Deployment:
         self._copies = self._find_copies()
         self.materialize_all()
         self.live_plane = live_plane if jobs > 1 else None
-        if jobs > 1:
+        self.carried_caches: list[str] = []
+        if previous is not None:
+            self._take_over(previous)
+        elif jobs > 1:
             # Fork AFTER materialize_all: workers inherit installed
             # entries. The plane's cadence drives their sidecar
             # snapshots; the plane itself owns aggregator and server.
@@ -165,9 +179,6 @@ class Deployment:
                 # A failed construction never leaks worker processes.
                 self._teardown()
                 raise
-        self.carried_caches: list[str] = []
-        if previous is not None:
-            self._carry_cache_state(previous)
         self.control_plane.add_listener(self._on_update)
         self._closed = False
 
@@ -180,8 +191,8 @@ class Deployment:
         self.close()
 
     def close(self) -> None:
-        """Detach from the control plane (before re-deploying) and, on
-        a fleet, stop the workers. Idempotent."""
+        """Detach from the control plane and, on a fleet, stop the
+        workers. Idempotent; a no-op once a successor took over."""
         if self._closed:
             return
         self._closed = True
@@ -197,46 +208,32 @@ class Deployment:
             return
         try:
             # Live plane first: its final drain reads the workers' last
-            # snapshots and the emulator's shard status, so both must
-            # still exist. The plane is *released* (final totals folded
-            # into its carry base), never stopped: it belongs to the
-            # caller, not this deployment.
+            # snapshots, so they must still exist. The plane is
+            # *released* (it keeps those snapshots for its final row),
+            # never stopped: it belongs to the caller, not this
+            # deployment.
             if self.live_plane is not None:
                 self.live_plane.release()
         finally:
             self.emulator.close()
 
-    def _carry_cache_state(self, previous: "Deployment") -> None:
-        """Incremental redeployment (§6): keep warm cache state.
-
-        A flow cache in the new layout whose covered tables, key fields
-        and capacity are unchanged from the previous deployment adopts
-        the previous cache's contents instead of cold-starting. The
-        paper lists incremental compile-and-deploy as future work; this
-        is the runtime-state half of it.
-        """
-        old_nodes = {
-            name: previous.program.table(name)
-            for name in previous.emulator.flow_caches
-            if name in previous.program.nodes
-        }
-        for name, cache in self.emulator.flow_caches.items():
-            old_cache = previous.emulator.flow_caches.get(name)
-            old_node = old_nodes.get(name)
-            if old_cache is None or old_node is None:
-                continue
-            new_node = self.program.table(name)
-            same_shape = (
-                old_node.cache_info is not None
-                and new_node.cache_info is not None
-                and old_node.cache_info.covers
-                == new_node.cache_info.covers
-                and old_node.match_fields == new_node.match_fields
-                and old_cache.capacity == cache.capacity
+    def _take_over(self, previous: "Deployment") -> None:
+        """Incremental redeployment (§6): one core adopts the previous
+        emulator's same-shape flow caches; a fleet swaps the new
+        template into its running workers, which apply that rule to
+        their own. ``previous`` is closed without stopping anything."""
+        if self.jobs > 1:
+            fleet = previous.emulator
+            self.carried_caches = fleet.swap(self.emulator)
+            self.emulator = fleet
+            self.live_plane = previous.live_plane
+        else:
+            self.carried_caches = self.emulator.adopt_caches(
+                previous.emulator
             )
-            if same_shape:
-                self.emulator.flow_caches[name] = old_cache
-                self.carried_caches.append(name)
+        if not previous._closed:
+            previous._closed = True
+            previous.control_plane.remove_listener(previous._on_update)
 
     # -- structure discovery -----------------------------------------------------
 

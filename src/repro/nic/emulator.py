@@ -238,6 +238,32 @@ class NicEmulator:
         if self.native_cache is not None:
             self.native_cache.invalidate_all()
 
+    def adopt_caches(self, previous: "NicEmulator") -> list[str]:
+        """Incremental redeployment (§6): keep warm cache state.
+
+        A flow cache whose covered tables, key fields and capacity are
+        unchanged in ``previous`` adopts the previous cache object
+        (contents, LRU order, stats); returns the adopted names. One
+        core applies it to its predecessor, a shard worker to its own
+        emulator at a plan swap. The paper lists incremental
+        compile-and-deploy as future work; this is its runtime half.
+        """
+        carried = []
+        for name, cache in self.flow_caches.items():
+            old_cache = previous.flow_caches.get(name)
+            if old_cache is None:
+                continue
+            old_node = previous.program.table(name)
+            new_node = self.program.table(name)
+            if (
+                old_node.cache_info.covers == new_node.cache_info.covers
+                and old_node.match_fields == new_node.match_fields
+                and old_cache.capacity == cache.capacity
+            ):
+                self.flow_caches[name] = old_cache
+                carried.append(name)
+        return carried
+
     @property
     def cache_stats(self) -> dict[str, CacheStats]:
         """Per-flow-cache stats by cache-node name."""

@@ -36,6 +36,12 @@ what every execution tier's staleness fingerprint watches: the next
 batch rebuilds whatever the selected tier had compiled against the old
 entries.
 
+A plan change travels the same way: :meth:`ShardedEmulator.swap`
+broadcasts one epoch-stamped ``swap`` message; each worker rebuilds its
+emulator there and keeps every same-shape flow cache (the rule one core
+uses). Nothing is forked: processes, rings, sidecar pipes, fault plan
+and respawn counters live from the fork to ``close``.
+
 One batch type each way. **Out:** the dispatcher works on columns. A
 column source (:class:`~repro.nic.columnar.ColumnSource`, what the
 traffic generator returns) hands it :class:`~repro.nic.columnar.
@@ -82,12 +88,13 @@ heartbeat with a hard deadline, classifying a silent worker as *slow*
     elapsed time — the pre-fault-tolerance behaviour, minus the
     indefinite hangs.
 ``respawn``
-    Terminate the failed worker, fork a fresh one, and replay the
-    shard's message *journal* (every state-bearing message since the
-    worker's birth). Workers are deterministic functions of their
-    message history, so the rebuilt shard converges to the exact
-    pre-failure state and the merged run stats stay bit-identical to a
-    fault-free run — the property ``tests/test_faults.py`` pins.
+    Terminate the failed worker, fork a fresh one from the fleet's
+    *birth* template, and replay the shard's message *journal* (every
+    state-bearing message since the worker's birth, swaps included).
+    Workers are deterministic functions of their message history, so
+    the rebuilt shard converges to the exact pre-failure state and the
+    merged run stats stay bit-identical to a fault-free run — the
+    property ``tests/test_faults.py`` pins.
 ``degraded``
     Mark the shard dead, redistribute its *future* flows across the
     survivors (deterministically, by flow hash over the survivor
@@ -111,6 +118,7 @@ import multiprocessing as mp
 import select
 import time
 import traceback
+from collections import Counter
 from functools import partial
 from typing import Iterable, Optional, Sequence, Union
 
@@ -119,6 +127,7 @@ import numpy as np
 from repro.errors import EmulationError
 from repro.ir.entries import TableEntry
 from repro.nic.columnar import ColumnBatch, _split, batched
+from repro.nic.control_plane import SimClock
 from repro.nic.counters import CounterBank
 from repro.nic.emulator import ENGINES, NicEmulator
 from repro.nic.faults import FaultInjector, FaultPlan, FaultSpec
@@ -400,13 +409,13 @@ class ShardJournal:
     """Replayable log of one shard's state-bearing messages.
 
     Records every message that mutates worker state (``begin``,
-    ``batch``, ``entries``, ``invalidate``, ``flush``, ``reset``) since
-    the worker's birth. A worker is a deterministic function of its
-    message history, so replaying the journal into a freshly forked
-    worker rebuilds the exact pre-failure emulator state — tables,
-    epoch, caches, counters and in-progress replay stats. Reply-bearing
-    ops (``end``/``collect``/``dump``) are never journaled; after a
-    recovery the supervisor simply re-issues them.
+    ``batch``, ``entries``, ``invalidate``, ``flush``, ``reset``,
+    ``swap``) since the worker's birth. A worker is a deterministic
+    function of its message history, so replaying the journal into a
+    freshly forked worker rebuilds the exact pre-failure emulator state
+    — tables, epoch, caches, counters and in-progress replay stats.
+    Reply-bearing ops (``end``/``collect``/``dump``) are never
+    journaled; after a recovery the supervisor simply re-issues them.
 
     Batch messages dominate memory, so only they are bounded: past
     ``limit`` retained batches the oldest is evicted and the journal
@@ -473,16 +482,54 @@ def _worker_state(emulator: NicEmulator) -> dict:
     }
 
 
+def _swap_spec(template: NicEmulator) -> dict:
+    """What a fork of ``template`` would inherit (bar the target, fixed
+    for the fleet's life), as a picklable ``swap`` body. Snapshots only:
+    the journal keeps the message for a respawn to replay later."""
+    return {
+        "program": template.program,
+        "now_s": template.clock.now_s,
+        "options": dict(
+            sample_stride=template.counters.sample_stride,
+            instrument=template.instrument,
+            native_cache=template.native_cache is not None,
+            max_steps=template.max_steps,
+        ),
+        "traced": template.tracer is not None,
+        "tables": {
+            name: [entry.clone() for entry in runtime.entries()]
+            for name, runtime in template.runtime_tables.items()
+        },
+    }
+
+
+def _swapped(emulator: NicEmulator, spec: dict) -> NicEmulator:
+    """A worker's emulator after a ``swap``: rebuilt from ``spec``,
+    keeping its own tracer and every flow cache whose shape the new
+    plan leaves unchanged."""
+    fresh = NicEmulator(
+        spec["program"],
+        emulator.target,
+        clock=SimClock(spec["now_s"]),
+        **spec["options"],
+    )
+    for name, entries in spec["tables"].items():
+        fresh.set_table_entries(name, entries)
+    fresh.tracer = emulator.tracer if spec["traced"] else None
+    fresh.adopt_caches(emulator)
+    return fresh
+
+
 def _restore_birth_state(emulator: NicEmulator, birth_tables) -> None:
     """Reset a respawned worker's emulator to its shard's birth state.
 
-    Workers fork a *live* template whose runtime tables may have been
-    re-materialised since construction; restore the construction-time
-    entry snapshot first. Then zero all telemetry **in place** — the
-    compiled kernels and their staleness fingerprint bind the counter
-    bank and cache objects by identity, so they must be cleared,
-    never replaced. The parent finishes the rebirth by
-    replaying the shard's journal.
+    A respawn forks the fleet's birth template, whose runtime tables
+    may have been re-materialised after construction (until a swap
+    replaced it); restore the construction-time entry snapshot first.
+    Then zero all telemetry **in place** — the compiled kernels and
+    their staleness fingerprint bind the counter bank and cache objects
+    by identity, so they must be cleared, never replaced. The parent
+    finishes the rebirth by replaying the shard's journal.
     """
     for name, entries in birth_tables.items():
         emulator.set_table_entries(
@@ -517,10 +564,10 @@ def _worker_main(
     """Command loop for one shard worker.
 
     ``emulator`` is this process's copy-on-write clone of the parent's
-    template. Every message arrives on ``conn`` strictly in send order
-    and is acted on in that order; a ``ring`` token stands for the batch
-    at the head of ``channel``'s data ring, published before the token
-    was sent.
+    template, replaced by a rebuilt one at every ``swap``. Every message
+    arrives on ``conn`` strictly in send order and is acted on in that
+    order; a ``ring`` token stands for the batch at the head of
+    ``channel``'s data ring, published before the token was sent.
 
     ``busy`` accounts the worker's own CPU time (``time.process_time``:
     decode + replay + reply pickling, but not time blocked on the
@@ -528,8 +575,9 @@ def _worker_main(
     denominator.
 
     ``fault_specs`` arms a :class:`FaultInjector` for deterministic
-    failure testing; respawned workers (``rebirth=True``) are armed
-    with nothing — a spec models one failure event, not a crash loop.
+    failure testing (it counts batches over the worker's life, across
+    swaps); respawned workers (``rebirth=True``) are armed with nothing
+    — a spec models one failure event, not a crash loop.
 
     ``tele_conn`` (the live telemetry plane's sidecar pipe) makes this
     worker push compact cumulative snapshots — lifetime packet/drop
@@ -558,8 +606,12 @@ def _worker_main(
         live_offset = 0  # stats._latencies already folded into live_hist
         live_packets_since = 0
         live_dropped_snapshots = 0
-        life_packets = 0  # totals from completed replays (pre-`begin`)
+        life_packets = 0  # totals of retired replays (see retire())
         life_dropped = 0
+        # Columnar totals of swapped-out emulators: live counters stay
+        # monotone; the merged state is the current emulator's.
+        life_columnar = 0
+        life_demotions: Counter = Counter()
         live_next = (
             time.monotonic() + live_interval
             if live_interval is not None
@@ -570,12 +622,26 @@ def _worker_main(
             if injector is None or injector.should_reply():
                 conn.send(payload)
 
+        def retire() -> None:
+            """Fold the replay's stats into the lifetime totals: at
+            ``end``, and at ``begin`` (a journal has no ``end``)."""
+            nonlocal stats, live_offset, life_packets, life_dropped
+            if stats is not None:
+                if live_hist is not None:
+                    live_hist.observe_many(stats._latencies[live_offset:])
+                life_packets += stats.packets
+                life_dropped += stats.dropped
+            stats = None
+            live_offset = 0
+
         def live_snapshot(force: bool = False) -> None:
             nonlocal live_seq, live_offset, live_dropped_snapshots
             if stats is not None:
                 latencies = stats._latencies
                 live_hist.observe_many(latencies[live_offset:])
                 live_offset = len(latencies)
+            demotions = Counter(life_demotions)
+            demotions.update(emulator.columnar_demotions)
             snapshot = {
                 "shard": shard_index,
                 "seq": live_seq,
@@ -597,8 +663,9 @@ def _worker_main(
                     if emulator.native_cache is not None
                     else None
                 ),
-                "demotions": dict(emulator.columnar_demotions),
-                "columnar_packets": emulator.columnar_packets,
+                "demotions": dict(demotions),
+                "columnar_packets": life_columnar
+                + emulator.columnar_packets,
                 "epoch": epoch,
                 "dropped_snapshots": live_dropped_snapshots,
             }
@@ -709,9 +776,9 @@ def _worker_main(
                 else:
                     replay_any(payload, len(payload), ts)
             elif op == "begin":
+                retire()
                 stats = RunStats()
                 busy = 0.0
-                live_offset = 0
             elif op == "end":
                 busy += time.process_time() - start
                 if tele_conn is not None:
@@ -728,11 +795,7 @@ def _worker_main(
                         epoch,
                     )
                 )
-                if stats is not None:
-                    life_packets += stats.packets
-                    life_dropped += stats.dropped
-                stats = None
-                live_offset = 0
+                retire()
                 continue
             elif op == "entries":
                 emulator.set_table_entries(message[1], message[2])
@@ -745,6 +808,11 @@ def _worker_main(
                 epoch = message[1]
             elif op == "reset":
                 emulator.reset_telemetry()
+            elif op == "swap":
+                life_columnar += emulator.columnar_packets
+                life_demotions.update(emulator.columnar_demotions)
+                emulator = _swapped(emulator, message[1])
+                epoch = message[2]
             elif op == "collect":
                 reply(("state", _worker_state(emulator), epoch))
                 continue
@@ -805,18 +873,20 @@ class ShardedEmulator:
     installed, options set): workers are forked immediately and inherit
     an independent copy-on-write clone of its entire state, so every
     shard starts from exactly the state a single-core run would. The
-    template must not process traffic afterwards.
+    template must not process traffic afterwards; every respawn forks
+    it. :meth:`swap` hands the running workers a new one (a redeploy).
 
     A fleet is a drop-in for the emulator it was forked from: it
     presents the data-plane surface :class:`repro.core.deployment.
     Deployment` drives on a :class:`NicEmulator` — ``runtime_tables``
-    (the template's), the three state mutators (:meth:`set_table_entries`,
-    :meth:`invalidate_caches_covering`, :meth:`flush_caches`: applied
-    to the template, then broadcast to every worker), the merged
-    ``counters`` / ``cache_stats`` / ``native_cache_stats`` / ``tracer``
-    / ``columnar_*`` telemetry as of the last :meth:`collect` or
-    :meth:`replay`, :meth:`reset_telemetry` and :meth:`replay` /
-    :meth:`run`.
+    (the current template's), the three state mutators
+    (:meth:`set_table_entries`, :meth:`invalidate_caches_covering`,
+    :meth:`flush_caches`: applied to the template, then broadcast to
+    every worker), the merged ``counters`` / ``cache_stats`` /
+    ``native_cache_stats`` / ``tracer`` / ``columnar_*`` telemetry as
+    of the last :meth:`collect` or :meth:`replay`,
+    :meth:`reset_telemetry` and :meth:`replay` / :meth:`run`. Flow
+    cache *contents* live in the workers only.
 
     ``options`` configures the worker supervisor (timeouts, retry
     budget, recovery policy — see :class:`SupervisorOptions`);
@@ -886,18 +956,17 @@ class ShardedEmulator:
                 f"but only {n_workers} workers exist"
             )
         self._fault_plan = fault_plan
+        #: What every worker forks, respawns included: they restore its
+        #: construction-time tables, then replay the journal, swaps too.
+        self._birth = emulator
         self._birth_tables: Optional[dict[str, list[TableEntry]]] = None
         if self.options.recovery == "respawn":
-            # Rebirth snapshot: a respawned worker re-forks the *live*
-            # template, whose tables may have changed since
-            # construction; it restores this construction-time snapshot
-            # before the journal replay (see _restore_birth_state).
             self._birth_tables = {
                 name: [entry.clone() for entry in runtime.entries()]
                 for name, runtime in emulator.runtime_tables.items()
             }
-        #: The parent's copy of the data plane: the source every worker
-        #: (re)forks from, kept current by the three state mutators.
+        #: The parent's copy of the data plane the workers run: kept
+        #: current by the three state mutators, replaced by swap().
         self.template = emulator
         self.n_workers = n_workers
         self.batch = batch
@@ -985,7 +1054,7 @@ class ShardedEmulator:
             target=_worker_main,
             args=(
                 child_conn,
-                self.template,
+                self._birth,
                 shard,
                 channel,
                 fault_specs,
@@ -1569,12 +1638,28 @@ class ShardedEmulator:
         """The template's runtime tables (what workers mirror)."""
         return self.template.runtime_tables
 
-    @property
-    def flow_caches(self) -> dict:
-        """Always empty: cache *contents* live in the worker processes
-        and die with them, so a fleet has none to hand a redeploy and
-        adopts none (it cold-starts)."""
-        return {}
+    def swap(self, template: NicEmulator) -> list[str]:
+        """Redeploy in place: the running workers adopt ``template``,
+        the new plan's materialised emulator, through one journaled
+        ``swap`` message per shard (:func:`_swap_spec`), keeping every
+        flow cache :meth:`NicEmulator.adopt_caches` allows. The
+        template applies that rule to the one it replaces, so the
+        returned names (caches carried warm) are the workers' too."""
+        self._check_open()
+        if template.target != self.template.target:
+            raise ValueError(
+                f"a fleet forked for {self.template.target.name!r} "
+                f"cannot run a plan for {template.target.name!r}"
+            )
+        carried = template.adopt_caches(self.template)
+        self.template = template
+        self.clock = template.clock
+        self.epoch += 1
+        self._broadcast(
+            ("swap", _swap_spec(template), self.epoch),
+            context="plan swap",
+        )
+        return carried
 
     def set_table_entries(
         self, table: str, entries: Iterable[TableEntry]

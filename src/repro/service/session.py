@@ -1,10 +1,11 @@
 """One serve-mode session: controller + fleet + daemon-lifetime plane.
 
 A session owns exactly one supervised sharded fleet (via
-:class:`~repro.core.controller.PipeleonController`, ``jobs > 1``) and
-one :class:`~repro.telemetry.live.LivePlane` that outlives every
-redeploy the controller performs — the scrape endpoint and SLO
-watchdog run from daemon start to drain, not per replay.
+:class:`~repro.core.controller.PipeleonController`, ``jobs > 1``) —
+every redeploy the controller performs swaps its plan into the same
+workers — and one :class:`~repro.telemetry.live.LivePlane`: the
+scrape endpoint and SLO watchdog run from daemon start to drain, not
+per replay.
 
 Replay jobs stream phases from the string-seeded scenario library
 (:mod:`repro.traffic.scenarios`) one emulated second at a time through
@@ -78,7 +79,8 @@ class SessionConfig:
     recv_timeout_s: float = 60.0
     heartbeat_interval_s: float = 0.05
     #: Scripted fault specs (``kill:shard=0,batch=3`` …), armed on the
-    #: session's first fleet only — FaultPlan semantics.
+    #: session's fleet; batches count over the session, across
+    #: redeploys — FaultPlan semantics.
     faults: tuple[str, ...] = ()
     fault_seed: str = "0"
     #: Controller cadence/hysteresis.

@@ -149,9 +149,9 @@ class LiveAggregator:
         options: Optional[LiveOptions] = None,
     ):
         self.options = options or LiveOptions()
-        #: The watched fleet. ``None`` between deployments: a
-        #: :class:`LivePlane` aggregator outlives any one emulator and
-        #: is re-pointed with :meth:`retarget` on every redeploy.
+        #: The watched fleet: ``None`` until a :class:`LivePlane`'s
+        #: fleet adopts the aggregator and after it releases it (see
+        #: :meth:`retarget`).
         self.emulator = emulator
         self.telemetry = telemetry
         #: Breach/clear events land in the run's event log when one is
@@ -180,21 +180,6 @@ class LiveAggregator:
         self._heartbeats: dict[int, int] = {}
         self._seen_respawns: dict[int, int] = {}
         self._forced_stale: dict[int, bool] = {}
-        #: Totals folded in from fleets this aggregator watched before
-        #: the current one (see :meth:`retarget`): daemon-lifetime
-        #: counters stay monotone across redeploys.
-        self._carry = {
-            "packets": 0,
-            "dropped": 0,
-            "columnar_packets": 0,
-            "ring_stalls": 0,
-            "ring_pushed_batches": 0,
-            "heartbeats": 0,
-            "cache_hits": 0,
-            "cache_lookups": 0,
-        }
-        self._carry_demotions: dict[str, int] = {}
-        self._carry_hist = Histogram()
         #: Fleets adopted over the aggregator's lifetime.
         self.fleets = 1 if emulator is not None else 0
         self._start_mono = time.monotonic()
@@ -233,21 +218,18 @@ class LiveAggregator:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- retargeting (daemon-lifetime aggregation) ---------------------------
+    # -- fleet adoption -----------------------------------------------------
 
     def retarget(self, emulator) -> None:
-        """Re-point the aggregator at a new fleet (or ``None``).
+        """Point the aggregator at a fleet, or detach it (``None``).
 
-        Called around every redeploy when the aggregator outlives its
-        deployments (:class:`LivePlane`). The outgoing fleet's sidecar
-        pipes are drained one final time and its cumulative totals —
-        packets, drops, latency histogram, cache legs, ring counters,
-        demotions — are folded into a carry base, so the merged sample
-        (and therefore ``/metrics`` counters and SLO inputs) stays
-        monotone across fleet generations. Per-shard liveness state is
-        reset: a fresh fleet starts with clean heartbeat/respawn
-        latches, so tearing down the old workers never registers as a
-        breach.
+        A fleet lives as long as its deployment chain — a redeploy
+        swaps the plan into the same workers — so a plane watches one
+        fleet and its counters need no carry across fleets. Detaching
+        drains the sidecar pipes one final time and *keeps* the last
+        snapshots, so the final row still matches the replay summary;
+        with no fleet to poll, stopping the workers never reads as a
+        death. Adopting a fleet starts from clean per-shard state.
         """
         with self._target_lock:
             if self.emulator is not None:
@@ -255,48 +237,17 @@ class LiveAggregator:
                     self._drain()
                 except Exception:  # pragma: no cover - defensive
                     pass
-                status = self._shard_status()
-                carry = self._carry
-                for snapshot in self._snapshots.values():
-                    carry["packets"] += snapshot["packets"]
-                    carry["dropped"] += snapshot["dropped"]
-                    carry["columnar_packets"] += snapshot.get(
-                        "columnar_packets", 0
-                    )
-                    for reason, count in snapshot.get(
-                        "demotions", {}
-                    ).items():
-                        self._carry_demotions[reason] = (
-                            self._carry_demotions.get(reason, 0)
-                            + count
-                        )
-                    hist = snapshot.get("hist")
-                    if hist is not None:
-                        self._carry_hist.merge(hist)
-                    hits = misses = 0
-                    for h, m in snapshot.get("caches", {}).values():
-                        hits += h
-                        misses += m
-                    native = snapshot.get("native")
-                    if native is not None:
-                        hits += native[0]
-                        misses += native[1]
-                    carry["cache_hits"] += hits
-                    carry["cache_lookups"] += hits + misses
-                for entry in status:
-                    carry["ring_stalls"] += entry.get("ring_stalls", 0)
-                    carry["ring_pushed_batches"] += entry.get(
-                        "pushed_batches", 0
-                    )
-                carry["heartbeats"] += sum(self._heartbeats.values())
-            self._snapshots.clear()
-            self._last_seen.clear()
-            self._heartbeats.clear()
-            self._seen_respawns.clear()
-            self._forced_stale.clear()
-            self.emulator = emulator
             if emulator is not None:
+                for per_shard in (
+                    self._snapshots,
+                    self._last_seen,
+                    self._heartbeats,
+                    self._seen_respawns,
+                    self._forced_stale,
+                ):
+                    per_shard.clear()
                 self.fleets += 1
+            self.emulator = emulator
 
     # -- background thread ---------------------------------------------------
 
@@ -408,13 +359,9 @@ class LiveAggregator:
         now = time.monotonic()
         status = self._shard_status()
         self._update_liveness(status)
-        carry = self._carry
         merged = Histogram()
-        merged.merge(self._carry_hist)
-        packets = carry["packets"]
-        dropped = carry["dropped"]
-        columnar_packets = carry["columnar_packets"]
-        demotions: dict[str, int] = dict(self._carry_demotions)
+        packets = dropped = columnar_packets = 0
+        demotions: dict[str, int] = {}
         cache_totals: dict[str, list[int]] = {}
         native_hits = native_misses = 0
         for snapshot in self._snapshots.values():
@@ -434,23 +381,14 @@ class LiveAggregator:
             if native is not None:
                 native_hits += native[0]
                 native_misses += native[1]
-        hits = (
-            carry["cache_hits"]
-            + native_hits
-            + sum(t[0] for t in cache_totals.values())
-        )
+        hits = native_hits + sum(t[0] for t in cache_totals.values())
         lookups = (
-            carry["cache_lookups"]
-            + native_hits
+            native_hits
             + native_misses
             + sum(t[0] + t[1] for t in cache_totals.values())
         )
-        stalls = carry["ring_stalls"] + sum(
-            e.get("ring_stalls", 0) for e in status
-        )
-        pushed = carry["ring_pushed_batches"] + sum(
-            e.get("pushed_batches", 0) for e in status
-        )
+        stalls = sum(e.get("ring_stalls", 0) for e in status)
+        pushed = sum(e.get("pushed_batches", 0) for e in status)
         shards: dict[int, dict] = {}
         for entry in status:
             shard = entry["shard"]
@@ -659,16 +597,16 @@ class LiveAggregator:
             "pipeleon_live_fleet_packets_total",
             sample["packets"],
             help=(
-                "Packets replayed across every fleet this aggregator "
-                "has watched (monotone across redeploys)"
+                "Packets the watched fleet has replayed (monotone: a "
+                "redeploy swaps the plan into the same workers)"
             ),
         )
         registry.inc(
             "pipeleon_live_fleet_dropped_total",
             sample["dropped"],
             help=(
-                "Packets dropped across every fleet this aggregator "
-                "has watched (monotone across redeploys)"
+                "Packets the watched fleet has dropped (monotone: a "
+                "redeploy swaps the plan into the same workers)"
             ),
         )
         registry.inc(
@@ -723,8 +661,7 @@ class LiveAggregator:
         return {
             "status": "degraded" if degraded else "ok",
             "rows": self.recorder.appended,
-            "heartbeats": self._carry["heartbeats"]
-            + sum(self._heartbeats.values()),
+            "heartbeats": sum(self._heartbeats.values()),
             "fleets": self.fleets,
             "active_breaches": self.watchdog.active_breaches,
             "slo_breaches": self.watchdog.breaches,
@@ -845,15 +782,13 @@ class LivePlane:
 
     The caller owns the plane: ``repro replay`` creates one around its
     single deployment; ``repro serve`` creates one for the daemon's
-    whole lifetime and hands it to every fleet
-    :class:`~repro.core.deployment.Deployment` (via ``live_plane=``)
-    and to the controller, which re-adopts each redeployed fleet.
-    Counters stay monotone across fleet generations (see
-    :meth:`LiveAggregator.retarget`), and the ``/metrics`` port stays
-    bound from daemon start to drain.
+    whole lifetime and hands it to the controller, whose fleet adopts
+    it when it forks and keeps it across every redeploy (a plan swap
+    forks nothing), so counters stay monotone and the ``/metrics``
+    port stays bound from daemon start to drain.
 
     Lifecycle: :meth:`start` once, then :meth:`adopt` / :meth:`release`
-    around each deployment, then :meth:`stop` (idempotent, try/finally
+    around the fleet's life, then :meth:`stop` (idempotent, try/finally
     safe: the server is always torn down even if the aggregator's
     final flush raises).
     """
@@ -905,15 +840,15 @@ class LivePlane:
         return self
 
     def adopt(self, emulator) -> None:
-        """Point the aggregator at a freshly deployed fleet."""
+        """Point the aggregator at a freshly forked fleet."""
         self.aggregator.retarget(emulator)
 
     def release(self) -> None:
-        """Detach from the current fleet *before* it is torn down.
+        """Detach from the fleet *before* it is torn down.
 
-        Folds the fleet's final totals into the carry base and clears
-        per-shard liveness, so killing the old workers during a
-        redeploy never reads as an SLO-visible death.
+        Drains it one last time and keeps its last snapshots (the
+        final row matches the replay summary); with no fleet to poll,
+        stopping the workers never reads as an SLO-visible death.
         """
         self.aggregator.retarget(None)
 

@@ -275,6 +275,20 @@ class TestReplayFaultInjection:
         assert code == 2
         assert "shard 5" in captured.err
 
+    def test_positioned_fault_past_jobs_is_a_usage_error(self, capsys):
+        """The fleet's own range check, reported before any replay."""
+        code, captured = self._replay(
+            capsys,
+            "--app", "l2l3_acl",
+            "--jobs", "2",
+            "--inject-fault", "kill:shard=3,batch=1",
+        )
+        assert code == 2
+        assert captured.err == (
+            "error: Fault plan targets shard 3 but only 2 workers exist\n"
+        )
+        assert captured.out == ""
+
     def test_malformed_fault_spec(self, capsys):
         code, captured = self._replay(
             capsys,

@@ -366,6 +366,12 @@ class TestControllerTelemetry:
         assert profiled["offered_pps"] > 0
         accepted = telemetry.events.last("replan_accepted")
         assert "signature" in accepted and "plan" in accepted
+        # What the swap kept warm and what it cost on the host clock.
+        redeploy = telemetry.events.last("redeploy")
+        assert redeploy["carried_caches"] == (
+            controller.deployment.carried_caches
+        )
+        assert 0.0 < redeploy["swap_wall_s"] < 5.0
         assert telemetry.registry.value(
             "pipeleon_controller_decisions_total",
             kind="replan_accepted",

@@ -3,11 +3,13 @@
 Complements ``test_nic_sharding.py`` (raw engine equivalence) with the
 deployment-layer contracts: a fleet's profile (its workers' pooled
 counters) must match a single-core deployment's, and the adaptation
-loop must work unchanged when ``jobs > 1`` — including shard-wide
-redeploys.
+loop must work unchanged when ``jobs > 1`` — including redeploys,
+which swap the plan into the running workers and keep warm caches
+exactly as one core does.
 """
 
 import json
+import multiprocessing as mp
 from pathlib import Path
 
 import pytest
@@ -27,12 +29,18 @@ from repro.ir import exact_entry, linear_program
 from repro.nic.faults import FaultPlan, FaultSpec
 from repro.nic.sharding import ShardedEmulator
 from repro.nic.targets import BLUEFIELD2, EMULATED_NIC
+from repro.service.session import stats_payload
+from repro.telemetry.live import LiveOptions, LivePlane
 from repro.traffic.flows import synth_flows
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.scenarios import build_scenario
 from tests.test_core_deployment import merge_plan
 from tests.test_faults import fast_options, make_sharded, make_single
-from tests.test_nic_sharding import stats_fingerprint, table_shapes
+from tests.test_nic_sharding import (
+    assert_sharded_identical,
+    stats_fingerprint,
+    table_shapes,
+)
 
 
 def packets(seed: int, n: int = 400):
@@ -428,6 +436,138 @@ class TestUpdatePath:
             )
 
 
+# ---------------------------------------------------------------------------
+# Redeploy: one path for every jobs, warm caches carried by the workers
+# ---------------------------------------------------------------------------
+
+REG_FLOWS = [
+    flow.with_fields(**{f"ipv4.reg{i}": (k << 8) + i for i in range(8)})
+    for k, flow in enumerate(synth_flows(300))
+]
+
+
+def redeploy_twin(jobs, supervisor=None, fault_plan=None):
+    """``dash_routing`` under Pipeleon's plan in the sharding
+    equivalence regime (as in ``test_optimized_plan_profile_equals_
+    one_core``): replay, redeploy the same plan with ``previous=``,
+    replay again. Returns the redeployed deployment (caller closes)
+    and both replays' stats."""
+    build, install = EXAMPLE_APPS["dash_routing"]
+    program = build()
+    plan = Pipeleon(BLUEFIELD2).optimize(program)
+    options = dict(cache_insertion_limit_pps=1e12, jobs=jobs)
+    first = Deployment(
+        program,
+        BLUEFIELD2,
+        plan=plan,
+        supervisor=supervisor,
+        fault_plan=fault_plan,
+        **options,
+    )
+    install(first.control_plane)
+    replays = [
+        first.replay(
+            TrafficGenerator(seed=4).stream(REG_FLOWS, 3001, locality="zipf"),
+            offered_pps=1e6,
+        )
+    ]
+    second = Deployment(
+        program,
+        BLUEFIELD2,
+        plan=plan,
+        control_plane=first.control_plane,
+        previous=first,
+        **options,
+    )
+    assert first._closed  # taken over, not torn down
+    replays.append(
+        second.replay(
+            TrafficGenerator(seed=5).stream(REG_FLOWS, 3001, locality="zipf"),
+            offered_pps=1e6,
+        )
+    )
+    return second, replays
+
+
+def cache_state(deployment) -> dict:
+    return {
+        name: vars(stats)
+        for name, stats in deployment.emulator.cache_stats.items()
+    }
+
+
+def worker_caches(fleet: Deployment) -> list:
+    """Per worker: cache stores in LRU order, native store, tables."""
+    return [
+        (
+            {name: list(store.items()) for name, store in stores.items()},
+            native,
+            table_shapes(tables),
+        )
+        for stores, native, tables in fleet.emulator.dump_caches()
+    ]
+
+
+class TestFleetRedeploy:
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_fleet_matches_one_core_across_a_redeploy(self, jobs):
+        single, single_replays = redeploy_twin(1)
+        fleet, fleet_replays = redeploy_twin(jobs)
+        with fleet:
+            assert single.carried_caches  # the plan's cache stays warm
+            assert fleet.carried_caches == single.carried_caches
+            for replayed, reference in zip(fleet_replays, single_replays):
+                assert stats_fingerprint(replayed) == (
+                    stats_fingerprint(reference)
+                )
+            assert profile_to_json(fleet.profile()) == profile_to_json(
+                single.profile()
+            )
+            assert cache_state(fleet) == cache_state(single)
+            assert_sharded_identical(single, fleet)
+
+    def test_swap_then_kill_recovers_bit_identically(self):
+        """Shard 0 dies at its first batch after the swap: the respawn
+        forks the birth template and replays the journal, swap
+        included, so every worker ends where the fault-free twin's
+        did."""
+        options = fast_options(recovery="respawn")
+        clean, clean_replays = redeploy_twin(2, supervisor=options)
+        with clean:
+            ops = [m[0] for m, _ in clean.emulator._journals[0].entries]
+            first_after_swap = ops[: ops.index("swap")].count("batch")
+            clean_caches = worker_caches(clean)
+            clean_counters = clean.emulator.counters.snapshot()
+        killed, killed_replays = redeploy_twin(
+            2,
+            supervisor=options,
+            fault_plan=FaultPlan(
+                (FaultSpec("kill", shard=0, at_batch=first_after_swap),)
+            ),
+        )
+        with killed:
+            assert killed.emulator.respawns == [1, 0]
+            for replayed, reference in zip(killed_replays, clean_replays):
+                assert stats_fingerprint(replayed) == (
+                    stats_fingerprint(reference)
+                )
+            assert killed.emulator.counters.snapshot() == clean_counters
+            assert killed.carried_caches == clean.carried_caches
+            assert worker_caches(killed) == clean_caches
+
+    def test_jobs_must_match_the_data_plane_taken_over(self):
+        single = make_single("l2l3_acl")
+        with pytest.raises(ValueError, match="jobs=2"):
+            Deployment(
+                single.original,
+                EMULATED_NIC,
+                control_plane=single.control_plane,
+                previous=single,
+                jobs=2,
+            )
+        assert not single._closed
+
+
 class TestControllerJobs:
     def test_jobs_validation(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -471,7 +611,9 @@ class TestControllerJobs:
         does): every replan of a two-worker controller sees the profile
         a one-core controller sees — the whole record, which the
         per-shard merge did not give — so the plans, their gains to
-        the last bit and the replan ticks are equal."""
+        the last bit and the replan ticks are equal; and since an
+        accepted plan keeps the same caches warm on both, so is every
+        tick's merged stats fingerprint."""
         build, install = EXAMPLE_APPS["dash_routing"]
         timelines = []
         for jobs in (1, 2):
@@ -492,10 +634,11 @@ class TestControllerJobs:
                 )
                 timeline = []
                 for time_s, phase in scenario.ticks():
-                    controller.scenario_tick(time_s, phase, 500)
+                    _, stats = controller.scenario_tick(time_s, phase, 500)
                     plan = controller.current_plan
                     timeline.append(
                         (
+                            stats_payload(stats)["fingerprint"],
                             controller.reoptimizations,
                             plan and plan.total_gain_ns,
                             plan and plan_signature(plan),
@@ -504,7 +647,7 @@ class TestControllerJobs:
                         )
                     )
                 timelines.append(timeline)
-        assert timelines[0][-1][0] >= 1  # it did replan
+        assert timelines[0][-1][1] >= 1  # it did accept a replan
         assert timelines[1] == timelines[0]
 
     def test_replay_batch_above_ring_geometry(self):
@@ -541,28 +684,45 @@ class TestControllerJobs:
             controller.deployment.close()
 
     def test_redeploy_is_shard_wide(self):
+        """An accepted plan forks nothing: it reaches every running
+        worker as one swap message, and processes, rings and the live
+        plane's adoption are the ones the controller started with."""
+        plane = LivePlane(LiveOptions(interval_s=0.05)).start()
         controller = PipeleonController(
             l2l3_acl.build_program(),
             EMULATED_NIC,
             jobs=2,
             options=ControllerOptions(profile_period_s=1.0),
+            live_plane=plane,
         )
         try:
             l2l3_acl.install_base_entries(controller.control_plane)
             controller.deployment.replay(packets(2), offered_pps=1e6)
             previous = controller.deployment
-            changed = controller.maybe_reoptimize()
-            if changed:
-                # Plan change: the whole worker fleet was torn down and
-                # reforked from the newly materialised template.
-                assert controller.deployment is not previous
-                assert previous.emulator._closed
-            assert controller.deployment.jobs == 2
-            assert controller.deployment.emulator.n_workers == 2
-            # The new fleet serves traffic.
+            fleet = previous.emulator
+
+            def processes():
+                return (
+                    [process.pid for process in fleet._procs],
+                    [channel.data.name for channel in fleet._channels],
+                    sorted(child.pid for child in mp.active_children()),
+                )
+
+            before = processes()
+            epoch = fleet.epoch
+            # No plan deployed yet: any plan is a change.
+            assert controller.maybe_reoptimize()
+            assert controller.deployment is not previous
+            assert previous._closed and not fleet._closed
+            assert controller.deployment.emulator is fleet
+            assert fleet.epoch == epoch + 1  # one swap broadcast
+            assert processes() == before
+            assert plane.aggregator.fleets == 1
             stats = controller.deployment.replay(
                 packets(3, n=100), offered_pps=1e6
             )
             assert stats.packets == 100
         finally:
-            controller.deployment.close()
+            controller.close()
+            plane.stop()
+        assert fleet._closed

@@ -691,6 +691,31 @@ class TestFaultSloInteraction:
         kinds = {e["kind"] for e in telemetry.events.events()}
         assert "worker_respawned" in kinds or "worker_fault" in kinds
 
+    def test_respawn_never_rolls_live_counters_back(self):
+        """A respawned worker rebuilds its lifetime totals from the
+        journal, which holds every earlier replay's ``begin`` but never
+        its ``end``: each replay must still count exactly once."""
+        sharded = make_live(
+            n_workers=2,
+            live=LiveOptions(interval_s=0.05),
+            fault_plan=FaultPlan([FaultSpec("kill", shard=0, at_batch=20)]),
+            supervisor=SupervisorOptions(
+                recovery="respawn", heartbeat_interval_s=0.01
+            ),
+        )
+        try:
+            aggregator = sharded.live_plane.aggregator
+            for replay in range(1, 5):
+                stats = sharded.replay(app_packets(replay, 3000))
+                assert stats.packets == 3000
+                aggregator.flush()
+                sample = aggregator.sample()
+                assert sample["packets"] == 3000 * replay, replay
+                assert sample["hist"].count == 3000 * replay, replay
+            assert sharded.emulator.respawns == [1, 0]
+        finally:
+            close_live(sharded)
+
 
 # ---------------------------------------------------------------------------
 # Controller: breach-triggered re-optimization
