@@ -4,7 +4,10 @@ Three synthesized program groups by (pipelet number PN, pipelet length
 PL), k in {20%, 30%, 40%, 100%}. The paper measures seconds on their
 Python prototype; ours measures the same search on this implementation
 — absolute times differ, the *ratio* between top-k and ESearch (paper:
-~8.2x for top-20%) is the reproduced quantity.
+~8.2x for top-20%) is the reproduced quantity. The ratio of
+combinations priced is reported and gated beside the wall-clock one: it
+is the search's work, independent of how cheap pricing one combination
+has become.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ def _run():
     model = CostModel.for_target(BLUEFIELD2)
     times: dict[tuple[str, float], list[float]] = {}
     gains: dict[tuple[str, float], list[float]] = {}
+    combos: dict[tuple[str, float], list[int]] = {}
     for group, shape in GROUPS.items():
         programs = synthesize_corpus(
             PROGRAMS_PER_GROUP, base_seed=91, **shape
@@ -53,11 +57,14 @@ def _run():
                 gains.setdefault((group, k), []).append(
                     plan.total_gain_ns
                 )
-    return times, gains
+                combos.setdefault((group, k), []).append(
+                    plan.combos_evaluated
+                )
+    return times, gains, combos
 
 
 def test_fig13_optimization_speed(benchmark):
-    times, gains = run_once(benchmark, _run)
+    times, gains, combos = run_once(benchmark, _run)
     rows = []
     for group in GROUPS:
         row = [group]
@@ -69,14 +76,22 @@ def test_fig13_optimization_speed(benchmark):
         rows,
     )
     speedups = []
+    combo_ratios = []
     for group in GROUPS:
         full = median(times[(group, 1.0)])
         top20 = median(times[(group, 0.2)])
         if top20 > 0:
             speedups.append(full / top20)
+        combo_ratios.append(
+            median(combos[(group, 1.0)]) / median(combos[(group, 0.2)])
+        )
     lines.append(
         f"median ESearch/top-20% speedup across groups: "
         f"{sum(speedups) / len(speedups):.1f}x (paper: 8.2x)"
+    )
+    lines.append(
+        f"median ESearch/top-20% combinations priced across groups: "
+        f"{sum(combo_ratios) / len(combo_ratios):.1f}x"
     )
     emit("fig13_search_speed", lines)
 
@@ -89,8 +104,10 @@ def test_fig13_optimization_speed(benchmark):
     assert median(times[("PN=15,PL=3", 1.0)]) > median(
         times[("PN=12,PL=2", 1.0)]
     )
-    # The top-20% search is substantially faster than ESearch.
+    # The top-20% search is substantially faster than ESearch, on the
+    # host clock and in the work it does.
     assert sum(speedups) / len(speedups) > 2.0
+    assert sum(combo_ratios) / len(combo_ratios) > 2.0
     # ESearch never finds less gain than top-k (same machinery).
     for group in GROUPS:
         for k in (0.2, 0.3, 0.4):

@@ -890,8 +890,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("fail", "respawn", "degraded"),
         default="fail",
         help="worker-failure policy: fail (raise), respawn "
-        "(rebuild the shard and replay its journal), degraded "
-        "(survivors absorb the lost shard's flows)",
+        "(restore the shard's last barrier checkpoint and replay its "
+        "journal since: exact), degraded (survivors absorb the lost "
+        "shard's flows)",
     )
     replay.add_argument(
         "--recv-timeout",

@@ -277,6 +277,12 @@ class PipeleonController:
             caches_observed=len(profile.cache_hit_rates),
             tables_profiled=len(profile.entry_counts),
         )
+        if self.deployment.emulator.counters.packets_seen == 0:
+            # No traffic since the last reset: every measured
+            # probability reads 0, the deployed plan would re-price to
+            # nothing and any plan could displace it.
+            self._emit("replan_skipped", reason="empty_window")
+            return False
         search = self.search
         if self.options.adapt_hit_rates and profile.cache_hit_rates:
             # A cache that is being invalidated constantly reports a low
@@ -329,6 +335,8 @@ class PipeleonController:
                     candidate_gain_ns=plan.total_gain_ns,
                     threshold_ns=threshold,
                     plan=plan.describe(),
+                    search_wall_s=plan.search_time_s,
+                    combos_evaluated=plan.combos_evaluated,
                 )
         if changed:
             old_ops = plan_ops(self.current_plan)
@@ -352,6 +360,8 @@ class PipeleonController:
                 gain_ns=plan.total_gain_ns,
                 plan=plan.describe(),
                 signature=repr(plan_signature(plan)),
+                search_wall_s=plan.search_time_s,
+                combos_evaluated=plan.combos_evaluated,
             )
             self._redeploy(plan)
         else:

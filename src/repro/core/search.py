@@ -155,34 +155,21 @@ def enumerate_segmentations(
     return results
 
 
-def _segments_from_labels(
-    order: Sequence[str], labels: tuple[tuple[str, int], ...]
-) -> tuple[Segment, ...]:
-    segments = []
+def _spans(
+    labels: tuple[tuple[str, int], ...]
+) -> tuple[tuple[str, int, int], ...]:
+    """A labelling as ``(op, start, end)`` slices of the ordered run."""
+    spans = []
     position = 0
     for op, length in labels:
-        segments.append(
-            Segment(op, tuple(order[position:position + length]))
-        )
+        spans.append((op, position, position + length))
         position += length
-    return tuple(segments)
+    return tuple(spans)
 
 
 # ---------------------------------------------------------------------------
 # Candidate evaluation (virtual pipelet pricing — no program construction)
 # ---------------------------------------------------------------------------
-
-
-def _segment_merge_allowed(
-    program: Program, tables: Sequence[str]
-) -> bool:
-    return all(
-        all(
-            key.match_type is MatchType.EXACT
-            for key in program.table(name).keys
-        )
-        for name in tables
-    )
 
 
 def _entry_bytes(n_fields: int) -> float:
@@ -191,106 +178,174 @@ def _entry_bytes(n_fields: int) -> float:
     return float(ENTRY_OVERHEAD_BYTES + FIELD_BYTES * max(1, n_fields))
 
 
-@dataclass
-class _Estimate:
-    latency_ns: float = 0.0
-    memory_bytes: float = 0.0
-    update_pps: float = 0.0
+@dataclass(frozen=True)
+class _SegmentPrice:
+    """What one ``(op, tables)`` segment costs, wherever it sits.
+
+    Everything here depends only on the segment and the profile; the
+    survival probability of the segments before it and the pipelet's
+    reach probability are applied by :func:`_evaluate_segments`.
+    """
+
+    op: str
+    #: P(a packet entering the segment leaves it undropped).
+    survival: float
+    #: ``none``: one ``(inner survival, table cost)`` term per table.
+    none_terms: tuple[tuple[float, float], ...] = ()
+    #: ``cache``/``merge``: latency per packet entering the segment.
+    latency: float = 0.0
+    memory: float = 0.0
+    #: ``cache``: 1 - estimated hit rate (scales the insertion churn).
+    miss_share: float = 0.0
+    #: ``merge``: ``I(t_i) * prod_{j != i} N(t_j)`` per table (§3.2.3).
+    update_terms: tuple[float, ...] = ()
 
 
-def _evaluate_segments(
-    program: Program,
-    order: Sequence[str],
-    segments: Sequence[Segment],
-    profile: RuntimeProfile,
-    model: CostModel,
-    options: SearchOptions,
-    reach_p: float,
-) -> Optional[_Estimate]:
-    """Price an optimized pipelet layout; None if invalid (bad merge)."""
-    estimate = _Estimate()
-    survive = 1.0  # survival probability within the pipelet
-    for segment in segments:
-        tables = [program.table(name) for name in segment.tables]
-        params = model.params_for(tables[0].pipeline)
-        seg_action_cost = sum(
-            model.action_cost(t, profile) for t in tables
-        )
-        seg_survival = 1.0
-        for table in tables:
-            seg_survival *= 1.0 - profile.drop_rate(table)
-        if segment.op == "none":
-            inner = 1.0
-            for table in tables:
-                estimate.latency_ns += (
-                    survive
-                    * inner
-                    * model.table_cost(table, profile)
-                )
-                inner *= 1.0 - profile.drop_rate(table)
-            survive *= seg_survival
-            continue
-        # Miss-path cost: the covered tables execute in full.
-        miss_cost = 0.0
-        inner = 1.0
-        for table in tables:
-            miss_cost += inner * model.table_cost(table, profile)
-            inner *= 1.0 - profile.drop_rate(table)
-        n_fields = len(
-            {f for t in tables for f in t.match_fields}
-        )
-        if segment.op == "cache":
-            update_sum = sum(
-                profile.update_rate(t.name) for t in tables
+class _SegmentPricer:
+    """Prices segments once per (program, profile, model, options).
+
+    One lives for one local search (or one candidate re-pricing), so
+    nothing outlives the profile it read; the prices are keyed by
+    :class:`Segment` (immutable) and never stored on a
+    :class:`TableNode` (mutable).
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        profile: RuntimeProfile,
+        model: CostModel,
+        options: SearchOptions,
+    ):
+        self.program = program
+        self.profile = profile
+        self.model = model
+        self.options = options
+        self.prices: dict[Segment, Optional[_SegmentPrice]] = {}
+        #: name -> (table cost, action cost, 1 - drop rate): a table
+        #: sits in many segments.
+        self._tables: dict[str, tuple[float, float, float]] = {}
+
+    def _table(self, table: TableNode) -> tuple[float, float, float]:
+        numbers = self._tables.get(table.name)
+        if numbers is None:
+            model, profile = self.model, self.profile
+            numbers = self._tables[table.name] = (
+                model.table_cost(table, profile),
+                model.action_cost(table, profile),
+                1.0 - profile.drop_rate(table),
             )
+        return numbers
+
+    def price(self, segment: Segment) -> Optional[_SegmentPrice]:
+        """The segment's price; None if it is an invalid merge."""
+        if segment not in self.prices:
+            self.prices[segment] = self._price(segment)
+        return self.prices[segment]
+
+    def _price(self, segment: Segment) -> Optional[_SegmentPrice]:
+        program, profile = self.program, self.profile
+        options = self.options
+        tables = [program.table(name) for name in segment.tables]
+        numbers = [self._table(table) for table in tables]
+        seg_survival = 1.0
+        for _cost, _action, survival in numbers:
+            seg_survival *= survival
+        # Per-table (inner survival, table cost): the 'none' terms, and
+        # the miss path of a cache or merge (covered tables run in full).
+        terms = []
+        inner = 1.0
+        for cost, _action, survival in numbers:
+            terms.append((inner, cost))
+            inner *= survival
+        if segment.op == "none":
+            return _SegmentPrice("none", seg_survival, tuple(terms))
+        if segment.op == "merge" and not all(
+            key.match_type is MatchType.EXACT
+            for table in tables
+            for key in table.keys
+        ):
+            return None
+        params = self.model.params_for(tables[0].pipeline)
+        seg_action_cost = sum(action for _cost, action, _s in numbers)
+        miss_cost = 0.0
+        for inner, cost in terms:
+            miss_cost += inner * cost
+        n_fields = len({f for t in tables for f in t.match_fields})
+        if segment.op == "cache":
+            update_sum = sum(profile.update_rate(t.name) for t in tables)
             hit = options.default_hit_rate / (
                 1.0 + options.invalidation_penalty_s * update_sum
             )
-            estimate.latency_ns += survive * (
-                params.lmat_ns
-                + hit * seg_action_cost
-                + (1.0 - hit) * (miss_cost + params.insert_ns)
+            return _SegmentPrice(
+                "cache",
+                seg_survival,
+                latency=(
+                    params.lmat_ns
+                    + hit * seg_action_cost
+                    + (1.0 - hit) * (miss_cost + params.insert_ns)
+                ),
+                memory=options.cache_capacity * _entry_bytes(n_fields),
+                miss_share=1.0 - hit,
             )
-            estimate.memory_bytes += (
-                options.cache_capacity * _entry_bytes(n_fields)
-            )
-            miss_pps = reach_p * survive * (1.0 - hit)
-            estimate.update_pps += min(
-                options.cache_insertion_limit_pps,
-                miss_pps * profile.offered_pps * options.flow_churn,
-            )
-        elif segment.op == "merge":
-            if not _segment_merge_allowed(program, segment.tables):
-                return None
-            hit = 1.0
-            for table in tables:
-                hit *= profile.hit_prob(table)
-            estimate.latency_ns += survive * (
+        hit = 1.0
+        for table in tables:
+            hit *= profile.hit_prob(table)
+        entries = [max(1, profile.entry_count(t.name)) for t in tables]
+        entry_product = 1.0
+        for count in entries:
+            entry_product *= count
+        update_terms = []
+        for i, table in enumerate(tables):
+            others = 1.0
+            for j, count in enumerate(entries):
+                if j != i:
+                    others *= count
+            update_terms.append(profile.update_rate(table.name) * others)
+        return _SegmentPrice(
+            "merge",
+            seg_survival,
+            latency=(
                 params.lmat_ns
                 + hit * seg_action_cost
                 + (1.0 - hit) * miss_cost
-            )
-            entry_product = 1.0
-            for table in tables:
-                entry_product *= max(
-                    1, profile.entry_count(table.name)
+            ),
+            memory=entry_product * _entry_bytes(n_fields),
+            update_terms=tuple(update_terms),
+        )
+
+
+def _evaluate_segments(
+    prices: Sequence[Optional[_SegmentPrice]],
+    profile: RuntimeProfile,
+    options: SearchOptions,
+    reach_p: float,
+) -> Optional[tuple[float, float, float]]:
+    """(latency, memory, update rate) of an optimized pipelet layout
+    from its segments' prices; None if one is an invalid merge."""
+    latency = memory = update = 0.0
+    survive = 1.0  # survival probability within the pipelet
+    for price in prices:
+        if price is None:
+            return None
+        op = price.op
+        if op == "none":
+            for inner, cost in price.none_terms:
+                latency += survive * inner * cost
+        else:
+            latency += survive * price.latency
+            memory += price.memory
+            if op == "cache":
+                miss_pps = reach_p * survive * price.miss_share
+                update += min(
+                    options.cache_insertion_limit_pps,
+                    miss_pps * profile.offered_pps * options.flow_churn,
                 )
-            estimate.memory_bytes += entry_product * _entry_bytes(
-                n_fields
-            )
-            # I(T_AB) = sum_i I(t_i) * prod_{j != i} N(t_j)  (§3.2.3)
-            for i, table in enumerate(tables):
-                others = 1.0
-                for j, other in enumerate(tables):
-                    if j != i:
-                        others *= max(
-                            1, profile.entry_count(other.name)
-                        )
-                estimate.update_pps += (
-                    profile.update_rate(table.name) * others
-                )
-        survive *= seg_survival
-    return estimate
+            else:
+                for term in price.update_terms:
+                    update += term
+        survive *= price.survival
+    return latency, memory, update
 
 
 def _candidate_orders(
@@ -351,23 +406,38 @@ def local_candidates(
         orders = _candidate_orders(tables, profile, options)
     else:
         orders = [tuple(run)]
-    labelings = enumerate_segmentations(len(run), options)
+    labelings = [
+        (_spans(labels), all(op == "none" for op, _n in labels))
+        for labels in enumerate_segmentations(len(run), options)
+    ]
+    pricer = _SegmentPricer(program, profile, model, options)
     for order in orders:
-        for labels in labelings:
-            segments = _segments_from_labels(order, labels)
-            is_noop = order == tuple(run) and all(
-                s.op == "none" for s in segments
-            )
-            if is_noop:
-                continue
+        is_identity = order == tuple(run)
+        # (op, start, end) -> the Segment there in this order, and its
+        # price (shared across orders through the pricer).
+        placed: dict[tuple[str, int, int], Segment] = {}
+        priced: dict[tuple[str, int, int], Optional[_SegmentPrice]] = {}
+        for spans, all_none in labelings:
+            if is_identity and all_none:
+                continue  # the no-op
+            for span in spans:
+                if span not in placed:
+                    op, start, end = span
+                    segment = placed[span] = Segment(
+                        op, tuple(order[start:end])
+                    )
+                    priced[span] = pricer.price(segment)
             estimate = _evaluate_segments(
-                program, order, segments, profile, model, options,
+                [priced[span] for span in spans],
+                profile,
+                options,
                 reach_p,
             )
             evaluated += 1
             if estimate is None:
                 continue
-            gain = (baseline - estimate.latency_ns) * reach_p
+            latency, memory, update = estimate
+            gain = (baseline - latency) * reach_p
             if gain <= 0:
                 continue
             candidates.append(
@@ -375,10 +445,10 @@ def local_candidates(
                     pipelet_id=pipelet.pipelet_id,
                     run=tuple(run),
                     order=tuple(order),
-                    segments=segments,
+                    segments=tuple(placed[span] for span in spans),
                     gain_ns=gain,
-                    memory_bytes=estimate.memory_bytes,
-                    update_pps=estimate.update_pps,
+                    memory_bytes=memory,
+                    update_pps=update,
                 )
             )
     candidates.sort(
@@ -659,12 +729,10 @@ def evaluate_candidate_gain(
         exit_next=None,
     )
     baseline = pipelet_latency(program, pipelet, profile, model)
+    pricer = _SegmentPricer(program, profile, model, options)
     estimate = _evaluate_segments(
-        program,
-        candidate.order,
-        candidate.segments,
+        [pricer.price(segment) for segment in candidate.segments],
         profile,
-        model,
         options,
         1.0,
     )
@@ -672,7 +740,7 @@ def evaluate_candidate_gain(
         return 0.0
     reach = reach_probs or model.reach_probs(program, profile)
     reach_p = reach.get(run[0], 0.0)
-    return (baseline - estimate.latency_ns) * reach_p
+    return (baseline - estimate[0]) * reach_p
 
 
 def evaluate_plan_gain(

@@ -119,6 +119,12 @@ class CounterBank:
     def scaled_packets(self, key: CounterKey) -> int:
         return self.packets(key) * self.sample_stride
 
+    @property
+    def packets_seen(self) -> int:
+        """Packets that passed the sampler since the last reset,
+        sampled or not."""
+        return self._packet_index
+
     def keys(self) -> Iterable[CounterKey]:
         return self._counters.keys()
 

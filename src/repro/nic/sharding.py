@@ -88,13 +88,18 @@ heartbeat with a hard deadline, classifying a silent worker as *slow*
     elapsed time — the pre-fault-tolerance behaviour, minus the
     indefinite hangs.
 ``respawn``
-    Terminate the failed worker, fork a fresh one from the fleet's
-    *birth* template, and replay the shard's message *journal* (every
-    state-bearing message since the worker's birth, swaps included).
-    Workers are deterministic functions of their message history, so
-    the rebuilt shard converges to the exact pre-failure state and the
-    merged run stats stay bit-identical to a fault-free run — the
-    property ``tests/test_faults.py`` pins.
+    Terminate the failed worker, fork a fresh one, swap it to the
+    shard's last *checkpoint* (the template as of a replay barrier plus
+    the worker state it replied there: LRU cache contents, counters,
+    clock, lifetime totals), and replay the shard's message *journal*
+    (every state-bearing message since that checkpoint, swaps
+    included). Workers are deterministic functions of their message
+    history, so the rebuilt shard converges to the exact pre-failure
+    state and the merged run stats stay bit-identical to a fault-free
+    run — the property ``tests/test_faults.py`` pins. A journal past
+    :data:`JOURNAL_CHECKPOINT_BYTES` asks for a new checkpoint at the
+    next barrier and is dropped, so it never holds much more than that
+    plus one replay.
 ``degraded``
     Mark the shard dead, redistribute its *future* flows across the
     survivors (deterministically, by flow hash over the survivor
@@ -115,6 +120,7 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import multiprocessing as mp
+import pickle
 import select
 import time
 import traceback
@@ -188,6 +194,12 @@ _STALL_POLL_S = 0.0005
 #: aggregator drains continuously, so expiry means it is gone or
 #: wedged — snapshots are observability, drop rather than deadlock.
 _LIVE_SEND_TIMEOUT_S = 10.0
+#: Journal size (bytes, see :func:`_message_bytes`) at which the next
+#: ``end``/``collect`` barrier asks the shard for a checkpoint and drops
+#: the journal. A full 4 096-entry ``dash_routing`` cache checkpoint is
+#: about 160 KB and a few ms to pickle both ways, so checkpointing every
+#: barrier would cost a visible share of a barrier-bound session.
+JOURNAL_CHECKPOINT_BYTES = 4 << 20
 
 
 def _new_ring_stats() -> dict:
@@ -354,9 +366,9 @@ class SupervisorOptions:
     times with exponential backoff from ``backoff_base_s`` before the
     worker is classified. ``recovery`` picks the escalation policy
     (see the module docstring); ``max_respawns`` bounds respawns *per
-    shard* so a crash-looping worker cannot retry forever, and
-    ``journal_limit`` bounds the retained batch messages per shard
-    journal (past it, recovery is best-effort rather than exact).
+    shard* so a crash-looping worker cannot retry forever. A respawn
+    is exact: it restores the shard's last barrier checkpoint and
+    replays the journal since, which checkpoints keep bounded.
     """
 
     recv_timeout_s: float = 60.0
@@ -368,7 +380,6 @@ class SupervisorOptions:
     close_timeout_s: float = 1.0
     recovery: str = "fail"
     max_respawns: int = 3
-    journal_limit: int = 4096
 
     def __post_init__(self):
         if self.recovery not in _RECOVERY_MODES:
@@ -392,8 +403,6 @@ class SupervisorOptions:
             raise ValueError("send_retries must be >= 0")
         if self.max_respawns < 0:
             raise ValueError("max_respawns must be >= 0")
-        if self.journal_limit < 1:
-            raise ValueError("journal_limit must be >= 1")
 
 
 class _WorkerGone(Exception):
@@ -405,59 +414,70 @@ class _WorkerGone(Exception):
         self.elapsed_s = elapsed_s
 
 
+def _message_bytes(message: tuple) -> int:
+    """A journaled message's footprint: a SoA batch's array bytes,
+    anything else's pickled size."""
+    if message[0] == "batch" and isinstance(message[1], tuple):
+        _names, values, sizes = message[1]
+        ts = message[2]
+        return values.nbytes + sizes.nbytes + (0 if ts is None else ts.nbytes)
+    return len(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Checkpoint:
+    """One shard's state at a replay barrier: what a respawn restores.
+
+    ``spec`` is the template as of the barrier (a :func:`_swap_spec`),
+    ``state`` the barrier reply's :func:`_worker_state` and ``saved``
+    the rest of the worker (:func:`_checkpoint`). The parent never
+    mutates any of it; a respawn pickles it to the fresh worker.
+    """
+
+    spec: dict
+    epoch: int
+    state: dict
+    saved: dict
+
+
 class ShardJournal:
-    """Replayable log of one shard's state-bearing messages.
+    """A shard's last checkpoint plus every state-bearing message since.
 
     Records every message that mutates worker state (``begin``,
     ``batch``, ``entries``, ``invalidate``, ``flush``, ``reset``,
-    ``swap``) since the worker's birth. A worker is a deterministic
-    function of its message history, so replaying the journal into a
-    freshly forked worker rebuilds the exact pre-failure emulator state
-    — tables, epoch, caches, counters and in-progress replay stats.
-    Reply-bearing ops (``end``/``collect``/``dump``) are never
-    journaled; after a recovery the supervisor simply re-issues them.
-
-    Batch messages dominate memory, so only they are bounded: past
-    ``limit`` retained batches the oldest is evicted and the journal
-    marked ``truncated`` — recovery then rebuilds table and epoch state
-    exactly but cumulative telemetry only approximately (the dropped
-    packets' counter/cache contributions cannot be replayed).
+    ``swap``) after ``checkpoint``. A worker is a deterministic
+    function of its message history, so restoring the checkpoint into a
+    freshly forked worker and replaying the journal rebuilds the exact
+    pre-failure emulator state — tables, epoch, caches, counters and
+    in-progress replay stats. Reply-bearing ops (``end``/``collect``/
+    ``dump``) are never journaled; after a recovery the supervisor
+    simply re-issues them, and at a barrier a reply may carry a new
+    checkpoint, which :meth:`rebase` takes in place of the entries.
     """
 
-    __slots__ = (
-        "limit",
-        "entries",
-        "batches",
-        "truncated",
-        "dropped_batches",
-        "dropped_packets",
-    )
+    __slots__ = ("checkpoint", "entries", "batches", "bytes")
 
-    def __init__(self, limit: int):
-        self.limit = limit
-        #: ``(message, n_packets)`` pairs in send order.
+    def __init__(self, checkpoint: Optional[_Checkpoint] = None):
+        self.checkpoint = checkpoint
+        #: ``(message, bytes)`` pairs in send order.
         self.entries: list[tuple] = []
         self.batches = 0
-        self.truncated = False
-        self.dropped_batches = 0
-        self.dropped_packets = 0
+        #: Sum of the entries' :func:`_message_bytes`.
+        self.bytes = 0
 
-    def append(self, message: tuple, n_packets: int = 0) -> None:
-        self.entries.append((message, n_packets))
+    def append(self, message: tuple) -> None:
+        size = _message_bytes(message)
+        self.entries.append((message, size))
+        self.bytes += size
         if message[0] == "batch":
             self.batches += 1
-            if self.batches > self.limit:
-                self._evict_oldest_batch()
 
-    def _evict_oldest_batch(self) -> None:
-        for index, (message, count) in enumerate(self.entries):
-            if message[0] == "batch":
-                del self.entries[index]
-                self.batches -= 1
-                self.truncated = True
-                self.dropped_batches += 1
-                self.dropped_packets += count
-                return
+    def rebase(self, checkpoint: _Checkpoint) -> None:
+        """Adopt a newer checkpoint; it covers every entry so far."""
+        self.checkpoint = checkpoint
+        self.entries = []
+        self.batches = 0
+        self.bytes = 0
 
 
 # ---------------------------------------------------------------------------
@@ -520,33 +540,40 @@ def _swapped(emulator: NicEmulator, spec: dict) -> NicEmulator:
     return fresh
 
 
-def _restore_birth_state(emulator: NicEmulator, birth_tables) -> None:
-    """Reset a respawned worker's emulator to its shard's birth state.
+#: Lifetime live totals of a worker that has retired nothing yet:
+#: (packets, dropped, columnar packets, demotions, latency histogram).
+_NO_LIFE = (0, 0, 0, {}, None)
 
-    A respawn forks the fleet's birth template, whose runtime tables
-    may have been re-materialised after construction (until a swap
-    replaced it); restore the construction-time entry snapshot first.
-    Then zero all telemetry **in place** — the compiled kernels and
-    their staleness fingerprint bind the counter bank and cache objects
-    by identity, so they must be cleared, never replaced. The parent
-    finishes the rebirth by replaying the shard's journal.
-    """
-    for name, entries in birth_tables.items():
-        emulator.set_table_entries(
-            name, [entry.clone() for entry in entries]
-        )
-    emulator.counters.reset()
-    emulator.explicit_counters.clear()
-    caches = list(emulator.flow_caches.values())
-    if emulator.native_cache is not None:
-        caches.append(emulator.native_cache)
-    for cache in caches:
-        cache._store.clear()
-        stats = cache.stats
-        for field in dataclasses.fields(stats):
-            setattr(stats, field.name, 0)
-    if emulator.tracer is not None:
-        emulator.tracer.reset()
+
+def _checkpoint(emulator: NicEmulator, life: tuple = _NO_LIFE) -> dict:
+    """What a barrier reply's :func:`_worker_state` leaves out of a
+    worker: cache contents (LRU order, stats, insertion token bucket:
+    the :class:`FlowCache` objects themselves), the clock, and the
+    worker loop's lifetime live totals."""
+    return {
+        "flow_caches": emulator.flow_caches,
+        "native_cache": emulator.native_cache,
+        "now_s": emulator.clock.now_s,
+        "life": life,
+    }
+
+
+def _restore(emulator: NicEmulator, state: dict, saved: dict) -> None:
+    """Put a checkpoint's state into ``emulator``, freshly swapped to
+    the checkpoint's spec (so nothing is compiled against the objects
+    replaced here)."""
+    emulator.clock.now_s = saved["now_s"]
+    emulator.flow_caches.update(saved["flow_caches"])
+    emulator.native_cache = saved["native_cache"]
+    emulator.counters = state["counters"]
+    emulator.explicit_counters = dict(state["explicit"])
+    emulator.tracer = state["tracer"]
+    emulator.columnar_demotions = dict(state["demotions"])
+    emulator.columnar_packets = state["columnar_packets"]
+    emulator.columnar_partitions = state["columnar_partitions"]
+    emulator.columnar_scalar_lookups = dict(state["columnar_scalar_lookups"])
+    emulator.columnar_cache_arrivals = dict(state["columnar_cache_arrivals"])
+    emulator.columnar_cache_replayed = dict(state["columnar_cache_replayed"])
 
 
 def _worker_main(
@@ -555,8 +582,6 @@ def _worker_main(
     shard_index: int,
     channel: ShardChannel,
     fault_specs: Sequence[FaultSpec] = (),
-    rebirth: bool = False,
-    birth_tables=None,
     engine: str = "auto",
     tele_conn=None,
     live_cadence: tuple = (None, None),
@@ -576,8 +601,14 @@ def _worker_main(
 
     ``fault_specs`` arms a :class:`FaultInjector` for deterministic
     failure testing (it counts batches over the worker's life, across
-    swaps); respawned workers (``rebirth=True``) are armed with nothing
-    — a spec models one failure event, not a crash loop.
+    swaps); respawned workers are armed with nothing — a spec models
+    one failure event, not a crash loop. A respawned worker's first
+    messages are a ``swap`` to its shard's checkpoint spec and a
+    ``restore`` of the checkpointed state.
+
+    ``end`` and ``collect`` carry a flag asking for a checkpoint: the
+    reply then ends with :func:`_checkpoint` (None mid-replay, where
+    there is no barrier to checkpoint at).
 
     ``tele_conn`` (the live telemetry plane's sidecar pipe) makes this
     worker push compact cumulative snapshots — lifetime packet/drop
@@ -592,8 +623,6 @@ def _worker_main(
     tolerate scheduling-dependent gaps.
     """
     try:
-        if rebirth:
-            _restore_birth_state(emulator, birth_tables)
         injector = FaultInjector(fault_specs) if fault_specs else None
         stats: Optional[RunStats] = None
         busy = 0.0
@@ -622,10 +651,12 @@ def _worker_main(
             if injector is None or injector.should_reply():
                 conn.send(payload)
 
-        def retire() -> None:
+        def retire() -> RunStats:
             """Fold the replay's stats into the lifetime totals: at
-            ``end``, and at ``begin`` (a journal has no ``end``)."""
+            ``end``, and at ``begin`` (a journal has no ``end``).
+            Returns them (empty when no replay was running)."""
             nonlocal stats, live_offset, life_packets, life_dropped
+            retired = stats if stats is not None else RunStats()
             if stats is not None:
                 if live_hist is not None:
                     live_hist.observe_many(stats._latencies[live_offset:])
@@ -633,6 +664,7 @@ def _worker_main(
                 life_dropped += stats.dropped
             stats = None
             live_offset = 0
+            return retired
 
         def live_snapshot(force: bool = False) -> None:
             nonlocal live_seq, live_offset, live_dropped_snapshots
@@ -714,6 +746,19 @@ def _worker_main(
             # full cadence interval.
             live_snapshot()
 
+        def saved_if(wanted: bool) -> Optional[dict]:
+            """The checkpoint a barrier asked for (None mid-replay)."""
+            if not wanted or stats is not None:
+                return None
+            life = (
+                life_packets,
+                life_dropped,
+                life_columnar,
+                dict(life_demotions),
+                live_hist,
+            )
+            return _checkpoint(emulator, life)
+
         def replay_any(batch, n: int, timestamps=None) -> None:
             """Replay one batch — a ColumnBatch, or a Packet list SoA
             could not express — through the selected tier."""
@@ -786,16 +831,19 @@ def _worker_main(
                     # converge to the replay summary at end-of-run, not
                     # one cadence interval later.
                     live_snapshot(force=True)
+                # Retired before the checkpoint is taken (left to
+                # right), so its lifetime totals count this replay; and
+                # not held in a local until the next ``end``.
                 reply(
                     (
                         "done",
-                        stats if stats is not None else RunStats(),
+                        retire(),
                         _worker_state(emulator),
                         busy,
                         epoch,
+                        saved_if(message[1]),
                     )
                 )
-                retire()
                 continue
             elif op == "entries":
                 emulator.set_table_entries(message[1], message[2])
@@ -813,8 +861,23 @@ def _worker_main(
                 life_demotions.update(emulator.columnar_demotions)
                 emulator = _swapped(emulator, message[1])
                 epoch = message[2]
+            elif op == "restore":
+                _restore(emulator, message[1], message[2])
+                life_packets, life_dropped, life_columnar, demotions, hist = (
+                    message[2]["life"]
+                )
+                life_demotions = Counter(demotions)
+                if hist is not None:
+                    live_hist = hist
             elif op == "collect":
-                reply(("state", _worker_state(emulator), epoch))
+                reply(
+                    (
+                        "state",
+                        _worker_state(emulator),
+                        epoch,
+                        saved_if(message[1]),
+                    )
+                )
                 continue
             elif op == "dump":
                 reply(
@@ -956,17 +1019,9 @@ class ShardedEmulator:
                 f"but only {n_workers} workers exist"
             )
         self._fault_plan = fault_plan
-        #: What every worker forks, respawns included: they restore its
-        #: construction-time tables, then replay the journal, swaps too.
-        self._birth = emulator
-        self._birth_tables: Optional[dict[str, list[TableEntry]]] = None
-        if self.options.recovery == "respawn":
-            self._birth_tables = {
-                name: [entry.clone() for entry in runtime.entries()]
-                for name, runtime in emulator.runtime_tables.items()
-            }
         #: The parent's copy of the data plane the workers run: kept
         #: current by the three state mutators, replaced by swap().
+        #: Workers fork it, respawns included.
         self.template = emulator
         self.n_workers = n_workers
         self.batch = batch
@@ -1003,10 +1058,21 @@ class ShardedEmulator:
         #: Cumulative packets whose results died with a degraded shard.
         self.lost_packets = 0
         self._journaling = self.options.recovery == "respawn"
-        self._journals = [
-            ShardJournal(self.options.journal_limit)
-            for _ in range(n_workers)
-        ]
+        #: :func:`_swap_spec` of the template as of the last checkpoint,
+        #: reused by the next one unless an ``entries`` or ``swap``
+        #: broadcast came in between (None: recompute).
+        self._spec: Optional[dict] = None
+        birth = None
+        if self._journaling:
+            # Checkpoint 0: the fleet's construction, so a respawn
+            # takes one path whether or not a barrier checkpointed.
+            # A snapshot, detached from the template it describes.
+            self._spec = _swap_spec(emulator)
+            state, saved = pickle.loads(
+                pickle.dumps((_worker_state(emulator), _checkpoint(emulator)))
+            )
+            birth = _Checkpoint(self._spec, 0, state, saved)
+        self._journals = [ShardJournal(birth) for _ in range(n_workers)]
         self._dead = [False] * n_workers
         self._dispatched_since_begin = [0] * n_workers
         #: Per-shard dispatch counters (see :func:`_new_ring_stats`);
@@ -1054,12 +1120,10 @@ class ShardedEmulator:
             target=_worker_main,
             args=(
                 child_conn,
-                self._birth,
+                self.template,
                 shard,
                 channel,
                 fault_specs,
-                rebirth,
-                self._birth_tables if rebirth else None,
                 self.engine,
                 tele_child,
                 (self.live_interval_s, self.live_every_packets),
@@ -1207,9 +1271,14 @@ class ShardedEmulator:
         )
 
     def transport_stats(self) -> dict:
-        """Transport-level dispatch counters, merged and per shard."""
-        per_shard = [dict(stats) for stats in self.ring_stats]
-        totals = _new_ring_stats()
+        """Transport-level dispatch counters, merged and per shard,
+        with each shard's respawn-journal size (``journal_bytes``: 0
+        unless ``recovery="respawn"``)."""
+        per_shard = [
+            dict(stats, journal_bytes=journal.bytes)
+            for stats, journal in zip(self.ring_stats, self._journals)
+        ]
+        totals = dict(_new_ring_stats(), journal_bytes=0)
         for stats in per_shard:
             for key, value in stats.items():
                 if key == "max_occupancy":
@@ -1224,12 +1293,29 @@ class ShardedEmulator:
             "per_shard": per_shard,
         }
 
-    def _journal(
-        self, shard: int, message: tuple, n_packets: int = 0
-    ) -> None:
+    def _journal(self, shard: int, message: tuple) -> None:
         """Record a state-bearing message before it is delivered."""
         if self._journaling:
-            self._journals[shard].append(message, n_packets)
+            self._journals[shard].append(message)
+
+    def _checkpoint_due(self, shard: int) -> bool:
+        return (
+            self._journaling
+            and self._journals[shard].bytes >= JOURNAL_CHECKPOINT_BYTES
+        )
+
+    def _rebase(
+        self, shard: int, epoch: int, state: dict, saved: Optional[dict]
+    ) -> None:
+        """Take a barrier reply's checkpoint (if it carried one) as the
+        shard's new journal base, with the template as of now."""
+        if saved is None:
+            return
+        if self._spec is None:
+            self._spec = _swap_spec(self.template)
+        self._journals[shard].rebase(
+            _Checkpoint(self._spec, epoch, state, saved)
+        )
 
     def _guarded_send(
         self,
@@ -1454,7 +1540,8 @@ class ShardedEmulator:
             pass
 
     def _respawn(self, shard: int) -> None:
-        """Terminate-then-respawn: rebuild the shard from its journal."""
+        """Terminate-then-respawn: rebuild the shard from its last
+        checkpoint and the journal since."""
         journal = self._journals[shard]
         self._reap(shard)
         old_channel = self._channels[shard]
@@ -1482,17 +1569,11 @@ class ShardedEmulator:
             "worker_respawned",
             shard=shard,
             respawns=self.respawns[shard],
-            journal_messages=len(journal.entries),
-            journal_batches=journal.batches,
-            truncated=journal.truncated,
+            checkpoint_epoch=journal.checkpoint.epoch,
+            suffix_messages=len(journal.entries),
+            suffix_batches=journal.batches,
+            suffix_bytes=journal.bytes,
         )
-        if journal.truncated:
-            self._emit(
-                "journal_truncated",
-                shard=shard,
-                dropped_batches=journal.dropped_batches,
-                dropped_packets=journal.dropped_packets,
-            )
         self._replay_journal(shard)
         self._emit(
             "worker_recovered",
@@ -1502,14 +1583,23 @@ class ShardedEmulator:
         )
 
     def _replay_journal(self, shard: int) -> None:
-        """Feed a freshly respawned worker its shard's message history.
+        """Feed a freshly respawned worker its shard's history: a swap
+        to the checkpoint's template, the checkpointed state, then the
+        journal since.
 
         Sends are deadline-guarded but not recovery-looped: a worker
         that cannot even absorb its own journal is not recoverable.
         """
         conn = self._conns[shard]
         timeout = self.options.send_timeout_s
-        for message, _n in self._journals[shard].entries:
+        journal = self._journals[shard]
+        base = journal.checkpoint
+        history = [
+            ("swap", base.spec, base.epoch),
+            ("restore", base.state, base.saved),
+        ]
+        history.extend(message for message, _size in journal.entries)
+        for message in history:
             delivered = False
             if self._wait_writable(conn, timeout):
                 try:
@@ -1590,19 +1680,28 @@ class ShardedEmulator:
                     return None
         return None
 
-    def _gather(self, message: tuple, *, context: str) -> list:
+    def _gather(
+        self, message: tuple, *, context: str, barrier: bool = False
+    ) -> list:
         """Broadcast a reply-bearing op, then collect every reply.
 
         Two-phase (send to all live shards, then drain) so workers
         produce their replies in parallel; each shard's recv still
         runs under supervision with per-shard recovery. The returned
-        list has one slot per shard; degraded shards hold None.
+        list has one slot per shard; degraded shards hold None. A
+        ``barrier`` op (``end``/``collect``) gains a flag asking each
+        shard whose journal is due (:meth:`_checkpoint_due`) for a
+        checkpoint.
         """
+        messages = [
+            message + (self._checkpoint_due(shard),) if barrier else message
+            for shard in range(self.n_workers)
+        ]
         sent = [False] * self.n_workers
         for shard in range(self.n_workers):
             if not self._dead[shard]:
                 sent[shard] = self._guarded_send(
-                    shard, message, context=context, journaled=False
+                    shard, messages[shard], context=context, journaled=False
                 )
         replies: list = [None] * self.n_workers
         for shard in range(self.n_workers):
@@ -1620,7 +1719,7 @@ class ShardedEmulator:
                     elapsed_s=gone.elapsed_s,
                 ):
                     replies[shard] = self._transact(
-                        shard, message, context=context
+                        shard, messages[shard], context=context
                     )
         return replies
 
@@ -1655,9 +1754,9 @@ class ShardedEmulator:
         self.template = template
         self.clock = template.clock
         self.epoch += 1
+        self._spec = _swap_spec(template)
         self._broadcast(
-            ("swap", _swap_spec(template), self.epoch),
-            context="plan swap",
+            ("swap", self._spec, self.epoch), context="plan swap"
         )
         return carried
 
@@ -1674,6 +1773,7 @@ class ShardedEmulator:
         """
         self.template.set_table_entries(table, entries)
         self.epoch += 1
+        self._spec = None
         self._broadcast(
             (
                 "entries",
@@ -1822,18 +1922,22 @@ class ShardedEmulator:
         self._check_open()
         states = []
         for shard, reply in enumerate(
-            self._gather(("collect",), context="collect")
+            self._gather(("collect",), context="collect", barrier=True)
         ):
             if reply is None:
                 continue
-            tag, state, epoch = reply
-            if epoch != self.epoch:
-                raise EmulationError(
-                    f"Shard {shard} applied epoch {epoch}, "
-                    f"expected {self.epoch}"
-                )
+            tag, state, epoch, saved = reply
+            self._check_epoch(shard, epoch)
+            self._rebase(shard, epoch, state, saved)
             states.append(state)
         self._merge_states(states)
+
+    def _check_epoch(self, shard: int, epoch: int) -> None:
+        if epoch != self.epoch:
+            raise EmulationError(
+                f"Shard {shard} applied epoch {epoch}, "
+                f"expected {self.epoch}"
+            )
 
     def dump_caches(self) -> list[tuple[dict, Optional[dict], dict]]:
         """Per-worker cache stores and table entries (test support)."""
@@ -1927,17 +2031,14 @@ class ShardedEmulator:
             merged = stats if stats is not None else RunStats()
             states = []
             for shard, reply in enumerate(
-                self._gather(("end",), context="replay end")
+                self._gather(("end",), context="replay end", barrier=True)
             ):
                 if reply is None:
                     self.worker_busy_s[shard] = 0.0
                     continue
-                tag, worker_stats, state, busy, epoch = reply
-                if epoch != self.epoch:
-                    raise EmulationError(
-                        f"Shard {shard} applied epoch {epoch}, "
-                        f"expected {self.epoch}"
-                    )
+                tag, worker_stats, state, busy, epoch, saved = reply
+                self._check_epoch(shard, epoch)
+                self._rebase(shard, epoch, state, saved)
                 merged.merge(worker_stats)
                 states.append(state)
                 self.worker_busy_s[shard] = busy
@@ -2005,7 +2106,7 @@ class ShardedEmulator:
         else:
             payload = (batch.names, batch.values, batch.sizes)
         message = ("batch", payload, ts)
-        self._journal(shard, message, _rows(part))
+        self._journal(shard, message)
         if batch is not None and channel.batch_fits(
             batch.n,
             len(batch.names),

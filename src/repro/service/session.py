@@ -340,6 +340,7 @@ class ServeSession:
         controller = self.controller
         watchdog = self.live_plane.watchdog
         plan = controller.current_plan
+        fleet = controller.deployment.emulator
         return {
             "app": self.config.app,
             "target": self.config.target,
@@ -353,7 +354,9 @@ class ServeSession:
             "slo_active": watchdog.active_breaches,
             "fleets": self.live_plane.aggregator.fleets,
             "metrics_port": self.metrics_port,
-            "worker_respawns": list(
-                controller.deployment.emulator.respawns
-            ),
+            "worker_respawns": list(fleet.respawns),
+            "journal_bytes": [
+                shard["journal_bytes"]
+                for shard in fleet.transport_stats()["per_shard"]
+            ],
         }

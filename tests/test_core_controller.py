@@ -388,11 +388,69 @@ class TestControllerTelemetry:
             kind="replan_accepted",
         ) == 1.0
 
+    def test_replan_events_carry_search_cost(self, monkeypatch):
+        telemetry = Telemetry()
+        controller = make_hysteresis_controller(telemetry)
+        controller.run([make_packet() for _ in range(20)])
+        assert controller.maybe_reoptimize()
+        accepted = telemetry.events.last("replan_accepted")
+        plan = controller.current_plan
+        assert accepted["search_wall_s"] == plan.search_time_s > 0.0
+        assert accepted["combos_evaluated"] == plan.combos_evaluated > 0
+        # A rejection reports the search it threw away.
+        candidate = make_plan(gain=plan.total_gain_ns)
+        candidate.search_time_s, candidate.combos_evaluated = 0.25, 7
+        monkeypatch.setattr(
+            "repro.core.controller.optimize",
+            lambda *args, **kwargs: candidate,
+        )
+        controller.run([make_packet() for _ in range(20)])
+        assert not controller.maybe_reoptimize()
+        rejected = telemetry.events.last("replan_rejected")
+        assert rejected["search_wall_s"] == 0.25
+        assert rejected["combos_evaluated"] == 7
+
     def test_controller_without_telemetry_is_silent_noop(self):
         controller = make_hysteresis_controller(telemetry=None)
         controller.run([make_packet() for _ in range(20)])
         assert controller.maybe_reoptimize()
         assert controller.telemetry is None
+
+
+class TestEmptyWindow:
+    """A replan over a window with no packets keeps the deployed plan:
+    its zero counters carry no probabilities to search on."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_empty_window_keeps_the_deployed_plan(self, jobs):
+        from repro.apps import dash_routing
+        from repro.core import Pipeleon
+        from repro.traffic import TrafficGenerator
+        from repro.traffic.flows import synth_flows
+
+        program = dash_routing.build_program()
+        baseline = Pipeleon(BLUEFIELD2).optimize(program)
+        assert plan_ops(baseline)  # a cache plan worth keeping
+        telemetry = Telemetry()
+        controller = PipeleonController(
+            program,
+            BLUEFIELD2,
+            baseline_plan=baseline,
+            jobs=jobs,
+            telemetry=telemetry,
+        )
+        with controller:
+            dash_routing.install_base_entries(controller.control_plane)
+            controller.deployment.replay(
+                TrafficGenerator(seed=1).stream(synth_flows(200), 5000)
+            )
+            controller.deployment.reset_telemetry()
+            assert not controller.maybe_reoptimize()
+            assert controller.current_plan is baseline
+            assert controller.reoptimizations == 0
+            skipped = telemetry.events.last("replan_skipped")
+            assert skipped["reason"] == "empty_window"
+            assert telemetry.events.last("replan_accepted") is None
 
 
 class TestControllerEngine:

@@ -5,8 +5,9 @@ kill, hang, delay, drop_reply — injected at deterministic points in the
 packet stream are detected by the supervisor within its configured
 timeouts, classified correctly, and recovered per policy:
 
-* ``respawn`` rebuilds the shard from its journal and the merged run
-  stats stay **bit-identical** to a fault-free twin;
+* ``respawn`` rebuilds the shard from its last checkpoint and the
+  journal since, and the merged run stats stay **bit-identical** to a
+  fault-free twin;
 * ``degraded`` reroutes the lost shard's future flows to survivors and
   accounts the lost packets;
 * ``fail`` raises a diagnosable :class:`EmulationError` in bounded time
@@ -14,13 +15,15 @@ timeouts, classified correctly, and recovered per policy:
 """
 
 import os
+import pickle
 import signal
 import time
 
+import numpy as np
 import pytest
 
 from repro.apps import EXAMPLE_APPS
-from repro.core import Deployment
+from repro.core import Deployment, Pipeleon
 from repro.errors import EmulationError
 from repro.nic.faults import (
     AUTO_BATCH_SPAN,
@@ -29,14 +32,19 @@ from repro.nic.faults import (
     FaultSpec,
     parse_fault,
 )
+from repro.nic import sharding
+from repro.nic.emulator import NicEmulator
 from repro.nic.sharding import (
     ShardedEmulator,
     ShardJournal,
     SupervisorOptions,
 )
 from repro.nic.shm_transport import ShardChannel
-from repro.nic.targets import EMULATED_NIC
+from repro.nic.targets import BLUEFIELD2, EMULATED_NIC
 from repro.telemetry import Telemetry
+from repro.traffic import TrafficGenerator
+from repro.traffic.flows import synth_flows
+from repro.traffic.scenarios import rolling_update_action
 from tests.test_nic_sharding import (
     app_packets,
     assert_sharded_identical,
@@ -432,14 +440,14 @@ class TestRespawnRecovery:
         finally:
             sharded.close()
 
-    def test_journal_truncation_is_reported(self):
+    def test_journal_recovery_is_exact(self):
+        """A kill several batches into the journal loses nothing: there
+        is no journal horizon past which recovery turns approximate."""
         telemetry = Telemetry()
         sharded = make_sharded(
             "l2l3_acl",
             2,
-            options=fast_options(
-                recovery="respawn", journal_limit=2
-            ),
+            options=fast_options(recovery="respawn"),
             fault_plan=FaultPlan(
                 (FaultSpec("kill", shard=0, at_batch=5),)
             ),
@@ -449,14 +457,298 @@ class TestRespawnRecovery:
             stats = sharded.replay(
                 app_packets(7, 600), offered_pps=1e6, batch=32
             )
-            # Recovery completed, but past the journal horizon it is
-            # best-effort: the evicted batches' stats died with the
-            # worker.
             assert sharded.emulator.respawns == [1, 0]
-            truncated = telemetry.events.last("journal_truncated")
-            assert truncated is not None
-            assert truncated["dropped_packets"] > 0
-            assert stats.packets == 600 - truncated["dropped_packets"]
+            assert stats.packets == 600
+            assert "journal_truncated" not in event_kinds(telemetry)
+            respawned = telemetry.events.last("worker_respawned")
+            assert respawned["checkpoint_epoch"] == 0  # construction
+            # The five batches it retired, the one it died on, and
+            # what the parent dispatched before noticing.
+            assert respawned["suffix_batches"] >= 6
+            assert respawned["suffix_bytes"] > 0
+            assert "truncated" not in respawned
+        finally:
+            sharded.close()
+
+
+@pytest.fixture
+def checkpoint_every_barrier(monkeypatch):
+    """Every ``end``/``collect`` barrier checkpoints (the journal is
+    always past a one-byte threshold)."""
+    monkeypatch.setattr(sharding, "JOURNAL_CHECKPOINT_BYTES", 1)
+
+
+CHECKPOINT_FLOWS = synth_flows(200)
+
+
+def shard_batches(fleet, shard: int = 0) -> int:
+    """Batches dispatched to ``shard`` so far, however they travelled."""
+    stats = fleet.ring_stats[shard]
+    return (
+        stats["pushed_batches"]
+        + stats["fallback_encoding"]
+        + stats["fallback_capacity"]
+    )
+
+
+#: Low enough that each cache's insertion token bucket runs dry.
+CHECKPOINT_INSERTION_PPS = 40.0
+
+
+def checkpoint_session(*, fault_plan=None, before_last=None, kill=False):
+    """``dash_routing`` under its Pipeleon plan on a two-worker respawn
+    fleet, its flow caches behind a binding insertion limit (so the
+    token bucket is state a recovery must get right): three zipf
+    replays. In front of the last one ``before_last(deployment)`` may
+    return a replacement deployment, then ``kill`` SIGKILLs shard 0.
+
+    Returns what must match a fault-free twin, and the session's
+    respawns, shard 0's batch count before the last replay and its
+    telemetry."""
+    build, install = EXAMPLE_APPS["dash_routing"]
+    program = build()
+    telemetry = Telemetry()
+    deployment = Deployment(
+        program,
+        BLUEFIELD2,
+        plan=Pipeleon(BLUEFIELD2).optimize(program),
+        jobs=2,
+        batch=64,
+        supervisor=fast_options(recovery="respawn"),
+        fault_plan=fault_plan,
+        telemetry=telemetry,
+        cache_insertion_limit_pps=CHECKPOINT_INSERTION_PPS,
+    )
+    install(deployment.control_plane)
+    replays = []
+    try:
+        for seed in range(3):
+            if seed == 2:
+                batches_before_last = shard_batches(deployment.emulator)
+                if before_last is not None:
+                    deployment = before_last(deployment) or deployment
+                if kill:
+                    victim = deployment.emulator._procs[0]
+                    victim.kill()
+                    victim.join(timeout=10.0)
+            stream = TrafficGenerator(seed).stream(
+                CHECKPOINT_FLOWS, 1500, locality="zipf"
+            )
+            replays.append(
+                stats_fingerprint(deployment.replay(stream, offered_pps=1e6))
+            )
+        fleet = deployment.emulator
+        fleet.collect()
+        observed = {
+            "replays": replays,
+            "counters": fleet.counters.snapshot(),
+            "explicit": fleet.explicit_counters,
+            "cache_stats": {
+                name: vars(stats) for name, stats in fleet.cache_stats.items()
+            },
+            "columnar_packets": fleet.columnar_packets,
+            # Every worker's cache contents, in LRU order.
+            "caches": [
+                {name: list(store.items()) for name, store in stores.items()}
+                for stores, _native, _tables in fleet.dump_caches()
+            ],
+            "epoch": fleet.epoch,
+        }
+        return observed, fleet.respawns, batches_before_last, telemetry
+    finally:
+        deployment.close()
+
+
+def redeploy_same_plan(deployment):
+    """A ``swap``: the same plan into the same fleet, caches kept warm."""
+    return Deployment(
+        deployment.original,
+        BLUEFIELD2,
+        plan=deployment.plan,
+        control_plane=deployment.control_plane,
+        previous=deployment,
+        jobs=2,
+        batch=64,
+        cache_insertion_limit_pps=CHECKPOINT_INSERTION_PPS,
+    )
+
+
+class TestCheckpointRecovery:
+    """A respawn swaps to the shard's last barrier checkpoint, restores
+    its state and replays only the journal since: every kill below ends
+    where a fault-free twin does — stats, merged counters and cache
+    stats, and every worker's cache contents in LRU order."""
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sharding, "JOURNAL_CHECKPOINT_BYTES", 1)
+            observed, respawns, before_last, _ = checkpoint_session()
+        assert respawns == [0, 0]
+        assert observed["caches"][0]  # warm caches to get right
+        assert all(  # and a token bucket that ran dry
+            stats["rejected_insertions"]
+            for stats in observed["cache_stats"].values()
+        )
+        return observed, before_last
+
+    def recovered(self, telemetry, checkpoint_epoch=None) -> dict:
+        """The respawn restored a barrier checkpoint, not construction."""
+        respawned = telemetry.events.last("worker_respawned")
+        assert respawned["checkpoint_epoch"] > 0
+        if checkpoint_epoch is not None:
+            assert respawned["checkpoint_epoch"] == checkpoint_epoch
+        return respawned
+
+    def test_kill_after_the_kth_checkpoint(
+        self, checkpoint_every_barrier, clean
+    ):
+        reference, before_last = clean
+        killed, respawns, _, telemetry = checkpoint_session(
+            fault_plan=FaultPlan(
+                (FaultSpec("kill", shard=0, at_batch=before_last + 2),)
+            )
+        )
+        assert respawns == [1, 0]
+        assert killed == reference
+        respawned = self.recovered(telemetry, reference["epoch"])
+        # Only the last replay's batches are replayed: its begin, the
+        # two the worker retired and the one it died on, and what the
+        # parent dispatched before noticing.
+        assert 3 <= respawned["suffix_batches"] < before_last
+
+    def test_kill_after_an_entries_update_since_the_checkpoint(
+        self, checkpoint_every_barrier
+    ):
+        def update(deployment):
+            rolling_update_action(entries_per_tick=2)(deployment, 0.0)
+
+        reference, *_ = checkpoint_session(before_last=update)
+        killed, respawns, _, telemetry = checkpoint_session(
+            before_last=update, kill=True
+        )
+        assert respawns == [1, 0]
+        assert killed == reference
+        respawned = self.recovered(telemetry)
+        assert respawned["checkpoint_epoch"] < reference["epoch"]
+
+    def test_kill_after_a_swap_since_the_checkpoint(
+        self, checkpoint_every_barrier
+    ):
+        reference, *_ = checkpoint_session(before_last=redeploy_same_plan)
+        killed, respawns, _, telemetry = checkpoint_session(
+            before_last=redeploy_same_plan, kill=True
+        )
+        assert respawns == [1, 0]
+        assert killed == reference
+        respawned = self.recovered(telemetry)
+        assert respawned["checkpoint_epoch"] < reference["epoch"]
+        assert respawned["suffix_messages"] >= 2  # the swap and begin
+
+    def test_restore_reads_like_the_checkpointed_emulator(self):
+        """Field by field, what a respawned worker rebuilds: a blank
+        emulator swapped to the spec and restored from the pickled
+        checkpoint reads like the one checkpointed, clock included
+        (an unpaced replay inserts at the clock's time)."""
+        build, install = EXAMPLE_APPS["dash_routing"]
+        program = build()
+        deployment = Deployment(
+            program,
+            BLUEFIELD2,
+            plan=Pipeleon(BLUEFIELD2).optimize(program),
+            cache_insertion_limit_pps=CHECKPOINT_INSERTION_PPS,
+        )
+        install(deployment.control_plane)
+        stream = TrafficGenerator(3).stream(CHECKPOINT_FLOWS, 1500)
+        deployment.replay(stream, offered_pps=1e6)
+        emulator = deployment.emulator
+        # A spec reused from an earlier barrier: its clock is stale.
+        spec = sharding._swap_spec(emulator)
+        emulator.clock.advance(0.25)
+        life = (7, 3, 11, {"input": 2}, None)
+        state, saved = pickle.loads(
+            pickle.dumps(
+                (
+                    sharding._worker_state(emulator),
+                    sharding._checkpoint(emulator, life),
+                )
+            )
+        )
+        blank = NicEmulator(emulator.program, emulator.target)
+        fresh = sharding._swapped(blank, spec)
+        sharding._restore(fresh, state, saved)
+
+        def view(em):
+            caches = {
+                name: (
+                    list(cache._store.items()),
+                    vars(cache.stats),
+                    vars(cache._limiter),
+                )
+                for name, cache in em.flow_caches.items()
+            }
+            return (
+                em.clock.now_s,
+                em.counters.snapshot(),
+                em.counters.packets_seen,
+                em.explicit_counters,
+                caches,
+                em.columnar_packets,
+                em.columnar_partitions,
+                em.columnar_demotions,
+                em.columnar_cache_arrivals,
+            )
+
+        assert emulator.flow_caches and emulator.columnar_packets
+        assert view(fresh) == view(emulator)
+        assert saved["life"] == life
+
+    def test_journal_stays_bounded_over_a_session(self, monkeypatch):
+        """Past the threshold the next barrier checkpoints: a shard's
+        journal never holds more than the threshold plus one replay."""
+        threshold = 64 << 10
+        monkeypatch.setattr(sharding, "JOURNAL_CHECKPOINT_BYTES", threshold)
+        sharded = make_sharded(
+            "l2l3_acl", 2, options=fast_options(recovery="respawn")
+        )
+        try:
+            fleet = sharded.emulator
+            bases = set()
+            for seed in range(12):
+                before = [journal.bytes for journal in fleet._journals]
+                sharded.replay(app_packets(seed, 600), offered_pps=1e6)
+                for shard, journal in enumerate(fleet._journals):
+                    grown = journal.bytes - before[shard]
+                    assert journal.bytes <= threshold + max(grown, 0)
+                    bases.add(id(journal.checkpoint))
+            per_shard = fleet.transport_stats()["per_shard"]
+            assert [s["journal_bytes"] for s in per_shard] == [
+                journal.bytes for journal in fleet._journals
+            ]
+            assert len(bases) > 2  # checkpoints were taken
+        finally:
+            sharded.close()
+
+    def test_no_journal_no_checkpoint_without_respawn(
+        self, checkpoint_every_barrier, monkeypatch
+    ):
+        """``recovery != "respawn"`` journals nothing, so no barrier
+        ever asks for a checkpoint."""
+        asked = []
+        real = ShardedEmulator._rebase
+
+        def spying_rebase(self, shard, epoch, state, saved):
+            asked.append(saved)
+            return real(self, shard, epoch, state, saved)
+
+        monkeypatch.setattr(ShardedEmulator, "_rebase", spying_rebase)
+        sharded = make_sharded("l2l3_acl", 2, options=fast_options())
+        try:
+            sharded.replay(app_packets(7, 600), offered_pps=1e6)
+            sharded.emulator.collect()
+            assert asked and not any(asked)
+            per_shard = sharded.emulator.transport_stats()["per_shard"]
+            assert [s["journal_bytes"] for s in per_shard] == [0, 0]
         finally:
             sharded.close()
 
@@ -748,23 +1040,25 @@ class TestDeterminism:
 
 
 class TestShardJournal:
-    def test_bounds_batches_only(self):
-        journal = ShardJournal(limit=2)
-        journal.append(("begin", 0.0, 1e6))
-        for index in range(4):
-            journal.append(("batch", ("py", []), None), n_packets=10)
-        journal.append(("flush",))
-        assert journal.batches == 2
-        assert journal.truncated
-        assert journal.dropped_batches == 2
-        assert journal.dropped_packets == 20
-        # Control messages are never evicted.
-        kinds = [message[0] for message, _ in journal.entries]
-        assert kinds[0] == "begin" and kinds[-1] == "flush"
+    def test_counts_array_bytes_and_pickled_messages(self):
+        journal = ShardJournal()
+        journal.append(("begin",))
+        values, sizes = np.zeros((2, 10), np.int64), np.zeros(10, np.int64)
+        journal.append(("batch", (("a", "b"), values, sizes), np.zeros(10)))
+        journal.append(("flush", 3))
+        assert journal.batches == 1
+        assert [op for (op, *_), _size in journal.entries] == [
+            "begin", "batch", "flush"
+        ]
+        sizes_seen = [size for _message, size in journal.entries]
+        assert sizes_seen[1] == 160 + 80 + 80
+        assert journal.bytes == sum(sizes_seen)
 
-    def test_under_limit_keeps_everything(self):
-        journal = ShardJournal(limit=8)
+    def test_rebase_drops_what_the_checkpoint_covers(self):
+        journal = ShardJournal()
         for _ in range(3):
-            journal.append(("batch", ("py", []), None), n_packets=5)
-        assert not journal.truncated
-        assert journal.batches == 3
+            journal.append(("batch", [], None))
+        checkpoint = sharding._Checkpoint({}, 4, {}, {})
+        journal.rebase(checkpoint)
+        assert journal.checkpoint is checkpoint
+        assert (journal.entries, journal.batches, journal.bytes) == ([], 0, 0)

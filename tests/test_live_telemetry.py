@@ -716,6 +716,40 @@ class TestFaultSloInteraction:
         finally:
             close_live(sharded)
 
+    def test_respawn_from_a_checkpoint_keeps_live_totals(
+        self, monkeypatch
+    ):
+        """With every barrier checkpointing, the respawned worker
+        restores its lifetime totals and latency histogram from the
+        last checkpoint instead of rebuilding them from the journal."""
+        from repro.nic import sharding
+
+        monkeypatch.setattr(sharding, "JOURNAL_CHECKPOINT_BYTES", 1)
+        telemetry = Telemetry()
+        sharded = make_live(
+            n_workers=2,
+            live=LiveOptions(interval_s=0.05),
+            fault_plan=FaultPlan([FaultSpec("kill", shard=0, at_batch=20)]),
+            supervisor=SupervisorOptions(
+                recovery="respawn", heartbeat_interval_s=0.01
+            ),
+            telemetry=telemetry,
+        )
+        try:
+            aggregator = sharded.live_plane.aggregator
+            for replay in range(1, 5):
+                stats = sharded.replay(app_packets(replay, 3000))
+                assert stats.packets == 3000
+                aggregator.flush()
+                sample = aggregator.sample()
+                assert sample["packets"] == 3000 * replay, replay
+                assert sample["hist"].count == 3000 * replay, replay
+            assert sharded.emulator.respawns == [1, 0]
+            respawned = telemetry.events.last("worker_respawned")
+            assert respawned["checkpoint_epoch"] > 0
+        finally:
+            close_live(sharded)
+
 
 # ---------------------------------------------------------------------------
 # Controller: breach-triggered re-optimization

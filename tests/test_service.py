@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.nic.sharding import JOURNAL_CHECKPOINT_BYTES
 from repro.service import (
     JobQueue,
     JobState,
@@ -308,6 +309,13 @@ class TestServeSessionChaos:
             assert status["replays"] == 1
             assert status["slo_breaches"] == 1
             assert sum(status["worker_respawns"]) >= 1
+            # The respawn journal is live state: one entry per shard,
+            # non-empty after a replay and below one checkpoint.
+            journal = status["journal_bytes"]
+            assert len(journal) == status["jobs"]
+            assert all(
+                0 < size < JOURNAL_CHECKPOINT_BYTES for size in journal
+            )
             report = session.run_report({})
             assert report["replays"] == 1
             assert report["slo_breaches_seen"] >= 1
