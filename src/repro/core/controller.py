@@ -269,10 +269,13 @@ class PipeleonController:
         """Profile, re-search, redeploy if the best plan changed."""
         if not self.enabled:
             return False
+        start = time.perf_counter()
         profile = self.collect_profile()
+        collect_wall_s = time.perf_counter() - start
         self.last_profile = profile
         self._emit(
             "profile_collected",
+            collect_wall_s=collect_wall_s,
             offered_pps=profile.offered_pps,
             caches_observed=len(profile.cache_hit_rates),
             tables_profiled=len(profile.entry_counts),
@@ -337,6 +340,7 @@ class PipeleonController:
                     plan=plan.describe(),
                     search_wall_s=plan.search_time_s,
                     combos_evaluated=plan.combos_evaluated,
+                    segment_steps=plan.segment_steps,
                 )
         if changed:
             old_ops = plan_ops(self.current_plan)
@@ -362,6 +366,7 @@ class PipeleonController:
                 signature=repr(plan_signature(plan)),
                 search_wall_s=plan.search_time_s,
                 combos_evaluated=plan.combos_evaluated,
+                segment_steps=plan.segment_steps,
             )
             self._redeploy(plan)
         else:

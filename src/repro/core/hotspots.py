@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.core.costmodel import CostModel
 from repro.core.pipelets import Pipelet, pipelet_probability
@@ -54,9 +54,15 @@ def rank_pipelets(
     pipelets: Sequence[Pipelet],
     profile: RuntimeProfile,
     model: CostModel,
+    reach: Optional[dict[str, float]] = None,
 ) -> list[PipeletCost]:
-    """All pipelets ranked by weighted cost, hottest first."""
-    reach = model.reach_probs(program, profile)
+    """All pipelets ranked by weighted cost, hottest first.
+
+    ``reach`` is ``model.reach_probs(program, profile)`` when the caller
+    already holds it (a search walks the graph once, not twice).
+    """
+    if reach is None:
+        reach = model.reach_probs(program, profile)
     costs = [
         PipeletCost(
             pipelet=pipelet,
@@ -75,11 +81,12 @@ def top_k(
     profile: RuntimeProfile,
     model: CostModel,
     k: float = 0.2,
+    reach: Optional[dict[str, float]] = None,
 ) -> list[PipeletCost]:
     """The top fraction ``k`` (0 < k <= 1) of pipelets by cost."""
     if not 0.0 < k <= 1.0:
         raise ValueError(f"k must be in (0, 1], got {k}")
-    ranked = rank_pipelets(program, pipelets, profile, model)
+    ranked = rank_pipelets(program, pipelets, profile, model, reach)
     count = max(1, math.ceil(len(ranked) * k)) if ranked else 0
     return ranked[:count]
 

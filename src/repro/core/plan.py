@@ -95,6 +95,9 @@ class OptimizationPlan:
     search_time_s: float = 0.0
     pipelets_considered: int = 0
     combos_evaluated: int = 0
+    #: Labelling-tree extensions the local search made: one per
+    #: segment appended to a shared prefix.
+    segment_steps: int = 0
 
     @property
     def total_gain_ns(self) -> float:

@@ -16,9 +16,11 @@ Two steps, as in the paper:
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Optional, Sequence
 
@@ -40,6 +42,7 @@ from repro.core.profiling import RuntimeProfile
 from repro.core.transform.reorder import drop_rate_order
 from repro.errors import SearchError
 from repro.ir.dependency import movable_to_front, valid_orders
+from repro.ir.entries import ENTRY_OVERHEAD_BYTES, FIELD_BYTES
 from repro.ir.program import Program
 from repro.ir.tables import MatchType, TableNode
 
@@ -173,18 +176,16 @@ def _spans(
 
 
 def _entry_bytes(n_fields: int) -> float:
-    from repro.ir.entries import ENTRY_OVERHEAD_BYTES, FIELD_BYTES
-
     return float(ENTRY_OVERHEAD_BYTES + FIELD_BYTES * max(1, n_fields))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _SegmentPrice:
     """What one ``(op, tables)`` segment costs, wherever it sits.
 
     Everything here depends only on the segment and the profile; the
     survival probability of the segments before it and the pipelet's
-    reach probability are applied by :func:`_evaluate_segments`.
+    reach probability are applied by :func:`_extend`.
     """
 
     op: str
@@ -206,8 +207,8 @@ class _SegmentPricer:
 
     One lives for one local search (or one candidate re-pricing), so
     nothing outlives the profile it read; the prices are keyed by
-    :class:`Segment` (immutable) and never stored on a
-    :class:`TableNode` (mutable).
+    ``(op, table names)`` (a :class:`Segment`'s fields, without building
+    one per lookup) and never stored on a :class:`TableNode` (mutable).
     """
 
     def __init__(
@@ -221,7 +222,9 @@ class _SegmentPricer:
         self.profile = profile
         self.model = model
         self.options = options
-        self.prices: dict[Segment, Optional[_SegmentPrice]] = {}
+        self.prices: dict[
+            tuple[str, tuple[str, ...]], Optional[_SegmentPrice]
+        ] = {}
         #: name -> (table cost, action cost, 1 - drop rate): a table
         #: sits in many segments.
         self._tables: dict[str, tuple[float, float, float]] = {}
@@ -237,16 +240,22 @@ class _SegmentPricer:
             )
         return numbers
 
-    def price(self, segment: Segment) -> Optional[_SegmentPrice]:
-        """The segment's price; None if it is an invalid merge."""
-        if segment not in self.prices:
-            self.prices[segment] = self._price(segment)
-        return self.prices[segment]
+    def price(
+        self, op: str, names: tuple[str, ...]
+    ) -> Optional[_SegmentPrice]:
+        """The price of segment ``(op, names)``; None if it is an
+        invalid merge."""
+        key = (op, names)
+        if key not in self.prices:
+            self.prices[key] = self._price(op, names)
+        return self.prices[key]
 
-    def _price(self, segment: Segment) -> Optional[_SegmentPrice]:
+    def _price(
+        self, op: str, names: tuple[str, ...]
+    ) -> Optional[_SegmentPrice]:
         program, profile = self.program, self.profile
         options = self.options
-        tables = [program.table(name) for name in segment.tables]
+        tables = [program.table(name) for name in names]
         numbers = [self._table(table) for table in tables]
         seg_survival = 1.0
         for _cost, _action, survival in numbers:
@@ -258,9 +267,9 @@ class _SegmentPricer:
         for cost, _action, survival in numbers:
             terms.append((inner, cost))
             inner *= survival
-        if segment.op == "none":
+        if op == "none":
             return _SegmentPrice("none", seg_survival, tuple(terms))
-        if segment.op == "merge" and not all(
+        if op == "merge" and not all(
             key.match_type is MatchType.EXACT
             for table in tables
             for key in table.keys
@@ -271,8 +280,8 @@ class _SegmentPricer:
         miss_cost = 0.0
         for inner, cost in terms:
             miss_cost += inner * cost
-        n_fields = len({f for t in tables for f in t.match_fields})
-        if segment.op == "cache":
+        n_fields = len({key.field for t in tables for key in t.keys})
+        if op == "cache":
             update_sum = sum(profile.update_rate(t.name) for t in tables)
             hit = options.default_hit_rate / (
                 1.0 + options.invalidation_penalty_s * update_sum
@@ -315,37 +324,106 @@ class _SegmentPricer:
         )
 
 
-def _evaluate_segments(
-    prices: Sequence[Optional[_SegmentPrice]],
-    profile: RuntimeProfile,
-    options: SearchOptions,
+#: ``(latency, memory, update rate, survival)`` of a layout with no
+#: segment yet: where every pipelet layout's pricing starts.
+_EMPTY_LAYOUT = (0.0, 0.0, 0.0, 1.0)
+
+
+def _extend(
+    state: tuple[float, float, float, float],
+    price: _SegmentPrice,
     reach_p: float,
-) -> Optional[tuple[float, float, float]]:
-    """(latency, memory, update rate) of an optimized pipelet layout
-    from its segments' prices; None if one is an invalid merge."""
-    latency = memory = update = 0.0
-    survive = 1.0  # survival probability within the pipelet
-    for price in prices:
-        if price is None:
-            return None
-        op = price.op
-        if op == "none":
-            for inner, cost in price.none_terms:
-                latency += survive * inner * cost
+    offered_pps: float,
+    options: SearchOptions,
+) -> tuple[float, float, float, float]:
+    """A layout's ``(latency, memory, update rate, survival)`` with one
+    more segment appended.
+
+    The one definition of the per-segment arithmetic: a layout is
+    priced by folding this over its segments from
+    :data:`_EMPTY_LAYOUT`, so layouts sharing a prefix share its state
+    to the last bit.
+    """
+    latency, memory, update, survive = state
+    op = price.op
+    if op == "none":
+        for inner, cost in price.none_terms:
+            latency += survive * inner * cost
+    else:
+        latency += survive * price.latency
+        memory += price.memory
+        if op == "cache":
+            miss_pps = reach_p * survive * price.miss_share
+            update += min(
+                options.cache_insertion_limit_pps,
+                miss_pps * offered_pps * options.flow_churn,
+            )
         else:
-            latency += survive * price.latency
-            memory += price.memory
-            if op == "cache":
-                miss_pps = reach_p * survive * price.miss_share
-                update += min(
-                    options.cache_insertion_limit_pps,
-                    miss_pps * profile.offered_pps * options.flow_churn,
-                )
-            else:
-                for term in price.update_terms:
-                    update += term
-        survive *= price.survival
-    return latency, memory, update
+            for term in price.update_terms:
+                update += term
+    return latency, memory, update, survive * price.survival
+
+
+@dataclass(frozen=True)
+class _LabellingTree:
+    """Every labelling of an n-table run as one prefix tree.
+
+    Node ``i + 1`` extends node ``nodes[i][0]`` (node 0 is the root, the
+    empty layout) by the span ``spans[nodes[i][1]]``, so a parent comes
+    before its children. Labelling ``li`` (in
+    :func:`enumerate_segmentations` order) ends at node ``leaves[li]``
+    through the spans ``paths[li]``. Nothing here depends on a program
+    or a profile.
+    """
+
+    spans: tuple[tuple[str, int, int], ...]
+    nodes: tuple[tuple[int, int], ...]
+    leaves: tuple[int, ...]
+    paths: tuple[tuple[int, ...], ...]
+    #: The all-``none`` labelling: the no-op in the current order.
+    no_op: int
+
+
+@functools.lru_cache(maxsize=64)
+def _labelling_tree(
+    n: int, enable_cache: bool, enable_merge: bool, merge_max_tables: int
+) -> _LabellingTree:
+    """The prefix tree of ``enumerate_segmentations(n, ...)``, keyed by
+    the only option fields that shape it (a replan that adapts
+    ``default_hit_rate`` builds fresh options but reuses the tree)."""
+    labellings = enumerate_segmentations(
+        n,
+        SearchOptions(
+            enable_cache=enable_cache,
+            enable_merge=enable_merge,
+            merge_max_tables=merge_max_tables,
+        ),
+    )
+    span_ids: dict[tuple[str, int, int], int] = {}
+    child_of: dict[tuple[int, int], int] = {}
+    nodes: list[tuple[int, int]] = []
+    leaves = []
+    paths = []
+    for labels in labellings:
+        node = 0
+        path = []
+        for span in _spans(labels):
+            span_id = span_ids.setdefault(span, len(span_ids))
+            path.append(span_id)
+            child = child_of.get((node, span_id))
+            if child is None:
+                nodes.append((node, span_id))
+                child = child_of[node, span_id] = len(nodes)
+            node = child
+        leaves.append(node)
+        paths.append(tuple(path))
+    return _LabellingTree(
+        tuple(span_ids),
+        tuple(nodes),
+        tuple(leaves),
+        tuple(paths),
+        labellings.index((("none", 1),) * n),
+    )
 
 
 def _candidate_orders(
@@ -392,73 +470,87 @@ def local_candidates(
     model: CostModel,
     options: SearchOptions,
     reach_p: float,
-) -> tuple[list[Candidate], int]:
+) -> tuple[list[Candidate], int, int]:
     """All priced optimization combinations for one pipelet.
 
-    Returns (candidates sorted by gain, combos evaluated).
+    Each candidate order walks the labelling prefix tree once: a node's
+    state is its parent's extended by one segment (:func:`_extend`), so
+    a prefix many labellings share is priced once, and an invalid merge
+    prunes its whole subtree. Only the best
+    ``max_candidates_per_pipelet`` become :class:`Candidate` objects.
+
+    Returns (candidates sorted by gain, combos evaluated, segment steps
+    taken).
     """
-    run = pipelet.table_names
-    tables = [program.table(name) for name in run]
+    run = tuple(pipelet.table_names)
     baseline = pipelet_latency(program, pipelet, profile, model)
-    candidates: list[Candidate] = []
-    evaluated = 0
     if options.enable_reorder and len(run) > 1:
+        tables = [program.table(name) for name in run]
         orders = _candidate_orders(tables, profile, options)
     else:
-        orders = [tuple(run)]
-    labelings = [
-        (_spans(labels), all(op == "none" for op, _n in labels))
-        for labels in enumerate_segmentations(len(run), options)
-    ]
+        orders = [run]
+    tree = _labelling_tree(
+        len(run),
+        options.enable_cache,
+        options.enable_merge,
+        options.merge_max_tables,
+    )
     pricer = _SegmentPricer(program, profile, model, options)
-    for order in orders:
-        is_identity = order == tuple(run)
-        # (op, start, end) -> the Segment there in this order, and its
-        # price (shared across orders through the pricer).
-        placed: dict[tuple[str, int, int], Segment] = {}
-        priced: dict[tuple[str, int, int], Optional[_SegmentPrice]] = {}
-        for spans, all_none in labelings:
-            if is_identity and all_none:
-                continue  # the no-op
-            for span in spans:
-                if span not in placed:
-                    op, start, end = span
-                    segment = placed[span] = Segment(
-                        op, tuple(order[start:end])
-                    )
-                    priced[span] = pricer.price(segment)
-            estimate = _evaluate_segments(
-                [priced[span] for span in spans],
-                profile,
-                options,
-                reach_p,
+    offered_pps = profile.offered_pps
+    # Equal gains rank the current order first, then by order, then by
+    # labelling: (order != run, order) is distinct per order, so this
+    # rank and the labelling index break every tie.
+    by_rank = sorted(orders, key=lambda order: (order != run, order))
+    ranked = []
+    evaluated = steps = 0
+    for rank, order in enumerate(by_rank):
+        prices = [
+            pricer.price(op, order[start:end])
+            for op, start, end in tree.spans
+        ]
+        states: list = [_EMPTY_LAYOUT]
+        for parent, span in tree.nodes:
+            state = states[parent]
+            price = prices[span]
+            states.append(
+                None
+                if state is None or price is None
+                else _extend(state, price, reach_p, offered_pps, options)
             )
-            evaluated += 1
-            if estimate is None:
+        steps += len(states) - 1 - states.count(None)
+        evaluated += len(tree.leaves)
+        if order == run:
+            states[tree.leaves[tree.no_op]] = None  # the no-op
+            evaluated -= 1
+        for li, state in enumerate([states[node] for node in tree.leaves]):
+            if state is None:
                 continue
-            latency, memory, update = estimate
-            gain = (baseline - latency) * reach_p
+            gain = (baseline - state[0]) * reach_p
             if gain <= 0:
                 continue
-            candidates.append(
-                Candidate(
-                    pipelet_id=pipelet.pipelet_id,
-                    run=tuple(run),
-                    order=tuple(order),
-                    segments=tuple(placed[span] for span in spans),
-                    gain_ns=gain,
-                    memory_bytes=memory,
-                    update_pps=update,
-                )
+            ranked.append((-gain, rank, li, state))
+    candidates = []
+    for neg_gain, rank, li, state in heapq.nsmallest(
+        options.max_candidates_per_pipelet, ranked
+    ):
+        order = by_rank[rank]
+        candidates.append(
+            Candidate(
+                pipelet_id=pipelet.pipelet_id,
+                run=run,
+                order=order,
+                segments=tuple(
+                    Segment(op, order[start:end])
+                    for op, start, end in (
+                        tree.spans[span] for span in tree.paths[li]
+                    )
+                ),
+                gain_ns=-neg_gain,
+                memory_bytes=state[1],
+                update_pps=state[2],
             )
-    candidates.sort(
-        key=lambda c: (
-            -c.gain_ns,
-            c.order != tuple(run),  # prefer the current order on ties
-            c.order,
         )
-    )
-    return candidates[: options.max_candidates_per_pipelet], evaluated
+    return candidates, evaluated, steps
 
 
 def group_candidates(
@@ -645,20 +737,21 @@ def optimize(
     started = time.perf_counter()
     if pipelets is None:
         pipelets = partition(program, max_len=options.max_pipelet_len)
-    hot = top_k(program, pipelets, profile, model, k=options.k)
     reach = model.reach_probs(program, profile)
+    hot = top_k(program, pipelets, profile, model, k=options.k, reach=reach)
     candidates_by_pipelet: dict[str, list[Candidate]] = {}
-    combos = 0
+    combos = steps = 0
     hot_pipelets = [cost.pipelet for cost in hot]
     # Per-pipelet local search first.
     for cost in hot:
         pipelet = cost.pipelet
         if pipelet.is_switch_case:
             continue  # single special table; nothing to transform
-        cands, evaluated = local_candidates(
+        cands, evaluated, walked = local_candidates(
             program, pipelet, profile, model, options, cost.probability
         )
         combos += evaluated
+        steps += walked
         if cands:
             candidates_by_pipelet[pipelet.pipelet_id] = cands
     # Cross-pipelet groups: a group cache replaces its members'
@@ -692,6 +785,7 @@ def optimize(
         search_time_s=elapsed,
         pipelets_considered=len(hot),
         combos_evaluated=combos,
+        segment_steps=steps,
     )
 
 
@@ -730,17 +824,15 @@ def evaluate_candidate_gain(
     )
     baseline = pipelet_latency(program, pipelet, profile, model)
     pricer = _SegmentPricer(program, profile, model, options)
-    estimate = _evaluate_segments(
-        [pricer.price(segment) for segment in candidate.segments],
-        profile,
-        options,
-        1.0,
-    )
-    if estimate is None:
-        return 0.0
+    state = _EMPTY_LAYOUT
+    for segment in candidate.segments:
+        price = pricer.price(segment.op, segment.tables)
+        if price is None:
+            return 0.0
+        state = _extend(state, price, 1.0, profile.offered_pps, options)
     reach = reach_probs or model.reach_probs(program, profile)
     reach_p = reach.get(run[0], 0.0)
-    return (baseline - estimate[0]) * reach_p
+    return (baseline - state[0]) * reach_p
 
 
 def evaluate_plan_gain(

@@ -364,6 +364,7 @@ class TestControllerTelemetry:
         assert "redeploy" in kinds
         profiled = telemetry.events.last("profile_collected")
         assert profiled["offered_pps"] > 0
+        assert 0.0 < profiled["collect_wall_s"] < 5.0
         accepted = telemetry.events.last("replan_accepted")
         assert "signature" in accepted and "plan" in accepted
         # What the swap kept warm and what it cost on the host clock.
@@ -397,9 +398,11 @@ class TestControllerTelemetry:
         plan = controller.current_plan
         assert accepted["search_wall_s"] == plan.search_time_s > 0.0
         assert accepted["combos_evaluated"] == plan.combos_evaluated > 0
+        assert accepted["segment_steps"] == plan.segment_steps > 0
         # A rejection reports the search it threw away.
         candidate = make_plan(gain=plan.total_gain_ns)
         candidate.search_time_s, candidate.combos_evaluated = 0.25, 7
+        candidate.segment_steps = 9
         monkeypatch.setattr(
             "repro.core.controller.optimize",
             lambda *args, **kwargs: candidate,
@@ -409,6 +412,7 @@ class TestControllerTelemetry:
         rejected = telemetry.events.last("replan_rejected")
         assert rejected["search_wall_s"] == 0.25
         assert rejected["combos_evaluated"] == 7
+        assert rejected["segment_steps"] == 9
 
     def test_controller_without_telemetry_is_silent_noop(self):
         controller = make_hysteresis_controller(telemetry=None)

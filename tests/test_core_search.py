@@ -82,7 +82,7 @@ class TestLocalCandidates:
         program = linear_program("p", 4, MatchType.TERNARY)
         profile = uniform_profile(program)
         pipelet = partition(program)[0]
-        candidates, evaluated = local_candidates(
+        candidates, evaluated, _steps = local_candidates(
             program, pipelet, profile, model, SearchOptions(), 1.0
         )
         assert evaluated > 0
@@ -101,7 +101,7 @@ class TestLocalCandidates:
             )
             profile.entry_counts[name] = 3
         pipelet = partition(program)[0]
-        candidates, _ = local_candidates(
+        candidates, _, _ = local_candidates(
             program, pipelet, profile, model, SearchOptions(), 1.0
         )
         assert any(
@@ -113,7 +113,7 @@ class TestLocalCandidates:
         program = linear_program("p", 2, MatchType.TERNARY)
         profile = uniform_profile(program)
         pipelet = partition(program)[0]
-        candidates, _ = local_candidates(
+        candidates, _, _ = local_candidates(
             program, pipelet, profile, model, SearchOptions(), 1.0
         )
         assert not any(
@@ -125,7 +125,7 @@ class TestLocalCandidates:
         program = linear_program("p", 3, MatchType.TERNARY)
         profile = uniform_profile(program)
         pipelet = partition(program)[0]
-        candidates, _ = local_candidates(
+        candidates, _, _ = local_candidates(
             program, pipelet, profile, model, SearchOptions(), 1.0
         )
         gains = [c.gain_ns for c in candidates]
@@ -135,7 +135,7 @@ class TestLocalCandidates:
         program = linear_program("p", 3, MatchType.TERNARY)
         profile = uniform_profile(program)
         pipelet = partition(program)[0]
-        candidates, _ = local_candidates(
+        candidates, _, _ = local_candidates(
             program, pipelet, profile, model, SearchOptions(), 0.0
         )
         assert candidates == []

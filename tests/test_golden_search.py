@@ -105,7 +105,7 @@ def describe_plan(program, profile, target) -> dict:
     for cost in top_k(program, pipelets, profile, model, k=options.k):
         if cost.pipelet.is_switch_case:
             continue
-        candidates, evaluated = local_candidates(
+        candidates, evaluated, _steps = local_candidates(
             program, cost.pipelet, profile, model, options,
             cost.probability,
         )
