@@ -3,7 +3,8 @@
 The interpreter (:meth:`NicEmulator.process`) walks one packet at a
 time. This tier compiles the program DAG to per-node *batch kernels*
 that process an entire struct-of-arrays batch at once with numpy —
-partition the batch by flow key (``np.unique`` on key columns), resolve
+partition the batch by flow key (one sort of the key columns' packed
+words, :func:`_unique_matrix`), resolve
 each partition's table hit once, apply action effects and cost charging
 as vectorized column operations under index masks, and route surviving
 index sets to successor nodes.
@@ -86,6 +87,8 @@ from repro.nic.counters import (
     branch_counter,
     cache_counter,
 )
+from repro.nic.flow_cache import key_values, row_keys
+from repro.nic.match_engine import _pack
 from repro.nic.packet import FIVE_TUPLE, NEXT_TAB_ID, Packet
 from repro.nic.pipeline import bind_action
 from repro.nic.stats import RunStats
@@ -255,7 +258,8 @@ class ColumnBatch:
         for j, name in enumerate(FIVE_TUPLE):
             if name in self.names:
                 keymat[:, j] = self.values[self.names.index(name)]
-        return _unique_rows(keymat)
+        rows, kid = _unique_matrix(keymat)
+        return list(map(tuple, rows.tolist())), kid
 
 
 class ColumnSource:
@@ -336,6 +340,8 @@ class _Recording:
 class _CacheStep:
     """Op log of one cache step: who looked up what, in packet order.
 
+    ``slots`` and ``born`` are each unique key's cache slot (−1:
+    absent) and that slot's generation when the step read them.
     ``reached`` marks the unique keys an eviction of this step can reach
     (:func:`_reach`); ``replayed`` are the step positions of their
     packets and ``codes`` those packets' simulated outcomes. Every other
@@ -347,17 +353,21 @@ class _CacheStep:
         "idx",
         "keys",
         "kid",
+        "slots",
+        "born",
         "reached",
         "replayed",
         "codes",
         "recording",
     )
 
-    def __init__(self, cache, idx, keys, kid, reached):
+    def __init__(self, cache, idx, keys, kid, slots, reached):
         self.cache = cache
         self.idx = idx
         self.keys = keys
         self.kid = kid
+        self.slots = slots
+        self.born = cache.born[slots]
         self.reached = reached
         self.replayed = np.flatnonzero(reached[kid])
         self.codes: list = []
@@ -544,13 +554,30 @@ class _Walk:
 
 
 def _unique_matrix(keymat: np.ndarray):
-    """One sort: ``(the distinct rows, key id of every row)``."""
+    """One sort: ``(the distinct rows, key id of every row)``.
+
+    Rows of two or more columns are partitioned by their packed words
+    (:func:`~repro.nic.match_engine._pack`), and the partition is kept
+    only if every row equals its representative; when two distinct
+    rows pack to the same word, one ``lexsort`` of the columns does it.
+    """
     n, width = keymat.shape
     if width == 1:
         keys, kid = np.unique(keymat[:, 0], return_inverse=True)
         return keys[:, None], kid
     if width == 0 or n == 1:
         return keymat[:1], np.zeros(n, dtype=np.int64)
+    packed = _pack(keymat)
+    order = np.argsort(packed)
+    words = packed[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(words[1:], words[:-1], out=first[1:])
+    kid = np.empty(n, dtype=np.int64)
+    kid[order] = np.cumsum(first) - 1
+    rows = keymat[order[first]]
+    if (rows[kid] == keymat).all():
+        return rows, kid
     order = np.lexsort(keymat.T[::-1])
     ordered = keymat[order]
     first = np.empty(n, dtype=bool)
@@ -561,23 +588,22 @@ def _unique_matrix(keymat: np.ndarray):
     return ordered[first], kid
 
 
-def _unique_rows(keymat: np.ndarray):
-    """``_unique_matrix`` with the distinct rows as hashable tuples."""
-    rows, kid = _unique_matrix(keymat)
-    return list(map(tuple, rows.tolist())), kid
-
-
 def _split(ids: np.ndarray, idx: np.ndarray):
     """Yield ``(id, idx[ids == id])`` per distinct id, in id order.
 
-    One stable sort, so each group keeps ``idx``'s order.
+    One stable sort, so each group keeps ``idx``'s order. Plan, effect
+    and chain ids are small: as int16 numpy radix-sorts them, several
+    times faster than the int64 merge sort.
     """
     if idx.size == 0:
         return
     if (ids == ids[0]).all():
         yield int(ids[0]), idx
         return
-    order = np.argsort(ids, kind="stable")
+    keys = ids
+    if -(2**15) <= ids.min() and ids.max() < 2**15:
+        keys = ids.astype(np.int16)
+    order = np.argsort(keys, kind="stable")
     ordered = ids[order]
     members = idx[order]
     bounds = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
@@ -590,73 +616,75 @@ def _bump(totals: dict, name: str, count: int) -> None:
         totals[name] = totals.get(name, 0) + count
 
 
-def _reach(cache, keys, absent, counts):
+def _lru_keys(cache, slots) -> np.ndarray:
+    """The store in LRU order as a step's key ids: each entry the id of
+    the unique key in that slot, or −1 for a key no packet asks for."""
+    present = np.flatnonzero(slots >= 0)
+    key_of_slot = np.full(len(cache), -1, dtype=np.int64)
+    key_of_slot[slots[present]] = present
+    return key_of_slot[cache.lru_slots()]
+
+
+def _reach(cache, slots, counts):
     """Which unique keys of a cache step an eviction of it can reach.
 
-    ``absent``/``counts`` give, per unique key, whether the store lacks
-    it and how many arriving packets carry it. With ``free`` empty slots
-    a step evicts at most ``misses - free`` times, only a packet of an
-    absent or already evicted key can miss, and an eviction takes the
-    LRU head — which stays inside a prefix of the LRU order for as long
-    as that prefix holds a key no packet touches. So the shortest
+    ``slots``/``counts`` give, per unique key, its cache slot (−1:
+    absent) and how many arriving packets carry it. With ``free`` empty
+    slots a step evicts at most ``misses - free`` times, only a packet
+    of an absent or already evicted key can miss, and an eviction takes
+    the LRU head — which stays inside a prefix of the LRU order for as
+    long as that prefix holds a key no packet touches. So the shortest
     prefix with ``untouched keys >= absent packets + packets on the
     prefix's keys - free`` bounds the step: keys past it are never
     evicted (their packets hit, whatever the others do) and never
     become the head (so skipping them changes no other outcome).
-    Returns the reached keys as a mask and the prefix length (the whole
-    store when no prefix qualifies).
+    Returns the reached keys as a mask and the prefix as
+    :func:`_lru_keys` ids (the whole store when no prefix qualifies).
     """
-    store = cache._store
-    need = int(counts[absent].sum()) - (cache.capacity - len(store))
-    reached = absent.copy()
-    reach = 0
-    if need > 0:
-        key_id = dict(zip(keys, range(len(keys))))
-        counts = counts.tolist()
-        on_prefix = []
-        for key in store:
-            reach += 1
-            k = key_id.get(key)
-            if k is None:
-                need -= 1
-            else:
-                need += counts[k]
-                on_prefix.append(k)
-            if need <= 0:
-                break
-        reached[on_prefix] = True
-    return reached, reach
+    reached = slots < 0
+    need = int(counts[reached].sum()) - (cache.capacity - len(cache))
+    if need <= 0:
+        return reached, slots[:0]
+    lru = _lru_keys(cache, slots)
+    # Down the LRU order an untouched key lowers the need by one, a
+    # touched one raises it by its packets.
+    need_after = need + np.cumsum(np.where(lru < 0, -1, counts[lru]))
+    done = np.flatnonzero(need_after <= 0)
+    prefix = lru[: int(done[0]) + 1] if done.size else lru
+    reached[prefix[prefix >= 0]] = True
+    return reached, prefix
 
 
-def _simulate(cache, keys, positions, kid, times, reach) -> list:
+def _simulate(cache, prefix, positions, kid, times) -> list:
     """Run ``cache`` over a step's reached lookups on a copy.
 
     ``positions``/``kid``/``times`` give, in packet order, each replayed
     packet's position among the step's arrivals, its key id and its
-    sim-clock value; ``reach`` is the LRU prefix they can evict from
+    sim-clock value; ``prefix`` is the LRU prefix they can evict from
     (:func:`_reach`), the only part of the store copied. Returns one
     outcome code per packet. Exactly the interpreter's per-packet
     ``lookup`` then (on a miss) ``insert``: the insert happens later in
     the packet's life, but no other packet touches the cache in between.
     """
-    store = OrderedDict(islice(cache._store.items(), reach))
-    capacity = cache.capacity - (len(cache._store) - reach)
+    # Untouched prefix keys are told apart by negative ids.
+    ids = np.where(prefix >= 0, prefix, -1 - np.arange(len(prefix)))
+    store = OrderedDict.fromkeys(ids.tolist(), _HIT)
+    capacity = cache.capacity - (len(cache) - len(prefix))
     limiter = copy(cache._limiter)
     codes = []
     for position, k, now_s in zip(positions, kid, times):
-        key = keys[k]
-        held = store.get(key)
+        held = store.get(k)
         if held is None:
             if limiter is None or limiter.allow(now_s):
                 if len(store) >= capacity:
                     store.popitem(last=False)
-                store[key] = position
+                store[k] = position
                 codes.append(_MISS_INSERTED)
             else:
                 codes.append(_MISS_REJECTED)
         else:
-            store.move_to_end(key)
-            codes.append(held if type(held) is int else _HIT)
+            store.move_to_end(k)
+            codes.append(held)
     return codes
 
 
@@ -1118,7 +1146,6 @@ class ColumnarEngine:
         counter_ns = core.counter_update_ns
         insert_ns = core.table_insert_ns
         hit_key, miss_key = counter_keys or (None, None)
-        store = cache._store
         compile_effect = self._compile_effect
         run_effect = self._run_effect
         em = self._em
@@ -1154,31 +1181,18 @@ class ColumnarEngine:
                 )
 
         def kernel(walk: _Walk, idx: np.ndarray) -> None:
-            idx = np.sort(idx)  # cache semantics are packet-ordered
+            # Cache semantics are packet-ordered; idx arrives as a few
+            # sorted runs, which the stable sort merges in linear time.
+            idx = np.sort(idx, kind="stable")
             busy = charge(walk, idx)
-            keys, kid = _unique_rows(walk.key_matrix(idx, match_fields))
+            rows, kid = _unique_matrix(walk.key_matrix(idx, match_fields))
+            keys = row_keys(rows)
             self._bump_partitions(name, len(keys))
-            plan_of: dict = {}
-            plans = []
-            key_plans = []
-            for key in keys:
-                bound = store.get(key)
-                if bound is None:
-                    key_plans.append(-1)
-                    continue
-                plan = plan_of.get(bound)
-                if plan is None:
-                    plan = plan_of[bound] = len(plans)
-                    plans.append(bound)
-                key_plans.append(plan)
-            key_plans = np.array(key_plans, dtype=np.int64)
-            reached, reach = _reach(
-                cache,
-                keys,
-                key_plans < 0,
-                np.bincount(kid, minlength=len(keys)),
+            slots = cache.slots_of(keys)
+            reached, prefix = _reach(
+                cache, slots, np.bincount(kid, minlength=len(keys))
             )
-            step = _CacheStep(cache, idx, keys, kid, reached)
+            step = _CacheStep(cache, idx, keys, kid, slots, reached)
             walk.cache_steps.append(step)
             replayed = step.replayed
             _bump(em.columnar_cache_arrivals, name, idx.size)
@@ -1188,20 +1202,22 @@ class ColumnarEngine:
                 now = walk.now
                 step.codes = _simulate(
                     cache,
-                    keys,
+                    prefix,
                     replayed.tolist(),
                     kid[replayed].tolist(),
                     repeat(clock.now_s)
                     if now is None
                     else map(now.__getitem__, idx[replayed].tolist()),
-                    reach,
                 )
                 codes[replayed] = step.codes
-            hit_mask = codes == _HIT
-            for plan, group in _split(
-                key_plans[kid][hit_mask], idx[hit_mask]
+            hit_mask = codes == _HIT  # so the key is in its slot
+            effects = cache.effects
+            for effect_id, group in _split(
+                cache.effect_ids[slots[kid[hit_mask]]], idx[hit_mask]
             ):
-                run_hits(walk, busy, compile_effect(plans[plan]), group)
+                run_hits(
+                    walk, busy, compile_effect(effects[effect_id]), group
+                )
             if not replayed.size:
                 return
             leaders = idx[codes <= _MISS_INSERTED]
@@ -1464,10 +1480,9 @@ class ColumnarEngine:
 
         The reached packets among them go through the real ``lookup``/
         ``insert`` in packet order and must agree with the simulation.
-        One closing pass over the keys in last-occurrence order then
-        books the other keys' hits (one ``touch`` each) and moves every
-        key to where its last packet left it, which is the LRU order
-        and the stats of the individual lookups.
+        One :meth:`FlowCache.promote` then books the other packets'
+        hits and restamps every key in last-occurrence order, which is
+        the LRU order and the stats of the individual lookups.
         """
         cache = step.cache
         keys = step.keys
@@ -1476,11 +1491,12 @@ class ColumnarEngine:
             now = walk.now
             static_now = self._em.clock.now_s
             effects = walk.chain_effects
-            chain = step.recording.chain
+            at = step.idx[replayed]
             lookup = cache.lookup
-            for i, k, code in zip(
-                step.idx[replayed].tolist(),
+            for i, k, chain, code in zip(
+                at.tolist(),
                 step.kid[replayed].tolist(),
+                step.recording.chain[at].tolist(),
                 step.codes,
             ):
                 key = keys[k]
@@ -1489,32 +1505,38 @@ class ColumnarEngine:
                     missed
                     and cache.insert(
                         key,
-                        effects[chain[i]],
+                        effects[chain],
                         static_now if now is None else now[i],
                     )
                     != (code == _MISS_INSERTED)
                 ):
                     raise EmulationError(
                         f"cache step diverged from its simulation at "
-                        f"packet {i} (key {key}, predicted code {code})"
+                        f"packet {i} (key {key_values(key)}, predicted "
+                        f"code {code})"
                     )
         kid = step.kid[:ops]
         last = np.full(len(keys), -1, dtype=np.int64)
         last[kid] = np.arange(ops)  # repeated index: last one wins
-        counts = np.bincount(kid, minlength=len(keys)).tolist()
-        order = np.argsort(last, kind="stable")
-        reached = step.reached.tolist()
-        store = cache._store
-        try:
-            for k in order[np.searchsorted(last[order], 0):].tolist():
-                if not reached[k]:
-                    cache.touch(keys[k], counts[k])
-                elif keys[k] in store:  # else: rejected, or evicted since
-                    store.move_to_end(keys[k])
-        except KeyError as error:
+        touched = kid[np.sort(last[last >= 0])]
+        reached = step.reached[touched]
+        unreached = touched[~reached]
+        slots = step.slots[touched]
+        lost = cache.born[slots[~reached]] != step.born[unreached]
+        if lost.any():
+            key = keys[int(unreached[np.argmax(lost)])]
             raise EmulationError(
-                f"flow cache lost key {error} between walk and commit"
-            ) from None
+                f"flow cache lost key {key_values(key)} between walk "
+                f"and commit"
+            )
+        if reached.any():
+            # Where the replay left them; −1: rejected, or evicted since.
+            slots[reached] = cache.slots_of(
+                [keys[k] for k in touched[reached].tolist()]
+            )
+        cache.promote(
+            slots[slots >= 0], int(np.count_nonzero(~step.reached[kid]))
+        )
 
     def _demote_one(self, packet, i, stats, outcome, reason) -> None:
         """Interpret packet ``i``, in order (the caller has set the sim

@@ -12,7 +12,7 @@ busy time that the throughput model converts to Gbps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Hashable, Iterable, Optional
 
 from repro.errors import EmulationError
 from repro.ir.conditionals import ConditionalNode
@@ -27,7 +27,7 @@ from repro.nic.counters import (
     branch_counter,
     cache_counter,
 )
-from repro.nic.flow_cache import CacheStats, Effect, FlowCache
+from repro.nic.flow_cache import CacheStats, Effect, FlowCache, cache_key
 from repro.nic.packet import NEXT_TAB_ID, Packet
 from repro.nic.pipeline import BoundPrimitive, apply_primitive, bind_action
 from repro.nic.stats import PacketResult, RunStats
@@ -63,7 +63,7 @@ class _CacheRecording:
     """
 
     cache_name: str
-    key: tuple[int, ...]
+    key: Hashable  # a :func:`cache_key`
     covers: set[str]  # {"*"} means record everything (native cache)
     hit_next: Optional[str] = None
     effects: list[BoundPrimitive] = field(default_factory=list)
@@ -332,7 +332,8 @@ class NicEmulator:
                     NATIVE_CACHE_STEP, "cache", sum(busy.values())
                 )
             charge(entry_pipeline, core.lookup_ns)
-            effect = self.native_cache.lookup(packet.flow_key())
+            key = cache_key(packet.flow_key())
+            effect = self.native_cache.lookup(key)
             if effect is not None:
                 if trace is not None:
                     trace.note("hit")
@@ -346,7 +347,7 @@ class NicEmulator:
                 trace.note("miss")
             recordings.append(
                 _CacheRecording(
-                    "__native__", packet.flow_key(), {"*"}, hit_next=None
+                    "__native__", key, {"*"}, hit_next=None
                 )
             )
 
@@ -490,7 +491,7 @@ class NicEmulator:
         info = node.cache_info
         cache = self.flow_caches[node.name]
         charge(pipeline, core.lookup_ns)
-        key = packet.key(node.match_fields)
+        key = cache_key(packet.key(node.match_fields))
         effect = cache.lookup(key)
         if trace is not None:
             trace.note("hit" if effect is not None else "miss")

@@ -48,8 +48,9 @@ def _pack(rows: np.ndarray) -> np.ndarray:
         return rows[:, 0]
     multiplier = np.uint64(_PACK_MULTIPLIER)
     packed = np.zeros(len(rows), dtype=np.uint64)
-    for column in rows.T:
-        packed = packed * multiplier + column.astype(np.uint64)
+    for column in rows.view(np.uint64).T:
+        packed *= multiplier
+        packed += column
     return packed
 
 

@@ -884,11 +884,11 @@ def _worker_main(
                     (
                         "caches",
                         {
-                            name: dict(cache._store)
+                            name: dict(cache.items())
                             for name, cache in emulator.flow_caches.items()
                         },
                         (
-                            dict(emulator.native_cache._store)
+                            dict(emulator.native_cache.items())
                             if emulator.native_cache is not None
                             else None
                         ),
@@ -1940,7 +1940,8 @@ class ShardedEmulator:
             )
 
     def dump_caches(self) -> list[tuple[dict, Optional[dict], dict]]:
-        """Per-worker cache stores and table entries (test support)."""
+        """Per-worker cache contents (``FlowCache.items()`` as dicts,
+        in LRU order) and table entries (test support)."""
         self._check_open()
         dumps = []
         for reply in self._gather(("dump",), context="dump"):

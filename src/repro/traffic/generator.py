@@ -100,9 +100,9 @@ class TrafficGenerator:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._np_rng = np.random.default_rng(seed)
-        #: ``((n_flows, skew), weights)`` of the last Zipf draw: a
-        #: stream per cycle over one flow set recomputes nothing.
-        self._zipf_weights: tuple = (None, None)
+        #: ``((n_flows, skew), cdf)`` of the last Zipf draw: a stream
+        #: per cycle over one flow set recomputes nothing.
+        self._zipf_cdf: tuple = (None, None)
         self._flow_sets: list[FlowColumns] = []
 
     # -- flow selection patterns -------------------------------------------------
@@ -117,14 +117,22 @@ class TrafficGenerator:
     def zipf_indices(
         self, n_flows: int, n_packets: int, skew: float = 1.2
     ) -> np.ndarray:
-        """Zipf-distributed flow choices (high traffic locality)."""
-        shape, weights = self._zipf_weights
+        """Zipf-distributed flow choices (high traffic locality).
+
+        ``Generator.choice(n_flows, size=n_packets, p=weights)``'s own
+        arithmetic — one uniform draw per packet, looked up in the
+        normalised CDF — with the CDF kept between calls instead of
+        validated and summed again on each.
+        """
+        shape, cdf = self._zipf_cdf
         if shape != (n_flows, skew):
             ranks = np.arange(1, n_flows + 1, dtype=float)
             weights = ranks ** (-skew)
             weights /= weights.sum()
-            self._zipf_weights = ((n_flows, skew), weights)
-        return self._np_rng.choice(n_flows, size=n_packets, p=weights)
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            self._zipf_cdf = ((n_flows, skew), cdf)
+        return cdf.searchsorted(self._np_rng.random(n_packets), side="right")
 
     def round_robin_indices(
         self, n_flows: int, n_packets: int

@@ -114,7 +114,7 @@ def cache_state(cache) -> tuple:
     membership; the whole ``CacheStats``; the token bucket's floats."""
     limiter = cache._limiter
     return (
-        list(cache._store.items()),
+        list(cache.items()),
         cache.stats,
         None if limiter is None else (limiter._tokens, limiter._last),
     )
@@ -783,7 +783,7 @@ class TestCacheStep:
         )
         assert reference.dropped == 4
         cache = only_cache(col)
-        assert sum(("drop", ()) in e for e in cache._store.values()) == 1
+        assert sum(("drop", ()) in e for _, e in cache.items()) == 1
         assert (cache.stats.hits, cache.stats.misses) == (4, 4)
 
     def test_several_followers_of_one_leader(self):
@@ -998,6 +998,58 @@ class TestCacheStep:
         assert sum(replayed.values()) < sum(arrivals.values())
         assert all(replayed.get(name, 0) <= arrivals[name] for name in arrivals)
 
+    def test_scalar_cache_calls_are_the_replayed_packets(self, monkeypatch):
+        """Commit calls ``lookup`` once per replayed packet and
+        ``insert`` once per miss among them, and nothing per key: the
+        closing pass is one ``promote``."""
+        interp, col = plan_twins(capacity=4096)
+        flows = synth_flows(20_000)
+
+        def stream():
+            return TrafficGenerator(5).stream(
+                flows, 12_288, locality="zipf", zipf_skew=1.2
+            )
+
+        interp.replay(stream(), engine="interp")
+        calls = {"lookup": 0, "insert": 0}
+        for method in calls:
+            real = getattr(FlowCache, method)
+
+            def counted(cache, *args, _real=real, _method=method):
+                calls[_method] += 1
+                return _real(cache, *args)
+
+            monkeypatch.setattr(FlowCache, method, counted)
+        col.replay(stream(), batch=4096, engine="auto")
+        monkeypatch.undo()
+        assert_emulators_identical(interp.emulator, col.emulator)
+        assert col.emulator.columnar_demotions == {}
+        (name,) = col.emulator.flow_caches
+        replayed = col.emulator.columnar_cache_replayed[name]
+        assert calls == {
+            "lookup": replayed,
+            "insert": only_cache(col).stats.misses,
+        }
+        assert 0 < replayed < col.emulator.columnar_cache_arrivals[name]
+
+
+def test_unique_matrix_falls_back_when_two_rows_pack_alike():
+    """``(a, b)`` and ``(a + 1, b - M mod 2**64)`` share a packed word:
+    the exact check sees it and the lexsort partitions them apart."""
+    from repro.nic.match_engine import _PACK_MULTIPLIER, _pack
+
+    twin = (2 - _PACK_MULTIPLIER) % 2**64
+    twin -= 2**64 if twin >= 2**63 else 0
+    keymat = np.array(
+        [[1, 2], [2, twin], [1, 2], [5, 5], [2, twin], [5, 5]],
+        dtype=np.int64,
+    )
+    assert len(set(_pack(keymat).tolist())) == 2
+    rows, kid = columnar._unique_matrix(keymat)
+    assert sorted(map(tuple, rows.tolist())) == [(1, 2), (2, twin), (5, 5)]
+    assert (rows[kid] == keymat).all()
+    assert kid[0] == kid[2] and kid[1] == kid[4] and kid[3] == kid[5]
+
 
 class TestNoScalarEngineLookup:
     """A columnar replay resolves exact, LPM and ternary tables from
@@ -1183,11 +1235,10 @@ def test_property_cache_step_is_a_sequential_flow_cache(case):
     cache = only_cache(col)
     assert codes == columnar._simulate(
         cache,
-        step.keys,
+        columnar._lru_keys(cache, step.slots),
         range(n),
         step.kid.tolist(),
         timestamps,
-        len(cache),
     )
     sequential = copy.deepcopy(cache)
     for k, now_s, code in zip(step.kid.tolist(), timestamps, codes):

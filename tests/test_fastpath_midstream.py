@@ -45,7 +45,7 @@ def assert_state_identical(interp: Deployment, fast: Deployment):
     assert em_a.explicit_counters == em_b.explicit_counters
     for name, cache in em_a.flow_caches.items():
         other = em_b.flow_caches[name]
-        assert dict(cache._store) == dict(other._store)
+        assert list(cache.items()) == list(other.items())
         assert (
             cache.stats.hits,
             cache.stats.misses,

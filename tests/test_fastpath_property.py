@@ -90,8 +90,8 @@ def test_random_programs_bit_identical(seed, optimize):
         == interp.emulator.explicit_counters
     )
     for name, cache in interp.emulator.flow_caches.items():
-        assert dict(fast.emulator.flow_caches[name]._store) == dict(
-            cache._store
+        assert dict(fast.emulator.flow_caches[name].items()) == dict(
+            cache.items()
         )
 
 

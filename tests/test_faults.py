@@ -681,7 +681,7 @@ class TestCheckpointRecovery:
         def view(em):
             caches = {
                 name: (
-                    list(cache._store.items()),
+                    list(cache.items()),
                     vars(cache.stats),
                     vars(cache._limiter),
                 )

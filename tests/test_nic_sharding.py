@@ -119,7 +119,7 @@ def assert_sharded_identical(
             store = stores[name]
             assert not (set(union) & set(store))
             union.update(store)
-        assert union == dict(cache._store)
+        assert union == dict(cache.items())
     # And every worker's runtime tables mirror the template's.
     template = sharded.emulator.template
     template_tables = table_shapes(
@@ -300,9 +300,7 @@ class TestOrderedStream:
             stores, _native, _tables = sharded.emulator.dump_caches()[0]
             for name, cache in single.emulator.flow_caches.items():
                 # Same entries in the same LRU order.
-                assert list(stores[name].items()) == list(
-                    cache._store.items()
-                )
+                assert list(stores[name].items()) == list(cache.items())
                 assert cache.stats.evictions > 0
                 assert cache.stats.invalidations > 0
             totals = sharded.emulator.transport_stats()["totals"]
