@@ -59,11 +59,11 @@ SUPERVISOR = SupervisorOptions(
 )
 
 
-def _packets(n: int = N_PACKETS):
+def _stream(n: int = N_PACKETS):
+    """The stream itself, so the fleet replays it over the index ring
+    (a ``Packet`` list would go inline on the pipe)."""
     generator = TrafficGenerator(1)
-    return list(
-        generator.stream(synth_flows(N_FLOWS), n, locality="uniform")
-    )
+    return generator.stream(synth_flows(N_FLOWS), n, locality="uniform")
 
 
 def _make_fleet(fault_plan=None) -> Deployment:
@@ -101,16 +101,20 @@ def test_bench_fault_recovery():
             )
         )
         try:
-            packets = _packets()
+            stream = _stream()
             wall0 = time.perf_counter()
-            reference = clean.replay(packets, batch=BATCH)
+            reference = clean.replay(stream, batch=BATCH)
             clean_wall.append(time.perf_counter() - wall0)
-            packets = _packets()
+            stream = _stream()
             wall0 = time.perf_counter()
-            recovered = faulted.replay(packets, batch=BATCH)
+            recovered = faulted.replay(stream, batch=BATCH)
             faulted_wall.append(time.perf_counter() - wall0)
             # Correctness gate: recovery is exact, not approximate.
             assert faulted.emulator.respawns == [1, 0]
+            # Both timed the index ring, not the inline pipe.
+            for fleet in (clean, faulted):
+                totals = fleet.emulator.transport_stats()["totals"]
+                assert totals["fallback_encoding"] == 0, totals
             assert _fingerprint(recovered) == _fingerprint(reference)
         finally:
             clean.close()

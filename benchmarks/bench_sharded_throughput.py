@@ -15,15 +15,21 @@ back-to-back ``replay()`` calls of ``N_PACKETS`` each — long enough
 than start-up, in calls small enough that the per-packet latency list
 ``RunStats`` keeps stays under ~50 MB.
 
-The ``modeled`` block is a *model*, never a throughput: ``pps`` is
-``N_PACKETS / max(worker_busy_s)`` with each worker's own
-``time.process_time()`` taken from a replay of only its shard's flows
-(flow->shard is deterministic and per-flow state is shard-local, so
-the worker does the work of the mixed run without the other workers
-time-sharing its core). It is what the same fleet would retire on a
-host with one core per worker and a free RSS dispatcher, and
-``vs_wall_gap`` (modeled / wall) is the share of it the parent's
-draw-route-push and the scheduler take back.
+Beside it, the fleet's two serial terms, **measured** in the timed
+replays: ``parent_ns_per_packet`` (the parent's route + dispatch wall
+time, ``ShardedEmulator.parent_dispatch_ns``, stalls on a full ring
+apart) and ``worker_ns_per_packet`` (the busiest shard's
+``time.process_time()`` over its packets), and
+``predicted_speedup = T1 / max(parent, worker)`` with ``T1`` one
+core's wall ns/packet: what the fleet would reach if neither term
+waited on the other or on a shared CPU.
+
+The ``modeled`` block is a *model*, never a throughput, and not part
+of the headline: ``pps`` is ``N_PACKETS / max(worker_busy_s)`` with
+each worker's own ``time.process_time()`` taken from a replay of only
+its shard's flows (flow->shard is deterministic and per-flow state is
+shard-local, so the worker does the work of the mixed run without the
+other workers time-sharing its core).
 
 Gating: the **wall-clock** bar (>= ``WALL_SPEEDUP_FLOOR``x over one
 core at 4 workers) only applies when the process may run on >= 4 CPUs
@@ -91,6 +97,22 @@ def _timed(deployment, generator) -> tuple[float, float]:
     return time.perf_counter() - wall0, time.process_time() - cpu0
 
 
+def _fleet_sample(fleet, generator) -> tuple[float, float, float]:
+    """Wall seconds of one fleet sample, with the parent's and the
+    busiest worker's measured ns/packet over its replays."""
+    wall0 = time.perf_counter()
+    parent_ns = worker_ns = 0.0
+    for _ in range(ROUNDS):
+        _replay(fleet, generator)
+        engine = fleet.emulator
+        parent_ns += engine.parent_dispatch_ns
+        busy = engine.worker_busy_s
+        busiest = max(range(len(busy)), key=busy.__getitem__)
+        worker_ns += 1e9 * busy[busiest] / engine.worker_packets[busiest]
+    wall = time.perf_counter() - wall0
+    return wall, parent_ns / (ROUNDS * N_PACKETS), worker_ns / ROUNDS
+
+
 def _isolated_max_busy(fleet, n_workers: int, generator) -> float:
     """Critical-path worker CPU seconds for ``N_PACKETS``, each shard's
     flows replayed on their own (see the module docstring)."""
@@ -127,16 +149,21 @@ def test_bench_sharded_throughput():
         )
         l2l3_acl.install_base_entries(fleet.control_plane)
         wall, busy, wall_ratio, modeled_ratio = [], [], [], []
+        parent_ns, worker_ns, predicted = [], [], []
         try:
             _replay(fleet, generator, 2 * n * BATCH)  # compile, per worker
             for _ in range(REPEATS):
                 one_wall_s, one_cpu_s = _timed(single, generator)
                 single_wall.append(one_wall_s)
                 single_cpu.append(one_cpu_s)
-                wall_s, _ = _timed(fleet, generator)
+                wall_s, parent, worker = _fleet_sample(fleet, generator)
                 busy_s = _isolated_max_busy(fleet, n, generator)
                 wall.append(wall_s)
                 busy.append(busy_s)
+                parent_ns.append(parent)
+                worker_ns.append(worker)
+                one_ns = 1e9 * one_wall_s / (ROUNDS * N_PACKETS)
+                predicted.append(one_ns / max(parent, worker))
                 wall_ratio.append(one_wall_s / wall_s)
                 modeled_ratio.append(one_cpu_s / ROUNDS / busy_s)
             totals = fleet.emulator.transport_stats()["totals"]
@@ -147,9 +174,13 @@ def test_bench_sharded_throughput():
         sharded_results[str(n)] = {
             "wall_pps": round(wall_pps),
             "speedup_wall": round(median(wall_ratio), 2),
+            "predicted_speedup": round(median(predicted), 2),
+            "parent_ns_per_packet": round(median(parent_ns), 1),
+            "worker_ns_per_packet": round(median(worker_ns), 1),
             "ring_stalls": totals["stalls"],
-            "pipe_fallbacks": (
-                totals["fallback_encoding"] + totals["fallback_capacity"]
+            "pipe_fallbacks": totals["fallback_encoding"],
+            "ring_bytes_per_packet": round(
+                totals["pushed_bytes"] / totals["pushed_packets"], 2
             ),
             "modeled": {
                 "pps": round(modeled_pps),
@@ -195,14 +226,18 @@ def test_bench_sharded_throughput():
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
-    rows = [("1 (single)", single_result["wall_pps"], 1.0, "-", "-")]
+    single_ns = 1e9 / single_result["wall_pps"]
+    rows = [
+        ("1 (single)", single_result["wall_pps"], 1.0, "-", "-", "-")
+    ]
     rows += [
         (
             f"{n} workers",
             result["wall_pps"],
             result["speedup_wall"],
-            result["modeled"]["pps"],
-            result["modeled"]["speedup"],
+            result["parent_ns_per_packet"],
+            result["worker_ns_per_packet"],
+            result["predicted_speedup"],
         )
         for n, result in sharded_results.items()
     ]
@@ -213,18 +248,20 @@ def test_bench_sharded_throughput():
                 "config",
                 "wall_pps",
                 "wall_speedup",
-                "modeled_pps",
-                "modeled_speedup",
+                "parent_ns/pkt",
+                "worker_ns/pkt",
+                f"predicted (T1 {single_ns:.0f} ns)",
             ],
             rows,
         ),
     )
 
     # A sample must outlast start-up effects, and every batch of this
-    # uniform traffic must ride the ring.
+    # stream must ride the ring as one int64 index per packet.
     assert single_result["sample_wall_s"] >= 2.0, "raise ROUNDS"
     for result in sharded_results.values():
         assert result["pipe_fallbacks"] == 0
+        assert result["ring_bytes_per_packet"] == 8.0
     assert sharded_results["4"]["modeled"]["speedup"] >= 2.5
     assert sharded_results["2"]["modeled"]["speedup"] > 1.0
 

@@ -373,21 +373,26 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 emulator.columnar_cache_replayed
             )
         if args.jobs > 1:
-            ring_totals = deployment.emulator.transport_stats()["totals"]
-            summary["ring_stalls"] = ring_totals["stalls"]
-            summary["pipe_fallbacks"] = (
-                ring_totals["fallback_encoding"]
-                + ring_totals["fallback_capacity"]
-            )
-            busy = deployment.emulator.worker_busy_s
-            summary["worker_busy_s"] = busy
-            critical = max(busy) if busy else 0.0
-            # Modeled throughput under hardware flow dispatch (RSS):
-            # the fleet finishes when its busiest worker does.
-            summary["modeled_pps"] = (
-                stats.packets / critical if critical > 0 else 0.0
-            )
             emulator = deployment.emulator
+            ring_totals = emulator.transport_stats()["totals"]
+            summary["ring_stalls"] = ring_totals["stalls"]
+            summary["pipe_fallbacks"] = ring_totals["fallback_encoding"]
+            for key in ("pushed_packets", "pushed_bytes", "flow_sets_shipped"):
+                summary[key] = ring_totals[key]
+            busy = emulator.worker_busy_s
+            summary["worker_busy_s"] = busy
+            # Measured, per packet: the parent's serial route + dispatch
+            # (wall) and the busiest worker's own CPU time.
+            summary["parent_ns_per_packet"] = (
+                emulator.parent_dispatch_ns / stats.packets
+                if stats.packets
+                else 0.0
+            )
+            busiest = max(range(len(busy)), key=busy.__getitem__)
+            packets = emulator.worker_packets[busiest]
+            summary["worker_ns_per_packet"] = (
+                1e9 * busy[busiest] / packets if packets else 0.0
+            )
             respawns = emulator.total_respawns
             if respawns:
                 summary["respawns"] = respawns

@@ -159,13 +159,11 @@ class ColumnBatch:
     path (:meth:`from_packets` is the only Packet -> columns encoder,
     :meth:`make_packet` the only columns -> Packet decoder).
 
-    ``values`` is field-major ``(n_fields, n_packets)`` int64 — exactly
-    the layout of a shm ring slot, so the dispatcher stores it as is and
-    :func:`repro.nic.shm_transport.read_batch_record`'s views wrap with
-    zero copies. The base columns are never
-    mutated (walks copy-on-write), which keeps the shm ring slot pristine
-    and lets :meth:`make_packet` materialise a demoted packet from the
-    original data at any time.
+    ``values`` is field-major ``(n_fields, n_packets)`` int64 — the
+    layout of a flow set's matrices, so a batch of drawn flows is one
+    ``take`` of their columns. The base columns are never mutated
+    (walks copy-on-write), which lets :meth:`make_packet` materialise a
+    demoted packet from the original data at any time.
     """
 
     __slots__ = ("names", "values", "sizes", "timestamps", "n", "packets")
@@ -180,7 +178,7 @@ class ColumnBatch:
 
     @classmethod
     def from_matrix(cls, names, values, sizes, timestamps=None):
-        """Wrap SoA columns (shm views or a pipe payload) in place."""
+        """Wrap SoA columns (an inlined pipe payload) in place."""
         return cls(names, values, sizes, timestamps=timestamps)
 
     @classmethod
@@ -262,21 +260,43 @@ class ColumnBatch:
         return list(map(tuple, rows.tolist())), kid
 
 
+#: How many flow sets live at once, on both sides of a shard fleet. A
+#: source keeps the matrices of this many sets (most recently used
+#: first) and hands out the *same* :class:`~repro.traffic.flows.
+#: FlowColumns` object for a set it still keeps; a fleet registers a
+#: set by that object's identity and keeps this many registrations
+#: (oldest first out, the eviction its workers apply in message
+#: order). So a rotation over at most this many sets ships each set to
+#: a shard once; past it, a set the source rebuilt is a new object and
+#: is shipped again.
+FLOW_SETS_KEPT = 4
+
+
 class ColumnSource:
     """A one-shot ``Packet`` iterable that can also hand out what it
-    has left as column batches (:class:`repro.traffic.generator.
+    has left as flow indices (:class:`repro.traffic.generator.
     PacketStream` is the implementation).
 
-    Both views advance one cursor. ``batches(size)`` yields, ``size``
-    packets at a time, a :class:`ColumnBatch` — or the ``Packet`` list
-    when those packets are not SoA-uniform, decided per batch exactly
-    as :meth:`ColumnBatch.from_packets` decides.
+    Both views advance one cursor. ``flow_batches(size)`` yields,
+    ``size`` packets at a time, ``(flow set, chosen flow indices,
+    size_bytes)``: a flow set is a :class:`repro.traffic.flows.
+    FlowColumns`, and its ``batch(chosen, size_bytes)`` is the batch
+    itself. ``batches(size)`` is exactly that: a :class:`ColumnBatch`
+    — or the ``Packet`` list when those packets are not SoA-uniform,
+    decided per batch exactly as :meth:`ColumnBatch.from_packets`
+    decides. A shard fleet ships the flow set once and then the
+    indices, so its workers make the very batches one core makes; how
+    long a set stays shipped is :data:`FLOW_SETS_KEPT`.
     """
+
+    def flow_batches(self, size: int) -> Iterator[tuple]:
+        raise NotImplementedError
 
     def batches(
         self, size: int
     ) -> Iterator[Union[ColumnBatch, list[Packet]]]:
-        raise NotImplementedError
+        for flows, chosen, size_bytes in self.flow_batches(size):
+            yield flows.batch(chosen, size_bytes)
 
 
 def batched(

@@ -42,38 +42,44 @@ emulator there and keeps every same-shape flow cache (the rule one core
 uses). Nothing is forked: processes, rings, sidecar pipes, fault plan
 and respawn counters live from the fork to ``close``.
 
-One batch type each way. **Out:** the dispatcher works on columns. A
-column source (:class:`~repro.nic.columnar.ColumnSource`, what the
-traffic generator returns) hands it :class:`~repro.nic.columnar.
-ColumnBatch` es directly; any other ``Packet`` iterable is columnised
-chunk-wise up front (:meth:`ColumnBatch.from_packets`, the only
-Packet -> columns encoder). Each chunk's rows are sharded by resolving
-every *unique* five-tuple once with :func:`flow_shard`, appended as
-column slices to per-shard buffers, and cut off those at exactly
-``batch`` rows — so a shard's dispatch batches do not depend on how the
-stream was chunked. A worker ingests every batch as a ``ColumnBatch``
-whatever carried it; :meth:`NicEmulator.replay_batch` materialises
-``Packet`` objects from it only when the selected engine is
-``interp``. A batch's payload is the SoA form ``(names,
-values, sizes)`` plus timestamps, or — for rows SoA cannot express
-(metadata, mixed header sets, values outside int64), which stay
-``Packet`` objects from the chunk to the worker — the ``Packet`` list
-itself. **Back:** the merged stats and worker state of the ``end``
-reply, and nothing else.
+One batch type each way. **Out:** the dispatcher ships flow indices.
+A column source (:class:`~repro.nic.columnar.ColumnSource`, what the
+traffic generator returns) hands it ``(flow set, chosen indices,
+size_bytes)``. The first time a replay meets a flow set, every shard
+gets it once, in a journaled ``("flows", id, FlowColumns, size_bytes)``
+message, and the parent builds ``shard_of_flow`` — :func:`flow_shard`
+of each flow's five-tuple, so every packet lands where it always has.
+Routing a chunk is then ``shard_of_flow[chosen]`` plus one split, into
+per-shard buffers cut at exactly ``batch`` rows — so a shard's dispatch
+batches do not depend on how the stream was chunked. A worker makes
+each batch with ``flow_set.batch(chosen, size_bytes)``, the call one
+core makes, so its batches are one core's by construction (the
+``Packet``-list fallback of a non-uniform flow set included). Both
+sides keep at most :data:`FLOW_SETS_KEPT` flow sets and evict the
+oldest registration first, in message order, so they agree on every
+id (how long a set lives is :data:`~repro.nic.columnar.
+FLOW_SETS_KEPT`, one rule for the source and the fleet). Any other
+``Packet`` iterable has no flow indices: each chunk is encoded once
+(:meth:`ColumnBatch.from_packets`), routed by its unique five-tuples,
+buffered as column rows and inlined in a ``batch`` message; rows SoA
+cannot express are routed packet by packet and inlined as the
+``Packet`` list. :meth:`NicEmulator.
+replay_batch` materialises ``Packet`` objects from columns only when
+the selected engine is ``interp``. **Back:** the merged stats and
+worker state of the ``end`` reply, and nothing else.
 
 One ordered stream per shard: the command pipe. Every message a worker
-acts on — broadcasts, batches, ``begin``/``end`` — arrives on it, and
-its FIFO order is the only order there is. A SoA batch's payload that
-fits a slot is parked, as is, in the shard's shared-memory ring
-(:mod:`repro.nic.shm_transport`) — no per-packet Python objects and no
-pickling on the hot path — and a ``("ring",)`` token is sent in its
-place; the worker, blocked on the pipe, pops the ring head when it
-reads the token. The publish happens-before the token send, so a token
-without a published record is a protocol error, raised at once. What
-the ring cannot carry is inlined (pickled) in the ``batch`` message:
-a ``Packet``-list batch and a SoA batch that exceeds the slot geometry
-(both counted per shard and reason), and the journal replay after a
-respawn.
+acts on — broadcasts, flow sets, batches, ``begin``/``end`` — arrives
+on it, and its FIFO order is the only order there is. An index batch
+is parked in the shard's shared-memory ring
+(:mod:`repro.nic.shm_transport`; 8 B per packet, 16 B paced — no
+per-packet Python objects and no pickling on the hot path), and a
+``("ring",)`` token is sent in its place; the worker, blocked on the
+pipe, pops the ring head when it reads the token. The publish
+happens-before the token send, so a token without a published record
+is a protocol error, raised at once. What the ring does not carry is
+inlined (pickled): a ``Packet`` iterable's batches (counted per shard,
+reason ``encoding``) and the journal replay after a respawn.
 
 Fault tolerance (see DESIGN.md §12): every pipe interaction runs under
 a supervisor governed by :class:`SupervisorOptions`. Sends are
@@ -91,12 +97,13 @@ heartbeat with a hard deadline, classifying a silent worker as *slow*
     Terminate the failed worker, fork a fresh one, swap it to the
     shard's last *checkpoint* (the template as of a replay barrier plus
     the worker state it replied there: LRU cache contents, counters,
-    clock, lifetime totals), and replay the shard's message *journal*
-    (every state-bearing message since that checkpoint, swaps
-    included). Workers are deterministic functions of their message
-    history, so the rebuilt shard converges to the exact pre-failure
-    state and the merged run stats stay bit-identical to a fault-free
-    run — the property ``tests/test_faults.py`` pins. A journal past
+    clock, lifetime totals), re-register the flow sets it held then,
+    and replay the shard's message *journal* (every state-bearing
+    message since that checkpoint, swaps and flow sets included).
+    Workers are deterministic functions of their message history, so
+    the rebuilt shard converges to the exact pre-failure state and the
+    merged run stats stay bit-identical to a fault-free run — the
+    property ``tests/test_faults.py`` pins. A journal past
     :data:`JOURNAL_CHECKPOINT_BYTES` asks for a new checkpoint at the
     next barrier and is dropped, so it never holds much more than that
     plus one replay.
@@ -118,6 +125,7 @@ messages are small. Batches are bounded by the batch size.
 from __future__ import annotations
 
 import atexit
+import copy
 import dataclasses
 import multiprocessing as mp
 import pickle
@@ -126,13 +134,18 @@ import time
 import traceback
 from collections import Counter
 from functools import partial
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import EmulationError
 from repro.ir.entries import TableEntry
-from repro.nic.columnar import ColumnBatch, _split, batched
+from repro.nic.columnar import (
+    FLOW_SETS_KEPT,
+    ColumnBatch,
+    ColumnSource,
+    batched,
+)
 from repro.nic.control_plane import SimClock
 from repro.nic.counters import CounterBank
 from repro.nic.emulator import ENGINES, NicEmulator
@@ -142,8 +155,8 @@ from repro.nic.packet import Packet
 from repro.nic.shm_transport import (
     DEFAULT_RING_SLOTS,
     ShardChannel,
-    decode_names,
-    read_batch_record,
+    index_record_bytes,
+    read_index_record,
 )
 from repro.nic.stats import RunStats
 from repro.telemetry.metrics import Histogram
@@ -179,6 +192,9 @@ _METRIC_HELP = {
     "pipeleon_pipe_fallback_total": (
         "Batches sent over the pickled pipe instead of the ring"
     ),
+    "pipeleon_flow_sets_shipped_total": (
+        "Flow sets sent to a shard worker (once per registration)"
+    ),
 }
 
 #: Fraction buckets for the ring-occupancy histogram (eighths of the
@@ -203,10 +219,18 @@ JOURNAL_CHECKPOINT_BYTES = 4 << 20
 
 
 def _new_ring_stats() -> dict:
-    """Zeroed per-shard dispatch counters (plain, JSON-friendly)."""
+    """Zeroed per-shard dispatch counters (plain, JSON-friendly).
+
+    ``pushed_bytes`` is the ring payload; ``fallback_encoding`` counts
+    inlined batches of sources without flow indices.
+    ``fallback_capacity`` is always 0, kept because ``benchmarks/e2e``
+    reads it.
+    """
     return {
         "pushed_batches": 0,
         "pushed_packets": 0,
+        "pushed_bytes": 0,
+        "flow_sets_shipped": 0,
         "stalls": 0,
         "fallback_encoding": 0,
         "fallback_capacity": 0,
@@ -232,27 +256,82 @@ def flow_shard(flow_key: tuple[int, ...], n_shards: int) -> int:
     return hash(flow_key) % n_shards
 
 
-def _rows(part) -> int:
-    """Packets in a :class:`ColumnBatch` or a ``Packet`` list."""
-    return part.n if isinstance(part, ColumnBatch) else len(part)
+def _shard_table(flow_set, pick) -> np.ndarray:
+    """``pick(five-tuple)`` of every flow of a :class:`FlowColumns`, as
+    an int64 array indexed by flow.
+
+    Keys are read off the flow set's matrices, each unique one picked
+    once; a flow SoA cannot express is keyed through its packet.
+    """
+    table = np.zeros(len(flow_set.group), dtype=np.int64)
+    for group, names in enumerate(flow_set.names):
+        keys, key_of_column = ColumnBatch(
+            names, flow_set.values[group], None
+        ).flow_keys()
+        picked = np.fromiter(map(pick, keys), dtype=np.int64, count=len(keys))
+        members = np.flatnonzero(flow_set.group == group)
+        table[members] = picked[key_of_column[flow_set.column[members]]]
+    for flow in np.flatnonzero(flow_set.group < 0).tolist():
+        table[flow] = pick(flow_set.flows[flow].packet().flow_key())
+    return table
 
 
-def _take(part, rows: slice):
-    return part.take(rows) if isinstance(part, ColumnBatch) else part[rows]
+class _FlowSet:
+    """A flow set as the parent registered it with every shard."""
 
+    __slots__ = ("id", "columns", "shipped", "size_bytes", "bytes", "tables")
 
-def _at(ts, rows):
-    """Timestamps of ``rows``; None when the replay is unpaced."""
-    return None if ts is None else ts[rows]
+    def __init__(self, flow_set_id: int, columns, size_bytes: int):
+        self.id = flow_set_id
+        self.columns = columns
+        self.size_bytes = size_bytes
+        #: What the workers get: a uniform set's ``batch`` never reads
+        #: its specs (they back only the Packet-list fallback), so its
+        #: message carries a copy without them.
+        self.shipped = columns
+        if columns.uniform:
+            self.shipped = copy.copy(columns)
+            self.shipped.flows = None
+        #: What a ``flows`` message costs the journal: its arrays, and
+        #: the specs a non-uniform set ships for its fallback.
+        self.bytes = sum(
+            array.nbytes
+            for array in (columns.group, columns.column, *columns.values)
+        )
+        if not columns.uniform:
+            self.bytes += len(
+                pickle.dumps(columns.flows, pickle.HIGHEST_PROTOCOL)
+            )
+        #: Routing tables by shard list: every shard, or the survivors.
+        self.tables: dict[tuple[int, ...], np.ndarray] = {}
+
+    def holds(self, columns, size_bytes: int) -> bool:
+        return self.columns is columns and self.size_bytes == size_bytes
+
+    def message(self) -> tuple:
+        return ("flows", self.id, self.shipped, self.size_bytes)
+
+    def route(self, shards: tuple[int, ...]) -> np.ndarray:
+        """The shard of every flow over ``shards``: :func:`flow_shard`
+        when every shard is alive, the survivors by flow hash after."""
+        table = self.tables.get(shards)
+        if table is None:
+            pick = partial(flow_shard, n_shards=len(shards))
+            table = np.asarray(shards, dtype=np.int64)[
+                _shard_table(self.columns, pick)
+            ]
+            self.tables[shards] = table
+        return table
 
 
 class _ShardBuffer:
     """Rows bound for one shard, in stream order.
 
-    Parts are ``(ColumnBatch | Packet list, timestamps | None)`` as
-    :func:`_route` appended them; :meth:`cut` takes exactly the first
-    ``rows`` rows off the front, so the dispatch batches of a shard are
-    the same whatever chunks the rows came in.
+    Parts are ``(flow indices | ColumnBatch | Packet list, timestamps
+    | None)``; :meth:`cut` takes exactly the first ``rows`` rows off the
+    front, so the dispatch batches of a shard are the same whatever
+    chunks the rows came in. One replay fills a buffer from one source,
+    so the parts are all index arrays or all packet rows.
     """
 
     __slots__ = ("parts", "rows")
@@ -266,13 +345,11 @@ class _ShardBuffer:
         self.rows += _rows(part)
 
     def cut(self, rows: int):
-        """Pop the first ``rows`` rows as one ``(batch, timestamps)``.
+        """Pop the first ``rows`` rows as one ``(part, timestamps)``.
 
-        A :class:`ColumnBatch` when they are all columns over one
-        field tuple; otherwise the ``Packet`` list, column rows
-        materialised. An ``auto`` worker puts a list through
-        :meth:`ColumnBatch.from_packets` itself, so which packets the
-        kernels retire does not depend on the form chosen here.
+        Index arrays come back as one array; packet rows as one
+        :class:`ColumnBatch` when they are all columns over one field
+        tuple, else as the ``Packet`` list, column rows materialised.
         """
         taken = []
         need = rows
@@ -293,11 +370,14 @@ class _ShardBuffer:
         if taken[0][1] is not None:
             ts = np.concatenate([part_ts for _, part_ts in taken])
         first = parts[0]
+        if isinstance(first, np.ndarray):
+            # A copy even of one part: the journal keeps what it sends.
+            return np.concatenate(parts), ts
         if len(parts) == 1:
             return first, ts
-        if isinstance(first, ColumnBatch) and all(
+        if all(
             isinstance(part, ColumnBatch) and part.names == first.names
-            for part in parts[1:]
+            for part in parts
         ):
             return (
                 ColumnBatch(
@@ -307,46 +387,73 @@ class _ShardBuffer:
                 ),
                 ts,
             )
-        return (
-            [
-                packet
-                for part in parts
-                for packet in (
-                    map(part.make_packet, range(part.n))
-                    if isinstance(part, ColumnBatch)
-                    else part
-                )
-            ],
-            ts,
-        )
+        return [packet for part in parts for packet in _packets(part)], ts
 
 
-def _route(part, ts, buffers, pick) -> None:
-    """Append every row of ``part`` to the buffer ``pick(flow key)``
-    names, keeping stream order within each buffer.
+def _rows(part) -> int:
+    return part.n if isinstance(part, ColumnBatch) else len(part)
 
-    Columns resolve each *unique* five-tuple once; a ``Packet`` list
-    (a chunk SoA cannot express) is keyed packet by packet, and what
-    of it goes to one shard is given a second chance as columns — the
-    packet SoA cannot express may be another shard's.
-    """
+
+def _take(part, rows: slice):
+    return part.take(rows) if isinstance(part, ColumnBatch) else part[rows]
+
+
+def _at(ts, rows: slice):
+    return None if ts is None else ts[rows]
+
+
+def _packets(part) -> list:
     if isinstance(part, ColumnBatch):
-        keys, key_of_row = part.flow_keys()
+        return [part.make_packet(i) for i in range(part.n)]
+    return part
+
+
+def _route_packets(part, ts, buffers, pick) -> None:
+    """Append every row of ``part`` (a ``Packet`` list or a
+    :class:`ColumnBatch`) to the buffer ``pick(flow key)`` names,
+    keeping stream order within each buffer.
+
+    A part with an SoA form is encoded once, here, keyed off its
+    columns (one ``pick`` per unique five-tuple: ``Packet.flow_key``
+    costs microseconds a packet) and buffered as column rows. A list SoA
+    cannot express is keyed packet by packet and buffered as packets.
+    """
+    batch = (
+        part
+        if isinstance(part, ColumnBatch)
+        else ColumnBatch.from_packets(part)
+    )
+    if batch is not None:
+        keys, key_of_row = batch.flow_keys()
         targets = np.fromiter(
             map(pick, keys), dtype=np.int64, count=len(keys)
         )[key_of_row]
-        for target, rows in _split(
-            targets, np.arange(part.n, dtype=np.int64)
-        ):
-            buffers[target].append(part.take(rows), _at(ts, rows))
-        return
-    targets = [pick(packet.flow_key()) for packet in part]
-    for target in sorted(set(targets)):
-        rows = [i for i, t in enumerate(targets) if t == target]
-        packets = [part[i] for i in rows]
-        buffers[target].append(
-            ColumnBatch.from_packets(packets) or packets, _at(ts, rows)
+    else:
+        targets = np.fromiter(
+            (pick(packet.flow_key()) for packet in part),
+            dtype=np.int64,
+            count=len(part),
         )
+    for target in np.unique(targets).tolist():
+        rows = np.flatnonzero(targets == target)
+        buffers[target].append(
+            batch.take(rows)
+            if batch is not None
+            else [part[i] for i in rows.tolist()],
+            None if ts is None else ts[rows],
+        )
+
+
+def _route_indices(chosen, ts, buffers, table) -> None:
+    """Append every flow index to the buffer ``table[index]`` names,
+    keeping stream order within each buffer."""
+    targets = table[chosen]
+    for target, buffer in enumerate(buffers):
+        # ``compress`` takes a mask about twice as fast as ``[mask]``.
+        rows = targets == target
+        part = np.compress(rows, chosen)
+        if len(part):
+            buffer.append(part, None if ts is None else np.compress(rows, ts))
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +522,12 @@ class _WorkerGone(Exception):
 
 
 def _message_bytes(message: tuple) -> int:
-    """A journaled message's footprint: a SoA batch's array bytes,
-    anything else's pickled size."""
+    """A journaled message's footprint: an index batch's or a SoA
+    batch's array bytes, anything else's pickled size (a ``flows``
+    message is sized once, by the caller)."""
+    if message[0] == "index":
+        _op, _flow_set, chosen, ts = message
+        return chosen.nbytes + (0 if ts is None else ts.nbytes)
     if message[0] == "batch" and isinstance(message[1], tuple):
         _names, values, sizes = message[1]
         ts = message[2]
@@ -429,8 +540,9 @@ class _Checkpoint:
     """One shard's state at a replay barrier: what a respawn restores.
 
     ``spec`` is the template as of the barrier (a :func:`_swap_spec`),
-    ``state`` the barrier reply's :func:`_worker_state` and ``saved``
-    the rest of the worker (:func:`_checkpoint`). The parent never
+    ``state`` the barrier reply's :func:`_worker_state`, ``saved``
+    the rest of the worker (:func:`_checkpoint`) and ``flow_sets`` the
+    flow sets it held, oldest registration first. The parent never
     mutates any of it; a respawn pickles it to the fresh worker.
     """
 
@@ -438,21 +550,23 @@ class _Checkpoint:
     epoch: int
     state: dict
     saved: dict
+    flow_sets: tuple = ()
 
 
 class ShardJournal:
     """A shard's last checkpoint plus every state-bearing message since.
 
     Records every message that mutates worker state (``begin``,
-    ``batch``, ``entries``, ``invalidate``, ``flush``, ``reset``,
-    ``swap``) after ``checkpoint``. A worker is a deterministic
-    function of its message history, so restoring the checkpoint into a
-    freshly forked worker and replaying the journal rebuilds the exact
-    pre-failure emulator state — tables, epoch, caches, counters and
-    in-progress replay stats. Reply-bearing ops (``end``/``collect``/
-    ``dump``) are never journaled; after a recovery the supervisor
-    simply re-issues them, and at a barrier a reply may carry a new
-    checkpoint, which :meth:`rebase` takes in place of the entries.
+    ``flows``, ``index``, ``batch``, ``entries``, ``invalidate``,
+    ``flush``, ``reset``, ``swap``) after ``checkpoint``. A worker is a
+    deterministic function of its message history, so restoring the
+    checkpoint into a freshly forked worker and replaying the journal
+    rebuilds the exact pre-failure emulator state — tables, epoch,
+    caches, counters and in-progress replay stats. Reply-bearing ops
+    (``end``/``collect``/``dump``) are never journaled; after a
+    recovery the supervisor simply re-issues them, and at a barrier a
+    reply may carry a new checkpoint, which :meth:`rebase` takes in
+    place of the entries.
     """
 
     __slots__ = ("checkpoint", "entries", "batches", "bytes")
@@ -465,11 +579,12 @@ class ShardJournal:
         #: Sum of the entries' :func:`_message_bytes`.
         self.bytes = 0
 
-    def append(self, message: tuple) -> None:
-        size = _message_bytes(message)
+    def append(self, message: tuple, size: Optional[int] = None) -> None:
+        if size is None:
+            size = _message_bytes(message)
         self.entries.append((message, size))
         self.bytes += size
-        if message[0] == "batch":
+        if message[0] in ("index", "batch"):
             self.batches += 1
 
     def rebase(self, checkpoint: _Checkpoint) -> None:
@@ -627,7 +742,8 @@ def _worker_main(
         stats: Optional[RunStats] = None
         busy = 0.0
         epoch = 0
-        names_memo: dict[bytes, tuple[str, ...]] = {}
+        #: Flow set id -> (FlowColumns, size_bytes), oldest first.
+        flow_sets: dict[int, tuple] = {}
 
         live_interval, live_every = live_cadence
         live_hist = Histogram() if tele_conn is not None else None
@@ -775,6 +891,18 @@ def _worker_main(
                 live_packets_since += n
                 maybe_live()
 
+        def replay_indices(flow_set: int, chosen, ts) -> None:
+            """Replay the batch one core makes of these flow indices."""
+            columns, size_bytes = flow_sets[flow_set]
+            batch = columns.batch(chosen, size_bytes)
+            if isinstance(batch, ColumnBatch):
+                batch.timestamps = ts
+                replay_any(batch, batch.n)
+            else:
+                replay_any(
+                    batch, len(batch), None if ts is None else ts.tolist()
+                )
+
         def replay_ring_head() -> None:
             record = channel.data.peek()
             if record is None:
@@ -784,19 +912,18 @@ def _worker_main(
                     f"{channel.data.consumed}, produced "
                     f"{channel.data.produced})"
                 )
-            blob, values, sizes, ts = read_batch_record(record)
-            names = names_memo.get(blob)
-            if names is None:
-                names = names_memo[blob] = decode_names(blob)
-            # Consume the SoA views in place: the batch kernels read
-            # the ring slot directly and copy-on-write any column they
-            # modify, so the slot stays pristine (demoted packets
-            # materialise from it). The cursor therefore advances only
-            # *after* replay; it still moves once per batch, which
-            # keeps supervision and the dispatcher's backpressure live.
-            batch = ColumnBatch.from_matrix(names, values, sizes, ts)
-            replay_any(batch, batch.n)
+            # ``batch`` copies the columns out of its flow set; the
+            # timestamps stay a view of the slot, so the cursor
+            # advances only *after* replay. It still moves once per
+            # batch, which keeps supervision and the dispatcher's
+            # backpressure live.
+            replay_indices(*read_index_record(record))
             channel.data.advance()
+
+        def state_reply() -> dict:
+            state = _worker_state(emulator)
+            state["flow_sets"] = list(flow_sets)
+            return state
 
         while True:
             if tele_conn is not None:
@@ -813,6 +940,12 @@ def _worker_main(
             start = time.process_time()
             if op == "ring":
                 replay_ring_head()
+            elif op == "index":
+                replay_indices(message[1], message[2], message[3])
+            elif op == "flows":
+                flow_sets[message[1]] = (message[2], message[3])
+                while len(flow_sets) > FLOW_SETS_KEPT:
+                    del flow_sets[next(iter(flow_sets))]
             elif op == "batch":
                 payload, ts = message[1], message[2]
                 if isinstance(payload, tuple):
@@ -838,7 +971,7 @@ def _worker_main(
                     (
                         "done",
                         retire(),
-                        _worker_state(emulator),
+                        state_reply(),
                         busy,
                         epoch,
                         saved_if(message[1]),
@@ -873,7 +1006,7 @@ def _worker_main(
                 reply(
                     (
                         "state",
-                        _worker_state(emulator),
+                        state_reply(),
                         epoch,
                         saved_if(message[1]),
                     )
@@ -1049,7 +1182,15 @@ class ShardedEmulator:
         #: Merged per-worker packet tracer from the last collection
         #: (None unless the worker emulators carry tracers).
         self.tracer = None
+        #: Per shard, the last replay's worker CPU seconds and packets.
         self.worker_busy_s: list[float] = [0.0] * n_workers
+        self.worker_packets: list[int] = [0] * n_workers
+        #: The last replay's parent wall time (perf_counter_ns) routing
+        #: and dispatching its batches — the fleet's serial term —
+        #: without the source's draw, the ``end`` barrier or waits on
+        #: a full ring (``parent_stall_ns``).
+        self.parent_dispatch_ns = 0
+        self.parent_stall_ns = 0
         #: Raw per-worker telemetry from the last collection (shard
         #: index order), before :meth:`_merge_states` pooled it.
         self.worker_states: list[dict] = []
@@ -1073,6 +1214,10 @@ class ShardedEmulator:
             )
             birth = _Checkpoint(self._spec, 0, state, saved)
         self._journals = [ShardJournal(birth) for _ in range(n_workers)]
+        #: Flow sets every live shard holds, oldest registration first
+        #: (at most :data:`FLOW_SETS_KEPT`).
+        self._flow_sets: list[_FlowSet] = []
+        self._next_flow_set = 0
         self._dead = [False] * n_workers
         self._dispatched_since_begin = [0] * n_workers
         #: Per-shard dispatch counters (see :func:`_new_ring_stats`);
@@ -1314,7 +1459,13 @@ class ShardedEmulator:
         if self._spec is None:
             self._spec = _swap_spec(self.template)
         self._journals[shard].rebase(
-            _Checkpoint(self._spec, epoch, state, saved)
+            _Checkpoint(
+                self._spec,
+                epoch,
+                state,
+                saved,
+                tuple(flow_set.message() for flow_set in self._flow_sets),
+            )
         )
 
     def _guarded_send(
@@ -1584,8 +1735,8 @@ class ShardedEmulator:
 
     def _replay_journal(self, shard: int) -> None:
         """Feed a freshly respawned worker its shard's history: a swap
-        to the checkpoint's template, the checkpointed state, then the
-        journal since.
+        to the checkpoint's template, the checkpointed state and flow
+        sets, then the journal since.
 
         Sends are deadline-guarded but not recovery-looped: a worker
         that cannot even absorb its own journal is not recoverable.
@@ -1597,6 +1748,7 @@ class ShardedEmulator:
         history = [
             ("swap", base.spec, base.epoch),
             ("restore", base.state, base.saved),
+            *base.flow_sets,
         ]
         history.extend(message for message, _size in journal.entries)
         for message in history:
@@ -2000,33 +2152,45 @@ class ShardedEmulator:
             self._dispatched_since_begin[shard] = 0
         self._broadcast(("begin",), context="replay begin")
         self._in_replay = True
+        self.parent_dispatch_ns = self.parent_stall_ns = 0
         try:
             buffers = [_ShardBuffer() for _ in range(n)]
             to_shard = partial(flow_shard, n_shards=n)
+            everyone = tuple(range(n))
             count = 0
-            for chunk in batched(packets, batch, columns=True):
-                if isinstance(chunk, list):
-                    # A plain Packet iterable takes the column route
-                    # too; only a chunk SoA cannot express stays a list.
-                    chunk = ColumnBatch.from_packets(chunk) or chunk
-                rows = _rows(chunk)
+            flow_set = None
+            if isinstance(packets, ColumnSource):
+                chunks = packets.flow_batches(batch)
+            else:
+                chunks = (
+                    (None, chunk, 0)
+                    for chunk in batched(packets, batch, columns=False)
+                )
+            for columns, chunk, size_bytes in chunks:
+                start = time.perf_counter_ns()
+                rows = len(chunk)
                 ts = None
                 if dt:
                     ts = t0 + dt * np.arange(count + 1, count + rows + 1)
                 count += rows
-                _route(chunk, ts, buffers, to_shard)
+                if columns is None:
+                    _route_packets(chunk, ts, buffers, to_shard)
+                else:
+                    if flow_set is None or not flow_set.holds(
+                        columns, size_bytes
+                    ):
+                        # A new flow set: what is buffered goes first.
+                        self._drain(buffers, batch, flow_set)
+                        flow_set = self._register(columns, size_bytes)
+                    _route_indices(chunk, ts, buffers, flow_set.route(everyone))
                 for shard in range(n):
                     while buffers[shard].rows >= batch:
-                        self._flush(shard, buffers, batch)
-            # Final drain. A degraded-mode flush redistributes its
-            # rows onto survivors — possibly one already drained this
-            # sweep — so sweep until every buffer is empty.
-            while any(buffer.rows for buffer in buffers):
-                for shard in range(n):
-                    if buffers[shard].rows:
-                        self._flush(
-                            shard, buffers, min(batch, buffers[shard].rows)
-                        )
+                        self._flush(shard, buffers, batch, flow_set)
+                self.parent_dispatch_ns += time.perf_counter_ns() - start
+            start = time.perf_counter_ns()
+            self._drain(buffers, batch, flow_set)
+            self.parent_dispatch_ns += time.perf_counter_ns() - start
+            self.parent_dispatch_ns -= self.parent_stall_ns
             if dt:
                 self.clock.advance(dt * count)
             merged = stats if stats is not None else RunStats()
@@ -2036,6 +2200,7 @@ class ShardedEmulator:
             ):
                 if reply is None:
                     self.worker_busy_s[shard] = 0.0
+                    self.worker_packets[shard] = 0
                     continue
                 tag, worker_stats, state, busy, epoch, saved = reply
                 self._check_epoch(shard, epoch)
@@ -2043,6 +2208,7 @@ class ShardedEmulator:
                 merged.merge(worker_stats)
                 states.append(state)
                 self.worker_busy_s[shard] = busy
+                self.worker_packets[shard] = worker_stats.packets
         finally:
             self._in_replay = False
         merged.lost_packets += self._lost_this_replay
@@ -2058,44 +2224,100 @@ class ShardedEmulator:
         and every tier is stats-identical to the interpreter."""
         return self.replay(packets, offered_pps=offered_pps)
 
-    def _flush(self, shard: int, buffers, rows: int) -> None:
-        """Dispatch the first ``rows`` rows buffered for ``shard``."""
+    def _register(self, columns, size_bytes: int) -> _FlowSet:
+        """The registered flow set of ``columns``, shipping it to every
+        live shard first when no shard holds it.
+
+        Registrations are matched by the object's identity: the
+        source's own cache of :data:`FLOW_SETS_KEPT` sets is what hands
+        the same object back, so a set stays shipped as long as both
+        keep it."""
+        for flow_set in self._flow_sets:
+            if flow_set.holds(columns, size_bytes):
+                return flow_set
+        flow_set = _FlowSet(self._next_flow_set, columns, size_bytes)
+        self._next_flow_set += 1
+        self._flow_sets.append(flow_set)
+        del self._flow_sets[:-FLOW_SETS_KEPT]
+        message = flow_set.message()
+        for shard in self._survivors():
+            if self._journaling:
+                self._journals[shard].append(message, flow_set.bytes)
+            if self._guarded_send(shard, message, context="flow set"):
+                self.ring_stats[shard]["flow_sets_shipped"] += 1
+                self._count("pipeleon_flow_sets_shipped_total", shard=shard)
+        return flow_set
+
+    def _drain(self, buffers, batch: int, flow_set) -> None:
+        """Dispatch everything buffered, ``batch`` rows at a time. A
+        degraded-mode flush redistributes its rows onto survivors —
+        possibly one already drained this sweep — so sweep until every
+        buffer is empty."""
+        while any(buffer.rows for buffer in buffers):
+            for shard, buffer in enumerate(buffers):
+                if buffer.rows:
+                    self._flush(
+                        shard, buffers, min(batch, buffer.rows), flow_set
+                    )
+
+    def _flush(self, shard: int, buffers, rows: int, flow_set) -> None:
+        """Dispatch the first ``rows`` rows buffered for ``shard``: flow
+        indices of ``flow_set``, or packet rows when it is None."""
         part, ts = buffers[shard].cut(rows)
         if not self._dead[shard]:
-            delivered = self._dispatch_batch(shard, part, ts)
+            if flow_set is None:
+                delivered = self._dispatch_packets(shard, part, ts)
+            else:
+                delivered = self._dispatch_indices(shard, flow_set, part, ts)
             if delivered:
                 self._dispatched_since_begin[shard] += rows
                 return
             # The shard degraded during this send: the batch was never
             # delivered, so fall through and reroute it.
-        survivors = self._survivors()
-        _route(
-            part,
-            ts,
-            buffers,
-            lambda key: survivors[hash(key) % len(survivors)],
-        )
+        survivors = tuple(self._survivors())
+        if flow_set is None:
+            _route_packets(
+                part,
+                ts,
+                buffers,
+                lambda key: survivors[hash(key) % len(survivors)],
+            )
+        else:
+            _route_indices(part, ts, buffers, flow_set.route(survivors))
 
-    def _dispatch_batch(
+    def _dispatch_indices(
         self,
         shard: int,
-        part: Union[ColumnBatch, list[Packet]],
+        flow_set: _FlowSet,
+        chosen: np.ndarray,
         ts: Optional[np.ndarray],
     ) -> bool:
-        """Journal one batch, then deliver it over the shard's pipe.
+        """Journal one index batch, park it in the shard's data ring
+        and send a ``ring`` token in its place. Returns False only when
+        the shard degraded mid-dispatch."""
+        self._journal(shard, ("index", flow_set.id, chosen, ts))
+        if not self._push_supervised(shard, flow_set.id, chosen, ts):
+            # Degraded, or respawned with this batch replayed from the
+            # journal: either way no token is owed.
+            return not self._dead[shard]
+        return self._guarded_send(shard, ("ring",), context="batch dispatch")
 
-        A SoA batch that fits a slot is parked in the shard's data
-        ring and a ``ring`` token is sent in its place; every other
-        batch is inlined in the message and counted per reason: the
-        ``Packet`` list when SoA cannot express it (metadata, mixed
-        header sets, out-of-range values; ``reason="encoding"``), the
-        SoA payload when it exceeds the slot geometry
-        (``reason="capacity"``). Returns False only when the shard
-        degraded mid-dispatch.
-        """
-        channel = self._channels[shard]
-        batch = part if isinstance(part, ColumnBatch) else None
-        if batch is None:
+    def _dispatch_packets(
+        self, shard: int, part, ts: Optional[np.ndarray]
+    ) -> bool:
+        """Journal one batch of a source without flow indices, then
+        inline it in a ``batch`` message (counted, reason
+        ``encoding``): SoA columns where they express it, the
+        ``Packet`` list otherwise. Returns False only when the shard
+        degraded mid-dispatch."""
+        batch = part
+        if not isinstance(part, ColumnBatch):
+            # Rows of a chunk SoA could not express: what of it goes
+            # to one shard may still have a column form.
+            batch = ColumnBatch.from_packets(part)
+        if batch is not None:
+            payload = (batch.names, batch.values, batch.sizes)
+        else:
             # The journal outlives the caller's packets: snapshot them.
             payload = (
                 [packet.clone() for packet in part]
@@ -2104,55 +2326,39 @@ class ShardedEmulator:
             )
             if ts is not None:
                 ts = ts.tolist()
-        else:
-            payload = (batch.names, batch.values, batch.sizes)
         message = ("batch", payload, ts)
         self._journal(shard, message)
-        if batch is not None and channel.batch_fits(
-            batch.n,
-            len(batch.names),
-            len(channel.names_blob(batch.names)),
-        ):
-            if not self._push_batch_supervised(shard, batch, ts):
-                # Degraded, or respawned with this batch replayed
-                # from the journal: either way no token is owed.
-                return not self._dead[shard]
-            message = ("ring",)
-        else:
-            self._count_fallback(
-                shard, "encoding" if batch is None else "capacity"
-            )
-        return self._guarded_send(
-            shard, message, context="batch dispatch"
-        )
+        self._count_fallback(shard, "encoding")
+        return self._guarded_send(shard, message, context="batch dispatch")
 
-    def _push_batch_supervised(
+    def _push_supervised(
         self,
         shard: int,
-        batch: ColumnBatch,
+        flow_set: int,
+        chosen: np.ndarray,
         ts: Optional[np.ndarray],
     ) -> bool:
-        """Park one SoA batch in the shard's data ring (backpressure).
+        """Park one index batch in the shard's data ring (backpressure).
 
-        A full ring stalls the dispatcher (counted once per batch)
-        under :meth:`_supervised_wait`, the same contract as a pipe
-        recv — a worker steadily draining a full ring is healthy
-        however long the stall lasts. Death and deadline escalate
-        through :meth:`_handle_failure`. Returns True once the record
-        is published, False when the worker failed first (the shard is
-        then degraded, or respawned on a fresh ring).
+        A full ring stalls the dispatcher (counted once per batch,
+        timed in ``parent_stall_ns``) under :meth:`_supervised_wait`,
+        the same contract as a pipe recv — a worker steadily draining
+        a full ring is healthy however long the stall lasts. Death and
+        deadline escalate through :meth:`_handle_failure`. Returns True
+        once the record is published, False when the worker failed
+        first (the shard is then degraded, or respawned on a fresh
+        ring).
         """
         channel = self._channels[shard]
         stats = self.ring_stats[shard]
 
         def try_push() -> bool:
-            return channel.try_push_batch(
-                batch.names, batch.values, batch.sizes, ts
-            )
+            return channel.try_push(flow_set, chosen, ts)
 
         if not try_push():
             stats["stalls"] += 1
             self._count("pipeleon_ring_stalls_total", shard=shard)
+            stalled = time.perf_counter_ns()
 
             def retry():
                 time.sleep(_STALL_POLL_S)
@@ -2170,8 +2376,13 @@ class ShardedEmulator:
                     elapsed_s=gone.elapsed_s,
                 )
                 return False
+            finally:
+                self.parent_stall_ns += time.perf_counter_ns() - stalled
         stats["pushed_batches"] += 1
-        stats["pushed_packets"] += batch.n
+        stats["pushed_packets"] += len(chosen)
+        stats["pushed_bytes"] += index_record_bytes(
+            len(chosen), ts is not None
+        )
         occupancy = channel.data.occupancy()
         if occupancy > stats["max_occupancy"]:
             stats["max_occupancy"] = occupancy

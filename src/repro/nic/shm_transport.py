@@ -4,10 +4,10 @@ Pickling every packet batch into a worker's command pipe and
 unpickling it on the other side costs, at the packet rates the sharded
 engine targets, more than replaying the batch. This module removes
 that serialization tax: per-shard **single-producer/single-consumer ring
-buffers** in ``multiprocessing.shared_memory``, carrying
-struct-of-arrays packet batches that the parent writes in place and the
-worker reads in place. No per-packet Python objects and no pickle bytes
-cross the process boundary on the hot path. The ring carries payload
+buffers** in ``multiprocessing.shared_memory``, carrying batches of
+flow indices that the parent writes in place and the worker reads in
+place. No per-packet Python objects and no pickle bytes cross the
+process boundary on the hot path. The ring carries payload
 only: a shard's command pipe is its one ordered message stream, and
 the dispatcher follows every published record with a ``("ring",)``
 token on that pipe, on which the worker pops the ring head (see
@@ -17,7 +17,9 @@ Ring layout (one shared-memory segment per ring)::
 
     [ control block: 128 B ]  word 0: produced count, word 8: consumed,
                               word 9: batches finished (consumer side)
-    [ slot 0: slot_bytes    ]  record headers are 64 B (8 int64 words)
+    [ slot 0: slot_bytes    ]  64 B header (8 int64 words: index, kind,
+                              5 meta words, commit), then the payload:
+                              n int64 flow indices [, n float64 times]
     [ slot 1: slot_bytes    ]
     ...
 
@@ -30,19 +32,20 @@ stamps — the record's own index (word 0) and a commit word
 (``index ^ COMMIT_MAGIC``, written last) — so a torn or stale slot is
 detected (:class:`TornRecordError`) instead of silently decoded.
 
-Batch records are struct-of-arrays: one contiguous ``int64`` row per
-packet *field* (a ``(n_fields, n_packets)`` field-major matrix — each
-field a contiguous numpy slice, exactly the substrate the columnar
-execution tier consumes: :class:`repro.nic.columnar.ColumnBatch.
-from_matrix` wraps these views in place, and workers running the
-columnar engine replay them with no row -> ``Packet`` materialisation
-at all), plus ``int32`` sizes and optional ``float64`` timestamps.
-Field names travel as one small utf-8 blob per batch (not per packet)
-and are memoized by the consumer. Nothing flows back
-through shared memory except two progress words in the control block
-(the consumer cursor and a *batches finished* count, see
-:attr:`ShmRing.finished`); results come home as merged stats in the
-``end`` reply.
+A record is one batch of flow indices: ``int64`` indices into a flow
+set the worker already holds, plus ``float64`` absolute clock times
+when the replay is paced — 8 B per packet unpaced, 16 B paced. The
+header's meta words are ``(n_packets, flow set id, has timestamps, 0,
+0)``. The flow set itself (the field-major ``int64`` matrices of
+:class:`repro.traffic.flows.FlowColumns`) crossed the command pipe
+once, in a ``flows`` message; the worker's
+``flow_set.batch(chosen, size_bytes)`` is the very call one core makes,
+so the batch it replays is the one-core batch by construction. One
+record kind, and a slot sized for ``batch`` paced packets holds any
+batch the dispatcher cuts. Nothing flows back through shared memory
+except two progress words in the control block (the consumer cursor
+and a *batches finished* count, see :attr:`ShmRing.finished`); results
+come home as merged stats in the ``end`` reply.
 
 Cleanup: every segment created here is registered in a process-local
 table and unlinked both on :meth:`ShmRing.close` and from an ``atexit``
@@ -64,16 +67,16 @@ import numpy as np
 from repro.errors import EmulationError
 
 __all__ = [
-    "BATCH_RECORD",
+    "INDEX_RECORD",
     "ShardChannel",
     "ShmRing",
     "TornRecordError",
-    "batch_record_bytes",
     "data_slot_bytes",
+    "index_record_bytes",
 ]
 
-#: Record kind (header word 1).
-BATCH_RECORD = 1
+#: Record kind (header word 1): the only one.
+INDEX_RECORD = 1
 
 #: XOR'd into a record's index to form its commit stamp (header word 7).
 #: Any value with high bits set works; it only needs to make a stale or
@@ -90,19 +93,9 @@ RECORD_HEADER_BYTES = 64
 #: shallow enough that backpressure reaches the dispatcher quickly.
 DEFAULT_RING_SLOTS = 8
 
-#: Sizing assumptions for :func:`data_slot_bytes`. A batch whose
-#: geometry exceeds the slot falls back to the pipe (counted, loud) —
-#: the ring never rejects traffic, it just stops being the fast path.
-DEFAULT_MAX_FIELDS = 32
-NAMES_BUDGET_BYTES = 512
-
 
 class TornRecordError(EmulationError):
     """A ring record failed its integrity stamps (torn or stale write)."""
-
-
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
 
 
 # ---------------------------------------------------------------------------
@@ -110,29 +103,14 @@ def _align8(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def batch_record_bytes(
-    n_packets: int,
-    n_fields: int,
-    names_len: int,
-    timestamps: bool,
-) -> int:
-    """Payload bytes one SoA batch record needs (excluding the header)."""
-    total = _align8(names_len)
-    total += 8 * n_fields * n_packets  # field-major int64 value matrix
-    total += _align8(4 * n_packets)  # int32 sizes
-    if timestamps:
-        total += 8 * n_packets  # float64 absolute clock times
-    return total
+def index_record_bytes(n_packets: int, timestamps: bool) -> int:
+    """Payload bytes of one index batch (excluding the header)."""
+    return (16 if timestamps else 8) * n_packets
 
 
-def data_slot_bytes(
-    batch: int,
-    max_fields: int = DEFAULT_MAX_FIELDS,
-    names_budget: int = NAMES_BUDGET_BYTES,
-) -> int:
-    """Slot size fitting a ``batch``-packet SoA record with headroom."""
-    payload = batch_record_bytes(batch, max_fields, names_budget, True)
-    return RECORD_HEADER_BYTES + _align8(payload)
+def data_slot_bytes(batch: int) -> int:
+    """Slot size fitting a paced ``batch``-packet index record."""
+    return RECORD_HEADER_BYTES + index_record_bytes(batch, True)
 
 
 # ---------------------------------------------------------------------------
@@ -388,112 +366,57 @@ class ShmRing:
 
 
 # ---------------------------------------------------------------------------
-# SoA batch codec
+# Index batch codec
 # ---------------------------------------------------------------------------
 
-def _names_blob(names: tuple[str, ...]) -> bytes:
-    return "\x00".join(names).encode("utf-8")
 
-
-def write_batch_record(
+def write_index_record(
     ring: ShmRing,
-    names_blob: bytes,
-    values: np.ndarray,
-    sizes: np.ndarray,
-    timestamps: Optional[Sequence[float]],
+    flow_set: int,
+    chosen: np.ndarray,
+    timestamps: Optional[np.ndarray],
 ) -> bool:
-    """Push one SoA batch; ``False`` when the ring is full.
+    """Push one batch of flow indices; ``False`` when the ring is full.
 
-    ``values`` is the field-major ``(n_fields, n_packets)`` int64
-    matrix of :class:`repro.nic.columnar.ColumnBatch` — the slot layout
-    itself, stored as is.
-
-    Raises ``ValueError`` when the record cannot fit a slot at all —
-    callers check :func:`batch_record_bytes` against
-    ``ring.payload_capacity`` first and fall back to the pipe.
+    ``chosen`` indexes the flow set registered as ``flow_set``;
+    ``timestamps`` are the packets' absolute clock times (None when
+    the replay is unpaced).
     """
-    n_fields, n_packets = values.shape
-    ts = (
-        np.asarray(timestamps, dtype=np.float64)
-        if timestamps is not None
-        else None
-    )
-    payload_bytes = batch_record_bytes(
-        n_packets, n_fields, len(names_blob), ts is not None
-    )
+    n_packets = len(chosen)
+    payload_bytes = index_record_bytes(n_packets, timestamps is not None)
 
     def writer(payload: memoryview) -> None:
-        offset = 0
-        payload[: len(names_blob)] = names_blob
-        offset += _align8(len(names_blob))
-        value_view = np.ndarray(
-            (n_fields, n_packets),
-            dtype=np.int64,
-            buffer=payload[offset : offset + 8 * n_fields * n_packets],
-        )
-        # Each field lands as a contiguous int64 row the consumer's
-        # columnar engine slices in place.
-        value_view[:] = values
-        offset += 8 * n_fields * n_packets
-        size_view = np.ndarray(
-            (n_packets,),
-            dtype=np.int32,
-            buffer=payload[offset : offset + 4 * n_packets],
-        )
-        size_view[:] = sizes
-        offset += _align8(4 * n_packets)
-        if ts is not None:
-            ts_view = np.ndarray(
+        np.ndarray(
+            (n_packets,), dtype=np.int64, buffer=payload[: 8 * n_packets]
+        )[:] = chosen
+        if timestamps is not None:
+            np.ndarray(
                 (n_packets,),
                 dtype=np.float64,
-                buffer=payload[offset : offset + 8 * n_packets],
-            )
-            ts_view[:] = ts
+                buffer=payload[8 * n_packets : 16 * n_packets],
+            )[:] = timestamps
 
-    meta = (
-        n_packets,
-        n_fields,
-        1 if ts is not None else 0,
-        len(names_blob),
-        0,  # unused
-    )
-    return ring.try_push(BATCH_RECORD, meta, payload_bytes, writer)
+    meta = (n_packets, flow_set, int(timestamps is not None), 0, 0)
+    return ring.try_push(INDEX_RECORD, meta, payload_bytes, writer)
 
 
-def read_batch_record(record: RecordView):
-    """In-place views of a batch record's columns.
-
-    Returns ``(names_blob, values, sizes, timestamps)`` where
-    ``values`` is the field-major ``(n_fields, n_packets)`` int64
-    matrix — every row a contiguous slice of the ring — and
-    ``timestamps`` is ``None`` when the batch was unpaced. Views stay
-    valid until ``ring.advance()``.
-    """
-    n_packets, n_fields, has_ts, names_len, _unused = record.meta
+def read_index_record(record: RecordView):
+    """``(flow set id, chosen, timestamps)`` of an index record, as
+    in-place views valid until ``ring.advance()`` (``timestamps`` is
+    None when the batch was unpaced)."""
+    n_packets, flow_set, has_ts, _unused, _unused2 = record.meta
     payload = record.payload
-    offset = 0
-    names_blob = bytes(payload[:names_len])
-    offset += _align8(names_len)
-    values = np.ndarray(
-        (n_fields, n_packets),
-        dtype=np.int64,
-        buffer=payload[offset : offset + 8 * n_fields * n_packets],
+    chosen = np.ndarray(
+        (n_packets,), dtype=np.int64, buffer=payload[: 8 * n_packets]
     )
-    offset += 8 * n_fields * n_packets
-    sizes = np.ndarray(
-        (n_packets,),
-        dtype=np.int32,
-        buffer=payload[offset : offset + 4 * n_packets],
-    )
-    offset += _align8(4 * n_packets)
     timestamps = None
     if has_ts:
         timestamps = np.ndarray(
             (n_packets,),
             dtype=np.float64,
-            buffer=payload[offset : offset + 8 * n_packets],
+            buffer=payload[8 * n_packets : 16 * n_packets],
         )
-    return names_blob, values, sizes, timestamps
+    return flow_set, chosen, timestamps
 
 
 # ---------------------------------------------------------------------------
@@ -505,55 +428,24 @@ class ShardChannel:
     """One shard's data ring (parent -> worker).
 
     Created by the parent *before* the worker forks, so both processes
-    map the same segment with no attach handshake.
+    map the same segment with no attach handshake. Its slots fit a
+    paced ``batch``-packet index record, so every batch of at most
+    ``batch`` packets fits.
     """
 
-    def __init__(
-        self,
-        batch: int,
-        slots: int = DEFAULT_RING_SLOTS,
-        max_fields: int = DEFAULT_MAX_FIELDS,
-    ):
+    def __init__(self, batch: int, slots: int = DEFAULT_RING_SLOTS):
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        self.batch = batch
-        self.max_fields = max_fields
-        self.data = ShmRing(slots, data_slot_bytes(batch, max_fields))
-        self._names_cache: dict[tuple[str, ...], bytes] = {}
+        self.data = ShmRing(slots, data_slot_bytes(batch))
 
-    # -- parent side -------------------------------------------------------
-
-    def batch_fits(
-        self, n_packets: int, n_fields: int, names_len: int
-    ) -> bool:
-        return (
-            batch_record_bytes(n_packets, n_fields, names_len, True)
-            <= self.data.payload_capacity
-        )
-
-    def names_blob(self, names: tuple[str, ...]) -> bytes:
-        blob = self._names_cache.get(names)
-        if blob is None:
-            blob = self._names_cache[names] = _names_blob(names)
-        return blob
-
-    def try_push_batch(
+    def try_push(
         self,
-        names: tuple[str, ...],
-        values: np.ndarray,
-        sizes: np.ndarray,
-        timestamps: Optional[Sequence[float]],
+        flow_set: int,
+        chosen: np.ndarray,
+        timestamps: Optional[np.ndarray],
     ) -> bool:
-        return write_batch_record(
-            self.data, self.names_blob(names), values, sizes, timestamps
-        )
+        """Parent side: publish one index batch (False: ring full)."""
+        return write_index_record(self.data, flow_set, chosen, timestamps)
 
     def close(self, unlink: bool = True) -> None:
         self.data.close(unlink=unlink)
-
-
-def decode_names(blob: bytes) -> tuple[str, ...]:
-    """Field-name tuple from a batch record's name blob."""
-    if not blob:
-        return ()
-    return tuple(blob.decode("utf-8").split("\x00"))

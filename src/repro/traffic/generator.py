@@ -8,24 +8,21 @@ uniform spreads it).
 Flow-index generation is vectorized: the selection patterns return numpy
 arrays drawn in one shot. A stream is a :class:`PacketStream` over those
 indices: an iterator of ``Packet`` for the per-packet engines and the
-tests, and a source of :class:`~repro.nic.columnar.ColumnBatch` for the
-columnar tier and the shard dispatcher, which never see a ``Packet``.
+tests, a source of :class:`~repro.nic.columnar.ColumnBatch` for the
+columnar tier, and a source of the flow indices themselves for the
+shard dispatcher, which ships a flow set once and then only indices.
+Neither of the last two sees a ``Packet``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.nic.columnar import ColumnBatch, ColumnSource
+from repro.nic.columnar import FLOW_SETS_KEPT, ColumnSource
 from repro.nic.packet import DEFAULT_PACKET_BYTES, Packet
 from repro.traffic.flows import FlowColumns, FlowSpec, synth_flows
-
-#: Flow sets a generator keeps the field matrices of (most recent
-#: first): a stream draws from one set, a mixed stream from one
-#: concatenation, and scenario phases alternate between a few.
-_FLOW_SETS_KEPT = 4
 
 _NO_INDICES = np.zeros(0, dtype=np.int64)
 
@@ -33,10 +30,12 @@ _NO_INDICES = np.zeros(0, dtype=np.int64)
 class PacketStream(ColumnSource):
     """One lazy, one-shot draw of packets, readable two ways.
 
-    Iterating yields ``Packet`` objects; :meth:`batches` hands out
-    :class:`ColumnBatch` es. Both advance the same cursor, so a consumer
-    may switch views mid-stream. Nothing is drawn — no RNG call, no
-    argument check — until the first packet or batch is asked for.
+    Iterating yields ``Packet`` objects; :meth:`flow_batches` hands out
+    ``(FlowColumns, chosen indices, size_bytes)`` and :meth:`batches`
+    the :class:`~repro.nic.columnar.ColumnBatch` es those make. All
+    advance the same cursor, so a consumer may switch views
+    mid-stream. Nothing is drawn — no RNG call, no argument check —
+    until the first packet or batch is asked for.
     """
 
     def __init__(
@@ -81,9 +80,9 @@ class PacketStream(ColumnSource):
             yield flows[order[cursor]].packet(size_bytes)
             cursor = self._cursor
 
-    def batches(
+    def flow_batches(
         self, size: int
-    ) -> Iterator[Union[ColumnBatch, list[Packet]]]:
+    ) -> Iterator[tuple[FlowColumns, np.ndarray, int]]:
         indices = self._drawn()
         if self._cursor >= len(indices):
             return  # nothing left: no reason to build a flow matrix
@@ -91,7 +90,7 @@ class PacketStream(ColumnSource):
         while self._cursor < len(indices):
             chosen = indices[self._cursor : self._cursor + size]
             self._cursor += len(chosen)
-            yield columns.batch(chosen, self._size_bytes)
+            yield columns, chosen, self._size_bytes
 
 
 class TrafficGenerator:
@@ -144,6 +143,12 @@ class TrafficGenerator:
     def flow_columns(self, flows: Sequence[FlowSpec]) -> FlowColumns:
         """The field matrices of ``flows``, built once per flow set.
 
+        The last :data:`~repro.nic.columnar.FLOW_SETS_KEPT` sets are
+        kept (a stream draws from one set, a mixed stream from one
+        concatenation, and scenario phases alternate between a few);
+        handing out the kept object again is what lets a shard fleet
+        reuse the copy its workers hold.
+
         A kept set is reused only while it still equals ``flows``
         element for element (an identity check per flow when the
         caller passes the same objects again), so a list mutated or
@@ -157,7 +162,7 @@ class TrafficGenerator:
                 return columns
         columns = FlowColumns(current)
         kept.insert(0, columns)
-        del kept[_FLOW_SETS_KEPT:]
+        del kept[FLOW_SETS_KEPT:]
         return columns
 
     # -- streams -------------------------------------------------------------------

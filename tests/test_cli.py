@@ -164,7 +164,13 @@ class TestReplay:
         for key in ("packets", "dropped", "mean_latency_ns"):
             assert sharded[key] == single[key]
         assert len(sharded["worker_busy_s"]) == 2
-        assert sharded["modeled_pps"] > 0
+        assert "modeled_pps" not in sharded
+        assert sharded["parent_ns_per_packet"] > 0
+        assert sharded["worker_ns_per_packet"] > 0
+        # Each shard got the flow set once, then 8 B per packet.
+        assert sharded["flow_sets_shipped"] == 2
+        assert sharded["pushed_packets"] == 500
+        assert sharded["pushed_bytes"] == 8 * 500
         # Sharded replays report the ring's dispatch counters.
         assert "transport" not in sharded
         assert sharded["pipe_fallbacks"] == 0

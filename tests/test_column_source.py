@@ -12,8 +12,11 @@ paces, reroutes and respawns exactly as the per-packet one did, and
 that a replay from a stream builds no ``Packet`` at all.
 """
 
+import copy
 import hashlib
+import pickle
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,12 +25,20 @@ from hypothesis import strategies as st
 
 from repro.apps import EXAMPLE_APPS
 from repro.core import Deployment, Pipeleon
+from repro.errors import EmulationError
+from repro.nic import sharding
+from repro.nic.faults import FaultPlan, FaultSpec
 from repro.nic.columnar import ColumnBatch, ColumnSource, batched
 from repro.nic.packet import FIVE_TUPLE, Packet
 from repro.nic.sharding import (
+    FLOW_SETS_KEPT,
     ShardedEmulator,
     SupervisorOptions,
-    _route,
+    _FlowSet,
+    _packets,
+    _route_indices,
+    _route_packets,
+    _shard_table,
     _ShardBuffer,
     flow_shard,
 )
@@ -41,8 +52,9 @@ from repro.traffic import (
     drop_rate_stream,
     synth_flows,
 )
-from repro.traffic.flows import FlowColumns
+from repro.traffic.flows import FlowColumns, FlowSpec
 from tests.test_faults import fast_options, make_sharded, make_single
+from tests.test_core_sharded import worker_caches
 from tests.test_nic_sharding import (
     assert_sharded_identical,
     stats_fingerprint,
@@ -387,11 +399,13 @@ GOLDEN = {
     },
     "fleet": _GOLDEN_FLEET,
 }
-#: The fleet's ring totals at that commit, same scenario.
+#: The fleet's ring totals, same scenario. Every batch of a stream
+#: rides the ring as flow indices, non-SoA ones included: at that
+#: commit 9 of these 31 batches (498 packets) went inline.
 GOLDEN_SHM_TOTALS = {
-    "pushed_batches": 22,
-    "pushed_packets": 1162,
-    "fallback_encoding": 9,
+    "pushed_batches": 31,
+    "pushed_packets": 1660,
+    "fallback_encoding": 0,
     "fallback_capacity": 0,
 }
 
@@ -518,6 +532,28 @@ def uniform_packets(draw):
     return [Packet(fields=dict(zip(names, row))) for row in rows]
 
 
+@st.composite
+def flow_sets(draw):
+    """Flows over a few repeated five-tuples; some carry another field
+    set, some a value outside int64 (no SoA form), in or out of the
+    five-tuple."""
+    pool = draw(
+        st.lists(st.tuples(*[_VALUES] * 5), min_size=1, max_size=6)
+    )
+    n = draw(st.integers(1, 40))
+    flows = []
+    for row in draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)):
+        flow = FlowSpec(*row)
+        kind = draw(st.sampled_from(["plain", "plain", "tagged", "huge"]))
+        if kind == "tagged":
+            flow = flow.with_fields(**{"vlan.id": 7})
+        elif kind == "huge":
+            field = draw(st.sampled_from(["ipv4.tos", "ipv4.src"]))
+            flow = flow.with_fields(**{field: 2**64})
+        flows.append(flow)
+    return flows
+
+
 class TestColumnDispatchShards:
     @settings(max_examples=120, deadline=None)
     @given(packets=uniform_packets(), n=st.sampled_from([1, 2, 3, 4, 7]))
@@ -529,58 +565,128 @@ class TestColumnDispatchShards:
             p.flow_key() for p in packets
         ]
         ts = np.arange(len(packets), dtype=np.float64)
-        buffers = [_ShardBuffer() for _ in range(n)]
-        _route(batch, ts, buffers, lambda key: flow_shard(key, n))
         listed = [_ShardBuffer() for _ in range(n)]
-        _route(list(packets), ts, listed, lambda key: flow_shard(key, n))
+        _route_packets(
+            list(packets), ts, listed, lambda key: flow_shard(key, n)
+        )
         for shard in range(n):
             expected = [
                 (shape(p), float(i))
                 for i, p in enumerate(packets)
                 if flow_shard(p.flow_key(), n) == shard
             ]
-            for buffer in (buffers[shard], listed[shard]):
-                assert buffer.rows == len(expected)
-                if not expected:
-                    continue
-                part, part_ts = buffer.cut(buffer.rows)
-                assert [
-                    (shape(p), t)
-                    for p, t in zip(
-                        from_batches_once(part), part_ts.tolist()
-                    )
-                ] == expected
+            buffer = listed[shard]
+            assert buffer.rows == len(expected)
+            if not expected:
+                continue
+            part, part_ts = buffer.cut(buffer.rows)
+            # Encoded once: the rows stay columns up to the dispatch.
+            assert isinstance(part, ColumnBatch)
+            assert [
+                (shape(p), t)
+                for p, t in zip(_packets(part), part_ts.tolist())
+            ] == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        flows=flow_sets(),
+        n=st.sampled_from([1, 2, 3, 4, 7]),
+        data=st.data(),
+    )
+    def test_flow_set_table_equals_flow_shard(self, flows, n, data):
+        """A flow set's routing table is :func:`flow_shard` of each
+        flow's packet, and routing drawn indices through it buffers
+        exactly the rows routing those packets does."""
+        table = _shard_table(
+            FlowColumns(flows), lambda key: flow_shard(key, n)
+        )
+        assert table.tolist() == [
+            flow_shard(flow.packet().flow_key(), n) for flow in flows
+        ]
+        chosen = np.array(
+            data.draw(
+                st.lists(
+                    st.integers(0, len(flows) - 1), min_size=1, max_size=60
+                )
+            ),
+            dtype=np.int64,
+        )
+        ts = np.arange(len(chosen), dtype=np.float64)
+        indexed = [_ShardBuffer() for _ in range(n)]
+        _route_indices(chosen, ts, indexed, table)
+        listed = [_ShardBuffer() for _ in range(n)]
+        _route_packets(
+            [flows[i].packet() for i in chosen.tolist()],
+            ts,
+            listed,
+            lambda key: flow_shard(key, n),
+        )
+        for shard in range(n):
+            expected = [
+                (i, float(t))
+                for t, i in enumerate(chosen.tolist())
+                if table[i] == shard
+            ]
+            assert indexed[shard].rows == listed[shard].rows == len(expected)
+            if not expected:
+                continue
+            part, part_ts = indexed[shard].cut(len(expected))
+            assert list(zip(part.tolist(), part_ts.tolist())) == expected
+            packets, packets_ts = listed[shard].cut(len(expected))
+            assert [shape(p) for p in _packets(packets)] == [
+                shape(flows[i].packet()) for i, _t in expected
+            ]
+            assert packets_ts.tolist() == part_ts.tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(
-        chunks=st.lists(uniform_packets(), min_size=1, max_size=5),
+        chunks=st.lists(
+            st.lists(st.integers(0, 99), min_size=1, max_size=40),
+            min_size=1,
+            max_size=5,
+        ),
         size=st.integers(1, 25),
+        form=st.sampled_from(["indices", "columns", "packets"]),
     )
-    def test_buffer_cuts_exact_batches_in_stream_order(self, chunks, size):
-        """Whatever mix of column and packet parts went in, ``cut``
-        hands back exactly the next ``size`` rows, as columns when they
-        are columns of one field tuple."""
+    def test_buffer_cuts_exact_batches_in_stream_order(
+        self, chunks, size, form
+    ):
+        """Flow indices, column rows or ``Packet`` rows: ``cut`` hands
+        back exactly the next ``size`` rows, in the form they went
+        in."""
         buffer = _ShardBuffer()
         expected = []
         stamp = 0
-        for index, packets in enumerate(chunks):
-            ts = np.arange(stamp, stamp + len(packets), dtype=np.float64)
-            stamp += len(packets)
-            expected += [(shape(p), float(t)) for p, t in zip(packets, ts)]
-            part = packets
-            if index % 2 == 0:
-                part = ColumnBatch.from_packets(packets)
+        for rows in chunks:
+            ts = np.arange(stamp, stamp + len(rows), dtype=np.float64)
+            stamp += len(rows)
+            expected += list(zip(rows, ts.tolist()))
+            if form == "packets":
+                part = [Packet(fields={"l4.sport": row}) for row in rows]
+            elif form == "columns":
+                part = ColumnBatch(
+                    ("l4.sport",),
+                    np.array([rows], dtype=np.int64),
+                    np.full(len(rows), 64, dtype=np.int64),
+                )
+            else:
+                part = np.array(rows, dtype=np.int64)
             buffer.append(part, ts)
         seen = []
         while buffer.rows:
             rows = min(size, buffer.rows)
             part, ts = buffer.cut(rows)
             assert len(ts) == rows
-            got = from_batches_once(part)
-            assert len(got) == rows
-            if isinstance(part, ColumnBatch):
-                assert part.values.shape == (len(part.names), rows)
-            seen += [(shape(p), t) for p, t in zip(got, ts.tolist())]
+            if form == "packets":
+                assert len(part) == rows
+                values = [packet.fields["l4.sport"] for packet in part]
+            elif form == "columns":
+                assert isinstance(part, ColumnBatch) and part.n == rows
+                values = part.values[0].tolist()
+            else:
+                assert part.dtype == np.int64 and len(part) == rows
+                values = part.tolist()
+            seen += list(zip(values, ts.tolist()))
         assert seen == expected
 
 
@@ -590,34 +696,50 @@ class TestColumnDispatchShards:
 
 
 def record_dispatches(monkeypatch, sharded, kill_before=None) -> list:
-    """Every ``(shard, as columns, flow keys, timestamps)`` the fleet
-    dispatches. ``kill_before=(shard, k)`` SIGKILLs that shard's worker
-    (and waits for it to be gone) just before its ``k``-th batch is
-    dispatched, so which batches died with it does not depend on how
-    fast the parent notices."""
-    real = ShardedEmulator._dispatch_batch
+    """Every ``(shard, as flow indices, flow keys, timestamps)`` the
+    fleet dispatches. ``kill_before=(shard, k)`` SIGKILLs that shard's
+    worker (and waits for it to be gone) just before its ``k``-th
+    batch is dispatched, so which batches died with it does not depend
+    on how fast the parent notices."""
+    real_indices = ShardedEmulator._dispatch_indices
+    real_packets = ShardedEmulator._dispatch_packets
     seen = []
 
-    def spying(self, shard, part, ts):
-        rows = part.n if isinstance(part, ColumnBatch) else len(part)
-        assert ts is None or len(ts) == rows
+    def record(fleet, shard, as_indices, keys, ts):
+        assert ts is None or len(ts) == len(keys)
         if kill_before == (shard, sum(1 for s, *_ in seen if s == shard)):
-            victim = self._procs[shard]
+            victim = fleet._procs[shard]
             victim.kill()
             victim.join(timeout=10.0)
             assert not victim.is_alive()
         seen.append(
             (
                 shard,
-                isinstance(part, ColumnBatch),
-                [p.flow_key() for p in from_batches_once(part)],
+                as_indices,
+                keys,
                 None if ts is None else [float(t) for t in ts],
             )
         )
-        return real(self, shard, part, ts)
 
-    monkeypatch.setattr(ShardedEmulator, "_dispatch_batch", spying)
+    def spying_indices(self, shard, flow_set, chosen, ts):
+        flows = flow_set.columns.flows
+        keys = [flows[i].flow_key() for i in chosen.tolist()]
+        record(self, shard, True, keys, ts)
+        return real_indices(self, shard, flow_set, chosen, ts)
+
+    def spying_packets(self, shard, part, ts):
+        keys = [packet.flow_key() for packet in _packets(part)]
+        record(self, shard, False, keys, ts)
+        return real_packets(self, shard, part, ts)
+
+    monkeypatch.setattr(ShardedEmulator, "_dispatch_indices", spying_indices)
+    monkeypatch.setattr(ShardedEmulator, "_dispatch_packets", spying_packets)
     return seen
+
+
+def routed(seen) -> list:
+    """Dispatches without the form they took."""
+    return [(shard, keys, ts) for shard, _indices, keys, ts in seen]
 
 
 class TestPacedFleetReplay:
@@ -658,7 +780,16 @@ class TestPacedFleetReplay:
                 )
             finally:
                 sharded.close()
-        assert runs[0] == runs[1] == runs[2]
+        # The stream ships flow indices on the ring; a Packet iterable
+        # has none and goes inline, cut and stamped the same.
+        assert routed(runs[0][0]) == routed(runs[1][0]) == routed(runs[2][0])
+        assert runs[0][2] == runs[1][2] == runs[2][2]
+        batches = len(runs[0][0])
+        assert runs[0][1]["pushed_batches"] == batches
+        assert runs[0][1]["fallback_encoding"] == 0
+        for _seen, totals, _counters in runs[1:]:
+            assert totals["pushed_batches"] == 0
+            assert totals["fallback_encoding"] == batches
         # Against the scalar definition: packet ``count`` (1-based, in
         # stream order) is stamped ``t0 + dt * count``, and a shard's
         # batches are its packets in order, 32 at a time.
@@ -679,7 +810,7 @@ class TestPacedFleetReplay:
                 len(keys) for s, _c, keys, _ts in runs[0][0] if s == shard
             ]
             assert all(size == 32 for size in sizes[:-1])
-        assert all(is_columns for _s, is_columns, _k, _t in runs[0][0])
+        assert all(as_indices for _s, as_indices, _k, _t in runs[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -709,13 +840,13 @@ class TestFaultsFromAColumnStream:
                     feed(), offered_pps=1e6, batch=self.BATCH
                 )
             emulator = sharded.emulator
+            totals = emulator.transport_stats()["totals"]
             return {
                 "stats": stats_fingerprint(stats),
                 "lost": stats.lost_packets,
-                "dispatches": seen,
-                "pushed": emulator.transport_stats()["totals"][
-                    "pushed_batches"
-                ],
+                "dispatches": routed(seen),
+                "pushed": totals["pushed_batches"],
+                "inline": totals["fallback_encoding"],
                 "respawns": list(emulator.respawns),
                 "degraded": sharded.emulator.degraded_shards,
                 "counters": sorted(emulator.counters.snapshot().items()),
@@ -727,12 +858,22 @@ class TestFaultsFromAColumnStream:
         finally:
             sharded.close()
 
+    @staticmethod
+    def assert_alike(from_columns, from_list):
+        """Same dispatches, stats and counters; the stream's batches
+        rode the ring and the list's went inline."""
+        assert from_columns["pushed"] > 0 and from_columns["inline"] == 0
+        assert from_list["pushed"] == 0 and from_list["inline"] > 0
+        for run in (from_columns, from_list):
+            del run["pushed"], run["inline"]
+        assert from_columns == from_list
+
     def test_degraded_reroutes_alike(self, monkeypatch):
         from_columns = self.run(monkeypatch, self.stream, "degraded")
         from_list = self.run(
             monkeypatch, lambda: list(self.stream()), "degraded"
         )
-        assert from_columns == from_list
+        self.assert_alike(from_columns, from_list)
         assert from_columns["degraded"] == [1]
         assert from_columns["lost"] == 4 * self.BATCH
         assert (
@@ -741,7 +882,7 @@ class TestFaultsFromAColumnStream:
         # Reroute targets: after the kill, shard 1's flows go where
         # ``hash(key) % len(survivors)`` sends them, and nowhere else.
         survivors = [0, 2]
-        for shard, _columns, keys, _ts in from_columns["dispatches"]:
+        for shard, keys, _ts in from_columns["dispatches"]:
             for key in keys:
                 home = flow_shard(key, 3)
                 assert shard == home or (
@@ -749,7 +890,7 @@ class TestFaultsFromAColumnStream:
                     and shard == survivors[hash(key) % len(survivors)]
                 )
         delivered = sum(
-            len(keys) for _s, _c, keys, _t in from_columns["dispatches"]
+            len(keys) for _s, keys, _t in from_columns["dispatches"]
         )
         # The batch whose send found the worker dead is dispatched
         # twice: once to shard 1, once rerouted.
@@ -760,7 +901,7 @@ class TestFaultsFromAColumnStream:
         from_list = self.run(
             monkeypatch, lambda: list(self.stream()), "respawn"
         )
-        assert from_columns == from_list
+        self.assert_alike(from_columns, from_list)
         assert from_columns["respawns"] == [0, 1, 0]
         assert from_columns["lost"] == 0
         # Bit-identical to a fleet nobody killed, shard 1 included.
@@ -882,6 +1023,311 @@ class TestNoMaterialisation:
             engine="interp",
         )
         assert stats.packets == 300
+
+
+# ---------------------------------------------------------------------------
+# (8) Flow indices to the fleet: the flow set once, then 8 B per packet
+# ---------------------------------------------------------------------------
+
+#: A flow no SoA form can hold: every batch holding it is the
+#: Packet-list batch, on one core and in a worker alike.
+HUGE_FLOW = synth_flows(41)[-1].with_fields(**{"ipv4.tos": 2**64})
+
+#: ``(make the traffic, offered_pps)`` of each source a fleet must
+#: replay like one core.
+FLEET_SOURCES = {
+    "uniform": (
+        lambda: TrafficGenerator(41).stream(
+            synth_flows(64), 900, locality="zipf"
+        ),
+        None,
+    ),
+    # (Disjoint flows: a cache key two shards share warms once per
+    # shard, the documented edge of the fleet's equivalence contract.)
+    "mixed_stream": (
+        lambda: drop_rate_stream(
+            TrafficGenerator(42),
+            900,
+            0.25,
+            dropped_flows=synth_flows(64, dport=6666)[32:],
+            passing_flows=synth_flows(32),
+        ),
+        None,
+    ),
+    "non_uniform": (
+        lambda: TrafficGenerator(43).stream(
+            synth_flows(40) + [HUGE_FLOW], 900
+        ),
+        None,
+    ),
+    "paced": (
+        lambda: TrafficGenerator(44).stream(
+            synth_flows(64), 900, locality="zipf"
+        ),
+        2.5e5,
+    ),
+    "packet_list": (
+        lambda: list(
+            TrafficGenerator(45).stream(synth_flows(64), 900, locality="zipf")
+        ),
+        None,
+    ),
+}
+
+
+def one_worker_fleet(deployment, **options):
+    """A fleet of one forked from a one-core ``deployment``, as
+    something with an ``emulator``: ``Deployment(jobs=1)`` is one core,
+    not a fleet."""
+    fleet = ShardedEmulator(deployment.emulator, 1, **options)
+    return SimpleNamespace(
+        emulator=fleet, replay=fleet.replay, close=fleet.close
+    )
+
+
+def fleet_of(jobs: int):
+    """A fleet of ``jobs`` workers on the optimized ``l2l3_acl`` plan
+    (its flow cache makes order visible)."""
+    if jobs > 1:
+        return non_soa_deployment(jobs)
+    return one_worker_fleet(
+        non_soa_deployment(1),
+        batch=64,
+        options=SupervisorOptions(recv_timeout_s=10.0),
+    )
+
+
+class TestFlowIndexDispatch:
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("source", sorted(FLEET_SOURCES))
+    def test_fleet_equals_one_core(self, source, jobs):
+        make, offered_pps = FLEET_SOURCES[source]
+        single = non_soa_deployment(1)
+        fleet = fleet_of(jobs)
+        try:
+            reference = single.replay(
+                make(), offered_pps=offered_pps, batch=64
+            )
+            replayed = fleet.replay(make(), offered_pps=offered_pps, batch=64)
+            assert stats_fingerprint(replayed) == stats_fingerprint(reference)
+            assert_sharded_identical(single, fleet)
+            totals = fleet.emulator.transport_stats()["totals"]
+        finally:
+            fleet.close()
+            single.close()
+        if source == "packet_list":
+            # No flow indices: every batch inline, nothing shipped.
+            assert totals["pushed_batches"] == totals["flow_sets_shipped"] == 0
+            assert totals["fallback_encoding"] > 0
+            return
+        assert totals["flow_sets_shipped"] == jobs
+        assert totals["fallback_encoding"] == 0
+        assert totals["pushed_packets"] == 900
+        per_packet = 16 if offered_pps else 8
+        assert totals["pushed_bytes"] == per_packet * 900
+
+    def test_one_flows_message_per_shard_per_flow_set(self, monkeypatch):
+        """A flow set crosses to each shard once while the shards hold
+        it; past :data:`FLOW_SETS_KEPT` newer ones the oldest is
+        evicted on both sides, and shipped again when it comes back."""
+        shipped = []
+        real_send = ShardedEmulator._guarded_send
+
+        def spying_send(self, shard, message, **kwargs):
+            if message[0] == "flows":
+                shipped.append((shard, message[1]))
+            return real_send(self, shard, message, **kwargs)
+
+        monkeypatch.setattr(ShardedEmulator, "_guarded_send", spying_send)
+        generators = [TrafficGenerator(seed) for seed in range(6)]
+        flows = synth_flows(32)
+        fleet = make_sharded("l2l3_acl", 2, options=fast_options(), batch=64)
+        try:
+            for _ in range(3):  # one flow set, three replays
+                fleet.replay(generators[0].stream(flows, 200), batch=64)
+            assert shipped == [(0, 0), (1, 0)]
+            # Each generator keeps its own matrix: another flow set.
+            for generator in generators[1:]:
+                fleet.replay(generator.stream(flows, 200), batch=64)
+            assert len(shipped) == 2 * len(generators)
+            engine = fleet.emulator
+            held = [flow_set.id for flow_set in engine._flow_sets]
+            assert held == [2, 3, 4, 5] and FLOW_SETS_KEPT == 4
+            engine.collect()
+            for state in engine.worker_states:
+                assert state["flow_sets"] == held
+            # Set 0 was evicted, so it ships again, under a new id.
+            fleet.replay(generators[0].stream(flows, 200), batch=64)
+            assert shipped[-2:] == [(0, 6), (1, 6)]
+            totals = engine.transport_stats()["totals"]
+            assert totals["flow_sets_shipped"] == 14
+        finally:
+            fleet.close()
+
+    def test_uniform_flow_set_ships_without_its_specs(self):
+        """Only the ``flows`` message drops a uniform set's specs; the
+        set itself pickles and copies whole, and the shipped copy
+        makes the batches the set makes."""
+        uniform = FlowColumns(synth_flows(8))
+        assert uniform.uniform
+        assert pickle.loads(pickle.dumps(uniform)).flows == uniform.flows
+        assert copy.deepcopy(uniform).flows == uniform.flows
+        shipped = _FlowSet(0, uniform, 64).message()[2]
+        assert shipped.flows is None and uniform.flows is not None
+        chosen = np.array([3, 0, 7, 3], dtype=np.int64)
+        ours, theirs = uniform.batch(chosen, 64), shipped.batch(chosen, 64)
+        assert ours.names == theirs.names
+        assert np.array_equal(ours.values, theirs.values)
+        assert np.array_equal(ours.sizes, theirs.sizes)
+        # A non-uniform set needs its specs for the Packet-list batch.
+        mixed = FlowColumns(
+            synth_flows(3) + [synth_flows(4)[3].with_fields(**{"vlan.id": 7})]
+        )
+        assert not mixed.uniform
+        assert _FlowSet(1, mixed, 64).message()[2].flows == mixed.flows
+
+    def test_respawn_after_a_checkpoint_that_holds_the_flow_set(
+        self, monkeypatch
+    ):
+        """The flow set ships in the first replay, whose ``end``
+        checkpoints; shard 0 dies in the second, whose journal names
+        the set but does not carry it. The respawn re-registers it from
+        the checkpoint and the fleet ends where a fault-free twin
+        does."""
+        monkeypatch.setattr(sharding, "JOURNAL_CHECKPOINT_BYTES", 1)
+        flows = synth_flows(64)
+
+        def run(fault_plan=None):
+            build, install = EXAMPLE_APPS["l2l3_acl"]
+            program = build()
+            fleet = Deployment(
+                program,
+                EMULATED_NIC,
+                jobs=2,
+                plan=Pipeleon(EMULATED_NIC).optimize(program),
+                batch=32,
+                supervisor=fast_options(recovery="respawn"),
+                fault_plan=fault_plan,
+            )
+            install(fleet.control_plane)
+            generator = TrafficGenerator(9)
+            first = fleet.replay(generator.stream(flows, 600), batch=32)
+            engine = fleet.emulator
+            base = engine._journals[0].checkpoint
+            assert [message[0] for message in base.flow_sets] == ["flows"]
+            first_batches = engine.ring_stats[0]["pushed_batches"]
+            second = fleet.replay(
+                generator.stream(flows, 600, locality="zipf"), batch=32
+            )
+            return fleet, first_batches, [first, second]
+
+        clean, first_batches, clean_stats = run()
+        try:
+            clean_caches = worker_caches(clean)
+            clean_counters = clean.emulator.counters.snapshot()
+        finally:
+            clean.close()
+        killed, _, killed_stats = run(
+            FaultPlan(
+                (FaultSpec("kill", shard=0, at_batch=first_batches + 2),)
+            )
+        )
+        try:
+            engine = killed.emulator
+            assert engine.respawns == [1, 0]
+            # Shipped once per shard: the respawn did not need a resend.
+            assert engine.transport_stats()["totals"]["flow_sets_shipped"] == 2
+            for replayed, reference in zip(killed_stats, clean_stats):
+                assert stats_fingerprint(replayed) == stats_fingerprint(
+                    reference
+                )
+            assert engine.counters.snapshot() == clean_counters
+            assert worker_caches(killed) == clean_caches
+        finally:
+            killed.close()
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_degraded_reroute(self, monkeypatch, jobs):
+        """Shard ``jobs - 1`` dies before its third batch: its flows
+        reroute over the survivors' table (``hash(key) % survivors``),
+        the batches it took are lost, and a fleet of one has no
+        survivor to reroute to."""
+        doomed = jobs - 1
+        options = fast_options(recovery="degraded")
+        if jobs == 1:
+            fleet = one_worker_fleet(
+                make_single("l2l3_acl"), batch=32, options=options
+            )
+        else:
+            fleet = make_sharded("l2l3_acl", jobs, options=options, batch=32)
+        try:
+            stream = TrafficGenerator(23).stream(
+                synth_flows(64), 900, locality="zipf"
+            )
+            seen = record_dispatches(
+                monkeypatch, fleet, kill_before=(doomed, 2)
+            )
+            if jobs == 1:
+                with pytest.raises(EmulationError, match="no survivors"):
+                    fleet.replay(stream, offered_pps=1e6, batch=32)
+                return
+            stats = fleet.replay(stream, offered_pps=1e6, batch=32)
+            assert fleet.emulator.degraded_shards == [doomed]
+            assert stats.lost_packets == 2 * 32
+            assert stats.packets == 900 - stats.lost_packets
+            survivors = [s for s in range(jobs) if s != doomed]
+            for shard, _indices, keys, _ts in seen:
+                for key in keys:
+                    home = flow_shard(key, jobs)
+                    assert shard == home or (
+                        home == doomed
+                        and shard == survivors[hash(key) % len(survivors)]
+                    )
+        finally:
+            fleet.close()
+
+    def test_registry_and_journal_stay_bounded_over_a_rotation(
+        self, monkeypatch
+    ):
+        """60 replays over scenario phases, each scenario built afresh
+        (new generators, so new flow sets): every worker holds exactly
+        the parent's at most :data:`FLOW_SETS_KEPT` flow sets, and a
+        shard's journal never holds more than the checkpoint threshold
+        plus one replay."""
+        threshold = 64 << 10
+        monkeypatch.setattr(sharding, "JOURNAL_CHECKPOINT_BYTES", threshold)
+        rotation = ("update_storm", "ddos_burst", "flash_crowd")
+        build, install = EXAMPLE_APPS["dash_routing"]
+        fleet = Deployment(
+            build(),
+            EMULATED_NIC,
+            jobs=2,
+            supervisor=fast_options(recovery="respawn"),
+        )
+        install(fleet.control_plane)
+        try:
+            engine = fleet.emulator
+            bases = []  # held, so that no two ids can coincide
+            for replay in range(60):
+                scenario = build_scenario(
+                    rotation[replay % 3], seed=str(replay // 3)
+                )
+                phase = scenario.phases[(replay // 3) % len(scenario.phases)]
+                before = [journal.bytes for journal in engine._journals]
+                fleet.replay(phase.stream_factory(300))
+                held = [flow_set.id for flow_set in engine._flow_sets]
+                assert len(held) <= FLOW_SETS_KEPT
+                for state in engine.worker_states:
+                    assert state["flow_sets"] == held
+                for shard, journal in enumerate(engine._journals):
+                    grown = max(journal.bytes - before[shard], 0)
+                    assert journal.bytes <= threshold + grown
+                    bases.append(journal.checkpoint)
+            assert len({id(base) for base in bases}) > 4  # checkpointed
+            shipped = engine.transport_stats()["totals"]["flow_sets_shipped"]
+            assert shipped >= 2 * 20  # new flow sets kept arriving
+        finally:
+            fleet.close()
 
 
 if __name__ == "__main__":  # pragma: no cover - golden recording

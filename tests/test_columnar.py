@@ -392,8 +392,14 @@ class TestShardedColumnar:
         )
         install(sharded.control_plane)
         try:
+            # The stream itself: its flow indices ride the ring.
             replayed = sharded.replay(
-                app_packets(5, n=600), offered_pps=1e6
+                TrafficGenerator(5).stream(
+                    synth_flows(48) + synth_flows(16, dport=6666),
+                    600,
+                    locality="zipf",
+                ),
+                offered_pps=1e6
             )
             assert sorted(replayed._latencies) == sorted(
                 reference._latencies

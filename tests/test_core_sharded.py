@@ -45,7 +45,7 @@ from tests.test_nic_sharding import (
 
 def packets(seed: int, n: int = 400):
     flows = synth_flows(64)
-    return list(TrafficGenerator(seed).stream(flows, n, locality="zipf"))
+    return TrafficGenerator(seed).stream(flows, n, locality="zipf")
 
 
 def make_pair(n_workers: int = 2):
@@ -313,7 +313,12 @@ def update_traffic(step: int):
 
 
 def journal_ops(fleet: ShardedEmulator) -> list[list[str]]:
-    """Per shard, each journaled message as ``op[:table][@epoch]``."""
+    """Per shard, each journaled message as ``op[:table][@epoch]``.
+
+    The golden sequence predates flow-index dispatch: an ``index``
+    batch reads as the ``batch`` it replaced, and the ``flows`` message
+    each replay's new flow set adds is checked here — right after its
+    ``begin`` — and left out."""
     def describe(message):
         op = message[0]
         if op == "entries":
@@ -322,12 +327,17 @@ def journal_ops(fleet: ShardedEmulator) -> list[list[str]]:
             return f"invalidate:{message[1]}@{message[2]}"
         if op == "flush":
             return f"flush@{message[1]}"
+        if op == "index":
+            return "batch"
         return op
 
-    return [
-        [describe(message) for message, _n in journal.entries]
-        for journal in fleet._journals
-    ]
+    sequences = []
+    for journal in fleet._journals:
+        ops = [describe(message) for message, _n in journal.entries]
+        flows = [i for i, op in enumerate(ops) if op == "flows"]
+        assert flows == [i + 1 for i, op in enumerate(ops) if op == "begin"]
+        sequences.append([op for op in ops if op != "flows"])
+    return sequences
 
 
 def drive_update_script(single, sharded, kill_after=None) -> dict:
@@ -535,7 +545,7 @@ class TestFleetRedeploy:
         clean, clean_replays = redeploy_twin(2, supervisor=options)
         with clean:
             ops = [m[0] for m, _ in clean.emulator._journals[0].entries]
-            first_after_swap = ops[: ops.index("swap")].count("batch")
+            first_after_swap = ops[: ops.index("swap")].count("index")
             clean_caches = worker_caches(clean)
             clean_counters = clean.emulator.counters.snapshot()
         killed, killed_replays = redeploy_twin(

@@ -916,7 +916,7 @@ class TestDeathBetweenPublishAndToken:
         engine = sharded.emulator
         doomed_ring = engine._channels[shard]
         doomed = engine._procs[shard]
-        real_push = ShardChannel.try_push_batch
+        real_push = ShardChannel.try_push
         real_send = ShardedEmulator._guarded_send
         pushes = 0
         sent: list = []
@@ -936,9 +936,7 @@ class TestDeathBetweenPublishAndToken:
                 sent.append((message[0], self._channels[shard]))
             return real_send(self, target, message, **kwargs)
 
-        monkeypatch.setattr(
-            ShardChannel, "try_push_batch", killing_push
-        )
+        monkeypatch.setattr(ShardChannel, "try_push", killing_push)
         monkeypatch.setattr(
             ShardedEmulator, "_guarded_send", spying_send
         )

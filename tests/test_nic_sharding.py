@@ -9,26 +9,29 @@ example app, at 2 and 4 workers, with and without mid-stream
 control-plane updates.
 """
 
+import numpy as np
 import pytest
 
 from repro.apps import EXAMPLE_APPS
 from repro.core import Deployment, Pipeleon
 from repro.errors import EmulationError
-from repro.nic.columnar import ColumnBatch
-from repro.nic.packet import Packet, make_packet
+from repro.nic.columnar import ColumnBatch, ColumnSource
+from repro.nic.packet import DEFAULT_PACKET_BYTES, make_packet
 from repro.nic.sharding import ShardedEmulator, flow_shard
 from repro.nic.stats import RunStats
 from repro.nic.targets import EMULATED_NIC
 from repro.traffic.flows import synth_flows
-from repro.traffic.generator import TrafficGenerator
+from repro.traffic.generator import PacketStream, TrafficGenerator
 
 WORKER_COUNTS = [2, 4]
 
 
-def app_packets(seed: int, n: int = 300) -> list[Packet]:
+def app_packets(seed: int, n: int = 300) -> PacketStream:
+    """A zipf stream over 64 flows: one-shot, and what a fleet ships as
+    flow indices. ``list()`` it for a source without flow indices."""
     generator = TrafficGenerator(seed)
     flows = synth_flows(48) + synth_flows(16, dport=6666)
-    return list(generator.stream(flows, n, locality="zipf"))
+    return generator.stream(flows, n, locality="zipf")
 
 
 def stats_fingerprint(stats: RunStats) -> tuple:
@@ -214,6 +217,23 @@ class TestShardedDifferential:
             sharded.close()
 
 
+class MidwayAction(ColumnSource):
+    """A column source that calls ``action`` just before it hands out
+    batch ``at`` of ``source``: a control-plane change between two
+    batches, wherever the replay dispatches them."""
+
+    def __init__(self, source: ColumnSource, at: int, action):
+        self.source = source
+        self.at = at
+        self.action = action
+
+    def flow_batches(self, size: int):
+        for index, item in enumerate(self.source.flow_batches(size)):
+            if index == self.at:
+                self.action()
+            yield item
+
+
 class TestOrderedStream:
     """The command pipe is a shard's one ordered stream: ring batches
     (a token on the pipe), inlined batches and broadcasts are acted on
@@ -253,44 +273,79 @@ class TestOrderedStream:
             twins.append(deployment)
         return twins
 
-    def stream(self, deployment):
-        """Five shard-0 flows (so the fleet's dispatch batches are the
-        single core's batches), chained: batch ``j`` is half flow ``j``
-        and half flow ``j + 1``, so in order — and only in order —
-        every batch boundary is a cache hit. Odd batches carry
-        metadata (inlined), even ones are uniform (the ring); halfway,
-        between two batches, the cached table loses its entries."""
-        flows = [
+    @staticmethod
+    def flows():
+        """Five shard-0 flows, so the fleet's dispatch batches are the
+        single core's batches."""
+        return [
             flow
             for flow in synth_flows(64)
             if flow_shard(flow.flow_key(), 2) == 0
         ][:5]
-        half = self.BATCH // 2
+
+    @staticmethod
+    def delete_routes(deployment) -> None:
+        control_plane = deployment.control_plane
+        for entry in control_plane.entries("l2l3_route"):
+            control_plane.delete_entry("l2l3_route", entry.entry_id)
+
+    def chain(self, index: int, position: int) -> int:
+        """Batch ``index`` is half flow ``index`` and half the next
+        one, so in order — and only in order — every batch boundary is
+        a cache hit."""
+        return (index + position // (self.BATCH // 2)) % 5
+
+    def stream(self, deployment):
+        """The chain as ``Packet`` s (a source without flow indices:
+        every batch is inlined). Odd batches carry metadata, even ones
+        are SoA-uniform; halfway, between two batches, the cached
+        table loses its entries."""
+        flows = self.flows()
         for index in range(self.N_BATCHES):
             if index == self.N_BATCHES // 2:
-                control_plane = deployment.control_plane
-                for entry in control_plane.entries("l2l3_route"):
-                    control_plane.delete_entry(
-                        "l2l3_route", entry.entry_id
-                    )
+                self.delete_routes(deployment)
             for position in range(self.BATCH):
-                flow = flows[(index + position // half) % len(flows)]
-                packet = flow.packet()
+                packet = flows[self.chain(index, position)].packet()
                 if index % 2:
                     packet.metadata["meta.mark"] = 1
                 yield packet
 
-    @pytest.mark.parametrize("ring_slots", [1, 16])
-    def test_alternating_payloads_and_broadcast_keep_order(
-        self, ring_slots
-    ):
+    def index_stream(self, deployment):
+        """The chain as flow indices (every batch rides the ring). Odd
+        batches draw flows holding a value outside int64, so a worker
+        makes them the ``Packet``-list batch one core makes; halfway
+        the cached table loses its entries."""
+        flows = self.flows()
+        odd = [flow.with_fields(**{"ipv4.tos": 2**64}) for flow in flows]
+        indices = np.array(
+            [
+                (index % 2) * len(flows) + self.chain(index, position)
+                for index in range(self.N_BATCHES)
+                for position in range(self.BATCH)
+            ],
+            dtype=np.int64,
+        )
+        return MidwayAction(
+            PacketStream(
+                TrafficGenerator(0),
+                lambda: (flows + odd, indices),
+                DEFAULT_PACKET_BYTES,
+            ),
+            self.N_BATCHES // 2,
+            lambda: self.delete_routes(deployment),
+        )
+
+    def replay_both(self, ring_slots, make_stream):
+        """Single core and fleet on ``make_stream``'s traffic: same
+        stats, counters and cache contents, in the same LRU order.
+        Returns the fleet's transport totals."""
         single, sharded = self.deployments(ring_slots)
         try:
             reference = single.replay(
-                self.stream(single), offered_pps=1e6, batch=self.BATCH
+                make_stream(single), offered_pps=1e6, batch=self.BATCH
             )
             replayed = sharded.replay(
-                self.stream(sharded), offered_pps=1e6, batch=self.BATCH
+                make_stream(sharded), offered_pps=1e6, batch=self.BATCH
             )
             assert stats_fingerprint(replayed) == stats_fingerprint(
                 reference
@@ -299,16 +354,30 @@ class TestOrderedStream:
             assert single.emulator.flow_caches  # the plan has a cache
             stores, _native, _tables = sharded.emulator.dump_caches()[0]
             for name, cache in single.emulator.flow_caches.items():
-                # Same entries in the same LRU order.
                 assert list(stores[name].items()) == list(cache.items())
                 assert cache.stats.evictions > 0
                 assert cache.stats.invalidations > 0
-            totals = sharded.emulator.transport_stats()["totals"]
-            half = self.N_BATCHES // 2
-            assert totals["pushed_batches"] == half
-            assert totals["fallback_encoding"] == half
+            return sharded.emulator.transport_stats()["totals"]
         finally:
             sharded.close()
+
+    @pytest.mark.parametrize("ring_slots", [1, 16])
+    def test_alternating_payloads_and_broadcast_keep_order(
+        self, ring_slots
+    ):
+        """Inlined batches of both payload forms and a broadcast."""
+        totals = self.replay_both(ring_slots, self.stream)
+        assert totals["pushed_batches"] == 0
+        assert totals["fallback_encoding"] == self.N_BATCHES
+
+    @pytest.mark.parametrize("ring_slots", [1, 16])
+    def test_ring_batches_and_broadcast_keep_order(self, ring_slots):
+        """Ring tokens — batches of both forms at the worker — and a
+        broadcast."""
+        totals = self.replay_both(ring_slots, self.index_stream)
+        assert totals["pushed_batches"] == self.N_BATCHES
+        assert totals["fallback_encoding"] == 0
+        assert totals["flow_sets_shipped"] == 2
 
     def test_ring_token_without_a_record_is_a_protocol_error(self):
         _, sharded = make_twins("l2l3_acl", 2)
@@ -491,7 +560,7 @@ class TestBatchCodec:
         """Every non-SoA reason, interleaved with uniform traffic."""
 
         def packets():
-            stream = app_packets(5, 200)
+            stream = list(app_packets(5, 200))
             # A metadata key no table reads: only the encoding differs.
             odd = non_soa_batches("meta.mark")
             for index, reason in enumerate(sorted(odd)):
@@ -506,9 +575,10 @@ class TestBatchCodec:
                 reference
             )
             assert_sharded_identical(single, sharded)
+            # A Packet list has no flow indices: every batch inline.
             totals = sharded.emulator.transport_stats()["totals"]
             assert totals["fallback_encoding"] >= 1
-            assert totals["pushed_batches"] >= 1
+            assert totals["pushed_batches"] == 0
         finally:
             sharded.close()
 

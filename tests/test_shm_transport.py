@@ -7,16 +7,18 @@ Three layers of proof:
   boundaries and variable payload sizes all behave identically, and a
   corrupted slot surfaces as :class:`TornRecordError`, never as a
   silently decoded batch.
-* **Codec** — a ``ColumnBatch``'s columns round-trip through a ring
-  slot bit-exactly (values, sizes, timestamps, field names).
+* **Codec** — a batch of flow indices (and its timestamps)
+  round-trips through a ring slot bit-exactly, 8 B per packet unpaced.
 * **Transport semantics** — a sharded replay is bit-identical to
   single-core, sends **zero** pickled batch messages over the pipe for
-  batches that fit a slot (the acceptance criterion: ``pickle.dumps``
-  is monkeypatched to raise mid-replay), inlines — counted — the SoA
-  batches a slot cannot hold, materialises no ``Packet`` in a worker
-  whichever carried the batch, cleans up every ``/dev/shm`` segment,
-  and — the supervision bugfix — a worker slowly draining a full ring
-  resets the hung deadline via its consumer cursor.
+  a stream — each shard gets the flow set once, then only indices
+  (the acceptance criterion: ``pickle.dumps`` is monkeypatched to raise
+  mid-replay) — however wide its flows, inlines — counted — the
+  batches of a source without flow indices, materialises no
+  ``Packet`` in a worker whichever carried the batch, cleans up every
+  ``/dev/shm`` segment, and — the supervision bugfix — a worker slowly
+  draining a full ring resets the hung deadline via its consumer
+  cursor.
 """
 
 import pickle
@@ -35,23 +37,21 @@ from repro.core import Deployment
 from repro.core.sharded import ShardedDeployment
 from repro.errors import EmulationError
 from repro.nic import shm_transport
-from repro.nic.columnar import ColumnBatch
 from repro.nic.faults import FaultPlan, FaultSpec
-from repro.nic.packet import Packet, make_packet
+from repro.nic.packet import Packet
 from repro.nic.sharding import ShardedEmulator, SupervisorOptions
 from repro.nic.targets import EMULATED_NIC
 from repro.nic.shm_transport import (
-    BATCH_RECORD,
     COMMIT_MAGIC,
     DEFAULT_RING_SLOTS,
+    INDEX_RECORD,
     RECORD_HEADER_BYTES,
     ShardChannel,
     ShmRing,
     TornRecordError,
-    batch_record_bytes,
     data_slot_bytes,
-    decode_names,
-    read_batch_record,
+    index_record_bytes,
+    read_index_record,
 )
 from repro.telemetry import Telemetry
 from tests.test_faults import make_sharded, make_single
@@ -108,7 +108,7 @@ class TestRingModel:
                         view[:length] = payload
 
                     ok = ring.try_push(
-                        BATCH_RECORD,
+                        INDEX_RECORD,
                         (length, fill, pushed, 0, 0),
                         length,
                         writer,
@@ -125,7 +125,7 @@ class TestRingModel:
                         continue
                     index, length, fill = model.popleft()
                     assert record.index == index
-                    assert record.kind == BATCH_RECORD
+                    assert record.kind == INDEX_RECORD
                     assert record.meta == (length, fill, index, 0, 0)
                     assert (
                         bytes(record.payload[:length])
@@ -149,7 +149,7 @@ class TestRingModel:
                     view[:8] = bytes([fill]) * 8
 
                 assert ring.try_push(
-                    BATCH_RECORD, (fill, 0, 0, 0, 0), 8, writer
+                    INDEX_RECORD, (fill, 0, 0, 0, 0), 8, writer
                 )
                 record = ring.peek()
                 assert record.index == index
@@ -166,7 +166,7 @@ class TestRingModel:
         ring = small_ring()
         try:
             assert ring.try_push(
-                BATCH_RECORD, (1, 2, 3, 4, 5), 8, lambda view: None
+                INDEX_RECORD, (1, 2, 3, 4, 5), 8, lambda view: None
             )
             header = np.ndarray(
                 (8,),
@@ -189,14 +189,14 @@ class TestRingModel:
         try:
             with pytest.raises(ValueError, match="exceeds slot"):
                 ring.try_push(
-                    BATCH_RECORD,
+                    INDEX_RECORD,
                     (0,) * 5,
                     PAYLOAD_CAP + 1,
                     lambda view: None,
                 )
             with pytest.raises(ValueError, match="5 int64"):
                 ring.try_push(
-                    BATCH_RECORD, (1, 2, 3), 8, lambda view: None
+                    INDEX_RECORD, (1, 2, 3), 8, lambda view: None
                 )
         finally:
             ring.close(unlink=True)
@@ -206,7 +206,7 @@ class TestRingModel:
         ring.close(unlink=True)
         ring.close(unlink=True)  # idempotent
         with pytest.raises(EmulationError, match="closed"):
-            ring.try_push(BATCH_RECORD, (0,) * 5, 8, lambda view: None)
+            ring.try_push(INDEX_RECORD, (0,) * 5, 8, lambda view: None)
         with pytest.raises(EmulationError, match="closed"):
             ring.peek()
 
@@ -220,89 +220,58 @@ class TestRingModel:
 
 
 # ---------------------------------------------------------------------------
-# SoA codec
+# Index codec
 # ---------------------------------------------------------------------------
 
 
-def uniform_packets(n: int = 7) -> list:
-    return [
-        make_packet(sport=1000 + i, dport=80 + (i % 3)) for i in range(n)
-    ]
-
-
-class TestSoaCodec:
+class TestIndexCodec:
     def test_round_trip_through_ring(self):
-        packets = uniform_packets()
-        batch = ColumnBatch.from_packets(packets)
-        names, sizes = batch.names, batch.sizes
-        channel = ShardChannel(batch=len(packets))
+        chosen = np.array([5, 0, 5, 3, 9, 1, 2], dtype=np.int64)
+        channel = ShardChannel(batch=len(chosen))
         try:
-            timestamps = [0.5 * i for i in range(len(packets))]
-            assert channel.try_push_batch(
-                names, batch.values, sizes, timestamps
-            )
+            timestamps = 0.5 * np.arange(len(chosen))
+            assert channel.try_push(3, chosen, timestamps)
             record = channel.data.peek()
             # The header describes the payload and nothing else.
-            assert record.meta == (
-                len(packets),
-                len(names),
-                1,
-                len(channel.names_blob(names)),
-                0,
-            )
-            blob, values, out_sizes, ts = read_batch_record(record)
-            assert decode_names(blob) == names
-            # Field-major: every field one contiguous int64 row.
-            assert values.shape == (len(names), len(packets))
-            assert values.flags["C_CONTIGUOUS"]
-            np.testing.assert_array_equal(values, batch.values)
-            np.testing.assert_array_equal(out_sizes, sizes)
-            np.testing.assert_allclose(ts, timestamps)
-            for field, row in zip(names, values):
-                assert row.tolist() == [
-                    p.fields[field] for p in packets
-                ]
-            del record, values, out_sizes, ts
+            assert record.kind == INDEX_RECORD
+            assert record.meta == (len(chosen), 3, 1, 0, 0)
+            flow_set, indices, ts = read_index_record(record)
+            assert flow_set == 3
+            np.testing.assert_array_equal(indices, chosen)
+            np.testing.assert_array_equal(ts, timestamps)
+            del record, indices, ts
             channel.data.advance()
         finally:
             channel.close()
 
     def test_round_trip_without_timestamps(self):
-        batch = ColumnBatch.from_packets(uniform_packets(3))
+        chosen = np.arange(3, dtype=np.int64)
         channel = ShardChannel(batch=4)
         try:
-            assert channel.try_push_batch(
-                batch.names, batch.values, batch.sizes, None
-            )
+            assert channel.try_push(0, chosen, None)
             record = channel.data.peek()
-            _blob, values, _sizes, ts = read_batch_record(record)
+            _flow_set, indices, ts = read_index_record(record)
             assert ts is None
-            np.testing.assert_array_equal(values, batch.values)
-            del record, values, _sizes
+            np.testing.assert_array_equal(indices, chosen)
+            del record, indices
             channel.data.advance()
         finally:
             channel.close()
 
-    def test_names_blob_memoized_and_decoded(self):
-        channel = ShardChannel(batch=2)
-        try:
-            names = ("a.b", "c.d")
-            assert channel.names_blob(names) is channel.names_blob(
-                names
-            )
-            assert decode_names(channel.names_blob(names)) == names
-            assert decode_names(b"") == ()
-        finally:
-            channel.close()
-
     def test_batch_fits_matches_geometry(self):
+        """A slot holds exactly one paced batch of the construction
+        size: 8 B per packet, 16 B paced, whatever the flows' width."""
         channel = ShardChannel(batch=32)
         try:
-            assert channel.batch_fits(32, 5, 64)
-            # Far past the sizing assumptions: cannot fit.
-            assert not channel.batch_fits(32, 2 * channel.max_fields, 64)
-            assert batch_record_bytes(1, 1, 0, False) == 16
+            assert index_record_bytes(1, False) == 8
+            assert index_record_bytes(1, True) == 16
             assert data_slot_bytes(32) % 8 == 0
+            assert channel.data.payload_capacity == index_record_bytes(
+                32, True
+            )
+            assert channel.try_push(0, np.zeros(32, np.int64), np.zeros(32))
+            with pytest.raises(ValueError, match="exceeds slot"):
+                channel.try_push(0, np.zeros(33, np.int64), np.zeros(33))
         finally:
             channel.close()
 
@@ -343,8 +312,7 @@ class TestSegmentCleanup:
 
 def wide_stream(seed: int, n: int):
     """``app_packets`` traffic carrying 35 header fields no table
-    reads: 45 columns, so a full batch exceeds a slot sized for
-    ``DEFAULT_MAX_FIELDS`` and only a short one fits."""
+    reads: 45 columns, which cross to a worker once, in its flow set."""
     extra = {f"opt.w{i:02d}": i for i in range(35)}
     flows = [
         flow.with_fields(**extra)
@@ -386,9 +354,12 @@ class TestShmReplaySemantics:
                 reference
             )
             assert "batch" not in sent_ops
+            assert sent_ops.count("flows") == 2  # once per shard
             totals = sharded.emulator.transport_stats()["totals"]
             assert totals["pushed_batches"] > 0
             assert totals["pushed_packets"] == 300
+            assert totals["pushed_bytes"] == 16 * 300  # paced
+            assert totals["flow_sets_shipped"] == 2
             assert totals["fallback_encoding"] == 0
             assert totals["fallback_capacity"] == 0
         finally:
@@ -404,7 +375,7 @@ class TestShmReplaySemantics:
             telemetry=telemetry,
         )
         try:
-            packets = app_packets(4, 120)
+            packets = list(app_packets(4, 120))
             for packet in packets[::3]:
                 packet.metadata["meta.mark"] = 1  # defeats the SoA form
             stats = sharded.replay(packets, offered_pps=1e6, batch=16)
@@ -428,10 +399,10 @@ class TestShmReplaySemantics:
     @pytest.mark.parametrize(
         "kill", [False, True], ids=["healthy", "kill-respawn"]
     )
-    def test_wide_batches_go_inline_bit_identical(self, kill):
-        """A SoA batch a slot cannot hold is inlined as SoA — counted,
-        journaled and replayed like any other — while each shard's
-        short last batch, which does fit, still rides the ring."""
+    def test_wide_flow_sets_ride_the_ring_bit_identical(self, kill):
+        """45 header fields per packet cost the ring what one field
+        costs: 16 B per paced packet. A respawn replays the journaled
+        flow set and index batches inline."""
         batch, n = 64, 1000
         kill_plan = FaultPlan((FaultSpec("kill", shard=0, at_batch=5),))
         single = make_single("l2l3_acl")
@@ -456,11 +427,11 @@ class TestShmReplaySemantics:
             )
             assert_sharded_identical(single, sharded)
             totals = sharded.emulator.transport_stats()["totals"]
-            # 15 full batches inlined, one short ring batch per shard.
-            assert totals["fallback_capacity"] == 15
+            assert totals["fallback_capacity"] == 0
             assert totals["fallback_encoding"] == 0
-            assert totals["pushed_batches"] == 2
-            assert totals["pushed_packets"] == n - 15 * batch
+            assert totals["pushed_packets"] == n
+            assert totals["pushed_bytes"] == 16 * n
+            assert totals["flow_sets_shipped"] == 2
             assert sharded.emulator.respawns == [int(kill), 0]
         finally:
             sharded.close()
@@ -527,11 +498,12 @@ class TestShmReplaySemantics:
 
 class TestWorkerIngestion:
     def test_pipe_workers_build_no_packets(self, monkeypatch):
-        """A batch too wide for a slot is inlined as the same columns
-        the ring carries: with ``Packet.__init__`` poisoned in the
-        workers (they fork while it is patched; the parent's copy is
-        restored to generate traffic), an ``engine="auto"`` replay of
-        inlined batches is still bit-identical."""
+        """A ``Packet`` list (a source without flow indices) is inlined
+        as SoA columns where they express it: with ``Packet.__init__``
+        poisoned in the workers (they fork while it is patched; the
+        parent's copy is restored to generate traffic), an
+        ``engine="auto"`` replay of inlined batches is still
+        bit-identical."""
 
         def poisoned(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("a worker materialised a Packet")
@@ -547,13 +519,16 @@ class TestWorkerIngestion:
             )
         try:
             reference = single.replay(wide_stream(21, 600), batch=64)
-            replayed = sharded.replay(wide_stream(21, 600), batch=64)
+            replayed = sharded.replay(
+                list(wide_stream(21, 600)), batch=64
+            )
             assert stats_fingerprint(replayed) == stats_fingerprint(
                 reference
             )
             assert sharded.emulator.columnar_demotions == {}
             totals = sharded.emulator.transport_stats()["totals"]
-            assert totals["fallback_capacity"] >= 8
+            assert totals["fallback_encoding"] >= 10
+            assert totals["pushed_batches"] == 0
         finally:
             sharded.close()
 
