@@ -237,13 +237,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if inject:
         from repro.nic.faults import FaultPlan
 
-        if args.jobs <= 1:
-            print(
-                "error: --inject-fault requires --jobs > 1 "
-                "(faults target shard workers)",
-                file=sys.stderr,
-            )
-            return 2
         fault_seed = (
             args.fault_seed
             if args.fault_seed is not None
@@ -269,14 +262,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         or args.live_every_packets is not None
     )
     if live_requested:
-        if args.jobs <= 1:
-            print(
-                "error: the live telemetry plane (--serve-metrics/"
-                "--slo/--flight-out/--live-*) requires --jobs > 1 "
-                "(snapshots stream from shard workers)",
-                file=sys.stderr,
-            )
-            return 2
         from repro.telemetry import LiveOptions, load_slo_rules
 
         rules = ()
@@ -311,9 +296,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
         if telemetry is None:
             # SLO breach/clear events need an event log to land in.
             telemetry = Telemetry()
-        # The aggregator thread starts immediately — workers heartbeat
-        # even between replays — and the scrape endpoint comes up when
-        # ``serve_port`` is set.
+        # The aggregator thread starts immediately — fleet workers
+        # heartbeat even between replays — and the scrape endpoint
+        # comes up when ``serve_port`` is set.
         live_plane = LivePlane(live_options, telemetry=telemetry).start()
     deployment = None
     try:
@@ -329,7 +314,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 fault_plan=fault_plan,
                 live_plane=live_plane,
             )
-        except ValueError as exc:  # e.g. a fault aimed past --jobs
+        except ValueError as exc:  # e.g. a fault plan at --jobs 1
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if install is not None:
@@ -440,9 +425,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
             summary["events_emitted"] = telemetry.events.emitted
         print(json.dumps(summary, indent=2))
     finally:
-        # Always close: a fleet releases the live plane and tears its
-        # workers down via try/finally; on one core it is a cheap
-        # listener detach.
+        # Always close: it releases the live plane and, on a fleet,
+        # tears the workers down via try/finally.
         # Exceptions mid-replay must not leak threads, ports or
         # processes either.
         try:
@@ -669,8 +653,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the always-on adaptation service (ROADMAP item 5).
 
-    Stands up one supervised sharded fleet + controller + daemon-
-    lifetime live telemetry plane, prints a ``ready`` JSON line, and
+    Stands up one data plane (a supervised sharded fleet, or in
+    process at ``--jobs 1``) + controller + daemon-lifetime live
+    telemetry plane, prints a ``ready`` JSON line, and
     serves replay/optimize/report/status jobs over an AF_UNIX socket
     until a ``drain``/``shutdown`` op or SIGTERM. Exit code 0 means
     the drain quiesced cleanly (no leaked workers or server threads).
@@ -912,15 +897,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PORT",
         help="serve live /metrics (Prometheus text) and /health "
-        "on this port during the replay (0 = ephemeral; "
-        "requires --jobs > 1)",
+        "on this port during the replay (0 = ephemeral)",
     )
     replay.add_argument(
         "--slo",
         default=None,
         metavar="RULES_JSON",
         help="SLO rule file evaluated each live interval; breaches "
-        "emit slo_breach/slo_clear events (requires --jobs > 1)",
+        "emit slo_breach/slo_clear events",
     )
     replay.add_argument(
         "--flight-out",
@@ -944,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="deterministic snapshot cadence: one per-shard "
         "snapshot every N replayed packets (bit-stable recorder "
-        "rows; replaces the wall cadence for workers)",
+        "rows; replaces the wall cadence)",
     )
     replay.add_argument(
         "--live-window",
@@ -1089,8 +1073,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve",
-        help="always-on adaptation service: supervised fleet + "
-        "controller + live telemetry behind an AF_UNIX job socket",
+        help="always-on adaptation service: data plane (a supervised "
+        "fleet at --jobs > 1) + controller + live telemetry behind an "
+        "AF_UNIX job socket",
     )
     serve.add_argument(
         "--socket",
@@ -1106,7 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=2,
-        help="shard worker processes (must be >= 2)",
+        help="shard worker processes; 1 = in-process data plane",
     )
     serve.add_argument(
         "--engine",
@@ -1127,7 +1112,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="scripted worker fault armed on the session's fleet, e.g. "
-        "kill:shard=0,batch=3 (repeatable)",
+        "kill:shard=0,batch=3 (repeatable; requires --jobs > 1)",
     )
     serve.add_argument("--fault-seed", type=int, default=None)
     serve.add_argument(

@@ -18,11 +18,11 @@ One deployment, one data-plane surface: ``jobs=N`` forks a
 :class:`~repro.nic.sharding.ShardedEmulator` over the materialised
 emulator, and the fleet is a drop-in for it (same ``runtime_tables``,
 state mutators, merged telemetry and ``replay``). A fleet differs in
-three places only: the fork (plus live-plane adoption) that ends
-``__init__``, a ``collect()`` barrier before :meth:`profile` reads the
-pooled counters, and :meth:`close`, which stops the workers. A
-redeploy (``previous=``) is one path for every ``jobs``: it takes over
-the previous data plane and keeps the same warm caches either way.
+three places only: the fork that ends ``__init__``, a ``collect()``
+barrier before :meth:`profile` reads the pooled counters, and
+:meth:`close`, which stops the workers. A live plane and a redeploy
+(``previous=``) take one path for every ``jobs``: the latter keeps
+the previous data plane's warm caches and live feed either way.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.nic.packet import Packet
 from repro.nic.sharding import ShardedEmulator, SupervisorOptions
 from repro.nic.stats import RunStats
 from repro.nic.targets import TargetModel
-from repro.telemetry.live import LivePlane
+from repro.telemetry.live import LiveFeed, LivePlane
 
 
 class Deployment:
@@ -58,16 +58,17 @@ class Deployment:
 
     ``jobs > 1`` shards the data plane over that many flow-hash worker
     processes; ``batch`` (their dispatch batch, which sizes the rings),
-    ``supervisor``, ``fault_plan``, ``ring_slots`` and ``live_plane``
-    (caller-owned: adopted here, released by :meth:`close`, never
-    stopped) configure the fork and are ignored on one core, except
-    that ``batch`` is also :meth:`replay`'s default chunk.
+    ``supervisor``, ``fault_plan`` (an error on one core) and
+    ``ring_slots`` configure the fork; ``batch`` is also
+    :meth:`replay`'s default chunk. ``live_plane`` (caller-owned:
+    adopted here, released by :meth:`close`, never stopped) watches the
+    data plane at every ``jobs``.
 
     ``previous`` (same ``jobs``) redeploys: this deployment takes over
     its data plane — on a fleet, the workers with their fork-time
-    settings and live-plane adoption — and ``previous`` is closed
-    without stopping anything. ``carried_caches`` names the flow caches
-    that kept their warm state.
+    settings — and live plane, and ``previous`` is closed without
+    stopping anything. ``carried_caches`` names the flow caches that
+    kept their warm state.
     """
 
     def __init__(
@@ -95,6 +96,10 @@ class Deployment:
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if fault_plan is not None and jobs == 1:
+            raise ValueError(
+                "a fault plan needs jobs > 1: faults target shard workers"
+            )
         if previous is not None and previous.jobs != jobs:
             raise ValueError(
                 f"previous= hands over its data plane: jobs={jobs} "
@@ -151,15 +156,15 @@ class Deployment:
         self._merged_nodes = self._find_merged_nodes()
         self._copies = self._find_copies()
         self.materialize_all()
-        self.live_plane = live_plane if jobs > 1 else None
+        self.live_plane = live_plane
         self.carried_caches: list[str] = []
+        live = live_plane.options if live_plane is not None else None
         if previous is not None:
             self._take_over(previous)
         elif jobs > 1:
             # Fork AFTER materialize_all: workers inherit installed
             # entries. The plane's cadence drives their sidecar
             # snapshots; the plane itself owns aggregator and server.
-            cadence = getattr(live_plane, "options", None)
             self.emulator = ShardedEmulator(
                 self.emulator,
                 jobs,
@@ -169,8 +174,7 @@ class Deployment:
                 fault_plan=fault_plan,
                 ring_slots=ring_slots,
                 engine=engine,
-                live_interval_s=getattr(cadence, "interval_s", None),
-                live_every_packets=getattr(cadence, "every_packets", None),
+                live=live,
             )
             try:
                 if live_plane is not None:
@@ -179,6 +183,13 @@ class Deployment:
                 # A failed construction never leaks worker processes.
                 self._teardown()
                 raise
+        elif live_plane is not None:
+            # One core: the feed hands snapshots to the aggregator.
+            feed = self.emulator.live_feed = LiveFeed(
+                live_plane.aggregator.ingest, live
+            )
+            feed.snapshot(self.emulator)
+            live_plane.adopt(feed)
         self.control_plane.add_listener(self._on_update)
         self._closed = False
 
@@ -202,10 +213,8 @@ class Deployment:
             self._teardown()
 
     def _teardown(self) -> None:
-        """Release the live plane, then stop the workers; the second
+        """Release the live plane, then stop any workers; the second
         step runs even if the first raises (no leaked processes)."""
-        if self.jobs == 1:
-            return
         try:
             # Live plane first: its final drain reads the workers' last
             # snapshots, so they must still exist. The plane is
@@ -215,22 +224,23 @@ class Deployment:
             if self.live_plane is not None:
                 self.live_plane.release()
         finally:
-            self.emulator.close()
+            if self.jobs > 1:
+                self.emulator.close()
 
     def _take_over(self, previous: "Deployment") -> None:
         """Incremental redeployment (§6): one core adopts the previous
-        emulator's same-shape flow caches; a fleet swaps the new
-        template into its running workers, which apply that rule to
+        emulator's same-shape flow caches (and feed); a fleet swaps the
+        new template into its running workers, which apply that rule to
         their own. ``previous`` is closed without stopping anything."""
         if self.jobs > 1:
             fleet = previous.emulator
             self.carried_caches = fleet.swap(self.emulator)
             self.emulator = fleet
-            self.live_plane = previous.live_plane
         else:
             self.carried_caches = self.emulator.adopt_caches(
                 previous.emulator
             )
+        self.live_plane = previous.live_plane
         if not previous._closed:
             previous._closed = True
             previous.control_plane.remove_listener(previous._on_update)

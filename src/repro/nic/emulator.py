@@ -190,6 +190,8 @@ class NicEmulator:
         #: trace; the disabled path costs one branch per packet here
         #: and one per batch in the columnar tier).
         self.tracer = None
+        #: Optional :class:`~repro.telemetry.live.LiveFeed`.
+        self.live_feed = None
 
     # -- state management -------------------------------------------------------
 
@@ -243,11 +245,13 @@ class NicEmulator:
 
         A flow cache whose covered tables, key fields and capacity are
         unchanged in ``previous`` adopts the previous cache object
-        (contents, LRU order, stats); returns the adopted names. One
-        core applies it to its predecessor, a shard worker to its own
-        emulator at a plan swap. The paper lists incremental
-        compile-and-deploy as future work; this is its runtime half.
+        (contents, LRU order, stats), and the live feed moves over;
+        returns the adopted names. One core applies it to its
+        predecessor, a shard worker to its own emulator at a plan swap.
+        The paper lists incremental compile-and-deploy as future work;
+        this is its runtime half.
         """
+        self.live_feed = previous.live_feed
         carried = []
         for name, cache in self.flow_caches.items():
             old_cache = previous.flow_caches.get(name)
@@ -686,32 +690,36 @@ class NicEmulator:
         returns None, and a ``ColumnBatch`` handed to it is
         materialised into ``Packet`` objects here. Both tiers are
         bit-identical on stats, counters, caches and per-packet
-        results.
+        results. A :attr:`live_feed` sees every batch after it ran.
         """
         if engine == "auto":
-            return self.columnar.replay_batch(
+            outcome = self.columnar.replay_batch(
                 packets, stats, dt_s, timestamps
             )
-        if engine != "interp":
+        elif engine == "interp":
+            outcome = None
+            if isinstance(packets, ColumnBatch):
+                batch = packets
+                if timestamps is None and batch.timestamps is not None:
+                    timestamps = batch.timestamps.tolist()
+                packets = [batch.make_packet(i) for i in range(batch.n)]
+            clock = self.clock
+            if timestamps is None:
+                for packet in packets:
+                    if dt_s:
+                        clock.advance(dt_s)
+                    result = self.process(packet)
+                    stats.record(result, packet.size_bytes)
+            else:
+                for packet, now_s in zip(packets, timestamps):
+                    clock.now_s = now_s
+                    result = self.process(packet)
+                    stats.record(result, packet.size_bytes)
+        else:
             raise ValueError(f"Unknown engine {engine!r}")
-        if isinstance(packets, ColumnBatch):
-            batch = packets
-            if timestamps is None and batch.timestamps is not None:
-                timestamps = batch.timestamps.tolist()
-            packets = [batch.make_packet(i) for i in range(batch.n)]
-        clock = self.clock
-        if timestamps is not None:
-            for packet, now_s in zip(packets, timestamps):
-                clock.now_s = now_s
-                result = self.process(packet)
-                stats.record(result, packet.size_bytes)
-            return None
-        for packet in packets:
-            if dt_s:
-                clock.advance(dt_s)
-            result = self.process(packet)
-            stats.record(result, packet.size_bytes)
-        return None
+        if self.live_feed is not None:
+            self.live_feed.observe(self, stats)
+        return outcome
 
     def replay(
         self,
@@ -738,4 +746,6 @@ class NicEmulator:
         # checks the columns against FlowSpec.packet.
         for chunk in batched(packets, batch, columns=engine == "auto"):
             self.replay_batch(chunk, stats, dt, engine=engine)
+        if self.live_feed is not None:
+            self.live_feed.end(self)
         return stats

@@ -132,7 +132,6 @@ import pickle
 import select
 import time
 import traceback
-from collections import Counter
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
@@ -159,7 +158,7 @@ from repro.nic.shm_transport import (
     read_index_record,
 )
 from repro.nic.stats import RunStats
-from repro.telemetry.metrics import Histogram
+from repro.telemetry.live import LiveFeed, LiveOptions
 
 __all__ = [
     "ShardJournal",
@@ -655,21 +654,17 @@ def _swapped(emulator: NicEmulator, spec: dict) -> NicEmulator:
     return fresh
 
 
-#: Lifetime live totals of a worker that has retired nothing yet:
-#: (packets, dropped, columnar packets, demotions, latency histogram).
-_NO_LIFE = (0, 0, 0, {}, None)
-
-
-def _checkpoint(emulator: NicEmulator, life: tuple = _NO_LIFE) -> dict:
+def _checkpoint(emulator: NicEmulator) -> dict:
     """What a barrier reply's :func:`_worker_state` leaves out of a
     worker: cache contents (LRU order, stats, insertion token bucket:
-    the :class:`FlowCache` objects themselves), the clock, and the
-    worker loop's lifetime live totals."""
+    the :class:`FlowCache` objects themselves), the clock, and its live
+    feed's lifetime totals (None without a feed)."""
+    feed = emulator.live_feed
     return {
         "flow_caches": emulator.flow_caches,
         "native_cache": emulator.native_cache,
         "now_s": emulator.clock.now_s,
-        "life": life,
+        "life": feed.state(emulator) if feed is not None else None,
     }
 
 
@@ -689,6 +684,22 @@ def _restore(emulator: NicEmulator, state: dict, saved: dict) -> None:
     emulator.columnar_scalar_lookups = dict(state["columnar_scalar_lookups"])
     emulator.columnar_cache_arrivals = dict(state["columnar_cache_arrivals"])
     emulator.columnar_cache_replayed = dict(state["columnar_cache_replayed"])
+    if emulator.live_feed is not None:
+        emulator.live_feed.restore(saved["life"], emulator)
+
+
+def _send_snapshot(conn, snapshot: dict, block: bool) -> bool:
+    """A worker feed's sink: send ``snapshot`` over the sidecar pipe
+    ``conn``. Without ``block`` a full pipe drops it; with it, the send
+    waits for room up to :data:`_LIVE_SEND_TIMEOUT_S`."""
+    timeout = _LIVE_SEND_TIMEOUT_S if block else 0.0
+    try:
+        if select.select([], [conn], [], timeout)[1]:
+            conn.send(snapshot)
+            return True
+    except (OSError, ValueError):  # the parent closed its end
+        pass
+    return False
 
 
 def _worker_main(
@@ -699,7 +710,7 @@ def _worker_main(
     fault_specs: Sequence[FaultSpec] = (),
     engine: str = "auto",
     tele_conn=None,
-    live_cadence: tuple = (None, None),
+    live: Optional[LiveOptions] = None,
 ) -> None:
     """Command loop for one shard worker.
 
@@ -725,17 +736,11 @@ def _worker_main(
     reply then ends with :func:`_checkpoint` (None mid-replay, where
     there is no barrier to checkpoint at).
 
-    ``tele_conn`` (the live telemetry plane's sidecar pipe) makes this
-    worker push compact cumulative snapshots — lifetime packet/drop
-    totals, an incremental latency histogram, cache hit/miss pairs,
-    columnar demotions — at the ``live_cadence = (interval_s,
-    every_packets)`` cadence. Snapshots fire only at batch boundaries
-    or from the idle loop, never per packet. Wall-interval snapshots
-    double as heartbeats and are dropped (counted in the next
-    snapshot) when the parent lags; packet-count snapshots and the
-    forced end-of-replay snapshot block (bounded) instead, because the
-    deterministic row stream the flight recorder promises cannot
-    tolerate scheduling-dependent gaps.
+    ``tele_conn`` (the live telemetry plane's sidecar pipe) gives the
+    emulator a :class:`~repro.telemetry.live.LiveFeed` at ``live``'s
+    cadence, which sends over that pipe: a birth snapshot, one
+    whenever a batch or the idle loop finds the cadence due, and a
+    forced one at ``end``.
     """
     try:
         injector = FaultInjector(fault_specs) if fault_specs else None
@@ -745,140 +750,30 @@ def _worker_main(
         #: Flow set id -> (FlowColumns, size_bytes), oldest first.
         flow_sets: dict[int, tuple] = {}
 
-        live_interval, live_every = live_cadence
-        live_hist = Histogram() if tele_conn is not None else None
-        live_seq = 0
-        live_offset = 0  # stats._latencies already folded into live_hist
-        live_packets_since = 0
-        live_dropped_snapshots = 0
-        life_packets = 0  # totals of retired replays (see retire())
-        life_dropped = 0
-        # Columnar totals of swapped-out emulators: live counters stay
-        # monotone; the merged state is the current emulator's.
-        life_columnar = 0
-        life_demotions: Counter = Counter()
-        live_next = (
-            time.monotonic() + live_interval
-            if live_interval is not None
-            else None
-        )
+        feed = None
+        if tele_conn is not None:
+            feed = emulator.live_feed = LiveFeed(
+                partial(_send_snapshot, tele_conn), live, shard_index
+            )
+            # Birth heartbeat: the aggregator learns the shard exists
+            # (and, after a respawn, that it is back) without waiting a
+            # full cadence interval.
+            feed.snapshot(emulator)
 
         def reply(payload) -> None:
             if injector is None or injector.should_reply():
                 conn.send(payload)
 
-        def retire() -> RunStats:
-            """Fold the replay's stats into the lifetime totals: at
-            ``end``, and at ``begin`` (a journal has no ``end``).
-            Returns them (empty when no replay was running)."""
-            nonlocal stats, live_offset, life_packets, life_dropped
-            retired = stats if stats is not None else RunStats()
-            if stats is not None:
-                if live_hist is not None:
-                    live_hist.observe_many(stats._latencies[live_offset:])
-                life_packets += stats.packets
-                life_dropped += stats.dropped
-            stats = None
-            live_offset = 0
-            return retired
-
-        def live_snapshot(force: bool = False) -> None:
-            nonlocal live_seq, live_offset, live_dropped_snapshots
-            if stats is not None:
-                latencies = stats._latencies
-                live_hist.observe_many(latencies[live_offset:])
-                live_offset = len(latencies)
-            demotions = Counter(life_demotions)
-            demotions.update(emulator.columnar_demotions)
-            snapshot = {
-                "shard": shard_index,
-                "seq": live_seq,
-                "mono_s": time.monotonic(),
-                "packets": life_packets
-                + (stats.packets if stats is not None else 0),
-                "dropped": life_dropped
-                + (stats.dropped if stats is not None else 0),
-                "hist": live_hist,
-                "caches": {
-                    name: (cache.stats.hits, cache.stats.misses)
-                    for name, cache in emulator.flow_caches.items()
-                },
-                "native": (
-                    (
-                        emulator.native_cache.stats.hits,
-                        emulator.native_cache.stats.misses,
-                    )
-                    if emulator.native_cache is not None
-                    else None
-                ),
-                "demotions": dict(demotions),
-                "columnar_packets": life_columnar
-                + emulator.columnar_packets,
-                "epoch": epoch,
-                "dropped_snapshots": live_dropped_snapshots,
-            }
-            # Heartbeats are best-effort (drop when the parent lags);
-            # deterministic-cadence and forced end snapshots block
-            # (bounded) — a dropped one would make the recorded row
-            # stream depend on parent scheduling.
-            block = force or live_every is not None
-            deadline = time.monotonic() + (
-                _LIVE_SEND_TIMEOUT_S if block else 0.0
-            )
-            while True:
-                try:
-                    _, writable, _ = select.select(
-                        [], [tele_conn], [], 0
-                    )
-                except (OSError, ValueError):
-                    return
-                if writable:
-                    break
-                if time.monotonic() >= deadline:
-                    live_dropped_snapshots += 1
-                    return
-                time.sleep(0.001)
-            try:
-                tele_conn.send(snapshot)
-            except (BrokenPipeError, OSError):
-                return
-            live_seq += 1
-
-        def maybe_live() -> None:
-            nonlocal live_next, live_packets_since
-            if live_every is not None:
-                if live_packets_since >= live_every:
-                    live_packets_since %= live_every
-                    live_snapshot()
-            elif live_next is not None:
-                now = time.monotonic()
-                if now >= live_next:
-                    live_snapshot()
-                    live_next = now + live_interval
-
-        if tele_conn is not None:
-            # Birth heartbeat: the aggregator learns the shard exists
-            # (and, after a respawn, that it is back) without waiting a
-            # full cadence interval.
-            live_snapshot()
-
         def saved_if(wanted: bool) -> Optional[dict]:
             """The checkpoint a barrier asked for (None mid-replay)."""
             if not wanted or stats is not None:
                 return None
-            life = (
-                life_packets,
-                life_dropped,
-                life_columnar,
-                dict(life_demotions),
-                live_hist,
-            )
-            return _checkpoint(emulator, life)
+            return _checkpoint(emulator)
 
         def replay_any(batch, n: int, timestamps=None) -> None:
             """Replay one batch — a ColumnBatch, or a Packet list SoA
             could not express — through the selected tier."""
-            nonlocal stats, live_packets_since
+            nonlocal stats
             if injector is not None:
                 injector.before_batch(n)
             if stats is None:
@@ -887,9 +782,6 @@ def _worker_main(
                 batch, stats, timestamps=timestamps, engine=engine
             )
             channel.data.mark_finished()
-            if tele_conn is not None:
-                live_packets_since += n
-                maybe_live()
 
         def replay_indices(flow_set: int, chosen, ts) -> None:
             """Replay the batch one core makes of these flow indices."""
@@ -926,10 +818,10 @@ def _worker_main(
             return state
 
         while True:
-            if tele_conn is not None:
+            if feed is not None:
                 # Poll instead of blocking in recv so wall-cadence
                 # heartbeats keep flowing while the worker idles.
-                maybe_live()
+                feed.beat(emulator)
                 try:
                     if not conn.poll(_IDLE_POLL_S):
                         continue
@@ -954,29 +846,24 @@ def _worker_main(
                 else:
                     replay_any(payload, len(payload), ts)
             elif op == "begin":
-                retire()
                 stats = RunStats()
                 busy = 0.0
             elif op == "end":
                 busy += time.process_time() - start
-                if tele_conn is not None:
-                    # Forced final snapshot: the aggregator's counters
-                    # converge to the replay summary at end-of-run, not
-                    # one cadence interval later.
-                    live_snapshot(force=True)
-                # Retired before the checkpoint is taken (left to
-                # right), so its lifetime totals count this replay; and
-                # not held in a local until the next ``end``.
+                if feed is not None:
+                    feed.end(emulator)
+                done, stats = stats or RunStats(), None
                 reply(
                     (
                         "done",
-                        retire(),
+                        done,
                         state_reply(),
                         busy,
                         epoch,
                         saved_if(message[1]),
                     )
                 )
+                del done  # not held through the next replay
                 continue
             elif op == "entries":
                 emulator.set_table_entries(message[1], message[2])
@@ -990,18 +877,10 @@ def _worker_main(
             elif op == "reset":
                 emulator.reset_telemetry()
             elif op == "swap":
-                life_columnar += emulator.columnar_packets
-                life_demotions.update(emulator.columnar_demotions)
                 emulator = _swapped(emulator, message[1])
                 epoch = message[2]
             elif op == "restore":
                 _restore(emulator, message[1], message[2])
-                life_packets, life_dropped, life_columnar, demotions, hist = (
-                    message[2]["life"]
-                )
-                life_demotions = Counter(demotions)
-                if hist is not None:
-                    live_hist = hist
             elif op == "collect":
                 reply(
                     (
@@ -1088,7 +967,7 @@ class ShardedEmulator:
     budget, recovery policy — see :class:`SupervisorOptions`);
     ``telemetry`` receives supervision events and fault counters;
     ``fault_plan`` arms deterministic scripted failures in the workers
-    (:mod:`repro.nic.faults`).
+    (:mod:`repro.nic.faults`); ``live`` gives each worker a live feed.
     """
 
     def __init__(
@@ -1102,8 +981,7 @@ class ShardedEmulator:
         fault_plan: Optional[FaultPlan] = None,
         ring_slots: Optional[int] = None,
         engine: str = "auto",
-        live_interval_s: Optional[float] = None,
-        live_every_packets: Optional[int] = None,
+        live: Optional[LiveOptions] = None,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -1120,18 +998,9 @@ class ShardedEmulator:
         self.engine = engine
         if ring_slots is not None and ring_slots < 1:
             raise ValueError("ring_slots must be >= 1")
-        if live_interval_s is not None and live_interval_s <= 0:
-            raise ValueError("live_interval_s must be > 0")
-        if live_every_packets is not None and live_every_packets < 1:
-            raise ValueError("live_every_packets must be >= 1")
-        #: Live telemetry cadence: wall-interval heartbeats and/or a
-        #: deterministic packet-count snapshot period. Either one arms
-        #: the sidecar pipes (see :attr:`live_conns`).
-        self.live_interval_s = live_interval_s
-        self.live_every_packets = live_every_packets
-        self._live = (
-            live_interval_s is not None or live_every_packets is not None
-        )
+        #: The live plane's options, whose cadence the workers' feeds
+        #: follow; set, they arm the sidecar pipes (:attr:`live_conns`).
+        self.live = live
         #: Parent (receive) ends of the per-shard telemetry sidecar
         #: pipes; ``None`` per shard when the live plane is off or the
         #: shard is degraded. Drained by the LiveAggregator thread.
@@ -1255,7 +1124,7 @@ class ShardedEmulator:
         # same mapping — no attach handshake, no name exchange.
         channel = ShardChannel(self.batch, slots=self._ring_slots)
         tele_parent = tele_child = None
-        if self._live:
+        if self.live is not None:
             # Sidecar telemetry pipe: unsolicited worker -> parent
             # snapshots must never interleave with the supervised
             # reply protocol on the command pipe.
@@ -1271,7 +1140,7 @@ class ShardedEmulator:
                 fault_specs,
                 self.engine,
                 tele_child,
-                (self.live_interval_s, self.live_every_packets),
+                self.live,
             ),
             daemon=True,
             name=f"repro-shard-{shard}",

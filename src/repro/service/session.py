@@ -1,11 +1,10 @@
-"""One serve-mode session: controller + fleet + daemon-lifetime plane.
+"""One serve-mode session: controller + data plane + daemon-lifetime plane.
 
-A session owns exactly one supervised sharded fleet (via
-:class:`~repro.core.controller.PipeleonController`, ``jobs > 1``) —
-every redeploy the controller performs swaps its plan into the same
-workers — and one :class:`~repro.telemetry.live.LivePlane`: the
-scrape endpoint and SLO watchdog run from daemon start to drain, not
-per replay.
+A session owns exactly one data plane (via
+:class:`~repro.core.controller.PipeleonController`) — a supervised
+fleet at ``jobs > 1``, else in process; every redeploy keeps it — and
+one :class:`~repro.telemetry.live.LivePlane`: the scrape endpoint and
+SLO watchdog run from daemon start to drain, not per replay.
 
 Replay jobs stream phases from the string-seeded scenario library
 (:mod:`repro.traffic.scenarios`) one emulated second at a time through
@@ -79,8 +78,8 @@ class SessionConfig:
     recv_timeout_s: float = 60.0
     heartbeat_interval_s: float = 0.05
     #: Scripted fault specs (``kill:shard=0,batch=3`` …), armed on the
-    #: session's fleet; batches count over the session, across
-    #: redeploys — FaultPlan semantics.
+    #: session's fleet (an error at ``jobs=1``); batches count over the
+    #: session, across redeploys — FaultPlan semantics.
     faults: tuple[str, ...] = ()
     fault_seed: str = "0"
     #: Controller cadence/hysteresis.
@@ -107,11 +106,6 @@ class SessionConfig:
     baseline: str = "optimized"
 
     def __post_init__(self):
-        if self.jobs < 2:
-            raise ValueError(
-                "serve mode needs jobs >= 2: the session supervises a "
-                "sharded fleet (snapshots stream from shard workers)"
-            )
         if self.engine not in ENGINES:
             raise ValueError(
                 f"engine={self.engine!r} not one of {', '.join(ENGINES)}"
@@ -283,6 +277,7 @@ class ServeSession:
                 }
             )
         self.replays += 1
+        fleet = self._fleet()
         # A replay can be shorter than the aggregator's interval: sample
         # once here so the SLO block below has seen the whole replay.
         self.live_plane.aggregator.flush()
@@ -301,9 +296,7 @@ class ServeSession:
                 "clears": watchdog.clears,
                 "active": watchdog.active_breaches,
             },
-            "respawns": list(
-                self.controller.deployment.emulator.respawns
-            ),
+            "respawns": list(fleet.respawns) if fleet else [],
             "timeline": timeline[-200:],
         }
 
@@ -340,7 +333,7 @@ class ServeSession:
         controller = self.controller
         watchdog = self.live_plane.watchdog
         plan = controller.current_plan
-        fleet = controller.deployment.emulator
+        fleet = self._fleet()
         return {
             "app": self.config.app,
             "target": self.config.target,
@@ -352,11 +345,18 @@ class ServeSession:
             "slo_breaches": watchdog.breaches,
             "slo_clears": watchdog.clears,
             "slo_active": watchdog.active_breaches,
-            "fleets": self.live_plane.aggregator.fleets,
             "metrics_port": self.metrics_port,
-            "worker_respawns": list(fleet.respawns),
+            "worker_respawns": list(fleet.respawns) if fleet else [],
             "journal_bytes": [
                 shard["journal_bytes"]
                 for shard in fleet.transport_stats()["per_shard"]
-            ],
+            ]
+            if fleet
+            else [],
         }
+
+    def _fleet(self):
+        """The session's shard fleet; None at ``jobs=1`` (no worker)."""
+        if self.config.jobs == 1:
+            return None
+        return self.controller.deployment.emulator

@@ -1,14 +1,17 @@
 """Live telemetry plane: in-flight aggregation, scrape endpoint, top view.
 
 PR 3's telemetry is batch-only — metrics export after a replay
-finishes. This module makes a *running* sharded fleet observable:
+finishes. This module makes a *running* data plane observable, on one
+core or on a fleet:
 
-* Shard workers push compact snapshots (packet totals, an incremental
-  latency histogram, cache hit/miss counts, columnar demotions) over a
-  per-shard **sidecar pipe**, off the packet hot path — the snapshot
-  cadence is wall-interval (heartbeats, default) or packet-count
-  (deterministic, for bit-stable tests). The push lives in
-  :mod:`repro.nic.sharding`; this module is the parent side.
+* A :class:`LiveFeed` on the replaying emulator builds compact
+  cumulative snapshots (packet totals, an incremental latency
+  histogram, cache hit/miss counts, columnar demotions) at batch
+  boundaries, never per packet — at a wall-interval cadence
+  (heartbeats, default) or a packet-count one (deterministic, for
+  bit-stable tests). A shard worker's feed sends them over a
+  per-shard **sidecar pipe** (:mod:`repro.nic.sharding`); a one-core
+  deployment's hands them straight to the aggregator.
 * :class:`LiveAggregator` drains those sidecar pipes on a background
   thread, folds the latest per-shard snapshots with the parent-side
   ring gauges (occupancy, stalls — live, per shard) into
@@ -22,12 +25,12 @@ finishes. This module makes a *running* sharded fleet observable:
 * :func:`render_top` turns recorder rows into the refreshing terminal
   view behind ``repro top``.
 
-Everything here is read-side: the aggregator only ever *reads* the
-emulator's public telemetry surfaces (``live_conns``,
-``live_shard_status()``) and its own pipes, so a wedged aggregator can
-slow scrapes but never a worker — workers drop heartbeats rather than
-block on a full sidecar pipe (except under the deterministic cadence,
-where a bounded blocking send preserves bit-stability).
+The aggregator only ever *reads* the watched data plane's public
+telemetry surfaces (``live_conns``, ``live_shard_status()``) and its
+own pipes, so a wedged aggregator can slow scrapes but never a worker
+— workers drop heartbeats rather than block on a full sidecar pipe
+(except under the deterministic cadence, where a bounded blocking send
+preserves bit-stability).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import json
 import math
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Sequence
@@ -47,6 +51,7 @@ from repro.telemetry.timeseries import FlightRecorder
 
 __all__ = [
     "LiveAggregator",
+    "LiveFeed",
     "LiveOptions",
     "LivePlane",
     "MetricsServer",
@@ -130,13 +135,159 @@ def _snapshot_hit_rate(snapshot: dict) -> Optional[float]:
     return hits / total if total else None
 
 
-class LiveAggregator:
-    """Background merger of worker snapshots into rows, metrics, SLOs.
+class LiveFeed:
+    """One data plane's live snapshots: the only place one is built.
 
-    Reads the sidecar pipes of a live-enabled
-    :class:`~repro.nic.sharding.ShardedEmulator` (``live_conns``) and
-    its parent-side shard status (``live_shard_status()``); owns the
-    flight recorder, the SLO watchdog and the live metrics registry.
+    A feed rides on the emulator it watches (``NicEmulator.live_feed``):
+    ``NicEmulator.replay_batch`` calls :meth:`observe` after every
+    batch, and a redeploy hands the feed on with the caches
+    (``NicEmulator.adopt_caches``). It owns the sequence number, the
+    latency histogram, the lifetime totals and ``options``' cadence.
+    ``sink(snapshot, block) -> bool`` delivers a snapshot: a shard
+    worker's over the sidecar pipe, where a heartbeat may be dropped
+    but a packet-cadence or forced one blocks (bounded), since a lost
+    one would make the recorded rows depend on scheduling; a one-core
+    deployment's is :meth:`LiveAggregator.ingest`.
+
+    Lifetime totals stay monotone by two rules: a replay's stats fold
+    in at its :meth:`end` (or, in a journal replayed without ends, when
+    the feed first sees the next replay's), and an emulator's columnar
+    totals when it first sees the emulator that replaced it.
+    """
+
+    def __init__(self, sink, options: LiveOptions, shard: int = 0):
+        self.sink = sink
+        self.shard = shard
+        self.every_packets = options.every_packets
+        self.interval_s = options.interval_s
+        self.seq = 0
+        self.dropped_snapshots = 0
+        self._next = time.monotonic() + self.interval_s
+        self.restore(None, None)
+
+    def state(self, emulator) -> tuple:
+        """For a checkpoint between replays: the totals of everything
+        before ``emulator``, whose own columnar totals checkpoint with
+        it."""
+        self._see(emulator)
+        self._retire()
+        demotions = dict(self.demotions)
+        return (self.packets, self.dropped, self.columnar, demotions, self.hist)
+
+    def restore(self, state: Optional[tuple], emulator) -> None:
+        """Resume from :meth:`state` (``None``: from nothing) on
+        ``emulator``, restored from the same checkpoint."""
+        packets, self.dropped, self.columnar, demotions, hist = state or (
+            0, 0, 0, {}, Histogram(),
+        )
+        self.packets = packets
+        self.demotions = Counter(demotions)
+        self.hist = hist
+        self._emulator = emulator
+        #: The running replay's stats; its latencies the histogram holds.
+        self._stats = None
+        self._offset = 0
+        self._mark = packets // (self.every_packets or 1)
+
+    def _retire(self) -> None:
+        stats = self._stats
+        if stats is not None:
+            self.hist.observe_many(stats._latencies[self._offset:])
+            self.packets += stats.packets
+            self.dropped += stats.dropped
+            self._stats = None
+            self._offset = 0
+
+    def _see(self, emulator) -> None:
+        previous = self._emulator
+        if emulator is not previous and previous is not None:
+            self.columnar += previous.columnar_packets
+            self.demotions.update(previous.columnar_demotions)
+        self._emulator = emulator
+
+    def observe(self, emulator, stats) -> None:
+        """``emulator`` replayed a batch into ``stats``: snapshot if the
+        cadence is due."""
+        if stats is not self._stats:
+            self._retire()
+            self._stats = stats
+        if self.every_packets is None:
+            self.beat(emulator)
+            return
+        mark = (self.packets + stats.packets) // self.every_packets
+        if mark > self._mark:
+            self._mark = mark
+            self.snapshot(emulator)
+
+    def beat(self, emulator) -> None:
+        """Wall cadence: snapshot once ``interval_s`` has passed since
+        the last one (an idle shard worker calls this too)."""
+        now = time.monotonic()
+        if self.every_packets is None and now >= self._next:
+            self.snapshot(emulator)
+            self._next = now + self.interval_s
+
+    def end(self, emulator) -> None:
+        """A replay ended: force a snapshot, so the aggregator converges
+        to its summary now, and fold its stats in."""
+        self.snapshot(emulator, force=True)
+        self._retire()
+
+    def snapshot(self, emulator, force: bool = False) -> None:
+        """Build one cumulative snapshot of ``emulator`` and sink it."""
+        self._see(emulator)
+        packets, dropped = self.packets, self.dropped
+        stats = self._stats
+        if stats is not None:
+            latencies = stats._latencies
+            self.hist.observe_many(latencies[self._offset:])
+            self._offset = len(latencies)
+            packets += stats.packets
+            dropped += stats.dropped
+        demotions = Counter(self.demotions)
+        demotions.update(emulator.columnar_demotions)
+        native = emulator.native_cache
+        snapshot = {
+            "shard": self.shard,
+            "seq": self.seq,
+            "mono_s": time.monotonic(),
+            "packets": packets,
+            "dropped": dropped,
+            # Its own copy: the feed observes on into its histogram
+            # while the aggregator reads this one.
+            "hist": Histogram(self.hist.buckets).merge(self.hist),
+            "caches": {
+                name: (cache.stats.hits, cache.stats.misses)
+                for name, cache in emulator.flow_caches.items()
+            },
+            "native": (
+                (native.stats.hits, native.stats.misses)
+                if native is not None
+                else None
+            ),
+            "demotions": dict(demotions),
+            "columnar_packets": self.columnar + emulator.columnar_packets,
+            "dropped_snapshots": self.dropped_snapshots,
+        }
+        if self.sink(snapshot, force or self.every_packets is not None):
+            self.seq += 1
+        else:
+            self.dropped_snapshots += 1
+
+    def live_shard_status(self) -> list[dict]:
+        """The aggregator's view of a one-core feed: its one shard is in
+        this process, so alive, with no ring and no heartbeat to age."""
+        return [{"shard": self.shard, "alive": True, "in_process": True}]
+
+
+class LiveAggregator:
+    """Background merger of feed snapshots into rows, metrics, SLOs.
+
+    Watches a live-enabled :class:`~repro.nic.sharding.ShardedEmulator`
+    (draining its sidecar pipes, ``live_conns``) or a one-core
+    :class:`LiveFeed` (which calls :meth:`ingest`), and reads its shard
+    status (``live_shard_status()``); owns the flight recorder, the SLO
+    watchdog and the live metrics registry.
     ``start()`` launches the daemon thread; ``stop()`` is idempotent,
     appends one final row from the final state (so the recorder's last
     row always matches the replay summary), and closes the recorder.
@@ -149,9 +300,9 @@ class LiveAggregator:
         options: Optional[LiveOptions] = None,
     ):
         self.options = options or LiveOptions()
-        #: The watched fleet: ``None`` until a :class:`LivePlane`'s
-        #: fleet adopts the aggregator and after it releases it (see
-        #: :meth:`retarget`).
+        #: The watched data plane: ``None`` until a :class:`LivePlane`'s
+        #: deployment adopts the aggregator and after it releases it
+        #: (see :meth:`retarget`).
         self.emulator = emulator
         self.telemetry = telemetry
         #: Breach/clear events land in the run's event log when one is
@@ -180,8 +331,6 @@ class LiveAggregator:
         self._heartbeats: dict[int, int] = {}
         self._seen_respawns: dict[int, int] = {}
         self._forced_stale: dict[int, bool] = {}
-        #: Fleets adopted over the aggregator's lifetime.
-        self.fleets = 1 if emulator is not None else 0
         self._start_mono = time.monotonic()
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -218,35 +367,23 @@ class LiveAggregator:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- fleet adoption -----------------------------------------------------
+    # -- adoption ------------------------------------------------------------
 
     def retarget(self, emulator) -> None:
-        """Point the aggregator at a fleet, or detach it (``None``).
+        """Point the aggregator at a data plane, or detach it (``None``).
 
-        A fleet lives as long as its deployment chain — a redeploy
-        swaps the plan into the same workers — so a plane watches one
-        fleet and its counters need no carry across fleets. Detaching
-        drains the sidecar pipes one final time and *keeps* the last
-        snapshots, so the final row still matches the replay summary;
-        with no fleet to poll, stopping the workers never reads as a
-        death. Adopting a fleet starts from clean per-shard state.
+        A data plane outlives every redeploy, so a plane watches one and
+        its counters need no carry. Detaching drains the sidecar pipes
+        one final time and *keeps* the last snapshots, so the final row
+        still matches the replay summary; with nothing to poll,
+        stopping the workers never reads as a death.
         """
         with self._target_lock:
             if self.emulator is not None:
                 try:
-                    self._drain()
+                    self._drain_locked()
                 except Exception:  # pragma: no cover - defensive
                     pass
-            if emulator is not None:
-                for per_shard in (
-                    self._snapshots,
-                    self._last_seen,
-                    self._heartbeats,
-                    self._seen_respawns,
-                    self._forced_stale,
-                ):
-                    per_shard.clear()
-                self.fleets += 1
             self.emulator = emulator
 
     # -- background thread ---------------------------------------------------
@@ -275,13 +412,12 @@ class LiveAggregator:
                 # the replay down. A poisoned tick skips one interval.
                 continue
 
-    def _drain(self) -> bool:
+    def _drain(self) -> None:
         """Pull every pending snapshot off every sidecar pipe."""
         with self._target_lock:
-            return self._drain_locked()
+            self._drain_locked()
 
-    def _drain_locked(self) -> bool:
-        changed = False
+    def _drain_locked(self) -> None:
         conns = list(getattr(self.emulator, "live_conns", None) or [])
         for conn in conns:
             if conn is None:
@@ -293,19 +429,24 @@ class LiveAggregator:
                     snapshot = conn.recv()
                 except (EOFError, OSError):
                     break
-                shard = snapshot["shard"]
-                self._snapshots[shard] = snapshot
-                self._last_seen[shard] = time.monotonic()
-                self._heartbeats[shard] = (
-                    self._heartbeats.get(shard, 0) + 1
-                )
-                # A fresh heartbeat from a (re)spawned worker clears
-                # the death-observed latch (see _update_liveness).
-                self._forced_stale[shard] = False
-                changed = True
-                if self.options.every_packets is not None:
-                    self._append_shard_row(snapshot)
-        return changed
+                self._ingest_locked(snapshot)
+
+    def ingest(self, snapshot: dict, block: bool = False) -> bool:
+        """A one-core :class:`LiveFeed`'s sink: never drops a snapshot."""
+        with self._target_lock:
+            self._ingest_locked(snapshot)
+        return True
+
+    def _ingest_locked(self, snapshot: dict) -> None:
+        shard = snapshot["shard"]
+        self._snapshots[shard] = snapshot
+        self._last_seen[shard] = time.monotonic()
+        self._heartbeats[shard] = self._heartbeats.get(shard, 0) + 1
+        # A fresh heartbeat from a (re)spawned worker clears the
+        # death-observed latch (see _update_liveness).
+        self._forced_stale[shard] = False
+        if self.options.every_packets is not None:
+            self._append_shard_row(snapshot)
 
     # -- row/sample construction ---------------------------------------------
 
@@ -320,7 +461,6 @@ class LiveAggregator:
             "cache_hit_rate": _snapshot_hit_rate(snapshot),
             "demotions": dict(snapshot.get("demotions", {})),
             "columnar_packets": snapshot.get("columnar_packets", 0),
-            "epoch": snapshot.get("epoch", 0),
         }
         row.update(_snapshot_quantiles(snapshot.get("hist")))
         self.recorder.append(row)
@@ -398,14 +538,18 @@ class LiveAggregator:
                 "alive": entry.get("alive", False),
                 "dead": entry.get("dead", False),
                 "respawns": entry.get("respawns", 0),
-                "heartbeat_staleness_s": now - last,
+                # An in-process feed snapshots only while it replays:
+                # its silence is idleness, not a missed heartbeat.
+                "heartbeat_staleness_s": (
+                    None if entry.get("in_process") else now - last
+                ),
                 "forced_stale": self._forced_stale.get(shard, False),
                 "heartbeats": self._heartbeats.get(shard, 0),
                 "seq": snapshot["seq"] if snapshot else None,
                 "packets": snapshot["packets"] if snapshot else 0,
                 "dropped": snapshot["dropped"] if snapshot else 0,
                 "ring_occupancy": entry.get("ring_occupancy"),
-                "ring_stalls": entry.get("ring_stalls", 0),
+                "ring_stalls": entry.get("ring_stalls"),
                 "hist": snapshot.get("hist") if snapshot else None,
                 "cache_hit_rate": (
                     _snapshot_hit_rate(snapshot) if snapshot else None
@@ -433,6 +577,7 @@ class LiveAggregator:
         shards = []
         for shard in sorted(sample["shards"]):
             entry = sample["shards"][shard]
+            age = entry["heartbeat_staleness_s"]
             shard_row = {
                 "shard": shard,
                 "seq": entry["seq"],
@@ -442,7 +587,7 @@ class LiveAggregator:
                 "dead": entry["dead"],
                 "respawns": entry["respawns"],
                 "heartbeats": entry["heartbeats"],
-                "age_s": round(entry["heartbeat_staleness_s"], 6),
+                "age_s": age if age is None else round(age, 6),
                 "ring_occupancy": entry["ring_occupancy"],
                 "ring_stalls": entry["ring_stalls"],
                 "cache_hit_rate": entry["cache_hit_rate"],
@@ -516,27 +661,28 @@ class LiveAggregator:
             registry.inc(
                 "pipeleon_live_packets_total",
                 entry["packets"],
-                help="Packets replayed so far (live worker snapshots)",
+                help="Packets replayed so far (live snapshots)",
                 shard=shard,
             )
             registry.inc(
                 "pipeleon_live_dropped_total",
                 entry["dropped"],
-                help="Packets dropped so far (live worker snapshots)",
+                help="Packets dropped so far (live snapshots)",
                 shard=shard,
             )
             registry.inc(
                 "pipeleon_live_heartbeats_total",
                 entry["heartbeats"],
-                help="Worker snapshots received over the sidecar pipe",
+                help="Snapshots received from the shard's live feed",
                 shard=shard,
             )
-            registry.set_gauge(
-                "pipeleon_live_heartbeat_age_s",
-                entry["heartbeat_staleness_s"],
-                help="Seconds since the shard's last snapshot",
-                shard=shard,
-            )
+            if entry["heartbeat_staleness_s"] is not None:
+                registry.set_gauge(
+                    "pipeleon_live_heartbeat_age_s",
+                    entry["heartbeat_staleness_s"],
+                    help="Seconds since the shard's last snapshot",
+                    shard=shard,
+                )
             registry.set_gauge(
                 "pipeleon_live_worker_alive",
                 1.0 if entry["alive"] else 0.0,
@@ -556,12 +702,13 @@ class LiveAggregator:
                     help="Current data-ring occupancy fraction",
                     shard=shard,
                 )
-            registry.inc(
-                "pipeleon_live_ring_stalls_total",
-                entry["ring_stalls"],
-                help="Batch dispatches that stalled on a full ring",
-                shard=shard,
-            )
+            if entry["ring_stalls"] is not None:
+                registry.inc(
+                    "pipeleon_live_ring_stalls_total",
+                    entry["ring_stalls"],
+                    help="Batch dispatches that stalled on a full ring",
+                    shard=shard,
+                )
             hist = entry["hist"]
             if hist is not None and hist.count:
                 registry.histogram(
@@ -592,27 +739,6 @@ class LiveAggregator:
             "pipeleon_live_columnar_packets_total",
             sample["columnar_packets"],
             help="Packets retired by columnar kernels (live snapshots)",
-        )
-        registry.inc(
-            "pipeleon_live_fleet_packets_total",
-            sample["packets"],
-            help=(
-                "Packets the watched fleet has replayed (monotone: a "
-                "redeploy swaps the plan into the same workers)"
-            ),
-        )
-        registry.inc(
-            "pipeleon_live_fleet_dropped_total",
-            sample["dropped"],
-            help=(
-                "Packets the watched fleet has dropped (monotone: a "
-                "redeploy swaps the plan into the same workers)"
-            ),
-        )
-        registry.inc(
-            "pipeleon_live_fleets_total",
-            self.fleets,
-            help="Fleets adopted over the aggregator's lifetime",
         )
         from repro.telemetry.export import export_event_log
 
@@ -662,7 +788,6 @@ class LiveAggregator:
             "status": "degraded" if degraded else "ok",
             "rows": self.recorder.appended,
             "heartbeats": sum(self._heartbeats.values()),
-            "fleets": self.fleets,
             "active_breaches": self.watchdog.active_breaches,
             "slo_breaches": self.watchdog.breaches,
             "slo_clears": self.watchdog.clears,
@@ -778,19 +903,19 @@ class MetricsServer:
 
 
 class LivePlane:
-    """One aggregator + scrape endpoint outliving any single fleet.
+    """One aggregator + scrape endpoint outliving any single deployment.
 
     The caller owns the plane: ``repro replay`` creates one around its
     single deployment; ``repro serve`` creates one for the daemon's
-    whole lifetime and hands it to the controller, whose fleet adopts
-    it when it forks and keeps it across every redeploy (a plan swap
-    forks nothing), so counters stay monotone and the ``/metrics``
-    port stays bound from daemon start to drain.
+    whole lifetime and hands it to the controller, whose data plane
+    adopts it and keeps it across every redeploy (a plan swap forks
+    nothing; a feed moves on), so counters stay monotone and the
+    ``/metrics`` port stays bound from daemon start to drain.
 
     Lifecycle: :meth:`start` once, then :meth:`adopt` / :meth:`release`
-    around the fleet's life, then :meth:`stop` (idempotent, try/finally
-    safe: the server is always torn down even if the aggregator's
-    final flush raises).
+    around the data plane's life, then :meth:`stop` (idempotent,
+    try/finally safe: the server is always torn down even if the
+    aggregator's final flush raises).
     """
 
     def __init__(
@@ -840,14 +965,14 @@ class LivePlane:
         return self
 
     def adopt(self, emulator) -> None:
-        """Point the aggregator at a freshly forked fleet."""
+        """Watch a freshly forked fleet or a one-core :class:`LiveFeed`."""
         self.aggregator.retarget(emulator)
 
     def release(self) -> None:
-        """Detach from the fleet *before* it is torn down.
+        """Detach from the data plane *before* it is torn down.
 
         Drains it one last time and keeps its last snapshots (the
-        final row matches the replay summary); with no fleet to poll,
+        final row matches the replay summary); with nothing to poll,
         stopping the workers never reads as an SLO-visible death.
         """
         self.aggregator.retarget(None)

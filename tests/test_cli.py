@@ -269,7 +269,7 @@ class TestReplayFaultInjection:
             "--inject-fault", "kill:shard=0",
         )
         assert code == 2
-        assert "--jobs" in captured.err
+        assert "fault plan needs jobs > 1" in captured.err
 
     def test_fault_shard_must_exist(self, capsys):
         code, captured = self._replay(

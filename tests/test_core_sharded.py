@@ -727,11 +727,14 @@ class TestControllerJobs:
             assert controller.deployment.emulator is fleet
             assert fleet.epoch == epoch + 1  # one swap broadcast
             assert processes() == before
-            assert plane.aggregator.fleets == 1
+            assert plane.aggregator.emulator is fleet
             stats = controller.deployment.replay(
                 packets(3, n=100), offered_pps=1e6
             )
             assert stats.packets == 100
+            # The plane's counters run on across the redeploy.
+            plane.aggregator.flush()
+            assert plane.aggregator.sample()["packets"] == 400 + 100
         finally:
             controller.close()
             plane.stop()

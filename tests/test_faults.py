@@ -42,6 +42,7 @@ from repro.nic.sharding import (
 from repro.nic.shm_transport import ShardChannel
 from repro.nic.targets import BLUEFIELD2, EMULATED_NIC
 from repro.telemetry import Telemetry
+from repro.telemetry.live import LiveFeed, LiveOptions
 from repro.traffic import TrafficGenerator
 from repro.traffic.flows import synth_flows
 from repro.traffic.scenarios import rolling_update_action
@@ -178,6 +179,18 @@ class TestFaultPlan:
             Deployment(
                 build(), EMULATED_NIC, jobs=2, fault_plan=plan
             )
+
+    def test_plan_at_one_core_rejected_by_deployment(self):
+        """One core has no shard worker to fault: an error, not a
+        silently unarmed plan — for a controller's deployment too."""
+        from repro.core import PipeleonController
+
+        build, _install = EXAMPLE_APPS["l2l3_acl"]
+        plan = FaultPlan((FaultSpec("kill", shard=0, at_batch=0),))
+        with pytest.raises(ValueError, match="fault plan needs jobs > 1"):
+            Deployment(build(), EMULATED_NIC, fault_plan=plan)
+        with pytest.raises(ValueError, match="fault plan needs jobs > 1"):
+            PipeleonController(build(), EMULATED_NIC, fault_plan=plan)
 
 
 class TestFaultInjector:
@@ -665,16 +678,20 @@ class TestCheckpointRecovery:
         # A spec reused from an earlier barrier: its clock is stale.
         spec = sharding._swap_spec(emulator)
         emulator.clock.advance(0.25)
-        life = (7, 3, 11, {"input": 2}, None)
+        # A worker's live feed, part way through its life.
+        life = (7, 3, 11, {"input": 2})
+        emulator.live_feed = LiveFeed(lambda *_: True, LiveOptions())
+        emulator.live_feed.restore((*life, None), emulator)
         state, saved = pickle.loads(
             pickle.dumps(
                 (
                     sharding._worker_state(emulator),
-                    sharding._checkpoint(emulator, life),
+                    sharding._checkpoint(emulator),
                 )
             )
         )
         blank = NicEmulator(emulator.program, emulator.target)
+        blank.live_feed = LiveFeed(lambda *_: True, LiveOptions())
         fresh = sharding._swapped(blank, spec)
         sharding._restore(fresh, state, saved)
 
@@ -701,7 +718,10 @@ class TestCheckpointRecovery:
 
         assert emulator.flow_caches and emulator.columnar_packets
         assert view(fresh) == view(emulator)
-        assert saved["life"] == life
+        assert saved["life"][:4] == life
+        # The feed moved to the swapped emulator and took the totals,
+        # without folding in the columnar ones restored with it.
+        assert fresh.live_feed.state(fresh)[:4] == life
 
     def test_journal_stays_bounded_over_a_session(self, monkeypatch):
         """Past the threshold the next barrier checkpoints: a shard's

@@ -642,6 +642,32 @@ class TestLiveReplayEndToEnd:
             close_live(sharded)
 
 
+    def test_feedless_replay_never_enters_the_live_plane(
+        self, monkeypatch
+    ):
+        """One core without a plane carries no feed, and its replays
+        (and redeploys) never call into :mod:`repro.telemetry.live`."""
+        from repro.nic.emulator import ENGINES
+        from repro.telemetry import live
+
+        def poisoned(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a feedless replay reached the plane")
+
+        for name in ("__init__", "observe", "beat", "end", "snapshot"):
+            monkeypatch.setattr(live.LiveFeed, name, poisoned)
+        monkeypatch.setattr(live.LiveAggregator, "ingest", poisoned)
+        deployment = Deployment(l2l3_acl.build_program(), EMULATED_NIC)
+        l2l3_acl.install_base_entries(deployment.control_plane)
+        for engine in ENGINES:
+            stats = deployment.replay(app_packets(3, 300), engine=engine)
+            assert stats.packets == 300
+        deployment = Deployment(
+            l2l3_acl.build_program(), EMULATED_NIC, previous=deployment
+        )
+        assert deployment.emulator.live_feed is None
+        assert deployment.replay(app_packets(4, 300)).packets == 300
+
+
 # ---------------------------------------------------------------------------
 # Fault interaction: one kill, one breach episode, one clear
 # ---------------------------------------------------------------------------
@@ -863,16 +889,35 @@ class TestCli:
         code = main(["replay", *args])
         return code, capsys.readouterr()
 
-    def test_live_flags_require_jobs(self, capsys):
+    def test_live_flags_at_one_core(self, capsys, tmp_path):
+        """Every live flag works at ``--jobs 1``: the in-process feed
+        is shard 0, alive, with no ring and no heartbeat age."""
+        flight = tmp_path / "flight.jsonl"
+        rules = tmp_path / "rules.json"
+        rules.write_text(
+            json.dumps([{"metric": "heartbeat_staleness_s", "max": 1e-9}])
+        )
         code, captured = self._replay(
             capsys,
             "--app", "l2l3_acl",
-            "--packets", "100",
+            "--packets", "600",
+            "--jobs", "1",
             "--target", "emulated_nic",
             "--serve-metrics", "0",
+            "--flight-out", str(flight),
+            "--slo", str(rules),
         )
-        assert code == 2
-        assert "requires --jobs > 1" in captured.err
+        assert code == 0, captured.err
+        live = json.loads(captured.out)["live"]
+        assert live["rows"] > 0
+        assert live["metrics_port"] > 0
+        # An idle one-core feed never reads as a missed heartbeat.
+        assert live["slo_breaches"] == 0
+        final = FlightRecorder.parse_jsonl(flight.read_text())[-1]
+        assert final["final"] and final["packets"] == 600
+        (shard,) = final["shards"]
+        assert shard["alive"] and shard["packets"] == 600
+        assert shard["age_s"] is None and shard["ring_occupancy"] is None
 
     def test_bad_slo_file_rejected(self, capsys, tmp_path):
         rules = tmp_path / "rules.json"

@@ -20,6 +20,7 @@ from repro.nic.packet import DEFAULT_PACKET_BYTES, make_packet
 from repro.nic.sharding import ShardedEmulator, flow_shard
 from repro.nic.stats import RunStats
 from repro.nic.targets import EMULATED_NIC
+from repro.telemetry.live import LiveOptions, LivePlane
 from repro.traffic.flows import synth_flows
 from repro.traffic.generator import PacketStream, TrafficGenerator
 
@@ -50,15 +51,28 @@ def stats_fingerprint(stats: RunStats) -> tuple:
     )
 
 
-def make_twins(app: str, n_workers: int, optimize: bool = False):
-    """A single-core deployment and a sharded one, identically set up."""
+def make_twins(
+    app: str,
+    n_workers: int,
+    optimize: bool = False,
+    live: LiveOptions = None,
+):
+    """A single-core deployment and a sharded one, identically set up;
+    with ``live``, each watched by a started plane of its own
+    (``.live_plane``, for the caller to stop)."""
     build, install = EXAMPLE_APPS[app]
     target = EMULATED_NIC
     single_program = build()
     plan = (
         Pipeleon(target).optimize(single_program) if optimize else None
     )
-    single = Deployment(single_program, target, plan=plan)
+
+    def plane():
+        return LivePlane(live).start() if live is not None else None
+
+    single = Deployment(
+        single_program, target, plan=plan, live_plane=plane()
+    )
     install(single.control_plane)
     sharded_program = build()
     plan = (
@@ -69,6 +83,7 @@ def make_twins(app: str, n_workers: int, optimize: bool = False):
         target,
         jobs=n_workers,
         plan=plan,
+        live_plane=plane(),
     )
     install(sharded.control_plane)
     return single, sharded
@@ -204,6 +219,50 @@ class TestShardedDifferential:
             assert_sharded_identical(single, sharded)
         finally:
             sharded.close()
+
+    @pytest.mark.parametrize("n_workers", WORKER_COUNTS)
+    def test_final_live_row_identical(self, n_workers):
+        """Under the packet cadence, one core's in-process feed ends on
+        the interval row a fleet's sidecar snapshots merge to."""
+        single, sharded = make_twins(
+            "l2l3_acl",
+            n_workers,
+            optimize=True,
+            live=LiveOptions(every_packets=64),
+        )
+        flows = synth_flows(64)  # distinct dsts: see the test above
+        rows = []
+        try:
+            for deployment in (single, sharded):
+                for seed, batch in ((11, 256), (12, 33)):
+                    deployment.replay(
+                        TrafficGenerator(seed).stream(
+                            flows, 300, locality="zipf"
+                        ),
+                        offered_pps=1e6,
+                        batch=batch,
+                    )
+                deployment.live_plane.aggregator.stop()
+                rows.append(deployment.live_plane.recorder.last("interval"))
+        finally:
+            for deployment in (single, sharded):
+                deployment.close()
+                deployment.live_plane.stop()
+        fields = (
+            "packets",
+            "dropped",
+            "demotions",
+            "columnar_packets",
+            "cache_hit_rate",
+            "p50_ns",
+            "p99_ns",
+        )
+        one_core, fleet = ({f: row[f] for f in fields} for row in rows)
+        assert one_core["packets"] == 600
+        assert one_core["cache_hit_rate"] is not None
+        assert one_core == fleet
+        assert len(rows[0]["shards"]) == 1
+        assert len(rows[1]["shards"]) == n_workers
 
     def test_unpaced_replay_identical(self):
         single, sharded = make_twins("acl_chain", 2)

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -343,9 +344,58 @@ class TestServeSessionChaos:
         finally:
             session.close()
 
-    def test_jobs_must_be_sharded(self):
-        with pytest.raises(ValueError, match="jobs"):
-            SessionConfig(jobs=1)
+
+
+class TestServeSessionOneCore:
+    def test_live_totals_stay_monotone_across_a_redeploy(self):
+        """At ``jobs=1`` the feed moves to each redeployed emulator:
+        the live totals keep counting every replay's packets, and the
+        columnar total keeps the replaced emulators' share. The scrape
+        endpoint serves the in-process feed as shard 0, with no
+        heartbeat age and no ring."""
+        session = ServeSession(
+            SessionConfig(
+                app="dash_routing",
+                jobs=1,
+                baseline="none",
+                profile_period_s=2.0,
+                serve_metrics_port=0,
+            )
+        )
+        try:
+            total = 0
+            for replay in range(2):
+                result = session.run_replay(dict(REPLAY, seed=str(replay)))
+                assert result["reoptimized_ticks"] >= 1  # it redeployed
+                assert result["respawns"] == []
+                total += result["stats"]["packets"]
+                sample = session.live_plane.aggregator.sample()
+                assert sample["packets"] == total
+                assert sample["columnar_packets"] + sum(
+                    sample["demotions"].values()
+                ) == total
+            assert session.controller.reoptimizations >= 2
+            status = session.status()
+            assert status["jobs"] == 1 and status["replays"] == 2
+            assert status["worker_respawns"] == []
+            assert status["journal_bytes"] == []
+            report = session.run_report({})
+            assert report["replays"] == 2 and report["flight_rows"] > 0
+            url = f"http://127.0.0.1:{session.metrics_port}/metrics"
+            with urllib.request.urlopen(url, timeout=5) as response:
+                text = response.read().decode("utf-8")
+            assert f'pipeleon_live_packets_total{{shard="0"}} {total}' in (
+                text.splitlines()
+            )
+            for family in ("heartbeat_age_s", "ring_occupancy", "ring_stalls"):
+                assert f"pipeleon_live_{family}" not in text
+        finally:
+            session.close()
+
+    def test_fault_plan_is_an_error(self):
+        config = SessionConfig(jobs=1, faults=("kill:shard=0,batch=3",))
+        with pytest.raises(ValueError, match="fault plan needs jobs > 1"):
+            ServeSession(config)
 
 
 class DaemonHarness:
