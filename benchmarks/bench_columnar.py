@@ -192,9 +192,9 @@ def _measure_matrix() -> dict:
 def _measure_shm() -> dict:
     """Columnar over the shm rings at 4 workers: wall-clock pps.
 
-    The fleet is fed the stream itself, so every batch rides the
-    rings as flow indices (a ``Packet`` list would go inline); the
-    lazy draw is inside the timed region, as it is for any stream
+    The fleet is fed the stream itself, so its flow set ships as is
+    (a ``Packet`` list would be read whole and deduplicated first);
+    the lazy draw is inside the timed region, as it is for any stream
     replay.
     """
     fleet = Deployment(
@@ -205,19 +205,21 @@ def _measure_shm() -> dict:
     )
     l2l3_acl.install_base_entries(fleet.control_plane)
     try:
-        fleet.replay(_stream(500))  # warm every worker's kernels
+        # Warm every worker's kernels; count every packet replayed.
+        packets = fleet.replay(_stream(500)).packets
         wall = []
         for _ in range(REPEATS):
             stream = _stream()
             start = time.perf_counter()
-            fleet.replay(stream)
+            packets += fleet.replay(stream).packets
             wall.append(time.perf_counter() - start)
         totals = fleet.emulator.transport_stats()["totals"]
         return {
             "wall_pps": round(N_PACKETS / median(wall)),
             "columnar_packets": fleet.emulator.columnar_packets,
             "demotions": dict(fleet.emulator.columnar_demotions),
-            "fallback_encoding": totals["fallback_encoding"],
+            "packets": packets,
+            "pushed_packets": totals["pushed_packets"],
         }
     finally:
         fleet.close()
@@ -343,10 +345,10 @@ def test_bench_columnar():
         ),
     )
 
-    # Every batch the shm fleet replayed must have gone through the
-    # rings and retired columnar — otherwise the wall number above is
-    # measuring the pickled pipe or the interpreter.
-    assert shm["fallback_encoding"] == 0
+    # Every packet the shm fleet replayed must have ridden the rings
+    # and retired columnar — otherwise the wall number above is
+    # measuring something else or the interpreter.
+    assert shm["pushed_packets"] == shm["packets"]
     assert shm["demotions"] == {}
 
     # The batch tier stays well ahead of the interpreter on every app

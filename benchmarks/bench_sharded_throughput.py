@@ -82,10 +82,11 @@ WALL_SPEEDUP_FLOOR = 1.5
 WALL_GATE_MIN_CPUS = 4
 
 
-def _replay(deployment, generator, n=N_PACKETS, flows=FLOWS) -> None:
-    deployment.replay(
+def _replay(deployment, generator, n=N_PACKETS, flows=FLOWS) -> int:
+    """Replay ``n`` packets of ``flows``; returns the packets replayed."""
+    return deployment.replay(
         generator.stream(flows, n, locality="uniform"), batch=BATCH
-    )
+    ).packets
 
 
 def _timed(deployment, generator) -> tuple[float, float]:
@@ -113,10 +114,14 @@ def _fleet_sample(fleet, generator) -> tuple[float, float, float]:
     return wall, parent_ns / (ROUNDS * N_PACKETS), worker_ns / ROUNDS
 
 
-def _isolated_max_busy(fleet, n_workers: int, generator) -> float:
+def _isolated_max_busy(
+    fleet, n_workers: int, generator
+) -> tuple[float, int]:
     """Critical-path worker CPU seconds for ``N_PACKETS``, each shard's
-    flows replayed on their own (see the module docstring)."""
+    flows replayed on their own (see the module docstring), and the
+    packets replayed."""
     busiest = 0.0
+    packets = 0
     for shard in range(n_workers):
         own = [
             flow
@@ -124,9 +129,9 @@ def _isolated_max_busy(fleet, n_workers: int, generator) -> float:
             if flow_shard(flow.flow_key(), n_workers) == shard
         ]
         share = round(N_PACKETS * len(own) / len(FLOWS))
-        _replay(fleet, generator, share, own)
+        packets += _replay(fleet, generator, share, own)
         busiest = max(busiest, fleet.emulator.worker_busy_s[shard])
-    return busiest
+    return busiest, packets
 
 
 def test_bench_sharded_throughput():
@@ -151,13 +156,17 @@ def test_bench_sharded_throughput():
         wall, busy, wall_ratio, modeled_ratio = [], [], [], []
         parent_ns, worker_ns, predicted = [], [], []
         try:
-            _replay(fleet, generator, 2 * n * BATCH)  # compile, per worker
+            # Compile, per worker. ``packets`` counts what the fleet
+            # replayed, to check that every packet rode the ring.
+            packets = _replay(fleet, generator, 2 * n * BATCH)
             for _ in range(REPEATS):
                 one_wall_s, one_cpu_s = _timed(single, generator)
                 single_wall.append(one_wall_s)
                 single_cpu.append(one_cpu_s)
                 wall_s, parent, worker = _fleet_sample(fleet, generator)
-                busy_s = _isolated_max_busy(fleet, n, generator)
+                packets += ROUNDS * N_PACKETS
+                busy_s, isolated = _isolated_max_busy(fleet, n, generator)
+                packets += isolated
                 wall.append(wall_s)
                 busy.append(busy_s)
                 parent_ns.append(parent)
@@ -178,7 +187,8 @@ def test_bench_sharded_throughput():
             "parent_ns_per_packet": round(median(parent_ns), 1),
             "worker_ns_per_packet": round(median(worker_ns), 1),
             "ring_stalls": totals["stalls"],
-            "pipe_fallbacks": totals["fallback_encoding"],
+            "packets": packets,
+            "pushed_packets": totals["pushed_packets"],
             "ring_bytes_per_packet": round(
                 totals["pushed_bytes"] / totals["pushed_packets"], 2
             ),
@@ -260,7 +270,7 @@ def test_bench_sharded_throughput():
     # stream must ride the ring as one int64 index per packet.
     assert single_result["sample_wall_s"] >= 2.0, "raise ROUNDS"
     for result in sharded_results.values():
-        assert result["pipe_fallbacks"] == 0
+        assert result["pushed_packets"] == result["packets"]
         assert result["ring_bytes_per_packet"] == 8.0
     assert sharded_results["4"]["modeled"]["speedup"] >= 2.5
     assert sharded_results["2"]["modeled"]["speedup"] > 1.0

@@ -361,7 +361,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
             emulator = deployment.emulator
             ring_totals = emulator.transport_stats()["totals"]
             summary["ring_stalls"] = ring_totals["stalls"]
-            summary["pipe_fallbacks"] = ring_totals["fallback_encoding"]
             for key in ("pushed_packets", "pushed_bytes", "flow_sets_shipped"):
                 summary[key] = ring_totals[key]
             busy = emulator.worker_busy_s

@@ -75,7 +75,7 @@ from collections import OrderedDict
 from copy import copy
 from itertools import accumulate, islice, repeat
 from time import perf_counter
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -177,19 +177,14 @@ class ColumnBatch:
         self.packets = packets
 
     @classmethod
-    def from_matrix(cls, names, values, sizes, timestamps=None):
-        """Wrap SoA columns (an inlined pipe payload) in place."""
-        return cls(names, values, sizes, timestamps=timestamps)
-
-    @classmethod
     def from_packets(cls, packets: list) -> Optional["ColumnBatch"]:
         """Columnise a packet list; None if it is not SoA-uniform.
 
         Every packet must carry the same header-field set, no
         metadata, no preset drop/egress, and int64-representable
         values. Batches that fail are interpreted wholesale (reason
-        ``input``) and cross a shard boundary in the per-packet ``py``
-        form.
+        ``input``); a flow set (:class:`FlowColumns`) keeps the flows
+        that fail as its non-uniform set.
         """
         if not packets:
             return None
@@ -260,28 +255,131 @@ class ColumnBatch:
         return list(map(tuple, rows.tolist())), kid
 
 
+#: Flows turned into packets at a time while a :class:`FlowColumns` is
+#: built: bounds the transient ``Packet`` objects of a 20 000-flow set.
+_BUILD_CHUNK = 1024
+
+
+class FlowColumns:
+    """The header fields of a flow set as int64 matrices.
+
+    A flow is anything with ``packet(size_bytes)``: a
+    :class:`repro.traffic.flows.FlowSpec`, or a packet snapshot of
+    :class:`PacketFlows`. The matrices are derived from
+    ``flow.packet().fields`` through :meth:`ColumnBatch.from_packets`,
+    so ``packet`` stays the one definition of a flow's fields and
+    ``from_packets`` the one definition of what SoA can express. A
+    batch of drawn flow indices is then one fancy-index into a matrix
+    (:meth:`batch`) instead of one ``Packet`` made and un-made per
+    index.
+
+    Flows are grouped by header-field set: ``group[i]`` is flow ``i``'s
+    group (``-1`` when its packet has no SoA form, e.g. a value outside
+    int64 or preset metadata) and ``column[i]`` its column in that
+    group's field-major ``(n_fields, n_members)`` matrix.
+    """
+
+    def __init__(self, flows):
+        self.flows = list(flows)
+        n = len(self.flows)
+        self.group = np.full(n, -1, dtype=np.int64)
+        self.column = np.zeros(n, dtype=np.int64)
+        self.names: list[tuple[str, ...]] = []
+        parts: list[list[np.ndarray]] = []
+        members: list[int] = []
+        by_field_set: dict[frozenset, int] = {}
+
+        def add(encoded: ColumnBatch, first: int) -> None:
+            key = frozenset(encoded.names)
+            group = by_field_set.setdefault(key, len(self.names))
+            if group == len(self.names):
+                self.names.append(encoded.names)
+                parts.append([])
+                members.append(0)
+            values = encoded.values
+            if encoded.names != self.names[group]:
+                # Same fields, another order: rows follow the group's.
+                values = values[
+                    [encoded.names.index(f) for f in self.names[group]]
+                ]
+            parts[group].append(values)
+            rows = slice(first, first + encoded.n)
+            self.group[rows] = group
+            self.column[rows] = np.arange(
+                members[group], members[group] + encoded.n
+            )
+            members[group] += encoded.n
+
+        for start in range(0, n, _BUILD_CHUNK):
+            packets = [
+                flow.packet()
+                for flow in self.flows[start : start + _BUILD_CHUNK]
+            ]
+            encoded = ColumnBatch.from_packets(packets)
+            if encoded is not None:
+                add(encoded, start)
+                continue
+            # Mixed chunk: flow by flow (a flow alone is rejected only
+            # when its own packet has no SoA form).
+            for offset, packet in enumerate(packets):
+                encoded = ColumnBatch.from_packets([packet])
+                if encoded is not None:
+                    add(encoded, start + offset)
+        self.values = [np.concatenate(group, axis=1) for group in parts]
+        #: One field set and every flow encodable: ``batch`` skips the
+        #: per-batch uniformity check.
+        self.uniform = len(self.names) == 1 and members[0] == n
+
+    def batch(
+        self, indices: np.ndarray, size_bytes: int
+    ) -> Union[ColumnBatch, list[Packet]]:
+        """The packets of ``indices`` as one batch.
+
+        A :class:`ColumnBatch` when :meth:`ColumnBatch.from_packets`
+        would make one of those packets — all of one field set, all
+        encodable — and the ``Packet`` list otherwise.
+        """
+        if self.uniform:
+            group, columns = 0, indices
+        else:
+            groups = self.group[indices]
+            group = int(groups[0])
+            if group < 0 or (groups != group).any():
+                flows = self.flows
+                return [
+                    flows[index].packet(size_bytes)
+                    for index in indices.tolist()
+                ]
+            columns = self.column[indices]
+        return ColumnBatch(
+            self.names[group],
+            self.values[group].take(columns, axis=1),
+            np.full(len(indices), size_bytes, dtype=np.int64),
+        )
+
+
 #: How many flow sets live at once, on both sides of a shard fleet. A
 #: source keeps the matrices of this many sets (most recently used
-#: first) and hands out the *same* :class:`~repro.traffic.flows.
-#: FlowColumns` object for a set it still keeps; a fleet registers a
-#: set by that object's identity and keeps this many registrations
-#: (oldest first out, the eviction its workers apply in message
-#: order). So a rotation over at most this many sets ships each set to
-#: a shard once; past it, a set the source rebuilt is a new object and
-#: is shipped again.
+#: first) and hands out the *same* :class:`FlowColumns` object for a
+#: set it still keeps; a fleet registers a set by that object's
+#: identity and keeps this many registrations (oldest first out, the
+#: eviction its workers apply in message order). So a rotation over at
+#: most this many sets ships each set to a shard once; past it, a set
+#: the source rebuilt is a new object and is shipped again.
 FLOW_SETS_KEPT = 4
 
 
 class ColumnSource:
     """A one-shot ``Packet`` iterable that can also hand out what it
     has left as flow indices (:class:`repro.traffic.generator.
-    PacketStream` is the implementation).
+    PacketStream` is the implementation; :class:`PacketFlows` makes
+    any ``Packet`` iterable one for a shard fleet).
 
     Both views advance one cursor. ``flow_batches(size)`` yields,
     ``size`` packets at a time, ``(flow set, chosen flow indices,
-    size_bytes)``: a flow set is a :class:`repro.traffic.flows.
-    FlowColumns`, and its ``batch(chosen, size_bytes)`` is the batch
-    itself. ``batches(size)`` is exactly that: a :class:`ColumnBatch`
+    size_bytes)``: a flow set is a :class:`FlowColumns`, and its
+    ``batch(chosen, size_bytes)`` is the batch itself.
+    ``batches(size)`` is exactly that: a :class:`ColumnBatch`
     — or the ``Packet`` list when those packets are not SoA-uniform,
     decided per batch exactly as :meth:`ColumnBatch.from_packets`
     decides. A shard fleet ships the flow set once and then the
@@ -299,15 +397,91 @@ class ColumnSource:
             yield flows.batch(chosen, size_bytes)
 
 
+class _PacketFlow:
+    """One distinct packet of a :class:`PacketFlows`, as a flow."""
+
+    __slots__ = ("snapshot",)
+
+    def __init__(self, packet: Packet):
+        # A copy: the caller may mutate its packets after the replay,
+        # and a respawn rebuilds batches from this flow much later.
+        self.snapshot = packet.clone()
+
+    def packet(self, size_bytes: Optional[int] = None) -> Packet:
+        """A fresh copy of the snapshot, ``size_bytes`` long."""
+        packet = self.snapshot.clone()
+        if size_bytes is not None:
+            packet.size_bytes = size_bytes
+        return packet
+
+
+class PacketFlows(ColumnSource):
+    """A bare ``Packet`` iterable as one flow set plus an index stream:
+    how a shard fleet reads any input that is not a
+    :class:`ColumnSource` already.
+
+    :meth:`flow_batches` reads the whole iterable first. Packets equal
+    in fields (order included), metadata, ``dropped`` and
+    ``egress_port`` are one flow, a snapshot whose ``packet(size_bytes)``
+    is a fresh copy; the flows make one :class:`FlowColumns`, whose
+    non-uniform set holds the ones SoA cannot express. Chunks never
+    span two ``size_bytes``: each run of equal sizes is cut ``size``
+    packets at a time, so a list of a stream's packets yields the
+    stream's own chunks.
+    """
+
+    def __init__(self, packets: Iterable[Packet]):
+        self._packets = packets
+
+    def flow_batches(
+        self, size: int
+    ) -> Iterator[tuple[FlowColumns, np.ndarray, int]]:
+        flow_of: dict[tuple, int] = {}
+        flows: list[_PacketFlow] = []
+        chosen: list[int] = []
+        sizes: list[int] = []
+        for packet in self._packets:
+            fields = packet.fields
+            # Flat, so a lookup hashes ints and cached ``str`` hashes,
+            # not one tuple per field; presets (rare) nest the rest.
+            key = (*fields.values(), *fields)
+            if (
+                packet.metadata
+                or packet.dropped
+                or packet.egress_port is not None
+            ):
+                key = (
+                    key,
+                    tuple(packet.metadata.items()),
+                    packet.dropped,
+                    packet.egress_port,
+                )
+            flow = flow_of.setdefault(key, len(flows))
+            if flow == len(flows):
+                flows.append(_PacketFlow(packet))
+            chosen.append(flow)
+            sizes.append(packet.size_bytes)
+        if not chosen:
+            return
+        columns = FlowColumns(flows)
+        indices = np.array(chosen, dtype=np.int64)
+        runs = np.flatnonzero(np.diff(sizes)) + 1
+        bounds = [0, *runs.tolist(), len(sizes)]
+        for first, end in zip(bounds, bounds[1:]):
+            for start in range(first, end, size):
+                stop = min(start + size, end)
+                yield columns, indices[start:stop], sizes[first]
+
+
 def batched(
     packets, size: int, columns: bool
 ) -> Iterator[Union[ColumnBatch, list[Packet]]]:
     """Cut a packet source into ``size``-packet batches.
 
-    The one batching loop of :meth:`NicEmulator.replay` and
-    :meth:`ShardedEmulator.replay`. With ``columns`` a
-    :class:`ColumnSource` hands out its own batches and no ``Packet``
-    is made; everything else is read through the ``Packet`` view.
+    The one batching loop of :meth:`NicEmulator.replay`. With
+    ``columns`` a :class:`ColumnSource` hands out its own batches and
+    no ``Packet`` is made; everything else is read through the
+    ``Packet`` view.
     """
     if columns and isinstance(packets, ColumnSource):
         yield from packets.batches(size)

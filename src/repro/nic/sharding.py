@@ -45,41 +45,38 @@ and respawn counters live from the fork to ``close``.
 One batch type each way. **Out:** the dispatcher ships flow indices.
 A column source (:class:`~repro.nic.columnar.ColumnSource`, what the
 traffic generator returns) hands it ``(flow set, chosen indices,
-size_bytes)``. The first time a replay meets a flow set, every shard
-gets it once, in a journaled ``("flows", id, FlowColumns, size_bytes)``
-message, and the parent builds ``shard_of_flow`` — :func:`flow_shard`
-of each flow's five-tuple, so every packet lands where it always has.
+size_bytes)``; any other ``Packet`` iterable is read whole at the
+boundary and becomes one (:class:`~repro.nic.columnar.PacketFlows`:
+each distinct packet a flow, snapshotted). The first time a replay
+meets a flow set, every shard gets it once, in a journaled
+``("flows", id, FlowColumns, size_bytes)`` message, and the parent
+builds ``shard_of_flow`` — :func:`flow_shard` of each flow's
+five-tuple, so every packet lands where it always has.
 Routing a chunk is then ``shard_of_flow[chosen]`` plus one split, into
 per-shard buffers cut at exactly ``batch`` rows — so a shard's dispatch
 batches do not depend on how the stream was chunked. A worker makes
 each batch with ``flow_set.batch(chosen, size_bytes)``, the call one
 core makes, so its batches are one core's by construction (the
-``Packet``-list fallback of a non-uniform flow set included). Both
+``Packet``-list batch of a non-uniform flow set included). Both
 sides keep at most :data:`FLOW_SETS_KEPT` flow sets and evict the
 oldest registration first, in message order, so they agree on every
 id (how long a set lives is :data:`~repro.nic.columnar.
-FLOW_SETS_KEPT`, one rule for the source and the fleet). Any other
-``Packet`` iterable has no flow indices: each chunk is encoded once
-(:meth:`ColumnBatch.from_packets`), routed by its unique five-tuples,
-buffered as column rows and inlined in a ``batch`` message; rows SoA
-cannot express are routed packet by packet and inlined as the
-``Packet`` list. :meth:`NicEmulator.
-replay_batch` materialises ``Packet`` objects from columns only when
-the selected engine is ``interp``. **Back:** the merged stats and
-worker state of the ``end`` reply, and nothing else.
+FLOW_SETS_KEPT`, one rule for the source and the fleet).
+:meth:`NicEmulator.replay_batch` materialises ``Packet`` objects from
+columns only when the selected engine is ``interp``. **Back:** the
+merged stats and worker state of the ``end`` reply, and nothing else.
 
 One ordered stream per shard: the command pipe. Every message a worker
-acts on — broadcasts, flow sets, batches, ``begin``/``end`` — arrives
-on it, and its FIFO order is the only order there is. An index batch
-is parked in the shard's shared-memory ring
+acts on — broadcasts, flow sets, batch tokens, ``begin``/``end`` —
+arrives on it, and its FIFO order is the only order there is. Every
+index batch is parked in the shard's shared-memory ring
 (:mod:`repro.nic.shm_transport`; 8 B per packet, 16 B paced — no
 per-packet Python objects and no pickling on the hot path), and a
 ``("ring",)`` token is sent in its place; the worker, blocked on the
 pipe, pops the ring head when it reads the token. The publish
 happens-before the token send, so a token without a published record
-is a protocol error, raised at once. What the ring does not carry is
-inlined (pickled): a ``Packet`` iterable's batches (counted per shard,
-reason ``encoding``) and the journal replay after a respawn.
+is a protocol error, raised at once. Only the journal replay after a
+respawn inlines (pickles) its index batches, as ``index`` messages.
 
 Fault tolerance (see DESIGN.md §12): every pipe interaction runs under
 a supervisor governed by :class:`SupervisorOptions`. Sends are
@@ -143,7 +140,7 @@ from repro.nic.columnar import (
     FLOW_SETS_KEPT,
     ColumnBatch,
     ColumnSource,
-    batched,
+    PacketFlows,
 )
 from repro.nic.control_plane import SimClock
 from repro.nic.counters import CounterBank
@@ -188,9 +185,6 @@ _METRIC_HELP = {
     "pipeleon_ring_stalls_total": (
         "Batch dispatches that stalled on a full data ring"
     ),
-    "pipeleon_pipe_fallback_total": (
-        "Batches sent over the pickled pipe instead of the ring"
-    ),
     "pipeleon_flow_sets_shipped_total": (
         "Flow sets sent to a shard worker (once per registration)"
     ),
@@ -220,10 +214,9 @@ JOURNAL_CHECKPOINT_BYTES = 4 << 20
 def _new_ring_stats() -> dict:
     """Zeroed per-shard dispatch counters (plain, JSON-friendly).
 
-    ``pushed_bytes`` is the ring payload; ``fallback_encoding`` counts
-    inlined batches of sources without flow indices.
-    ``fallback_capacity`` is always 0, kept because ``benchmarks/e2e``
-    reads it.
+    ``pushed_bytes`` is the ring payload. ``fallback_encoding`` and
+    ``fallback_capacity`` are always 0 (every batch rides the ring),
+    kept only because ``benchmarks/e2e`` reads them.
     """
     return {
         "pushed_batches": 0,
@@ -285,14 +278,14 @@ class _FlowSet:
         self.columns = columns
         self.size_bytes = size_bytes
         #: What the workers get: a uniform set's ``batch`` never reads
-        #: its specs (they back only the Packet-list fallback), so its
+        #: its specs (they back only the Packet-list batch), so its
         #: message carries a copy without them.
         self.shipped = columns
         if columns.uniform:
             self.shipped = copy.copy(columns)
             self.shipped.flows = None
         #: What a ``flows`` message costs the journal: its arrays, and
-        #: the specs a non-uniform set ships for its fallback.
+        #: the specs a non-uniform set ships for its Packet-list batch.
         self.bytes = sum(
             array.nbytes
             for array in (columns.group, columns.column, *columns.values)
@@ -324,13 +317,11 @@ class _FlowSet:
 
 
 class _ShardBuffer:
-    """Rows bound for one shard, in stream order.
+    """Flow indices bound for one shard, in stream order.
 
-    Parts are ``(flow indices | ColumnBatch | Packet list, timestamps
-    | None)``; :meth:`cut` takes exactly the first ``rows`` rows off the
-    front, so the dispatch batches of a shard are the same whatever
-    chunks the rows came in. One replay fills a buffer from one source,
-    so the parts are all index arrays or all packet rows.
+    Parts are ``(flow indices, timestamps | None)``; :meth:`cut` takes
+    exactly the first ``rows`` rows off the front, so the dispatch
+    batches of a shard are the same whatever chunks the rows came in.
     """
 
     __slots__ = ("parts", "rows")
@@ -339,108 +330,30 @@ class _ShardBuffer:
         self.parts: list = []
         self.rows = 0
 
-    def append(self, part, ts) -> None:
+    def append(self, part: np.ndarray, ts) -> None:
         self.parts.append((part, ts))
-        self.rows += _rows(part)
+        self.rows += len(part)
 
     def cut(self, rows: int):
-        """Pop the first ``rows`` rows as one ``(part, timestamps)``.
-
-        Index arrays come back as one array; packet rows as one
-        :class:`ColumnBatch` when they are all columns over one field
-        tuple, else as the ``Packet`` list, column rows materialised.
-        """
+        """Pop the first ``rows`` rows as one ``(indices, timestamps)``."""
         taken = []
         need = rows
         while need:
             part, ts = self.parts[0]
-            n = _rows(part)
-            if n <= need:
-                del self.parts[0]
+            if len(part) > need:
+                rest = None if ts is None else ts[need:]
+                self.parts[0] = (part[need:], rest)
+                part, ts = part[:need], None if ts is None else ts[:need]
             else:
-                head, rest = slice(0, need), slice(need, None)
-                self.parts[0] = (_take(part, rest), _at(ts, rest))
-                part, ts, n = _take(part, head), _at(ts, head), need
+                del self.parts[0]
             taken.append((part, ts))
-            need -= n
+            need -= len(part)
         self.rows -= rows
-        parts = [part for part, _ in taken]
         ts = None
         if taken[0][1] is not None:
             ts = np.concatenate([part_ts for _, part_ts in taken])
-        first = parts[0]
-        if isinstance(first, np.ndarray):
-            # A copy even of one part: the journal keeps what it sends.
-            return np.concatenate(parts), ts
-        if len(parts) == 1:
-            return first, ts
-        if all(
-            isinstance(part, ColumnBatch) and part.names == first.names
-            for part in parts
-        ):
-            return (
-                ColumnBatch(
-                    first.names,
-                    np.concatenate([part.values for part in parts], axis=1),
-                    np.concatenate([part.sizes for part in parts]),
-                ),
-                ts,
-            )
-        return [packet for part in parts for packet in _packets(part)], ts
-
-
-def _rows(part) -> int:
-    return part.n if isinstance(part, ColumnBatch) else len(part)
-
-
-def _take(part, rows: slice):
-    return part.take(rows) if isinstance(part, ColumnBatch) else part[rows]
-
-
-def _at(ts, rows: slice):
-    return None if ts is None else ts[rows]
-
-
-def _packets(part) -> list:
-    if isinstance(part, ColumnBatch):
-        return [part.make_packet(i) for i in range(part.n)]
-    return part
-
-
-def _route_packets(part, ts, buffers, pick) -> None:
-    """Append every row of ``part`` (a ``Packet`` list or a
-    :class:`ColumnBatch`) to the buffer ``pick(flow key)`` names,
-    keeping stream order within each buffer.
-
-    A part with an SoA form is encoded once, here, keyed off its
-    columns (one ``pick`` per unique five-tuple: ``Packet.flow_key``
-    costs microseconds a packet) and buffered as column rows. A list SoA
-    cannot express is keyed packet by packet and buffered as packets.
-    """
-    batch = (
-        part
-        if isinstance(part, ColumnBatch)
-        else ColumnBatch.from_packets(part)
-    )
-    if batch is not None:
-        keys, key_of_row = batch.flow_keys()
-        targets = np.fromiter(
-            map(pick, keys), dtype=np.int64, count=len(keys)
-        )[key_of_row]
-    else:
-        targets = np.fromiter(
-            (pick(packet.flow_key()) for packet in part),
-            dtype=np.int64,
-            count=len(part),
-        )
-    for target in np.unique(targets).tolist():
-        rows = np.flatnonzero(targets == target)
-        buffers[target].append(
-            batch.take(rows)
-            if batch is not None
-            else [part[i] for i in rows.tolist()],
-            None if ts is None else ts[rows],
-        )
+        # A copy even of one part: the journal keeps what it sends.
+        return np.concatenate([part for part, _ in taken]), ts
 
 
 def _route_indices(chosen, ts, buffers, table) -> None:
@@ -521,16 +434,12 @@ class _WorkerGone(Exception):
 
 
 def _message_bytes(message: tuple) -> int:
-    """A journaled message's footprint: an index batch's or a SoA
-    batch's array bytes, anything else's pickled size (a ``flows``
-    message is sized once, by the caller)."""
+    """A journaled message's footprint: an index batch's array bytes,
+    anything else's pickled size (a ``flows`` message is sized once, by
+    the caller)."""
     if message[0] == "index":
         _op, _flow_set, chosen, ts = message
         return chosen.nbytes + (0 if ts is None else ts.nbytes)
-    if message[0] == "batch" and isinstance(message[1], tuple):
-        _names, values, sizes = message[1]
-        ts = message[2]
-        return values.nbytes + sizes.nbytes + (0 if ts is None else ts.nbytes)
     return len(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
 
 
@@ -556,7 +465,7 @@ class ShardJournal:
     """A shard's last checkpoint plus every state-bearing message since.
 
     Records every message that mutates worker state (``begin``,
-    ``flows``, ``index``, ``batch``, ``entries``, ``invalidate``,
+    ``flows``, ``index``, ``entries``, ``invalidate``,
     ``flush``, ``reset``, ``swap``) after ``checkpoint``. A worker is a
     deterministic function of its message history, so restoring the
     checkpoint into a freshly forked worker and replaying the journal
@@ -583,7 +492,7 @@ class ShardJournal:
             size = _message_bytes(message)
         self.entries.append((message, size))
         self.bytes += size
-        if message[0] in ("index", "batch"):
+        if message[0] == "index":
             self.batches += 1
 
     def rebase(self, checkpoint: _Checkpoint) -> None:
@@ -771,8 +680,7 @@ def _worker_main(
             return _checkpoint(emulator)
 
         def replay_any(batch, n: int, timestamps=None) -> None:
-            """Replay one batch — a ColumnBatch, or a Packet list SoA
-            could not express — through the selected tier."""
+            """Replay one batch through the selected tier."""
             nonlocal stats
             if injector is not None:
                 injector.before_batch(n)
@@ -838,13 +746,6 @@ def _worker_main(
                 flow_sets[message[1]] = (message[2], message[3])
                 while len(flow_sets) > FLOW_SETS_KEPT:
                     del flow_sets[next(iter(flow_sets))]
-            elif op == "batch":
-                payload, ts = message[1], message[2]
-                if isinstance(payload, tuple):
-                    batch = ColumnBatch.from_matrix(*payload, ts)
-                    replay_any(batch, batch.n)
-                else:
-                    replay_any(payload, len(payload), ts)
             elif op == "begin":
                 stats = RunStats()
                 busy = 0.0
@@ -1277,12 +1178,6 @@ class ShardedEmulator:
                 buckets=_OCCUPANCY_BUCKETS,
                 shard=shard,
             )
-
-    def _count_fallback(self, shard: int, reason: str) -> None:
-        self.ring_stats[shard][f"fallback_{reason}"] += 1
-        self._count(
-            "pipeleon_pipe_fallback_total", shard=shard, reason=reason
-        )
 
     def transport_stats(self) -> dict:
         """Transport-level dispatch counters, merged and per shard,
@@ -1986,7 +1881,10 @@ class ShardedEmulator:
 
         Same contract as :meth:`NicEmulator.replay`, except that the
         workers' tier was fixed at the fork: an ``engine`` other than
-        the fleet's is a ``ValueError``. With
+        the fleet's is a ``ValueError``, and a ``Packet`` iterable that
+        is not a :class:`ColumnSource` is read whole before the first
+        batch goes out (:class:`PacketFlows`; the caller's packets are
+        left as they were). With
         ``offered_pps`` the parent precomputes each packet's absolute
         clock time and ships it with the batch, so worker-local clocks
         observe exactly the per-packet times a single-core run would;
@@ -2008,9 +1906,8 @@ class ShardedEmulator:
             raise ValueError("batch must be >= 1")
         if batch > self.batch:
             # The rings were sized for the construction batch: a longer
-            # batch would not fit a slot and go inline. Stats do
-            # not depend on the dispatch batch; ``transport_stats``
-            # reports the clamp.
+            # batch would not fit a slot. Stats do not depend on the
+            # dispatch batch; ``transport_stats`` reports the clamp.
             batch = self.batch
             self.clamped_replays += 1
         n = self.n_workers
@@ -2024,34 +1921,23 @@ class ShardedEmulator:
         self.parent_dispatch_ns = self.parent_stall_ns = 0
         try:
             buffers = [_ShardBuffer() for _ in range(n)]
-            to_shard = partial(flow_shard, n_shards=n)
             everyone = tuple(range(n))
             count = 0
             flow_set = None
-            if isinstance(packets, ColumnSource):
-                chunks = packets.flow_batches(batch)
-            else:
-                chunks = (
-                    (None, chunk, 0)
-                    for chunk in batched(packets, batch, columns=False)
-                )
-            for columns, chunk, size_bytes in chunks:
+            if not isinstance(packets, ColumnSource):
+                packets = PacketFlows(packets)
+            for columns, chunk, size_bytes in packets.flow_batches(batch):
                 start = time.perf_counter_ns()
                 rows = len(chunk)
                 ts = None
                 if dt:
                     ts = t0 + dt * np.arange(count + 1, count + rows + 1)
                 count += rows
-                if columns is None:
-                    _route_packets(chunk, ts, buffers, to_shard)
-                else:
-                    if flow_set is None or not flow_set.holds(
-                        columns, size_bytes
-                    ):
-                        # A new flow set: what is buffered goes first.
-                        self._drain(buffers, batch, flow_set)
-                        flow_set = self._register(columns, size_bytes)
-                    _route_indices(chunk, ts, buffers, flow_set.route(everyone))
+                if flow_set is None or not flow_set.holds(columns, size_bytes):
+                    # A new flow set: what is buffered goes first.
+                    self._drain(buffers, batch, flow_set)
+                    flow_set = self._register(columns, size_bytes)
+                _route_indices(chunk, ts, buffers, flow_set.route(everyone))
                 for shard in range(n):
                     while buffers[shard].rows >= batch:
                         self._flush(shard, buffers, batch, flow_set)
@@ -2130,29 +2016,17 @@ class ShardedEmulator:
                     )
 
     def _flush(self, shard: int, buffers, rows: int, flow_set) -> None:
-        """Dispatch the first ``rows`` rows buffered for ``shard``: flow
-        indices of ``flow_set``, or packet rows when it is None."""
-        part, ts = buffers[shard].cut(rows)
+        """Dispatch the first ``rows`` flow indices buffered for
+        ``shard``."""
+        chosen, ts = buffers[shard].cut(rows)
         if not self._dead[shard]:
-            if flow_set is None:
-                delivered = self._dispatch_packets(shard, part, ts)
-            else:
-                delivered = self._dispatch_indices(shard, flow_set, part, ts)
-            if delivered:
+            if self._dispatch_indices(shard, flow_set, chosen, ts):
                 self._dispatched_since_begin[shard] += rows
                 return
             # The shard degraded during this send: the batch was never
             # delivered, so fall through and reroute it.
         survivors = tuple(self._survivors())
-        if flow_set is None:
-            _route_packets(
-                part,
-                ts,
-                buffers,
-                lambda key: survivors[hash(key) % len(survivors)],
-            )
-        else:
-            _route_indices(part, ts, buffers, flow_set.route(survivors))
+        _route_indices(chosen, ts, buffers, flow_set.route(survivors))
 
     def _dispatch_indices(
         self,
@@ -2170,35 +2044,6 @@ class ShardedEmulator:
             # journal: either way no token is owed.
             return not self._dead[shard]
         return self._guarded_send(shard, ("ring",), context="batch dispatch")
-
-    def _dispatch_packets(
-        self, shard: int, part, ts: Optional[np.ndarray]
-    ) -> bool:
-        """Journal one batch of a source without flow indices, then
-        inline it in a ``batch`` message (counted, reason
-        ``encoding``): SoA columns where they express it, the
-        ``Packet`` list otherwise. Returns False only when the shard
-        degraded mid-dispatch."""
-        batch = part
-        if not isinstance(part, ColumnBatch):
-            # Rows of a chunk SoA could not express: what of it goes
-            # to one shard may still have a column form.
-            batch = ColumnBatch.from_packets(part)
-        if batch is not None:
-            payload = (batch.names, batch.values, batch.sizes)
-        else:
-            # The journal outlives the caller's packets: snapshot them.
-            payload = (
-                [packet.clone() for packet in part]
-                if self._journaling
-                else part
-            )
-            if ts is not None:
-                ts = ts.tolist()
-        message = ("batch", payload, ts)
-        self._journal(shard, message)
-        self._count_fallback(shard, "encoding")
-        return self._guarded_send(shard, message, context="batch dispatch")
 
     def _push_supervised(
         self,

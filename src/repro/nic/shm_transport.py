@@ -37,7 +37,7 @@ set the worker already holds, plus ``float64`` absolute clock times
 when the replay is paced — 8 B per packet unpaced, 16 B paced. The
 header's meta words are ``(n_packets, flow set id, has timestamps, 0,
 0)``. The flow set itself (the field-major ``int64`` matrices of
-:class:`repro.traffic.flows.FlowColumns`) crossed the command pipe
+:class:`repro.nic.columnar.FlowColumns`) crossed the command pipe
 once, in a ``flows`` message; the worker's
 ``flow_set.batch(chosen, size_bytes)`` is the very call one core makes,
 so the batch it replays is the one-core batch by construction. One
@@ -231,8 +231,8 @@ class ShmRing:
     def finished(self) -> int:
         """Batches the consumer has finished, however they arrived.
 
-        A worker chewing through pipe-borne batches (a journal replay,
-        pipe fallbacks) never moves :attr:`consumed`; this word is its
+        A worker chewing through pipe-borne batches (a journal
+        replay) never moves :attr:`consumed`; this word is its
         proof of life (the supervisor's progress token reads both).
         """
         return int(self._ctrl[9])

@@ -20,9 +20,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.nic.columnar import FLOW_SETS_KEPT, ColumnSource
+from repro.nic.columnar import FLOW_SETS_KEPT, ColumnSource, FlowColumns
 from repro.nic.packet import DEFAULT_PACKET_BYTES, Packet
-from repro.traffic.flows import FlowColumns, FlowSpec, synth_flows
+from repro.traffic.flows import FlowSpec, synth_flows
 
 _NO_INDICES = np.zeros(0, dtype=np.int64)
 

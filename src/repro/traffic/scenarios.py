@@ -39,8 +39,9 @@ from repro.nic.packet import Packet
 ControlAction = Callable[[object, float], None]
 #: The packets offered during one emulated second. The library's
 #: builders return the generator's :class:`~repro.traffic.generator.
-#: PacketStream` as is — never listed — so a fleet replays a tick from
-#: columns; any ``Packet`` iterable is accepted.
+#: PacketStream` as is — never listed — so a fleet ships its flow set
+#: as drawn; any other ``Packet`` iterable is accepted, and a fleet
+#: reads it whole into one flow set first.
 StreamFactory = Callable[[int], Iterable[Packet]]
 
 #: Epsilon guard for tick-vs-boundary comparisons in :meth:`Scenario.

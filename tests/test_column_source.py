@@ -8,8 +8,10 @@ for the columnar tier and the shard dispatcher. These tests pin that
 the two views are the same packets, that the flow matrix is never
 stale, that non-SoA traffic is decided exactly as before (golden values
 from the commit before the seam), that the column dispatcher shards,
-paces, reroutes and respawns exactly as the per-packet one did, and
-that a replay from a stream builds no ``Packet`` at all.
+paces, reroutes and respawns exactly as the per-packet one did, that a
+``Packet`` list reaches a fleet as one flow set (``PacketFlows``) and
+replays like the stream it came from, and that a replay from a stream
+builds no ``Packet`` at all.
 """
 
 import copy
@@ -23,21 +25,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import EXAMPLE_APPS
+from repro.apps import EXAMPLE_APPS, migration
 from repro.core import Deployment, Pipeleon
 from repro.errors import EmulationError
-from repro.nic import sharding
+from repro.nic import columnar, sharding
 from repro.nic.faults import FaultPlan, FaultSpec
-from repro.nic.columnar import ColumnBatch, ColumnSource, batched
+from repro.nic.columnar import (
+    ColumnBatch,
+    ColumnSource,
+    FlowColumns,
+    PacketFlows,
+    batched,
+)
 from repro.nic.packet import FIVE_TUPLE, Packet
 from repro.nic.sharding import (
     FLOW_SETS_KEPT,
     ShardedEmulator,
     SupervisorOptions,
     _FlowSet,
-    _packets,
     _route_indices,
-    _route_packets,
     _shard_table,
     _ShardBuffer,
     flow_shard,
@@ -52,7 +58,7 @@ from repro.traffic import (
     drop_rate_stream,
     synth_flows,
 )
-from repro.traffic.flows import FlowColumns, FlowSpec
+from repro.traffic.flows import FlowSpec
 from tests.test_faults import fast_options, make_sharded, make_single
 from tests.test_core_sharded import worker_caches
 from tests.test_nic_sharding import (
@@ -310,9 +316,7 @@ class TestFlowMatrixReuse:
         """Chunked build, several field sets, one field order per set,
         and a flow with no SoA form: every flow's column is its own
         packet's fields."""
-        from repro.traffic import flows as flows_module
-
-        monkeypatch.setattr(flows_module, "_BUILD_CHUNK", 7)
+        monkeypatch.setattr(columnar, "_BUILD_CHUNK", 7)
         plain = synth_flows(10)
         tagged = [f.with_fields(**{"vlan.id": 5, "vlan.pcp": 1}) for f in plain]
         # Same field set as ``tagged``, listed in the other order.
@@ -500,7 +504,7 @@ class TestNonSoaTrafficAsBefore:
 
 
 # ---------------------------------------------------------------------------
-# (4) Row -> shard on columns is flow_shard on packets
+# (4) A Packet list is one flow set; row -> shard is flow_shard on packets
 # ---------------------------------------------------------------------------
 
 _VALUES = st.one_of(
@@ -554,6 +558,72 @@ def flow_sets(draw):
     return flows
 
 
+def _variants() -> list[Packet]:
+    """Packets that differ in one way each from the first."""
+    base = Packet(fields={"ipv4.src": 3, "l4.sport": 1})
+    swapped = Packet(fields={"l4.sport": 1, "ipv4.src": 3})
+    variants = [base, swapped]
+    for change in (
+        lambda p: p.fields.update({"l4.sport": 2}),
+        lambda p: p.fields.update({"vlan.id": 7}),
+        lambda p: p.fields.update({"ipv4.src": 2**64}),
+        lambda p: p.metadata.update({"meta.mark": 0}),
+        lambda p: setattr(p, "dropped", True),
+        lambda p: setattr(p, "egress_port", 0),
+    ):
+        variant = base.clone()
+        change(variant)
+        variants.append(variant)
+    return variants
+
+
+def _content(packet: Packet) -> tuple:
+    """What a flow set keeps of a packet: all but the field order."""
+    return (
+        packet.fields,
+        packet.metadata,
+        packet.size_bytes,
+        packet.dropped,
+        packet.egress_port,
+    )
+
+
+class TestPacketFlows:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        picks=st.lists(
+            st.tuples(st.integers(0, 7), st.sampled_from([64, 512])),
+            max_size=40,
+        ),
+        size=st.integers(1, 9),
+    )
+    def test_chunks_are_the_packets(self, picks, size):
+        """A list read back through its flow set is the list, in
+        order; a chunk holds at most ``size`` packets of one
+        ``size_bytes``; one flow per distinct packet (field order, a
+        preset 0 and a preset ``False`` included), and the caller's
+        packets are left as they were."""
+        variants = _variants()
+        packets = []
+        for index, size_bytes in picks:
+            packet = variants[index].clone()
+            packet.size_bytes = size_bytes
+            packets.append(packet)
+        before = [shape(packet) for packet in packets]
+        chunks = list(PacketFlows(packets).flow_batches(size))
+        read = []
+        for columns, chosen, size_bytes in chunks:
+            assert 0 < len(chosen) <= size
+            for packet in from_batches_once(columns.batch(chosen, size_bytes)):
+                assert packet.size_bytes == size_bytes
+                read.append(packet)
+        assert [_content(p) for p in read] == [_content(p) for p in packets]
+        assert [shape(packet) for packet in packets] == before
+        assert len({id(columns) for columns, _c, _s in chunks}) <= 1
+        distinct = {repr(shape(variants[index])) for index, _s in picks}
+        assert len(chunks[0][0].flows if chunks else []) == len(distinct)
+
+
 class TestColumnDispatchShards:
     @settings(max_examples=120, deadline=None)
     @given(packets=uniform_packets(), n=st.sampled_from([1, 2, 3, 4, 7]))
@@ -564,11 +634,15 @@ class TestColumnDispatchShards:
         assert [keys[k] for k in key_of_row.tolist()] == [
             p.flow_key() for p in packets
         ]
+        # A Packet list reaches the dispatcher as one flow set.
+        [(columns, chosen, size_bytes)] = PacketFlows(packets).flow_batches(
+            len(packets)
+        )
+        assert columns.uniform
         ts = np.arange(len(packets), dtype=np.float64)
         listed = [_ShardBuffer() for _ in range(n)]
-        _route_packets(
-            list(packets), ts, listed, lambda key: flow_shard(key, n)
-        )
+        table = _shard_table(columns, lambda key: flow_shard(key, n))
+        _route_indices(chosen, ts, listed, table)
         for shard in range(n):
             expected = [
                 (shape(p), float(i))
@@ -580,11 +654,11 @@ class TestColumnDispatchShards:
             if not expected:
                 continue
             part, part_ts = buffer.cut(buffer.rows)
-            # Encoded once: the rows stay columns up to the dispatch.
-            assert isinstance(part, ColumnBatch)
+            batch = columns.batch(part, size_bytes)
+            assert isinstance(batch, ColumnBatch)
             assert [
                 (shape(p), t)
-                for p, t in zip(_packets(part), part_ts.tolist())
+                for p, t in zip(from_batches_once(batch), part_ts.tolist())
             ] == expected
 
     @settings(max_examples=120, deadline=None)
@@ -596,7 +670,7 @@ class TestColumnDispatchShards:
     def test_flow_set_table_equals_flow_shard(self, flows, n, data):
         """A flow set's routing table is :func:`flow_shard` of each
         flow's packet, and routing drawn indices through it buffers
-        exactly the rows routing those packets does."""
+        each index, in stream order, where its flow's packet goes."""
         table = _shard_table(
             FlowColumns(flows), lambda key: flow_shard(key, n)
         )
@@ -614,29 +688,17 @@ class TestColumnDispatchShards:
         ts = np.arange(len(chosen), dtype=np.float64)
         indexed = [_ShardBuffer() for _ in range(n)]
         _route_indices(chosen, ts, indexed, table)
-        listed = [_ShardBuffer() for _ in range(n)]
-        _route_packets(
-            [flows[i].packet() for i in chosen.tolist()],
-            ts,
-            listed,
-            lambda key: flow_shard(key, n),
-        )
         for shard in range(n):
             expected = [
                 (i, float(t))
                 for t, i in enumerate(chosen.tolist())
                 if table[i] == shard
             ]
-            assert indexed[shard].rows == listed[shard].rows == len(expected)
+            assert indexed[shard].rows == len(expected)
             if not expected:
                 continue
             part, part_ts = indexed[shard].cut(len(expected))
             assert list(zip(part.tolist(), part_ts.tolist())) == expected
-            packets, packets_ts = listed[shard].cut(len(expected))
-            assert [shape(p) for p in _packets(packets)] == [
-                shape(flows[i].packet()) for i, _t in expected
-            ]
-            assert packets_ts.tolist() == part_ts.tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -646,14 +708,10 @@ class TestColumnDispatchShards:
             max_size=5,
         ),
         size=st.integers(1, 25),
-        form=st.sampled_from(["indices", "columns", "packets"]),
     )
-    def test_buffer_cuts_exact_batches_in_stream_order(
-        self, chunks, size, form
-    ):
-        """Flow indices, column rows or ``Packet`` rows: ``cut`` hands
-        back exactly the next ``size`` rows, in the form they went
-        in."""
+    def test_buffer_cuts_exact_batches_in_stream_order(self, chunks, size):
+        """``cut`` hands back exactly the next ``size`` flow indices,
+        with their timestamps."""
         buffer = _ShardBuffer()
         expected = []
         stamp = 0
@@ -661,32 +719,14 @@ class TestColumnDispatchShards:
             ts = np.arange(stamp, stamp + len(rows), dtype=np.float64)
             stamp += len(rows)
             expected += list(zip(rows, ts.tolist()))
-            if form == "packets":
-                part = [Packet(fields={"l4.sport": row}) for row in rows]
-            elif form == "columns":
-                part = ColumnBatch(
-                    ("l4.sport",),
-                    np.array([rows], dtype=np.int64),
-                    np.full(len(rows), 64, dtype=np.int64),
-                )
-            else:
-                part = np.array(rows, dtype=np.int64)
-            buffer.append(part, ts)
+            buffer.append(np.array(rows, dtype=np.int64), ts)
         seen = []
         while buffer.rows:
             rows = min(size, buffer.rows)
             part, ts = buffer.cut(rows)
             assert len(ts) == rows
-            if form == "packets":
-                assert len(part) == rows
-                values = [packet.fields["l4.sport"] for packet in part]
-            elif form == "columns":
-                assert isinstance(part, ColumnBatch) and part.n == rows
-                values = part.values[0].tolist()
-            else:
-                assert part.dtype == np.int64 and len(part) == rows
-                values = part.tolist()
-            seen += list(zip(values, ts.tolist()))
+            assert part.dtype == np.int64 and len(part) == rows
+            seen += list(zip(part.tolist(), ts.tolist()))
         assert seen == expected
 
 
@@ -696,50 +736,34 @@ class TestColumnDispatchShards:
 
 
 def record_dispatches(monkeypatch, sharded, kill_before=None) -> list:
-    """Every ``(shard, as flow indices, flow keys, timestamps)`` the
-    fleet dispatches. ``kill_before=(shard, k)`` SIGKILLs that shard's
-    worker (and waits for it to be gone) just before its ``k``-th
-    batch is dispatched, so which batches died with it does not depend
-    on how fast the parent notices."""
+    """Every ``(shard, packets, timestamps)`` the fleet dispatches, the
+    packets being what the worker's ``flow_set.batch`` makes of the
+    indices. ``kill_before=(shard, k)`` SIGKILLs that shard's worker
+    (and waits for it to be gone) just before its ``k``-th batch is
+    dispatched, so which batches died with it does not depend on how
+    fast the parent notices."""
     real_indices = ShardedEmulator._dispatch_indices
-    real_packets = ShardedEmulator._dispatch_packets
     seen = []
 
-    def record(fleet, shard, as_indices, keys, ts):
-        assert ts is None or len(ts) == len(keys)
+    def spying_indices(fleet, shard, flow_set, chosen, ts):
+        assert ts is None or len(ts) == len(chosen)
         if kill_before == (shard, sum(1 for s, *_ in seen if s == shard)):
             victim = fleet._procs[shard]
             victim.kill()
             victim.join(timeout=10.0)
             assert not victim.is_alive()
+        batch = flow_set.columns.batch(chosen, flow_set.size_bytes)
         seen.append(
             (
                 shard,
-                as_indices,
-                keys,
+                from_batches_once(batch),
                 None if ts is None else [float(t) for t in ts],
             )
         )
-
-    def spying_indices(self, shard, flow_set, chosen, ts):
-        flows = flow_set.columns.flows
-        keys = [flows[i].flow_key() for i in chosen.tolist()]
-        record(self, shard, True, keys, ts)
-        return real_indices(self, shard, flow_set, chosen, ts)
-
-    def spying_packets(self, shard, part, ts):
-        keys = [packet.flow_key() for packet in _packets(part)]
-        record(self, shard, False, keys, ts)
-        return real_packets(self, shard, part, ts)
+        return real_indices(fleet, shard, flow_set, chosen, ts)
 
     monkeypatch.setattr(ShardedEmulator, "_dispatch_indices", spying_indices)
-    monkeypatch.setattr(ShardedEmulator, "_dispatch_packets", spying_packets)
     return seen
-
-
-def routed(seen) -> list:
-    """Dispatches without the form they took."""
-    return [(shard, keys, ts) for shard, _indices, keys, ts in seen]
 
 
 class TestPacedFleetReplay:
@@ -774,43 +798,42 @@ class TestPacedFleetReplay:
                     (
                         seen,
                         # (Stalls and occupancy follow the wall clock.)
-                        {key: totals[key] for key in GOLDEN_SHM_TOTALS},
+                        {
+                            key: totals[key]
+                            for key in (
+                                "pushed_batches",
+                                "pushed_packets",
+                                "pushed_bytes",
+                                "flow_sets_shipped",
+                            )
+                        },
                         sorted(sharded.emulator.counters.snapshot().items()),
                     )
                 )
             finally:
                 sharded.close()
-        # The stream ships flow indices on the ring; a Packet iterable
-        # has none and goes inline, cut and stamped the same.
-        assert routed(runs[0][0]) == routed(runs[1][0]) == routed(runs[2][0])
-        assert runs[0][2] == runs[1][2] == runs[2][2]
-        batches = len(runs[0][0])
-        assert runs[0][1]["pushed_batches"] == batches
-        assert runs[0][1]["fallback_encoding"] == 0
-        for _seen, totals, _counters in runs[1:]:
-            assert totals["pushed_batches"] == 0
-            assert totals["fallback_encoding"] == batches
+        # A Packet iterable becomes one flow set: the stream's batches,
+        # cut and stamped the same, all on the ring.
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][1]["pushed_batches"] == len(runs[0][0])
         # Against the scalar definition: packet ``count`` (1-based, in
         # stream order) is stamped ``t0 + dt * count``, and a shard's
         # batches are its packets in order, 32 at a time.
         dt = 1.0 / 2.5e5
         expected: dict[int, list] = {0: [], 1: []}
         for count, packet in enumerate(make(), start=1):
-            key = packet.flow_key()
-            expected[flow_shard(key, 2)].append((key, t0 + dt * count))
+            shard = flow_shard(packet.flow_key(), 2)
+            expected[shard].append((shape(packet), t0 + dt * count))
         for shard in (0, 1):
             dispatched = [
-                (key, t)
-                for s, is_columns, keys, ts in runs[0][0]
+                (shape(packet), t)
+                for s, packets, ts in runs[0][0]
                 if s == shard
-                for key, t in zip(keys, ts)
+                for packet, t in zip(packets, ts)
             ]
             assert dispatched == expected[shard]
-            sizes = [
-                len(keys) for s, _c, keys, _ts in runs[0][0] if s == shard
-            ]
+            sizes = [len(ps) for s, ps, _ts in runs[0][0] if s == shard]
             assert all(size == 32 for size in sizes[:-1])
-        assert all(as_indices for _s, as_indices, _k, _t in runs[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -844,9 +867,8 @@ class TestFaultsFromAColumnStream:
             return {
                 "stats": stats_fingerprint(stats),
                 "lost": stats.lost_packets,
-                "dispatches": routed(seen),
+                "dispatches": seen,
                 "pushed": totals["pushed_batches"],
-                "inline": totals["fallback_encoding"],
                 "respawns": list(emulator.respawns),
                 "degraded": sharded.emulator.degraded_shards,
                 "counters": sorted(emulator.counters.snapshot().items()),
@@ -860,12 +882,9 @@ class TestFaultsFromAColumnStream:
 
     @staticmethod
     def assert_alike(from_columns, from_list):
-        """Same dispatches, stats and counters; the stream's batches
-        rode the ring and the list's went inline."""
-        assert from_columns["pushed"] > 0 and from_columns["inline"] == 0
-        assert from_list["pushed"] == 0 and from_list["inline"] > 0
-        for run in (from_columns, from_list):
-            del run["pushed"], run["inline"]
+        """Same dispatches, stats and counters, every batch on the
+        ring for both."""
+        assert from_columns["pushed"] > 0
         assert from_columns == from_list
 
     def test_degraded_reroutes_alike(self, monkeypatch):
@@ -882,19 +901,93 @@ class TestFaultsFromAColumnStream:
         # Reroute targets: after the kill, shard 1's flows go where
         # ``hash(key) % len(survivors)`` sends them, and nowhere else.
         survivors = [0, 2]
-        for shard, keys, _ts in from_columns["dispatches"]:
-            for key in keys:
+        for shard, packets, _ts in from_columns["dispatches"]:
+            for key in map(Packet.flow_key, packets):
                 home = flow_shard(key, 3)
                 assert shard == home or (
                     home == 1
                     and shard == survivors[hash(key) % len(survivors)]
                 )
         delivered = sum(
-            len(keys) for _s, keys, _t in from_columns["dispatches"]
+            len(packets) for _s, packets, _t in from_columns["dispatches"]
         )
         # The batch whose send found the worker dead is dispatched
         # twice: once to shard 1, once rerouted.
         assert delivered == self.TOTAL + self.BATCH
+
+    @pytest.mark.parametrize("app", ["l2l3_acl", "migration_partitioned"])
+    @pytest.mark.parametrize("mode", ["healthy", "respawn", "degraded"])
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_hostile_lists(self, monkeypatch, jobs, mode, app):
+        """:func:`hostile_packets` on a fleet, fed as a list: healthy
+        or with the last shard killed before its fourth batch. The
+        fleet's ``auto`` and ``interp`` workers agree on stats,
+        counters and caches; without a degraded shard so do one core's
+        two engines."""
+        kill = None if mode == "healthy" else (jobs - 1, 3)
+        recovery = "degraded" if mode == "degraded" else "respawn"
+        runs = {}
+        for engine in ("auto", "interp"):
+            fleet = hostile_deployment(
+                app, jobs, engine=engine, recovery=recovery
+            )
+            try:
+                with monkeypatch.context() as patch:
+                    seen = record_dispatches(patch, fleet, kill_before=kill)
+                    if mode == "degraded" and jobs == 1:
+                        with pytest.raises(EmulationError, match="survivors"):
+                            fleet.replay(
+                                hostile_packets(47, self.TOTAL),
+                                offered_pps=1e6,
+                                batch=self.BATCH,
+                            )
+                        return
+                    stats = fleet.replay(
+                        hostile_packets(47, self.TOTAL),
+                        offered_pps=1e6,
+                        batch=self.BATCH,
+                    )
+                emulator = fleet.emulator
+                runs[engine] = {
+                    "dispatches": seen,
+                    "stats": stats_fingerprint(stats),
+                    "lost": stats.lost_packets,
+                    "respawns": list(emulator.respawns),
+                    "degraded": emulator.degraded_shards,
+                    "counters": sorted(emulator.counters.snapshot().items()),
+                    "caches": worker_caches(fleet),
+                }
+                if mode == "degraded":
+                    continue
+                for one_core in ("auto", "interp"):
+                    single = hostile_deployment(app)
+                    reference = single.replay(
+                        hostile_packets(47, self.TOTAL),
+                        offered_pps=1e6,
+                        batch=self.BATCH,
+                        engine=one_core,
+                    )
+                    assert stats_fingerprint(stats) == stats_fingerprint(
+                        reference
+                    )
+                    assert_sharded_identical(single, fleet)
+            finally:
+                fleet.close()
+        assert runs["auto"] == runs["interp"]
+        got = runs["auto"]
+        if mode == "degraded":
+            # What the doomed shard took before the kill died with it.
+            taken = [
+                len(packets)
+                for shard, packets, _ts in got["dispatches"]
+                if shard == jobs - 1
+            ]
+            assert got["degraded"] == [jobs - 1]
+            assert got["lost"] == sum(taken[:3]) > 0
+            assert got["stats"][0] == self.TOTAL - got["lost"]
+        else:
+            assert got["lost"] == 0 and got["degraded"] == []
+            assert got["respawns"][-1] == int(mode == "respawn")
 
     def test_respawn_rebuilds_alike(self, monkeypatch):
         from_columns = self.run(monkeypatch, self.stream, "respawn")
@@ -993,10 +1086,6 @@ class TestNoMaterialisation:
             assert emulator.columnar_packets == self.PACKETS
             assert emulator.columnar_demotions == {}
             assert totals["pushed_packets"] == self.PACKETS
-            assert (
-                totals["fallback_encoding"] + totals["fallback_capacity"]
-                == 0
-            )
             assert stats_fingerprint(stats) == stats_fingerprint(reference)
         finally:
             monkeypatch.undo()
@@ -1032,6 +1121,37 @@ class TestNoMaterialisation:
 #: A flow no SoA form can hold: every batch holding it is the
 #: Packet-list batch, on one core and in a worker alike.
 HUGE_FLOW = synth_flows(41)[-1].with_fields(**{"ipv4.tos": 2**64})
+
+#: The packet sizes of :func:`hostile_packets`, in runs of 50.
+HOSTILE_SIZES = (512, 128, 1500)
+
+
+def hostile_packets(seed: int, n: int) -> list[Packet]:
+    """A ``Packet`` list no stream makes: a value outside int64 (one
+    flow), two header-field sets, preset metadata, ``dropped`` and
+    ``egress_port``, and runs of three ``size_bytes``. The odd flows
+    are the rarest and the presets are in one run size of three, so
+    plenty of batches are still SoA. Flows of one five-tuple share a
+    destination and no other flow does, so every cache key stays on
+    one shard."""
+    tagged = [
+        flow.with_fields(**{"vlan.id": 7}) for flow in synth_flows(49)[41:]
+    ]
+    flows = synth_flows(40) + [HUGE_FLOW] + tagged
+    packets = list(TrafficGenerator(seed).stream(flows, n, locality="zipf"))
+    for index, packet in enumerate(packets):
+        run = index // 50 % len(HOSTILE_SIZES)
+        packet.size_bytes = HOSTILE_SIZES[run]
+        if run != 1:
+            continue
+        if index % 7 == 3:
+            packet.metadata["meta.mark"] = index % 3
+        if index % 29 == 5:
+            packet.dropped = True
+        if index % 31 == 6:
+            packet.egress_port = 3
+    return packets
+
 
 #: ``(make the traffic, offered_pps)`` of each source a fleet must
 #: replay like one core.
@@ -1072,6 +1192,7 @@ FLEET_SOURCES = {
         ),
         None,
     ),
+    "hostile_list": (lambda: hostile_packets(46, 900), 2.5e5),
 }
 
 
@@ -1097,6 +1218,40 @@ def fleet_of(jobs: int):
     )
 
 
+def hostile_deployment(app: str, jobs: int = 0, **fleet):
+    """``app`` on one core (``jobs=0``) or on a fleet of ``jobs``
+    workers built with ``fleet`` (``engine``, ``recovery``): the
+    optimized ``l2l3_acl`` plan, whose flow cache makes order visible,
+    or ``migration``'s naive split, whose every packet migrates."""
+    if app == "l2l3_acl":
+        build, install = EXAMPLE_APPS[app]
+        program = build()
+        plan = Pipeleon(EMULATED_NIC).optimize(program)
+    else:
+        program, install, plan = migration.partitioned_program(), None, None
+    engine = fleet.get("engine", "auto")
+    options = fast_options(recovery=fleet.get("recovery", "fail"))
+    if jobs > 1:
+        deployment = Deployment(
+            program,
+            EMULATED_NIC,
+            plan=plan,
+            jobs=jobs,
+            batch=32,
+            supervisor=options,
+            engine=engine,
+        )
+    else:
+        deployment = Deployment(program, EMULATED_NIC, plan=plan)
+    if install is not None:
+        install(deployment.control_plane)
+    if jobs == 1:
+        return one_worker_fleet(
+            deployment, batch=32, options=options, engine=engine
+        )
+    return deployment
+
+
 class TestFlowIndexDispatch:
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize("source", sorted(FLEET_SOURCES))
@@ -1115,16 +1270,53 @@ class TestFlowIndexDispatch:
         finally:
             fleet.close()
             single.close()
-        if source == "packet_list":
-            # No flow indices: every batch inline, nothing shipped.
-            assert totals["pushed_batches"] == totals["flow_sets_shipped"] == 0
-            assert totals["fallback_encoding"] > 0
-            return
-        assert totals["flow_sets_shipped"] == jobs
-        assert totals["fallback_encoding"] == 0
+        # A list is one flow set, registered once per ``size_bytes``.
+        sizes = len(HOSTILE_SIZES) if source == "hostile_list" else 1
+        assert totals["flow_sets_shipped"] == jobs * sizes
         assert totals["pushed_packets"] == 900
         per_packet = 16 if offered_pps else 8
         assert totals["pushed_bytes"] == per_packet * 900
+
+    def test_caller_packets_are_snapshots(self):
+        """Replay a list, mutate every packet in it, kill a worker and
+        replay again: the respawn rebuilds the shard from the flows the
+        first replay snapshotted, so stats, counters and caches are an
+        unmutated run's, and the replay left the caller's packets as
+        they were."""
+
+        def run(mutate: bool):
+            fleet = hostile_deployment("l2l3_acl", 2, recovery="respawn")
+            try:
+                packets = hostile_packets(48, 600)
+                pristine = [shape(packet) for packet in packets]
+                first = fleet.replay(packets, offered_pps=1e6, batch=32)
+                assert [shape(packet) for packet in packets] == pristine
+                if mutate:
+                    for packet in packets:
+                        packet.fields["ipv4.dst"] += 1
+                        packet.metadata["meta.mark"] = 9
+                        packet.dropped = not packet.dropped
+                        packet.egress_port = 1
+                        packet.size_bytes = 64
+                    victim = fleet.emulator._procs[0]
+                    victim.kill()
+                    victim.join(timeout=10.0)
+                    assert not victim.is_alive()
+                second = fleet.replay(
+                    hostile_packets(48, 600), offered_pps=1e6, batch=32
+                )
+                return (
+                    list(fleet.emulator.respawns),
+                    [stats_fingerprint(first), stats_fingerprint(second)],
+                    fleet.emulator.counters.snapshot(),
+                    worker_caches(fleet),
+                )
+            finally:
+                fleet.close()
+
+        mutated, clean = run(True), run(False)
+        assert mutated[0] == [1, 0] and clean[0] == [0, 0]
+        assert mutated[1:] == clean[1:]
 
     def test_one_flows_message_per_shard_per_flow_set(self, monkeypatch):
         """A flow set crosses to each shard once while the shards hold
@@ -1276,8 +1468,8 @@ class TestFlowIndexDispatch:
             assert stats.lost_packets == 2 * 32
             assert stats.packets == 900 - stats.lost_packets
             survivors = [s for s in range(jobs) if s != doomed]
-            for shard, _indices, keys, _ts in seen:
-                for key in keys:
+            for shard, packets, _ts in seen:
+                for key in map(Packet.flow_key, packets):
                     home = flow_shard(key, jobs)
                     assert shard == home or (
                         home == doomed

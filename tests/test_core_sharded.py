@@ -380,14 +380,7 @@ def drive_update_script(single, sharded, kill_after=None) -> dict:
     return {
         "journals": journal_ops(fleet),
         "materialized_updates": sharded.materialized_updates,
-        "transport": {
-            key: totals[key]
-            for key in (
-                "pushed_batches",
-                "fallback_encoding",
-                "fallback_capacity",
-            )
-        },
+        "transport": {"pushed_batches": totals["pushed_batches"]},
     }
 
 
@@ -686,7 +679,6 @@ class TestControllerJobs:
             transport = fleet.transport_stats()
             assert transport["batch"] == 256
             assert transport["clamped_replays"] == 1
-            assert transport["totals"]["fallback_capacity"] == 0
             assert transport["totals"]["pushed_packets"] == 9000
             controller.deployment.replay(packets(18, n=500), batch=64)
             assert fleet.transport_stats()["clamped_replays"] == 1

@@ -295,8 +295,8 @@ class MidwayAction(ColumnSource):
 
 class TestOrderedStream:
     """The command pipe is a shard's one ordered stream: ring batches
-    (a token on the pipe), inlined batches and broadcasts are acted on
-    in exactly the order the dispatcher sent them."""
+    (a token on the pipe) and broadcasts are acted on in exactly the
+    order the dispatcher sent them."""
 
     BATCH = 8
     N_BATCHES = 14
@@ -354,21 +354,6 @@ class TestOrderedStream:
         a cache hit."""
         return (index + position // (self.BATCH // 2)) % 5
 
-    def stream(self, deployment):
-        """The chain as ``Packet`` s (a source without flow indices:
-        every batch is inlined). Odd batches carry metadata, even ones
-        are SoA-uniform; halfway, between two batches, the cached
-        table loses its entries."""
-        flows = self.flows()
-        for index in range(self.N_BATCHES):
-            if index == self.N_BATCHES // 2:
-                self.delete_routes(deployment)
-            for position in range(self.BATCH):
-                packet = flows[self.chain(index, position)].packet()
-                if index % 2:
-                    packet.metadata["meta.mark"] = 1
-                yield packet
-
     def index_stream(self, deployment):
         """The chain as flow indices (every batch rides the ring). Odd
         batches draw flows holding a value outside int64, so a worker
@@ -421,21 +406,11 @@ class TestOrderedStream:
             sharded.close()
 
     @pytest.mark.parametrize("ring_slots", [1, 16])
-    def test_alternating_payloads_and_broadcast_keep_order(
-        self, ring_slots
-    ):
-        """Inlined batches of both payload forms and a broadcast."""
-        totals = self.replay_both(ring_slots, self.stream)
-        assert totals["pushed_batches"] == 0
-        assert totals["fallback_encoding"] == self.N_BATCHES
-
-    @pytest.mark.parametrize("ring_slots", [1, 16])
     def test_ring_batches_and_broadcast_keep_order(self, ring_slots):
         """Ring tokens — batches of both forms at the worker — and a
         broadcast."""
         totals = self.replay_both(ring_slots, self.index_stream)
         assert totals["pushed_batches"] == self.N_BATCHES
-        assert totals["fallback_encoding"] == 0
         assert totals["flow_sets_shipped"] == 2
 
     def test_ring_token_without_a_record_is_a_protocol_error(self):
@@ -595,10 +570,8 @@ class TestBatchCodec:
         packets = [make_packet(sport=1000 + i) for i in range(8)]
         batch = ColumnBatch.from_packets(packets)
         assert batch is not None
-        # What a worker rebuilds from the shipped columns alone.
-        shipped = ColumnBatch.from_matrix(
-            batch.names, batch.values, batch.sizes
-        )
+        # What a worker rebuilds from the columns alone.
+        shipped = ColumnBatch(batch.names, batch.values, batch.sizes)
         decoded = [shipped.make_packet(i) for i in range(shipped.n)]
         assert [p.fields for p in decoded] == [
             p.fields for p in packets
@@ -634,10 +607,11 @@ class TestBatchCodec:
                 reference
             )
             assert_sharded_identical(single, sharded)
-            # A Packet list has no flow indices: every batch inline.
+            # A Packet list becomes a flow set: every batch rides the
+            # ring, the non-SoA ones made Packet lists in the worker.
             totals = sharded.emulator.transport_stats()["totals"]
-            assert totals["fallback_encoding"] >= 1
-            assert totals["pushed_batches"] == 0
+            assert totals["pushed_packets"] == len(packets())
+            assert sharded.emulator.columnar_demotions["input"] > 0
         finally:
             sharded.close()
 

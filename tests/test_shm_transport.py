@@ -360,13 +360,13 @@ class TestShmReplaySemantics:
             assert totals["pushed_packets"] == 300
             assert totals["pushed_bytes"] == 16 * 300  # paced
             assert totals["flow_sets_shipped"] == 2
-            assert totals["fallback_encoding"] == 0
-            assert totals["fallback_capacity"] == 0
         finally:
             sharded.close()
 
-    def test_non_encodable_batches_fall_back_to_pipe(self):
-        """Mixed-header traffic rides the pipe — counted, not dropped."""
+    def test_non_encodable_lists_ride_the_ring(self):
+        """A metadata-marked ``Packet`` list becomes a flow set: every
+        batch rides the ring, and the marked packets are demoted in
+        the worker (reason ``input``), as on one core."""
         telemetry = Telemetry()
         sharded = make_sharded(
             "l2l3_acl",
@@ -374,25 +374,26 @@ class TestShmReplaySemantics:
             options=SupervisorOptions(recv_timeout_s=10.0),
             telemetry=telemetry,
         )
-        try:
-            packets = list(app_packets(4, 120))
-            for packet in packets[::3]:
+        single = make_single("l2l3_acl")
+
+        def packets():
+            listed = list(app_packets(4, 120))
+            for packet in listed[::3]:
                 packet.metadata["meta.mark"] = 1  # defeats the SoA form
-            stats = sharded.replay(packets, offered_pps=1e6, batch=16)
+            return listed
+
+        try:
+            reference = single.replay(packets(), offered_pps=1e6, batch=16)
+            stats = sharded.replay(packets(), offered_pps=1e6, batch=16)
             assert stats.packets == 120
+            assert stats_fingerprint(stats) == stats_fingerprint(reference)
             totals = sharded.emulator.transport_stats()["totals"]
-            assert totals["fallback_encoding"] > 0
-            assert totals["pushed_batches"] == 0
-            registry = telemetry.registry
-            fallbacks = sum(
-                registry.value(
-                    "pipeleon_pipe_fallback_total",
-                    shard=shard,
-                    reason="encoding",
-                )
-                for shard in (0, 1)
-            )
-            assert fallbacks == totals["fallback_encoding"]
+            assert totals["pushed_packets"] == 120
+            assert totals["pushed_bytes"] == 16 * 120
+            assert sharded.emulator.columnar_demotions["input"] > 0
+            assert telemetry.registry.value(
+                "pipeleon_flow_sets_shipped_total", shard=0
+            ) == 1
         finally:
             sharded.close()
 
@@ -427,8 +428,6 @@ class TestShmReplaySemantics:
             )
             assert_sharded_identical(single, sharded)
             totals = sharded.emulator.transport_stats()["totals"]
-            assert totals["fallback_capacity"] == 0
-            assert totals["fallback_encoding"] == 0
             assert totals["pushed_packets"] == n
             assert totals["pushed_bytes"] == 16 * n
             assert totals["flow_sets_shipped"] == 2
@@ -498,12 +497,11 @@ class TestShmReplaySemantics:
 
 class TestWorkerIngestion:
     def test_pipe_workers_build_no_packets(self, monkeypatch):
-        """A ``Packet`` list (a source without flow indices) is inlined
-        as SoA columns where they express it: with ``Packet.__init__``
+        """A ``Packet`` list becomes a flow set, and a uniform set
+        reaches the workers as SoA columns: with ``Packet.__init__``
         poisoned in the workers (they fork while it is patched; the
         parent's copy is restored to generate traffic), an
-        ``engine="auto"`` replay of inlined batches is still
-        bit-identical."""
+        ``engine="auto"`` replay of the list is still bit-identical."""
 
         def poisoned(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("a worker materialised a Packet")
@@ -527,8 +525,8 @@ class TestWorkerIngestion:
             )
             assert sharded.emulator.columnar_demotions == {}
             totals = sharded.emulator.transport_stats()["totals"]
-            assert totals["fallback_encoding"] >= 10
-            assert totals["pushed_batches"] == 0
+            assert totals["pushed_batches"] >= 10
+            assert totals["pushed_packets"] == 600
         finally:
             sharded.close()
 
