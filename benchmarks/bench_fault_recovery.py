@@ -84,7 +84,7 @@ def _fingerprint(stats) -> tuple:
         stats.dropped,
         stats.total_latency_ns,
         stats.total_bytes,
-        sorted(stats._latencies),
+        stats.value_counts(),
     )
 
 

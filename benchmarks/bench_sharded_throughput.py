@@ -12,8 +12,7 @@ Per worker count the headline is **wall clock**: ``wall_pps`` and
 stats against one core's, in this container. One sample is ``ROUNDS``
 back-to-back ``replay()`` calls of ``N_PACKETS`` each — long enough
 (>= 2 s on one core at ~3 M packets/s) that it measures replay rather
-than start-up, in calls small enough that the per-packet latency list
-``RunStats`` keeps stays under ~50 MB.
+than start-up.
 
 Beside it, the fleet's two serial terms, **measured** in the timed
 replays: ``parent_ns_per_packet`` (the parent's route + dispatch wall

@@ -1617,7 +1617,7 @@ class ColumnarEngine:
         """Retire the clean prefix ``[seg, cut)`` into shared state.
 
         Every pending event is filtered to indices below ``cut``;
-        integer counter sums, list-extend stats appends and the cache
+        integer counter sums, the stats' value counts and the cache
         op logs reproduce exactly what sequential per-packet processing
         of the prefix would have done.
         """
@@ -1656,12 +1656,12 @@ class ColumnarEngine:
         )
         dropped = walk.dropped[span]
         stats.record_block(
-            latencies.tolist(),
+            latencies,
             int(sizes[span].sum()),
             int(dropped.sum()),
             int(walk.migr[span].sum()),
-            busy0[used0].tolist(),
-            busy1[used1].tolist(),
+            busy0[used0],
+            busy1[used1],
         )
         outcome.latencies[span] = latencies
         outcome.dropped[span] = dropped
@@ -1824,7 +1824,7 @@ class ColumnarEngine:
             # and the counter stride per packet.
             if self._instrument:
                 self._counter_bank.advance(n)
-            stats.record_block([0.0] * n, int(batch.sizes.sum()), 0, 0)
+            stats.record_block(np.zeros(n), int(batch.sizes.sum()), 0, 0)
             em.columnar_packets += n
             if ts is not None and n:
                 clock.now_s = float(ts[-1])

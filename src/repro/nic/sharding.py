@@ -18,7 +18,7 @@ tuple, or are distinct per flow), the *merge* of the per-worker run
 stats, counter banks and cache stats is exactly — bit for bit — what a
 single-core replay of the unsharded stream produces (see
 ``tests/test_nic_sharding.py``). This holds because all aggregates are
-either integer sums or ``math.fsum`` reductions (order-independent),
+either integer sums or exact sums over value counts (order-independent),
 and per-flow state never crosses shards. Outside that regime the
 engine stays *semantically* correct — every packet still gets the
 single-core forwarding result — but cold-start effects differ: a cache

@@ -3,16 +3,21 @@
 ``RunStats`` is *mergeable*: a run can be split across shards (the
 sharded replay engine partitions traffic by flow hash) and the per-shard
 stats recombined with :meth:`RunStats.merge` into exactly the aggregate a
-single-core run would have produced. To make that exact, order-sensitive
-accumulation is avoided: totals are computed with :func:`math.fsum` over
-the per-packet samples, which is correctly rounded and therefore
-independent of the order packets were recorded in.
+single-core run would have produced. A packet's modeled latency and busy
+time are set by its path, so a replay yields few distinct values:
+``RunStats`` keeps a value -> count map per series, and its totals are
+exact sums over the counts (correctly rounded, so order-independent).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Optional
+
+import numpy as np
 
 from repro.ir.tables import Pipeline
 from repro.nic.targets import TargetModel
@@ -39,10 +44,10 @@ class RunStats:
     This is the natural model for the paper's architecture (Figure 1) and
     reduces to ``cores / mean latency`` for homogeneous programs.
 
-    Per-packet latency and busy samples are retained; totals are derived
-    with ``math.fsum`` (exactly rounded, hence permutation-invariant), so
-    :meth:`merge`-ing the stats of any partition of a packet stream
-    yields the same aggregates as recording the unsplit stream.
+    Latencies and per-pool busy times are value -> count maps (read
+    with :meth:`value_counts`), so :meth:`merge`-ing the stats of any
+    partition of a packet stream yields the same aggregates as
+    recording the unsplit stream, in a size set by distinct values.
     """
 
     def __init__(self) -> None:
@@ -54,11 +59,10 @@ class RunStats:
         #: (sharded replay under ``recovery="degraded"`` only); always
         #: 0 for single-core and fault-free runs.
         self.lost_packets = 0
-        self._latencies: list[float] = []
-        self._busy_samples: dict[Pipeline, list[float]] = {}
-        # Memoized fsum results, invalidated by packet-count change.
-        self._total_cache: tuple[int, float] = (-1, 0.0)
-        self._busy_cache: tuple[int, dict[Pipeline, float]] = (-1, {})
+        self._latency_counts: Counter[float] = Counter()
+        self._busy_counts: defaultdict[Pipeline, Counter[float]] = (
+            defaultdict(Counter)
+        )
 
     def record(self, result: PacketResult, size_bytes: int) -> None:
         self.packets += 1
@@ -66,94 +70,84 @@ class RunStats:
         self.migrations += result.migrations
         if result.dropped:
             self.dropped += 1
-        self._latencies.append(result.latency_ns)
-        samples = self._busy_samples
+        self._latency_counts[result.latency_ns] += 1
+        pools = self._busy_counts
         for pipeline, busy in result.busy_ns.items():
-            bucket = samples.get(pipeline)
-            if bucket is None:
-                bucket = samples[pipeline] = []
-            bucket.append(busy)
+            pools[pipeline][busy] += 1
 
     def record_block(
         self,
-        latencies,
+        latencies: np.ndarray,
         total_bytes: int,
         dropped: int,
         migrations: int,
-        asic_busy=None,
-        cpu_busy=None,
+        asic_busy: Optional[np.ndarray] = None,
+        cpu_busy: Optional[np.ndarray] = None,
     ) -> None:
         """Record a contiguous block of packets at once.
 
-        ``latencies`` and the busy sequences must carry the same
-        per-packet values, in the same order, that a sequence of
-        :meth:`record` calls would have appended — the lists are
-        simply extended, so the resulting stats are bit-identical.
+        ``latencies`` and the busy arrays carry the per-packet values a
+        sequence of :meth:`record` calls would have counted (the busy
+        arrays only the packets that used that pool), so the resulting
+        stats are bit-identical.
         """
         self.packets += len(latencies)
         self.total_bytes += total_bytes
         self.migrations += migrations
         self.dropped += dropped
-        self._latencies.extend(latencies)
-        samples = self._busy_samples
-        if asic_busy is not None and len(asic_busy):
-            bucket = samples.get(Pipeline.ASIC)
-            if bucket is None:
-                bucket = samples[Pipeline.ASIC] = []
-            bucket.extend(asic_busy)
-        if cpu_busy is not None and len(cpu_busy):
-            bucket = samples.get(Pipeline.CPU)
-            if bucket is None:
-                bucket = samples[Pipeline.CPU] = []
-            bucket.extend(cpu_busy)
+        _count_array(self._latency_counts, latencies)
+        for pipeline, busy in (
+            (Pipeline.ASIC, asic_busy),
+            (Pipeline.CPU, cpu_busy),
+        ):
+            if busy is not None and len(busy):
+                _count_array(self._busy_counts[pipeline], busy)
 
     # -- merging -------------------------------------------------------------
 
     def merge(self, other: "RunStats") -> "RunStats":
         """Fold ``other`` into this stats object (associative).
 
-        Because every aggregate is either an integer sum or an
-        ``fsum``/order-insensitive reduction over per-packet samples,
-        merging the stats of any split of a packet stream reproduces
-        the unsplit stream's aggregates exactly.
+        Every aggregate is an integer sum or a function of the value
+        counts, which add, so merging the stats of any split of a
+        packet stream reproduces the unsplit stream's aggregates
+        exactly.
         """
         self.packets += other.packets
         self.dropped += other.dropped
         self.migrations += other.migrations
         self.total_bytes += other.total_bytes
-        # getattr: stats pickled by an older worker may predate the field.
-        self.lost_packets += getattr(other, "lost_packets", 0)
-        self._latencies.extend(other._latencies)
-        samples = self._busy_samples
-        for pipeline, values in other._busy_samples.items():
-            bucket = samples.get(pipeline)
-            if bucket is None:
-                samples[pipeline] = list(values)
-            else:
-                bucket.extend(values)
+        self.lost_packets += other.lost_packets
+        self._latency_counts.update(other._latency_counts)
+        for pipeline, counts in other._busy_counts.items():
+            self._busy_counts[pipeline].update(counts)
         return self
 
     # -- latency -------------------------------------------------------------
 
+    def value_counts(
+        self, pipeline: Optional[Pipeline] = None
+    ) -> list[tuple[float, int]]:
+        """``(value, packets)`` pairs in ascending value order: the
+        per-packet latencies, or with ``pipeline`` the busy times of
+        the packets that used that pool."""
+        if pipeline is None:
+            counts = self._latency_counts
+        else:
+            counts = self._busy_counts.get(pipeline, {})
+        return sorted(counts.items())
+
     @property
     def total_latency_ns(self) -> float:
-        cached_at, value = self._total_cache
-        if cached_at != self.packets:
-            value = math.fsum(self._latencies)
-            self._total_cache = (self.packets, value)
-        return value
+        return _exact_sum(self._latency_counts)
 
     @property
     def _busy_ns(self) -> dict[Pipeline, float]:
-        """Per-pool busy totals (fsum over per-packet samples)."""
-        cached_at, totals = self._busy_cache
-        if cached_at != self.packets:
-            totals = {
-                pipeline: math.fsum(values)
-                for pipeline, values in self._busy_samples.items()
-            }
-            self._busy_cache = (self.packets, totals)
-        return totals
+        """Per-pool busy totals (exact sums over the value counts)."""
+        return {
+            pipeline: _exact_sum(counts)
+            for pipeline, counts in self._busy_counts.items()
+        }
 
     @property
     def mean_latency_ns(self) -> float:
@@ -162,14 +156,18 @@ class RunStats:
         return self.total_latency_ns / self.packets
 
     def percentile_latency_ns(self, percentile: float) -> float:
-        if not self._latencies:
+        counts = self._latency_counts
+        if not counts:
             return 0.0
-        ordered = sorted(self._latencies)
+        total = counts.total()
         rank = min(
-            len(ordered) - 1,
-            max(0, math.ceil(percentile / 100.0 * len(ordered)) - 1),
+            total - 1,
+            max(0, math.ceil(percentile / 100.0 * total) - 1),
         )
-        return ordered[rank]
+        for value, n in sorted(counts.items()):
+            rank -= n
+            if rank < 0:
+                return value
 
     @property
     def drop_rate(self) -> float:
@@ -228,3 +226,19 @@ class RunStats:
         if target is not None:
             data["throughput_gbps"] = self.throughput_gbps(target)
         return data
+
+
+def _count_array(counts: Counter[float], values: np.ndarray) -> None:
+    """Add one count per element of ``values`` to ``counts``."""
+    keys, hits = np.unique(values, return_counts=True)
+    counts.update(dict(zip(keys.tolist(), hits.tolist())))
+
+
+def _exact_sum(counts: Counter[float]) -> float:
+    """The correctly rounded sum of the multiset ``counts`` holds: what
+    :func:`math.fsum` returns for it in any order (unless one of its
+    partial sums overflows), ``OverflowError`` where the sum rounds past
+    the largest float. Non-finite values go through ``fsum`` itself."""
+    if all(map(math.isfinite, counts)):
+        return float(sum(Fraction(value) * n for value, n in counts.items()))
+    return math.fsum(counts.elements())

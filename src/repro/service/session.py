@@ -13,7 +13,7 @@ checking the job's cancel event between ticks and folding each tick's
 merged :class:`~repro.nic.stats.RunStats` with
 :meth:`~repro.nic.stats.RunStats.merge`. Because both the scenario and
 the fault plan are pure functions of their string seeds and the merge
-is fsum-exact, two same-seed sessions return bit-identical stats
+is exact, two same-seed sessions return bit-identical stats
 fingerprints even when a worker is killed and respawned mid-run.
 """
 

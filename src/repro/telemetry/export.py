@@ -55,8 +55,8 @@ def export_run_stats(
         help="Per-packet end-to-end latency (ns)",
         **labels,
     )
-    for latency in stats._latencies:
-        hist.observe(latency)
+    for latency, packets in stats.value_counts():
+        hist.observe(latency, packets)
     registry.set_gauge(
         "pipeleon_mean_latency_ns",
         stats.mean_latency_ns,

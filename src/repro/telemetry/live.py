@@ -142,7 +142,9 @@ class LiveFeed:
     ``NicEmulator.replay_batch`` calls :meth:`observe` after every
     batch, and a redeploy hands the feed on with the caches
     (``NicEmulator.adopt_caches``). It owns the sequence number, the
-    latency histogram, the lifetime totals and ``options``' cadence.
+    lifetime totals with the latency histogram of the replays that
+    ended, and ``options``' cadence; a snapshot adds the running
+    replay's stats to those.
     ``sink(snapshot, block) -> bool`` delivers a snapshot: a shard
     worker's over the sidecar pipe, where a heartbeat may be dropped
     but a packet-cadence or forced one blocks (bounded), since a lost
@@ -184,19 +186,18 @@ class LiveFeed:
         self.demotions = Counter(demotions)
         self.hist = hist
         self._emulator = emulator
-        #: The running replay's stats; its latencies the histogram holds.
+        #: The running replay's stats, not yet in the histogram.
         self._stats = None
-        self._offset = 0
         self._mark = packets // (self.every_packets or 1)
 
     def _retire(self) -> None:
         stats = self._stats
         if stats is not None:
-            self.hist.observe_many(stats._latencies[self._offset:])
+            for latency, count in stats.value_counts():
+                self.hist.observe(latency, count)
             self.packets += stats.packets
             self.dropped += stats.dropped
             self._stats = None
-            self._offset = 0
 
     def _see(self, emulator) -> None:
         previous = self._emulator
@@ -237,11 +238,12 @@ class LiveFeed:
         """Build one cumulative snapshot of ``emulator`` and sink it."""
         self._see(emulator)
         packets, dropped = self.packets, self.dropped
+        # Its own copy: the aggregator reads it while the feed goes on.
+        hist = Histogram(self.hist.buckets).merge(self.hist)
         stats = self._stats
         if stats is not None:
-            latencies = stats._latencies
-            self.hist.observe_many(latencies[self._offset:])
-            self._offset = len(latencies)
+            for latency, count in stats.value_counts():
+                hist.observe(latency, count)
             packets += stats.packets
             dropped += stats.dropped
         demotions = Counter(self.demotions)
@@ -253,9 +255,7 @@ class LiveFeed:
             "mono_s": time.monotonic(),
             "packets": packets,
             "dropped": dropped,
-            # Its own copy: the feed observes on into its histogram
-            # while the aggregator reads this one.
-            "hist": Histogram(self.hist.buckets).merge(self.hist),
+            "hist": hist,
             "caches": {
                 name: (cache.stats.hits, cache.stats.misses)
                 for name, cache in emulator.flow_caches.items()

@@ -19,11 +19,7 @@ boundaries by construction, so a merge is an element-wise sum.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import reduce
-from operator import add
-from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, Optional
 
 #: Log-spaced (base 2) latency buckets in nanoseconds: 16 ns .. ~1.05 ms.
 #: Fixed once so per-shard histograms always merge element-wise.
@@ -77,28 +73,12 @@ class Histogram:
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.buckets, value)] += 1
-        self.sum += value
-        self.count += 1
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        """:meth:`observe` every value, in order, in bulk.
-
-        Bucket counts come from one ``searchsorted`` + ``bincount``;
-        the sum takes the same sequential float adds a loop of
-        ``observe`` calls would, so all three fields are bit-equal to
-        that loop.
-        """
-        if not len(values):
-            return
-        slots = np.searchsorted(self.buckets, values, side="left")
-        for slot, hits in enumerate(
-            np.bincount(slots, minlength=len(self.counts)).tolist()
-        ):
-            self.counts[slot] += hits
-        self.sum = reduce(add, values, self.sum)
-        self.count += len(values)
+    def observe(self, value: float, count: int = 1) -> None:
+        """Observe ``value`` ``count`` times (the sum adds ``value *
+        count`` once)."""
+        self.counts[bisect_left(self.buckets, value)] += count
+        self.sum += value * count
+        self.count += count
 
     @property
     def mean(self) -> float:

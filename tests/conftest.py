@@ -22,6 +22,17 @@ def pytest_collection_modifyitems(items):
 
 
 @pytest.fixture
+def ordered_stats(monkeypatch):
+    """One-core runs and replays record into ``ListRunStats``, the
+    per-packet list reference (``tests/test_run_stats_reference.py``),
+    so a differential test can compare latencies in packet order."""
+    import repro.nic.emulator
+    from tests.test_run_stats_reference import ListRunStats
+
+    monkeypatch.setattr(repro.nic.emulator, "RunStats", ListRunStats)
+
+
+@pytest.fixture
 def chain5():
     """Five exact tables in a chain."""
     return linear_program("chain5", 5)

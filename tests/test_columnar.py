@@ -48,6 +48,10 @@ from repro.nic.targets import AGILIO_CX, BLUEFIELD2, EMULATED_NIC
 from repro.synthesis import ProgramSynthesizer, SynthesisConfig
 from repro.traffic.flows import FlowSpec, synth_flows
 from repro.traffic.generator import TrafficGenerator
+from tests.test_run_stats_reference import ListRunStats
+
+#: One-core stats keep their per-packet latencies in order.
+pytestmark = pytest.mark.usefixtures("ordered_stats")
 
 #: The five example applications plus the migration benchmark (which
 #: exercises navigation/migration nodes the others don't).
@@ -82,13 +86,20 @@ def app_packets(seed: int, n: int = 300) -> list[Packet]:
 
 
 def stats_fingerprint(stats: RunStats) -> tuple:
+    """The aggregates, and the per-packet latencies in packet order: a
+    one-core run records into ``ListRunStats`` (``ordered_stats``), a
+    fleet's merged stats have only value counts."""
     return (
         stats.packets,
         stats.dropped,
         stats.migrations,
         stats.total_latency_ns,
         stats.total_bytes,
-        stats._latencies,
+        (
+            stats.latencies
+            if isinstance(stats, ListRunStats)
+            else stats.value_counts()
+        ),
         stats._busy_ns,
     )
 
@@ -363,7 +374,7 @@ class TestNoPerPacketObjects:
             packets=overflowing_packets(9, 128)
         )
         pristine = values.copy()
-        stats = RunStats()
+        stats = ListRunStats()
         batch = ColumnBatch(names, values, sizes)
         col.emulator.replay_batch(batch, stats, engine="auto")
         assert col.emulator.columnar_demotions == {"unsupported": 2}
@@ -401,9 +412,7 @@ class TestShardedColumnar:
                 ),
                 offered_pps=1e6
             )
-            assert sorted(replayed._latencies) == sorted(
-                reference._latencies
-            )
+            assert replayed.value_counts() == reference.value_counts()
             assert (
                 replayed.packets,
                 replayed.dropped,
@@ -520,7 +529,7 @@ class TestDemotionIsInterpretation:
                 packets, offered_pps=pps, batch=37, engine=engine
             )
         # What a shard worker does: one explicit clock value a packet.
-        stats = RunStats()
+        stats = ListRunStats()
         for start in range(0, len(packets), 37):
             chunk = packets[start : start + 37]
             emulator.replay_batch(
@@ -756,7 +765,7 @@ class TestCacheStep:
         miss is admitted or not by the bucket at its own ``now_s``."""
         interp, col = cache_twins(limit=5.0)
         timestamps = [0.02 * i for i in range(400)]
-        reference, replayed = RunStats(), RunStats()
+        reference, replayed = ListRunStats(), ListRunStats()
         interp.emulator.replay_batch(
             zipf_packets(4, 400),
             reference,
@@ -1255,7 +1264,7 @@ def test_property_cache_step_is_a_sequential_flow_cache(case):
         else:
             assert code == columnar._MISS_REJECTED
 
-    reference, replayed = RunStats(), RunStats()
+    reference, replayed = ListRunStats(), ListRunStats()
     interp.emulator.replay_batch(
         packets(), reference, timestamps=timestamps, engine="interp"
     )

@@ -14,10 +14,14 @@ import pytest
 from repro.apps import l2l3_acl
 from repro.core import Deployment
 from repro.ir.entries import ExactValue, TableEntry
-from repro.nic.stats import RunStats
 from repro.nic.targets import BLUEFIELD2, EMULATED_NIC
 from repro.traffic.flows import synth_flows
 from repro.traffic.generator import TrafficGenerator
+from tests.test_run_stats_reference import ListRunStats
+
+#: Both twins record into the per-packet list reference, so
+#: ``fingerprint`` compares latencies in packet order.
+pytestmark = pytest.mark.usefixtures("ordered_stats")
 
 
 def app_packets(seed: int, n: int = 150):
@@ -27,14 +31,14 @@ def app_packets(seed: int, n: int = 150):
     )
 
 
-def fingerprint(stats: RunStats) -> tuple:
+def fingerprint(stats: ListRunStats) -> tuple:
     return (
         stats.packets,
         stats.dropped,
         stats.migrations,
         stats.total_latency_ns,
         stats.total_bytes,
-        stats._latencies,
+        stats.latencies,
         stats._busy_ns,
     )
 

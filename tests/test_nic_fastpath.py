@@ -28,6 +28,9 @@ from .test_columnar import (
     stats_fingerprint,
 )
 
+#: One-core stats keep their per-packet latencies in order.
+pytestmark = pytest.mark.usefixtures("ordered_stats")
+
 
 class TestDifferentialApps:
     @pytest.mark.parametrize("app", sorted(APPS))

@@ -15,6 +15,7 @@ import pytest
 from repro.apps import EXAMPLE_APPS
 from repro.core import Deployment, Pipeleon
 from repro.errors import EmulationError
+from repro.ir.tables import Pipeline
 from repro.nic.columnar import ColumnBatch, ColumnSource
 from repro.nic.packet import DEFAULT_PACKET_BYTES, make_packet
 from repro.nic.sharding import ShardedEmulator, flow_shard
@@ -42,11 +43,8 @@ def stats_fingerprint(stats: RunStats) -> tuple:
         stats.migrations,
         stats.total_latency_ns,
         stats.total_bytes,
-        sorted(stats._latencies),
-        {
-            pool: sorted(values)
-            for pool, values in stats._busy_samples.items()
-        },
+        stats.value_counts(),
+        {pool: stats.value_counts(pool) for pool in Pipeline},
         stats._busy_ns,
     )
 

@@ -127,24 +127,32 @@ class TestHistogram:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        first=st.lists(_OBSERVATIONS, max_size=60),
-        second=st.lists(_OBSERVATIONS, max_size=60),
+        first=st.lists(
+            st.tuples(_OBSERVATIONS, st.integers(0, 10_000)), max_size=20
+        ),
+        second=st.lists(
+            st.tuples(_OBSERVATIONS, st.integers(0, 10_000)), max_size=20
+        ),
     )
-    def test_observe_many_is_the_observe_loop(self, first, second):
-        """Counts, sum (the same sequential float adds) and count are
-        bit-equal to repeated ``observe``, also on a histogram that
-        already holds observations, for values on bucket edges, below
-        the first bucket and in the overflow slot."""
-        looped, bulk = Histogram(), Histogram()
-        for values in (first, second, []):
-            for value in values:
-                looped.observe(value)
-            bulk.observe_many(values)
-            assert bulk.counts == looped.counts
-            assert bulk.sum == looped.sum
-            assert bulk.count == looped.count
-        assert all(type(hits) is int for hits in bulk.counts)
-        assert type(bulk.sum) is float and type(bulk.count) is int
+    def test_observe_count_is_the_observe_loop(self, first, second):
+        """Counts and count equal ``count`` repeated ``observe`` calls,
+        also on a histogram that already holds observations, for values
+        on bucket edges, below the first bucket and in the overflow
+        slot; the sum adds ``value * count`` once per call."""
+        looped, weighted = Histogram(), Histogram()
+        expected_sum = 0.0
+        for pairs in (first, second, []):
+            for value, count in pairs:
+                for _ in range(count):
+                    looped.observe(value)
+                weighted.observe(value, count)
+                expected_sum += value * count
+            assert weighted.counts == looped.counts
+            assert weighted.count == looped.count
+            assert weighted.sum == expected_sum
+        assert all(type(hits) is int for hits in weighted.counts)
+        assert type(weighted.sum) is float
+        assert type(weighted.count) is int
 
 
 class TestMetricsRegistry:
