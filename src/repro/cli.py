@@ -43,7 +43,7 @@ from repro.core import (
 from repro.core.calibration import calibrate
 from repro.core.search import SearchOptions
 from repro.ir import dumps_program, loads_program
-from repro.nic.emulator import ENGINES
+from repro.nic.emulator import DEFAULT_BATCH, ENGINES
 from repro.nic.targets import get_target
 
 
@@ -820,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="offered load driving the emulated clock",
     )
-    replay.add_argument("--batch", type=int, default=256)
+    replay.add_argument("--batch", type=int, default=DEFAULT_BATCH)
     replay.add_argument(
         "--engine",
         choices=ENGINES,

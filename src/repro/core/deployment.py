@@ -8,7 +8,8 @@ the optimized program.
 
 Entry propagation rules:
 
-* direct tables — entries mirror one-to-one (also into table *copies*);
+* direct tables — entries mirror one-to-one (also into table *copies*),
+  each control-plane op as that one op on the runtime table;
 * merged tables — re-materialised from the covered tables' cross product
   on every covered update (the update amplification the paper's
   ``I(T_AB)`` formula estimates is tracked in ``materialized_updates``);
@@ -44,7 +45,7 @@ from repro.ir.entries import TableEntry
 from repro.ir.program import Program
 from repro.ir.tables import TableKind, TableNode
 from repro.nic.control_plane import ControlPlane, SimClock, UpdateEvent
-from repro.nic.emulator import NicEmulator
+from repro.nic.emulator import DEFAULT_BATCH, NicEmulator
 from repro.nic.faults import FaultPlan
 from repro.nic.packet import Packet
 from repro.nic.sharding import ShardedEmulator, SupervisorOptions
@@ -60,7 +61,11 @@ class Deployment:
     processes; ``batch`` (their dispatch batch, which sizes the rings),
     ``supervisor``, ``fault_plan`` (an error on one core) and
     ``ring_slots`` configure the fork; ``batch`` is also
-    :meth:`replay`'s default chunk. ``live_plane`` (caller-owned:
+    :meth:`replay`'s default chunk, :data:`~repro.nic.emulator.
+    DEFAULT_BATCH` unless given, so a serve tick's few thousand
+    packets reach each shard as one batch. An entry op on a directly
+    mirrored table reaches the data plane — on a fleet, each worker —
+    as that one op (:meth:`_mirror`). ``live_plane`` (caller-owned:
     adopted here, released by :meth:`close`, never stopped) watches the
     data plane at every ``jobs``.
 
@@ -88,7 +93,7 @@ class Deployment:
         telemetry=None,
         engine: str = "auto",
         jobs: int = 1,
-        batch: int = 256,
+        batch: int = DEFAULT_BATCH,
         supervisor: Optional[SupervisorOptions] = None,
         fault_plan: Optional[FaultPlan] = None,
         ring_slots: Optional[int] = None,
@@ -153,6 +158,9 @@ class Deployment:
         #: Entry operations actually applied to the data plane, per
         #: original-table update (measures merge update amplification).
         self.materialized_updates: dict[str, int] = {}
+        #: Per mirrored runtime table (direct or ``copy_of``): the
+        #: runtime id of each control-plane entry's clone.
+        self._mirrored: dict[str, dict[int, int]] = {}
         self._merged_nodes = self._find_merged_nodes()
         self._copies = self._find_copies()
         self.materialize_all()
@@ -296,14 +304,20 @@ class Deployment:
                 continue  # caller-managed naive merge (originals gone)
             elif node.annotations.get("copy_of"):
                 source = str(node.annotations["copy_of"])
-                self.emulator.set_table_entries(
-                    name,
-                    (e.clone() for e in snapshot.get(source, [])),
-                )
+                self._install_mirror(name, snapshot.get(source, []))
             elif node.kind is TableKind.PLAIN and name in snapshot:
-                self.emulator.set_table_entries(
-                    name, (e.clone() for e in snapshot[name])
-                )
+                self._install_mirror(name, snapshot[name])
+
+    def _install_mirror(
+        self, name: str, entries: list[TableEntry]
+    ) -> None:
+        """Install clones of ``entries`` (control-plane order) as the
+        runtime table ``name`` and remember whose clone is whose."""
+        clones = {entry.entry_id: entry.clone() for entry in entries}
+        self.emulator.set_table_entries(name, clones.values())
+        self._mirrored[name] = {
+            entry_id: clone.entry_id for entry_id, clone in clones.items()
+        }
 
     def _materialize_merged(
         self, node: TableNode, snapshot: dict[str, list[TableEntry]]
@@ -369,18 +383,24 @@ class Deployment:
         self.emulator.invalidate_caches_covering(table)
 
     def _mirror(self, runtime_table: str, event: UpdateEvent) -> None:
-        """Apply one original-table op to a runtime table by rebuild.
+        """Apply one original-table op to a runtime table as that op.
 
-        Rebuilding from the shadow store keeps the mapping trivially
-        correct for insert/delete/modify alike; tables in these
-        experiments are small enough that this is not a bottleneck.
+        The entry that left (``event.replaced_id``) goes by the id of
+        its clone; an inserted or modified entry comes in as a fresh
+        clone. A fresh id is above every id the table holds, and the
+        control plane appends an insert or a modify too, so the runtime
+        ids keep control-plane order — the order a clear-and-clone
+        rebuild gives, on which ``(priority, -entry_id)`` ties break.
+        On a fleet, every worker gets the op with the template's ids.
         """
-        node = self.program.table(runtime_table)
-        source = str(node.annotations.get("copy_of", event.table))
-        entries = self.control_plane.entries(source)
-        self.emulator.set_table_entries(
-            runtime_table, (e.clone() for e in entries)
-        )
+        ids = self._mirrored[runtime_table]
+        removed = None
+        if event.replaced_id is not None:
+            removed = ids.pop(event.replaced_id)
+        added = None if event.op == "delete" else event.entry.clone()
+        self.emulator.edit_table_entries(runtime_table, removed, added)
+        if added is not None:
+            ids[event.entry.entry_id] = added.entry_id
         self.materialized_updates[runtime_table] = (
             self.materialized_updates.get(runtime_table, 0) + 1
         )

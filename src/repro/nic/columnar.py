@@ -358,14 +358,15 @@ class FlowColumns:
         )
 
 
-#: How many flow sets live at once, on both sides of a shard fleet. A
-#: source keeps the matrices of this many sets (most recently used
-#: first) and hands out the *same* :class:`FlowColumns` object for a
-#: set it still keeps; a fleet registers a set by that object's
-#: identity and keeps this many registrations (oldest first out, the
-#: eviction its workers apply in message order). So a rotation over at
-#: most this many sets ships each set to a shard once; past it, a set
-#: the source rebuilt is a new object and is shipped again.
+#: How many flow sets live at once, on both sides of a shard fleet.
+#: The traffic generators of a process keep the matrices of this many
+#: sets (most recently used first) and hand out the *same*
+#: :class:`FlowColumns` object for an equal flow list they still keep;
+#: a fleet registers a set by that object's identity and keeps this
+#: many registrations (oldest first out, the eviction its workers apply
+#: in message order). So a rotation over at most this many sets ships
+#: each set to a shard once; past it, a set the keeper rebuilt is a new
+#: object and is shipped again.
 FLOW_SETS_KEPT = 4
 
 

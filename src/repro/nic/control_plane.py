@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Iterable, Optional
 
 from repro.errors import (
+    ControlPlaneError,
     TableFullError,
     UnknownEntryError,
     UnknownTableError,
@@ -52,6 +53,10 @@ class UpdateEvent:
     entry: Optional[TableEntry]
     time_s: float
     epoch: int = 0
+    #: The id that left the table: a delete's entry, the entry a
+    #: modify replaced (``entry`` is then its replacement). None for
+    #: an insert or a flush.
+    replaced_id: Optional[int] = None
 
 
 Listener = Callable[[UpdateEvent], None]
@@ -140,6 +145,10 @@ class ControlPlane:
                 f"Table {table!r} expects {len(state.node.keys)} match "
                 f"values, got {len(entry.match_values)}"
             )
+        if entry.entry_id in state.entries:
+            raise ControlPlaneError(
+                f"Table {table!r} already holds entry {entry.entry_id}"
+            )
         state.entries[entry.entry_id] = entry
         state.updates.append(self.clock.now_s)
         self.epoch += 1
@@ -166,7 +175,12 @@ class ControlPlane:
         self.epoch += 1
         self._notify(
             UpdateEvent(
-                "delete", table, entry, self.clock.now_s, self.epoch
+                "delete",
+                table,
+                entry,
+                self.clock.now_s,
+                self.epoch,
+                replaced_id=entry_id,
             )
         )
         return entry
@@ -174,10 +188,20 @@ class ControlPlane:
     def modify_entry(
         self, table: str, entry_id: int, new_entry: TableEntry
     ) -> None:
+        """Replace entry ``entry_id`` by ``new_entry``, which keeps
+        that id or brings one the table does not hold yet."""
         state = self._state(table)
         if entry_id not in state.entries:
             raise UnknownEntryError(
                 f"Table {table!r} has no entry {entry_id}"
+            )
+        if new_entry.entry_id != entry_id and (
+            new_entry.entry_id in state.entries
+        ):
+            raise ControlPlaneError(
+                f"Table {table!r}: the replacement for entry {entry_id} "
+                f"carries id {new_entry.entry_id}, which belongs to "
+                "another entry"
             )
         del state.entries[entry_id]
         state.entries[new_entry.entry_id] = new_entry
@@ -185,7 +209,12 @@ class ControlPlane:
         self.epoch += 1
         self._notify(
             UpdateEvent(
-                "modify", table, new_entry, self.clock.now_s, self.epoch
+                "modify",
+                table,
+                new_entry,
+                self.clock.now_s,
+                self.epoch,
+                replaced_id=entry_id,
             )
         )
 

@@ -41,6 +41,12 @@ from repro.telemetry.tracing import NATIVE_CACHE_STEP, PARSER_STEP
 #: ``interp`` the reference interpreter for every packet.
 ENGINES = ("auto", "interp")
 
+#: Packets per replay batch unless a caller says otherwise — one core's
+#: chunk, a fleet's dispatch batch (which sizes its ring slots), a
+#: deployment's and ``repro replay --batch``'s. A serve tick of a few
+#: thousand packets is then one batch per shard.
+DEFAULT_BATCH = 4096
+
 #: Span-kind names for the tracer, by table kind.
 _TRACE_KINDS = {
     TableKind.PLAIN: "table",
@@ -198,14 +204,33 @@ class NicEmulator:
     def set_table_entries(
         self, table: str, entries: Iterable[TableEntry]
     ) -> None:
+        runtime = self._runtime(table)
+        runtime.clear()
+        for entry in entries:
+            runtime.insert(entry)
+
+    def edit_table_entries(
+        self,
+        table: str,
+        removed: Optional[int] = None,
+        added: Optional[TableEntry] = None,
+    ) -> None:
+        """One entry op on a runtime table: delete the entry with id
+        ``removed``, then install ``added`` — an insert, a delete or a
+        modify, each costing one entry rather than a table rebuild."""
+        runtime = self._runtime(table)
+        if removed is not None:
+            runtime.delete(removed)
+        if added is not None:
+            runtime.insert(added)
+
+    def _runtime(self, table: str) -> RuntimeTable:
         runtime = self.runtime_tables.get(table)
         if runtime is None:
             raise EmulationError(
                 f"Emulator has no runtime table {table!r}"
             )
-        runtime.clear()
-        for entry in entries:
-            runtime.insert(entry)
+        return runtime
 
     def invalidate_caches_covering(self, table: str) -> list[str]:
         """Invalidate flow caches whose covered run includes ``table``.
@@ -725,7 +750,7 @@ class NicEmulator:
         self,
         packets: Iterable[Packet],
         offered_pps: Optional[float] = None,
-        batch: int = 256,
+        batch: int = DEFAULT_BATCH,
         stats: Optional[RunStats] = None,
         engine: str = "auto",
     ) -> RunStats:

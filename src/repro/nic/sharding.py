@@ -144,7 +144,7 @@ from repro.nic.columnar import (
 )
 from repro.nic.control_plane import SimClock
 from repro.nic.counters import CounterBank
-from repro.nic.emulator import ENGINES, NicEmulator
+from repro.nic.emulator import DEFAULT_BATCH, ENGINES, NicEmulator
 from repro.nic.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.nic.flow_cache import CacheStats
 from repro.nic.packet import Packet
@@ -540,7 +540,7 @@ def _swap_spec(template: NicEmulator) -> dict:
         ),
         "traced": template.tracer is not None,
         "tables": {
-            name: [entry.clone() for entry in runtime.entries()]
+            name: runtime.entries()
             for name, runtime in template.runtime_tables.items()
         },
     }
@@ -561,6 +561,15 @@ def _swapped(emulator: NicEmulator, spec: dict) -> NicEmulator:
     fresh.tracer = emulator.tracer if spec["traced"] else None
     fresh.adopt_caches(emulator)
     return fresh
+
+
+def _apply_entries(emulator: NicEmulator, table: str, payload) -> None:
+    """An ``entries`` message's payload: a table's whole entry list, or
+    one ``(removed id, added entry)`` edit of it."""
+    if isinstance(payload, list):
+        emulator.set_table_entries(table, payload)
+    else:
+        emulator.edit_table_entries(table, *payload)
 
 
 def _checkpoint(emulator: NicEmulator) -> dict:
@@ -767,7 +776,7 @@ def _worker_main(
                 del done  # not held through the next replay
                 continue
             elif op == "entries":
-                emulator.set_table_entries(message[1], message[2])
+                _apply_entries(emulator, message[1], message[2])
                 epoch = message[3]
             elif op == "invalidate":
                 emulator.invalidate_caches_covering(message[1])
@@ -855,12 +864,13 @@ class ShardedEmulator:
     A fleet is a drop-in for the emulator it was forked from: it
     presents the data-plane surface :class:`repro.core.deployment.
     Deployment` drives on a :class:`NicEmulator` — ``runtime_tables``
-    (the current template's), the three state mutators
-    (:meth:`set_table_entries`, :meth:`invalidate_caches_covering`,
-    :meth:`flush_caches`: applied to the template, then broadcast to
-    every worker), the merged ``counters`` / ``cache_stats`` /
-    ``native_cache_stats`` / ``tracer`` / ``columnar_*`` telemetry as
-    of the last :meth:`collect` or :meth:`replay`,
+    (the current template's), the state mutators
+    (:meth:`set_table_entries`, :meth:`edit_table_entries`,
+    :meth:`invalidate_caches_covering`, :meth:`flush_caches`: applied
+    to the template, then broadcast to every worker), the merged
+    ``counters`` / ``cache_stats`` / ``native_cache_stats`` /
+    ``tracer`` / ``columnar_*`` telemetry as of the last
+    :meth:`collect` or :meth:`replay`,
     :meth:`reset_telemetry` and :meth:`replay` / :meth:`run`. Flow
     cache *contents* live in the workers only.
 
@@ -876,7 +886,7 @@ class ShardedEmulator:
         emulator: NicEmulator,
         n_workers: int = 2,
         *,
-        batch: int = 256,
+        batch: int = DEFAULT_BATCH,
         options: Optional[SupervisorOptions] = None,
         telemetry=None,
         fault_plan: Optional[FaultPlan] = None,
@@ -923,7 +933,7 @@ class ShardedEmulator:
             )
         self._fault_plan = fault_plan
         #: The parent's copy of the data plane the workers run: kept
-        #: current by the three state mutators, replaced by swap().
+        #: current by the state mutators, replaced by swap().
         #: Workers fork it, respawns included.
         self.template = emulator
         self.n_workers = n_workers
@@ -1688,18 +1698,32 @@ class ShardedEmulator:
         rebuild what it compiled against the old entries.
         """
         self.template.set_table_entries(table, entries)
+        return self._broadcast_entries(
+            table, self.runtime_tables[table].entries()
+        )
+
+    def edit_table_entries(
+        self,
+        table: str,
+        removed: Optional[int] = None,
+        added: Optional[TableEntry] = None,
+    ) -> int:
+        """One entry op (:meth:`NicEmulator.edit_table_entries`) on the
+        template and on every worker: the ``entries`` message carries
+        that op alone, whatever the table's size. Returns the new
+        broadcast epoch."""
+        self.template.edit_table_entries(table, removed, added)
+        return self._broadcast_entries(table, (removed, added))
+
+    def _broadcast_entries(self, table: str, payload) -> int:
+        """Broadcast an ``entries`` message (:func:`_apply_entries`).
+        The payload holds the template's own entries: pickling copies
+        them, so every worker installs the very ids the template holds
+        and a later edit can name one."""
         self.epoch += 1
         self._spec = None
         self._broadcast(
-            (
-                "entries",
-                table,
-                [
-                    entry.clone()
-                    for entry in self.runtime_tables[table].entries()
-                ],
-                self.epoch,
-            ),
+            ("entries", table, payload, self.epoch),
             context=f"entries broadcast ({table})",
         )
         return self.epoch
@@ -1984,9 +2008,10 @@ class ShardedEmulator:
         live shard first when no shard holds it.
 
         Registrations are matched by the object's identity: the
-        source's own cache of :data:`FLOW_SETS_KEPT` sets is what hands
-        the same object back, so a set stays shipped as long as both
-        keep it."""
+        process-wide keeper of :data:`FLOW_SETS_KEPT` sets
+        (:meth:`TrafficGenerator.flow_columns`) is what hands the same
+        object back for an equal flow list, so a set stays shipped as
+        long as both keep it."""
         for flow_set in self._flow_sets:
             if flow_set.holds(columns, size_bytes):
                 return flow_set

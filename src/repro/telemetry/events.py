@@ -111,6 +111,7 @@ class EventLog:
                     event.entry.entry_id if event.entry is not None else None
                 ),
                 epoch=event.epoch,
+                replaced_id=event.replaced_id,
             )
 
         control_plane.add_listener(on_update)

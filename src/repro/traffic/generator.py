@@ -16,6 +16,7 @@ Neither of the last two sees a ``Packet``.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -25,6 +26,12 @@ from repro.nic.packet import DEFAULT_PACKET_BYTES, Packet
 from repro.traffic.flows import FlowSpec, synth_flows
 
 _NO_INDICES = np.zeros(0, dtype=np.int64)
+
+#: The flow sets any generator in this process built last, most
+#: recently used first, at most :data:`FLOW_SETS_KEPT` of them; the
+#: lock makes each lookup-and-reorder one step for every thread.
+_KEPT_FLOW_SETS: list[FlowColumns] = []
+_KEPT_LOCK = threading.Lock()
 
 
 class PacketStream(ColumnSource):
@@ -102,7 +109,6 @@ class TrafficGenerator:
         #: ``((n_flows, skew), cdf)`` of the last Zipf draw: a stream
         #: per cycle over one flow set recomputes nothing.
         self._zipf_cdf: tuple = (None, None)
-        self._flow_sets: list[FlowColumns] = []
 
     # -- flow selection patterns -------------------------------------------------
 
@@ -144,26 +150,30 @@ class TrafficGenerator:
         """The field matrices of ``flows``, built once per flow set.
 
         The last :data:`~repro.nic.columnar.FLOW_SETS_KEPT` sets are
-        kept (a stream draws from one set, a mixed stream from one
-        concatenation, and scenario phases alternate between a few);
-        handing out the kept object again is what lets a shard fleet
-        reuse the copy its workers hold.
+        kept per process, not per generator (a stream draws from one
+        set, a mixed stream from one concatenation, scenario phases
+        alternate between a few, and a scenario rebuilt for the next
+        serve replay makes its flow lists anew); handing out the kept
+        object again is what lets a shard fleet reuse the copy its
+        workers hold.
 
         A kept set is reused only while it still equals ``flows``
         element for element (an identity check per flow when the
         caller passes the same objects again), so a list mutated or
-        replaced between two streams never serves stale columns.
+        replaced between two streams never serves stale columns, and
+        an equal set is equal columns: a hit only saves the build.
         """
         current = flows if isinstance(flows, list) else list(flows)
-        kept = self._flow_sets
-        for position, columns in enumerate(kept):
-            if columns.flows == current:
-                kept.insert(0, kept.pop(position))
-                return columns
-        columns = FlowColumns(current)
-        kept.insert(0, columns)
-        del kept[FLOW_SETS_KEPT:]
-        return columns
+        kept = _KEPT_FLOW_SETS
+        with _KEPT_LOCK:
+            for position, columns in enumerate(kept):
+                if columns.flows == current:
+                    kept.insert(0, kept.pop(position))
+                    return columns
+            columns = FlowColumns(current)
+            kept.insert(0, columns)
+            del kept[FLOW_SETS_KEPT:]
+            return columns
 
     # -- streams -------------------------------------------------------------------
 

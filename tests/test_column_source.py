@@ -1332,16 +1332,23 @@ class TestFlowIndexDispatch:
 
         monkeypatch.setattr(ShardedEmulator, "_guarded_send", spying_send)
         generators = [TrafficGenerator(seed) for seed in range(6)]
-        flows = synth_flows(32)
+        flow_sets = [synth_flows(32, dport=7000 + i) for i in range(6)]
+        flows = flow_sets[0]
         fleet = make_sharded("l2l3_acl", 2, options=fast_options(), batch=64)
         try:
             for _ in range(3):  # one flow set, three replays
                 fleet.replay(generators[0].stream(flows, 200), batch=64)
             assert shipped == [(0, 0), (1, 0)]
-            # Each generator keeps its own matrix: another flow set.
-            for generator in generators[1:]:
-                fleet.replay(generator.stream(flows, 200), batch=64)
-            assert len(shipped) == 2 * len(generators)
+            # Equal flows from another generator are the same flow set.
+            fleet.replay(
+                generators[1].stream(synth_flows(32, dport=7000), 200),
+                batch=64,
+            )
+            assert shipped == [(0, 0), (1, 0)]
+            # Each distinct flow list is another flow set.
+            for generator, other in zip(generators[1:], flow_sets[1:]):
+                fleet.replay(generator.stream(other, 200), batch=64)
+            assert len(shipped) == 2 * len(flow_sets)
             engine = fleet.emulator
             held = [flow_set.id for flow_set in engine._flow_sets]
             assert held == [2, 3, 4, 5] and FLOW_SETS_KEPT == 4
@@ -1482,10 +1489,11 @@ class TestFlowIndexDispatch:
         self, monkeypatch
     ):
         """60 replays over scenario phases, each scenario built afresh
-        (new generators, so new flow sets): every worker holds exactly
-        the parent's at most :data:`FLOW_SETS_KEPT` flow sets, and a
-        shard's journal never holds more than the checkpoint threshold
-        plus one replay."""
+        and, bar ``ddos_burst``, over a flow count no earlier replay
+        used (so new flow sets keep arriving): every worker holds
+        exactly the parent's at most :data:`FLOW_SETS_KEPT` flow sets,
+        and a shard's journal never holds more than the checkpoint
+        threshold plus one replay."""
         threshold = 64 << 10
         monkeypatch.setattr(sharding, "JOURNAL_CHECKPOINT_BYTES", threshold)
         rotation = ("update_storm", "ddos_burst", "flash_crowd")
@@ -1501,8 +1509,12 @@ class TestFlowIndexDispatch:
             engine = fleet.emulator
             bases = []  # held, so that no two ids can coincide
             for replay in range(60):
+                name = rotation[replay % 3]
+                sized = {"n_flows": 100 + replay}
+                if name == "ddos_burst":  # fixed flows
+                    sized = {}
                 scenario = build_scenario(
-                    rotation[replay % 3], seed=str(replay // 3)
+                    name, seed=str(replay // 3), **sized
                 )
                 phase = scenario.phases[(replay // 3) % len(scenario.phases)]
                 before = [journal.bytes for journal in engine._journals]

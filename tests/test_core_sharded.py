@@ -26,6 +26,7 @@ from repro.core import (
 )
 from repro.core.transform import apply_copy, apply_naive_merge
 from repro.ir import exact_entry, linear_program
+from repro.nic.emulator import DEFAULT_BATCH
 from repro.nic.faults import FaultPlan, FaultSpec
 from repro.nic.sharding import ShardedEmulator
 from repro.nic.targets import BLUEFIELD2, EMULATED_NIC
@@ -317,8 +318,9 @@ def journal_ops(fleet: ShardedEmulator) -> list[list[str]]:
 
     The golden sequence predates flow-index dispatch: an ``index``
     batch reads as the ``batch`` it replaced, and the ``flows`` message
-    each replay's new flow set adds is checked here — right after its
-    ``begin`` — and left out."""
+    is checked here and left out. Every step's traffic is one flow set
+    (equal flows, so the process-wide keeper hands back one matrix):
+    it crosses once, right after the first ``begin``."""
     def describe(message):
         op = message[0]
         if op == "entries":
@@ -335,7 +337,7 @@ def journal_ops(fleet: ShardedEmulator) -> list[list[str]]:
     for journal in fleet._journals:
         ops = [describe(message) for message, _n in journal.entries]
         flows = [i for i, op in enumerate(ops) if op == "flows"]
-        assert flows == [i + 1 for i, op in enumerate(ops) if op == "begin"]
+        assert flows == [ops.index("begin") + 1]
         sequences.append([op for op in ops if op != "flows"])
     return sequences
 
@@ -654,9 +656,10 @@ class TestControllerJobs:
         assert timelines[1] == timelines[0]
 
     def test_replay_batch_above_ring_geometry(self):
-        """``replay(batch=4096)`` on a fleet whose rings hold 256-packet
-        batches is dispatched at the ring's batch (a longer batch would
-        not fit a slot and go over the pipe), and says so."""
+        """``replay(batch=2 * DEFAULT_BATCH)`` on a fleet whose rings
+        hold ``DEFAULT_BATCH``-packet batches is dispatched at the
+        ring's batch (a longer batch would not fit a slot and go over
+        the pipe), and says so."""
         single = Deployment(l2l3_acl.build_program(), EMULATED_NIC)
         l2l3_acl.install_base_entries(single.control_plane)
         controller = PipeleonController(
@@ -668,16 +671,18 @@ class TestControllerJobs:
         try:
             l2l3_acl.install_base_entries(controller.control_plane)
             fleet = controller.deployment.emulator
-            assert fleet.batch == 256
-            reference = single.replay(packets(17, n=9000), batch=4096)
+            assert fleet.batch == DEFAULT_BATCH
+            reference = single.replay(
+                packets(17, n=9000), batch=2 * DEFAULT_BATCH
+            )
             replayed = controller.deployment.replay(
-                packets(17, n=9000), batch=4096
+                packets(17, n=9000), batch=2 * DEFAULT_BATCH
             )
             assert replayed.packets == reference.packets == 9000
             assert replayed.total_latency_ns == reference.total_latency_ns
             assert replayed._busy_ns == reference._busy_ns
             transport = fleet.transport_stats()
-            assert transport["batch"] == 256
+            assert transport["batch"] == DEFAULT_BATCH
             assert transport["clamped_replays"] == 1
             assert transport["totals"]["pushed_packets"] == 9000
             controller.deployment.replay(packets(18, n=500), batch=64)

@@ -732,7 +732,10 @@ class TestCheckpointRecovery:
             bases = set()
             for seed in range(12):
                 before = [journal.bytes for journal in fleet._journals]
-                sharded.replay(app_packets(seed, 600), offered_pps=1e6)
+                # Index batches grow the journal (an entry op costs
+                # one entry): 2 400 paced packets are about 19 KiB a
+                # shard, so the threshold is crossed every few replays.
+                sharded.replay(app_packets(seed, 2400), offered_pps=1e6)
                 for shard, journal in enumerate(fleet._journals):
                     grown = journal.bytes - before[shard]
                     assert journal.bytes <= threshold + max(grown, 0)

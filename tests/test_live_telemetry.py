@@ -30,6 +30,7 @@ import pytest
 from repro.apps import l2l3_acl
 from repro.cli import main
 from repro.core import Deployment
+from repro.nic.emulator import DEFAULT_BATCH
 from repro.nic.faults import FaultPlan, FaultSpec
 from repro.nic.sharding import SupervisorOptions
 from repro.nic.targets import EMULATED_NIC
@@ -61,6 +62,7 @@ def make_live(
     fault_plan=None,
     supervisor=None,
     telemetry=None,
+    batch: int = DEFAULT_BATCH,
 ) -> Deployment:
     """A fleet adopted into its own started plane (``.live_plane``);
     tear both down with :func:`close_live`."""
@@ -73,6 +75,7 @@ def make_live(
         fault_plan=fault_plan,
         supervisor=supervisor,
         telemetry=telemetry,
+        batch=batch,
     )
     l2l3_acl.install_base_entries(sharded.control_plane)
     return sharded
@@ -728,6 +731,9 @@ class TestFaultSloInteraction:
             supervisor=SupervisorOptions(
                 recovery="respawn", heartbeat_interval_s=0.01
             ),
+            # Six batches a shard per replay: the kill fires in the
+            # fourth replay.
+            batch=256,
         )
         try:
             aggregator = sharded.live_plane.aggregator
@@ -760,6 +766,7 @@ class TestFaultSloInteraction:
                 recovery="respawn", heartbeat_interval_s=0.01
             ),
             telemetry=telemetry,
+            batch=256,
         )
         try:
             aggregator = sharded.live_plane.aggregator

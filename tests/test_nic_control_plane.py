@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.apps import l2l3_acl
 from repro.errors import (
+    ControlPlaneError,
     TableFullError,
     UnknownEntryError,
     UnknownTableError,
@@ -86,6 +88,37 @@ class TestEntryApi:
         control_plane.modify_entry("chain5_t0", old.entry_id, new)
         assert control_plane.entries("chain5_t0") == [new]
 
+    def test_modify_to_another_entrys_id_is_rejected(self):
+        """A replacement carrying the id of *another* installed entry
+        would overwrite that entry with no delete event: on
+        ``l2l3_acl``, ``l2l3_route`` would go from 17 entries to 16."""
+        cp = ControlPlane(l2l3_acl.build_program())
+        l2l3_acl.install_base_entries(cp)
+        before = cp.entries("l2l3_route")
+        first, second = before[:2]
+        events = []
+        cp.add_listener(events.append)
+        replacement = first.clone()
+        replacement.entry_id = second.entry_id
+        with pytest.raises(ControlPlaneError, match="another entry"):
+            cp.modify_entry("l2l3_route", first.entry_id, replacement)
+        assert cp.entries("l2l3_route") == before
+        assert cp.entry_count("l2l3_route") == 17
+        assert events == []
+        # Keeping the replaced entry's own id is a modify.
+        replacement.entry_id = first.entry_id
+        cp.modify_entry("l2l3_route", first.entry_id, replacement)
+        assert cp.entry_count("l2l3_route") == 17
+
+    def test_insert_of_an_installed_id_is_rejected(
+        self, chain5, control_plane
+    ):
+        entry = entry_for(chain5, "chain5_t0")
+        control_plane.insert_entry("chain5_t0", entry)
+        with pytest.raises(ControlPlaneError, match="already holds"):
+            control_plane.insert_entry("chain5_t0", entry)
+        assert control_plane.entries("chain5_t0") == [entry]
+
     def test_clear_table(self, chain5, control_plane):
         for value in range(5):
             control_plane.insert_entry(
@@ -131,6 +164,26 @@ class TestListeners:
         control_plane.delete_entry("chain5_t0", new.entry_id)
         assert [e.op for e in events] == ["insert", "modify", "delete"]
         assert all(e.table == "chain5_t0" for e in events)
+
+    def test_events_name_the_id_that_left(self, chain5, control_plane):
+        """A modify's event carries its replacement *and* the id it
+        replaced, so a listener or the journal can tell which left."""
+        events = []
+        control_plane.add_listener(events.append)
+        entry = entry_for(chain5, "chain5_t0")
+        control_plane.insert_entry("chain5_t0", entry)
+        new = entry_for(chain5, "chain5_t0", 9)
+        control_plane.modify_entry("chain5_t0", entry.entry_id, new)
+        control_plane.delete_entry("chain5_t0", new.entry_id)
+        control_plane.flush_caches()
+        assert [(e.op, e.replaced_id) for e in events] == [
+            ("insert", None),
+            ("modify", entry.entry_id),
+            ("delete", new.entry_id),
+            ("flush", None),
+        ]
+        assert events[1].entry is new
+        assert list(control_plane.mutation_journal) == events
 
     def test_remove_listener(self, chain5, control_plane):
         events = []

@@ -398,6 +398,65 @@ class TestServeSessionOneCore:
             ServeSession(config)
 
 
+def storm_session() -> ServeSession:
+    """A two-worker session that never replans on its own."""
+    return ServeSession(
+        SessionConfig(
+            app="dash_routing",
+            jobs=2,
+            baseline="none",
+            profile_period_s=1e9,
+        )
+    )
+
+
+class TestServeTickIsOneRound:
+    def test_a_tick_is_one_batch_per_shard(self):
+        """3 000 packets a tick fit one dispatch batch: each tick pushes
+        one ring record per shard, entry-op ticks included."""
+        session = storm_session()
+        try:
+            result = session.run_replay(
+                {
+                    "scenario": "update_storm",
+                    "seed": "1",
+                    "packets_per_tick": 3000,
+                    "kwargs": {"calm_s": 1, "storm_s": 2, "settle_s": 1},
+                }
+            )
+            assert result["ticks"] == 4
+            totals = session._fleet().transport_stats()["totals"]
+            assert totals["pushed_batches"] == result["ticks"] * 2
+            assert totals["pushed_packets"] == 4 * 3000
+        finally:
+            session.close()
+
+    def test_a_rebuilt_scenario_ships_no_flow_set_again(self):
+        """Each ``run_replay`` builds its scenario, generators and flow
+        lists anew; equal flow lists are one flow set per process, so
+        ``flash_crowd``'s two sets (the flows, then the hot flows
+        laid before them) cross to each shard once over two replays."""
+        session = storm_session()
+        try:
+            for _ in range(2):
+                session.run_replay(
+                    {
+                        "scenario": "flash_crowd",
+                        "seed": "3",
+                        "packets_per_tick": 500,
+                        "kwargs": {
+                            "steady_s": 1,
+                            "spike_s": 1,
+                            "decay_s": 1,
+                        },
+                    }
+                )
+            per_shard = session._fleet().transport_stats()["per_shard"]
+            assert [s["flow_sets_shipped"] for s in per_shard] == [2, 2]
+        finally:
+            session.close()
+
+
 class DaemonHarness:
     """Run a ServiceDaemon's asyncio loop on a worker thread."""
 
