@@ -357,6 +357,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
             summary["columnar_cache_replayed"] = dict(
                 emulator.columnar_cache_replayed
             )
+            for name in (
+                "columnar_memo_hits",
+                "columnar_memo_misses",
+                "columnar_memo_guard_failures",
+            ):
+                summary[name] = dict(getattr(emulator, name))
         if args.jobs > 1:
             emulator = deployment.emulator
             ring_totals = emulator.transport_stats()["totals"]

@@ -17,11 +17,26 @@ order too — so each packet's float64 column element receives the
 identical IEEE-754 add sequence the interpreter performs.
 
 Table-like kernels (plain, merged, flow cache, native cache) share one
-shape: sort the batch's keys once, resolve the *unique* keys to plan
-ids — a table hands the whole key matrix to its match engine
-(:meth:`MatchEngine.lookup_many`) and binds a plan per entry slot once
-— then charge, count, apply and route once per distinct plan: a table
-has thousands of keys but a handful of behaviours.
+shape: resolve the batch's *unique* keys to plan ids — a table hands
+the key matrix to its match engine (:meth:`MatchEngine.lookup_many`)
+and binds a plan per entry slot once — then charge, count, apply and
+route once per distinct plan: a table has thousands of keys but a
+handful of behaviours.
+
+Match kernels are specialised further (DESIGN.md §14). An effect is a
+*template* — its primitives with the numeric arguments taken out,
+compiled once to column appliers — plus a *parameter row*; plans that
+share a template, counter and route share a shape, and a kernel call
+applies each shape once with the parameters gathered by plan id. A
+batch cut from a flow set finds its plans in the node's
+:class:`_PlanMemo` (flow -> key-row id, row -> plan id, keyed by the
+flow set's identity and built from the flows' own headers): a flow's
+plan is one gather, and only rows without a current plan are looked
+up. Row plans are stamped with the kernel's epoch, which every compile
+and entry edit renews. A node whose match fields some action may
+write checks each memoised row against the packet's key; the
+mismatches (guard failures) are resolved by sort and lookup, and are
+counted with the hits and misses per node.
 
 Flow caches run inside the walk (DESIGN.md §14 has the protocol). The
 cache step simulates the cache on a copy, in packet order — LRU
@@ -73,13 +88,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from copy import copy
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from time import perf_counter
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
 from repro.errors import EmulationError, IrError
+from repro.ir.actions import Param
 from repro.ir.conditionals import _OPS, ConditionalNode
 from repro.ir.tables import Pipeline, TableKind
 from repro.nic.counters import (
@@ -125,16 +141,139 @@ class _Unsupported(Exception):
 
 
 class _Effect(NamedTuple):
-    """Bound primitives compiled to column appliers."""
+    """A bound effect as a *template* (its primitives with their
+    numeric arguments taken out) plus its *parameter row*."""
 
-    appliers: tuple  # one per primitive; None = charge only (no_op)
+    template: tuple  # one applier per primitive; None = charge only
+    params: tuple  # one per primitive: its numeric argument, or None
     unsupported: bool  # no column form: the packets demote
     drops: bool  # contains a ``drop``: every packet it runs on ends
     bound: tuple  # the primitives themselves, for open recordings
 
 
 #: An entry whose action is unknown or does not bind: always demotes.
-_UNBINDABLE = _Effect((), True, False, ())
+_UNBINDABLE = _Effect((), (), True, False, ())
+
+
+def _setter(name: str):
+    def apply_set(walk, idx, value) -> None:
+        col = walk.writable(name)
+        col[0][idx] = value
+        if col[1] is not None:
+            col[1][idx] = True
+
+    return apply_set
+
+
+def _adder(name: str):
+    def apply_add(walk, idx, delta) -> None:
+        col = walk.writable(name)
+        vals, present = col[0], col[1]
+        current = vals[idx]
+        if present is not None:
+            current = np.where(present[idx], current, 0)
+        # Per packet: the sum must stay inside int64, or it demotes.
+        over = np.where(
+            delta >= 0,
+            current > _I64_MAX - np.maximum(delta, 0),
+            current < _I64_MIN - np.minimum(delta, 0),
+        )
+        walk.flag(idx[over], _F_UNSUPPORTED)
+        vals[idx] = current + delta
+        if present is not None:
+            present[idx] = True
+
+    return apply_add
+
+
+def _copier(dst: str, src: str):
+    def apply_copy(walk, idx, _) -> None:
+        vals, present = walk.read(src)
+        if vals is None:
+            value = np.zeros(idx.size, dtype=np.int64)
+        else:
+            value = vals[idx]
+            if present is not None:
+                value = np.where(present[idx], value, 0)
+        col = walk.writable(dst)
+        col[0][idx] = value
+        if col[1] is not None:
+            col[1][idx] = True
+
+    return apply_copy
+
+
+def _apply_forward(walk, idx, port) -> None:
+    walk.egress[idx] = port
+    walk.has_eg[idx] = True
+
+
+def _apply_drop(walk, idx, _) -> None:
+    walk.dropped[idx] = True
+
+
+def _counter(counter_name: str):
+    def apply_count(walk, idx, _) -> None:
+        walk.explicit_events.append((counter_name, idx))
+
+    return apply_count
+
+
+def _int64(value) -> int:
+    value = int(value)
+    if not (_I64_MIN <= value <= _I64_MAX):
+        raise _Unsupported(value)
+    return value
+
+
+def _template_part(op: str, args) -> tuple:
+    """One bound primitive as ``(template key, numeric argument)``.
+
+    The key holds what an applier is specialised to (the op and its
+    field names); the numeric argument, None where there is none, goes
+    into the parameter row. Raises :class:`_Unsupported` for anything a
+    column kernel can't express; the packets are then demoted to the
+    interpreter (which raises, for genuinely invalid primitives).
+    """
+    try:
+        if op == "set_field" or op == "set_meta":
+            name = str(args[0])
+            if op == "set_meta" and not name.startswith("meta."):
+                name = f"meta.{name}"
+            return ("set", name), _int64(args[1])
+        if op == "add_to_field":
+            return ("add", str(args[0])), _int64(args[1])
+        if op == "copy_field":
+            return ("copy", str(args[0]), str(args[1])), None
+        if op == "forward":
+            return ("forward",), _int64(args[0])
+        if op == "drop" or op == "no_op":
+            return (op,), None
+        if op == "count":
+            return ("count", str(args[0])), None
+    except (TypeError, ValueError, IndexError):
+        raise _Unsupported(op)
+    raise _Unsupported(op)
+
+
+def _applier(key: tuple):
+    """The column applier ``(walk, idx, parameter) -> None`` of a
+    template key; None for ``no_op``, which only charges. The parameter
+    is a scalar or a column aligned with ``idx``."""
+    kind = key[0]
+    if kind == "set":
+        return _setter(key[1])
+    if kind == "add":
+        return _adder(key[1])
+    if kind == "copy":
+        return _copier(key[1], key[2])
+    if kind == "forward":
+        return _apply_forward
+    if kind == "drop":
+        return _apply_drop
+    if kind == "count":
+        return _counter(key[1])
+    return None
 
 
 class BatchOutcome:
@@ -166,15 +305,38 @@ class ColumnBatch:
     demoted packet from the original data at any time.
     """
 
-    __slots__ = ("names", "values", "sizes", "timestamps", "n", "packets")
+    __slots__ = (
+        "names",
+        "values",
+        "sizes",
+        "timestamps",
+        "n",
+        "packets",
+        "flows",
+        "flow_idx",
+    )
 
-    def __init__(self, names, values, sizes, timestamps=None, packets=None):
+    def __init__(
+        self,
+        names,
+        values,
+        sizes,
+        timestamps=None,
+        packets=None,
+        flows=None,
+        flow_idx=None,
+    ):
         self.names = tuple(names)
         self.values = values
         self.sizes = sizes
         self.timestamps = timestamps
         self.n = int(values.shape[1]) if values.ndim == 2 else len(sizes)
         self.packets = packets
+        #: The :class:`FlowColumns` the rows were cut from and each
+        #: row's flow index in it (:meth:`FlowColumns.batch`), or None:
+        #: what the match kernels' plan memos are keyed by.
+        self.flows = flows
+        self.flow_idx = flow_idx
 
     @classmethod
     def from_packets(cls, packets: list) -> Optional["ColumnBatch"]:
@@ -330,6 +492,22 @@ class FlowColumns:
         #: per-batch uniformity check.
         self.uniform = len(self.names) == 1 and members[0] == n
 
+    def keys(self, fields) -> np.ndarray:
+        """Every flow's values of ``fields`` as an ``(n_flows, len(
+        fields))`` int64 matrix, an absent field reading 0 (what
+        :meth:`Packet.key` returns); a flow without a SoA form reads
+        all 0."""
+        keys = np.zeros((len(self.group), len(fields)), dtype=np.int64)
+        for group, names in enumerate(self.names):
+            members = np.flatnonzero(self.group == group)
+            columns = self.column[members]
+            for j, field in enumerate(fields):
+                if field in names:
+                    keys[members, j] = self.values[group][
+                        names.index(field), columns
+                    ]
+        return keys
+
     def batch(
         self, indices: np.ndarray, size_bytes: int
     ) -> Union[ColumnBatch, list[Packet]]:
@@ -355,6 +533,8 @@ class FlowColumns:
             self.names[group],
             self.values[group].take(columns, axis=1),
             np.full(len(indices), size_bytes, dtype=np.int64),
+            flows=self,
+            flow_idx=indices,
         )
 
 
@@ -601,11 +781,16 @@ class _Walk:
         "recordings",
         "chains",
         "chain_effects",
+        "flows",
+        "flow_idx",
     )
 
     def __init__(self, batch: ColumnBatch, sampled, now):
         n = batch.n
         self.n = n
+        #: The batch's flow set and per-row flow indices (or None).
+        self.flows = batch.flows
+        self.flow_idx = batch.flow_idx
         values = batch.values
         self.cols = {
             name: [values[j], None, False]
@@ -711,18 +896,28 @@ class _Walk:
                 self.busy[recording.pool][billed] += recording.insert_ns
                 self.used[recording.pool][billed] = True
 
-    def record(self, feeds, idx: np.ndarray, bound: tuple) -> None:
-        """``NicEmulator._record``: append ``bound`` to the open
-        recordings ``feeds`` names, once per distinct chain so far."""
+    def record(self, feeds, idx: np.ndarray, bounds, ids=None) -> None:
+        """``NicEmulator._record``: append to the open recordings
+        ``feeds`` names each packet's bound effect — ``bounds[ids[i]]``
+        for packet ``idx[i]``, ``bounds[0]`` for all without ``ids`` —
+        once per distinct (chain so far, bound)."""
+        n = len(bounds)
         for recording in self.recordings:
             if recording.name not in feeds:
                 continue
-            members = idx[recording.open[idx]]
-            if members.size == 0:
+            open_ = recording.open[idx]
+            if not open_.any():
                 continue
+            members = idx[open_]
             chain = recording.chain
-            ids, inverse = np.unique(chain[members], return_inverse=True)
-            extended = [self._extend(c, bound) for c in ids.tolist()]
+            pairs = chain[members]
+            if ids is not None:
+                pairs = pairs * n + ids[open_]
+            keys, inverse = np.unique(pairs, return_inverse=True)
+            extended = [
+                self._extend(key // n, bounds[key % n])
+                for key in keys.tolist()
+            ]
             chain[members] = np.array(extended, dtype=np.int64)[inverse]
 
     def _extend(self, chain_id: int, bound: tuple) -> int:
@@ -746,6 +941,104 @@ class _Walk:
                     column = np.where(present[idx], column, 0)
                 out[:, j] = column
         return out
+
+
+class _Shape(NamedTuple):
+    """What the plans of one shape do alike: everything but their
+    parameters."""
+
+    template: tuple
+    param_rows: tuple  # per primitive: its parameter row, or None
+    unsupported: bool
+    counter_key: Optional[str]
+    next_name: Optional[str]  # None: the packets end (drop or exit)
+
+
+class _PlanTable:
+    """A match node's plans, interned to ids as their entries are first
+    met: ``shape_of[plan]`` is the plan's :class:`_Shape` id,
+    ``params[j, plan]`` the parameter of its ``j``-th primitive and
+    ``bounds[plan]`` its bound effect. Both arrays grow by appending
+    the new plan's column, never by a rebuild."""
+
+    __slots__ = ("ids", "bounds", "shapes", "shape_ids", "shape_of", "params")
+
+    def __init__(self):
+        self.ids: dict = {}
+        self.bounds: list = []
+        self.shapes: list[_Shape] = []
+        self.shape_ids: dict = {}
+        self.shape_of = np.zeros(8, dtype=np.int64)
+        self.params = np.zeros((0, 8), dtype=np.int64)
+
+    def intern(self, effect: _Effect, counter_key, next_name) -> int:
+        plan = (effect, counter_key, next_name)
+        plan_id = self.ids.get(plan)
+        if plan_id is not None:
+            return plan_id
+        plan_id = self.ids[plan] = len(self.bounds)
+        self.bounds.append(effect.bound)
+        shape = _Shape(
+            effect.template,
+            tuple(
+                None if param is None else j
+                for j, param in enumerate(effect.params)
+            ),
+            effect.unsupported,
+            counter_key,
+            None if effect.drops else next_name,
+        )
+        shape_id = self.shape_ids.setdefault(shape, len(self.shapes))
+        if shape_id == len(self.shapes):
+            self.shapes.append(shape)
+        width, capacity = self.params.shape
+        if plan_id == capacity or len(effect.params) > width:
+            if plan_id == capacity:
+                capacity *= 2
+                self.shape_of = np.resize(self.shape_of, capacity)
+            grown = np.zeros(
+                (max(width, len(effect.params)), capacity), dtype=np.int64
+            )
+            grown[:width, : self.params.shape[1]] = self.params
+            self.params = grown
+        self.shape_of[plan_id] = shape_id
+        for j, param in enumerate(effect.params):
+            if param is not None:
+                self.params[j, plan_id] = param
+        return plan_id
+
+
+#: Kernel epochs: a row's memoised plan is current only under the
+#: epoch that stamped it, and every compile takes a new one.
+_EPOCHS = count()
+
+
+class _PlanMemo:
+    """One match node's memo over one flow set (DESIGN.md §14).
+
+    Built when the node first meets the set: ``rows`` are the distinct
+    key rows the flows' own headers give the node's match fields, and
+    ``row_of[flow]`` is the flow's row id. ``plan[row]`` is the row's
+    plan id, current only where ``stamp[row]`` is the kernel's epoch.
+    """
+
+    __slots__ = ("row_of", "rows", "plan", "stamp", "seen")
+
+    def __init__(self, flow_set: "FlowColumns", fields):
+        self.rows, row_of = _unique_matrix(flow_set.keys(fields))
+        self.row_of = row_of.astype(np.int32)
+        self.plan = np.zeros(len(self.rows), dtype=np.int32)
+        self.stamp = np.full(len(self.rows), -1, dtype=np.int64)
+        #: All False between calls: :meth:`distinct`'s marks.
+        self.seen = np.zeros(len(self.rows), dtype=bool)
+
+    def distinct(self, row: np.ndarray) -> np.ndarray:
+        """The distinct ids in ``row``, ascending: marked, not sorted."""
+        seen = self.seen
+        seen[row] = True
+        present = np.flatnonzero(seen)
+        seen[present] = False
+        return present
 
 
 def _unique_matrix(keymat: np.ndarray):
@@ -883,6 +1176,44 @@ def _simulate(cache, prefix, positions, kid, times) -> list:
     return codes
 
 
+#: Primitives that write the field named by their first argument.
+_WRITES = ("set_field", "set_meta", "add_to_field", "copy_field")
+
+
+def _written_fields(emulator) -> Optional[frozenset]:
+    """Every field a packet's fields may be written at, before or
+    after any node: by an action of the program, a flow or native
+    cache's stored effects, or a navigation/migration node
+    (``NEXT_TAB_ID``). None when a primitive names its field through
+    action data, so any field may be written. A match node whose
+    fields are not among them keys its plan memo on the flow alone.
+    """
+    written = set()
+    bound = []
+    for node in emulator.program.nodes.values():
+        if isinstance(node, ConditionalNode):
+            continue
+        if node.kind in (TableKind.NAVIGATION, TableKind.MIGRATION):
+            written.add(NEXT_TAB_ID)
+        for action in node.actions.values():
+            bound.extend((p.op, p.args) for p in action.primitives)
+    caches = list(emulator.flow_caches.values())
+    if emulator.native_cache is not None:
+        caches.append(emulator.native_cache)
+    for cache in caches:
+        for effect in cache.effects:
+            bound.extend(effect)
+    for op, args in bound:
+        if op in _WRITES:
+            if isinstance(args[0], Param):
+                return None
+            field = str(args[0])
+            if op == "set_meta" and not field.startswith("meta."):
+                field = f"meta.{field}"
+            written.add(field)
+    return frozenset(written)
+
+
 class ColumnarEngine:
     """The program compiled to per-node batch kernels.
 
@@ -919,7 +1250,10 @@ class ColumnarEngine:
         self._topo: list[str] = []
         self._topo_pos: dict[str, int] = {}
         self._effect_memo: dict = {}
+        #: Template key (:func:`_template_part`) -> its applier.
+        self._appliers: dict = {}
         self._root = emulator.program.root
+        self._written = _written_fields(emulator)
         try:
             self._topo = list(emulator.program.topological_order())
         except IrError:
@@ -958,125 +1292,29 @@ class ColumnarEngine:
                 return True
         return False
 
-    # -- primitive compilation ---------------------------------------------
-
-    def _compile_primitive(self, op: str, args):
-        """One bound primitive -> vectorized applier(walk, idx) | None.
-
-        Raises :class:`_Unsupported` for anything a column kernel can't
-        express; the owning group is then flagged and demoted to the
-        interpreter (which raises, for genuinely invalid primitives).
-        """
-        if op == "set_field" or op == "set_meta":
-            try:
-                name, value = str(args[0]), int(args[1])
-            except (TypeError, ValueError, IndexError):
-                raise _Unsupported(op)
-            if op == "set_meta" and not name.startswith("meta."):
-                name = f"meta.{name}"
-            if not (_I64_MIN <= value <= _I64_MAX):
-                raise _Unsupported(op)
-
-            def apply_set(walk: _Walk, idx: np.ndarray) -> None:
-                col = walk.writable(name)
-                col[0][idx] = value
-                if col[1] is not None:
-                    col[1][idx] = True
-
-            return apply_set
-        if op == "add_to_field":
-            try:
-                name, delta = str(args[0]), int(args[1])
-            except (TypeError, ValueError, IndexError):
-                raise _Unsupported(op)
-            if not (_I64_MIN <= delta <= _I64_MAX):
-                raise _Unsupported(op)
-            hi = _I64_MAX - delta if delta >= 0 else None
-            lo = _I64_MIN - delta if delta < 0 else None
-
-            def apply_add(walk: _Walk, idx: np.ndarray) -> None:
-                col = walk.writable(name)
-                vals, present = col[0], col[1]
-                current = vals[idx]
-                if present is not None:
-                    current = np.where(present[idx], current, 0)
-                if hi is not None:
-                    walk.flag(idx[current > hi], _F_UNSUPPORTED)
-                else:
-                    walk.flag(idx[current < lo], _F_UNSUPPORTED)
-                vals[idx] = current + delta
-                if present is not None:
-                    present[idx] = True
-
-            return apply_add
-        if op == "copy_field":
-            try:
-                dst, src = str(args[0]), str(args[1])
-            except (TypeError, ValueError, IndexError):
-                raise _Unsupported(op)
-
-            def apply_copy(walk: _Walk, idx: np.ndarray) -> None:
-                vals, present = walk.read(src)
-                if vals is None:
-                    value = np.zeros(idx.size, dtype=np.int64)
-                else:
-                    value = vals[idx]
-                    if present is not None:
-                        value = np.where(present[idx], value, 0)
-                col = walk.writable(dst)
-                col[0][idx] = value
-                if col[1] is not None:
-                    col[1][idx] = True
-
-            return apply_copy
-        if op == "forward":
-            try:
-                port = int(args[0])
-            except (TypeError, ValueError, IndexError):
-                raise _Unsupported(op)
-            if not (_I64_MIN <= port <= _I64_MAX):
-                raise _Unsupported(op)
-
-            def apply_forward(walk: _Walk, idx: np.ndarray) -> None:
-                walk.egress[idx] = port
-                walk.has_eg[idx] = True
-
-            return apply_forward
-        if op == "drop":
-
-            def apply_drop(walk: _Walk, idx: np.ndarray) -> None:
-                walk.dropped[idx] = True
-
-            return apply_drop
-        if op == "no_op":
-            return None
-        if op == "count":
-            try:
-                counter_name = str(args[0])
-            except (TypeError, IndexError):
-                raise _Unsupported(op)
-
-            def apply_count(walk: _Walk, idx: np.ndarray) -> None:
-                walk.explicit_events.append((counter_name, idx))
-
-            return apply_count
-        raise _Unsupported(op)
+    # -- effect compilation ------------------------------------------------
 
     def _compile_effect(self, bound: tuple) -> _Effect:
+        """``bound`` as a template (one applier per template key, so
+        equal templates are equal tuples) and its parameter row."""
         cached = self._effect_memo.get(bound)
         if cached is None:
             try:
+                parts = [_template_part(op, args) for op, args in bound]
+            except _Unsupported:
+                cached = _Effect((), (), True, False, bound)
+            else:
+                appliers = self._appliers
+                for key, _ in parts:
+                    if key not in appliers:
+                        appliers[key] = _applier(key)
                 cached = _Effect(
-                    tuple(
-                        self._compile_primitive(op, args)
-                        for op, args in bound
-                    ),
+                    tuple(appliers[key] for key, _ in parts),
+                    tuple(param for _, param in parts),
                     False,
                     any(op == "drop" for op, _ in bound),
                     bound,
                 )
-            except _Unsupported:
-                cached = _Effect((), True, False, bound)
             self._effect_memo[bound] = cached
         return cached
 
@@ -1090,31 +1328,56 @@ class ColumnarEngine:
 
     @staticmethod
     def _prologue(walk, idx, pool, migration_ns, cost_ns):
-        """Migration check + node cost, in the interpreter's order."""
+        """Migration check + node cost, in the interpreter's order.
+
+        ``idx`` holds unique indices, so when it spans exactly
+        ``size`` values it is a whole range and is charged through a
+        slice instead of a fancy index.
+        """
         busy = walk.busy[pool]
         prev = walk.prev
-        came_from = prev[idx]
-        moved = idx[(came_from != -1) & (came_from != pool)]
-        if moved.size:
+        at = idx
+        first = 0
+        if idx.size:
+            first = int(idx.min())
+            last = int(idx.max())
+            if last - first + 1 == idx.size:
+                at = slice(first, last + 1)
+        came_from = prev[at]
+        moved = (came_from != -1) & (came_from != pool)
+        if moved.any():
+            moved = (
+                np.flatnonzero(moved) + first
+                if at is not idx
+                else idx[moved]
+            )
             busy[moved] += migration_ns
             walk.migr[moved] += 1
-        prev[idx] = pool
-        busy[idx] += cost_ns
-        walk.used[pool][idx] = True
+        prev[at] = pool
+        busy[at] += cost_ns
+        walk.used[pool][at] = True
         return busy
 
     @staticmethod
-    def _run_effect(walk, busy, idx, effect, action_ns, feeds, next_name):
-        """Charge + apply one compiled effect, feed it to the open
-        recordings, and send the packets on (a drop is unconditional, so
-        an effect either terminates all of ``idx`` or none of it; the
-        interpreter too applies every primitive after a drop)."""
-        for applier in effect.appliers:
+    def _apply(walk, busy, idx, template, params, action_ns) -> None:
+        """Charge + apply a template's primitives on ``idx``, in the
+        interpreter's order: per primitive, ``action_ns`` and then the
+        primitive (the interpreter too applies every one after a
+        drop). ``params`` holds one scalar or column per primitive."""
+        for applier, param in zip(template, params):
             busy[idx] += action_ns
             if applier is not None:
-                applier(walk, idx)
+                applier(walk, idx, param)
+
+    def _run_effect(
+        self, walk, busy, idx, effect, action_ns, feeds, next_name
+    ):
+        """Charge + apply one effect, feed it to the open recordings,
+        and send the packets on (a drop is unconditional, so an effect
+        either terminates all of ``idx`` or none of it)."""
+        self._apply(walk, busy, idx, effect.template, effect.params, action_ns)
         if effect.bound and walk.recordings:
-            walk.record(feeds, idx, effect.bound)
+            walk.record(feeds, idx, (effect.bound,))
         walk.route(None if effect.drops else next_name, idx)
 
     def _feeds(self, names) -> frozenset:
@@ -1434,17 +1697,28 @@ class ColumnarEngine:
         return kernel
 
     def _compile_match(self, node, merged: bool):
-        """Plain and merged tables: unique keys -> plan ids -> one
-        charge/count/apply/route per distinct plan.
+        """Plain and merged tables: plan ids per packet, then one
+        charge/count/apply/route per distinct plan *shape*.
 
         A plan is ``(effect, counter key, next node)``; entries binding
         the same action to the same data share one. A merged-table miss
         (merge-as-cache, §3.2.3) and a plain table's default action are
-        plans like any other.
+        plans like any other. Plans whose effects share a template, a
+        counter and a route share a shape, and a shape runs once per
+        call with each primitive's parameters gathered by plan id.
+
+        A batch cut from a flow set finds its packets' plans in the
+        node's :class:`_PlanMemo` for that set: one gather for a flow
+        whose row's plan is current; only rows without a current plan
+        go through ``lookup_many``. Without a proof that no action
+        writes the match fields, each memoised row is checked against
+        the packet's key; a mismatch is a guard failure, resolved the
+        way a batch without a flow set is.
         """
         name = node.name
         pool, core, migration_ns = self._node_consts(node)
-        runtime = self._em.runtime_tables[name]
+        em = self._em
+        runtime = em.runtime_tables[name]
         match_ns = core.match_cost_ns(
             node.worst_match_type,
             runtime.memory_accesses,
@@ -1456,16 +1730,26 @@ class ColumnarEngine:
         engine = runtime.engine
         actions = node.actions
         compile_effect = self._compile_effect
-        run_effect = self._run_effect
+        apply = self._apply
         self.node_model_ns[name] = match_ns
         info = node.cache_info if merged else None
         feeds = self._feeds((info.covers if info else ()) or (name,))
-        plan_ids: dict = {}
-        plans: list = []
+        plans = _PlanTable()
         #: Plan id per slot of the engine's slot table (-1: not bound
         #: yet), valid for as long as the engine hands out that table.
         slot_table = None
         slot_plans = None
+        memos = em._plan_memos.setdefault(name, OrderedDict())
+        guarded = self._written is None or bool(
+            self._written.intersection(match_fields)
+        )
+        #: Row plans stamped with another epoch are stale: a recompile
+        #: (and an entry edit under this kernel) invalidates them all.
+        epoch = next(_EPOCHS)
+        version = runtime.version
+        hits = em.columnar_memo_hits
+        misses = em.columnar_memo_misses
+        failures = em.columnar_memo_guard_failures
 
         def intern(action, action_data) -> int:
             effect = _UNBINDABLE
@@ -1477,46 +1761,35 @@ class ColumnarEngine:
                 except EmulationError:
                     action = None
             if merged:
-                plan = (
+                return plans.intern(
                     effect,
                     cache_counter(name, True),
                     info.hit_next if info else None,
                 )
-            elif action is None:
-                plan = (effect, None, None)
-            else:
-                plan = (
-                    effect,
-                    action_counter(name, action.name),
-                    node.next_map.get(action.name),
-                )
-            plan_id = plan_ids.get(plan)
-            if plan_id is None:
-                plan_id = plan_ids[plan] = len(plans)
-                plans.append(plan)
-            return plan_id
+            if action is None:
+                return plans.intern(effect, None, None)
+            return plans.intern(
+                effect,
+                action_counter(name, action.name),
+                node.next_map.get(action.name),
+            )
 
         if merged:
-            plans.append(
-                (
-                    compile_effect(()),
-                    cache_counter(name, False),
-                    info.miss_next if info else None,
-                )
+            no_entry = plans.intern(
+                compile_effect(()),
+                cache_counter(name, False),
+                info.miss_next if info else None,
             )
-            no_entry = 0
         else:
             no_entry = intern(actions[node.default_action], ())
 
-        def kernel(walk: _Walk, idx: np.ndarray) -> None:
+        def plans_of(rows: np.ndarray) -> np.ndarray:
+            """Plan id of each distinct key row: ``lookup_many``."""
             nonlocal slot_table, slot_plans
-            busy = self._prologue(walk, idx, pool, migration_ns, match_ns)
-            rows, kid = _unique_matrix(walk.key_matrix(idx, match_fields))
-            self._bump_partitions(name, len(rows))
             scalar_rows = engine.scalar_rows
             table, slots = engine.lookup_many(rows)
             _bump(
-                self._em.columnar_scalar_lookups,
+                em.columnar_scalar_lookups,
                 name,
                 engine.scalar_rows - scalar_rows,
             )
@@ -1537,15 +1810,93 @@ class ColumnarEngine:
                         )
                     )
                 key_plans = slot_plans[slots]
-            for plan_id, group in _split(key_plans[kid], idx):
-                effect, counter_key, next_name = plans[plan_id]
-                if effect.unsupported:
+            return key_plans
+
+        def memo_plans(memo: _PlanMemo, walk: _Walk, idx: np.ndarray):
+            """``(plan id per packet, distinct key rows)`` by the memo."""
+            nonlocal epoch, version
+            if runtime.version != version:
+                version = runtime.version
+                epoch = next(_EPOCHS)
+            row = memo.row_of[walk.flow_idx[idx]]
+            failed = 0
+            if guarded:
+                keys = walk.key_matrix(idx, match_fields)
+                moved = (memo.rows[row] != keys).any(axis=1)
+                failed = int(np.count_nonzero(moved))
+            present = memo.distinct(row[~moved] if failed else row)
+            stale = present[memo.stamp[present] != epoch]
+            missed = 0
+            if stale.size:
+                current = memo.stamp[row] == epoch
+                if failed:
+                    current |= moved
+                missed = idx.size - int(np.count_nonzero(current))
+                memo.plan[stale] = plans_of(memo.rows[stale])
+                memo.stamp[stale] = epoch
+            plan_of = memo.plan[row]
+            partitions = present.size
+            if failed:
+                # Keys the flows' headers no longer give: resolved as
+                # a batch without a flow set resolves them.
+                _bump(failures, name, failed)
+                rows, kid = _unique_matrix(keys[moved])
+                plan_of[moved] = plans_of(rows)[kid]
+                partitions = len(_unique_matrix(keys)[0])
+            _bump(hits, name, idx.size - missed - failed)
+            _bump(misses, name, missed)
+            return plan_of, partitions
+
+        def kernel(walk: _Walk, idx: np.ndarray) -> None:
+            busy = self._prologue(walk, idx, pool, migration_ns, match_ns)
+            flow_set = walk.flows
+            if flow_set is None:
+                rows, kid = _unique_matrix(walk.key_matrix(idx, match_fields))
+                plan_of = plans_of(rows)[kid]
+                partitions = len(rows)
+                _bump(misses, name, idx.size)
+            else:
+                memo = memos.get(flow_set)
+                if memo is None:
+                    memo = memos[flow_set] = _PlanMemo(
+                        flow_set, match_fields
+                    )
+                    while len(memos) > FLOW_SETS_KEPT:
+                        memos.popitem(last=False)
+                else:
+                    memos.move_to_end(flow_set)
+                plan_of, partitions = memo_plans(memo, walk, idx)
+            self._bump_partitions(name, partitions)
+            shape_of = plans.shape_of[plan_of]
+            if (shape_of == shape_of[0]).all():
+                groups = ((int(shape_of[0]), idx, plan_of),)
+            else:
+                groups = (
+                    (shape_id, idx[at], plan_of[at])
+                    for shape_id, at in _split(shape_of, np.arange(idx.size))
+                )
+            for shape_id, group, ids in groups:
+                shape = plans.shapes[shape_id]
+                if shape.unsupported:
                     walk.flag(group, _F_UNSUPPORTED)
                     continue
-                walk.count(busy, group, counter_key, counter_ns)
-                run_effect(
-                    walk, busy, group, effect, action_ns, feeds, next_name
-                )
+                walk.count(busy, group, shape.counter_key, counter_ns)
+                if shape.template:
+                    params = plans.params
+                    apply(
+                        walk,
+                        busy,
+                        group,
+                        shape.template,
+                        [
+                            None if j is None else params[j][ids]
+                            for j in shape.param_rows
+                        ],
+                        action_ns,
+                    )
+                    if walk.recordings:
+                        walk.record(feeds, group, plans.bounds, ids)
+                walk.route(shape.next_name, group)
 
         return kernel
 

@@ -192,6 +192,16 @@ class NicEmulator:
         self.columnar_scalar_lookups: dict[str, int] = {}
         self.columnar_cache_arrivals: dict[str, int] = {}
         self.columnar_cache_replayed: dict[str, int] = {}
+        #: Per match node, packets whose plan the node's flow memo
+        #: served (hits), had to resolve (misses), or found keyed by a
+        #: row the packet no longer carries (guard failures).
+        self.columnar_memo_hits: dict[str, int] = {}
+        self.columnar_memo_misses: dict[str, int] = {}
+        self.columnar_memo_guard_failures: dict[str, int] = {}
+        #: Per match node, its plan memos by flow set
+        #: (:class:`repro.nic.columnar._PlanMemo`): kept here so a
+        #: recompile after an entry edit keeps what each flow's key is.
+        self._plan_memos: dict = {}
         #: Optional sampled-span recorder (attach a PacketTracer to
         #: trace; the disabled path costs one branch per packet here
         #: and one per batch in the columnar tier).

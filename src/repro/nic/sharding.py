@@ -508,6 +508,14 @@ class ShardJournal:
 # ---------------------------------------------------------------------------
 
 
+#: The match kernels' per-node plan memo counts (:class:`NicEmulator`).
+_MEMO_COUNTS = (
+    "columnar_memo_hits",
+    "columnar_memo_misses",
+    "columnar_memo_guard_failures",
+)
+
+
 def _worker_state(emulator: NicEmulator) -> dict:
     """Cumulative mergeable telemetry shipped back to the parent."""
     return {
@@ -522,6 +530,7 @@ def _worker_state(emulator: NicEmulator) -> dict:
         "columnar_scalar_lookups": dict(emulator.columnar_scalar_lookups),
         "columnar_cache_arrivals": dict(emulator.columnar_cache_arrivals),
         "columnar_cache_replayed": dict(emulator.columnar_cache_replayed),
+        **{name: dict(getattr(emulator, name)) for name in _MEMO_COUNTS},
     }
 
 
@@ -602,6 +611,8 @@ def _restore(emulator: NicEmulator, state: dict, saved: dict) -> None:
     emulator.columnar_scalar_lookups = dict(state["columnar_scalar_lookups"])
     emulator.columnar_cache_arrivals = dict(state["columnar_cache_arrivals"])
     emulator.columnar_cache_replayed = dict(state["columnar_cache_replayed"])
+    for name in _MEMO_COUNTS:
+        setattr(emulator, name, dict(state[name]))
     if emulator.live_feed is not None:
         emulator.live_feed.restore(saved["life"], emulator)
 
@@ -638,9 +649,12 @@ def _worker_main(
     order; a ``ring`` token stands for the batch at the head of
     ``channel``'s data ring, published before the token was sent.
 
-    ``busy`` accounts the worker's own CPU time (``time.process_time``:
-    decode + replay + reply pickling, but not time blocked on the
-    pipe), which the throughput benchmark uses as the critical-path
+    ``busy`` accounts the worker's own CPU time since ``begin``
+    (``time.process_time``): every message's decode, handling and
+    reply — ``collect`` and ``dump`` included — up to the ``end``
+    barrier's live-feed flush, state and checkpoint, but not time
+    blocked on the pipe, nor the pickling of the ``end`` reply that
+    carries it. The throughput benchmark uses it as the critical-path
     denominator.
 
     ``fault_specs`` arms a :class:`FaultInjector` for deterministic
@@ -759,21 +773,14 @@ def _worker_main(
                 stats = RunStats()
                 busy = 0.0
             elif op == "end":
-                busy += time.process_time() - start
                 if feed is not None:
                     feed.end(emulator)
                 done, stats = stats or RunStats(), None
-                reply(
-                    (
-                        "done",
-                        done,
-                        state_reply(),
-                        busy,
-                        epoch,
-                        saved_if(message[1]),
-                    )
-                )
-                del done  # not held through the next replay
+                state = state_reply()
+                saved = saved_if(message[1])
+                busy += time.process_time() - start
+                reply(("done", done, state, busy, epoch, saved))
+                del done, state, saved  # not held through the next replay
                 continue
             elif op == "entries":
                 _apply_entries(emulator, message[1], message[2])
@@ -800,7 +807,6 @@ def _worker_main(
                         saved_if(message[1]),
                     )
                 )
-                continue
             elif op == "dump":
                 reply(
                     (
@@ -820,7 +826,6 @@ def _worker_main(
                         },
                     )
                 )
-                continue
             elif op == "close":
                 reply(("bye",))
                 break
@@ -959,6 +964,11 @@ class ShardedEmulator:
         self.columnar_scalar_lookups: dict[str, int] = {}
         self.columnar_cache_arrivals: dict[str, int] = {}
         self.columnar_cache_replayed: dict[str, int] = {}
+        #: The workers' per-node plan memo hits, misses and guard
+        #: failures (see :class:`NicEmulator`).
+        self.columnar_memo_hits: dict[str, int] = {}
+        self.columnar_memo_misses: dict[str, int] = {}
+        self.columnar_memo_guard_failures: dict[str, int] = {}
         #: Merged per-worker packet tracer from the last collection
         #: (None unless the worker emulators carry tracers).
         self.tracer = None
@@ -1812,6 +1822,7 @@ class ShardedEmulator:
             "columnar_scalar_lookups": {},
             "columnar_cache_arrivals": {},
             "columnar_cache_replayed": {},
+            **{name: {} for name in _MEMO_COUNTS},
         }
         for state in states:
             for reason, count in state["demotions"].items():
@@ -1856,6 +1867,8 @@ class ShardedEmulator:
         self.columnar_scalar_lookups = by_name["columnar_scalar_lookups"]
         self.columnar_cache_arrivals = by_name["columnar_cache_arrivals"]
         self.columnar_cache_replayed = by_name["columnar_cache_replayed"]
+        for name in _MEMO_COUNTS:
+            setattr(self, name, by_name[name])
 
     def collect(self) -> None:
         """Barrier: refresh merged counters/cache stats from all workers."""

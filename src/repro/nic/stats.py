@@ -229,7 +229,17 @@ class RunStats:
 
 
 def _count_array(counts: Counter[float], values: np.ndarray) -> None:
-    """Add one count per element of ``values`` to ``counts``."""
+    """Add one count per element of ``values`` to ``counts``.
+
+    A block of one nonzero value is counted in one pass; a NaN (equal
+    to nothing), a zero (whose sign ``np.unique`` picks) or a mixed
+    block goes through ``np.unique``.
+    """
+    if len(values):
+        first = values[0]
+        if first != 0 and (values == first).all():
+            counts[float(first)] += len(values)
+            return
     keys, hits = np.unique(values, return_counts=True)
     counts.update(dict(zip(keys.tolist(), hits.tolist())))
 

@@ -29,7 +29,8 @@ _NO_INDICES = np.zeros(0, dtype=np.int64)
 
 #: The flow sets any generator in this process built last, most
 #: recently used first, at most :data:`FLOW_SETS_KEPT` of them; the
-#: lock makes each lookup-and-reorder one step for every thread.
+#: lock makes each lookup-and-reorder one step for every thread (and
+#: guards :data:`_KEPT_GUIDES` too).
 _KEPT_FLOW_SETS: list[FlowColumns] = []
 _KEPT_LOCK = threading.Lock()
 
@@ -100,15 +101,77 @@ class PacketStream(ColumnSource):
             yield columns, chosen, self._size_bytes
 
 
+#: Zipf guide-table buckets per flow, before rounding up to a power of
+#: two, and the most buckets a table gets.
+_GUIDE_PER_FLOW = 16
+_GUIDE_MAX = 1 << 17
+
+#: The Zipf guides this process built last, by ``(n_flows, skew)``:
+#: a guide is a pure function of its key, so generators share them (a
+#: run and its verification twins draw from one table).
+_KEPT_GUIDES: dict[tuple, "ZipfGuide"] = {}
+
+
+class ZipfGuide:
+    """``cdf.searchsorted(u, side="right")`` through a guide table.
+
+    The bucket count is a power of two, so ``u * buckets`` is exact and
+    bucket ``b`` holds exactly the ``u`` in ``[b, b + 1) / buckets``.
+    Where no CDF point lies inside a bucket, every ``u`` in it has one
+    answer, kept in ``guide``; only the ``u`` of a bucket that straddles
+    a CDF point (``-1`` in ``guide``) are searched.
+    """
+
+    def __init__(self, cdf: np.ndarray):
+        self.cdf = cdf
+        target = min(_GUIDE_MAX, _GUIDE_PER_FLOW * len(cdf))
+        self.buckets = 1 << (target - 1).bit_length()
+        edges = np.arange(self.buckets + 1, dtype=np.float64)
+        edges /= self.buckets
+        low = cdf.searchsorted(edges[:-1], side="right")
+        high = cdf.searchsorted(edges[1:], side="left")
+        del edges
+        low[low != high] = -1
+        self.guide = low.astype(np.int32)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        found = self.guide[(u * self.buckets).astype(np.int64)].astype(
+            np.int64
+        )
+        straddling = np.flatnonzero(found < 0)
+        if straddling.size:
+            # Sorted probes: each search starts where the last ended.
+            probes = u[straddling]
+            order = np.argsort(probes)
+            found[straddling[order]] = self.cdf.searchsorted(
+                probes[order], side="right"
+            )
+        return found
+
+
+def zipf_guide(n_flows: int, skew: float) -> ZipfGuide:
+    """The guide of the normalised Zipf CDF over ``n_flows`` ranks,
+    built once per process (:data:`_KEPT_GUIDES`)."""
+    with _KEPT_LOCK:
+        guide = _KEPT_GUIDES.get((n_flows, skew))
+        if guide is None:
+            ranks = np.arange(1, n_flows + 1, dtype=float)
+            weights = ranks ** (-skew)
+            weights /= weights.sum()
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            guide = _KEPT_GUIDES[n_flows, skew] = ZipfGuide(cdf)
+            while len(_KEPT_GUIDES) > FLOW_SETS_KEPT:
+                del _KEPT_GUIDES[next(iter(_KEPT_GUIDES))]
+        return guide
+
+
 class TrafficGenerator:
     """Deterministic (seeded) packet stream generator."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._np_rng = np.random.default_rng(seed)
-        #: ``((n_flows, skew), cdf)`` of the last Zipf draw: a stream
-        #: per cycle over one flow set recomputes nothing.
-        self._zipf_cdf: tuple = (None, None)
 
     # -- flow selection patterns -------------------------------------------------
 
@@ -127,17 +190,10 @@ class TrafficGenerator:
         ``Generator.choice(n_flows, size=n_packets, p=weights)``'s own
         arithmetic — one uniform draw per packet, looked up in the
         normalised CDF — with the CDF kept between calls instead of
-        validated and summed again on each.
+        validated and summed again on each, and looked up through a
+        :class:`ZipfGuide` (the same answers, mostly without a search).
         """
-        shape, cdf = self._zipf_cdf
-        if shape != (n_flows, skew):
-            ranks = np.arange(1, n_flows + 1, dtype=float)
-            weights = ranks ** (-skew)
-            weights /= weights.sum()
-            cdf = weights.cumsum()
-            cdf /= cdf[-1]
-            self._zipf_cdf = ((n_flows, skew), cdf)
-        return cdf.searchsorted(self._np_rng.random(n_packets), side="right")
+        return zipf_guide(n_flows, skew)(self._np_rng.random(n_packets))
 
     def round_robin_indices(
         self, n_flows: int, n_packets: int

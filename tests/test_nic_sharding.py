@@ -9,6 +9,8 @@ example app, at 2 and 4 workers, with and without mid-stream
 control-plane updates.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.errors import EmulationError
 from repro.ir.tables import Pipeline
 from repro.nic.columnar import ColumnBatch, ColumnSource
 from repro.nic.packet import DEFAULT_PACKET_BYTES, make_packet
+from repro.nic import sharding
 from repro.nic.sharding import ShardedEmulator, flow_shard
 from repro.nic.stats import RunStats
 from repro.nic.targets import EMULATED_NIC
@@ -636,3 +639,28 @@ class TestShardedEmulatorStandalone:
             ShardedEmulator(emulator, 1, transport="shm")
         with pytest.raises(ValueError, match="ring_slots"):
             ShardedEmulator(emulator, 1, ring_slots=0)
+
+
+class TestWorkerBusy:
+    def test_busy_covers_the_end_barriers_state(self, monkeypatch):
+        """``worker_busy_s`` counts the ``end`` barrier's work: a
+        worker state that burns 50 ms of CPU shows in it."""
+        original = sharding._worker_state
+
+        def slow_state(emulator):
+            start = time.process_time()
+            while time.process_time() - start < 0.05:
+                pass
+            return original(emulator)
+
+        # Patched before the fork, so the workers inherit it.
+        monkeypatch.setattr(sharding, "_worker_state", slow_state)
+        build, install = EXAMPLE_APPS["l2l3_acl"]
+        deployment = Deployment(build(), EMULATED_NIC, jobs=2)
+        try:
+            install(deployment.control_plane)
+            deployment.replay(app_packets(1, 200))
+            busy = list(deployment.emulator.worker_busy_s)
+        finally:
+            deployment.close()
+        assert min(busy) >= 0.05

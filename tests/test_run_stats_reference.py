@@ -328,6 +328,27 @@ class TestAgainstListReference:
         assert stats._busy_ns == reference._busy_ns
 
 
+class TestConstantBlocks:
+    """``record_block`` counts a block of one value in one pass; a
+    block of zeros or NaNs still goes through ``np.unique``. Each must
+    read like the list reference fed the same packets one by one."""
+
+    @pytest.mark.parametrize(
+        "value", [812.5, -0.0, 0.0, math.nan, math.inf], ids=repr
+    )
+    def test_block_of_one_value_is_the_list(self, value):
+        packets = [(value, value, value, 64, False)] * 5
+        block = record(RunStats(), packets, block=True)
+        reference = record(ListRunStats(), packets, block=False)
+        assert aggregates(block) == aggregates(reference)
+
+    def test_constant_block_adds_to_earlier_counts(self):
+        stats = record(RunStats(), [(7.0, None, None, 64, False)], False)
+        record(stats, [(7.0, 7.0, None, 64, False)] * 3, block=True)
+        assert stats.value_counts() == [(7.0, 4)]
+        assert stats.value_counts(Pipeline.ASIC) == [(7.0, 3)]
+
+
 class TestPickleSize:
     """The stats' size is the number of distinct values, not of
     packets: a replay 10 or 100 times longer pickles to the same length

@@ -2,6 +2,7 @@
 
 import collections
 
+import numpy as np
 import pytest
 
 from repro.nic.packet import DEFAULT_PACKET_BYTES
@@ -12,6 +13,7 @@ from repro.traffic import (
     synth_flow,
     synth_flows,
 )
+from repro.traffic.generator import zipf_guide
 
 
 class TestFlows:
@@ -245,3 +247,35 @@ class TestGeneratorEdges:
 
     def test_mixed_stream_all_groups_empty(self):
         assert list(TrafficGenerator(1).mixed_stream([([], 1.0)], 5)) == []
+
+
+class TestZipfGuide:
+    """The guide table draws exactly what a search of the CDF draws."""
+
+    @pytest.mark.parametrize("skew", [0.8, 1.2])
+    @pytest.mark.parametrize("n_flows", [1, 7, 1024, 20000])
+    def test_equals_searchsorted(self, n_flows, skew):
+        guide = zipf_guide(n_flows, skew)
+        cdf = guide.cdf
+        u = np.random.default_rng(n_flows).random(200_000)
+        # Bucket edges (every one, or 60 000 evenly spread), the float
+        # just below each, and CDF points (each inside a bucket).
+        step = -(-guide.buckets // 60_000)
+        edges = np.arange(0, guide.buckets, step) / guide.buckets
+        below = np.nextafter(edges[1:], 0.0)
+        points = cdf[cdf < 1.0][:60_000]
+        probes = np.concatenate([edges, below, points])
+        u[: len(probes)] = probes
+        assert guide.buckets & (guide.buckets - 1) == 0
+        np.testing.assert_array_equal(
+            guide(u), cdf.searchsorted(u, side="right")
+        )
+
+    def test_stream_draws_the_search_would(self):
+        generator = TrafficGenerator(9)
+        drawn = generator.zipf_indices(5000, 4096, 1.2)
+        twin = np.random.default_rng(9)
+        cdf = zipf_guide(5000, 1.2).cdf
+        np.testing.assert_array_equal(
+            drawn, cdf.searchsorted(twin.random(4096), side="right")
+        )
