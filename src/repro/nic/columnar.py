@@ -50,7 +50,13 @@ when the leader reaches ``hit_next`` (or terminates). Later packets of
 the batch that hit the freshly inserted key are *followers*: they wait
 at the cache and replay the leader's finished effect. Nothing shared is
 mutated; commit replays the retired prefix's op log on the real cache
-and raises if the cache disagrees with the simulation.
+and raises if the cache disagrees with the simulation. A step whose
+insertion limiter can admit no insert
+(:meth:`~repro.nic.flow_cache.FlowCache.insert_bound`) is read-only:
+its present keys hit, its absent keys are rejected misses that walk
+``miss_next`` with no recording, and commit books them at once. A
+batch cut from a flow set finds each packet's cache key row, and the
+slot it was last found in, in the step's :class:`_KeyMemo`.
 
 Packets the kernels cannot express are *demoted*: interpreted one at a
 time, in global packet order, at their own clock value:
@@ -712,15 +718,40 @@ class _Recording:
         self.resolve = resolve
 
 
+class _RowKeys:
+    """A cache step's keys, made from its key rows only where asked
+    for: ``keys[k]`` is key ``k``'s bytes (:func:`~repro.nic.flow_cache.
+    cache_key`), ``keys.of(ids)`` the list of several."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __getitem__(self, k: int):
+        return self.rows[k].tobytes()
+
+    def of(self, ids: np.ndarray) -> list:
+        return row_keys(self.rows[ids])
+
+
+#: An empty position array.
+_NO_POSITIONS = np.zeros(0, dtype=np.int64)
+
+
 class _CacheStep:
     """Op log of one cache step: who looked up what, in packet order.
 
-    ``slots`` and ``born`` are each unique key's cache slot (−1:
-    absent) and that slot's generation when the step read them.
-    ``reached`` marks the unique keys an eviction of this step can reach
-    (:func:`_reach`); ``replayed`` are the step positions of their
-    packets and ``codes`` those packets' simulated outcomes. Every other
-    packet is a hit whatever the rest of the step does.
+    ``keys`` (:class:`_RowKeys`), ``slots`` and ``born`` are each unique
+    key, its cache slot (−1: absent) and that slot's generation when the
+    step read them. ``reached`` marks the unique keys an eviction of
+    this step can reach (:func:`_reach`); ``replayed`` are the step
+    positions of their packets and ``codes`` those packets' simulated
+    outcomes. Every other packet is a hit whatever the rest of the step
+    does. A *read-only* step — the limiter can admit no insert — replays
+    nothing: ``reached`` marks the absent keys, ``rejected`` holds the
+    positions of their packets and ``codes`` one ``_MISS_REJECTED``
+    each.
     """
 
     __slots__ = (
@@ -732,19 +763,20 @@ class _CacheStep:
         "born",
         "reached",
         "replayed",
+        "rejected",
         "codes",
         "recording",
     )
 
-    def __init__(self, cache, idx, keys, kid, slots, reached):
+    def __init__(self, cache, idx, keys, kid, slots):
         self.cache = cache
         self.idx = idx
         self.keys = keys
         self.kid = kid
         self.slots = slots
         self.born = cache.born[slots]
-        self.reached = reached
-        self.replayed = np.flatnonzero(reached[kid])
+        self.reached = None
+        self.replayed = self.rejected = _NO_POSITIONS
         self.codes: list = []
         self.recording = None
 
@@ -783,6 +815,7 @@ class _Walk:
         "chain_effects",
         "flows",
         "flow_idx",
+        "_times",
     )
 
     def __init__(self, batch: ColumnBatch, sampled, now):
@@ -814,6 +847,7 @@ class _Walk:
         self.pending: dict[str, list] = {}
         #: Per-packet sim-clock values, or None for a static clock.
         self.now = now
+        self._times = None
         #: (counter_key, sampled idx array) in visit order.
         self.counter_events: list = []
         #: (explicit counter name, idx array) in visit order.
@@ -824,6 +858,17 @@ class _Walk:
         #: Interned effect chains: (parent id, bound) -> id; id 0 = ().
         self.chains: dict = {}
         self.chain_effects: list = [()]
+
+    def clock_span(self, idx: np.ndarray, static_s: float):
+        """``(first clock value, sum of the forward steps)`` over the
+        packets ``idx``, in order; a clock that stands still at
+        ``static_s`` rises by 0."""
+        if self.now is None:
+            return static_s, 0.0
+        if self._times is None:
+            self._times = np.asarray(self.now, dtype=np.float64)
+        times = self._times[idx]
+        return float(times[0]), float(np.maximum(np.diff(times), 0.0).sum())
 
     def writable(self, name: str):
         """The column triple for ``name``, made safe to mutate."""
@@ -1013,22 +1058,16 @@ class _PlanTable:
 _EPOCHS = count()
 
 
-class _PlanMemo:
-    """One match node's memo over one flow set (DESIGN.md §14).
+class _FlowRows:
+    """The distinct key rows a flow set's own headers give some fields,
+    built when a node first meets the set: ``rows``, and ``row_of[flow]``
+    each flow's row id."""
 
-    Built when the node first meets the set: ``rows`` are the distinct
-    key rows the flows' own headers give the node's match fields, and
-    ``row_of[flow]`` is the flow's row id. ``plan[row]`` is the row's
-    plan id, current only where ``stamp[row]`` is the kernel's epoch.
-    """
-
-    __slots__ = ("row_of", "rows", "plan", "stamp", "seen")
+    __slots__ = ("row_of", "rows", "seen")
 
     def __init__(self, flow_set: "FlowColumns", fields):
         self.rows, row_of = _unique_matrix(flow_set.keys(fields))
         self.row_of = row_of.astype(np.int32)
-        self.plan = np.zeros(len(self.rows), dtype=np.int32)
-        self.stamp = np.full(len(self.rows), -1, dtype=np.int64)
         #: All False between calls: :meth:`distinct`'s marks.
         self.seen = np.zeros(len(self.rows), dtype=bool)
 
@@ -1039,6 +1078,60 @@ class _PlanMemo:
         present = np.flatnonzero(seen)
         seen[present] = False
         return present
+
+
+class _PlanMemo(_FlowRows):
+    """One match node's memo over one flow set (DESIGN.md §14):
+    ``plan[row]`` is the row's plan id, current only where
+    ``stamp[row]`` is the kernel's epoch."""
+
+    __slots__ = ("plan", "stamp")
+
+    def __init__(self, flow_set: "FlowColumns", fields):
+        super().__init__(flow_set, fields)
+        self.plan = np.zeros(len(self.rows), dtype=np.int32)
+        self.stamp = np.full(len(self.rows), -1, dtype=np.int64)
+
+
+#: A :class:`_KeyMemo` generation no slot ever has (a freed slot's is −1).
+_UNSEEN = -2
+
+
+class _KeyMemo(_FlowRows):
+    """One cache step's memo over one flow set (DESIGN.md §14):
+    ``slot[row]`` is where the row's key was last found in ``cache`` and
+    ``born[row]`` that slot's generation then (:data:`_UNSEEN`: absent,
+    or not looked up yet). Generations are never reused, so a row whose
+    slot still has its generation holds the row's key; any other row
+    asks the store's dict."""
+
+    __slots__ = ("slot", "born", "local", "cache")
+
+    def __init__(self, flow_set: "FlowColumns", fields):
+        super().__init__(flow_set, fields)
+        self.slot = np.zeros(len(self.rows), dtype=np.int64)
+        self.born = np.full(len(self.rows), _UNSEEN, dtype=np.int64)
+        #: Scratch: a batch's step-local key id per present row.
+        self.local = np.zeros(len(self.rows), dtype=np.int32)
+        self.cache = None
+
+    def track(self, cache) -> None:
+        """Forget every slot: they name another cache's store."""
+        self.cache = cache
+        self.born[:] = _UNSEEN
+
+
+def _memo_for(memos: OrderedDict, flow_set, make):
+    """The memo of ``flow_set`` in ``memos`` (made by ``make`` on first
+    use); the last :data:`FLOW_SETS_KEPT` sets are kept."""
+    memo = memos.get(flow_set)
+    if memo is None:
+        memo = memos[flow_set] = make()
+        while len(memos) > FLOW_SETS_KEPT:
+            memos.popitem(last=False)
+    else:
+        memos.move_to_end(flow_set)
+    return memo
 
 
 def _unique_matrix(keymat: np.ndarray):
@@ -1113,24 +1206,27 @@ def _lru_keys(cache, slots) -> np.ndarray:
     return key_of_slot[cache.lru_slots()]
 
 
-def _reach(cache, slots, counts):
+def _reach(cache, slots, counts, inserts: int):
     """Which unique keys of a cache step an eviction of it can reach.
 
     ``slots``/``counts`` give, per unique key, its cache slot (−1:
-    absent) and how many arriving packets carry it. With ``free`` empty
-    slots a step evicts at most ``misses - free`` times, only a packet
-    of an absent or already evicted key can miss, and an eviction takes
-    the LRU head — which stays inside a prefix of the LRU order for as
-    long as that prefix holds a key no packet touches. So the shortest
-    prefix with ``untouched keys >= absent packets + packets on the
-    prefix's keys - free`` bounds the step: keys past it are never
-    evicted (their packets hit, whatever the others do) and never
-    become the head (so skipping them changes no other outcome).
-    Returns the reached keys as a mask and the prefix as
-    :func:`_lru_keys` ids (the whole store when no prefix qualifies).
+    absent) and how many arriving packets carry it; ``inserts`` bounds
+    the step's inserts (the absent packets, or fewer where the
+    insertion limiter cannot admit that many:
+    :meth:`FlowCache.insert_bound`). With ``free`` empty slots a step
+    evicts at most ``inserts - free`` times, only a packet of an absent
+    or already evicted key can miss, and an eviction takes the LRU head
+    — which stays inside a prefix of the LRU order for as long as that
+    prefix holds a key no packet touches. So the shortest prefix with
+    ``untouched keys >= inserts + packets on the prefix's keys - free``
+    bounds the step: keys past it are never evicted (their packets hit,
+    whatever the others do) and never become the head (so skipping them
+    changes no other outcome). Returns the reached keys as a mask and
+    the prefix as :func:`_lru_keys` ids (the whole store when no prefix
+    qualifies).
     """
     reached = slots < 0
-    need = int(counts[reached].sum()) - (cache.capacity - len(cache))
+    need = inserts - (cache.capacity - len(cache))
     if need <= 0:
         return reached, slots[:0]
     lru = _lru_keys(cache, slots)
@@ -1599,6 +1695,13 @@ class ColumnarEngine:
         of an open recording and parks the followers until
         :func:`resolve` is called at ``hit_next`` (or at the end of the
         walk).
+
+        A batch cut from a flow set finds its packets' keys in the
+        step's :class:`_KeyMemo`: a key row is one gather, and a row
+        whose memoised slot still has its generation skips the store's
+        dict. A step the insertion limiter can admit no insert into is
+        *read-only*: present keys hit, absent keys are rejected misses,
+        and nothing is simulated or recorded.
         """
         action_ns = core.action_ns
         counter_ns = core.counter_update_ns
@@ -1608,6 +1711,71 @@ class ColumnarEngine:
         run_effect = self._run_effect
         em = self._em
         clock = em.clock
+        memos = em._plan_memos.setdefault(name, OrderedDict())
+        # The native step reads the batch's own columns, before any node.
+        guarded = name != _NATIVE and (
+            self._written is None
+            or bool(self._written.intersection(match_fields))
+        )
+        hits = em.columnar_memo_hits
+        misses = em.columnar_memo_misses
+        failures = em.columnar_memo_guard_failures
+
+        def memo_keys(memo: _KeyMemo, walk: _Walk, idx: np.ndarray):
+            """``(key rows, key id per packet, slot per key)`` by the
+            memo; None where a packet's key is not its flow's row."""
+            row = memo.row_of[walk.flow_idx[idx]]
+            if guarded:
+                keys = walk.key_matrix(idx, match_fields)
+                moved = int(
+                    np.count_nonzero((memo.rows[row] != keys).any(axis=1))
+                )
+                if moved:
+                    _bump(failures, name, moved)
+                    _bump(misses, name, idx.size - moved)
+                    return None
+            if memo.cache is not cache:
+                memo.track(cache)
+            present = memo.distinct(row)
+            local = memo.local
+            local[present] = np.arange(present.size)
+            kid = local[row]
+            slots = memo.slot[present]
+            stale = cache.born[slots] != memo.born[present]
+            missed = 0
+            if stale.any():
+                asked = present[stale]
+                found = cache.slots_of(row_keys(memo.rows[asked]))
+                slots[stale] = found
+                memo.slot[asked] = found
+                memo.born[asked] = np.where(
+                    found >= 0, cache.born[found], _UNSEEN
+                )
+                missed = int(np.count_nonzero(stale[kid]))
+            _bump(hits, name, idx.size - missed)
+            _bump(misses, name, missed)
+            return memo.rows[present], kid, slots
+
+        def key_slots(walk: _Walk, idx: np.ndarray):
+            """``(key rows, key id per packet, slot per key (−1:
+            absent))`` of the step."""
+            flow_set = walk.flows
+            if flow_set is None:
+                _bump(misses, name, idx.size)
+            else:
+                found = memo_keys(
+                    _memo_for(
+                        memos,
+                        flow_set,
+                        lambda: _KeyMemo(flow_set, match_fields),
+                    ),
+                    walk,
+                    idx,
+                )
+                if found is not None:
+                    return found
+            rows, kid = _unique_matrix(walk.key_matrix(idx, match_fields))
+            return rows, kid, cache.slots_of(row_keys(rows))
 
         def run_hits(walk, busy, effect, group):
             if effect.unsupported:
@@ -1639,36 +1807,50 @@ class ColumnarEngine:
                 )
 
         def kernel(walk: _Walk, idx: np.ndarray) -> None:
-            # Cache semantics are packet-ordered; idx arrives as a few
-            # sorted runs, which the stable sort merges in linear time.
-            idx = np.sort(idx, kind="stable")
+            # Cache semantics are packet-ordered; idx arrives as one
+            # sorted run or a few, which the stable sort merges in
+            # linear time.
+            if idx.size > 1 and (idx[1:] < idx[:-1]).any():
+                idx = np.sort(idx, kind="stable")
             busy = charge(walk, idx)
-            rows, kid = _unique_matrix(walk.key_matrix(idx, match_fields))
-            keys = row_keys(rows)
-            self._bump_partitions(name, len(keys))
-            slots = cache.slots_of(keys)
-            reached, prefix = _reach(
-                cache, slots, np.bincount(kid, minlength=len(keys))
+            rows, kid, slots = key_slots(walk, idx)
+            self._bump_partitions(name, len(rows))
+            counts = np.bincount(kid, minlength=len(rows))
+            absent = slots < 0
+            wanted = int(counts[absent].sum())
+            inserts = wanted and cache.insert_bound(
+                wanted, *walk.clock_span(idx, clock.now_s)
             )
-            step = _CacheStep(cache, idx, keys, kid, slots, reached)
+            step = _CacheStep(cache, idx, _RowKeys(rows), kid, slots)
             walk.cache_steps.append(step)
-            replayed = step.replayed
             _bump(em.columnar_cache_arrivals, name, idx.size)
-            _bump(em.columnar_cache_replayed, name, replayed.size)
-            codes = np.full(idx.size, _HIT, dtype=np.int64)
-            if replayed.size:
-                now = walk.now
-                step.codes = _simulate(
-                    cache,
-                    prefix,
-                    replayed.tolist(),
-                    kid[replayed].tolist(),
-                    repeat(clock.now_s)
-                    if now is None
-                    else map(now.__getitem__, idx[replayed].tolist()),
-                )
-                codes[replayed] = step.codes
-            hit_mask = codes == _HIT  # so the key is in its slot
+            codes = None
+            if inserts or not wanted:
+                step.reached, prefix = _reach(cache, slots, counts, inserts)
+                replayed = step.replayed = np.flatnonzero(step.reached[kid])
+                _bump(em.columnar_cache_replayed, name, replayed.size)
+                codes = np.full(idx.size, _HIT, dtype=np.int64)
+                if replayed.size:
+                    now = walk.now
+                    step.codes = _simulate(
+                        cache,
+                        prefix,
+                        replayed.tolist(),
+                        kid[replayed].tolist(),
+                        repeat(clock.now_s)
+                        if now is None
+                        else map(now.__getitem__, idx[replayed].tolist()),
+                    )
+                    codes[replayed] = step.codes
+                hit_mask = codes == _HIT  # so the key is in its slot
+            else:
+                # Read-only: no insert, so no eviction, no follower and
+                # no recording (it could store and bill nothing).
+                step.reached = absent
+                missed = absent[kid]
+                step.rejected = np.flatnonzero(missed)
+                step.codes = [_MISS_REJECTED] * step.rejected.size
+                hit_mask = ~missed
             effects = cache.effects
             for effect_id, group in _split(
                 cache.effect_ids[slots[kid[hit_mask]]], idx[hit_mask]
@@ -1676,20 +1858,23 @@ class ColumnarEngine:
                 run_hits(
                     walk, busy, compile_effect(effects[effect_id]), group
                 )
-            if not replayed.size:
+            if codes is None:
+                leaders = idx[missed]
+            elif replayed.size:
+                leaders = idx[codes <= _MISS_INSERTED]
+                recording = step.recording = _Recording(
+                    name, hit_next, pool, insert_ns, walk.n, resolve
+                )
+                recording.open[leaders] = True
+                recording.insert[idx[codes == _MISS_INSERTED]] = True
+                follower_mask = codes >= 0
+                recording.followers = (
+                    idx[follower_mask],
+                    idx[codes[follower_mask]],
+                )
+                walk.recordings.append(recording)
+            else:
                 return
-            leaders = idx[codes <= _MISS_INSERTED]
-            recording = step.recording = _Recording(
-                name, hit_next, pool, insert_ns, walk.n, resolve
-            )
-            recording.open[leaders] = True
-            recording.insert[idx[codes == _MISS_INSERTED]] = True
-            follower_mask = codes >= 0
-            recording.followers = (
-                idx[follower_mask],
-                idx[codes[follower_mask]],
-            )
-            walk.recordings.append(recording)
             if miss_key is not None:
                 walk.count(busy, leaders, miss_key, counter_ns)
             walk.route(miss_next, leaders)
@@ -1856,15 +2041,9 @@ class ColumnarEngine:
                 partitions = len(rows)
                 _bump(misses, name, idx.size)
             else:
-                memo = memos.get(flow_set)
-                if memo is None:
-                    memo = memos[flow_set] = _PlanMemo(
-                        flow_set, match_fields
-                    )
-                    while len(memos) > FLOW_SETS_KEPT:
-                        memos.popitem(last=False)
-                else:
-                    memos.move_to_end(flow_set)
+                memo = _memo_for(
+                    memos, flow_set, lambda: _PlanMemo(flow_set, match_fields)
+                )
                 plan_of, partitions = memo_plans(memo, walk, idx)
             self._bump_partitions(name, partitions)
             shape_of = plans.shape_of[plan_of]
@@ -2025,19 +2204,23 @@ class ColumnarEngine:
         """Replay the first ``ops`` lookups of ``step`` on the real cache.
 
         The reached packets among them go through the real ``lookup``/
-        ``insert`` in packet order and must agree with the simulation.
-        One :meth:`FlowCache.promote` then books the other packets'
-        hits and restamps every key in last-occurrence order, which is
-        the LRU order and the stats of the individual lookups.
+        ``insert`` in packet order and must agree with the simulation; a
+        read-only step's misses are booked at once, and the limiter must
+        refuse each of them as the interpreter would have asked it. One
+        :meth:`FlowCache.promote` then books the other packets' hits and
+        restamps every key in last-occurrence order, which is the LRU
+        order and the stats of the individual lookups.
         """
         cache = step.cache
         keys = step.keys
+        now = walk.now
+        static_now = self._em.clock.now_s
         replayed = step.replayed[: np.searchsorted(step.replayed, ops)]
         if replayed.size:
-            now = walk.now
-            static_now = self._em.clock.now_s
             effects = walk.chain_effects
             at = step.idx[replayed]
+            reached = np.flatnonzero(step.reached)
+            key_of = dict(zip(reached.tolist(), keys.of(reached)))
             lookup = cache.lookup
             for i, k, chain, code in zip(
                 at.tolist(),
@@ -2045,7 +2228,7 @@ class ColumnarEngine:
                 step.recording.chain[at].tolist(),
                 step.codes,
             ):
-                key = keys[k]
+                key = key_of[k]
                 missed = lookup(key) is None
                 if missed != (code <= _MISS_INSERTED) or (
                     missed
@@ -2061,8 +2244,19 @@ class ColumnarEngine:
                         f"packet {i} (key {key_values(key)}, predicted "
                         f"code {code})"
                     )
+        rejected = step.rejected[: np.searchsorted(step.rejected, ops)]
+        if rejected.size and not cache.reject(
+            int(rejected.size),
+            (static_now,)
+            if now is None
+            else map(now.__getitem__, step.idx[rejected].tolist()),
+        ):
+            raise EmulationError(
+                f"read-only cache step diverged: the insertion limiter "
+                f"admitted one of its {rejected.size} misses"
+            )
         kid = step.kid[:ops]
-        last = np.full(len(keys), -1, dtype=np.int64)
+        last = np.full(len(step.slots), -1, dtype=np.int64)
         last[kid] = np.arange(ops)  # repeated index: last one wins
         touched = kid[np.sort(last[last >= 0])]
         reached = step.reached[touched]
@@ -2077,9 +2271,15 @@ class ColumnarEngine:
             )
         if reached.any():
             # Where the replay left them; −1: rejected, or evicted since.
-            slots[reached] = cache.slots_of(
-                [keys[k] for k in touched[reached].tolist()]
-            )
+            found = cache.slots_of(keys.of(touched[reached]))
+            if rejected.size and (found >= 0).any():
+                key = keys[int(touched[reached][np.argmax(found >= 0)])]
+                raise EmulationError(
+                    f"read-only cache step diverged: key "
+                    f"{key_values(key)} was inserted between walk and "
+                    f"commit"
+                )
+            slots[reached] = found
         cache.promote(
             slots[slots >= 0], int(np.count_nonzero(~step.reached[kid]))
         )

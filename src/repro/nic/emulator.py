@@ -192,15 +192,17 @@ class NicEmulator:
         self.columnar_scalar_lookups: dict[str, int] = {}
         self.columnar_cache_arrivals: dict[str, int] = {}
         self.columnar_cache_replayed: dict[str, int] = {}
-        #: Per match node, packets whose plan the node's flow memo
-        #: served (hits), had to resolve (misses), or found keyed by a
-        #: row the packet no longer carries (guard failures).
+        #: Per match node (its plan) and per cache step (its key's
+        #: slot), packets the node's flow memo served (hits), had to
+        #: resolve (misses), or found keyed by a row the packet no
+        #: longer carries (guard failures).
         self.columnar_memo_hits: dict[str, int] = {}
         self.columnar_memo_misses: dict[str, int] = {}
         self.columnar_memo_guard_failures: dict[str, int] = {}
-        #: Per match node, its plan memos by flow set
-        #: (:class:`repro.nic.columnar._PlanMemo`): kept here so a
-        #: recompile after an entry edit keeps what each flow's key is.
+        #: Per match node and cache step, its memos by flow set
+        #: (:class:`repro.nic.columnar._PlanMemo`, ``_KeyMemo``): kept
+        #: here so a recompile after an entry edit keeps what each
+        #: flow's key is.
         self._plan_memos: dict = {}
         #: Optional sampled-span recorder (attach a PacketTracer to
         #: trace; the disabled path costs one branch per packet here

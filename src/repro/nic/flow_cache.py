@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Hashable, Iterator, Optional
+from typing import Any, Hashable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -121,6 +121,26 @@ class TokenBucket:
             self._tokens -= 1.0
             return True
         return False
+
+    def admissible(self, first_s: float, rise_s: float = 0.0) -> int:
+        """At most how many :meth:`allow` calls from now on can return
+        True, at clock values that start at ``first_s`` and then rise by
+        ``rise_s`` in all (the sum of the forward steps; a step back
+        refills nothing).
+
+        Exact for a clock that stands still (``rise_s`` 0): the first
+        call's refill is computed as :meth:`allow` computes it, and each
+        admit takes exactly one token. A moving clock gets an upper
+        bound, one token above the refill so that rounding cannot
+        undercount it.
+        """
+        tokens = self._tokens
+        elapsed = first_s - self._last
+        if elapsed > 0.0:
+            tokens = min(self.burst, tokens + elapsed * self.rate)
+        if rise_s > 0.0:
+            return int(tokens + rise_s * self.rate) + 1
+        return int(tokens)
 
 
 class FlowCache:
@@ -253,6 +273,36 @@ class FlowCache:
             dtype=np.int64,
             count=len(keys),
         )
+
+    def insert_bound(
+        self, wanted: int, first_s: float, rise_s: float = 0.0
+    ) -> int:
+        """At most how many of ``wanted`` inserts the insertion limiter
+        can admit at clock values from ``first_s`` rising by ``rise_s``
+        (:meth:`TokenBucket.admissible`); all of them without one."""
+        if self._limiter is None:
+            return wanted
+        return min(wanted, self._limiter.admissible(first_s, rise_s))
+
+    def reject(self, count: int, times: Iterable[float]) -> bool:
+        """Book ``count`` lookup misses whose inserts the limiter turns
+        down, the limiter asked once per clock value of ``times``, in
+        order — one per miss, or one for misses at a clock that stands
+        still, since a refused call at an unmoved clock changes nothing.
+
+        False, with the limiter as the calls left it and nothing
+        booked, when the limiter admits one of them (and always
+        without a limiter).
+        """
+        limiter = self._limiter
+        if limiter is None:
+            return False
+        for now_s in times:
+            if limiter.allow(now_s):
+                return False
+        self.stats.misses += count
+        self.stats.rejected_insertions += count
+        return True
 
     def lru_slots(self) -> np.ndarray:
         """Every occupied slot, least recently used first.

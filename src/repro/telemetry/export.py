@@ -203,6 +203,28 @@ def export_columnar(
     ):
         for cache, count in sorted(counts.items()):
             registry.inc(metric, count, help=what, cache=cache, **labels)
+    for metric, counts, what in (
+        (
+            "pipeleon_columnar_memo_hits_total",
+            emulator.columnar_memo_hits,
+            "Packets whose plan (match node) or cache slot (cache step) "
+            "the node's flow memo served",
+        ),
+        (
+            "pipeleon_columnar_memo_misses_total",
+            emulator.columnar_memo_misses,
+            "Packets whose plan or cache slot the node had to resolve "
+            "(no flow set, a row not memoised yet, or a stale one)",
+        ),
+        (
+            "pipeleon_columnar_memo_guard_failures_total",
+            emulator.columnar_memo_guard_failures,
+            "Packets whose key was not the row their flow's headers "
+            "give (a field was written upstream)",
+        ),
+    ):
+        for node, count in sorted(counts.items()):
+            registry.inc(metric, count, help=what, node=node, **labels)
 
 
 def export_event_log(registry: MetricsRegistry, events) -> None:

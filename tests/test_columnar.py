@@ -910,6 +910,45 @@ class TestCacheStep:
         assert walk.cache_steps[0].codes  # misses, inserts, evictions
         assert shared_state() == before
 
+    @pytest.mark.parametrize(
+        "limit, pps", [(0, None), (50.0, 200.0)], ids=["no-limiter", "moving"]
+    )
+    def test_simulating_walk_mutates_no_shared_state(self, limit, pps):
+        """The sibling above now meets a dry bucket at a clock that
+        stands still, a read-only step; this one's step simulates —
+        no limiter, or a clock that refills the bucket as it moves."""
+        _, col = cache_twins(capacity=7, limit=limit)
+        emulator = col.emulator
+        col.replay(
+            zipf_packets(1, 300), offered_pps=pps, batch=100, engine="auto"
+        )
+
+        def shared_state():
+            cache = only_cache(col)
+            return (
+                cache_state(cache),
+                dict(cache.stats.__dict__),
+                cache.lru_slots().tolist(),
+                emulator.counters.snapshot(),
+                emulator.counters._packet_index,
+                dict(emulator.explicit_counters),
+                emulator.clock.now_s,
+                emulator.columnar_packets,
+            )
+
+        before = shared_state()
+        batch = ColumnBatch.from_packets(zipf_packets(2, 300))
+        now = None
+        if pps is not None:
+            now = [emulator.clock.now_s + (i + 1) / pps for i in range(300)]
+        walk = emulator.columnar._walk(batch, 0, now)
+        (step,) = walk.cache_steps
+        codes = step.codes
+        assert step.replayed.size and step.recording is not None
+        assert columnar._MISS_INSERTED in codes
+        assert len(only_cache(col)) + codes.count(columnar._MISS_INSERTED) > 7
+        assert shared_state() == before
+
     def test_warm_cache_takes_no_per_packet_loop(self, monkeypatch):
         """Every key present: no simulation, and commit is one
         ``touch`` per key rather than one ``lookup`` per packet."""
