@@ -116,11 +116,6 @@ def pipelet_benchmark_program(
     return builder.build(root=names[0])
 
 
-def pipelet_tables(program: Program, copy: int = 0) -> list[str]:
-    """Names of one replica's four tables, in order."""
-    return [f"p{copy}_t{i}" for i in range(1, 5)]
-
-
 def install_ternary_mask_entries(
     control_plane,
     program: Program,

@@ -32,7 +32,7 @@ from repro.ir.tables import (
     TableKind,
     TableNode,
 )
-from repro.core.profiling import DEFAULT_M, RuntimeProfile
+from repro.core.profiling import RuntimeProfile
 from repro.nic.targets import CoreModel, TargetModel
 
 _UNIT = {t: 1.0 for t in MatchType}
@@ -352,17 +352,6 @@ class CostModel:
                 if program.node(succ).pipeline is not node.pipeline:
                     expected += p * weight
         return expected
-
-    def path_latency(
-        self,
-        program: Program,
-        path: list[str],
-        profile: RuntimeProfile,
-    ) -> float:
-        """Equation 2b: cost of one concrete execution path."""
-        return sum(
-            self.node_cost(program, name, profile) for name in path
-        )
 
     # -- resource accounting (Equation 5 inputs) ----------------------------------------
 

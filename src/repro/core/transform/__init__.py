@@ -12,7 +12,7 @@ from repro.core.transform.cache import (
     apply_group_cache,
     cache_name_for,
 )
-from repro.core.transform.copy import apply_copies, apply_copy, copies_of
+from repro.core.transform.copy import apply_copies, apply_copy
 from repro.core.transform.merge import (
     apply_merge,
     apply_naive_merge,
@@ -41,7 +41,6 @@ __all__ = [
     "apply_reorder",
     "cache_name_for",
     "composite_action",
-    "copies_of",
     "count_crossings",
     "drop_rate_order",
     "merged_cache_entries",

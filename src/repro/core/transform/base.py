@@ -125,10 +125,6 @@ def composite_action(actions: list[Action], name: str | None = None) -> Action:
     )
 
 
-def composite_name(action_names: list[str]) -> str:
-    return "+".join(action_names)
-
-
 def union_match_fields(tables: list[TableNode]) -> tuple[str, ...]:
     """Sorted union of match fields (cache/merged table keys)."""
     fields: set[str] = set()

@@ -77,13 +77,3 @@ def apply_copies(
     for name in table_names:
         result.absorb(apply_copy(result.program, name, to_pipeline))
     return result
-
-
-def copies_of(program: Program) -> dict[str, str]:
-    """Map original table name -> copy name for installed copies."""
-    mapping: dict[str, str] = {}
-    for table in program.tables():
-        source = table.annotations.get("copy_of")
-        if source:
-            mapping[str(source)] = table.name
-    return mapping

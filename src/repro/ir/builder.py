@@ -107,25 +107,6 @@ class ProgramBuilder:
 
     # -- conveniences ----------------------------------------------------------
 
-    def exact_table(
-        self,
-        name: str,
-        field: str = "ipv4.dst",
-        n_actions: int = 2,
-        n_primitives: int = 1,
-        next_node: Optional[str] = None,
-        size: int = 1024,
-        **kwargs: Any,
-    ) -> "ProgramBuilder":
-        """A simple exact table with ``n_actions`` no-op-style actions."""
-        actions = [
-            noop_action(f"{name}_a{i}", n_primitives)
-            for i in range(max(1, n_actions))
-        ]
-        return self.table(
-            name, [field], actions, next_node=next_node, size=size, **kwargs
-        )
-
     def acl_table(
         self,
         name: str,

@@ -15,8 +15,6 @@ from typing import Any, Union
 
 from repro.errors import IrError
 
-FULL_MASK_32 = 0xFFFFFFFF
-
 #: Assumed storage width of one match field, used for memory accounting.
 FIELD_BYTES = 4
 #: Assumed overhead per entry (action id, pointers) for memory accounting.

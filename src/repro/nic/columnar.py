@@ -68,8 +68,10 @@ time, in global packet order, at their own clock value:
   where it raises).
 * ``traced`` — a tracer is attached; the whole batch is interpreted,
   because the interpreter owns trace sampling.
-* ``input`` — a ``Packet``-list batch that is not SoA-uniform (mixed
-  header sets, preset metadata/drop/egress, non-int64 values).
+* ``input`` — a ``Packet``-list batch: the packets of a flow set that
+  are not SoA-uniform (mixed header sets, preset metadata/drop/egress,
+  non-int64 values), which :meth:`FlowColumns.batch` hands out as
+  ``Packet`` objects.
 * ``cascade`` — after :data:`MAX_WALKS_PER_BATCH` ``migrated`` /
   ``unsupported`` demotions in one batch the remaining tail is
   interpreted (bounds worst-case re-walk cost).
@@ -94,7 +96,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from copy import copy
-from itertools import accumulate, count, islice, repeat
+from itertools import count, repeat
 from time import perf_counter
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -302,7 +304,8 @@ class BatchOutcome:
 class ColumnBatch:
     """A struct-of-arrays packet batch: the one batch type of the data
     path (:meth:`from_packets` is the only Packet -> columns encoder,
-    :meth:`make_packet` the only columns -> Packet decoder).
+    :meth:`make_packet` the only columns -> Packet decoder). It holds
+    no ``Packet``: the columns fully describe a SoA packet.
 
     ``values`` is field-major ``(n_fields, n_packets)`` int64 — the
     layout of a flow set's matrices, so a batch of drawn flows is one
@@ -315,9 +318,7 @@ class ColumnBatch:
         "names",
         "values",
         "sizes",
-        "timestamps",
         "n",
-        "packets",
         "flows",
         "flow_idx",
     )
@@ -327,17 +328,13 @@ class ColumnBatch:
         names,
         values,
         sizes,
-        timestamps=None,
-        packets=None,
         flows=None,
         flow_idx=None,
     ):
         self.names = tuple(names)
         self.values = values
         self.sizes = sizes
-        self.timestamps = timestamps
         self.n = int(values.shape[1]) if values.ndim == 2 else len(sizes)
-        self.packets = packets
         #: The :class:`FlowColumns` the rows were cut from and each
         #: row's flow index in it (:meth:`FlowColumns.batch`), or None:
         #: what the match kernels' plan memos are keyed by.
@@ -350,9 +347,9 @@ class ColumnBatch:
 
         Every packet must carry the same header-field set, no
         metadata, no preset drop/egress, and int64-representable
-        values. Batches that fail are interpreted wholesale (reason
-        ``input``); a flow set (:class:`FlowColumns`) keeps the flows
-        that fail as its non-uniform set.
+        values. A flow set (:class:`FlowColumns`) keeps the flows that
+        fail as its non-uniform set, whose batches are interpreted
+        wholesale (reason ``input``).
         """
         if not packets:
             return None
@@ -380,33 +377,14 @@ class ColumnBatch:
             dtype=np.int64,
             count=len(packets),
         )
-        return cls(names, values, sizes, packets=packets)
+        return cls(names, values, sizes)
 
     def make_packet(self, i: int) -> Packet:
-        """The ``i``-th packet as a ``Packet`` (demotion, or a whole
-        batch for the per-packet engines)."""
-        if self.packets is not None:
-            return self.packets[i]
+        """The ``i``-th packet as a fresh ``Packet`` (demotion, or a
+        whole batch for the per-packet engines)."""
         return Packet(
             fields=dict(zip(self.names, self.values[:, i].tolist())),
             size_bytes=int(self.sizes[i]),
-        )
-
-    def take(self, rows) -> "ColumnBatch":
-        """The given rows (a slice or an index array), in that order.
-
-        The columns fully describe a SoA packet, so the result carries
-        no ``packets``; timestamps travel with their rows.
-        """
-        ts = self.timestamps
-        return ColumnBatch(
-            self.names,
-            # ``values[:, index_array]`` would come back packet-major.
-            self.values[:, rows]
-            if isinstance(rows, slice)
-            else self.values.take(rows, axis=1),
-            self.sizes[rows],
-            None if ts is None else ts[rows],
         )
 
     def flow_keys(self):
@@ -521,7 +499,7 @@ class FlowColumns:
 
         A :class:`ColumnBatch` when :meth:`ColumnBatch.from_packets`
         would make one of those packets — all of one field set, all
-        encodable — and the ``Packet`` list otherwise.
+        encodable — and :meth:`packets` otherwise.
         """
         if self.uniform:
             group, columns = 0, indices
@@ -529,11 +507,7 @@ class FlowColumns:
             groups = self.group[indices]
             group = int(groups[0])
             if group < 0 or (groups != group).any():
-                flows = self.flows
-                return [
-                    flows[index].packet(size_bytes)
-                    for index in indices.tolist()
-                ]
+                return self.packets(indices, size_bytes)
             columns = self.column[indices]
         return ColumnBatch(
             self.names[group],
@@ -542,6 +516,14 @@ class FlowColumns:
             flows=self,
             flow_idx=indices,
         )
+
+    def packets(self, indices: np.ndarray, size_bytes: int) -> list[Packet]:
+        """The packets of ``indices`` as fresh ``Packet`` objects, one
+        ``flow.packet(size_bytes)`` each: what iterating a
+        :class:`~repro.traffic.generator.PacketStream` yields, and what
+        the per-packet engine replays."""
+        flows = self.flows
+        return [flows[index].packet(size_bytes) for index in indices.tolist()]
 
 
 #: How many flow sets live at once, on both sides of a shard fleet.
@@ -560,28 +542,22 @@ class ColumnSource:
     """A one-shot ``Packet`` iterable that can also hand out what it
     has left as flow indices (:class:`repro.traffic.generator.
     PacketStream` is the implementation; :class:`PacketFlows` makes
-    any ``Packet`` iterable one for a shard fleet).
+    any ``Packet`` iterable one, for every replay).
 
     Both views advance one cursor. ``flow_batches(size)`` yields,
     ``size`` packets at a time, ``(flow set, chosen flow indices,
     size_bytes)``: a flow set is a :class:`FlowColumns`, and its
-    ``batch(chosen, size_bytes)`` is the batch itself.
-    ``batches(size)`` is exactly that: a :class:`ColumnBatch`
-    — or the ``Packet`` list when those packets are not SoA-uniform,
-    decided per batch exactly as :meth:`ColumnBatch.from_packets`
-    decides. A shard fleet ships the flow set once and then the
-    indices, so its workers make the very batches one core makes; how
-    long a set stays shipped is :data:`FLOW_SETS_KEPT`.
+    ``batch(chosen, size_bytes)`` is the batch itself — a
+    :class:`ColumnBatch`, or the ``Packet`` list when those packets are
+    not SoA-uniform, decided per batch exactly as
+    :meth:`ColumnBatch.from_packets` decides. A shard fleet ships the
+    flow set once and then the indices, so its workers make the very
+    batches one core makes; how long a set stays shipped is
+    :data:`FLOW_SETS_KEPT`.
     """
 
     def flow_batches(self, size: int) -> Iterator[tuple]:
         raise NotImplementedError
-
-    def batches(
-        self, size: int
-    ) -> Iterator[Union[ColumnBatch, list[Packet]]]:
-        for flows, chosen, size_bytes in self.flow_batches(size):
-            yield flows.batch(chosen, size_bytes)
 
 
 class _PacketFlow:
@@ -604,8 +580,8 @@ class _PacketFlow:
 
 class PacketFlows(ColumnSource):
     """A bare ``Packet`` iterable as one flow set plus an index stream:
-    how a shard fleet reads any input that is not a
-    :class:`ColumnSource` already.
+    how a replay, on one core or on a shard fleet, reads any input that
+    is not a :class:`ColumnSource` already (:func:`column_source`).
 
     :meth:`flow_batches` reads the whole iterable first. Packets equal
     in fields (order included), metadata, ``dropped`` and
@@ -660,25 +636,28 @@ class PacketFlows(ColumnSource):
                 yield columns, indices[start:stop], sizes[first]
 
 
-def batched(
-    packets, size: int, columns: bool
-) -> Iterator[Union[ColumnBatch, list[Packet]]]:
-    """Cut a packet source into ``size``-packet batches.
+def column_source(packets: Iterable[Packet]) -> ColumnSource:
+    """``packets`` as a :class:`ColumnSource`: itself when it is one, a
+    :class:`PacketFlows` over it otherwise. Every replay, on one core
+    or on a shard fleet, reads its input through this."""
+    if isinstance(packets, ColumnSource):
+        return packets
+    return PacketFlows(packets)
 
-    The one batching loop of :meth:`NicEmulator.replay`. With
-    ``columns`` a :class:`ColumnSource` hands out its own batches and
-    no ``Packet`` is made; everything else is read through the
-    ``Packet`` view.
-    """
-    if columns and isinstance(packets, ColumnSource):
-        yield from packets.batches(size)
-        return
-    iterator = iter(packets)
-    while True:
-        chunk = list(islice(iterator, size))
-        if not chunk:
-            return
-        yield chunk
+
+def paced(
+    t0: float, offered_pps: Optional[float], done: int, rows: int
+) -> Optional[np.ndarray]:
+    """The sim-clock values of the next ``rows`` packets of a replay
+    started at ``t0``, ``done`` packets in: with ``dt = 1 /
+    offered_pps``, the packet at 1-based position ``k`` runs at ``t0 +
+    dt·k``. None without ``offered_pps``: the clock stands still. The
+    one clock of :meth:`NicEmulator.run`, :meth:`NicEmulator.replay` and
+    a shard fleet's replay."""
+    if not offered_pps:
+        return None
+    dt = 1.0 / offered_pps
+    return t0 + dt * np.arange(done + 1, done + rows + 1)
 
 
 class _Recording:
@@ -2299,77 +2278,51 @@ class ColumnarEngine:
         demotions = em.columnar_demotions
         demotions[reason] = demotions.get(reason, 0) + 1
 
-    def _fallback(
-        self, batch, packets, n, stats, dt_s, ts, outcome, reason
-    ) -> None:
-        """Whole-batch demotion (traced / cyclic / non-SoA input)."""
+    def _fallback(self, packets, now, stats, outcome, reason) -> None:
+        """Whole-batch demotion (traced / cyclic / non-SoA input):
+        ``packets`` is the ``Packet`` list or the :class:`ColumnBatch`."""
         clock = self._em.clock
-        for i in range(n):
-            if ts is not None:
-                clock.now_s = float(ts[i])
-            elif dt_s:
-                clock.advance(dt_s)
-            packet = (
-                packets[i] if packets is not None else batch.make_packet(i)
-            )
+        is_list = isinstance(packets, list)
+        for i in range(outcome.n):
+            if now is not None:
+                clock.now_s = now[i]
+            packet = packets[i] if is_list else packets.make_packet(i)
             self._demote_one(packet, i, stats, outcome, reason)
 
     # -- batch replay ------------------------------------------------------
 
     def replay_batch(
-        self,
-        packets,
-        stats: RunStats,
-        dt_s: float = 0.0,
-        timestamps=None,
+        self, packets, stats: RunStats, timestamps=None
     ) -> BatchOutcome:
         """Replay one batch; bit-identical to the interpreter.
 
-        ``packets`` is a :class:`ColumnBatch` (shm SoA path) or an
-        iterable of :class:`Packet`. Always returns a
+        ``packets`` is a :class:`ColumnBatch`, or the ``Packet`` list
+        :meth:`FlowColumns.batch` hands out for packets SoA cannot
+        express, which is interpreted whole (reason ``input``).
+        ``timestamps`` are the packets' sim-clock values; without them
+        the clock stands still. Always returns a
         :class:`BatchOutcome` with per-packet latency/egress/dropped in
         original order, even when part or all of the batch was demoted.
         """
         em = self._em
         clock = em.clock
-        if isinstance(packets, ColumnBatch):
-            batch = packets
-            packet_list = batch.packets
-        else:
-            packet_list = (
-                packets if isinstance(packets, list) else list(packets)
-            )
-            if not packet_list:
-                return BatchOutcome(0)
-            batch = ColumnBatch.from_packets(packet_list)
-        n = batch.n if batch is not None else len(packet_list)
+        batch = packets if isinstance(packets, ColumnBatch) else None
+        n = len(packets) if batch is None else batch.n
         outcome = BatchOutcome(n)
-        ts = timestamps if timestamps is not None else (
-            batch.timestamps if batch is not None else None
-        )
-        if ts is not None and not isinstance(ts, np.ndarray):
-            ts = np.asarray(ts, dtype=np.float64)
+        # Every packet's sim-clock value (None = the clock stands still).
+        now = None
+        if timestamps is not None:
+            now = np.asarray(timestamps, dtype=np.float64).tolist()
         if self._tracer is not None:
-            self._fallback(
-                batch, packet_list, n, stats, dt_s, ts, outcome, "traced"
-            )
-            return outcome
-        if self.unsupported is not None:
-            self._fallback(
-                batch,
-                packet_list,
-                n,
-                stats,
-                dt_s,
-                ts,
-                outcome,
-                self.unsupported,
-            )
-            return outcome
-        if batch is None:
-            self._fallback(
-                None, packet_list, n, stats, dt_s, ts, outcome, "input"
-            )
+            reason = "traced"
+        elif self.unsupported is not None:
+            reason = self.unsupported
+        elif batch is None:
+            reason = "input"
+        else:
+            reason = None
+        if reason is not None:
+            self._fallback(packets, now, stats, outcome, reason)
             return outcome
         if self._root is None:
             # No program root: the interpreter still steps the clock
@@ -2378,21 +2331,9 @@ class ColumnarEngine:
                 self._counter_bank.advance(n)
             stats.record_block(np.zeros(n), int(batch.sizes.sum()), 0, 0)
             em.columnar_packets += n
-            if ts is not None and n:
-                clock.now_s = float(ts[-1])
-            elif dt_s:
-                for _ in range(n):
-                    clock.advance(dt_s)
+            if now:
+                clock.now_s = now[-1]
             return outcome
-        # Every packet's sim-clock value (None = the clock stands still).
-        now = None
-        if ts is not None:
-            now = ts.tolist()
-        elif dt_s:
-            # Exact per-packet clock values under repeated advance()
-            # (itertools.accumulate is bit-identical to the sequential
-            # adds; np.cumsum is not guaranteed to be).
-            now = list(accumulate(repeat(dt_s, n), initial=clock.now_s))[1:]
 
         def demote(i: int, reason: str) -> None:
             if now is not None:

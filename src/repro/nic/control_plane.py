@@ -31,10 +31,10 @@ class SimClock:
     def __init__(self, now_s: float = 0.0):
         self.now_s = now_s
 
-    def advance(self, dt_s: float) -> None:
-        if dt_s < 0:
+    def advance(self, seconds: float) -> None:
+        if seconds < 0:
             raise ValueError("Cannot advance the clock backwards")
-        self.now_s += dt_s
+        self.now_s += seconds
 
 
 @dataclass(frozen=True)
@@ -78,23 +78,13 @@ class ControlPlane:
         self,
         program: Program,
         clock: Optional[SimClock] = None,
-        journal_capacity: int = 65536,
     ):
-        if journal_capacity < 1:
-            raise ValueError("journal_capacity must be >= 1")
         self.program = program
         self.clock = clock or SimClock()
         #: Update version: bumped on every mutation (insert, delete,
         #: modify, cache flush). Replicated data planes compare epochs
         #: to know whether they are current.
         self.epoch = 0
-        #: Bounded per-epoch mutation journal (most recent
-        #: ``journal_capacity`` events, one per epoch). Recovery layers
-        #: replay a suffix of it — ``journal_since(epoch)`` — to bring a
-        #: rebuilt replica up to the current epoch.
-        self.mutation_journal: Deque[UpdateEvent] = deque(
-            maxlen=journal_capacity
-        )
         self._tables: dict[str, _TableState] = {}
         self._listeners: list[Listener] = []
         for table in program.tables():
@@ -110,9 +100,6 @@ class ControlPlane:
         self._listeners.remove(listener)
 
     def _notify(self, event: UpdateEvent) -> None:
-        # Journal before fan-out: a listener that fails (or a recovery
-        # triggered *by* a listener) must still see this epoch recorded.
-        self.mutation_journal.append(event)
         for listener in self._listeners:
             listener(event)
 
@@ -258,32 +245,6 @@ class ControlPlane:
             name: self.update_rate(name, window_s)
             for name in self._tables
         }
-
-    def journal_since(self, epoch: int) -> list[UpdateEvent]:
-        """Mutation events with an epoch strictly after ``epoch``.
-
-        Raises if the requested suffix has already rotated out of the
-        bounded journal — a replica that far behind cannot be replayed
-        forward and must resync from :meth:`snapshot` instead.
-        """
-        if epoch >= self.epoch:
-            return []
-        oldest = (
-            self.mutation_journal[0].epoch
-            if self.mutation_journal
-            else self.epoch + 1
-        )
-        if epoch < oldest - 1:
-            raise ValueError(
-                f"Epoch {epoch} predates the retained journal "
-                f"(oldest recorded epoch is {oldest}); resync from a "
-                "snapshot instead"
-            )
-        return [
-            event
-            for event in self.mutation_journal
-            if event.epoch > epoch
-        ]
 
     def snapshot(self) -> dict[str, list[TableEntry]]:
         """Shadow entries per table (deployment materialisation input)."""

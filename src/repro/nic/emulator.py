@@ -12,14 +12,17 @@ busy time that the throughput model converts to Gbps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Hashable, Iterable, Optional
+
+import numpy as np
 
 from repro.errors import EmulationError
 from repro.ir.conditionals import ConditionalNode
 from repro.ir.entries import TableEntry
 from repro.ir.program import Program
-from repro.ir.tables import Pipeline, TableKind, TableNode
-from repro.nic.columnar import ColumnBatch, batched
+from repro.ir.tables import Pipeline, TableKind
+from repro.nic.columnar import ColumnBatch, column_source, paced
 from repro.nic.control_plane import SimClock
 from repro.nic.counters import (
     CounterBank,
@@ -668,15 +671,27 @@ class NicEmulator:
         packets: Iterable[Packet],
         offered_pps: Optional[float] = None,
     ) -> RunStats:
-        """Process packets; optionally advance the sim clock per packet."""
+        """Process the caller's own packets one at a time: the
+        per-packet reference of :meth:`replay`, on the same clock
+        (:func:`~repro.nic.columnar.paced`)."""
         stats = RunStats()
-        dt = 1.0 / offered_pps if offered_pps else 0.0
-        for packet in packets:
-            if dt:
-                self.clock.advance(dt)
-            result = self.process(packet)
-            stats.record(result, packet.size_bytes)
+        t0 = self.clock.now_s
+        done = 0
+        iterator = iter(packets)
+        while chunk := list(islice(iterator, DEFAULT_BATCH)):
+            now = paced(t0, offered_pps, done, len(chunk))
+            done += len(chunk)
+            self._interpret(chunk, stats, now)
         return stats
+
+    def _interpret(self, packets, stats: RunStats, timestamps) -> None:
+        """:meth:`process` each packet, at its clock value if given."""
+        if timestamps is not None:
+            timestamps = np.asarray(timestamps, dtype=np.float64).tolist()
+        for i, packet in enumerate(packets):
+            if timestamps is not None:
+                self.clock.now_s = timestamps[i]
+            stats.record(self.process(packet), packet.size_bytes)
 
     # -- columnar tier ----------------------------------------------------------------
 
@@ -714,44 +729,30 @@ class NicEmulator:
         self,
         packets,
         stats: RunStats,
-        dt_s: float = 0.0,
         timestamps=None,
         engine: str = "auto",
     ):
         """Replay one batch through the selected execution tier.
 
-        ``packets`` is a ``Packet`` list or a :class:`ColumnBatch`.
-        ``engine`` picks the tier (:data:`ENGINES`): ``"auto"`` runs
-        the batch kernels on the columns (returning a ``BatchOutcome``
-        with per-packet latency/egress/dropped columns); ``"interp"``
-        returns None, and a ``ColumnBatch`` handed to it is
-        materialised into ``Packet`` objects here. Both tiers are
-        bit-identical on stats, counters, caches and per-packet
-        results. A :attr:`live_feed` sees every batch after it ran.
+        ``packets`` is a ``Packet`` list or a :class:`ColumnBatch`;
+        ``timestamps`` are the packets' sim-clock values, and without
+        them the clock stands still. ``engine``
+        picks the tier (:data:`ENGINES`): ``"auto"`` runs the batch
+        kernels on the columns (returning a ``BatchOutcome`` with
+        per-packet latency/egress/dropped columns; a ``Packet`` list is
+        interpreted whole, reason ``input``); ``"interp"`` returns
+        None, and a ``ColumnBatch`` handed to it is materialised into
+        ``Packet`` objects here. Both tiers are bit-identical on stats,
+        counters, caches and per-packet results. A :attr:`live_feed`
+        sees every batch after it ran.
         """
         if engine == "auto":
-            outcome = self.columnar.replay_batch(
-                packets, stats, dt_s, timestamps
-            )
+            outcome = self.columnar.replay_batch(packets, stats, timestamps)
         elif engine == "interp":
             outcome = None
             if isinstance(packets, ColumnBatch):
-                batch = packets
-                if timestamps is None and batch.timestamps is not None:
-                    timestamps = batch.timestamps.tolist()
-                packets = [batch.make_packet(i) for i in range(batch.n)]
-            clock = self.clock
-            if timestamps is None:
-                for packet in packets:
-                    if dt_s:
-                        clock.advance(dt_s)
-                    result = self.process(packet)
-                    stats.record(result, packet.size_bytes)
-            else:
-                for packet, now_s in zip(packets, timestamps):
-                    clock.now_s = now_s
-                    result = self.process(packet)
-                    stats.record(result, packet.size_bytes)
+                packets = [packets.make_packet(i) for i in range(packets.n)]
+            self._interpret(packets, stats, timestamps)
         else:
             raise ValueError(f"Unknown engine {engine!r}")
         if self.live_feed is not None:
@@ -768,21 +769,32 @@ class NicEmulator:
     ) -> RunStats:
         """Batch replay through the selected execution tier.
 
-        Equivalent to :meth:`run` (same stats, counters and cache
-        state), but packets are driven through the selected engine in
-        ``batch``-sized chunks. ``engine`` is ``"auto"`` (columnar
-        batch kernels, demoting to the interpreter) or ``"interp"``.
+        Equivalent to :meth:`run` (same stats, counters, cache state
+        and clock), but the input is read as a shard fleet reads it
+        (:func:`~repro.nic.columnar.column_source`), in ``batch``-sized
+        chunks of flow indices, and no caller packet is written to.
+        ``engine`` is ``"auto"`` (columnar batch kernels, demoting to
+        the interpreter) or ``"interp"``, which replays each flow's
+        ``packet(size_bytes)`` — a stream's ``Packet`` view, so an
+        interpreter twin checks the columns against ``FlowSpec.packet``.
         """
         if batch < 1:
             raise ValueError("batch must be >= 1")
         if stats is None:
             stats = RunStats()
-        dt = 1.0 / offered_pps if offered_pps else 0.0
-        # Only ``auto`` takes a column source's own batches: ``interp``
-        # reads its ``Packet`` view, which is how an interpreter twin
-        # checks the columns against FlowSpec.packet.
-        for chunk in batched(packets, batch, columns=engine == "auto"):
-            self.replay_batch(chunk, stats, dt, engine=engine)
+        t0 = self.clock.now_s
+        done = 0
+        for flows, chosen, size_bytes in column_source(packets).flow_batches(
+            batch
+        ):
+            now = paced(t0, offered_pps, done, len(chosen))
+            done += len(chosen)
+            chunk = (
+                flows.batch(chosen, size_bytes)
+                if engine == "auto"
+                else flows.packets(chosen, size_bytes)
+            )
+            self.replay_batch(chunk, stats, now, engine=engine)
         if self.live_feed is not None:
             self.live_feed.end(self)
         return stats

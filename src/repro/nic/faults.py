@@ -57,8 +57,10 @@ __all__ = [
 
 FAULT_KINDS = ("kill", "hang", "delay", "drop_reply")
 
-#: Auto-placed triggers land on a batch index in ``[0, AUTO_BATCH_SPAN)``.
-AUTO_BATCH_SPAN = 8
+#: Auto-placed triggers land on a packet index in
+#: ``[0, AUTO_PACKET_SPAN)``: by packet, so where one lands does not
+#: depend on the dispatch batch.
+AUTO_PACKET_SPAN = 2048
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class FaultSpec:
     """One scripted failure: what, where, and when.
 
     Exactly one of ``at_batch``/``at_packet`` positions the trigger;
-    with neither set, :class:`FaultPlan` derives a batch index from its
+    with neither set, :class:`FaultPlan` derives a packet index from its
     seed (deterministically). ``at_batch`` counts the batches a worker
     has received over its lifetime; ``at_packet`` counts packets. A
     trigger fires on the first batch at or past its position, so a spec
@@ -155,7 +157,7 @@ class FaultPlan:
     """A resolved, seeded set of fault specs for one sharded run.
 
     Construction resolves every spec with no explicit trigger to a
-    concrete ``at_batch`` drawn from ``random.Random`` seeded with a
+    concrete ``at_packet`` drawn from ``random.Random`` seeded with a
     *string* key (string seeding hashes with SHA-512, so placement is
     identical across processes and ``PYTHONHASHSEED`` values). The
     resolved plan is therefore a pure function of ``(specs, seed)``.
@@ -184,7 +186,7 @@ class FaultPlan:
         return FaultSpec(
             spec.kind,
             shard=spec.shard,
-            at_batch=rng.randrange(AUTO_BATCH_SPAN),
+            at_packet=rng.randrange(AUTO_PACKET_SPAN),
             delay_s=spec.delay_s,
         )
 

@@ -46,8 +46,9 @@ One batch type each way. **Out:** the dispatcher ships flow indices.
 A column source (:class:`~repro.nic.columnar.ColumnSource`, what the
 traffic generator returns) hands it ``(flow set, chosen indices,
 size_bytes)``; any other ``Packet`` iterable is read whole at the
-boundary and becomes one (:class:`~repro.nic.columnar.PacketFlows`:
-each distinct packet a flow, snapshotted). The first time a replay
+boundary and becomes one (:func:`~repro.nic.columnar.column_source`,
+the reader one core uses too: each distinct packet a flow,
+snapshotted). The first time a replay
 meets a flow set, every shard gets it once, in a journaled
 ``("flows", id, FlowColumns, size_bytes)`` message, and the parent
 builds ``shard_of_flow`` — :func:`flow_shard` of each flow's
@@ -56,8 +57,9 @@ Routing a chunk is then ``shard_of_flow[chosen]`` plus one split, into
 per-shard buffers cut at exactly ``batch`` rows — so a shard's dispatch
 batches do not depend on how the stream was chunked. A worker makes
 each batch with ``flow_set.batch(chosen, size_bytes)``, the call one
-core makes, so its batches are one core's by construction (the
-``Packet``-list batch of a non-uniform flow set included). Both
+core makes under ``auto``, so its batches are one core's by
+construction (the ``Packet``-list batch of a non-uniform flow set
+included). Both
 sides keep at most :data:`FLOW_SETS_KEPT` flow sets and evict the
 oldest registration first, in message order, so they agree on every
 id (how long a set lives is :data:`~repro.nic.columnar.
@@ -139,8 +141,8 @@ from repro.ir.entries import TableEntry
 from repro.nic.columnar import (
     FLOW_SETS_KEPT,
     ColumnBatch,
-    ColumnSource,
-    PacketFlows,
+    column_source,
+    paced,
 )
 from repro.nic.control_plane import SimClock
 from repro.nic.counters import CounterBank
@@ -702,29 +704,19 @@ def _worker_main(
                 return None
             return _checkpoint(emulator)
 
-        def replay_any(batch, n: int, timestamps=None) -> None:
-            """Replay one batch through the selected tier."""
+        def replay_indices(flow_set: int, chosen, ts) -> None:
+            """Replay the batch one core makes of these flow indices,
+            through the selected tier."""
             nonlocal stats
             if injector is not None:
-                injector.before_batch(n)
+                injector.before_batch(len(chosen))
             if stats is None:
                 stats = RunStats()
+            columns, size_bytes = flow_sets[flow_set]
             emulator.replay_batch(
-                batch, stats, timestamps=timestamps, engine=engine
+                columns.batch(chosen, size_bytes), stats, ts, engine=engine
             )
             channel.data.mark_finished()
-
-        def replay_indices(flow_set: int, chosen, ts) -> None:
-            """Replay the batch one core makes of these flow indices."""
-            columns, size_bytes = flow_sets[flow_set]
-            batch = columns.batch(chosen, size_bytes)
-            if isinstance(batch, ColumnBatch):
-                batch.timestamps = ts
-                replay_any(batch, batch.n)
-            else:
-                replay_any(
-                    batch, len(batch), None if ts is None else ts.tolist()
-                )
 
         def replay_ring_head() -> None:
             record = channel.data.peek()
@@ -1918,14 +1910,12 @@ class ShardedEmulator:
 
         Same contract as :meth:`NicEmulator.replay`, except that the
         workers' tier was fixed at the fork: an ``engine`` other than
-        the fleet's is a ``ValueError``, and a ``Packet`` iterable that
-        is not a :class:`ColumnSource` is read whole before the first
-        batch goes out (:class:`PacketFlows`; the caller's packets are
-        left as they were). With
-        ``offered_pps`` the parent precomputes each packet's absolute
-        clock time and ships it with the batch, so worker-local clocks
-        observe exactly the per-packet times a single-core run would;
-        the parent clock is advanced by the stream duration at the end.
+        the fleet's is a ``ValueError``. With ``offered_pps`` the parent
+        computes each packet's clock value (:func:`~repro.nic.columnar.
+        paced`, one core's clock) and ships it with the batch, so
+        worker-local clocks observe exactly the per-packet times a
+        single-core run would; the parent clock ends at the last
+        packet's value.
 
         Under ``recovery="degraded"`` the merged stats cover only the
         packets a surviving worker replayed; the remainder is counted
@@ -1948,8 +1938,7 @@ class ShardedEmulator:
             batch = self.batch
             self.clamped_replays += 1
         n = self.n_workers
-        dt = 1.0 / offered_pps if offered_pps else 0.0
-        t0 = self.clock.now_s if dt else 0.0
+        t0 = self.clock.now_s
         self._lost_this_replay = 0
         for shard in range(n):
             self._dispatched_since_begin[shard] = 0
@@ -1959,17 +1948,14 @@ class ShardedEmulator:
         try:
             buffers = [_ShardBuffer() for _ in range(n)]
             everyone = tuple(range(n))
-            count = 0
-            flow_set = None
-            if not isinstance(packets, ColumnSource):
-                packets = PacketFlows(packets)
-            for columns, chunk, size_bytes in packets.flow_batches(batch):
+            done = 0
+            flow_set = ts = None
+            for columns, chunk, size_bytes in column_source(
+                packets
+            ).flow_batches(batch):
                 start = time.perf_counter_ns()
-                rows = len(chunk)
-                ts = None
-                if dt:
-                    ts = t0 + dt * np.arange(count + 1, count + rows + 1)
-                count += rows
+                ts = paced(t0, offered_pps, done, len(chunk))
+                done += len(chunk)
                 if flow_set is None or not flow_set.holds(columns, size_bytes):
                     # A new flow set: what is buffered goes first.
                     self._drain(buffers, batch, flow_set)
@@ -1983,8 +1969,8 @@ class ShardedEmulator:
             self._drain(buffers, batch, flow_set)
             self.parent_dispatch_ns += time.perf_counter_ns() - start
             self.parent_dispatch_ns -= self.parent_stall_ns
-            if dt:
-                self.clock.advance(dt * count)
+            if ts is not None:
+                self.clock.now_s = float(ts[-1])
             merged = stats if stats is not None else RunStats()
             states = []
             for shard, reply in enumerate(

@@ -27,8 +27,6 @@ LATENCY_BUCKETS_NS: tuple[float, ...] = tuple(
     float(2**exp) for exp in range(4, 21)
 )
 
-_TYPES = ("counter", "gauge", "histogram")
-
 
 def _label_key(labels: Mapping[str, object]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))

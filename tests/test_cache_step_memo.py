@@ -43,6 +43,7 @@ from repro.service.session import stats_payload
 from repro.telemetry import MetricsRegistry, export_emulator
 from repro.traffic.flows import FlowSpec
 from repro.traffic.generator import TrafficGenerator
+from tests.test_column_source import batches
 
 I64_MIN = -(2**63)
 KEYS = range(6)
@@ -223,8 +224,10 @@ def scenarios(draw):
 
 
 class Clock:
-    """One scenario clock, for both twins: ``(dt_s, timestamps)`` of
-    the next ``n`` packets."""
+    """One scenario clock, for both twins: the timestamps of the next
+    ``n`` packets (None: the clock stands still). Each replay's packet
+    ``k`` runs ``k`` steps after the last one's end, a step being
+    ``1 / pps`` or the given interval, as a paced replay clocks it."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -232,16 +235,15 @@ class Clock:
 
     def next(self, n: int):
         if self.spec is None:
-            return 0.0, None
+            return None
         kind, value = self.spec
-        if kind == "pps":
-            return 1.0 / value, None
-        times = [self.at + value * (i + 1) for i in range(n)]
+        step = 1.0 / value if kind == "pps" else value
+        times = [self.at + step * (i + 1) for i in range(n)]
         self.at = times[-1]
-        return 0.0, times
+        return times
 
 
-def replay_interp(deployment, packets, dt_s, times):
+def replay_interp(deployment, packets, times):
     """One ``process`` per packet: ``(stats, outcome columns)``."""
     emulator = deployment.emulator
     clock = emulator.clock
@@ -250,8 +252,6 @@ def replay_interp(deployment, packets, dt_s, times):
     for i, packet in enumerate(packets):
         if times is not None:
             clock.now_s = times[i]
-        elif dt_s:
-            clock.advance(dt_s)
         result = emulator.process(packet)
         stats.record(result, packet.size_bytes)
         latencies.append(result.latency_ns)
@@ -260,18 +260,17 @@ def replay_interp(deployment, packets, dt_s, times):
     return stats, [np.array(latencies), np.array(dropped), np.array(egress)]
 
 
-def replay_auto(deployment, stream, batch, dt_s, times):
+def replay_auto(deployment, stream, batch, times):
     """``auto`` on the stream's own batches (flow set attached)."""
     emulator = deployment.emulator
     stats = RunStats()
     columns = []
     done = 0
-    for chunk in stream.batches(batch):
+    for chunk in batches(stream, batch):
         n = len(chunk) if isinstance(chunk, list) else chunk.n
         outcome = emulator.replay_batch(
             chunk,
             stats,
-            dt_s=dt_s,
             timestamps=None if times is None else times[done : done + n],
             engine="auto",
         )
@@ -353,13 +352,13 @@ def run_case(case, target=BLUEFIELD2, native_cache=False, prepare=None):
     for edits, packets in case["replays"]:
         for kind, spec in edits:
             installed.apply(kind, spec)
-        dt_s, times = clock.next(packets)
+        times = clock.next(packets)
         one, two = (
             g.stream(case["flows"], packets, locality="zipf")
             for g in generators
         )
-        expect = replay_interp(interp, list(one), dt_s, times)
-        got = replay_auto(auto, two, case["batch"], dt_s, times)
+        expect = replay_interp(interp, list(one), times)
+        got = replay_auto(auto, two, case["batch"], times)
         assert_twins_agree(interp, auto, expect, got)
     assert_memo_counts_every_arrival(auto.emulator)
     return interp, auto

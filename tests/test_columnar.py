@@ -37,7 +37,7 @@ from repro.ir.actions import Action, Param, drop_action, prim
 from repro.ir.builder import ProgramBuilder
 from repro.ir.entries import ExactValue, LpmValue, TableEntry
 from repro.ir.tables import MatchType
-from repro.nic.columnar import ColumnBatch
+from repro.nic.columnar import ColumnBatch, PacketFlows
 from repro.nic.control_plane import ControlPlane
 from repro.nic.emulator import NicEmulator
 from repro.nic.flow_cache import FlowCache, TokenBucket
@@ -104,6 +104,17 @@ def stats_fingerprint(stats: RunStats) -> tuple:
     )
 
 
+def encoded(packets: list):
+    """``packets`` (one ``size_bytes``) as a replay hands them to the
+    columnar tier: the batch of their :class:`PacketFlows` flow set —
+    columns, or a ``Packet`` list when they have no SoA form
+    (interpreted whole, reason ``input``)."""
+    [(flows, chosen, size_bytes)] = PacketFlows(packets).flow_batches(
+        len(packets)
+    )
+    return flows.batch(chosen, size_bytes)
+
+
 def make_twin_deployments(
     app: str, target, optimize: bool = False, **deployment_knobs
 ):
@@ -148,7 +159,7 @@ def assert_per_packet_identical(interp, col, make_packets) -> None:
     """One ``auto`` batch on ``col`` vs. ``process`` packet by packet
     on ``interp``: latency, verdict and egress port."""
     outcome = col.emulator.replay_batch(
-        make_packets(), RunStats(), engine="auto"
+        encoded(make_packets()), RunStats(), engine="auto"
     )
     for i, packet in enumerate(make_packets()):
         result = interp.emulator.process(packet)
@@ -215,7 +226,7 @@ class TestColumnarDifferential:
         interp, col = make_twin_deployments("l2l3_acl", BLUEFIELD2)
         stats = RunStats()
         outcome = col.emulator.replay_batch(
-            app_packets(3, n=120), stats, engine="auto"
+            encoded(app_packets(3, n=120)), stats, engine="auto"
         )
         for i, packet in enumerate(app_packets(3, n=120)):
             result = interp.emulator.process(packet)
@@ -533,7 +544,7 @@ class TestDemotionIsInterpretation:
         for start in range(0, len(packets), 37):
             chunk = packets[start : start + 37]
             emulator.replay_batch(
-                chunk,
+                encoded(chunk) if engine == "auto" else chunk,
                 stats,
                 timestamps=[
                     2e-6 * (start + i) for i in range(len(chunk))
@@ -773,7 +784,7 @@ class TestCacheStep:
             engine="interp",
         )
         col.emulator.replay_batch(
-            zipf_packets(4, 400),
+            encoded(zipf_packets(4, 400)),
             replayed,
             timestamps=np.array(timestamps),
             engine="auto",
@@ -858,7 +869,7 @@ class TestCacheStep:
         migration and cost — or last, when the leader ends early."""
         interp, col = cache_twins(app, target, capacity=7, limit=0)
         outcome = col.emulator.replay_batch(
-            zipf_packets(5, 400), RunStats(), engine="auto"
+            encoded(zipf_packets(5, 400)), RunStats(), engine="auto"
         )
         assert outcome.demoted == 0
         for i, packet in enumerate(zipf_packets(5, 400)):
@@ -877,7 +888,7 @@ class TestCacheStep:
         for deployment in (interp, col):
             deployment.emulator.native_cache = FlowCache(capacity=5)
         outcome = col.emulator.replay_batch(
-            zipf_packets(6, 500), RunStats(), engine="auto"
+            encoded(zipf_packets(6, 500)), RunStats(), engine="auto"
         )
         assert outcome.demoted == 0
         for i, packet in enumerate(zipf_packets(6, 500)):
@@ -1308,7 +1319,10 @@ def test_property_cache_step_is_a_sequential_flow_cache(case):
         packets(), reference, timestamps=timestamps, engine="interp"
     )
     col.emulator.replay_batch(
-        packets(), replayed, timestamps=np.array(timestamps), engine="auto"
+        encoded(packets()),
+        replayed,
+        timestamps=np.array(timestamps),
+        engine="auto",
     )
     assert stats_fingerprint(replayed) == stats_fingerprint(reference)
     assert_emulators_identical(interp.emulator, col.emulator)

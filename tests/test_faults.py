@@ -26,7 +26,7 @@ from repro.apps import EXAMPLE_APPS
 from repro.core import Deployment, Pipeleon
 from repro.errors import EmulationError
 from repro.nic.faults import (
-    AUTO_BATCH_SPAN,
+    AUTO_PACKET_SPAN,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -156,7 +156,7 @@ class TestFaultPlan:
         second = FaultPlan(specs, seed=7)
         assert first.specs == second.specs
         for spec in first.specs:
-            assert 0 <= spec.at_batch < AUTO_BATCH_SPAN
+            assert 0 <= spec.at_packet < AUTO_PACKET_SPAN
 
     def test_explicit_positions_pass_through(self):
         spec = FaultSpec("kill", shard=0, at_batch=5)
@@ -1023,6 +1023,10 @@ class TestDeathBetweenPublishAndToken:
 
 
 class TestDeterminism:
+    #: Enough packets that each of the two shards (flows split about
+    #: 2:1 here) passes every auto-placed trigger, wherever it lands.
+    PACKETS = 4 * AUTO_PACKET_SPAN
+
     def run_once(self, seed: int):
         telemetry = Telemetry()
         plan = FaultPlan(
@@ -1040,11 +1044,11 @@ class TestDeterminism:
         )
         try:
             stats = sharded.replay(
-                app_packets(7, 600), offered_pps=1e6, batch=32
+                app_packets(7, self.PACKETS), offered_pps=1e6, batch=32
             )
             return (
                 stats_fingerprint(stats),
-                [spec.at_batch for spec in plan.specs],
+                [spec.at_packet for spec in plan.specs],
                 event_kinds(telemetry, prefix="worker_"),
             )
         finally:
@@ -1054,6 +1058,8 @@ class TestDeterminism:
         first = self.run_once(seed=3)
         second = self.run_once(seed=3)
         assert first == second
+        kinds = first[2]
+        assert "worker_dead" in kinds and "worker_hung" in kinds
 
 
 class TestShardJournal:

@@ -31,7 +31,7 @@ from repro.apps import l2l3_acl
 from repro.cli import main
 from repro.core import Deployment
 from repro.nic.emulator import DEFAULT_BATCH
-from repro.nic.faults import FaultPlan, FaultSpec
+from repro.nic.faults import AUTO_PACKET_SPAN, FaultPlan, FaultSpec
 from repro.nic.sharding import SupervisorOptions
 from repro.nic.targets import EMULATED_NIC
 from repro.telemetry import Telemetry
@@ -697,8 +697,11 @@ class TestFaultSloInteraction:
             telemetry=telemetry,
         )
         try:
-            stats = sharded.replay(app_packets(13, 1200))
-            assert stats.packets == 1200  # respawn recovered the shard
+            # Shard 0 takes about 2/3 of the flows: 2 * AUTO_PACKET_SPAN
+            # packets carry it past an auto-placed kill wherever it lands.
+            packets = 2 * AUTO_PACKET_SPAN
+            stats = sharded.replay(app_packets(13, packets))
+            assert stats.packets == packets  # respawn recovered the shard
             assert sharded.emulator.respawns == [1, 0]
             watchdog = sharded.live_plane.watchdog
             assert wait_for(

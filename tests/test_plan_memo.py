@@ -36,6 +36,7 @@ from repro.nic.targets import BLUEFIELD2
 from repro.service.session import stats_payload
 from repro.traffic.flows import FlowSpec
 from repro.traffic.generator import TrafficGenerator
+from tests.test_column_source import batches
 
 I64_MAX = 2**63 - 1
 I64_MIN = -(2**63)
@@ -231,7 +232,7 @@ def replay_columns(deployment, stream, batch: int, memo: bool):
     stats = RunStats()
     emulator = deployment.emulator
     columns = []
-    for chunk in stream.batches(batch):
+    for chunk in batches(stream, batch):
         outcome = emulator.replay_batch(
             chunk if memo else without_flow_set(chunk), stats, engine="auto"
         )
