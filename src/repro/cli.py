@@ -80,6 +80,28 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_traffic(parser: argparse.ArgumentParser) -> None:
+    """The program and generated traffic of ``replay`` and ``report``."""
+    parser.add_argument(
+        "--app",
+        default=None,
+        help="example app name (see repro.apps.EXAMPLE_APPS)",
+    )
+    parser.add_argument(
+        "--program",
+        default=None,
+        help="program JSON path (alternative to --app)",
+    )
+    parser.add_argument("--packets", type=int, default=20000)
+    parser.add_argument("--flows", type=int, default=256)
+    parser.add_argument(
+        "--locality",
+        default="uniform",
+        help="uniform | zipf | round_robin",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     program = _load_program(args.input)
     profile = _load_profile(args.profile, program)
@@ -797,28 +819,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay generated traffic through the emulator "
         "(--jobs N for the sharded multi-core engine)",
     )
-    replay.add_argument(
-        "--app",
-        default=None,
-        help="example app name (see repro.apps.EXAMPLE_APPS)",
-    )
-    replay.add_argument(
-        "--program",
-        default=None,
-        help="program JSON path (alternative to --app)",
-    )
-    replay.add_argument("--packets", type=int, default=20000)
+    _add_traffic(replay)
     replay.add_argument(
         "--jobs",
         type=int,
         default=1,
         help="worker processes; 1 = in-process replay",
-    )
-    replay.add_argument("--flows", type=int, default=256)
-    replay.add_argument(
-        "--locality",
-        default="uniform",
-        help="uniform | zipf | round_robin",
     )
     replay.add_argument(
         "--pps",
@@ -836,7 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reference interpreter for every packet); both are "
         "stats-identical",
     )
-    replay.add_argument("--seed", type=int, default=0)
     replay.add_argument(
         "--trace",
         action="store_true",
@@ -976,24 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="traced replay + measured-vs-predicted latency table",
     )
-    report.add_argument(
-        "--app",
-        default=None,
-        help="example app name (see repro.apps.EXAMPLE_APPS)",
-    )
-    report.add_argument(
-        "--program",
-        default=None,
-        help="program JSON path (alternative to --app)",
-    )
-    report.add_argument("--packets", type=int, default=20000)
-    report.add_argument("--flows", type=int, default=256)
-    report.add_argument(
-        "--locality",
-        default="uniform",
-        help="uniform | zipf | round_robin",
-    )
-    report.add_argument("--seed", type=int, default=0)
+    _add_traffic(report)
     report.add_argument(
         "--trace-interval",
         type=int,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
 from repro.core.costmodel import CostModel
@@ -23,6 +23,7 @@ from repro.core.deployment import Deployment
 from repro.core.plan import OptimizationPlan, ResourceBudget
 from repro.core.profiling import RuntimeProfile
 from repro.core.search import (
+    SearchMemo,
     SearchOptions,
     evaluate_plan_gain,
     optimize,
@@ -145,6 +146,8 @@ class PipeleonController:
         self.current_plan: Optional[OptimizationPlan] = baseline_plan
         self.last_profile: Optional[RuntimeProfile] = None
         self.reoptimizations = 0
+        #: Replans re-search only the hot pipelets whose inputs moved.
+        self.search_memo = SearchMemo()
         #: Attached SLO watchdog (see :meth:`attach_slo_watchdog`).
         self.slo_watchdog = None
         self.slo_breaches_seen = 0
@@ -293,8 +296,6 @@ class PipeleonController:
             # search's expectation so the search can drop the cache.
             worst = min(profile.cache_hit_rates.values())
             if worst < search.default_hit_rate:
-                from dataclasses import replace
-
                 # Floor the adapted estimate: a single thrashing cache
                 # should not veto caching everywhere (the update-rate
                 # invalidation penalty already handles churn).
@@ -307,6 +308,14 @@ class PipeleonController:
             self.model,
             budget=self.budget,
             options=search,
+            memo=self.search_memo,
+        )
+        search_cost = dict(
+            search_wall_s=plan.search_time_s,
+            combos_evaluated=plan.combos_evaluated,
+            segment_steps=plan.segment_steps,
+            search_memo_hits=plan.search_memo_hits,
+            search_memo_misses=plan.search_memo_misses,
         )
         changed = self.current_plan is None or plan_signature(
             plan
@@ -338,9 +347,7 @@ class PipeleonController:
                     candidate_gain_ns=plan.total_gain_ns,
                     threshold_ns=threshold,
                     plan=plan.describe(),
-                    search_wall_s=plan.search_time_s,
-                    combos_evaluated=plan.combos_evaluated,
-                    segment_steps=plan.segment_steps,
+                    **search_cost,
                 )
         if changed:
             old_ops = plan_ops(self.current_plan)
@@ -364,9 +371,7 @@ class PipeleonController:
                 gain_ns=plan.total_gain_ns,
                 plan=plan.describe(),
                 signature=repr(plan_signature(plan)),
-                search_wall_s=plan.search_time_s,
-                combos_evaluated=plan.combos_evaluated,
-                segment_steps=plan.segment_steps,
+                **search_cost,
             )
             self._redeploy(plan)
         else:

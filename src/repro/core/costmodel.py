@@ -19,7 +19,7 @@ and answers the memory/update-rate questions of the search constraints
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional
 
 from repro.ir.conditionals import ConditionalNode
@@ -284,10 +284,9 @@ class CostModel:
                 (info.hit_next if info else None, hit * survive),
                 (info.miss_next if info else None, 1.0 - hit),
             ]
-        if table.kind is TableKind.NAVIGATION:
-            # Resolved dynamically; treat static next as the common case.
-            return [(table.next_map[table.default_action], 1.0)]
-        if table.kind is TableKind.MIGRATION:
+        if table.kind in (TableKind.NAVIGATION, TableKind.MIGRATION):
+            # A navigation jump resolves dynamically; treat its static
+            # next as the common case.
             return [(table.next_map[table.default_action], 1.0)]
         out: dict[Optional[str], float] = {}
         for action_name, action in table.actions.items():
@@ -412,8 +411,4 @@ class CostPrediction:
     update_pps: float
 
     def to_json(self) -> dict:
-        return {
-            "latency_ns": self.latency_ns,
-            "memory_bytes": self.memory_bytes,
-            "update_pps": self.update_pps,
-        }
+        return asdict(self)

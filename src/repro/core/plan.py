@@ -98,6 +98,10 @@ class OptimizationPlan:
     #: Labelling-tree extensions the local search made: one per
     #: segment appended to a shared prefix.
     segment_steps: int = 0
+    #: Hot pipelets whose local search was read from a search memo, and
+    #: those searched cold (:class:`repro.core.search.SearchMemo`).
+    search_memo_hits: int = 0
+    search_memo_misses: int = 0
 
     @property
     def total_gain_ns(self) -> float:

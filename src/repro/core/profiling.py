@@ -11,7 +11,7 @@ back to original-program coordinates (§4.1.2's "counter map").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Mapping, Optional
 
 from repro.ir.entries import (
@@ -92,17 +92,7 @@ class RuntimeProfile:
     # -- mutation helpers -----------------------------------------------------
 
     def copy(self) -> "RuntimeProfile":
-        return RuntimeProfile(
-            action_probs={
-                t: dict(p) for t, p in self.action_probs.items()
-            },
-            branch_probs=dict(self.branch_probs),
-            entry_counts=dict(self.entry_counts),
-            update_rates=dict(self.update_rates),
-            table_m=dict(self.table_m),
-            cache_hit_rates=dict(self.cache_hit_rates),
-            offered_pps=self.offered_pps,
-        )
+        return replace(self, **asdict(self))  # every map copied
 
     def set_action_probs(
         self, table_name: str, probs: Mapping[str, float]
@@ -317,18 +307,9 @@ def collect_profile(
 
 
 def profile_to_json(profile: RuntimeProfile) -> dict:
-    """Serializable snapshot of a profile (CLI persistence)."""
-    return {
-        "action_probs": {
-            t: dict(p) for t, p in profile.action_probs.items()
-        },
-        "branch_probs": dict(profile.branch_probs),
-        "entry_counts": dict(profile.entry_counts),
-        "update_rates": dict(profile.update_rates),
-        "table_m": dict(profile.table_m),
-        "cache_hit_rates": dict(profile.cache_hit_rates),
-        "offered_pps": profile.offered_pps,
-    }
+    """Serializable snapshot of a profile (CLI persistence): every
+    field, its maps copied."""
+    return asdict(profile)
 
 
 def profile_from_json(data: Mapping) -> RuntimeProfile:

@@ -20,8 +20,8 @@ import functools
 import heapq
 import math
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Optional, Sequence
 
 from repro.core.costmodel import CostModel
@@ -44,7 +44,7 @@ from repro.errors import SearchError
 from repro.ir.dependency import movable_to_front, valid_orders
 from repro.ir.entries import ENTRY_OVERHEAD_BYTES, FIELD_BYTES
 from repro.ir.program import Program
-from repro.ir.tables import MatchType, TableNode
+from repro.ir.tables import MatchType, TableKind, TableNode
 
 
 @dataclass(frozen=True)
@@ -453,10 +453,7 @@ def _candidate_orders(
     for table in droppers[:3]:
         add(movable_to_front(tables, table.name))
     if len(tables) <= 7:
-        for order in islice(
-            valid_orders(list(tables), options.max_orders),
-            options.max_orders,
-        ):
+        for order in valid_orders(tables, options.max_orders):
             if len(orders) >= options.max_orders:
                 break
             add(order)
@@ -551,6 +548,72 @@ def local_candidates(
             )
         )
     return candidates, evaluated, steps
+
+
+#: Local searches a :class:`SearchMemo` keeps, least recently used out.
+SEARCH_MEMO_CAPACITY = 16
+
+
+class SearchMemo(OrderedDict):
+    """Local searches keyed by all that :func:`local_candidates` reads.
+
+    Tables are mutable, so the key stamps what the search reads of
+    them; the cost model is keyed by identity, so a model must not be
+    edited once searched with. A hit is a cold search field for field:
+    its frozen candidates sit in a tuple no caller can write back into.
+    A bounded LRU; a run with a table that is not plain (priced from
+    other nodes) is searched cold and not kept.
+    """
+
+    def search(
+        self,
+        program: Program,
+        pipelet: Pipelet,
+        profile: RuntimeProfile,
+        model: CostModel,
+        options: SearchOptions,
+        reach_p: float,
+    ) -> tuple[tuple[Candidate, ...], int, int, bool]:
+        """:func:`local_candidates` through the memo, and whether it hit."""
+        tables = pipelet.tables(program)
+        key = None
+        if all(t.kind is TableKind.PLAIN for t in tables):
+            key = (
+                pipelet.pipelet_id,
+                pipelet.table_names,
+                tuple(
+                    (
+                        t.keys,
+                        tuple(t.actions.items()),
+                        t.default_action,
+                        t.pipeline,
+                        t.memory_tier,
+                        tuple(profile.action_probs.get(t.name, {}).items()),
+                        profile.entry_counts.get(t.name),
+                        profile.update_rates.get(t.name),
+                        profile.table_m.get(t.name),
+                    )
+                    for t in tables
+                ),
+                profile.offered_pps,
+                options,
+                reach_p,
+                model,
+            )
+            # A fresh memo (a cold search's) has nothing to look up.
+            found = self.get(key) if self else None
+            if found is not None:
+                self.move_to_end(key)
+                return found + (True,)
+        cands, evaluated, walked = local_candidates(
+            program, pipelet, profile, model, options, reach_p
+        )
+        found = (tuple(cands), evaluated, walked)
+        if key is not None:
+            self[key] = found
+            if len(self) > SEARCH_MEMO_CAPACITY:
+                self.popitem(last=False)
+        return found + (False,)
 
 
 def group_candidates(
@@ -730,8 +793,14 @@ def optimize(
     budget: Optional[ResourceBudget] = None,
     options: Optional[SearchOptions] = None,
     pipelets: Optional[Sequence[Pipelet]] = None,
+    memo: Optional[SearchMemo] = None,
 ) -> OptimizationPlan:
-    """Full Pipeleon search: partition, top-k, local + global search."""
+    """Full Pipeleon search: partition, top-k, local + global search.
+
+    ``memo`` answers each hot pipelet's local search it has seen; it is
+    fresh per call by default, and the controller keeps one for life.
+    """
+    memo = SearchMemo() if memo is None else memo
     budget = budget or ResourceBudget()
     options = options or SearchOptions()
     started = time.perf_counter()
@@ -740,20 +809,22 @@ def optimize(
     reach = model.reach_probs(program, profile)
     hot = top_k(program, pipelets, profile, model, k=options.k, reach=reach)
     candidates_by_pipelet: dict[str, list[Candidate]] = {}
-    combos = steps = 0
+    combos = steps = hits = misses = 0
     hot_pipelets = [cost.pipelet for cost in hot]
     # Per-pipelet local search first.
     for cost in hot:
         pipelet = cost.pipelet
         if pipelet.is_switch_case:
             continue  # single special table; nothing to transform
-        cands, evaluated, walked = local_candidates(
+        cands, evaluated, walked, hit = memo.search(
             program, pipelet, profile, model, options, cost.probability
         )
+        hits += hit
+        misses += not hit
         combos += evaluated
         steps += walked
         if cands:
-            candidates_by_pipelet[pipelet.pipelet_id] = cands
+            candidates_by_pipelet[pipelet.pipelet_id] = list(cands)
     # Cross-pipelet groups: a group cache replaces its members'
     # individual optimizations, so adopt it only when it beats their
     # combined best gain (otherwise keep the per-pipelet candidates).
@@ -786,6 +857,8 @@ def optimize(
         pipelets_considered=len(hot),
         combos_evaluated=combos,
         segment_steps=steps,
+        search_memo_hits=hits,
+        search_memo_misses=misses,
     )
 
 

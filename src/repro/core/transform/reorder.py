@@ -13,7 +13,7 @@ from typing import Sequence
 from repro.core.profiling import RuntimeProfile
 from repro.core.transform.base import TransformResult, rewire_external_edges
 from repro.errors import TransformError
-from repro.ir.dependency import order_is_valid
+from repro.ir.dependency import dependency_graph, order_is_valid
 from repro.ir.program import Program
 from repro.ir.tables import TableNode
 
@@ -74,28 +74,15 @@ def drop_rate_order(
     one with the highest current drop rate — the paper's "promote tables
     with higher dropping rates to earlier places".
     """
-    from repro.ir.dependency import dependency_graph
-
-    graph = dependency_graph(list(tables))
-    by_name = {t.name: t for t in tables}
-    remaining = set(by_name)
+    must_precede = dependency_graph(tables)
+    drop_rate = {t.name: profile.drop_rate(t) for t in tables}
     order: list[str] = []
-    while remaining:
+    while len(order) < len(drop_rate):
         ready = [
             name
-            for name in remaining
-            if all(
-                pred not in remaining
-                for pred in graph.predecessors(name)
-            )
+            for name in drop_rate
+            if name not in order
+            and all(a in order for a, b in must_precede if b == name)
         ]
-        ready.sort(
-            key=lambda name: (
-                -profile.drop_rate(by_name[name]),
-                name,
-            )
-        )
-        chosen = ready[0]
-        order.append(chosen)
-        remaining.discard(chosen)
+        order.append(min(ready, key=lambda n: (-drop_rate[n], n)))
     return tuple(order)

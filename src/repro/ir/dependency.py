@@ -10,10 +10,7 @@ field is excluded from output-dependency checks.
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Iterable, Iterator, Sequence
-
-import networkx as nx
+from typing import Iterator, Sequence
 
 from repro.ir.actions import DROP_FIELD
 from repro.ir.tables import TableNode
@@ -41,72 +38,62 @@ def can_swap(first: TableNode, second: TableNode) -> bool:
     return not depends_on(first, second) and not depends_on(second, first)
 
 
-def dependency_graph(tables: Sequence[TableNode]) -> nx.DiGraph:
-    """Build the must-precede DAG over a linear run of tables.
+def dependency_graph(tables: Sequence[TableNode]) -> set[tuple[str, str]]:
+    """The must-precede relation over a linear run of tables.
 
-    An edge ``a -> b`` means ``a`` must execute before ``b``. Only pairs
+    A pair ``(a, b)`` means ``a`` must execute before ``b``. Only pairs
     in their current relative order are considered (the current order is
     assumed correct).
     """
-    graph = nx.DiGraph()
-    for table in tables:
-        graph.add_node(table.name)
-    for i, first in enumerate(tables):
-        for second in tables[i + 1:]:
-            if depends_on(first, second) or depends_on(second, first):
-                graph.add_edge(first.name, second.name)
-    return graph
+    return {
+        (first.name, second.name)
+        for i, first in enumerate(tables)
+        for second in tables[i + 1:]
+        if depends_on(first, second) or depends_on(second, first)
+    }
 
 
 def order_is_valid(
     tables: Sequence[TableNode], order: Sequence[str]
 ) -> bool:
     """Check that ``order`` respects all pairwise dependencies."""
-    graph = dependency_graph(tables)
     position = {name: i for i, name in enumerate(order)}
-    if set(position) != set(graph.nodes):
+    if set(position) != {t.name for t in tables}:
         return False
     return all(
-        position[a] < position[b] for a, b in graph.edges
+        position[a] < position[b] for a, b in dependency_graph(tables)
     )
 
 
 def valid_orders(
     tables: Sequence[TableNode], limit: int = 64
 ) -> Iterator[tuple[str, ...]]:
-    """Yield dependency-respecting orders (up to ``limit``).
+    """Yield up to ``limit`` dependency-respecting orders.
 
-    For short runs this enumerates all topological orders; the identity
-    order is always yielded first so callers can treat index 0 as the
-    no-op candidate.
+    The identity order comes first, so callers can treat index 0 as the
+    no-op candidate. The rest come from a backtracking search that tries
+    the ready tables in index order: the order in which
+    ``itertools.permutations`` lists them, without visiting the invalid
+    ones.
     """
-    names = [t.name for t in tables]
-    graph = dependency_graph(tables)
-    yield tuple(names)
+    names = tuple(t.name for t in tables)
+    must_precede = dependency_graph(tables)
+    yield names
     count = 1
-    if len(tables) <= 7:
-        seen = {tuple(names)}
-        for perm in permutations(names):
-            if perm in seen:
-                continue
-            position = {name: i for i, name in enumerate(perm)}
-            if all(position[a] < position[b] for a, b in graph.edges):
-                seen.add(perm)
-                yield perm
+    stack: list[tuple[str, ...]] = [()]
+    while stack and count < limit:
+        order = stack.pop()
+        if len(order) == len(names):
+            if order != names:
+                yield order
                 count += 1
-                if count >= limit:
-                    return
-    else:
-        # Long runs: enumerating permutations is hopeless; fall back to
-        # networkx topological-sort sampling (deterministic subset).
-        for perm in nx.all_topological_sorts(graph):
-            tpl = tuple(perm)
-            if tpl == tuple(names):
-                continue
-            yield tpl
-            count += 1
-            if count >= limit:
-                return
+            continue
+        stack.extend(
+            order + (name,)
+            for name in reversed(names)
+            if name not in order
+            and all(a in order for a, b in must_precede if b == name)
+        )
 
 
 def movable_to_front(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Optional
 
@@ -213,30 +213,14 @@ class TableNode:
 
     def clone(self, **overrides: Any) -> "TableNode":
         """Copy the node (cache_info deep-copied: rewiring mutates it)."""
-        cache_info = self.cache_info
-        if cache_info is not None and "cache_info" not in overrides:
-            cache_info = CacheInfo(
-                covers=cache_info.covers,
-                hit_next=cache_info.hit_next,
-                miss_next=cache_info.miss_next,
-                mode=cache_info.mode,
-                capacity=cache_info.capacity,
-                insertion_limit_pps=cache_info.insertion_limit_pps,
-                estimated_hit_rate=cache_info.estimated_hit_rate,
-            )
-        overrides.setdefault("cache_info", cache_info)
-        data = {
-            "name": self.name,
-            "keys": self.keys,
-            "actions": dict(self.actions),
-            "default_action": self.default_action,
-            "next_map": dict(self.next_map),
-            "size": self.size,
-            "kind": self.kind,
-            "pipeline": self.pipeline,
-            "memory_tier": self.memory_tier,
-            "cache_info": self.cache_info,
-            "annotations": dict(self.annotations),
-        }
-        data.update(overrides)
-        return TableNode(**data)
+        if self.cache_info is not None and "cache_info" not in overrides:
+            overrides["cache_info"] = replace(self.cache_info)
+        return replace(
+            self,
+            **{
+                "actions": dict(self.actions),
+                "next_map": dict(self.next_map),
+                "annotations": dict(self.annotations),
+                **overrides,
+            },
+        )

@@ -11,7 +11,7 @@ both sides answer the same question and an error column is meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro.core.costmodel import CostModel
@@ -136,17 +136,7 @@ class KernelRow:
     model_share: float  # fraction of total modeled packet-ns
 
     def to_json(self) -> dict:
-        return {
-            "node": self.node,
-            "packets": self.packets,
-            "partitions": self.partitions,
-            "scalar_lookups": self.scalar_lookups,
-            "cache_replayed": self.cache_replayed,
-            "wall_us_per_kpkt": self.wall_us_per_kpkt,
-            "model_ns_per_pkt": self.model_ns_per_pkt,
-            "wall_share": self.wall_share,
-            "model_share": self.model_share,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -299,15 +289,7 @@ class DseCellRow:
     measured_rank: float
 
     def to_json(self) -> dict:
-        return {
-            "cell": self.cell,
-            "fingerprint": self.fingerprint,
-            "label": self.label,
-            "predicted_ns": self.predicted_ns,
-            "measured_ns": self.measured_ns,
-            "predicted_rank": self.predicted_rank,
-            "measured_rank": self.measured_rank,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ merge` (histograms sum element-wise; recent traces interleave).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro.telemetry.metrics import LATENCY_BUCKETS_NS, Histogram
@@ -43,12 +43,7 @@ class TraceStep:
     latency_ns: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "node": self.node,
-            "kind": self.kind,
-            "detail": self.detail,
-            "latency_ns": self.latency_ns,
-        }
+        return asdict(self)
 
 
 class PacketTrace:

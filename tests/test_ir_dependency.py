@@ -1,5 +1,7 @@
 """Tests for table dependency analysis (reordering safety)."""
 
+from itertools import permutations
+
 from repro.ir.actions import (
     Action,
     drop_action,
@@ -86,8 +88,9 @@ class TestOrders:
     def test_dependency_graph_edges(self):
         a = writer_table("a", "fa", "x")
         b = noop_table("b", "x")
-        graph = dependency_graph([a, b])
-        assert ("a", "b") in graph.edges
+        c = noop_table("c", "fc")
+        # Exactly the one must-precede pair: c depends on neither.
+        assert dependency_graph([a, b, c]) == {("a", "b")}
 
     def test_valid_orders_yields_identity_first(self):
         tables = [noop_table(n, f"f{n}") for n in "abc"]
@@ -102,6 +105,26 @@ class TestOrders:
         orders = list(valid_orders([a, b, c]))
         for order in orders:
             assert order.index("a") < order.index("b")
+
+    def test_valid_orders_come_in_permutations_order(self):
+        """Every valid order, in the order ``itertools.permutations``
+        lists the permutations it keeps."""
+        tables = [
+            writer_table("a", "fa", "x"),
+            noop_table("b", "x"),
+            acl_table("c", "fc"),
+            writer_table("d", "fd", "y"),
+            noop_table("e", "y"),
+        ]
+        must_precede = dependency_graph(tables)
+        assert must_precede == {("a", "b"), ("d", "e")}
+        expected = [
+            order
+            for order in permutations("abcde")
+            if all(order.index(x) < order.index(y) for x, y in must_precede)
+        ]
+        assert len(expected) == 30
+        assert list(valid_orders(tables, limit=64)) == expected
 
     def test_valid_orders_limit(self):
         tables = [noop_table(f"t{i}", f"f{i}") for i in range(5)]
